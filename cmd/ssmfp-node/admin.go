@@ -104,45 +104,15 @@ func sortedIDs(targets map[graph.ProcessID]string) []graph.ProcessID {
 	return ids
 }
 
-// topoFrom rebuilds an operator topology from a node's reported slot
-// count and edge set — the same construction Epoch.Build performs, but
-// keeping the mutable Topology instead of freezing it.
-func topoFrom(slots int, edges [][2]graph.ProcessID) (*graph.Topology, error) {
-	if slots <= 0 {
-		return nil, fmt.Errorf("reported slot count %d", slots)
-	}
-	onEdge := make([]bool, slots)
-	for _, ed := range edges {
-		for _, p := range ed {
-			if int(p) < 0 || int(p) >= slots {
-				return nil, fmt.Errorf("reported edge (%d,%d) outside %d slots", ed[0], ed[1], slots)
-			}
-			onEdge[p] = true
-		}
-	}
-	topo := graph.NewTopology(graph.New(slots))
-	if slots > 1 {
-		for p, on := range onEdge {
-			if !on {
-				if err := topo.RemoveNode(graph.ProcessID(p)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for _, ed := range edges {
-		if err := topo.AddEdge(ed[0], ed[1]); err != nil {
-			return nil, err
-		}
-	}
-	return topo, nil
-}
-
-// console reconstructs the operator console for a running cluster: ask
-// the first answering node for its status, rebuild the topology it
+// console reconstructs the operator console for the -targets cluster:
+// ask the first answering node for its status, rebuild the topology it
 // reports, resume the epoch sequence there, and attach an HTTP client
 // for every listed node.
-func console(cfg config, targets map[graph.ProcessID]string) (*cluster.Manager, error) {
+func console(cfg config) (*cluster.Manager, error) {
+	targets, err := parseTargets(cfg.targets)
+	if err != nil {
+		return nil, err
+	}
 	var lastErr error
 	for _, id := range sortedIDs(targets) {
 		hc, err := adminClient(cfg, targets[id])
@@ -154,7 +124,7 @@ func console(cfg config, targets map[graph.ProcessID]string) (*cluster.Manager, 
 			lastErr = fmt.Errorf("node %d (%s): %w", id, targets[id], err)
 			continue
 		}
-		topo, err := topoFrom(st.Slots, st.Edges)
+		topo, err := cluster.Topology(st.Slots, st.Edges)
 		if err != nil {
 			return nil, fmt.Errorf("node %d reported an unusable topology: %w", id, err)
 		}
@@ -174,11 +144,7 @@ func console(cfg config, targets map[graph.ProcessID]string) (*cluster.Manager, 
 
 func adminStatus(cfg config) error {
 	if cfg.targets != "" {
-		targets, err := parseTargets(cfg.targets)
-		if err != nil {
-			return err
-		}
-		mgr, err := console(cfg, targets)
+		mgr, err := console(cfg)
 		if err != nil {
 			return err
 		}
@@ -216,11 +182,7 @@ func adminInject(cfg config) error {
 	}
 	src, dst := graph.ProcessID(cfg.from), graph.ProcessID(cfg.to)
 	if cfg.targets != "" {
-		targets, err := parseTargets(cfg.targets)
-		if err != nil {
-			return err
-		}
-		mgr, err := console(cfg, targets)
+		mgr, err := console(cfg)
 		if err != nil {
 			return err
 		}
@@ -245,11 +207,7 @@ func adminDrain(cfg config) error {
 	if cfg.proc < 0 {
 		return fmt.Errorf("-admin drain needs -proc")
 	}
-	targets, err := parseTargets(cfg.targets)
-	if err != nil {
-		return err
-	}
-	mgr, err := console(cfg, targets)
+	mgr, err := console(cfg)
 	if err != nil {
 		return err
 	}
@@ -268,11 +226,7 @@ func adminLink(cfg config) error {
 	if cfg.linkU < 0 || cfg.linkV < 0 {
 		return fmt.Errorf("-admin %s needs -u and -v", cfg.admin)
 	}
-	targets, err := parseTargets(cfg.targets)
-	if err != nil {
-		return err
-	}
-	mgr, err := console(cfg, targets)
+	mgr, err := console(cfg)
 	if err != nil {
 		return err
 	}

@@ -1,22 +1,18 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
+	"maps"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"ssmfp/internal/cluster"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
-	"ssmfp/internal/transport"
 )
 
 // runElastic is the churn judge: the -spawn launcher's elastic sibling.
@@ -46,27 +42,17 @@ func runElastic(cfg config) error {
 	joinB := graph.ProcessID(n + 1) // joins on (B,1) and (B,3)
 	drainTarget := graph.ProcessID(n - 1)
 
+	fleet, err := harness.NewFleet()
+	if err != nil {
+		return err
+	}
+	defer fleet.Close()
 	// One loopback wire port per slot, joiners included: the peers file
 	// covers the whole slot space up front, so every child — present and
 	// future — can dial every other. (The epochs redundantly carry the
 	// same address book; a real deployment would rely on that instead.)
-	wire := make(map[graph.ProcessID]string, n+2)
-	for p := graph.ProcessID(0); int(p) < n+2; p++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		wire[p] = l.Addr().String()
-		l.Close()
-	}
-
-	dir, err := os.MkdirTemp("", "ssmfp-elastic-*")
+	wire, peersPath, err := fleet.Peers(n + 2)
 	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	peersPath := filepath.Join(dir, "peers.txt")
-	if err := os.WriteFile(peersPath, []byte(transport.FormatPeers(wire)), 0o644); err != nil {
 		return err
 	}
 
@@ -75,55 +61,61 @@ func runElastic(cfg config) error {
 	// the post-join topology (it brings its own wires up; the epoch
 	// brings everyone else's).
 	base := graph.Ring(n)
-	baseEdges := base.Edges()
-	joinedA, err := buildTopo(n+1, append(append([][2]graph.ProcessID{}, baseEdges...),
+	joinedA, err := buildTopo(n+1, append(base.Edges(),
 		[2]graph.ProcessID{joinA, 0}, [2]graph.ProcessID{joinA, 2}))
 	if err != nil {
 		return err
 	}
-	joinedB, err := buildTopo(n+2, append(append([][2]graph.ProcessID{}, joinedA.Edges()...),
+	joinedB, err := buildTopo(n+2, append(joinedA.Edges(),
 		[2]graph.ProcessID{joinB, 1}, [2]graph.ProcessID{joinB, 3}))
 	if err != nil {
 		return err
 	}
-	topoPaths := map[string]*graph.Graph{"base.txt": base, "join-a.txt": joinedA, "join-b.txt": joinedB}
-	for name, g := range topoPaths {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(graph.Format(g)), 0o644); err != nil {
+	topoPaths := make(map[*graph.Graph]string)
+	for name, g := range map[string]*graph.Graph{"base.txt": base, "join-a.txt": joinedA, "join-b.txt": joinedB} {
+		if topoPaths[g], err = fleet.WriteTopology(name, g); err != nil {
 			return err
 		}
 	}
 
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	children := make(map[graph.ProcessID]*serveChild)
-	defer func() {
-		for _, c := range children {
-			c.release(5 * time.Second)
-		}
-	}()
-	boot := func(id graph.ProcessID, topoName string) (*serveChild, error) {
-		c, err := spawnServe(self, id, filepath.Join(dir, topoName), peersPath, cfg)
+	// boot forks one -serve node on topology g and waits for its startup
+	// banner; nodes maps every live member to its admin client.
+	nodes := make(map[graph.ProcessID]*cluster.HTTPClient)
+	boot := func(id graph.ProcessID, g *graph.Graph) (*harness.Child, error) {
+		c, err := fleet.Start("-serve",
+			"-id", strconv.Itoa(int(id)),
+			"-topology-file", topoPaths[g],
+			"-peers", peersPath,
+			"-seed", strconv.FormatInt(cfg.seed, 10),
+			"-tick", cfg.tick.String(),
+			"-http", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("node %d: %v", id, err)
 		}
-		children[id] = c
+		var b serveBanner
+		if err := c.Announce(&b, 15*time.Second); err != nil {
+			return nil, fmt.Errorf("node %d: no startup banner: %v", id, err)
+		}
+		nodes[id] = cluster.NewHTTPClient("http://" + b.AdminAddr)
 		return c, nil
 	}
 
 	// Base ring up, console over it.
 	mgr := cluster.NewManager(graph.NewTopology(base))
 	mgr.PollInterval = 25 * time.Millisecond
+	var drainProc *harness.Child
 	for p := graph.ProcessID(0); int(p) < n; p++ {
-		c, err := boot(p, "base.txt")
+		c, err := boot(p, base)
 		if err != nil {
 			return err
 		}
-		mgr.Attach(p, c.hc, wire[p])
+		if p == drainTarget {
+			drainProc = c
+		}
+		mgr.Attach(p, nodes[p], wire[p])
 	}
 	for p := graph.ProcessID(0); int(p) < n; p++ {
-		st, err := children[p].hc.Status()
+		st, err := nodes[p].Status()
 		if err != nil {
 			return fmt.Errorf("node %d never answered status: %w", p, err)
 		}
@@ -136,18 +128,28 @@ func runElastic(cfg config) error {
 	// the whole scenario; it keeps flowing through every membership
 	// change, including straight through the draining node (0↔2 transits
 	// the n-1 side of the ring once (0,1) is cut).
-	led := newLedger()
+	// The stream goroutines get their own copy of the base members'
+	// clients: nodes itself changes as members join and leave.
+	led := &ledger{}
+	baseNodes := maps.Clone(nodes)
 	inject := func(src, dst graph.ProcessID, count int, payload string) ([]uint64, error) {
-		rep, err := children[src].hc.Inject(src, dst, count, payload)
+		rep, err := baseNodes[src].Inject(src, dst, count, payload)
 		if err != nil {
 			return nil, err
 		}
 		return rep.UIDs, nil
 	}
-	stopLoad := load.Sustain(inject, []load.SustainedStream{
+	streams := []load.SustainedStream{
 		{Src: 0, Dst: 2, Payload: "load-0-2"},
 		{Src: 2, Dst: 0, Payload: "load-2-0"},
-	}, led.add)
+	}
+	stopLoad := load.Sustain(inject, streams, func(payload string, uids []uint64) {
+		for _, s := range streams {
+			if s.Payload == payload {
+				led.add(payload, s.Dst, uids)
+			}
+		}
+	})
 
 	violations := []string{}
 	badf := func(format string, a ...any) { violations = append(violations, fmt.Sprintf(format, a...)) }
@@ -155,14 +157,13 @@ func runElastic(cfg config) error {
 	// Join two nodes under load.
 	for _, j := range []struct {
 		id    graph.ProcessID
-		topo  string
+		topo  *graph.Graph
 		peers []graph.ProcessID
-	}{{joinA, "join-a.txt", []graph.ProcessID{0, 2}}, {joinB, "join-b.txt", []graph.ProcessID{1, 3}}} {
-		c, err := boot(j.id, j.topo)
-		if err != nil {
+	}{{joinA, joinedA, []graph.ProcessID{0, 2}}, {joinB, joinedB, []graph.ProcessID{1, 3}}} {
+		if _, err := boot(j.id, j.topo); err != nil {
 			return fmt.Errorf("joiner %d: %w", j.id, err)
 		}
-		if err := mgr.JoinNode(j.id, wire[j.id], c.hc, j.peers...); err != nil {
+		if err := mgr.JoinNode(j.id, wire[j.id], nodes[j.id], j.peers...); err != nil {
 			return fmt.Errorf("join %d: %w", j.id, err)
 		}
 		out := fmt.Sprintf("join-%d-out", j.id)
@@ -171,12 +172,12 @@ func runElastic(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("inject from joiner %d: %w", j.id, err)
 		}
-		led.add(out, rep.UIDs)
+		led.add(out, j.peers[1], rep.UIDs)
 		rep, err = mgr.Inject(j.peers[0], j.id, 20, in)
 		if err != nil {
 			return fmt.Errorf("inject to joiner %d: %w", j.id, err)
 		}
-		led.add(in, rep.UIDs)
+		led.add(in, j.id, rep.UIDs)
 	}
 
 	// Graceful link cut under load: (0,1) is safe to lose — the ring
@@ -193,47 +194,30 @@ func runElastic(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("drain burst: %w", err)
 	}
-	led.add("drain-burst", rep.UIDs)
-	drainedLedger, err := awaitDeliveries(children[drainTarget].hc, "drain-burst", rep.Sent, cfg.timeout)
+	drainSent := led.add("drain-burst", drainTarget, rep.UIDs)
+	drainedLedger, err := collectDeliveries(map[graph.ProcessID]*cluster.HTTPClient{drainTarget: nodes[drainTarget]},
+		nil, drainSent, cfg.timeout)
 	if err != nil {
-		return err
+		return fmt.Errorf("drain burst at node %d: %w", drainTarget, err)
 	}
 	healed, err := mgr.Drain(drainTarget)
 	if err != nil {
 		return fmt.Errorf("drain %d: %w", drainTarget, err)
 	}
-	if c := children[drainTarget]; !c.reap(10 * time.Second) {
+	if !drainProc.Reap(10 * time.Second) {
 		badf("node %d did not exit after its detach epoch", drainTarget)
 	}
-	delete(children, drainTarget)
+	delete(nodes, drainTarget)
 
-	// Load off; judge everything.
+	// Load off (stopLoad waits out the stream goroutines); judge everything.
 	stopLoad()
-	sent := led.snapshot()
+	sent := led.sent
 
-	seen, verr := collectDeliveries(children, drainedLedger, sent, cfg.timeout)
+	delivered, verr := collectDeliveries(nodes, drainedLedger, sent, cfg.timeout)
 	if verr != nil {
 		badf("%v", verr)
 	}
-	for key, cnt := range seen {
-		if _, ours := sent[key]; !ours {
-			badf("delivery of unknown message %s", key)
-		} else if cnt > 1 {
-			badf("message %s delivered %d times", key, cnt)
-		}
-	}
-	missing := 0
-	for key := range sent {
-		if seen[key] == 0 {
-			missing++
-			if missing <= 10 {
-				badf("message %s never delivered", key)
-			}
-		}
-	}
-	if missing > 10 {
-		badf("... and %d more undelivered messages", missing-10)
-	}
+	violations = append(violations, harness.Verdict(sent, delivered)...)
 
 	// Final control-plane coherence: every surviving node at the console's
 	// epoch, membership = base + 2 joiners - 1 drained, no status errors.
@@ -261,19 +245,14 @@ func runElastic(cfg config) error {
 		Delivered  int                  `json:"delivered"`
 		Violations []string             `json:"violations"`
 	}{
-		Nodes:   len(cs.Members),
-		Joined:  []graph.ProcessID{joinA, joinB},
-		Cut:     [2]graph.ProcessID{0, 1},
-		Drained: drainTarget,
-		Healed:  healed,
-		Epoch:   cs.Epoch.Seq,
-		Sent:    len(sent),
-		Delivered: func() (d int) {
-			for _, c := range seen {
-				d += c
-			}
-			return
-		}(),
+		Nodes:      len(cs.Members),
+		Joined:     []graph.ProcessID{joinA, joinB},
+		Cut:        [2]graph.ProcessID{0, 1},
+		Drained:    drainTarget,
+		Healed:     healed,
+		Epoch:      cs.Epoch.Seq,
+		Sent:       len(sent),
+		Delivered:  len(delivered),
 		Violations: violations,
 	}
 	enc, _ := json.MarshalIndent(summary, "", "  ")
@@ -288,212 +267,72 @@ func runElastic(cfg config) error {
 
 // buildTopo assembles and freezes a graph from a slot count and edge set.
 func buildTopo(slots int, edges [][2]graph.ProcessID) (*graph.Graph, error) {
-	topo, err := topoFrom(slots, edges)
+	topo, err := cluster.Topology(slots, edges)
 	if err != nil {
 		return nil, err
 	}
 	return topo.Build()
 }
 
-// ledger tracks every injected message by (payload, uid) — the key that
-// stays unique across node incarnations.
+// ledger records every injected message for the verdict. The sustained
+// streams append from their own goroutines.
 type ledger struct {
 	mu   sync.Mutex
-	sent map[string]bool
+	sent []harness.Sent
 }
 
-func newLedger() *ledger { return &ledger{sent: make(map[string]bool)} }
-
-func ledgerKey(payload string, uid uint64) string {
-	return payload + "#" + strconv.FormatUint(uid, 10)
-}
-
-func (l *ledger) add(payload string, uids []uint64) {
+// add records one accepted injection and returns its records.
+func (l *ledger) add(payload string, dst graph.ProcessID, uids []uint64) []harness.Sent {
+	batch := make([]harness.Sent, len(uids))
+	for i, uid := range uids {
+		batch[i] = harness.Sent{Key: harness.Key{Payload: payload, UID: uid}, Dst: dst}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, uid := range uids {
-		l.sent[ledgerKey(payload, uid)] = true
-	}
+	l.sent = append(l.sent, batch...)
+	return batch
 }
 
-func (l *ledger) snapshot() map[string]bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]bool, len(l.sent))
-	for k := range l.sent {
-		out[k] = true
-	}
-	return out
-}
-
-// serveChild is one forked -serve node: its process, the stdin pipe that
-// releases it, and the admin client pointed at the address it announced.
-type serveChild struct {
-	id    graph.ProcessID
-	cmd   *exec.Cmd
-	stdin *os.File
-	admin string
-	hc    *cluster.HTTPClient
-}
-
-// release closes stdin (the shutdown signal) and reaps the process.
-func (c *serveChild) release(wait time.Duration) {
-	if c.stdin != nil {
-		c.stdin.Close()
-		c.stdin = nil
-	}
-	c.reap(wait)
-}
-
-// reap waits for the process to exit, killing it past the deadline.
-// Reports whether the child left on its own.
-func (c *serveChild) reap(wait time.Duration) bool {
-	done := make(chan struct{})
-	go func() { c.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-		return true
-	case <-time.After(wait):
-		c.cmd.Process.Kill()
-		<-done
-		return false
-	}
-}
-
-// spawnServe forks one -serve node and waits for its startup banner.
-func spawnServe(self string, id graph.ProcessID, topoPath, peersPath string, cfg config) (*serveChild, error) {
-	cmd := exec.Command(self,
-		"-serve",
-		"-id", strconv.Itoa(int(id)),
-		"-topology-file", topoPath,
-		"-peers", peersPath,
-		"-seed", strconv.FormatInt(cfg.seed, 10),
-		"-tick", cfg.tick.String(),
-		"-http", "127.0.0.1:0",
-	)
-	cmd.Stderr = os.Stderr
-	stdinR, stdinW, err := os.Pipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stdin = stdinR
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		stdinR.Close()
-		stdinW.Close()
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		stdinR.Close()
-		stdinW.Close()
-		return nil, fmt.Errorf("node %d: %v", id, err)
-	}
-	stdinR.Close() // child holds its copy
-	c := &serveChild{id: id, cmd: cmd, stdin: stdinW}
-
-	type banner struct {
-		b   serveBanner
-		err error
-	}
-	bc := make(chan banner, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		if !sc.Scan() {
-			bc <- banner{err: fmt.Errorf("node %d: exited before announcing itself (%v)", id, sc.Err())}
-			return
-		}
-		var b serveBanner
-		if err := json.Unmarshal(sc.Bytes(), &b); err != nil {
-			bc <- banner{err: fmt.Errorf("node %d: bad banner: %v", id, err)}
-			return
-		}
-		bc <- banner{b: b}
-	}()
-	select {
-	case b := <-bc:
-		if b.err != nil {
-			c.release(2 * time.Second)
-			return nil, b.err
-		}
-		c.admin = "http://" + b.b.AdminAddr
-		c.hc = cluster.NewHTTPClient(c.admin)
-		return c, nil
-	case <-time.After(15 * time.Second):
-		c.release(2 * time.Second)
-		return nil, fmt.Errorf("node %d: no startup banner", id)
-	}
-}
-
-// awaitDeliveries polls one node's ledger until count messages of the
-// given payload landed there, then returns the node's full ledger.
-func awaitDeliveries(hc *cluster.HTTPClient, payload string, count int, timeout time.Duration) ([]cluster.DeliveryRec, error) {
+// collectDeliveries polls the ledgers of nodes until every message in
+// sent shows up valid in them or in cached (records kept from nodes that
+// have left), or the timeout passes. It returns every delivery record of
+// the last poll, cached ones included; a timeout error says how much of
+// sent arrived and names the last failed poll, if any.
+func collectDeliveries(nodes map[graph.ProcessID]*cluster.HTTPClient, cached []harness.Delivered,
+	sent []harness.Sent, timeout time.Duration) ([]harness.Delivered, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		ds, err := hc.Deliveries()
-		if err == nil {
-			got := 0
-			for _, d := range ds {
-				if d.Payload == payload && d.Valid {
-					got++
-				}
-			}
-			if got >= count {
-				return ds, nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("burst %q never fully landed: %v", payload, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// collectDeliveries polls every live node's ledger (plus the cached
-// ledger of the drained node) until every sent message is accounted for
-// or the timeout passes, and returns per-message delivery counts.
-func collectDeliveries(children map[graph.ProcessID]*serveChild, cached []cluster.DeliveryRec,
-	sent map[string]bool, timeout time.Duration) (map[string]int, error) {
-	ids := make([]graph.ProcessID, 0, len(children))
-	for id := range children {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
-		seen := make(map[string]int, len(sent))
-		tally := func(ds []cluster.DeliveryRec) {
-			for _, d := range ds {
-				if d.Valid {
-					seen[ledgerKey(d.Payload, d.UID)]++
-				}
-			}
-		}
-		tally(cached)
-		lastErr = nil
-		for _, id := range ids {
-			ds, err := children[id].hc.Deliveries()
+		all := append([]harness.Delivered(nil), cached...)
+		var lastErr error
+		for id, hc := range nodes {
+			ds, err := hc.Deliveries()
 			if err != nil {
 				lastErr = fmt.Errorf("node %d ledger: %w", id, err)
 				continue
 			}
-			tally(ds)
-		}
-		outstanding := 0
-		for key := range sent {
-			if seen[key] == 0 {
-				outstanding++
+			for _, d := range ds {
+				all = append(all, harness.Delivered{Key: harness.Key{Payload: d.Payload, UID: d.UID}, At: d.At, Valid: d.Valid})
 			}
 		}
-		if outstanding == 0 && lastErr == nil {
-			return seen, nil
+		seen := make(map[harness.Key]bool, len(all))
+		for _, d := range all {
+			seen[d.Key] = seen[d.Key] || d.Valid
+		}
+		arrived := 0
+		for _, s := range sent {
+			if seen[s.Key] {
+				arrived++
+			}
+		}
+		if arrived == len(sent) && lastErr == nil {
+			return all, nil
 		}
 		if time.Now().After(deadline) {
+			err := fmt.Errorf("%d of %d messages arrived within %v", arrived, len(sent), timeout)
 			if lastErr != nil {
-				return seen, lastErr
+				err = fmt.Errorf("%v; last poll failed: %w", err, lastErr)
 			}
-			return seen, fmt.Errorf("%d messages still undelivered at timeout", outstanding)
+			return all, err
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

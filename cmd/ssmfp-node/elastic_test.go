@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ssmfp/internal/cluster"
 	"ssmfp/internal/graph"
 )
 
@@ -50,9 +51,9 @@ func TestParseTargets(t *testing.T) {
 // original graph, absent slots included.
 func TestTopoFromStatus(t *testing.T) {
 	orig := graph.Ring(5)
-	topo, err := topoFrom(7, orig.Edges()) // slots 5 and 6 allocated but absent
+	topo, err := cluster.Topology(7, orig.Edges()) // slots 5 and 6 allocated but absent
 	if err != nil {
-		t.Fatalf("topoFrom: %v", err)
+		t.Fatalf("cluster.Topology: %v", err)
 	}
 	g, err := topo.Build()
 	if err != nil {
@@ -72,8 +73,8 @@ func TestTopoFromStatus(t *testing.T) {
 		{3, [][2]graph.ProcessID{{0, 3}}},
 		{3, [][2]graph.ProcessID{{1, 1}}},
 	} {
-		if _, err := topoFrom(bad.slots, bad.edges); err == nil {
-			t.Fatalf("topoFrom(%d, %v) accepted", bad.slots, bad.edges)
+		if _, err := cluster.Topology(bad.slots, bad.edges); err == nil {
+			t.Fatalf("cluster.Topology(%d, %v) accepted", bad.slots, bad.edges)
 		}
 	}
 }

@@ -1,0 +1,121 @@
+package main
+
+import (
+	"strconv"
+	"strings"
+	"testing"
+
+	"ssmfp/internal/secure"
+	"ssmfp/internal/telemetry"
+)
+
+// judgePlan and judgeReports are a clean three-node run: each node sends
+// one message to its ring successor and receives one from its
+// predecessor.
+var judgePlan = []workloadEntry{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}
+
+func judgeReports() []report {
+	return []report{
+		{ID: 0, Sent: []sentRec{{UID: 10, Dst: 1}}, Delivered: []delivRec{{UID: 30, Src: 2, Valid: true}}},
+		{ID: 1, Sent: []sentRec{{UID: 20, Dst: 2}}, Delivered: []delivRec{{UID: 10, Src: 0, Valid: true}}},
+		{ID: 2, Sent: []sentRec{{UID: 30, Dst: 0}}, Delivered: []delivRec{{UID: 20, Src: 1, Valid: true}}},
+	}
+}
+
+var judgeLedger = secure.RogueCounts{Handshake: 2, Role: 3, Sender: 4, Membership: 5}
+
+// ledgerSamples renders per-reason rejection counters as a cluster
+// scrape would carry them, split across two nodes.
+func ledgerSamples(counts map[string]float64) []telemetry.PromSample {
+	var out []telemetry.PromSample
+	for reason, v := range counts {
+		for node, share := range []float64{v - v/2, v / 2} {
+			out = append(out, telemetry.PromSample{
+				Name:   telemetry.SeriesSecureRejected,
+				Labels: map[string]string{"reason": reason, "node": strconv.Itoa(node)},
+				Value:  share,
+			})
+		}
+	}
+	return out
+}
+
+func balancedCounts() map[string]float64 {
+	return map[string]float64{
+		secure.ReasonHandshake:  float64(judgeLedger.Handshake),
+		secure.ReasonRole:       float64(judgeLedger.Role),
+		secure.ReasonSender:     float64(judgeLedger.Sender),
+		secure.ReasonMembership: float64(judgeLedger.Membership),
+	}
+}
+
+// TestJudgeFlagsEachViolation feeds the spawn and byzantine judges
+// synthetic reports and scrapes, no forking: the clean run passes, and
+// every defect produces exactly its own violation — the judges can fail,
+// and fail for the right reason.
+func TestJudgeFlagsEachViolation(t *testing.T) {
+	cases := []struct {
+		name   string
+		report func(rs []report)
+		counts func(c map[string]float64)
+		want   string // substring of the single expected violation; "" = clean
+	}{
+		{name: "clean"},
+		{name: "duplicate", want: "uid 10 delivered 2 times", report: func(rs []report) {
+			rs[1].Delivered = append(rs[1].Delivered, rs[1].Delivered[0])
+		}},
+		{name: "missing", want: "uid 20 (for node 2) never delivered", report: func(rs []report) {
+			rs[2].Delivered = nil
+		}},
+		{name: "misroute", want: "uid 20 delivered at node 0, addressed to 2", report: func(rs []report) {
+			rs[0].Delivered = append(rs[0].Delivered, rs[2].Delivered...)
+			rs[2].Delivered = nil
+		}},
+		{name: "unknown uid", want: "node 0 delivered unknown uid 99", report: func(rs []report) {
+			rs[0].Delivered = append(rs[0].Delivered, delivRec{UID: 99, Src: 1, Valid: true})
+		}},
+		{name: "invalid delivery", want: "node 0 delivered invalid uid 77", report: func(rs []report) {
+			rs[0].Delivered = append(rs[0].Delivered, delivRec{UID: 77, Src: 1})
+		}},
+		{name: "send count off plan", want: "node 0 sent 2 messages, plan says 1", report: func(rs []report) {
+			rs[0].Sent = append(rs[0].Sent, sentRec{UID: 11, Dst: 1})
+			rs[1].Delivered = append(rs[1].Delivered, delivRec{UID: 11, Src: 0, Valid: true})
+		}},
+		{name: "tag mismatch", want: "node 2 saw 1 deliveries with a foreign tag version", report: func(rs []report) {
+			rs[2].TagMismatches = 1
+		}},
+		{name: "ledger over by one", want: `reason "handshake" counted 3 rejections, rogue ledger says 2`, counts: func(c map[string]float64) {
+			c[secure.ReasonHandshake]++
+		}},
+		{name: "ledger under by one", want: `reason "role" counted 2 rejections, rogue ledger says 3`, counts: func(c map[string]float64) {
+			c[secure.ReasonRole]--
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rs, counts := judgeReports(), balancedCounts()
+			if c.report != nil {
+				c.report(rs)
+			}
+			if c.counts != nil {
+				c.counts(counts)
+			}
+			got := judge(rs, judgePlan)
+			books, short := balanceLedger(ledgerSamples(counts), judgeLedger)
+			got = append(got, books...)
+			if c.want == "" {
+				if len(got) != 0 || short {
+					t.Fatalf("clean run judged %q (short=%v)", got, short)
+				}
+				return
+			}
+			if len(got) != 1 || !strings.Contains(got[0], c.want) {
+				t.Fatalf("violations %q, want exactly one containing %q", got, c.want)
+			}
+			// The audit keeps re-scraping only while a counter runs short.
+			if wantShort := c.name == "ledger under by one"; short != wantShort {
+				t.Fatalf("short = %v, want %v", short, wantShort)
+			}
+		})
+	}
+}

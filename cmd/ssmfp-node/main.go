@@ -77,9 +77,6 @@ type config struct {
 	jitter     time.Duration
 	partitions string
 
-	legacyTags  bool
-	legacyNodes string
-
 	httpAddr       string
 	httpBase       int
 	telemetryOut   string
@@ -134,8 +131,6 @@ func main() {
 	flag.DurationVar(&cfg.latency, "latency", 0, "chaos: base one-way frame delay")
 	flag.DurationVar(&cfg.jitter, "jitter", 0, "chaos: extra uniform per-frame delay (reorders the wire)")
 	flag.StringVar(&cfg.partitions, "partition", "", "chaos: partition windows \"start:dur:u-v[;u-v]\" (comma-separated)")
-	flag.BoolVar(&cfg.legacyTags, "legacy-tags", false, "emit v1 payload tags in -rate mode (simulates a pre-v2 binary; cross-version tests only)")
-	flag.StringVar(&cfg.legacyNodes, "legacy-nodes", "", "spawn mode: comma-separated node IDs forked with -legacy-tags (cross-version tests only)")
 	flag.StringVar(&cfg.httpAddr, "http", "", "serve the debug mux (/metrics, /debug/ssmfp, /debug/pprof) on this address; 127.0.0.1:0 picks a port, reported as metricsAddr")
 	flag.IntVar(&cfg.httpBase, "http-base", 0, "spawn mode: child i serves its debug mux on 127.0.0.1:(base+i); 0 gives every child an ephemeral port")
 	flag.StringVar(&cfg.telemetryOut, "telemetry-out", "", "append ssmfp-telemetry/v1 JSONL snapshots to this file (spawn mode: one file per child, suffixed .node<i>)")
@@ -364,13 +359,11 @@ type report struct {
 	Latency *load.LatencySummary `json:"latency,omitempty"`
 	Hist    *metrics.LatencyHist `json:"hist,omitempty"`
 
-	// TagVersion is the payload-tag codec this node speaks in -rate mode
-	// (0 outside rate mode); TagMismatches counts valid deliveries whose
-	// payload carried a recognizable tag of a *different* version. The
-	// judge turns any nonzero count — and any version disagreement across
-	// the cluster — into exactly-once violations, so a mixed-binary
-	// deployment fails loudly instead of silently mis-measuring.
-	TagVersion    int `json:"tagVersion,omitempty"`
+	// TagMismatches counts valid deliveries whose payload carried a
+	// recognizable tag of a version other than the current codec's. The
+	// judge turns any nonzero count into an exactly-once violation, so a
+	// malformed or foreign tag arriving from outside fails loudly instead
+	// of silently mis-measuring.
 	TagMismatches int `json:"tagMismatches,omitempty"`
 
 	// MetricsAddr is the node's debug-mux address when -http is set; the
@@ -487,11 +480,7 @@ func runNode(cfg config) error {
 			if d := time.Until(at); d > 0 {
 				time.Sleep(d)
 			}
-			if cfg.legacyTags {
-				payload = load.EncodeTagV1(i, e.Src, e.Dst, at.UnixNano())
-			} else {
-				payload = load.EncodeTag(i, e.Src, e.Dst, at.UnixNano())
-			}
+			payload = load.EncodeTag(i, e.Src, e.Dst, at.UnixNano())
 		case cfg.spread > 0 && len(plan) > 0:
 			// Entry i of the global plan goes out at its slot of the
 			// spread window, so sends straddle any partition cuts
@@ -511,14 +500,6 @@ func runNode(cfg config) error {
 
 	nw.WaitDelivered(expected, cfg.timeout)
 
-	// The tag codec this node speaks; a recognizable tag of any other
-	// version is counted as a mismatch for the judge.
-	speaks := load.TagVersionCurrent
-	parseTag := load.ParseTag
-	if cfg.legacyTags {
-		speaks = 1
-		parseTag = load.ParseTagV1
-	}
 	var delivered []delivRec
 	var hist metrics.LatencyHist
 	var lastDelivery time.Time
@@ -532,9 +513,9 @@ func runNode(cfg config) error {
 		if d.Time.After(lastDelivery) {
 			lastDelivery = d.Time
 		}
-		if _, _, _, schedNanos, ok := parseTag(d.Msg.Payload); ok {
+		if _, _, _, schedNanos, ok := load.ParseTag(d.Msg.Payload); ok {
 			hist.Add(d.Time.UnixNano() - schedNanos)
-		} else if v := load.TagVersion(d.Msg.Payload); v != 0 && v != speaks {
+		} else if v := load.TagVersion(d.Msg.Payload); v != 0 && v != load.TagVersionCurrent {
 			tagMismatches++
 			tagMismatchCounter.Inc()
 		}
@@ -545,11 +526,9 @@ func runNode(cfg config) error {
 		Delivered: delivered,
 		Expected:  expected,
 		Stats:     summarize(nw.Stats()),
+
+		TagMismatches: tagMismatches,
 	}
-	if cfg.rate > 0 {
-		rep.TagVersion = speaks
-	}
-	rep.TagMismatches = tagMismatches
 	if len(sent) > 0 && sendWindow > 0 {
 		rep.SendRate = float64(len(sent)) / sendWindow.Seconds()
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"ssmfp/internal/harness"
 	"ssmfp/internal/secure"
 	"ssmfp/internal/telemetry"
 )
@@ -78,6 +79,7 @@ func runScrape(cfg config) error {
 		Totals: make(map[string]float64),
 		Peaks:  make(map[string]float64),
 	}
+	var targets, urls []string
 	for _, target := range strings.Split(cfg.scrape, ",") {
 		target = strings.TrimSpace(target)
 		if target == "" {
@@ -93,27 +95,15 @@ func runScrape(cfg config) error {
 		if !strings.HasSuffix(url, "/metrics") {
 			url = strings.TrimSuffix(url, "/") + "/metrics"
 		}
-		resp, err := client.Get(url)
-		if err != nil {
-			return fmt.Errorf("scrape %s: %w", target, err)
+		targets = append(targets, target)
+		urls = append(urls, url)
+	}
+	for i, s := range harness.Sweep(client, urls) {
+		if s.Err != nil {
+			return fmt.Errorf("scrape %s: %w", targets[i], s.Err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return fmt.Errorf("scrape %s: HTTP %d", target, resp.StatusCode)
-		}
-		samples, err := telemetry.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("scrape %s: %w", target, err)
-		}
-		ns := nodeScrape{Target: target, Series: len(samples)}
-		for _, core := range telemetry.CoreSeries {
-			if !telemetry.HasSeries(samples, core) {
-				ns.Missing = append(ns.Missing, core)
-			}
-		}
-		sum.Nodes = append(sum.Nodes, ns)
-		all = append(all, samples...)
+		sum.Nodes = append(sum.Nodes, nodeScrape{Target: targets[i], Series: len(s.Samples), Missing: s.MissingCore()})
+		all = append(all, s.Samples...)
 	}
 	if len(sum.Nodes) == 0 {
 		return fmt.Errorf("-scrape: no targets")

@@ -158,7 +158,7 @@ func bootNode(cfg config) (*nodeRuntime, error) {
 		Telemetry: reg,
 		// Nodes stamp R1-queue and park waits into v3 payload tags so any
 		// collector downstream can attribute end-to-end latency; foreign
-		// payloads (legacy tags, plain text) pass through untouched.
+		// payloads (other tag versions, plain text) pass through untouched.
 		HoldStamp: load.AddHold,
 	})
 	nw.Start()

@@ -1,25 +1,22 @@
 package main
 
 import (
-	"bufio"
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
 	"ssmfp/internal/metrics"
 	"ssmfp/internal/secure"
 	"ssmfp/internal/telemetry"
-	"ssmfp/internal/transport"
 )
 
 // runSpawn forks -spawn single-node copies of this binary on loopback
@@ -37,46 +34,22 @@ func runSpawn(cfg config) error {
 	if _, _, err := chaosOpts(cfg); err != nil {
 		return err // reject bad -partition here, not in N children
 	}
-	legacy := make(map[graph.ProcessID]bool)
-	if cfg.legacyNodes != "" {
-		for _, part := range strings.Split(cfg.legacyNodes, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || id < 0 || id >= g.N() {
-				return fmt.Errorf("-legacy-nodes %q: bad node id %q", cfg.legacyNodes, part)
-			}
-			legacy[graph.ProcessID(id)] = true
-		}
-	}
-
-	// Reserve one loopback port per node by binding and closing; the
-	// window between close and the child's bind is small, and a stolen
-	// port fails the child's listen loudly rather than silently.
-	peers := make(map[graph.ProcessID]string, g.N())
-	for _, p := range g.Processors() {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		peers[p] = l.Addr().String()
-		l.Close()
-	}
-
-	dir, err := os.MkdirTemp("", "ssmfp-cluster-*")
+	fleet, err := harness.NewFleet()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	topoPath := filepath.Join(dir, "topology.txt")
-	if err := os.WriteFile(topoPath, []byte(graph.Format(g)), 0o644); err != nil {
+	defer fleet.Close()
+	peers, peersPath, err := fleet.Peers(g.N())
+	if err != nil {
 		return err
 	}
-	peersPath := filepath.Join(dir, "peers.txt")
-	if err := os.WriteFile(peersPath, []byte(transport.FormatPeers(peers)), 0o644); err != nil {
+	topoPath, err := fleet.WriteTopology("topology.txt", g)
+	if err != nil {
 		return err
 	}
 
 	// TLS mode: provision one trust domain for the whole cluster in the
-	// temp dir and hand every child its own node credential. The live CA
+	// fleet dir and hand every child its own node credential. The live CA
 	// stays in memory — the byzantine rogue needs it to mint observer and
 	// alien-node certificates the cluster will trust.
 	var (
@@ -84,116 +57,17 @@ func runSpawn(cfg config) error {
 		ca    *secure.CA
 	)
 	if cfg.requireTLS {
-		if ca, certs, err = provisionCerts(filepath.Join(dir, "certs"), g.N()); err != nil {
+		if ca, certs, err = provisionCerts(filepath.Join(fleet.Dir, "certs"), g.N()); err != nil {
 			return err
 		}
 	}
 
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-
-	type child struct {
-		cmd   *exec.Cmd
-		stdin *os.File // closing it releases the node
-		rep   chan report
-		errc  chan error
-	}
-	children := make([]*child, 0, g.N())
-	defer func() {
-		for _, c := range children {
-			if c.stdin != nil {
-				c.stdin.Close()
-			}
-		}
-		for _, c := range children {
-			done := make(chan struct{})
-			go func(c *child) { c.cmd.Wait(); close(done) }(c)
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				c.cmd.Process.Kill()
-				c.cmd.Wait()
-			}
-		}
-	}()
-
+	children := make([]*harness.Child, 0, g.N())
 	for _, p := range g.Processors() {
-		// Every child serves its debug mux so the judge can scrape
-		// /metrics while the node idles on stdin; -http-base gives stable
-		// ports, otherwise each child picks one and reports it.
-		httpAddr := "127.0.0.1:0"
-		if cfg.httpBase > 0 {
-			httpAddr = fmt.Sprintf("127.0.0.1:%d", cfg.httpBase+int(p))
-		}
-		args := []string{
-			"-id", strconv.Itoa(int(p)),
-			"-topology-file", topoPath,
-			"-peers", peersPath,
-			"-messages", strconv.Itoa(cfg.messages),
-			"-send-spread", cfg.spread.String(),
-			"-rate", strconv.FormatFloat(cfg.rate, 'g', -1, 64),
-			"-arrival", cfg.arrival,
-			"-seed", strconv.FormatInt(cfg.seed, 10),
-			"-tick", cfg.tick.String(),
-			"-timeout", cfg.timeout.String(),
-			"-loss", strconv.FormatFloat(cfg.loss, 'g', -1, 64),
-			"-dup", strconv.FormatFloat(cfg.dup, 'g', -1, 64),
-			"-latency", cfg.latency.String(),
-			"-jitter", cfg.jitter.String(),
-			"-partition", cfg.partitions,
-			"-http", httpAddr,
-		}
-		if cfg.telemetryOut != "" {
-			args = append(args,
-				"-telemetry-out", fmt.Sprintf("%s.node%d", cfg.telemetryOut, p),
-				"-telemetry-every", cfg.telemetryEvery.String())
-		}
-		if legacy[p] {
-			args = append(args, "-legacy-tags")
-		}
-		if certs != nil {
-			args = append(args,
-				"-require-tls",
-				"-ca", certs.caCert(),
-				"-cert", certs.nodeCert(p),
-				"-key", certs.nodeKey(p))
-		}
-		cmd := exec.Command(self, args...)
-		cmd.Stderr = os.Stderr
-		stdinR, stdinW, err := os.Pipe()
+		c, err := fleet.Start(nodeArgs(cfg, p, topoPath, peersPath, certs)...)
 		if err != nil {
-			return err
-		}
-		cmd.Stdin = stdinR
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			stdinR.Close()
-			stdinW.Close()
-			return err
-		}
-		if err := cmd.Start(); err != nil {
-			stdinR.Close()
-			stdinW.Close()
 			return fmt.Errorf("node %d: %v", p, err)
 		}
-		stdinR.Close() // child holds its copy
-		c := &child{cmd: cmd, stdin: stdinW, rep: make(chan report, 1), errc: make(chan error, 1)}
-		go func(id graph.ProcessID) {
-			sc := bufio.NewScanner(stdout)
-			sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-			if !sc.Scan() {
-				c.errc <- fmt.Errorf("node %d: exited without a report (%v)", id, sc.Err())
-				return
-			}
-			var r report
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-				c.errc <- fmt.Errorf("node %d: bad report: %v", id, err)
-				return
-			}
-			c.rep <- r
-		}(p)
 		children = append(children, c)
 	}
 
@@ -214,20 +88,15 @@ func runSpawn(cfg config) error {
 
 	// Children stop waiting after cfg.timeout and report whatever they
 	// have; allow slack on top for process startup and JSON plumbing.
-	deadline := time.After(cfg.timeout + 15*time.Second)
-	reports := make([]report, 0, len(children))
+	deadline := time.Now().Add(cfg.timeout + 15*time.Second)
+	reports := make([]report, len(children))
 	for i, c := range children {
-		select {
-		case r := <-c.rep:
-			reports = append(reports, r)
-		case err := <-c.errc:
-			return err
-		case <-deadline:
-			return fmt.Errorf("node %d: no report before deadline", i)
+		if err := c.Announce(&reports[i], time.Until(deadline)); err != nil {
+			return fmt.Errorf("node %d: no report: %v", i, err)
 		}
 	}
 
-	violations := judge(g, reports, workload(g, cfg.seed, cfg.messages))
+	violations := judge(reports, workload(g, cfg.seed, cfg.messages))
 	var merged metrics.LatencyHist
 	delivered := 0
 	for _, r := range reports {
@@ -280,6 +149,49 @@ func runSpawn(cfg config) error {
 			ledger.Total())
 	}
 	return nil
+}
+
+// nodeArgs is the command line of spawned node p: the launcher's
+// workload and chaos flags verbatim, plus the files and credentials the
+// fleet provisioned. Every child serves its debug mux so the judge can
+// scrape /metrics while the node idles on stdin; -http-base gives stable
+// ports, otherwise each child picks one and reports it.
+func nodeArgs(cfg config, p graph.ProcessID, topoPath, peersPath string, certs *certSet) []string {
+	httpAddr := "127.0.0.1:0"
+	if cfg.httpBase > 0 {
+		httpAddr = fmt.Sprintf("127.0.0.1:%d", cfg.httpBase+int(p))
+	}
+	args := []string{
+		"-id", strconv.Itoa(int(p)),
+		"-topology-file", topoPath,
+		"-peers", peersPath,
+		"-messages", strconv.Itoa(cfg.messages),
+		"-send-spread", cfg.spread.String(),
+		"-rate", strconv.FormatFloat(cfg.rate, 'g', -1, 64),
+		"-arrival", cfg.arrival,
+		"-seed", strconv.FormatInt(cfg.seed, 10),
+		"-tick", cfg.tick.String(),
+		"-timeout", cfg.timeout.String(),
+		"-loss", strconv.FormatFloat(cfg.loss, 'g', -1, 64),
+		"-dup", strconv.FormatFloat(cfg.dup, 'g', -1, 64),
+		"-latency", cfg.latency.String(),
+		"-jitter", cfg.jitter.String(),
+		"-partition", cfg.partitions,
+		"-http", httpAddr,
+	}
+	if cfg.telemetryOut != "" {
+		args = append(args,
+			"-telemetry-out", fmt.Sprintf("%s.node%d", cfg.telemetryOut, p),
+			"-telemetry-every", cfg.telemetryEvery.String())
+	}
+	if certs != nil {
+		args = append(args,
+			"-require-tls",
+			"-ca", certs.caCert(),
+			"-cert", certs.nodeCert(p),
+			"-key", certs.nodeKey(p))
+	}
+	return args
 }
 
 // strikeCluster waits until every node's wire listener answers a mutual-
@@ -336,26 +248,20 @@ func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist
 	badf := func(format string, a ...any) {
 		violations = append(violations, fmt.Sprintf(format, a...))
 	}
-	client := &http.Client{Timeout: scrapeTimeout}
-	scheme := "http://"
+	var operator config
 	if certs != nil {
-		cred, err := secure.LoadCredential(certs.roleCert(secure.RoleOperator), certs.roleKey(secure.RoleOperator))
-		if err != nil {
-			badf("loading the operator scrape credential: %v", err)
-			return nil, violations
-		}
-		pool, err := secure.LoadPool(certs.caCert())
-		if err != nil {
-			badf("loading the cluster CA: %v", err)
-			return nil, violations
-		}
-		client = &http.Client{
-			Timeout:   scrapeTimeout,
-			Transport: &http.Transport{TLSClientConfig: secure.ClientConfig(cred, pool)},
-		}
-		scheme = "https://"
+		operator = config{caFile: certs.caCert(),
+			certFile: certs.roleCert(secure.RoleOperator), keyFile: certs.roleKey(secure.RoleOperator)}
 	}
-	var all []telemetry.PromSample
+	client, scheme, err := clientFromFlags(operator)
+	if err != nil {
+		badf("loading the operator scrape credential: %v", err)
+		return nil, violations
+	}
+	var (
+		urls []string
+		ids  []int
+	)
 	for _, r := range reports {
 		// Report-internal consistency first — the peaks are event-driven,
 		// so activity the report claims must have left a high-water mark.
@@ -369,32 +275,23 @@ func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist
 		if r.ParkEvents > 0 && r.PeakParked < 1 {
 			badf("node %d counted %d park events but reports parked peak 0", r.ID, r.ParkEvents)
 		}
-
 		if r.MetricsAddr == "" {
 			badf("node %d reported no metrics address", r.ID)
 			continue
 		}
-		resp, err := client.Get(scheme + r.MetricsAddr + "/metrics")
-		if err != nil {
-			badf("node %d: scraping /metrics: %v", r.ID, err)
+		urls = append(urls, scheme+r.MetricsAddr+"/metrics")
+		ids = append(ids, r.ID)
+	}
+	var all []telemetry.PromSample
+	for i, s := range harness.Sweep(client, urls) {
+		if s.Err != nil {
+			badf("node %d: scraping /metrics: %v", ids[i], s.Err)
 			continue
 		}
-		samples, perr := telemetry.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			badf("node %d: /metrics answered HTTP %d", r.ID, resp.StatusCode)
-			continue
+		for _, core := range s.MissingCore() {
+			badf("node %d: /metrics missing core series %s", ids[i], core)
 		}
-		if perr != nil {
-			badf("node %d: /metrics is not parseable Prometheus text: %v", r.ID, perr)
-			continue
-		}
-		for _, core := range telemetry.CoreSeries {
-			if !telemetry.HasSeries(samples, core) {
-				badf("node %d: /metrics missing core series %s", r.ID, core)
-			}
-		}
-		all = append(all, samples...)
+		all = append(all, s.Samples...)
 	}
 	if len(all) == 0 {
 		return nil, violations
@@ -417,7 +314,7 @@ func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist
 		if ledger.Total() > 0 && !flaggedSecure(health) {
 			badf("rogue injected %d frames but the cluster counted no secure rejections", ledger.Total())
 		}
-		violations = append(violations, auditLedger(client, scheme, reports, all, *ledger)...)
+		violations = append(violations, auditLedger(client, urls, all, *ledger)...)
 	}
 
 	// Attribution: summed across the cluster, the stamped components
@@ -435,76 +332,38 @@ func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist
 	return &health, violations
 }
 
-// judge checks the cross-process exactly-once property: every UID a node
-// reports sent must appear exactly once, valid, in the report of the
-// destination it was addressed to — and nowhere else.
-func judge(g *graph.Graph, reports []report, plan []workloadEntry) []string {
-	var violations []string
-	badf := func(format string, a ...any) {
-		violations = append(violations, fmt.Sprintf(format, a...))
-	}
-
-	// Tag-codec coherence: every node must speak the same payload-tag
-	// version, and none may have seen a foreign-version tag — a cluster
-	// mixing old and new binaries cannot measure latency honestly, so it
-	// fails here even when every message arrived exactly once.
-	tagVersion := 0
+// judge checks the cross-process exactly-once property over the nodes'
+// reports: every node sent its share of the plan and saw no payload tag
+// of a foreign codec version, and the union of sends and deliveries
+// passes the harness verdict. Spawned nodes never restart, so a uid
+// alone names a message.
+func judge(reports []report, plan []workloadEntry) []string {
+	var (
+		violations []string
+		sent       []harness.Sent
+		delivered  []harness.Delivered
+	)
 	for _, r := range reports {
+		want := 0
+		for _, e := range plan {
+			if int(e.Src) == r.ID {
+				want++
+			}
+		}
+		if len(r.Sent) != want {
+			violations = append(violations, fmt.Sprintf("node %d sent %d messages, plan says %d", r.ID, len(r.Sent), want))
+		}
 		if r.TagMismatches > 0 {
-			badf("node %d saw %d deliveries with a foreign tag version", r.ID, r.TagMismatches)
-		}
-		if r.TagVersion == 0 {
-			continue
-		}
-		if tagVersion == 0 {
-			tagVersion = r.TagVersion
-		} else if r.TagVersion != tagVersion {
-			badf("mixed tag codecs on the cluster: node %d speaks v%d, earlier nodes v%d",
-				r.ID, r.TagVersion, tagVersion)
-		}
-	}
-
-	expectDst := make(map[uint64]int) // uid -> destination
-	for _, r := range reports {
-		if want := countFor(plan, graph.ProcessID(r.ID)); len(r.Sent) != want.sent {
-			badf("node %d sent %d messages, plan says %d", r.ID, len(r.Sent), want.sent)
+			violations = append(violations, fmt.Sprintf("node %d saw %d deliveries with a foreign tag version", r.ID, r.TagMismatches))
 		}
 		for _, s := range r.Sent {
-			if _, dup := expectDst[s.UID]; dup {
-				badf("uid %d sent twice", s.UID)
-			}
-			expectDst[s.UID] = s.Dst
+			sent = append(sent, harness.Sent{Key: harness.Key{UID: s.UID}, Dst: graph.ProcessID(s.Dst)})
 		}
-	}
-	seen := make(map[uint64]int) // uid -> deliveries observed
-	for _, r := range reports {
 		for _, d := range r.Delivered {
-			if !d.Valid {
-				badf("node %d delivered invalid uid %d", r.ID, d.UID)
-				continue
-			}
-			dst, known := expectDst[d.UID]
-			if !known {
-				badf("node %d delivered unknown uid %d", r.ID, d.UID)
-				continue
-			}
-			if dst != r.ID {
-				badf("uid %d delivered at node %d, addressed to %d", d.UID, r.ID, dst)
-			}
-			seen[d.UID]++
+			delivered = append(delivered, harness.Delivered{Key: harness.Key{UID: d.UID}, At: graph.ProcessID(r.ID), Valid: d.Valid})
 		}
 	}
-	for uid, n := range seen {
-		if n > 1 {
-			badf("uid %d delivered %d times", uid, n)
-		}
-	}
-	for uid, dst := range expectDst {
-		if seen[uid] == 0 {
-			badf("uid %d (for node %d) never delivered", uid, dst)
-		}
-	}
-	return violations
+	return append(violations, harness.Verdict(sent, delivered)...)
 }
 
 func flaggedSecure(h telemetry.HealthReport) bool {
@@ -519,11 +378,25 @@ func flaggedSecure(h telemetry.HealthReport) bool {
 // auditLedger balances the byzantine books: every frame the rogue
 // injected must appear in exactly the right rejection counter, summed
 // across the cluster. The victims count asynchronously to the rogue's
-// writes, so the audit re-scrapes until no counter runs short of the
-// ledger (bounded), then insists on exact equality — an overshoot means
-// the trust domain rejected traffic the rogue never sent, which is just
-// as much an accounting failure as a miss.
-func auditLedger(client *http.Client, scheme string, reports []report, all []telemetry.PromSample, ledger secure.RogueCounts) []string {
+// writes, so the audit re-sweeps urls until no counter runs short of the
+// ledger (bounded), then insists on exact equality.
+func auditLedger(client *http.Client, urls []string, all []telemetry.PromSample, ledger secure.RogueCounts) []string {
+	violations, short := balanceLedger(all, ledger)
+	for deadline := time.Now().Add(10 * time.Second); short && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Millisecond)
+		if fresh, ok := harness.Union(harness.Sweep(client, urls)); ok {
+			violations, short = balanceLedger(fresh, ledger)
+		}
+	}
+	return violations
+}
+
+// balanceLedger compares the cluster's per-reason rejection counters in
+// samples against the rogue's ledger. short reports whether any counter
+// is still below its ledger entry (the audit waits on that); an overshoot
+// means the trust domain rejected traffic the rogue never sent, which is
+// just as much an accounting failure as a miss.
+func balanceLedger(samples []telemetry.PromSample, ledger secure.RogueCounts) (violations []string, short bool) {
 	want := map[string]float64{
 		secure.ReasonHandshake:  float64(ledger.Handshake),
 		secure.ReasonRole:       float64(ledger.Role),
@@ -531,74 +404,14 @@ func auditLedger(client *http.Client, scheme string, reports []report, all []tel
 		secure.ReasonMembership: float64(ledger.Membership),
 		secure.ReasonAdmin:      0, // nothing touched the admin plane
 	}
-	sums := func(samples []telemetry.PromSample) map[string]float64 {
-		got := make(map[string]float64, len(want))
-		for reason := range want {
-			got[reason] = telemetry.SumSeriesLabel(samples, telemetry.SeriesSecureRejected, "reason", reason)
-		}
-		return got
-	}
-	got := sums(all)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		short := false
-		for reason, w := range want {
-			if got[reason] < w {
-				short = true
-			}
-		}
-		if !short || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-		if fresh, ok := scrapeSamples(client, scheme, reports); ok {
-			got = sums(fresh)
-		}
-	}
-	var violations []string
 	for _, reason := range secure.Reasons {
-		if got[reason] != want[reason] {
+		got := telemetry.SumSeriesLabel(samples, telemetry.SeriesSecureRejected, "reason", reason)
+		if got != want[reason] {
+			short = short || got < want[reason]
 			violations = append(violations, fmt.Sprintf(
 				"byzantine books don't balance: reason %q counted %g rejections, rogue ledger says %g",
-				reason, got[reason], want[reason]))
+				reason, got, want[reason]))
 		}
 	}
-	return violations
-}
-
-// scrapeSamples re-reads every node's /metrics for the audit's settle
-// loop; ok is false when any endpoint failed (keep the previous view).
-func scrapeSamples(client *http.Client, scheme string, reports []report) ([]telemetry.PromSample, bool) {
-	var all []telemetry.PromSample
-	for _, r := range reports {
-		if r.MetricsAddr == "" {
-			return nil, false
-		}
-		resp, err := client.Get(scheme + r.MetricsAddr + "/metrics")
-		if err != nil {
-			return nil, false
-		}
-		samples, perr := telemetry.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if perr != nil {
-			return nil, false
-		}
-		all = append(all, samples...)
-	}
-	return all, true
-}
-
-type planShare struct{ sent, recv int }
-
-func countFor(plan []workloadEntry, p graph.ProcessID) planShare {
-	var s planShare
-	for _, e := range plan {
-		if e.Src == p {
-			s.sent++
-		}
-		if e.Dst == p {
-			s.recv++
-		}
-	}
-	return s
+	return violations, short
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
@@ -107,13 +108,16 @@ func (a *AtomicNetwork) PlaceInvalid(p, d graph.ProcessID, payload string) *core
 	if a.buf[p][d] != nil {
 		panic(fmt.Sprintf("baseline: buffer b_%d(%d) already occupied", p, d))
 	}
-	invalidUID++
-	m := &core.Message{Payload: payload, LastHop: p, UID: invalidUID, Src: p, Dest: d, Valid: false}
+	m := &core.Message{Payload: payload, LastHop: p, UID: invalidUIDBase + invalidUIDs.Add(1), Src: p, Dest: d, Valid: false}
 	a.buf[p][d] = m
 	return m
 }
 
-var invalidUID uint64 = 1<<62 + 1
+// Invalid messages draw UIDs from a range valid traffic never reaches;
+// the counter is shared by every concurrent run in the process.
+const invalidUIDBase = 1<<62 + 1
+
+var invalidUIDs atomic.Uint64
 
 // Buffer returns the message in b_p(d), or nil.
 func (a *AtomicNetwork) Buffer(p, d graph.ProcessID) *core.Message { return a.buf[p][d] }

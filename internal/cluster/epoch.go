@@ -54,38 +54,51 @@ type Epoch struct {
 	Addrs    map[graph.ProcessID]string `json:"addrs,omitempty"`
 }
 
+// Topology assembles the mutable topology a slot count and edge set
+// describe: slots with no incident edge are absent, every edge endpoint
+// must lie inside the slot space, and self-loops and duplicate edges are
+// refused. Epoch.Build freezes it; an operator console resuming a
+// running cluster keeps it mutable.
+func Topology(slots int, edges [][2]graph.ProcessID) (*graph.Topology, error) {
+	if slots <= 0 {
+		return nil, fmt.Errorf("slots = %d, want > 0", slots)
+	}
+	onEdge := make([]bool, slots)
+	for _, ed := range edges {
+		for _, p := range ed {
+			if int(p) < 0 || int(p) >= slots {
+				return nil, fmt.Errorf("edge (%d,%d) endpoint outside %d slots", ed[0], ed[1], slots)
+			}
+			onEdge[p] = true
+		}
+	}
+	topo := graph.NewTopology(graph.New(slots))
+	if slots > 1 {
+		for p, on := range onEdge {
+			if !on {
+				if err := topo.RemoveNode(graph.ProcessID(p)); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, ed := range edges {
+		if err := topo.AddEdge(ed[0], ed[1]); err != nil {
+			return nil, err
+		}
+	}
+	return topo, nil
+}
+
 // Build compiles the wire epoch into the protocol layer's form, running
 // the same validation an operator-side Topology would: edge endpoints in
 // range, no self-loops or duplicate edges, and the member set (slots with
 // at least one incident edge) mutually connected. The result carries a
 // frozen graph ready for Network.ApplyEpoch.
 func (e Epoch) Build() (msgpass.Epoch, error) {
-	if e.Slots <= 0 {
-		return msgpass.Epoch{}, fmt.Errorf("cluster: epoch %d: slots = %d, want > 0", e.Seq, e.Slots)
-	}
-	onEdge := make([]bool, e.Slots)
-	for _, ed := range e.Edges {
-		for _, p := range ed {
-			if int(p) < 0 || int(p) >= e.Slots {
-				return msgpass.Epoch{}, fmt.Errorf("cluster: epoch %d: edge (%d,%d) endpoint outside %d slots", e.Seq, ed[0], ed[1], e.Slots)
-			}
-			onEdge[p] = true
-		}
-	}
-	topo := graph.NewTopology(graph.New(e.Slots))
-	if e.Slots > 1 {
-		for p, on := range onEdge {
-			if !on {
-				if err := topo.RemoveNode(graph.ProcessID(p)); err != nil {
-					return msgpass.Epoch{}, err
-				}
-			}
-		}
-	}
-	for _, ed := range e.Edges {
-		if err := topo.AddEdge(ed[0], ed[1]); err != nil {
-			return msgpass.Epoch{}, fmt.Errorf("cluster: epoch %d: %w", e.Seq, err)
-		}
+	topo, err := Topology(e.Slots, e.Edges)
+	if err != nil {
+		return msgpass.Epoch{}, fmt.Errorf("cluster: epoch %d: %w", e.Seq, err)
 	}
 	for _, d := range e.Draining {
 		if !topo.HasNode(d) {

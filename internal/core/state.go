@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/routing"
@@ -147,7 +148,11 @@ var DefaultCorrupt = CorruptOptions{
 	PhantomRequests: true,
 }
 
-var invalidUID uint64 = 1<<63 + 1
+// Invalid messages draw UIDs from a range valid traffic never reaches.
+// The counter is shared by every concurrent run in the process.
+const invalidUIDBase = 1<<63 + 1
+
+var invalidUIDs atomic.Uint64
 
 // RandomConfig returns a well-typed but otherwise arbitrary initial
 // configuration: the starting point of every snap-stabilization experiment.
@@ -175,12 +180,11 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 		hops := append(append([]graph.ProcessID(nil), g.Neighbors(p)...), p)
 		for d := 0; d < g.N(); d++ {
 			mk := func() *Message {
-				invalidUID++
 				return &Message{
 					Payload: alphabet[rng.Intn(len(alphabet))],
 					LastHop: hops[rng.Intn(len(hops))],
 					Color:   rng.Intn(delta + 1),
-					UID:     invalidUID,
+					UID:     invalidUIDBase + invalidUIDs.Add(1),
 					Src:     p,
 					Dest:    graph.ProcessID(d),
 					Valid:   false,

@@ -128,7 +128,7 @@ func (c *Collector) waitUntil(cond func() bool, deadline time.Time) bool {
 // observe folds one delivery. Invalid messages (planted junk from
 // corrupted starts) and untagged payloads are not load traffic and are
 // ignored; tags of a recognizable but foreign version are a violation —
-// a mixed-version cluster must fail its verdict loudly, not mis-parse.
+// such a payload must fail the verdict loudly, not be mis-parsed.
 func (c *Collector) observe(d msgpass.Delivery) {
 	if !d.Msg.Valid {
 		return

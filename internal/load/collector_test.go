@@ -69,9 +69,9 @@ func TestWarmupDeliveryPulsesProgress(t *testing.T) {
 }
 
 // TestCollectorFlagsForeignTagVersion pins the loud-failure contract for
-// mixed-version deployments: a delivery carrying a recognizable tag of
-// another version is a verdict-breaking violation, while untagged traffic
-// stays invisible.
+// foreign tags: a delivery carrying a recognizable tag of another version
+// is a verdict-breaking violation, while untagged traffic stays
+// invisible.
 func TestCollectorFlagsForeignTagVersion(t *testing.T) {
 	col := newCollector([]planEntry{{Src: 0, Dst: 1}})
 	col.markSent(0)
@@ -82,8 +82,8 @@ func TestCollectorFlagsForeignTagVersion(t *testing.T) {
 		})
 	}
 	deliver("unrelated traffic")                       // ignored
-	deliver(EncodeTagV1(0, 0, 1, 1))                   // old binary on the cluster: violation
-	deliver(EncodeTagV2(1, 0, 1, 1))                   // previous binary format: also a violation
+	deliver(tagV1Fixture)                              // v1 text tag: violation
+	deliver(tagV2Fixture)                              // v2 binary tag: also a violation
 	deliver(EncodeTag(0, 0, 1, time.Now().UnixNano())) // the real delivery
 	ok, violations := col.finish(1)
 	if ok {

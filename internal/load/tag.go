@@ -2,8 +2,6 @@ package load
 
 import (
 	"encoding/binary"
-	"strconv"
-	"strings"
 
 	"ssmfp/internal/graph"
 )
@@ -33,20 +31,17 @@ import (
 // ~71 minutes, far beyond any latency this system measures.
 //
 // Encoding is one string conversion; parsing is fixed-offset reads with
-// zero allocations. Version 2 ("lt2:", the same layout without the hold
-// slot) and version 1 ("lt1:<seq>:<src>:<dst>:<sched>", colon-separated
-// decimal) remain decodable via ParseTagV2/ParseTagV1 so mixed-version
-// deployments are *detected* (TagVersion) and failed loudly instead of
-// silently mis-parsed; neither is emitted by this build outside tests.
+// zero allocations. The earlier formats — "lt2:" (the same layout without
+// the hold slot) and "lt1:" (colon-separated decimal) — were never
+// deployed and have no codec here; TagVersion still recognizes their
+// prefixes, so such a payload arriving from outside is counted as a tag
+// mismatch instead of being taken for untagged traffic.
 //
-// All parsers reject negative and out-of-range fields: a corrupted or
-// hostile payload must not cast into a bogus graph.ProcessID and
-// misattribute a delivery.
+// The parser rejects out-of-range fields: a corrupted or hostile payload
+// must not cast into a bogus graph.ProcessID and misattribute a delivery.
 
-// Tag version prefixes. All versions are 4 bytes, "lt" + digit + ':'.
+// Tag version prefixes are 4 bytes, "lt" + digit + ':'.
 const (
-	tagPrefixV1 = "lt1:"
-	tagPrefixV2 = "lt2:"
 	tagPrefixV3 = "lt3:"
 
 	// TagVersionCurrent is the version EncodeTag writes.
@@ -58,17 +53,14 @@ const (
 // the exactly-once verdict.
 const warmupPrefix = "lw1:"
 
-// Exact tag lengths: prefix + fields.
-const (
-	tagV2Len = 4 + 4 + 4 + 4 + 8     // prefix, seq, src, dst, sched
-	tagV3Len = 4 + 4 + 4 + 4 + 8 + 4 // v2 fields + holdMicros
-)
+// tagV3Len is the exact tag length: prefix, seq, src, dst, sched, holdMicros.
+const tagV3Len = 4 + 4 + 4 + 4 + 8 + 4
 
 // holdOffset locates the hold slot inside a v3 tag.
 const holdOffset = 24
 
-// maxTagField bounds seq/src/dst in every version: values beyond int32
-// (or negative ones, in the v1 text form) are rejected, not cast.
+// maxTagField bounds seq/src/dst: values beyond int32 are rejected, not
+// cast.
 const maxTagField = 1<<31 - 1
 
 // EncodeTag renders the load payload for plan entry seq: source, intended
@@ -146,11 +138,11 @@ func AddHold(payload string, waitNanos int64) (string, bool) {
 	return string(b[:]), true
 }
 
-// TagVersion identifies which tag version a payload carries: 1, 2 or 3
-// for the known formats (matched on prefix alone, so a malformed or
+// TagVersion identifies which tag version a payload claims: 1, 2 or 3
+// for the known prefixes (matched on prefix alone, so a malformed or
 // truncated body still reports its claimed version) and 0 for untagged
-// traffic. Collectors use it to fail loudly on version-mismatched load
-// traffic — the cross-version cluster test pins that behavior.
+// traffic. Collectors use it to fail loudly on load traffic whose tag is
+// not the current version.
 func TagVersion(payload string) int {
 	if len(payload) < 4 || payload[:2] != "lt" || payload[3] != ':' {
 		return 0
@@ -164,81 +156,4 @@ func TagVersion(payload string) int {
 		return 3
 	}
 	return 0
-}
-
-// EncodeTagV2 renders the previous binary tag (no hold slot). It exists
-// for the cross-version tests (simulating a pre-v3 binary on a mixed
-// cluster) and is not used on any current path.
-func EncodeTagV2(seq int, src, dst graph.ProcessID, schedNanos int64) string {
-	if seq < 0 || seq > maxTagField || src < 0 || int(src) > maxTagField ||
-		dst < 0 || int(dst) > maxTagField || schedNanos < 0 {
-		panic("load: tag field out of range")
-	}
-	var b [tagV2Len]byte
-	copy(b[:4], tagPrefixV2)
-	binary.BigEndian.PutUint32(b[4:8], uint32(seq))
-	binary.BigEndian.PutUint32(b[8:12], uint32(src))
-	binary.BigEndian.PutUint32(b[12:16], uint32(dst))
-	binary.BigEndian.PutUint64(b[16:24], uint64(schedNanos))
-	return string(b[:])
-}
-
-// ParseTagV2 decodes the previous binary tag, with the same range checks
-// as ParseTag.
-func ParseTagV2(payload string) (seq int, src, dst graph.ProcessID, schedNanos int64, ok bool) {
-	if len(payload) != tagV2Len || payload[:4] != tagPrefixV2 {
-		return 0, 0, 0, 0, false
-	}
-	s := binary.BigEndian.Uint32([]byte(payload[4:8]))
-	sr := binary.BigEndian.Uint32([]byte(payload[8:12]))
-	ds := binary.BigEndian.Uint32([]byte(payload[12:16]))
-	sch := binary.BigEndian.Uint64([]byte(payload[16:24]))
-	if s > maxTagField || sr > maxTagField || ds > maxTagField || sch > 1<<63-1 {
-		return 0, 0, 0, 0, false
-	}
-	return int(s), graph.ProcessID(sr), graph.ProcessID(ds), int64(sch), true
-}
-
-// EncodeTagV1 renders the legacy colon-separated text tag. It exists for
-// the cross-version tests (simulating an old binary on a mixed cluster)
-// and is not used on any current path.
-func EncodeTagV1(seq int, src, dst graph.ProcessID, schedNanos int64) string {
-	return tagPrefixV1 +
-		strconv.Itoa(seq) + ":" +
-		strconv.Itoa(int(src)) + ":" +
-		strconv.Itoa(int(dst)) + ":" +
-		strconv.FormatInt(schedNanos, 10)
-}
-
-// ParseTagV1 decodes the legacy text tag. Unlike the pre-v2 parser it
-// rejects negative and overflowing seq/src/dst instead of silently
-// casting them into graph.ProcessID — a hostile payload like
-// "lt1:-1:-7:2:0" is foreign traffic, not a delivery record.
-func ParseTagV1(payload string) (seq int, src, dst graph.ProcessID, schedNanos int64, ok bool) {
-	rest, found := strings.CutPrefix(payload, tagPrefixV1)
-	if !found {
-		return 0, 0, 0, 0, false
-	}
-	parts := strings.Split(rest, ":")
-	if len(parts) != 4 {
-		return 0, 0, 0, 0, false
-	}
-	// ParseUint with a 31-bit size refuses signs and overflow in one shot.
-	s, err := strconv.ParseUint(parts[0], 10, 31)
-	if err != nil {
-		return 0, 0, 0, 0, false
-	}
-	sr, err := strconv.ParseUint(parts[1], 10, 31)
-	if err != nil {
-		return 0, 0, 0, 0, false
-	}
-	ds, err := strconv.ParseUint(parts[2], 10, 31)
-	if err != nil {
-		return 0, 0, 0, 0, false
-	}
-	sch, err := strconv.ParseInt(parts[3], 10, 64)
-	if err != nil || sch < 0 {
-		return 0, 0, 0, 0, false
-	}
-	return int(s), graph.ProcessID(sr), graph.ProcessID(ds), sch, true
 }

@@ -8,6 +8,15 @@ import (
 	"ssmfp/internal/graph"
 )
 
+// Literal tags of the two earlier formats, which this build no longer
+// encodes or decodes: v2 is the v3 layout without the hold slot, v1 the
+// colon-separated decimal text form. Both encode (seq 1, src 2, dst 3,
+// sched 4).
+const (
+	tagV1Fixture = "lt1:1:2:3:4"
+	tagV2Fixture = "lt2:\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04"
+)
+
 // TestTagRoundTripProperty drives the v3 codec across a seeded sample of
 // the field space: every encodable tuple decodes to itself, the encoding
 // is the documented fixed width, and a fresh tag carries zero hold.
@@ -87,7 +96,7 @@ func TestAddHold(t *testing.T) {
 	}
 
 	// Foreign payloads pass through unchanged: nodes stamp blindly.
-	for _, foreign := range []string{"", "hello", EncodeTagV2(1, 2, 3, 4), EncodeTagV1(1, 2, 3, 4), "lw1:w3"} {
+	for _, foreign := range []string{"", "hello", tagV2Fixture, tagV1Fixture, "lw1:w3"} {
 		got, ok := AddHold(foreign, 1000)
 		if ok || got != foreign {
 			t.Errorf("AddHold(%q) = (%q,%v), want unchanged pass-through", foreign, got, ok)
@@ -125,11 +134,14 @@ func TestParseTagRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"lt3:",
-		good[:tagV3Len-1],       // truncated
-		good + "x",              // trailing byte
-		"lt2:" + good[4:],       // right width, prior version magic
-		"xx3:" + good[4:],       // right width, wrong magic
-		EncodeTagV2(1, 2, 3, 4), // well-formed v2 is not v3
+		good[:tagV3Len-1], // truncated
+		good + "x",        // trailing byte
+		"lt2:" + good[4:], // right width, prior version magic
+		"xx3:" + good[4:], // right width, wrong magic
+		tagV2Fixture,      // well-formed v2 is not v3
+		tagV1Fixture,
+		"lt1:-1:-7:2:0", // hostile v1 text never casts into a ProcessID
+		"lt1:2147483648:0:1:0",
 		strings.Repeat("z", tagV3Len),
 	}
 	for _, b := range bad {
@@ -139,25 +151,20 @@ func TestParseTagRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestParseTagV2Fixture pins the prior binary format so the cross-version
-// guards keep something real to detect: a v2 tag round-trips through its
-// own codec, is rejected by the v3 parser, and reports version 2.
+// TestParseTagV2Fixture pins the prior binary format so the version
+// guard keeps something real to detect: a v2 tag has no hold slot, is
+// refused by every v3 codec entry point, and reports version 2.
 func TestParseTagV2Fixture(t *testing.T) {
-	tag := EncodeTagV2(42, 3, 7, 1234567890123)
-	if len(tag) != tagV2Len {
-		t.Fatalf("v2 tag is %d bytes, want %d", len(tag), tagV2Len)
+	if len(tagV2Fixture) != tagV3Len-4 {
+		t.Fatalf("v2 fixture is %d bytes, want %d", len(tagV2Fixture), tagV3Len-4)
 	}
-	seq, src, dst, sched, ok := ParseTagV2(tag)
-	if !ok || seq != 42 || src != 3 || dst != 7 || sched != 1234567890123 {
-		t.Fatalf("v2 round trip gave (%d,%d,%d,%d,%v)", seq, src, dst, sched, ok)
-	}
-	if _, _, _, _, ok := ParseTag(tag); ok {
+	if _, _, _, _, ok := ParseTag(tagV2Fixture); ok {
 		t.Fatal("v3 parser accepted a v2 tag")
 	}
-	if _, _, _, _, ok := ParseTagV2(EncodeTag(42, 3, 7, 1234567890123)); ok {
-		t.Fatal("v2 parser accepted a v3 tag")
+	if _, ok := ParseTagHold(tagV2Fixture); ok {
+		t.Fatal("v3 hold parser accepted a v2 tag")
 	}
-	if v := TagVersion(tag); v != 2 {
+	if v := TagVersion(tagV2Fixture); v != 2 {
 		t.Fatalf("TagVersion(v2 tag) = %d", v)
 	}
 }
@@ -178,51 +185,19 @@ func TestParseTagAllocFree(t *testing.T) {
 	}
 }
 
-// TestParseTagV1RejectsNegativeAndOverflow is the regression test for the
-// latent v1 parser bug: strconv.Atoi accepted negative seq/src/dst (and
-// 64-bit overflow of int32 process IDs), casting them straight into
-// graph.ProcessID. The hardened parser refuses them.
-func TestParseTagV1RejectsNegativeAndOverflow(t *testing.T) {
-	bad := []string{
-		"lt1:-1:0:1:0",
-		"lt1:0:-7:1:0",
-		"lt1:0:0:-2:0",
-		"lt1:0:0:1:-5",                  // negative schedule instant
-		"lt1:2147483648:0:1:0",          // seq beyond int32
-		"lt1:0:2147483648:1:0",          // src beyond int32
-		"lt1:0:0:2147483648:0",          // dst beyond int32
-		"lt1:9223372036854775808:0:1:0", // beyond int64
-		"lt1:1:2:3",                     // missing field
-		"lt1:1:2:3:4:5",                 // extra field
-		"lt1:x:2:3:4",
-		"lt1:1:2:3:y",
-		"lt2:1:2:3:4", // foreign version
-	}
-	for _, b := range bad {
-		if seq, src, dst, _, ok := ParseTagV1(b); ok {
-			t.Errorf("ParseTagV1(%q) accepted (%d,%d,%d)", b, seq, src, dst)
-		}
-	}
-	tag := EncodeTagV1(42, 3, 7, 1234567890123)
-	seq, src, dst, sched, ok := ParseTagV1(tag)
-	if !ok || seq != 42 || src != 3 || dst != 7 || sched != 1234567890123 {
-		t.Fatalf("v1 round trip gave (%d,%d,%d,%d,%v)", seq, src, dst, sched, ok)
-	}
-}
-
 func TestTagVersion(t *testing.T) {
 	cases := map[string]int{
-		EncodeTag(1, 2, 3, 4):   3,
-		EncodeTagV2(1, 2, 3, 4): 2,
-		EncodeTagV1(1, 2, 3, 4): 1,
-		"lt1:":                  1, // truncated body still claims v1
-		"lt2:garbage":           2,
-		"lt3:short":             3,
-		"lt9:1:2:3:4":           0, // unknown version digit
-		"lw1:w0":                0, // warmup is not a load tag
-		"":                      0,
-		"hello":                 0,
-		"lt":                    0,
+		EncodeTag(1, 2, 3, 4): 3,
+		tagV2Fixture:          2,
+		tagV1Fixture:          1,
+		"lt1:":                1, // truncated body still claims v1
+		"lt2:garbage":         2,
+		"lt3:short":           3,
+		"lt9:1:2:3:4":         0, // unknown version digit
+		"lw1:w0":              0, // warmup is not a load tag
+		"":                    0,
+		"hello":               0,
+		"lt":                  0,
 	}
 	for payload, want := range cases {
 		if got := TagVersion(payload); got != want {
@@ -231,18 +206,18 @@ func TestTagVersion(t *testing.T) {
 	}
 }
 
-// FuzzParseTag holds the parsers to totality and round-trip identity:
+// FuzzParseTag holds the parser to totality and round-trip identity:
 // arbitrary payloads either fail to parse or parse into fields that —
 // after re-applying the decoded hold — re-encode to the identical
-// payload. Corpus entries from the v2 era remain valid inputs; they now
-// exercise the rejection path of the v3 parser.
+// payload. Corpus entries from the v1 and v2 eras remain valid inputs;
+// they exercise the rejection path.
 func FuzzParseTag(f *testing.F) {
 	f.Add(EncodeTag(0, 0, 1, 0))
 	f.Add(EncodeTag(maxTagField, maxTagField, maxTagField, 1<<63-1))
 	f.Add(EncodeTag(42, 3, 7, 1234567890123))
 	f.Add(func() string { s, _ := AddHold(EncodeTag(42, 3, 7, 1234567890123), 5_000_000); return s }())
-	f.Add(EncodeTagV2(42, 3, 7, 1234567890123))
-	f.Add(EncodeTagV1(42, 3, 7, 1234567890123))
+	f.Add(tagV2Fixture)
+	f.Add(tagV1Fixture)
 	f.Add("lt1:-1:-7:2:0")
 	f.Add("lt2:1:2:3:4")
 	f.Add("lw1:w17")
@@ -262,26 +237,6 @@ func FuzzParseTag(f *testing.F) {
 			}
 			if TagVersion(payload) != 3 {
 				t.Fatalf("parseable v3 tag %q claims version %d", payload, TagVersion(payload))
-			}
-		}
-		if seq, src, dst, sched, ok := ParseTagV2(payload); ok {
-			if back := EncodeTagV2(seq, src, dst, sched); back != payload {
-				t.Fatalf("v2 re-encode mismatch: %q -> %q", payload, back)
-			}
-			if TagVersion(payload) != 2 {
-				t.Fatalf("parseable v2 tag %q claims version %d", payload, TagVersion(payload))
-			}
-		}
-		if seq, src, dst, sched, ok := ParseTagV1(payload); ok {
-			if seq < 0 || src < 0 || dst < 0 || sched < 0 {
-				t.Fatalf("v1 parser leaked a negative field from %q", payload)
-			}
-			// The text form is not bijective (leading zeros, "+" signs), so
-			// the property is semantic: re-encoding re-parses identically.
-			back := EncodeTagV1(seq, src, dst, sched)
-			s2, sr2, d2, sc2, ok2 := ParseTagV1(back)
-			if !ok2 || s2 != seq || sr2 != src || d2 != dst || sc2 != sched {
-				t.Fatalf("v1 semantic round trip broke: %q -> %q", payload, back)
 			}
 		}
 	})

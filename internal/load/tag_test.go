@@ -151,6 +151,43 @@ func TestParseTagRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestParseTagV1RejectsNegativeAndOverflow keeps the regression cases of
+// the old text v1 parser, whose strconv.Atoi accepted negative seq/src/dst
+// (and int32 overflow of process IDs) and cast them into graph.ProcessID.
+// The v1 codec is gone; the same hostile literals must now be refused by
+// every decoder that is left and still be classified as v1, so a node
+// that receives one counts a foreign tag instead of decoding it.
+func TestParseTagV1RejectsNegativeAndOverflow(t *testing.T) {
+	bad := []string{
+		"lt1:-1:0:1:0",
+		"lt1:0:-7:1:0",
+		"lt1:0:0:-2:0",
+		"lt1:0:0:1:-5",                  // negative schedule instant
+		"lt1:2147483648:0:1:0",          // seq beyond int32
+		"lt1:0:2147483648:1:0",          // src beyond int32
+		"lt1:0:0:2147483648:0",          // dst beyond int32
+		"lt1:9223372036854775808:0:1:0", // beyond int64
+		"lt1:1:2:3",                     // missing field
+		"lt1:1:2:3:4:5",                 // extra field
+		"lt1:x:2:3:4",
+		"lt1:1:2:3:y",
+	}
+	for _, b := range bad {
+		if seq, src, dst, _, ok := ParseTag(b); ok {
+			t.Errorf("ParseTag(%q) accepted (%d,%d,%d)", b, seq, src, dst)
+		}
+		if _, ok := ParseTagHold(b); ok {
+			t.Errorf("ParseTagHold(%q) accepted a v1 payload", b)
+		}
+		if got, ok := AddHold(b, 1000); ok || got != b {
+			t.Errorf("AddHold(%q) = (%q,%v), want unchanged pass-through", b, got, ok)
+		}
+		if v := TagVersion(b); v != 1 {
+			t.Errorf("TagVersion(%q) = %d, want 1", b, v)
+		}
+	}
+}
+
 // TestParseTagV2Fixture pins the prior binary format so the version
 // guard keeps something real to detect: a v2 tag has no hold slot, is
 // refused by every v3 codec entry point, and reports version 2.

@@ -32,13 +32,15 @@ import (
 //     and re-converges by gossip, exactly like recovery from corrupted
 //     initial state.
 //   - An outstanding offer whose target is no longer a neighbor restarts
-//     its handshake (offerSeq = 0) and re-offers to the new parent. On a
-//     forced cut this can duplicate a message (the old target may have
-//     accepted moments before the cut took the accept down with it); the
-//     operator plane's graceful two-phase cut — disable the edge for
-//     routing in one epoch, remove it only after the edge quiesces —
-//     avoids the race entirely, which experiment E-X7's churn scenario
-//     verifies end to end.
+//     its handshake (offerSeq = 0) and re-offers to the new parent —
+//     unless the target runs in the same instance and its watermark shows
+//     it already stored the offer, in which case the sender erases. When
+//     the target is in another process, a forced cut can duplicate a
+//     message (the old target may have accepted moments before the cut
+//     took the accept down with it); the operator plane's graceful
+//     two-phase cut — disable the edge for routing in one epoch, remove
+//     it only after the edge quiesces — avoids the race entirely, which
+//     experiment E-X7's churn scenario verifies end to end.
 //   - A parked offer whose sender is no longer a neighbor is evicted: the
 //     sender still owns the message (no accept was sent) and re-offers on
 //     its own side of the cut.
@@ -106,17 +108,6 @@ type pauseReq struct {
 	release chan struct{}
 }
 
-// fanGen is one generation of fan-in goroutines (the per-incoming-link
-// pumps feeding node inboxes). An epoch transition retires the whole
-// generation — gate closes, pumps exit, wg drains — mutates the link set,
-// and starts a fresh generation over the new links.
-type fanGen struct {
-	gate chan struct{}
-	wg   sync.WaitGroup
-}
-
-func newFanGen() *fanGen { return &fanGen{gate: make(chan struct{})} }
-
 // CurrentEpoch returns the sequence number of the last applied epoch
 // (zero for a network still on its construction topology).
 func (nw *Network) CurrentEpoch() uint64 { return nw.view.Load().epoch }
@@ -153,22 +144,25 @@ func (nw *Network) Draining(p graph.ProcessID) bool {
 
 // Quiesced reports whether local processor p holds no work: no pending
 // higher-layer sends, no occupied buffers, no parked offers, and an empty
-// inbox. It reads only atomic gauges and a channel length, so it is safe
-// from any goroutine at any time. A processor that is not local (or has
-// detached) is vacuously quiesced. Note that quiescence of p alone does
-// not mean nothing is in flight toward p — use InFlightFor for the
-// cluster-side half of the drain check.
+// inbox. It reads atomic gauges and, under the node's lock, the inbox
+// length, so it is safe from any goroutine at any time. A processor that
+// is not local (or has detached) is vacuously quiesced. Note that
+// quiescence of p alone does not mean nothing is in flight toward p — use
+// InFlightFor for the cluster-side half of the drain check.
 func (nw *Network) Quiesced(p graph.ProcessID) bool {
 	v := nw.view.Load()
 	if int(p) >= len(v.nodes) || v.nodes[p] == nil {
 		return true
 	}
 	n := v.nodes[p]
+	n.mu.Lock()
+	inbox := len(n.inbox)
+	n.mu.Unlock()
 	return n.pendingTotal.Load() == 0 &&
 		n.tg.bufR.Load() == 0 &&
 		n.tg.bufE.Load() == 0 &&
 		n.tg.parked.Load() == 0 &&
-		len(n.inbox) == 0
+		inbox == 0
 }
 
 // InFlightFor counts, across this instance's local processors, everything
@@ -206,8 +200,7 @@ func (nw *Network) InFlightFor(d graph.ProcessID) int {
 }
 
 // inspect parks every running node goroutine, runs fn (which may read
-// node-goroutine-owned state), and releases. Fan-in pumps keep running —
-// they only touch inbox channels.
+// node-goroutine-owned state), and releases.
 func (nw *Network) inspect(fn func()) {
 	nw.epochMu.Lock()
 	defer nw.epochMu.Unlock()
@@ -305,11 +298,8 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 		}
 	}
 
-	// Retire the fan-in generation, then park every node goroutine.
 	var req *pauseReq
 	if nw.started {
-		close(nw.fan.gate)
-		nw.fan.wg.Wait()
 		req = nw.pauseAll()
 	}
 
@@ -318,6 +308,7 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 	for _, p := range membersOf(newG) {
 		member[p] = true
 	}
+	nw.settleCutOffers(newG, member)
 	nodes := make([]*node, newG.N())
 	copy(nodes, nw.nodes)
 
@@ -384,8 +375,6 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 			nw.wg.Add(1)
 			go n.run()
 		}
-		nw.fan = newFanGen()
-		nw.startFanIns(nw.fan)
 		for _, n := range fresh {
 			nw.registerNodeWire(n)
 		}
@@ -395,15 +384,39 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 			}
 		}
 	}
-	// Tear removed links down last: every fan-in of the new generation
-	// references only current links, so the dead ones are unobserved here
-	// (other processes sharing the transport drop their frames until their
-	// own epoch lands — congestion losses, recovered by retransmission).
+	// Tear removed links down last. Frames the dead links already queued
+	// at a receiver are dropped by its handle, which admits only current
+	// neighbors (other processes sharing the transport drop their frames
+	// until their own epoch lands — congestion losses, recovered by
+	// retransmission).
 	for _, ed := range removed {
 		el.DropLink(ed[0], ed[1])
 		el.DropLink(ed[1], ed[0])
 	}
 	return nil
+}
+
+// settleCutOffers resolves the handshakes in flight on edges the epoch
+// removes, where the target runs in this instance and stays a member:
+// its acceptance watermark says whether it stored the offer, so a stored
+// one is erased at the sender (its accept, still queued, would be dropped
+// at handle as coming from a non-neighbor) instead of being offered
+// again elsewhere — no duplicate. Offers the target never stored restart
+// in applyEpoch. Caller holds the barrier.
+func (nw *Network) settleCutOffers(newG *graph.Graph, member []bool) {
+	for _, p := range nw.running {
+		n := nw.nodes[p]
+		for d := range n.dests {
+			ds := &n.dests[d]
+			q := ds.offerTarget
+			if ds.offerSeq == 0 || newG.HasEdge(p, q) || !member[q] {
+				continue
+			}
+			if t := nw.nodes[q]; t != nil && t.dests[d].accepted[p] >= ds.offerSeq {
+				n.erase(graph.ProcessID(d))
+			}
+		}
+	}
 }
 
 // edgeKeyOf canonicalizes an undirected edge.
@@ -512,10 +525,19 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 		}
 	}
 
-	// Rebuild the outgoing link cache against the (already ensured) wire.
+	// Rebuild the outgoing link cache against the (already ensured) wire;
+	// it is also the neighbor set handle admits frames from.
 	out := make(map[graph.ProcessID]transport.Link, len(n.nbrs))
 	for _, q := range n.nbrs {
 		out[q] = n.nw.tr.Link(n.id, q)
 	}
 	n.outp.Store(&out)
+	if n.inbox == nil {
+		// A processor that had no neighbor (a one-node deployment) gets
+		// its inbox with its first link.
+		inbox := n.nw.inboxOf(n.id, n.nbrs)
+		n.mu.Lock()
+		n.inbox = inbox
+		n.mu.Unlock()
+	}
 }

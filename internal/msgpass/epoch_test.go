@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/transport"
 )
 
 // uidLog collects delivered UIDs and flags duplicates — the exactly-once
@@ -146,6 +147,98 @@ func TestEpochGracefulLinkCut(t *testing.T) {
 		t.Fatalf("traffic stalled after cut: %d/%d", nw.Delivered(), len(sent))
 	}
 	log.check(t, sent)
+}
+
+// TestEpochDropsFrameQueuedOverCutEdge: an offer from 0 already queued in
+// 1's inbox when an epoch cuts edge 0-1 reaches handle after the cut and
+// is dropped there — 0 is no longer a neighbor, so 1 must not store it.
+func TestEpochDropsFrameQueuedOverCutEdge(t *testing.T) {
+	tr := transport.NewChan(graph.Ring(4), 0)
+	nw := New(graph.Ring(4), Options{Seed: 5, Transport: tr, Tick: time.Minute})
+	stale := tr.Link(0, 1)
+	stale.Send(transport.Frame{Kind: transport.KindOffer, From: 0, Offer: transport.Offer{
+		Dest: 2, Seq: 1, Msg: Message{Payload: "stale", UID: 99, Src: 0, Dest: 2, Valid: true},
+	}})
+
+	topo := graph.NewTopology(graph.Ring(4))
+	if err := topo.RemoveEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ApplyEpoch(Epoch{Seq: 1, Graph: mustBuild(t, topo)}); err != nil {
+		t.Fatalf("cut epoch: %v", err)
+	}
+	nw.Start()
+	defer nw.Stop()
+	for deadline := time.Now().Add(5 * time.Second); len(stale.Recv()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node 1 never read its inbox")
+		}
+	}
+	var ds destState
+	nw.inspect(func() { ds = nw.nodes[1].dests[2] })
+	if ds.hasR || ds.hasE || ds.accepted[0] != 0 {
+		t.Fatalf("stale offer over the cut edge was stored: hasR=%v hasE=%v accepted[0]=%d", ds.hasR, ds.hasE, ds.accepted[0])
+	}
+	if st := nw.Stats(); st.AcceptsSent != 0 {
+		t.Fatalf("node 1 acknowledged the stale offer (%d accepts sent)", st.AcceptsSent)
+	}
+}
+
+// TestEpochForcedCutSettlesStoredOffer: the target of 0's offer stored
+// it, and its accept is still queued at 0 when an epoch cuts the edge.
+// 0 must erase its copy at the barrier rather than offer it again on
+// another route, which would deliver the message twice.
+func TestEpochForcedCutSettlesStoredOffer(t *testing.T) {
+	nw := New(graph.Ring(4), Options{Seed: 9})
+	if _, err := nw.Send(0, "x", 2); err != nil {
+		t.Fatal(err)
+	}
+	src := nw.nodes[0]
+	src.localMoves() // R1, R2 and the first offer, by hand: nothing runs yet
+	q := src.dests[2].offerTarget
+	if !src.dests[2].hasE || src.dests[2].offerSeq == 0 {
+		t.Fatal("no offer outstanding at 0")
+	}
+	nw.nodes[q].handle(<-nw.nodes[q].inbox) // q stores it and queues the accept at 0
+
+	topo := graph.NewTopology(graph.Ring(4))
+	if err := topo.RemoveEdge(0, q); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ApplyEpoch(Epoch{Seq: 1, Graph: mustBuild(t, topo)}); err != nil {
+		t.Fatalf("cut epoch: %v", err)
+	}
+	if src.dests[2].hasE {
+		t.Fatal("0 still holds the message its cut neighbor stored: it would be offered twice")
+	}
+	nw.Start()
+	defer nw.Stop()
+	if !nw.WaitDelivered(1, 5*time.Second) {
+		t.Fatal("message not delivered after the cut")
+	}
+}
+
+// TestEpochGrowsOneNodeDeployment: a lone processor has no link and so
+// no inbox; the epoch that gives it a neighbor must hand it one.
+func TestEpochGrowsOneNodeDeployment(t *testing.T) {
+	nw := New(graph.Line(1), Options{Seed: 1})
+	nw.Start()
+	defer nw.Stop()
+	topo := graph.NewTopology(graph.Line(1))
+	if err := topo.AddEdge(0, topo.AddNode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ApplyEpoch(Epoch{Seq: 1, Graph: mustBuild(t, topo)}); err != nil {
+		t.Fatalf("grow epoch: %v", err)
+	}
+	for _, sd := range [][2]graph.ProcessID{{0, 1}, {1, 0}} {
+		if _, err := nw.Send(sd[0], "x", sd[1]); err != nil {
+			t.Fatalf("Send %d->%d: %v", sd[0], sd[1], err)
+		}
+	}
+	if !nw.WaitDelivered(2, 5*time.Second) {
+		t.Fatalf("only %d/2 delivered across the new edge", nw.Delivered())
+	}
 }
 
 func TestEpochDrainAndDetach(t *testing.T) {

@@ -78,9 +78,10 @@ type Options struct {
 	// Tick is the node timer period (distance-vector gossip and offer
 	// retransmission). Default 200µs.
 	Tick time.Duration
-	// ChannelDepth sizes the per-link buffers of the default channel
-	// transport and each node's fan-in inbox; overflowing frames are
-	// dropped (retransmission recovers them). Default 64.
+	// ChannelDepth sizes the default channel transport: each node's inbox
+	// buffers ChannelDepth frames per incoming link; overflowing frames
+	// are dropped (retransmission recovers them). Default 64. A supplied
+	// Transport is sized by its builder.
 	ChannelDepth int
 	// LossRate drops each frame with this probability (0..1). With no
 	// explicit Transport, a non-zero rate wraps the channel backend in a
@@ -125,7 +126,8 @@ type Options struct {
 	// site.
 	Bus *obs.Bus
 	// OnDeliver, when non-nil, is invoked once per local delivery, from
-	// the destination's node goroutine, after the delivery is recorded.
+	// the destination's node goroutine, after the delivery is recorded
+	// and before Delivered counts it.
 	// It is the push-based delivery stream the load subsystem's latency
 	// collector hooks into (polling Deliveries is O(n) per snapshot). The
 	// callback must be fast and must not call back into the Network.
@@ -179,13 +181,12 @@ type Network struct {
 	// Elastic-membership machinery (epoch.go). view is the atomic read
 	// surface for goroutines outside the epoch barrier; epochMu serializes
 	// ApplyEpoch and barrier inspections; pause carries the stop-the-world
-	// requests; fan is the current fan-in generation; running lists the
-	// processors with a live goroutine; procsWant pins a node-scoped
-	// instance to its configured processor set (nil = adopt every member).
+	// requests; running lists the processors with a live goroutine;
+	// procsWant pins a node-scoped instance to its configured processor
+	// set (nil = adopt every member).
 	view      atomic.Pointer[netView]
 	epochMu   sync.Mutex
 	pause     chan *pauseReq
-	fan       *fanGen
 	running   []graph.ProcessID
 	procsWant []graph.ProcessID
 	started   bool
@@ -294,8 +295,8 @@ func New(g *graph.Graph, opts Options) *Network {
 // scrape endpoints and snapshot emitters off it.
 func (nw *Network) Telemetry() *telemetry.Registry { return nw.tel.reg }
 
-// Start launches one goroutine per local processor, plus the fan-in pumps
-// feeding each node's inbox from its incoming links.
+// Start launches one goroutine per local processor; each reads its
+// transport inbox directly.
 func (nw *Network) Start() {
 	nw.epochMu.Lock()
 	defer nw.epochMu.Unlock()
@@ -303,47 +304,6 @@ func (nw *Network) Start() {
 	for _, p := range nw.running {
 		nw.wg.Add(1)
 		go nw.nodes[p].run()
-	}
-	nw.fan = newFanGen()
-	nw.startFanIns(nw.fan)
-}
-
-// startFanIns spawns the current generation's fan-in pumps: one per
-// incoming link of every running node. Caller holds epochMu.
-func (nw *Network) startFanIns(gen *fanGen) {
-	for _, p := range nw.running {
-		n := nw.nodes[p]
-		for _, q := range n.nbrs {
-			l := nw.tr.Link(q, n.id)
-			nw.wg.Add(1)
-			gen.wg.Add(1)
-			go nw.fanIn(gen, l.Recv(), n.inbox)
-		}
-	}
-}
-
-// fanIn pumps one incoming link into a node inbox until the generation
-// retires or the network stops. Frames dropped at a full inbox — or in
-// flight when the generation gate closes — are recovered by the
-// handshake's retransmission, like any other congestion loss.
-func (nw *Network) fanIn(gen *fanGen, ch <-chan transport.Frame, inbox chan transport.Frame) {
-	defer nw.wg.Done()
-	defer gen.wg.Done()
-	for {
-		select {
-		case f := <-ch:
-			select {
-			case inbox <- f:
-			case <-gen.gate:
-				return
-			case <-nw.stop:
-				return
-			}
-		case <-gen.gate:
-			return
-		case <-nw.stop:
-			return
-		}
 	}
 }
 
@@ -400,6 +360,12 @@ func (nw *Network) Send(src graph.ProcessID, payload string, dst graph.ProcessID
 	n.pendingTotal.Add(1)
 	n.tg.pending.Add(1)
 	nw.tel.sends.Inc()
+	// Wake the node so R1 runs now rather than at the next tick or frame.
+	// A wake already pending covers this send too.
+	select {
+	case n.wake <- struct{}{}:
+	default:
+	}
 	return uid, nil
 }
 
@@ -467,6 +433,13 @@ func (nw *Network) deliver(d Delivery) {
 		nw.deliveries = append(nw.deliveries, d)
 		nw.mu.Unlock()
 	}
+	// Outside the lock: the hook may take its own locks (the latency
+	// collector does) and must not be able to deadlock against Deliveries.
+	// It runs before the delivery is counted, so a WaitDelivered that
+	// returns has seen the hook run for every delivery it counted.
+	if fn := nw.opts.OnDeliver; fn != nil {
+		fn(d)
+	}
 	nw.deliveredCount.Add(1)
 	if nw.waiters.Load() > 0 {
 		// Wake every WaitDelivered. Skipped entirely when nobody waits, so
@@ -475,11 +448,6 @@ func (nw *Network) deliver(d Delivery) {
 		close(nw.delivered)
 		nw.delivered = make(chan struct{})
 		nw.mu.Unlock()
-	}
-	// Outside the lock: the hook may take its own locks (the latency
-	// collector does) and must not be able to deadlock against Deliveries.
-	if fn := nw.opts.OnDeliver; fn != nil {
-		fn(d)
 	}
 }
 
@@ -499,12 +467,13 @@ func (nw *Network) Stats() Stats {
 }
 
 // QueueDepth is a point-in-time occupancy snapshot of one node: frames
-// fanned in but not yet handled, higher-layer sends not yet accepted by
+// in its inbox not yet handled, higher-layer sends not yet accepted by
 // R1, occupied buffers, parked offers, and frames sitting in the node's
-// outbound wire queues. All fields are exact: the buffer and park gauges
-// are updated at every occupancy transition, not sampled on a tick.
-// PendingByDest breaks Pending down per destination ring (only non-empty
-// rings appear).
+// outbound wire queues (0 over Chan, which has none: a frame in flight
+// there sits in the receiver's Inbox). All fields are exact: the buffer
+// and park gauges are updated at every occupancy transition, not
+// sampled on a tick. PendingByDest breaks Pending down per destination
+// ring (only non-empty rings appear).
 type QueueDepth struct {
 	Proc          graph.ProcessID         `json:"proc"`
 	Inbox         int                     `json:"inbox"`
@@ -534,6 +503,7 @@ func (nw *Network) QueueDepths() []QueueDepth {
 		}
 		var byDest map[graph.ProcessID]int
 		n.mu.Lock()
+		inbox := len(n.inbox)
 		for d := range n.pendingByDest {
 			if c := len(n.pendingByDest[d].q) - n.pendingByDest[d].head; c > 0 {
 				if byDest == nil {
@@ -545,7 +515,7 @@ func (nw *Network) QueueDepths() []QueueDepth {
 		n.mu.Unlock()
 		out = append(out, QueueDepth{
 			Proc:          n.id,
-			Inbox:         len(n.inbox),
+			Inbox:         inbox,
 			Pending:       pending,
 			BufR:          int(n.tg.bufR.Load()),
 			BufE:          int(n.tg.bufE.Load()),

@@ -2,6 +2,8 @@ package msgpass_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +71,42 @@ func TestSelfSend(t *testing.T) {
 		t.Fatal("self-send not delivered")
 	}
 	checkExactlyOnce(t, nw, map[uint64]graph.ProcessID{uid: 1})
+}
+
+// TestSendWakesNode: with a tick that never fires during the test and no
+// frame to react to, only Send's wake can get the message through R1.
+func TestSendWakesNode(t *testing.T) {
+	nw := msgpass.New(graph.Line(2), msgpass.Options{Seed: 2, Tick: time.Minute})
+	nw.Start()
+	defer nw.Stop()
+	uid := mustSend(t, nw, 0, "woken", 0)
+	if !nw.WaitDelivered(1, time.Second) {
+		t.Fatal("self-send not delivered within 1s: Send did not wake the node")
+	}
+	checkExactlyOnce(t, nw, map[uint64]graph.ProcessID{uid: 0})
+}
+
+// TestStartAddsOneGoroutinePerNode: over the channel transport a node
+// reads its inbox itself, so Start adds one goroutine per node and no
+// per-link forwarding stage.
+func TestStartAddsOneGoroutinePerNode(t *testing.T) {
+	g := graph.Grid(4, 4)
+	nw := msgpass.New(g, msgpass.Options{Seed: 3})
+	before := msgpassGoroutines()
+	nw.Start()
+	defer nw.Stop()
+	if got := msgpassGoroutines() - before; got != g.N() {
+		t.Fatalf("Start added %d goroutines, want %d (one per node)", got, g.N())
+	}
+}
+
+// msgpassGoroutines counts the live goroutines this package started.
+// Counting by creator keeps goroutines of earlier tests that are still
+// winding down (a closed chaos dispatcher, say) out of the figure.
+func msgpassGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by ssmfp/internal/msgpass.")
 }
 
 func TestManyMessagesExactlyOnce(t *testing.T) {
@@ -254,11 +292,14 @@ func TestStatsCountRetransmissionsUnderLoss(t *testing.T) {
 func TestCancelsHappenUnderCorruptRouting(t *testing.T) {
 	// With corrupted initial routing, the distance vector retargets
 	// in-flight offers; the cancel machinery must actually engage in at
-	// least some seeds (this exercises the retarget path end to end).
+	// least some seeds (this exercises the retarget path end to end). A
+	// millisecond of wire latency keeps each offer outstanding while the
+	// first distance vectors land; on an instant wire a message can finish
+	// its hops before routing moves at all.
 	sawCancel := false
 	for seed := int64(0); seed < 12 && !sawCancel; seed++ {
 		g := graph.Ring(6)
-		nw := msgpass.New(g, msgpass.Options{Seed: seed, CorruptInit: true})
+		nw := msgpass.New(g, msgpass.Options{Seed: seed, CorruptInit: true, Latency: time.Millisecond})
 		nw.Start()
 		for p := 0; p < g.N(); p++ {
 			nw.Send(graph.ProcessID(p), "c", graph.ProcessID((p+3)%g.N()))

@@ -126,10 +126,13 @@ type node struct {
 	// QueueDepths resolve links through the pointer, never a stale map.
 	outp atomic.Pointer[map[graph.ProcessID]transport.Link]
 
-	// inbox fans in frames from every incoming link; created up front so
-	// Network.QueueDepths can read its occupancy (len on a channel is safe
-	// concurrently).
-	inbox chan transport.Frame
+	// inbox is this processor's transport inbox — the Recv of every
+	// incoming link — and nil while it has no neighbor. It is written
+	// only at the epoch barrier and under mu; other goroutines read it
+	// under mu. wake (capacity 1) is signalled by Network.Send so R1 runs
+	// without waiting for a tick or a frame.
+	inbox <-chan transport.Frame
+	wake  chan struct{}
 
 	// tg holds this processor's occupancy gauges (bufR/bufE/pending/
 	// parked), updated at the exact transition points so peaks are
@@ -144,6 +147,7 @@ type node struct {
 
 	// higher layer; written by Network.Send concurrently. pendingTotal is
 	// read lock-free on the hot path so an idle R1 costs one atomic load.
+	// mu also guards inbox.
 	mu            sync.Mutex
 	pendingByDest []pendQueue
 	pendingTotal  atomic.Int64
@@ -151,10 +155,6 @@ type node struct {
 
 func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *node {
 	nbrs := g.Neighbors(id)
-	inboxDepth := nw.opts.ChannelDepth * len(nbrs)
-	if inboxDepth < nw.opts.ChannelDepth {
-		inboxDepth = nw.opts.ChannelDepth
-	}
 	n := &node{
 		nw:            nw,
 		id:            id,
@@ -167,7 +167,8 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 		nbrDraining:   make([]bool, len(nbrs)),
 		dests:         make([]destState, g.N()),
 		nextSeq:       1,
-		inbox:         make(chan transport.Frame, inboxDepth),
+		inbox:         nw.inboxOf(id, nbrs),
+		wake:          make(chan struct{}, 1),
 		pendingByDest: make([]pendQueue, g.N()),
 		dvDirty:       true, // gossip the initial vector on the first tick
 	}
@@ -212,10 +213,22 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 	return n
 }
 
+// inboxOf returns p's transport inbox: the shared Recv of its incoming
+// links, or nil when p has no neighbor.
+func (nw *Network) inboxOf(p graph.ProcessID, nbrs []graph.ProcessID) <-chan transport.Frame {
+	if len(nbrs) == 0 {
+		return nil
+	}
+	return nw.tr.Link(nbrs[0], p).Recv()
+}
+
 // send counts and ships one frame on the cached link to q. A nil link
 // (a neighbor that vanished between the decision and the send — only
 // possible transiently around an epoch) drops the frame like congestion.
+// Batched events go out first, so whatever the peer observes in reply
+// follows them on the bus.
 func (n *node) send(q graph.ProcessID, f transport.Frame) {
+	n.flushObs()
 	n.nw.countFrame(f.Kind)
 	if l := (*n.outp.Load())[q]; l != nil {
 		l.Send(f)
@@ -238,9 +251,8 @@ func (n *node) flushObs() {
 	n.evs = n.evs[:0]
 }
 
-// run is the node main loop: the network's fan-in pumps (one per incoming
-// link, owned by the current fan generation) feed the node's inbox; the
-// loop reacts to frames, ticks, and epoch barriers.
+// run is the node main loop: it reacts to frames from the transport
+// inbox, Send wakes, ticks, and epoch barriers.
 func (n *node) run() {
 	defer n.nw.wg.Done()
 	ticker := time.NewTicker(n.nw.opts.Tick)
@@ -265,6 +277,7 @@ func (n *node) run() {
 			}
 		case f := <-n.inbox:
 			n.handle(f)
+		case <-n.wake:
 		case <-ticker.C:
 			n.tick()
 		}
@@ -273,8 +286,14 @@ func (n *node) run() {
 	}
 }
 
-// handle processes one incoming frame.
+// handle processes one incoming frame. A frame from a processor that is
+// not a current neighbor is dropped: it was queued before an epoch cut
+// the edge (or comes from an untrusted wire), and the sender resolves its
+// side of the handshake on its own side of the cut.
 func (n *node) handle(f transport.Frame) {
+	if _, ok := (*n.outp.Load())[f.From]; !ok {
+		return
+	}
 	switch f.Kind {
 	case transport.KindDV:
 		n.handleDV(f.From, f.DV)
@@ -429,20 +448,26 @@ func (n *node) handleAccept(from graph.ProcessID, a transport.Ack) {
 		// stabilization-health signal worth counting.
 		n.nw.tel.watermarkViolations.Inc()
 	}
-	ds := &n.dests[a.Dest]
-	if ds.hasE && ds.offerSeq == a.Seq {
-		if n.nw.busActive() {
-			n.observe(obs.Event{Kind: obs.KindErase, Proc: n.id, Dest: a.Dest, Buf: obs.BufEmission, Msg: record(&ds.bufE, n.id)})
-		}
-		ds.bufE = Message{}
-		ds.hasE = false
-		ds.offerSeq = 0
-		n.tg.bufE.Add(-1)
-		if n.draining {
-			// One buffered message handed off to a live neighbor on the
-			// way out — the drain-progress series operators watch.
-			n.nw.tel.drainHandoffs.Inc()
-		}
+	if ds := &n.dests[a.Dest]; ds.hasE && ds.offerSeq == a.Seq {
+		n.erase(a.Dest)
+	}
+}
+
+// erase is the R4 erase of d's emission buffer once its offered copy is
+// stored at the target.
+func (n *node) erase(d graph.ProcessID) {
+	ds := &n.dests[d]
+	if n.nw.busActive() {
+		n.observe(obs.Event{Kind: obs.KindErase, Proc: n.id, Dest: d, Buf: obs.BufEmission, Msg: record(&ds.bufE, n.id)})
+	}
+	ds.bufE = Message{}
+	ds.hasE = false
+	ds.offerSeq = 0
+	n.tg.bufE.Add(-1)
+	if n.draining {
+		// One buffered message handed off to a live neighbor on the
+		// way out — the drain-progress series operators watch.
+		n.nw.tel.drainHandoffs.Inc()
 	}
 }
 
@@ -555,27 +580,12 @@ func (n *node) driveTransfer(d graph.ProcessID) {
 		transport.Frame{Kind: transport.KindCancel, From: n.id, Ack: transport.Ack{Dest: d, Seq: ds.offerSeq}})
 }
 
-// localMoves performs the purely local rules: generation (R1), the
-// internal bufR→bufE move (R2), and consumption (R6).
+// localMoves performs the purely local rules in pipeline order —
+// generation (R1), the internal bufR→bufE move (R2), consumption (R6) —
+// so one pass carries a fresh send to its first offer, a final-hop
+// arrival to its delivery, and a self-send all the way through.
 func (n *node) localMoves() {
-	// R6: consume at the destination. The wait since the message landed in
-	// this node's bufR is the "deliver" attribution component; it rides the
-	// Delivery struct (the destination never rewrites the payload tag).
-	self := &n.dests[n.id]
-	if self.hasE {
-		var wait int64
-		if self.rAtNS != 0 {
-			wait = time.Now().UnixNano() - self.rAtNS
-			self.rAtNS = 0
-		}
-		if n.nw.busActive() {
-			n.observe(obs.Event{Kind: obs.KindDeliver, Proc: n.id, Dest: n.id, Msg: record(&self.bufE, n.id)})
-		}
-		n.nw.deliver(Delivery{Msg: self.bufE, At: n.id, DeliverWaitNS: wait})
-		self.bufE = Message{}
-		self.hasE = false
-		n.tg.bufE.Add(-1)
-	}
+	n.acceptPending()
 	// R2: internal move wherever possible. Hop-level exactly-once is
 	// carried by the handshake sequences in this port; the color field is
 	// kept populated for observability only.
@@ -620,9 +630,33 @@ func (n *node) localMoves() {
 			}
 		}
 	}
-	// R1: accept pending higher-layer messages wherever the destination's
-	// bufR is free. The lock-free occupancy check keeps an idle R1 at one
-	// atomic load per loop iteration.
+	// R6: consume at the destination. The wait since the message landed in
+	// this node's bufR is the "deliver" attribution component; it rides the
+	// Delivery struct (the destination never rewrites the payload tag).
+	self := &n.dests[n.id]
+	if self.hasE {
+		var wait int64
+		if self.rAtNS != 0 {
+			wait = time.Now().UnixNano() - self.rAtNS
+			self.rAtNS = 0
+		}
+		if n.nw.busActive() {
+			n.observe(obs.Event{Kind: obs.KindDeliver, Proc: n.id, Dest: n.id, Msg: record(&self.bufE, n.id)})
+			// Publish before the delivery is counted, so a caller woken
+			// by WaitDelivered has already seen its event.
+			n.flushObs()
+		}
+		n.nw.deliver(Delivery{Msg: self.bufE, At: n.id, DeliverWaitNS: wait})
+		self.bufE = Message{}
+		self.hasE = false
+		n.tg.bufE.Add(-1)
+	}
+}
+
+// acceptPending is R1: accept pending higher-layer messages wherever the
+// destination's bufR is free. The lock-free occupancy check keeps an idle
+// R1 at one atomic load per loop iteration.
+func (n *node) acceptPending() {
 	if n.pendingTotal.Load() == 0 {
 		return
 	}

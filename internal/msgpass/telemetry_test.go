@@ -34,6 +34,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !nw.WaitDelivered(msgs, 10*time.Second) {
 		t.Fatalf("only %d/%d delivered", nw.Delivered(), msgs)
 	}
+	// Stop before comparing: the nodes keep gossiping, so two reads of a
+	// live counter can differ by the frames sent in between.
+	nw.Stop()
 
 	if v, _ := reg.Value(telemetry.SeriesSends); v != msgs {
 		t.Fatalf("sends series = %d, want %d", v, msgs)

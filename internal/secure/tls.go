@@ -32,8 +32,6 @@ type TLSOptions struct {
 	Cred *Credential
 	// Pool holds the cluster CA.
 	Pool *x509.CertPool
-	// Policy filters inbound (role, kind); nil selects DefaultPolicy.
-	Policy Policy
 	// Telemetry receives the rejection counters; nil builds a private
 	// registry.
 	Telemetry *telemetry.Registry
@@ -46,10 +44,71 @@ type TLSOptions struct {
 	Bus                    *obs.Bus
 }
 
+// DefaultPolicy is SSNTP's rule specialized to SSMFP, the role check of
+// the TLS gate: every protocol frame kind — DV routing gossip and the
+// offer/accept/cancel/cancelAck hop handshake — is admitted from
+// node-role peers only. Operators and observers authenticate fine but
+// have no business on the data plane.
+func DefaultPolicy(role Role, kind transport.FrameKind) bool {
+	switch kind {
+	case transport.KindDV, transport.KindOffer, transport.KindAccept,
+		transport.KindCancel, transport.KindCancelAck:
+		return role == RoleNode
+	}
+	return false
+}
+
+// The rejection reasons of the secure plane, the label values of
+// telemetry.SeriesSecureRejected.
+const (
+	ReasonHandshake  = "handshake"  // TLS handshake refused (wrong CA, expired, no role)
+	ReasonRole       = "role"       // authenticated role does not admit the frame kind
+	ReasonSender     = "sender"     // certificate identity contradicts Frame.From
+	ReasonMembership = "membership" // valid node certificate, but not a configured peer
+	ReasonAdmin      = "admin"      // authenticated role does not admit the admin verb
+)
+
+// Reasons lists every rejection reason, in the order reports render them.
+var Reasons = []string{ReasonHandshake, ReasonRole, ReasonSender, ReasonMembership, ReasonAdmin}
+
+// rejectCounters resolves the per-reason telemetry counters once.
+type rejectCounters struct {
+	reg *telemetry.Registry
+	by  map[string]*telemetry.Counter
+}
+
+func newRejectCounters(reg *telemetry.Registry) *rejectCounters {
+	if reg == nil {
+		reg = telemetry.New()
+	}
+	rc := &rejectCounters{reg: reg, by: make(map[string]*telemetry.Counter, len(Reasons))}
+	for _, reason := range Reasons {
+		rc.by[reason] = reg.Counter(telemetry.SeriesSecureRejected,
+			"Frames, handshakes or admin calls rejected by the trust domain.",
+			telemetry.L("reason", reason))
+	}
+	return rc
+}
+
+func (rc *rejectCounters) inc(reason string) {
+	if c, ok := rc.by[reason]; ok {
+		c.Inc()
+	}
+}
+
+// snapshot reads the per-reason totals back (tests and reports).
+func (rc *rejectCounters) snapshot() map[string]uint64 {
+	out := make(map[string]uint64, len(rc.by))
+	for reason, c := range rc.by {
+		out[reason] = uint64(c.Load())
+	}
+	return out
+}
+
 // TLS is the secure production transport: the TCP backend's sockets,
 // reconnect logic and per-link queues, with every connection upgraded to
 // mutual TLS against the cluster CA and every inbound frame gated on the
-// peer's certificate-attested identity before demultiplexing:
+// peer's certificate-attested identity before it reaches the inbox:
 //
 //  1. handshake — the peer must present a CA-signed, in-validity
 //     certificate carrying a parseable role, or the connection dies
@@ -64,15 +123,14 @@ type TLSOptions struct {
 //     neighbor (reason "membership"; discarded, connection lives).
 //
 // Order matters: the sender cross-check is only meaningful per
-// connection, *before* frames demux into per-peer channels — after the
-// demux, a forged From is indistinguishable from the peer it names.
+// connection, *before* frames reach the node's inbox — after that, a
+// forged From is indistinguishable from the peer it names.
 // Every rejection is counted in telemetry
 // (ssmfp_secure_rejected_frames_total{reason=...}) and folded into
 // telemetry.CheckHealth.
 type TLS struct {
 	tcp    *transport.TCP
 	opts   TLSOptions
-	policy Policy
 	rej    *rejectCounters
 	client *tls.Config
 }
@@ -90,12 +148,8 @@ func NewTLS(g *graph.Graph, opts TLSOptions) (*TLS, error) {
 	}
 	s := &TLS{
 		opts:   opts,
-		policy: opts.Policy,
 		rej:    newRejectCounters(opts.Telemetry),
 		client: ClientConfig(opts.Cred, opts.Pool),
-	}
-	if s.policy == nil {
-		s.policy = DefaultPolicy
 	}
 	raw := opts.Listener
 	if raw == nil {
@@ -196,7 +250,7 @@ func (s *TLS) gate(conn net.Conn, f *transport.Frame) error {
 		s.reject(ReasonHandshake)
 		return errUntrusted
 	}
-	if !s.policy(sc.id.Role, f.Kind) {
+	if !DefaultPolicy(sc.id.Role, f.Kind) {
 		s.reject(ReasonRole)
 		return transport.ErrRejectFrame
 	}

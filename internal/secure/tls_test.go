@@ -265,3 +265,24 @@ func TestNewTLSRejectsMiscastCredentials(t *testing.T) {
 		t.Fatal("node-1 credential accepted as node 0's transport identity")
 	}
 }
+
+func TestDefaultPolicy(t *testing.T) {
+	kinds := []transport.FrameKind{
+		transport.KindDV, transport.KindOffer, transport.KindAccept,
+		transport.KindCancel, transport.KindCancelAck,
+	}
+	for _, k := range kinds {
+		if !secure.DefaultPolicy(secure.RoleNode, k) {
+			t.Errorf("node refused kind %s", k)
+		}
+		if secure.DefaultPolicy(secure.RoleOperator, k) {
+			t.Errorf("operator admitted kind %s", k)
+		}
+		if secure.DefaultPolicy(secure.RoleObserver, k) {
+			t.Errorf("observer admitted kind %s", k)
+		}
+	}
+	if secure.DefaultPolicy(secure.RoleNode, transport.KindInvalid) {
+		t.Error("invalid kind admitted")
+	}
+}

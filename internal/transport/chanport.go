@@ -8,39 +8,60 @@ import (
 	"ssmfp/internal/graph"
 )
 
-// Chan is the in-process backend: one buffered Go channel per directed
-// edge, the wiring msgpass originally built inside Network.send. It is
-// whole-graph scoped — both ends of every link live in this process —
-// and lossless except for congestion: a Send into a full channel drops
-// the frame (retransmission recovers it), exactly the original behavior.
-// Chan is elastic: links can be added and removed at runtime (EnsureLink
-// / DropLink), which is how an in-process deployment rides an epoch
-// transition.
+// Chan is the in-process backend: one buffered Go channel per receiving
+// processor, shared by every link into it. It is whole-graph scoped —
+// both ends of every link live in this process — and lossless except for
+// congestion: a Send into a full inbox drops the frame (retransmission
+// recovers it). Chan is elastic: links can be added and removed at
+// runtime (EnsureLink / DropLink), which is how an in-process deployment
+// rides an epoch transition.
 type Chan struct {
-	g      *graph.Graph
 	depth  int
 	closed atomic.Bool
 
 	mu    sync.RWMutex
 	links map[[2]graph.ProcessID]*chanLink
+	inbox map[graph.ProcessID]chan Frame
 }
 
-// DefaultDepth is the per-link channel buffer when the caller passes a
+// DefaultDepth is the per-link buffer when the caller passes a
 // non-positive depth.
 const DefaultDepth = 64
 
-// NewChan builds the channel transport for every directed edge of g with
-// the given per-link buffer depth (≤0 selects DefaultDepth).
+// NewChan builds the channel transport for every directed edge of g.
+// Each processor's inbox buffers depth frames per incoming edge of g
+// (≤0 selects DefaultDepth), so a busier processor gets more room.
 func NewChan(g *graph.Graph, depth int) *Chan {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	c := &Chan{g: g, depth: depth, links: make(map[[2]graph.ProcessID]*chanLink, 2*g.M())}
+	c := &Chan{
+		depth: depth,
+		links: make(map[[2]graph.ProcessID]*chanLink, 2*g.M()),
+		inbox: make(map[graph.ProcessID]chan Frame, g.N()),
+	}
+	for _, p := range g.Processors() {
+		if deg := g.Degree(p); deg > 0 {
+			c.inbox[p] = make(chan Frame, depth*deg)
+		}
+	}
 	for _, e := range g.Edges() {
-		c.links[[2]graph.ProcessID{e[0], e[1]}] = &chanLink{tr: c, ch: make(chan Frame, depth)}
-		c.links[[2]graph.ProcessID{e[1], e[0]}] = &chanLink{tr: c, ch: make(chan Frame, depth)}
+		c.addLinkLocked(e[0], e[1])
+		c.addLinkLocked(e[1], e[0])
 	}
 	return c
+}
+
+// addLinkLocked creates the link from→to over to's inbox, creating the
+// inbox (one link's worth of depth) for a processor no link reached
+// before. Caller holds mu, or is still in NewChan.
+func (c *Chan) addLinkLocked(from, to graph.ProcessID) {
+	in, ok := c.inbox[to]
+	if !ok {
+		in = make(chan Frame, c.depth)
+		c.inbox[to] = in
+	}
+	c.links[[2]graph.ProcessID{from, to}] = &chanLink{tr: c, ch: in}
 }
 
 // Link returns the directed link from→to; it panics on a non-edge, as
@@ -58,18 +79,18 @@ func (c *Chan) Link(from, to graph.ProcessID) Link {
 
 // EnsureLink creates the directed link from→to if it does not exist.
 func (c *Chan) EnsureLink(from, to graph.ProcessID) error {
-	key := [2]graph.ProcessID{from, to}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.links[key]; !ok {
-		c.links[key] = &chanLink{tr: c, ch: make(chan Frame, c.depth)}
+	if _, ok := c.links[[2]graph.ProcessID{from, to}]; !ok {
+		c.addLinkLocked(from, to)
 	}
 	return nil
 }
 
-// DropLink removes the directed link from→to. A stale handle held by a
-// node that has not yet reconfigured keeps draining its channel; its
-// Sends drop and count as congestion losses.
+// DropLink removes the directed link from→to. The receiver's inbox
+// stays: other links still feed it, and frames the dropped link already
+// delivered are the receiver's to discard. Sends on a stale handle drop
+// and count as congestion losses.
 func (c *Chan) DropLink(from, to graph.ProcessID) {
 	key := [2]graph.ProcessID{from, to}
 	c.mu.Lock()
@@ -103,7 +124,8 @@ func (c *Chan) Close() error {
 	return nil
 }
 
-// chanLink is one directed edge of the Chan backend.
+// chanLink is one directed edge of the Chan backend; ch is the receiving
+// processor's inbox, shared with its other incoming links.
 type chanLink struct {
 	tr      *Chan
 	ch      chan Frame
@@ -133,18 +155,19 @@ func (l *chanLink) Send(f Frame) bool {
 
 func (l *chanLink) Recv() <-chan Frame { return l.ch }
 
+// Stats reports no Queued: a Chan link has no outbound queue, and the
+// inbox it feeds is the receiver's, counted there.
 func (l *chanLink) Stats() LinkStats {
 	sent := l.sent.Load()
 	bytes := l.bytes.Load()
 	return LinkStats{
 		// In-memory transfer is instantaneous: every frame that entered
-		// the channel has "arrived".
+		// the inbox has "arrived".
 		Sent:        sent,
 		Recvd:       sent,
 		DroppedFull: l.dropped.Load(),
 		BytesSent:   bytes,
 		BytesRecvd:  bytes,
-		Queued:      len(l.ch),
 	}
 }
 

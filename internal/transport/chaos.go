@@ -412,9 +412,11 @@ func (l *chaosLink) dispatch() {
 			l.inner.Send(top.f)
 			l.mu.Lock()
 		}
-		wait := time.Duration(-1)
+		wait := time.Duration(-1) // nothing queued: sleep until a Send wakes us
 		if len(l.heap) > 0 {
-			wait = l.heap[0].due - time.Since(l.tr.start)
+			// The top may have fallen due since the loop above checked;
+			// an overdue frame must not read as an empty heap.
+			wait = max(0, l.heap[0].due-time.Since(l.tr.start))
 		}
 		l.mu.Unlock()
 		if wait < 0 {

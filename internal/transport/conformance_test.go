@@ -129,6 +129,74 @@ func testLosslessFIFO(t *testing.T, mk backendFactory) {
 func TestChanLosslessFIFO(t *testing.T) { testLosslessFIFO(t, chanBackend) }
 func TestTCPLosslessFIFO(t *testing.T)  { testLosslessFIFO(t, tcpBackend) }
 
+// testOneInboxPerProcessor checks the receive contract: both links into
+// the middle of a line return the same channel, and frames sent on each
+// arrive on it once, naming their sender.
+func testOneInboxPerProcessor(t *testing.T, mk backendFactory) {
+	g := graph.Line(3)
+	tr, cleanup := mk(t, g)
+	defer cleanup()
+	from0, from2 := tr.Link(0, 1), tr.Link(2, 1)
+	if from0.Recv() != from2.Recv() {
+		t.Fatal("links into processor 1 return different Recv channels")
+	}
+	const burst = 8
+	for seq := uint64(1); seq <= burst; seq++ {
+		from0.Send(offerFrame(0, 1, seq))
+		from2.Send(offerFrame(2, 1, 100+seq))
+	}
+	seen := make(map[uint64]graph.ProcessID)
+	deadline := time.After(10 * time.Second)
+	for len(seen) < 2*burst {
+		select {
+		case f := <-from0.Recv():
+			seq := f.Offer.Seq
+			if _, dup := seen[seq]; dup {
+				t.Fatalf("frame %d arrived twice", seq)
+			}
+			seen[seq] = f.From
+		case <-deadline:
+			t.Fatalf("received %d/%d frames", len(seen), 2*burst)
+		}
+	}
+	for seq, from := range seen {
+		want := graph.ProcessID(0)
+		if seq > 100 {
+			want = 2
+		}
+		if from != want {
+			t.Fatalf("frame %d: From = %d, want %d", seq, from, want)
+		}
+	}
+	if extra := drain(from0, 50*time.Millisecond); len(extra) != 0 {
+		t.Fatalf("extra frames after the burst: %v", extra)
+	}
+}
+
+func TestChanOneInboxPerProcessor(t *testing.T) { testOneInboxPerProcessor(t, chanBackend) }
+func TestTCPOneInboxPerProcessor(t *testing.T)  { testOneInboxPerProcessor(t, tcpBackend) }
+func TestChaosOneInboxPerProcessor(t *testing.T) {
+	testOneInboxPerProcessor(t, chaosOver(chanBackend, transport.ChaosOptions{Seed: 5, Latency: time.Millisecond, Jitter: time.Millisecond}))
+}
+
+// TestChanLinkHasNoOutboundQueue: a frame in flight on a Chan link sits
+// in the receiver's inbox, which the receiver counts; the link itself
+// queues nothing, so summing link queues does not count it twice.
+func TestChanLinkHasNoOutboundQueue(t *testing.T) {
+	tr, cleanup := chanBackend(t, graph.Line(2))
+	defer cleanup()
+	l := tr.Link(0, 1)
+	if !l.Send(offerFrame(0, 1, 1)) {
+		t.Fatal("send refused")
+	}
+	if got := len(l.Recv()); got != 1 {
+		t.Fatalf("receiver inbox holds %d frames, want 1", got)
+	}
+	if got := l.Stats().Queued; got != 0 {
+		t.Fatalf("Link(0,1).Stats().Queued = %d, want 0", got)
+	}
+}
+
 func TestChaosLossDropsFrames(t *testing.T) {
 	mk := chaosOver(chanBackend, transport.ChaosOptions{Seed: 42, LossRate: 0.5})
 	g := graph.Line(2)

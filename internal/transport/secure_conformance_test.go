@@ -59,6 +59,10 @@ func secureBackend(t *testing.T, g *graph.Graph) (transport.Transport, func()) {
 
 func TestSecureTLSLosslessFIFO(t *testing.T) { testLosslessFIFO(t, secureBackend) }
 
+func TestSecureTLSOneInboxPerProcessor(t *testing.T) {
+	testOneInboxPerProcessor(t, secureBackend)
+}
+
 func TestExactlyOnceOverSecureTLS(t *testing.T) {
 	runExactlyOnce(t, secureBackend, msgpass.Options{Seed: 26}, 90*time.Second)
 }

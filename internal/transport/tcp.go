@@ -29,8 +29,9 @@ type TCPOptions struct {
 	// binding Listen — in-process loopback clusters bind n listeners on
 	// port 0 first so every peer address is known before any node starts.
 	Listener net.Listener
-	// Depth is the per-link outbound queue and inbound buffer (≤0 =
-	// DefaultDepth). A full queue drops frames, like a congested Chan link.
+	// Depth is the per-link outbound queue (≤0 = DefaultDepth); the
+	// inbox buffers Depth frames per neighbor of Local. A full queue or
+	// inbox drops frames, like a congested Chan link.
 	Depth int
 	// BackoffMin/BackoffMax bound the reconnect backoff (defaults 20ms
 	// and 1s); each failed dial doubles the wait up to the max, plus up
@@ -48,7 +49,7 @@ type TCPOptions struct {
 	// handshake without re-implementing the writer's reconnect logic.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// Inbound, when non-nil, is consulted for every decoded inbound frame
-	// before it is demultiplexed, with the connection it arrived on. A nil
+	// before it enters the inbox, with the connection it arrived on. A nil
 	// return admits the frame; ErrRejectFrame drops the frame but keeps
 	// the connection (a recoverable policy rejection); any other error
 	// drops the frame AND ends the connection (the stream can no longer
@@ -77,15 +78,16 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
-// TCP carries frames for one processor over real sockets: a single
-// listener accepts inbound connections from any peer (frames self-identify
-// via Frame.From, so inbound links are demultiplexed per frame), and one
-// writer goroutine per neighbor lazily dials the peer's address on first
-// use, reconnecting with exponential backoff + jitter when the connection
-// drops. Frames queued while the link is down are flushed after
-// reconnect; frames overflowing the queue are dropped and recovered by
-// the protocol's retransmission, so a process can start, crash, or come
-// up late without any coordination. The transport is elastic: AddPeer
+// TCP carries frames for one processor over real sockets. A single
+// listener accepts inbound connections from any peer; every connection's
+// reader writes into Local's one inbox (frames self-identify via
+// Frame.From, which the reader checks against the configured neighbors).
+// One writer goroutine per neighbor lazily dials the peer's address on
+// first use, reconnecting with exponential backoff + jitter when the
+// connection drops. Frames queued while the link is down are flushed
+// after reconnect; frames overflowing the queue are dropped and recovered
+// by the protocol's retransmission, so a process can start, crash, or
+// come up late without any coordination. The transport is elastic: AddPeer
 // teaches it a new neighbor's address and EnsureLink/DropLink grow and
 // shrink the link set at runtime — how a long-lived node rides cluster
 // membership changes.
@@ -93,6 +95,9 @@ type TCP struct {
 	opts TCPOptions
 	ln   net.Listener
 	rng  *rand.Rand // seeds per-writer jitter streams; guarded by lmu
+
+	// inbox is Local's receive channel, shared by every inbound link.
+	inbox chan Frame
 
 	// lmu guards the elastic state: the link maps and the peer address
 	// book. Hot paths hold it only for a map read.
@@ -145,6 +150,7 @@ func NewTCP(g *graph.Graph, opts TCPOptions) (*TCP, error) {
 		opts:  opts,
 		ln:    ln,
 		rng:   rand.New(rand.NewSource(opts.Seed ^ int64(opts.Local)<<17)),
+		inbox: make(chan Frame, opts.Depth*max(1, len(nbrs))),
 		out:   make(map[graph.ProcessID]*tcpSendLink, len(nbrs)),
 		in:    make(map[graph.ProcessID]*tcpRecvLink, len(nbrs)),
 		peers: make(map[graph.ProcessID]string, len(opts.Peers)),
@@ -156,7 +162,7 @@ func NewTCP(g *graph.Graph, opts TCPOptions) (*TCP, error) {
 	}
 	for _, q := range nbrs {
 		t.addSendLinkLocked(q)
-		t.in[q] = &tcpRecvLink{ch: make(chan Frame, opts.Depth)}
+		t.in[q] = &tcpRecvLink{ch: t.inbox}
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -191,7 +197,7 @@ func (t *TCP) peerAddr(q graph.ProcessID) string {
 	return t.peers[q]
 }
 
-// KnownSender reports whether p currently has an inbound demux slot —
+// KnownSender reports whether p currently has an inbound link —
 // i.e. whether p is a member this node would accept frames from. Inbound
 // gates use it to distinguish a stranger with a valid certificate from a
 // configured neighbor.
@@ -228,14 +234,14 @@ func (t *TCP) EnsureLink(from, to graph.ProcessID) error {
 		t.addSendLinkLocked(to)
 	case to == t.opts.Local:
 		if _, ok := t.in[from]; !ok {
-			t.in[from] = &tcpRecvLink{ch: make(chan Frame, t.opts.Depth)}
+			t.in[from] = &tcpRecvLink{ch: t.inbox}
 		}
 	}
 	return nil // non-incident edges are another node's business
 }
 
 // DropLink shrinks the link set: the outbound writer stops and its
-// connection closes; the inbound demux forgets the peer (its frames count
+// connection closes; the inbound side forgets the peer (its frames count
 // as unknown-sender noise until it too reconfigures).
 func (t *TCP) DropLink(from, to graph.ProcessID) {
 	t.lmu.Lock()
@@ -331,7 +337,7 @@ func (t *TCP) observe(detail string, from, to graph.ProcessID) {
 }
 
 // acceptLoop serves inbound connections; each gets a reader goroutine
-// that demultiplexes frames by their From field.
+// that writes frames from configured neighbors into the inbox.
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -524,7 +530,8 @@ func (l *tcpSendLink) Stats() LinkStats {
 
 func (l *tcpSendLink) Close() error { return nil }
 
-// tcpRecvLink is the receive end of peer→Local.
+// tcpRecvLink is the receive end of peer→Local: its own counters over
+// the shared inbox.
 type tcpRecvLink struct {
 	ch      chan Frame
 	recvd   atomic.Uint64
@@ -543,7 +550,6 @@ func (l *tcpRecvLink) Stats() LinkStats {
 		Recvd:       l.recvd.Load(),
 		DroppedFull: l.dropped.Load(),
 		BytesRecvd:  l.bytes.Load(),
-		Queued:      len(l.ch),
 	}
 }
 

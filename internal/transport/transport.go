@@ -5,16 +5,18 @@
 // "a real network" (the paper's closing open problem).
 //
 // A Transport hands out one Link per directed edge (u→v); the protocol
-// layer sends typed Frames on the link's send end and fans frames in from
-// the link's receive channel. Every backend is best-effort by contract:
+// layer sends typed Frames on the link's send end. The receive side is
+// per processor, not per edge: every link into v returns v's one inbox
+// from Recv, and Frame.From names the sender, so a processor reads a
+// single stream of incoming frames. Every backend is best-effort by contract:
 // Send may drop a frame (full queue, impairment, a TCP connection mid
 // reconnect) and never blocks the caller — the SSMFP hop handshake's
 // retransmission is what recovers losses, exactly as it recovers the
 // simulated losses of the state model. Backends:
 //
-//   - Chan (chanport.go): buffered Go channels, one per directed edge —
-//     the original msgpass wiring, extracted. Whole-graph scope: every
-//     link's both ends live in this process.
+//   - Chan (chanport.go): buffered Go channels, one inbox per receiving
+//     processor. Whole-graph scope: every link's both ends live in this
+//     process.
 //   - TCP (tcp.go): length-prefixed binary frames (codec.go) over real
 //     sockets, one listener per node and lazily-dialed outbound
 //     connections with exponential backoff + jitter. Node scope: the
@@ -116,8 +118,10 @@ type Link interface {
 	// link down). Callers rely on retransmission, not on the return value,
 	// which exists for stats and tests.
 	Send(f Frame) bool
-	// Recv is the channel the far end's frames arrive on. The channel is
-	// never closed while the transport is open; receivers multiplex it
+	// Recv is the receiving processor's inbox: every link into the same
+	// processor returns the same channel, carrying the frames of all its
+	// incoming links, each naming its sender in Frame.From. The channel
+	// is never closed while the transport is open; receivers multiplex it
 	// with their own stop signal.
 	Recv() <-chan Frame
 	// Stats snapshots this link's counters.
@@ -147,7 +151,9 @@ type LinkStats struct {
 	// whichever wire a deployment runs on.
 	BytesSent  uint64
 	BytesRecvd uint64
-	// Queued is the point-in-time occupancy of the link's outbound queue.
+	// Queued is the point-in-time occupancy of the link's outbound queue
+	// (0 for a backend without one, such as Chan; the receiver's inbox is
+	// the receiver's to count).
 	Queued int
 }
 
@@ -181,9 +187,10 @@ type Elastic interface {
 	// peer's dial address must already be known (TCP.AddPeer).
 	EnsureLink(from, to graph.ProcessID) error
 	// DropLink tears the directed link from→to down. Idempotent. Frames
-	// in flight are lost (the handshake's retransmission machinery — or
-	// the epoch protocol's graceful two-phase cut — is what keeps message
-	// transfer safe); Sends on a stale handle drop and count as
+	// in flight are lost, and frames already in to's inbox stay there for
+	// the receiver to discard (the handshake's retransmission machinery —
+	// or the epoch protocol's graceful two-phase cut — is what keeps
+	// message transfer safe); Sends on a stale handle drop and count as
 	// congestion losses.
 	DropLink(from, to graph.ProcessID)
 }

@@ -1,9 +1,10 @@
 // Benchmarks regenerating every figure and proposition of the paper (and
 // the comparison/extension experiments), one testing.B target per artifact
 // — see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded paper-vs-measured outcomes. Each bench runs the corresponding
-// experiment driver from internal/sim and reports its headline measurement
-// via b.ReportMetric, failing if the acceptance check breaks.
+// recorded paper-vs-measured outcomes. Each bench runs the experiment's
+// cells through sim.RunCell (or, for Figures 1-3 and the model check, the
+// experiment function itself) and reports its headline measurement via
+// b.ReportMetric, failing if the acceptance check breaks.
 //
 //	go test -bench=. -benchmem
 package ssmfp_test
@@ -14,6 +15,7 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/explore"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/metrics"
 	"ssmfp/internal/sim"
 )
 
@@ -55,18 +57,48 @@ func BenchmarkFigure3Replay(b *testing.B) {
 	}
 }
 
+// cells runs experiment exp's cells at seed — the named variants, or all
+// of them — failing the benchmark on a RunCell error.
+func cells(b *testing.B, exp string, seed int64, variants ...string) []sim.CellResult {
+	if len(variants) == 0 {
+		for _, s := range sim.CellGrid() {
+			if s.Exp == exp {
+				variants = append(variants, s.Variant)
+			}
+		}
+	}
+	var out []sim.CellResult
+	for _, v := range variants {
+		r, err := sim.RunCell(sim.CellSpec{Exp: exp, Variant: v}, sim.Options{Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// allOK fails the benchmark with msg if any cell failed its acceptance
+// check.
+func allOK(b *testing.B, cs []sim.CellResult, msg string) {
+	for _, c := range cs {
+		if !c.OK {
+			b.Fatalf("%s: %s %v", msg, c.Spec.Key(), c.Rows)
+		}
+	}
+}
+
 // BenchmarkFigure4CaterpillarClassification classifies every buffer of an
 // adversarial execution into the caterpillar types of Definition 3.
 func BenchmarkFigure4CaterpillarClassification(b *testing.B) {
-	var observations int
+	var observations float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentF4(int64(i) + 11)
-		if !r.Consistent || !r.AllTypesHit {
-			b.Fatalf("Figure 4 classification failed: %+v", r)
-		}
-		observations = r.Seen[1] + r.Seen[2] + r.Seen[3]
+		cs := cells(b, "f4", int64(i)+11)
+		allOK(b, cs, "Figure 4 classification failed")
+		x := cs[0].Measure.Extra
+		observations = x["type1"] + x["type2"] + x["type3"]
 	}
-	b.ReportMetric(float64(observations), "classified-buffers")
+	b.ReportMetric(observations, "classified-buffers")
 }
 
 // BenchmarkProp4InvalidDeliveries sweeps network size with every buffer
@@ -74,15 +106,11 @@ func BenchmarkFigure4CaterpillarClassification(b *testing.B) {
 func BenchmarkProp4InvalidDeliveries(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP4(int64(i)+3, []int{4, 6, 8})
-		if !r.WithinBound {
-			b.Fatalf("Proposition 4 bound violated: %+v", r.Rows)
-		}
+		cs := cells(b, "p4", int64(i)+3, "n4", "n6", "n8")
+		allOK(b, cs, "Proposition 4 bound violated")
 		worst = 0
-		for _, row := range r.Rows {
-			if f := float64(row.MaxPerDest) / float64(row.Bound); f > worst {
-				worst = f
-			}
+		for _, c := range cs {
+			worst = max(worst, float64(c.Measure.MaxInvalidPerDest)/float64(c.Measure.InvalidBound))
 		}
 	}
 	b.ReportMetric(worst, "worst-fraction-of-2n")
@@ -94,14 +122,10 @@ func BenchmarkProp4InvalidDeliveries(b *testing.B) {
 func BenchmarkProp5DeliveryLatency(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP5(int64(i) + 5)
-		if !r.WithinBound {
-			b.Fatalf("Proposition 5 bound violated: %+v", r.Rows)
-		}
-		for _, row := range r.Rows {
-			if float64(row.MaxLatency) > worst {
-				worst = float64(row.MaxLatency)
-			}
+		cs := cells(b, "p5", int64(i)+5)
+		allOK(b, cs, "Proposition 5 bound violated")
+		for _, c := range cs {
+			worst = max(worst, float64(c.Measure.MaxLatencyRounds))
 		}
 	}
 	b.ReportMetric(worst, "worst-latency-rounds")
@@ -112,11 +136,8 @@ func BenchmarkProp5DeliveryLatency(b *testing.B) {
 func BenchmarkProp6DelayWaiting(b *testing.B) {
 	var maxWait float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP6(int64(i) + 5)
-		for _, row := range r.Rows {
-			if float64(row.MaxWaiting) > maxWait {
-				maxWait = float64(row.MaxWaiting)
-			}
+		for _, c := range cells(b, "p6", int64(i)+5) {
+			maxWait = max(maxWait, float64(c.Measure.MaxWaitingRounds))
 		}
 	}
 	b.ReportMetric(maxWait, "max-waiting-rounds")
@@ -127,11 +148,14 @@ func BenchmarkProp6DelayWaiting(b *testing.B) {
 func BenchmarkProp7AmortizedComplexity(b *testing.B) {
 	var slope float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentP7(int64(i)+5, []int{2, 4, 6, 8})
-		if !r.Within {
-			b.Fatalf("Proposition 7 bound violated: %+v", r.Rows)
+		cs := cells(b, "p7", int64(i)+5, "d2", "d4", "d6", "d8")
+		allOK(b, cs, "Proposition 7 bound violated")
+		var ds, amortized []float64
+		for _, c := range cs {
+			ds = append(ds, c.Measure.Extra["d"])
+			amortized = append(amortized, c.Measure.Extra["amortized"])
 		}
-		slope = r.Fit.Slope
+		slope = metrics.LinearFit(ds, amortized).Slope
 	}
 	b.ReportMetric(slope, "amortized-slope-vs-D")
 }
@@ -140,10 +164,7 @@ func BenchmarkProp7AmortizedComplexity(b *testing.B) {
 // controllers from identical corrupted configurations.
 func BenchmarkX1BaselineVsSSMFP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX1(int64(i) + 9)
-		if !r.SSMFPOK {
-			b.Fatalf("SSMFP lost the comparison it must win: %+v", r.Rows)
-		}
+		allOK(b, cells(b, "x1", int64(i)+9), "SSMFP lost the comparison it must win")
 	}
 }
 
@@ -153,8 +174,10 @@ func BenchmarkX1BaselineVsSSMFP(b *testing.B) {
 func BenchmarkX2FaultFreeOverhead(b *testing.B) {
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX2(int64(i) + 13)
-		overhead = r.MaxOverhead
+		overhead = 0
+		for _, c := range cells(b, "x2", int64(i)+13) {
+			overhead = max(overhead, c.Measure.Extra["overhead"])
+		}
 		if overhead >= 8 {
 			b.Fatalf("overhead %.2f no longer a small constant", overhead)
 		}
@@ -166,10 +189,7 @@ func BenchmarkX2FaultFreeOverhead(b *testing.B) {
 // corruption and loss, checking exactly-once end to end.
 func BenchmarkX3MessagePassing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX3(int64(i) + 21)
-		if !r.AllOK {
-			b.Fatalf("message-passing port violated exactly-once: %+v", r.Rows)
-		}
+		allOK(b, cells(b, "x3", int64(i)+21), "message-passing port violated exactly-once")
 	}
 }
 
@@ -179,11 +199,9 @@ func BenchmarkX3MessagePassing(b *testing.B) {
 func BenchmarkX4AcyclicCoverBufferEconomy(b *testing.B) {
 	var ringK float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX4(int64(i) + 31)
-		if !r.AllOK {
-			b.Fatalf("acyclic controller failed: %+v", r.Rows)
-		}
-		ringK = float64(r.Rows[0].AcyclicK)
+		cs := cells(b, "x4", int64(i)+31)
+		allOK(b, cs, "acyclic controller failed")
+		ringK = cs[0].Measure.Extra["cover_k"] // ring-8
 	}
 	b.ReportMetric(ringK, "ring-buffers-per-node")
 }
@@ -193,17 +211,16 @@ func BenchmarkX4AcyclicCoverBufferEconomy(b *testing.B) {
 func BenchmarkX5ChoicePolicyAblation(b *testing.B) {
 	var penalty float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX5(int64(i) + 33)
-		byPolicy := map[string]sim.X5Row{}
-		for _, row := range r.Rows {
-			byPolicy[row.Policy] = row
+		byPolicy := map[string]sim.CellResult{}
+		for _, c := range cells(b, "x5", int64(i)+33) {
+			byPolicy[c.Spec.Variant] = c
 		}
 		q, l := byPolicy["fifo-queue"], byPolicy["lowest-id"]
-		if !q.AllDelivered {
+		if !q.OK {
 			b.Fatal("queue policy must deliver everything")
 		}
-		if q.ProbeDelivery > 0 {
-			penalty = float64(l.ProbeDelivery) / float64(q.ProbeDelivery)
+		if qp := q.Measure.Extra["probe_step"]; qp > 0 {
+			penalty = l.Measure.Extra["probe_step"] / qp
 		}
 	}
 	b.ReportMetric(penalty, "unfair-probe-delay-factor")
@@ -214,11 +231,9 @@ func BenchmarkX5ChoicePolicyAblation(b *testing.B) {
 func BenchmarkX6FaultStorms(b *testing.B) {
 	var compromised float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentX6(int64(i) + 35)
-		if !r.AllOK {
-			b.Fatalf("fault storm broke the guarantee: %+v", r.Rows)
-		}
-		compromised = float64(r.Rows[len(r.Rows)-1].Compromised)
+		cs := cells(b, "x6", int64(i)+35)
+		allOK(b, cs, "fault storm broke the guarantee")
+		compromised = cs[len(cs)-1].Measure.Extra["compromised"]
 	}
 	b.ReportMetric(compromised, "messages-compromised")
 }
@@ -229,11 +244,9 @@ func BenchmarkX6FaultStorms(b *testing.B) {
 func BenchmarkRARoutingStabilizationAblation(b *testing.B) {
 	var slowRA float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentRA(int64(i) + 47)
-		if !r.Tracks {
-			b.Fatalf("delay should track R_A: %+v", r.Rows)
-		}
-		slowRA = float64(r.Rows[1].RoutingRound)
+		cs := cells(b, "ra", int64(i)+47)
+		allOK(b, cs, "delay should track R_A")
+		slowRA = cs[0].Measure.Extra["slow_ra_rounds"]
 	}
 	b.ReportMetric(slowRA, "slow-RA-rounds")
 }
@@ -268,16 +281,14 @@ func BenchmarkExhaustiveModelCheck(b *testing.B) {
 func BenchmarkEnginePerfSweep(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r := sim.ExperimentEnginePerf(int64(i) + 42)
-		if !r.AllMatch {
-			b.Fatal("incremental and naive executions diverged")
-		}
-		for _, row := range r.Rows {
-			if row.Topology == "grid 20x20" {
-				if row.Ratio < 3 {
-					b.Fatalf("20x20 guard-eval ratio %.2f < 3x", row.Ratio)
+		for _, c := range cells(b, "ep", int64(i)+42) {
+			if !c.Rows[0][7].(bool) { // the "identical run" column
+				b.Fatal("incremental and naive executions diverged")
+			}
+			if c.Spec.Variant == "grid-20x20" {
+				if ratio = c.Measure.Extra["ratio"]; ratio < 3 {
+					b.Fatalf("20x20 guard-eval ratio %.2f < 3x", ratio)
 				}
-				ratio = row.Ratio
 			}
 		}
 	}

@@ -51,7 +51,6 @@ func benchMain(args []string) int {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker count (any value yields the same normalized report)")
 	shards := fs.Int("shards", 1, "run every engine on the sharded parallel step engine with this many shards (any value yields the same normalized report)")
 	filter := fs.String("filter", "", "comma-separated cell-key prefixes (p5, ep/grid, f3)")
-	experiment := fs.String("experiment", "", "alias for -filter (legacy flag)")
 	quick := fs.Bool("quick", false, "skip the heavy cells")
 	paranoid := fs.Bool("paranoid", false, "run every engine with the incremental self-check enabled (naive rescan cross-checks each step)")
 	jsonOut := fs.String("json", "", "write the machine-readable campaign report to this file")
@@ -65,11 +64,13 @@ func benchMain(args []string) int {
 		Seed: *seed, Seeds: *seeds, Parallel: *parallel, Shards: *shards,
 		Filter: *filter, Quick: *quick, Paranoid: *paranoid,
 	}
-	if cfg.Filter == "" {
-		cfg.Filter = *experiment
-	}
 	if *listCells {
-		for _, s := range campaign.Select(cfg) {
+		specs, err := campaign.Select(cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ssmfp-bench:", err)
+			return 2
+		}
+		for _, s := range specs {
 			heavy := ""
 			if s.Heavy {
 				heavy = " (heavy)"
@@ -118,40 +119,36 @@ func benchMain(args []string) int {
 	return 0
 }
 
-// render reassembles the legacy one-table-per-experiment output from the
-// per-cell results: repetition-0 tables sharing a title are merged in
-// canonical order, f3 prints its rendered trace, and E-P7's linear fit is
-// recomputed across its merged cells.
+// render prints one table per experiment, in registry order, from the
+// registry's title and header and the repetition-0 rows of its cells (f3
+// prints its rendered trace), then E-P7's amortized-vs-D linear fit
+// across its cells.
 func render(rep *campaign.Report, results []sim.CellResult) {
-	var current *metrics.Table
-	flush := func() {
-		if current != nil {
-			fmt.Println(current)
-			current = nil
-		}
-	}
 	var p7xs, p7ys []float64
-	for i, res := range results {
-		cr := rep.Cells[i]
-		if cr.Rep != 0 {
-			continue
-		}
-		if cr.Exp == "p7" && cr.Err == "" {
-			p7xs = append(p7xs, cr.Measure.Extra["d"])
-			p7ys = append(p7ys, cr.Measure.Extra["amortized"])
-		}
-		if res.Text != "" {
-			flush()
-			fmt.Println(res.Text)
-		}
-		if res.Table != nil {
-			if current == nil || !current.AppendFrom(res.Table) {
-				flush()
-				current = res.Table
+	for _, e := range sim.Experiments {
+		t := metrics.NewTable(e.Title, e.Header...)
+		ran := false
+		for i, res := range results {
+			cr := rep.Cells[i]
+			if cr.Rep != 0 || cr.Exp != e.ID || cr.Err != "" {
+				continue
+			}
+			ran = true
+			for _, row := range res.Rows {
+				t.AddRow(row...)
+			}
+			if res.Text != "" {
+				fmt.Printf("== %s ==\n%s\n", e.Title, res.Text)
+			}
+			if e.ID == "p7" {
+				p7xs = append(p7xs, cr.Measure.Extra["d"])
+				p7ys = append(p7ys, cr.Measure.Extra["amortized"])
 			}
 		}
+		if ran && e.Header != nil {
+			fmt.Println(t)
+		}
 	}
-	flush()
 	if len(p7xs) >= 2 {
 		fit := metrics.LinearFit(p7xs, p7ys)
 		fmt.Printf("amortized-vs-D linear fit: slope=%.3f intercept=%.3f R²=%.3f\n\n", fit.Slope, fit.Intercept, fit.R2)

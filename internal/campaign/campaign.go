@@ -54,11 +54,12 @@ type Config struct {
 }
 
 // CellSeed derives the seed of one (cell, repetition). Repetition 0
-// passes the campaign seed through unchanged — experiments already
-// decorrelate their cases by canonical case index, and passing the seed
-// through keeps cell numbers identical to a plain full-experiment run.
-// Higher repetitions hash (key, rep, seed) so each repetition of each
-// cell explores an independent point.
+// passes the campaign seed through unchanged — cells already decorrelate
+// their cases by canonical case index, so every cell at repetition 0
+// runs sim.RunCell with exactly the seed ssmfp-bench -seed names, and a
+// cell's numbers do not depend on the filter. Higher repetitions hash
+// (key, rep, seed) so each repetition of each cell explores an
+// independent point.
 func CellSeed(campaignSeed int64, key string, rep int) int64 {
 	if rep == 0 {
 		return campaignSeed
@@ -68,8 +69,10 @@ func CellSeed(campaignSeed int64, key string, rep int) int64 {
 	return int64(h.Sum64() & (1<<63 - 1))
 }
 
-// Select applies Filter and Quick to the canonical grid.
-func Select(cfg Config) []sim.CellSpec {
+// Select applies Filter and Quick to the canonical grid. A selection
+// with no cell is an error naming the filter, so a mistyped filter
+// cannot pass for a clean run.
+func Select(cfg Config) ([]sim.CellSpec, error) {
 	var prefixes []string
 	if cfg.Filter != "" {
 		for _, f := range strings.Split(cfg.Filter, ",") {
@@ -97,7 +100,14 @@ func Select(cfg Config) []sim.CellSpec {
 		}
 		out = append(out, s)
 	}
-	return out
+	if len(out) == 0 {
+		kept := ""
+		if cfg.Quick {
+			kept = " outside the heavy cells Quick skips"
+		}
+		return nil, fmt.Errorf("campaign: filter %q matches no cell%s", cfg.Filter, kept)
+	}
+	return out, nil
 }
 
 // job is one unit of work: a cell repetition with its canonical report
@@ -114,7 +124,8 @@ type job struct {
 // incrementally as cells complete (no barrier until the final report),
 // and returns the report plus the per-cell results (tables, trace text)
 // in canonical order. On context cancellation it returns the partial
-// report together with the context's error.
+// report together with the context's error; a selection with no cell
+// returns Select's error and no report.
 func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 	seeds := cfg.Seeds
 	if seeds < 1 {
@@ -124,7 +135,10 @@ func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 	if par < 1 {
 		par = runtime.NumCPU()
 	}
-	specs := Select(cfg)
+	specs, err := Select(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	var jobs []job
 	for _, s := range specs {

@@ -51,9 +51,19 @@ func TestCellSeed(t *testing.T) {
 	}
 }
 
+// mustSelect is Select for configurations that match cells.
+func mustSelect(t *testing.T, cfg Config) []sim.CellSpec {
+	t.Helper()
+	specs, err := Select(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs
+}
+
 func TestSelect(t *testing.T) {
-	all := Select(Config{})
-	quick := Select(Config{Quick: true})
+	all := mustSelect(t, Config{})
+	quick := mustSelect(t, Config{Quick: true})
 	if len(quick) >= len(all) {
 		t.Errorf("quick did not drop heavy cells: %d vs %d", len(quick), len(all))
 	}
@@ -62,7 +72,7 @@ func TestSelect(t *testing.T) {
 			t.Errorf("quick selected heavy cell %s", s.Key())
 		}
 	}
-	p5 := Select(Config{Filter: "p5"})
+	p5 := mustSelect(t, Config{Filter: "p5"})
 	if len(p5) == 0 {
 		t.Fatal("filter p5 selected nothing")
 	}
@@ -71,13 +81,35 @@ func TestSelect(t *testing.T) {
 			t.Errorf("filter p5 selected %s", s.Key())
 		}
 	}
-	multi := Select(Config{Filter: "f1, x2/ring"})
+	multi := mustSelect(t, Config{Filter: "f1, x2/ring"})
 	var keys []string
 	for _, s := range multi {
 		keys = append(keys, s.Key())
 	}
 	if strings.Join(keys, " ") != "f1 x2/ring-8" {
 		t.Errorf("multi filter selected %v", keys)
+	}
+}
+
+// TestUnmatchedFilterIsAnError: a filter that selects no cell — a typo,
+// or only heavy cells under Quick — fails the run and names the filter
+// instead of producing an empty report that passes.
+func TestUnmatchedFilterIsAnError(t *testing.T) {
+	for _, cfg := range []Config{
+		{Filter: "nope"},
+		{Filter: "f1/x"},
+		{Filter: "mc", Quick: true},
+	} {
+		rep, _, err := Run(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), cfg.Filter) {
+			t.Errorf("Run(filter %q, quick %v) = %v, want an error naming the filter", cfg.Filter, cfg.Quick, err)
+		}
+		if rep != nil {
+			t.Errorf("Run(filter %q) returned a report", cfg.Filter)
+		}
+		if _, err := Select(cfg); err == nil {
+			t.Errorf("Select(filter %q, quick %v) succeeded", cfg.Filter, cfg.Quick)
+		}
 	}
 }
 

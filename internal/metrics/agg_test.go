@@ -45,25 +45,3 @@ func TestAggEmpty(t *testing.T) {
 		t.Errorf("merge into empty: %+v", a)
 	}
 }
-
-// TestAppendFrom: same title and headers merge; anything else refuses.
-func TestAppendFrom(t *testing.T) {
-	a := NewTable("T", "x", "y")
-	a.AddRow(1, 2)
-	b := NewTable("T", "x", "y")
-	b.AddRow(3, 4)
-	if !a.AppendFrom(b) || a.Rows() != 2 {
-		t.Errorf("merge failed: rows=%d", a.Rows())
-	}
-	c := NewTable("other", "x", "y")
-	if a.AppendFrom(c) {
-		t.Error("merged across titles")
-	}
-	d := NewTable("T", "x", "z")
-	if a.AppendFrom(d) {
-		t.Error("merged across headers")
-	}
-	if a.AppendFrom(nil) {
-		t.Error("merged nil")
-	}
-}

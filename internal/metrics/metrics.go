@@ -227,23 +227,6 @@ func (t *Table) Rows() int { return len(t.rows) }
 // Title returns the table's title.
 func (t *Table) Title() string { return t.title }
 
-// AppendFrom appends o's rows to t when the two tables have the same
-// title and headers, reporting whether the merge happened. The campaign
-// runner uses it to reassemble the legacy one-table-per-experiment
-// output from per-cell single-row tables, in cell order.
-func (t *Table) AppendFrom(o *Table) bool {
-	if o == nil || t.title != o.title || len(t.headers) != len(o.headers) {
-		return false
-	}
-	for i := range t.headers {
-		if t.headers[i] != o.headers[i] {
-			return false
-		}
-	}
-	t.rows = append(t.rows, o.rows...)
-	return true
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

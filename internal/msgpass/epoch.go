@@ -158,7 +158,7 @@ func (nw *Network) Quiesced(p graph.ProcessID) bool {
 	n.mu.Lock()
 	inbox := len(n.inbox)
 	n.mu.Unlock()
-	return n.pendingTotal.Load() == 0 &&
+	return n.tg.pending.Load() == 0 &&
 		n.tg.bufR.Load() == 0 &&
 		n.tg.bufE.Load() == 0 &&
 		n.tg.parked.Load() == 0 &&

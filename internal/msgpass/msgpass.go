@@ -357,7 +357,6 @@ func (nw *Network) Send(src graph.ProcessID, payload string, dst graph.ProcessID
 	pq := &n.pendingByDest[dst]
 	pq.q = append(pq.q, pendEntry{m: m, enqNS: enq})
 	n.mu.Unlock()
-	n.pendingTotal.Add(1)
 	n.tg.pending.Add(1)
 	nw.tel.sends.Inc()
 	// Wake the node so R1 runs now rather than at the next tick or frame.
@@ -496,7 +495,7 @@ func (nw *Network) QueueDepths() []QueueDepth {
 		if n == nil {
 			continue
 		}
-		pending := int(n.pendingTotal.Load())
+		pending := int(n.tg.pending.Load())
 		wireOut := 0
 		for _, l := range *n.outp.Load() {
 			wireOut += l.Stats().Queued

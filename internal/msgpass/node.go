@@ -145,12 +145,12 @@ type node struct {
 	// Touched only from the node goroutine.
 	evs []obs.Event
 
-	// higher layer; written by Network.Send concurrently. pendingTotal is
-	// read lock-free on the hot path so an idle R1 costs one atomic load.
-	// mu also guards inbox.
+	// pendingByDest queues, per destination, the messages sent by the
+	// higher layer; written by Network.Send concurrently. The tg.pending
+	// gauge counts them and is read lock-free on the hot path so an idle
+	// R1 costs one atomic load. mu also guards inbox.
 	mu            sync.Mutex
 	pendingByDest []pendQueue
-	pendingTotal  atomic.Int64
 }
 
 func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *node {
@@ -657,7 +657,7 @@ func (n *node) localMoves() {
 // destination's bufR is free. The lock-free occupancy check keeps an idle
 // R1 at one atomic load per loop iteration.
 func (n *node) acceptPending() {
-	if n.pendingTotal.Load() == 0 {
+	if n.tg.pending.Load() == 0 {
 		return
 	}
 	active := n.nw.busActive()
@@ -693,7 +693,6 @@ func (n *node) acceptPending() {
 			pq.q = pq.q[:0] // drained: reuse the backing array
 			pq.head = 0
 		}
-		n.pendingTotal.Add(-1)
 		n.tg.pending.Add(-1)
 		if active {
 			n.observe(obs.Event{Kind: obs.KindGenerate, Proc: n.id, Dest: ds.bufR.Dest, Msg: record(&ds.bufR, n.id)})

@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-
-	"ssmfp/internal/metrics"
-)
+import "fmt"
 
 // CellMeasure collects the paper-facing quantities of one experiment cell
 // in machine-readable form: step/round/guard-evaluation costs plus the
@@ -46,9 +41,104 @@ func measureOf(r Result) CellMeasure {
 	}
 }
 
-// CellSpec names one cell of the experiment grid: an experiment ID
-// (f1..ep, as in ssmfp-bench -experiment) and, for sweep experiments, the
-// canonical case variant. Heavy marks the cells a -quick campaign skips.
+// Experiment is one entry of the registry: an experiment's ID, the title
+// and header of the table its cells fill, its canonical variants, and
+// the cell function that runs one variant. Cells are independent: a
+// cell derives its seeds from Options.Seed and its canonical index (or
+// its sweep parameter), never from which other cells run.
+type Experiment struct {
+	ID     string
+	Title  string
+	Header []string // nil: the cells render CellResult.Text instead (f3)
+
+	Variants []Variant
+	Cell     func(o Options, idx int) CellResult
+}
+
+// Variant is one canonical case of an experiment. A single-cell
+// experiment has one variant with an empty name. Heavy marks the
+// expensive cells (hundreds of milliseconds and up at the default seed):
+// they dominate campaign wall time, so -quick skips them and the
+// scheduler starts them first.
+type Variant struct {
+	Name  string
+	Heavy bool
+}
+
+// variant lets a case table whose rows embed a Variant list them.
+func (v Variant) variant() Variant { return v }
+
+// variantsOf lists the variants of a case table, in table order.
+func variantsOf[C interface{ variant() Variant }](cases []C) []Variant {
+	vs := make([]Variant, len(cases))
+	for i, c := range cases {
+		vs[i] = c.variant()
+	}
+	return vs
+}
+
+var (
+	single      = []Variant{{}}
+	singleHeavy = []Variant{{Heavy: true}}
+)
+
+// Experiments is the registry, in the order ssmfp-bench prints: the
+// paper's figures and propositions, then the extensions.
+var Experiments = []Experiment{
+	{"f1", "E-F1: destination-based buffer graph (Figure 1)",
+		[]string{"destination", "buffers", "edges", "isomorphic to T_d"},
+		single, f1Cell},
+	{"f2", "E-F2: SSMFP buffer graph for destination b (Figure 2)",
+		[]string{"tables", "buffers", "edges", "acyclic", "cycle length"},
+		single, f2Cell},
+	{"f3", "E-F3: Figure 3 execution replay", nil, single, f3Cell},
+	{"f4", "E-F4: caterpillar census over an adversarial execution (Figure 4)",
+		[]string{"type", "buffer observations"},
+		singleHeavy, f4Cell}, // 500k-step census with per-step classification
+	{"p4", "E-P4: invalid deliveries per destination vs the 2n bound (Prop. 4)",
+		[]string{"n", "invalid placed", "max delivered to one dest", "bound 2n", "total invalid delivered"},
+		variantsOf(p4Cases), p4Cell},
+	{"p5", "E-P5: worst delivery latency vs Δ^D bound (Prop. 5)",
+		[]string{"topology", "Δ", "D", "max latency (rounds)", "Δ^D"},
+		variantsOf(p5Cases), p5Cell},
+	{"p6", "E-P6: delay and waiting time at a loaded source (Prop. 6)",
+		[]string{"topology", "Δ", "D", "delay (rounds)", "max waiting (rounds)"},
+		variantsOf(p6Cases), p6Cell},
+	{"p7", "E-P7: amortized rounds per delivery vs D (Prop. 7)",
+		[]string{"D", "rounds", "deliveries", "rounds/delivery", "3D reference"},
+		variantsOf(p7Cases), p7Cell},
+	{"x1", "E-X1: corrupted initial configuration — SSMFP vs classical controllers",
+		[]string{"protocol", "valid delivered", "valid lost", "violations", "stuck (dead/livelock)"},
+		single, x1Cell},
+	{"x2", "E-X2: fault-free moves per message — SSMFP vs classical controller",
+		[]string{"topology", "SSMFP moves/msg", "classical moves/msg", "overhead"},
+		variantsOf(x2Cases), x2Cell},
+	{"x3", "E-X3: message-passing port (goroutines + channels)",
+		[]string{"configuration", "sent", "delivered", "duplicates", "wall time", "exactly once"},
+		variantsOf(x3Cases), x3Cell},
+	{"x4", "E-X4: buffers per node — SSMFP vs destination-based vs acyclic cover (§4)",
+		[]string{"topology", "n", "SSMFP (2n)", "dest-based (n)", "acyclic cover (k)", "path stretch", "exactly once"},
+		variantsOf(x4Cases), x4Cell},
+	{"x5", "E-X5: choice policy ablation on a loaded star (§4 future work)",
+		[]string{"policy", "all delivered", "probe delivered at step", "max latency (rounds)"},
+		variantsOf(x5Cases), x5Cell},
+	{"x6", "E-X6: transient fault storms (snap-stabilization mid-run)",
+		[]string{"fault waves", "messages compromised by faults", "post-fault exactly-once", "violations"},
+		variantsOf(x6Cases), x6Cell},
+	{"ra", "E-RA: generation delay tracks R_A (the max(R_A, ·) term of Props. 5-7)",
+		[]string{"routing variant", "R_A (rounds)", "probe generation delay (rounds)", "probe delivered"},
+		single, raCell},
+	{"mc", "E-MC: exhaustive model checking (all central schedules)",
+		[]string{"scenario", "states", "terminals", "verdict"},
+		singleHeavy, mcCell}, // exhaustive state-space exploration
+	{"ep", "E-EP: guard evaluations per step — naive rescan vs incremental enabled set",
+		[]string{"topology", "n", "steps", "naive evals/step", "incremental evals/step", "ratio", "procs skipped", "identical run"},
+		variantsOf(epCases), epCell},
+}
+
+// CellSpec names one cell of the experiment grid: an experiment ID and,
+// for sweep experiments, the canonical case variant. Heavy marks the
+// cells a -quick campaign skips.
 type CellSpec struct {
 	Exp     string `json:"exp"`
 	Variant string `json:"variant,omitempty"`
@@ -64,268 +154,44 @@ func (s CellSpec) Key() string {
 	return s.Exp + "/" + s.Variant
 }
 
-// heavyCells marks the grid's expensive cells (hundreds of milliseconds
-// and up at the default seed): they dominate campaign wall time, so
-// -quick skips them and the scheduler starts them first.
-var heavyCells = map[string]bool{
-	"f4":            true, // 500k-step census with per-step classification
-	"p4/n8":         true,
-	"p4/n10":        true,
-	"p5/line-9":     true,
-	"p5/star-8":     true,
-	"p7/d8":         true,
-	"mc":            true, // exhaustive state-space exploration
-	"ep/grid-20x20": true, // naive baseline is Θ(n²·rules) per step
-	"ep/random-100": true,
-	"ep/random-400": true,
-}
-
-// CellGrid enumerates the full experiment grid in canonical order (the
-// order ssmfp-bench prints, f1 → ep). The variants are derived from the
-// same canonical case lists the experiments iterate, so the grid cannot
-// drift from the experiments.
+// CellGrid enumerates the registry's cells in canonical order (the
+// order ssmfp-bench prints, f1 → ep).
 func CellGrid() []CellSpec {
 	var cells []CellSpec
-	add := func(exp, variant string) {
-		s := CellSpec{Exp: exp, Variant: variant}
-		s.Heavy = heavyCells[s.Key()]
-		cells = append(cells, s)
-	}
-	add("f1", "")
-	add("f2", "")
-	add("f3", "")
-	add("f4", "")
-	for _, n := range P4Sizes {
-		add("p4", fmt.Sprintf("n%d", n))
-	}
-	for _, c := range p5Cases() {
-		add("p5", c.name)
-	}
-	for _, c := range p6Cases() {
-		add("p6", c.name)
-	}
-	for _, d := range P7Diameters {
-		add("p7", fmt.Sprintf("d%d", d))
-	}
-	add("x1", "")
-	for _, c := range x2Cases() {
-		add("x2", c.name)
-	}
-	for _, c := range x3Cases() {
-		add("x3", c.slug)
-	}
-	for _, c := range x4Cases() {
-		add("x4", c.slug)
-	}
-	for _, p := range x5Policies() {
-		add("x5", p.String())
-	}
-	for _, w := range X6Waves {
-		add("x6", fmt.Sprintf("w%d", w))
-	}
-	add("ra", "")
-	add("mc", "")
-	for _, c := range epCases() {
-		add("ep", c.slug)
+	for _, e := range Experiments {
+		for _, v := range e.Variants {
+			cells = append(cells, CellSpec{Exp: e.ID, Variant: v.Name, Heavy: v.Heavy})
+		}
 	}
 	return cells
 }
 
-// CellResult is one cell's outcome: the acceptance verdict (the same
-// criterion ssmfp-bench applies to the full experiment, restricted to
-// this cell), the one-row table fragment (or Text for f3's rendered
-// trace), and the measurements.
+// CellResult is one cell's outcome: its acceptance verdict, its rows of
+// the experiment's table (or Text, for f3's rendered trace), and its
+// measurements.
 type CellResult struct {
 	Spec    CellSpec
 	OK      bool
-	Table   *metrics.Table // nil for f3 (Text carries the trace)
+	Rows    [][]any
 	Text    string
 	Measure CellMeasure
 }
 
-// RunCell executes one cell of the grid under the given options. The
-// options' Cases and OnCell fields are overwritten (RunCell owns the
-// case selection); Seed, Paranoid and Ctx are honored. Cells are
-// independent: a cell's numbers do not depend on which other cells run,
-// because sweep experiments tie per-case seeds to canonical case
-// indices, not subset positions.
+// RunCell executes one cell of the grid under the given options. An
+// unknown experiment or variant is an error.
 func RunCell(spec CellSpec, o Options) (CellResult, error) {
-	res := CellResult{Spec: spec}
-	o.Cases = nil
-	if spec.Variant != "" {
-		o.Cases = []string{spec.Variant}
-	}
-	var captured CellMeasure
-	o.OnCell = func(_ string, m CellMeasure) { captured = m }
-
-	oneRow := func(n int, what string) error {
-		if n != 1 {
-			return fmt.Errorf("sim: cell %s selected %d %s, want 1 (unknown variant?)", spec.Key(), n, what)
+	for _, e := range Experiments {
+		if e.ID != spec.Exp {
+			continue
 		}
-		return nil
-	}
-
-	switch spec.Exp {
-	case "f1":
-		r := ExperimentF1()
-		res.OK = r.Acyclic && r.AllTrees && r.Components == 5
-		res.Table = r.Table
-		res.Measure = CellMeasure{Extra: map[string]float64{"components": float64(r.Components)}}
-	case "f2":
-		r := ExperimentF2()
-		res.OK = r.CleanAcyclic && r.CycleLen > 0
-		res.Table = r.Table
-		res.Measure = CellMeasure{Extra: map[string]float64{"cycle_len": float64(r.CycleLen)}}
-	case "f3":
-		r := ExperimentF3()
-		res.OK = r.OK
-		res.Text = fmt.Sprintf("== E-F3: Figure 3 execution replay ==\n%s\ndeliveries=%d (valid %d, invalid %d), m's color=%d, initial cycle=%v\n",
-			r.Trace, r.Deliveries, r.ValidDelivered, r.InvalidDelivered, r.HelloColor, r.CycleInitially)
-		res.Measure = CellMeasure{
-			DeliveredValid:   r.ValidDelivered,
-			DeliveredInvalid: r.InvalidDelivered,
-			Extra:            map[string]float64{"hello_color": float64(r.HelloColor)},
-		}
-	case "f4":
-		r, m := ExperimentF4With(o)
-		res.OK = r.AllTypesHit && r.Consistent
-		res.Table = r.Table
-		res.Measure = m
-	case "p4":
-		n, err := variantInt(spec.Variant, "n")
-		if err != nil {
-			return res, err
-		}
-		r := ExperimentP4With(o, []int{n})
-		if err := oneRow(len(r.Rows), "sizes"); err != nil {
-			return res, err
-		}
-		res.OK = r.WithinBound
-		res.Table = r.Table
-		res.Measure = captured
-	case "p5":
-		r := ExperimentP5With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.WithinBound
-		res.Table = r.Table
-		res.Measure = captured
-	case "p6":
-		r := ExperimentP6With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = true
-		res.Table = r.Table
-		res.Measure = captured
-	case "p7":
-		d, err := variantInt(spec.Variant, "d")
-		if err != nil {
-			return res, err
-		}
-		r := ExperimentP7With(o, []int{d})
-		if err := oneRow(len(r.Rows), "diameters"); err != nil {
-			return res, err
-		}
-		res.OK = r.Within
-		res.Table = r.Table
-		res.Measure = captured
-	case "x1":
-		r, m := ExperimentX1With(o)
-		res.OK = r.SSMFPOK
-		res.Table = r.Table
-		res.Measure = m
-	case "x2":
-		r := ExperimentX2With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.MaxOverhead < 8
-		res.Table = r.Table
-		res.Measure = captured
-	case "x3":
-		r := ExperimentX3With(o)
-		if err := oneRow(len(r.Rows), "configurations"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
-	case "x4":
-		r := ExperimentX4With(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
-	case "x5":
-		r := ExperimentX5With(o)
-		if err := oneRow(len(r.Rows), "policies"); err != nil {
-			return res, err
-		}
-		res.OK = r.Rows[0].AllDelivered
-		res.Table = r.Table
-		res.Measure = captured
-	case "x6":
-		r := ExperimentX6With(o)
-		if err := oneRow(len(r.Rows), "storm intensities"); err != nil {
-			return res, err
-		}
-		res.OK = r.AllOK
-		res.Table = r.Table
-		res.Measure = captured
-	case "ra":
-		r := ExperimentRAWith(o)
-		res.OK = r.Tracks
-		res.Table = r.Table
-		extra := map[string]float64{}
-		for _, row := range r.Rows {
-			pfx := "fast"
-			if row.Variant == "slow A (unit steps)" {
-				pfx = "slow"
+		for i, v := range e.Variants {
+			if v.Name == spec.Variant {
+				res := e.Cell(o, i)
+				res.Spec = spec
+				return res, nil
 			}
-			extra[pfx+"_ra_rounds"] = float64(row.RoutingRound)
-			extra[pfx+"_probe_delay"] = float64(row.ProbeDelay)
 		}
-		res.Measure = CellMeasure{Extra: extra}
-	case "mc":
-		r := ExperimentMC()
-		res.OK = r.AllOK
-		res.Table = r.Table
-		states := 0
-		for _, row := range r.Rows {
-			states += row.States
-		}
-		res.Measure = CellMeasure{Extra: map[string]float64{
-			"states_total":      float64(states + r.LiteralR5States),
-			"literal_r5_states": float64(r.LiteralR5States),
-		}}
-	case "ep":
-		r := ExperimentEnginePerfWith(o)
-		if err := oneRow(len(r.Rows), "topologies"); err != nil {
-			return res, err
-		}
-		row := r.Rows[0]
-		res.OK = row.Match && (spec.Variant != "grid-20x20" || row.Ratio >= 3)
-		res.Table = r.Table
-		res.Measure = captured
-	default:
-		return res, fmt.Errorf("sim: unknown experiment %q", spec.Exp)
+		return CellResult{Spec: spec}, fmt.Errorf("sim: experiment %s has no variant %q", spec.Exp, spec.Variant)
 	}
-	return res, nil
-}
-
-// variantInt parses sweep variants of the form "<prefix><int>" ("n8",
-// "d4").
-func variantInt(variant, prefix string) (int, error) {
-	if len(variant) <= len(prefix) || variant[:len(prefix)] != prefix {
-		return 0, fmt.Errorf("sim: variant %q: want %s<int>", variant, prefix)
-	}
-	n, err := strconv.Atoi(variant[len(prefix):])
-	if err != nil {
-		return 0, fmt.Errorf("sim: variant %q: %v", variant, err)
-	}
-	return n, nil
+	return CellResult{Spec: spec}, fmt.Errorf("sim: unknown experiment %q", spec.Exp)
 }

@@ -6,36 +6,11 @@ import (
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
 )
 
 // --- E-EP: incremental enabled-set engine vs naive rescan --------------
-
-// EPRow is one sweep point of experiment E-EP.
-type EPRow struct {
-	Topology        string
-	N               int
-	Steps           int
-	NaivePerStep    float64 // guard evaluations per step, full rescan
-	IncPerStep      float64 // guard evaluations per step, incremental
-	Ratio           float64 // naive / incremental
-	ProcsSkippedPct float64 // share of processor evaluations the cache avoided
-	Match           bool    // both modes produced identical executions
-}
-
-// EPResult compares the incremental enabled-set engine against the naive
-// full rescan on the composed SSMFP+routing program. The two modes must
-// produce bit-identical executions (same steps, same per-rule move
-// counts); the payoff column is guard evaluations per step, which for the
-// naive scan is Θ(n · rules) and for the incremental engine is
-// proportional to the executed processors' neighborhoods.
-type EPResult struct {
-	Rows     []EPRow
-	AllMatch bool
-	Table    *metrics.Table
-}
 
 // epRun drives one engine over the scenario and reports its stats plus an
 // execution fingerprint (per-rule move counts) for the determinism check.
@@ -70,105 +45,76 @@ func sameMoves(a, b map[string]int) bool {
 	return true
 }
 
-// epCase is one sweep point of E-EP. Random graphs derive from a per-case
-// seed offset (not one rng shared across the sweep) so a case builds the
-// same graph whether it runs alone as a campaign cell or inside the full
-// sweep.
+// epCase is one sweep point of E-EP; display is its table label. Random
+// graphs derive from a per-case seed offset (not one rng shared across
+// the sweep) so a case builds the same graph whatever else runs.
 type epCase struct {
-	slug    string
+	Variant
 	display string
 	steps   int
 	make    func(seed int64) *graph.Graph
 }
 
-// epCases is the canonical case list of E-EP. Step caps shrink with n to
-// keep the naive baseline affordable (it costs Θ(n² · n) guard
-// evaluations overall: n processors × ~6n+1 rules each, every step).
-func epCases() []epCase {
-	randomCase := func(n, m, off int) func(int64) *graph.Graph {
-		return func(seed int64) *graph.Graph {
-			return graph.RandomConnected(n, m, rand.New(rand.NewSource(seed+int64(off))))
-		}
-	}
-	return []epCase{
-		{"grid-5x5", "grid 5x5", 200, func(int64) *graph.Graph { return graph.Grid(5, 5) }},
-		{"grid-10x10", "grid 10x10", 80, func(int64) *graph.Graph { return graph.Grid(10, 10) }},
-		{"grid-20x20", "grid 20x20", 24, func(int64) *graph.Graph { return graph.Grid(20, 20) }},
-		{"random-25", "random n=25 m=50", 200, randomCase(25, 50, 103)},
-		{"random-100", "random n=100 m=200", 80, randomCase(100, 200, 104)},
-		{"random-400", "random n=400 m=800", 24, randomCase(400, 800, 105)},
+func randomConnected(n, m, off int) func(int64) *graph.Graph {
+	return func(seed int64) *graph.Graph {
+		return graph.RandomConnected(n, m, rand.New(rand.NewSource(seed+int64(off))))
 	}
 }
 
-// epCell runs one canonical case of E-EP: the same scenario through the
-// naive and the incremental engine, comparing fingerprints. Self-check
-// stays off in both modes regardless of paranoia so the guard-evaluation
-// counts are the modes' real costs, not the harness's.
-func epCell(o Options, idx int) (EPRow, CellMeasure) {
-	c := epCases()[idx]
+// epCases sweeps grids and random connected graphs at n ∈ {25, 100, 400}.
+// Step caps shrink with n to keep the naive baseline affordable (it
+// costs Θ(n² · n) guard evaluations overall: n processors × ~6n+1 rules
+// each, every step); that baseline makes the large cases heavy.
+var epCases = []epCase{
+	{Variant{Name: "grid-5x5"}, "grid 5x5", 200, func(int64) *graph.Graph { return graph.Grid(5, 5) }},
+	{Variant{Name: "grid-10x10"}, "grid 10x10", 80, func(int64) *graph.Graph { return graph.Grid(10, 10) }},
+	{Variant{Name: "grid-20x20", Heavy: true}, "grid 20x20", 24, func(int64) *graph.Graph { return graph.Grid(20, 20) }},
+	{Variant{Name: "random-25"}, "random n=25 m=50", 200, randomConnected(25, 50, 103)},
+	{Variant{Name: "random-100", Heavy: true}, "random n=100 m=200", 80, randomConnected(100, 200, 104)},
+	{Variant{Name: "random-400", Heavy: true}, "random n=400 m=800", 24, randomConnected(400, 800, 105)},
+}
+
+// epCell compares the incremental enabled-set engine against the naive
+// full rescan on the composed SSMFP+routing program, under a central
+// random daemon with a random-pairs workload. The two modes must produce
+// bit-identical executions (same steps, same per-rule move counts); the
+// payoff column is guard evaluations per step, which for the naive scan
+// is Θ(n · rules) and for the incremental engine is proportional to the
+// executed processors' neighborhoods. On the 20×20 grid the incremental
+// engine must do at least 3× fewer. Self-check stays off in both modes
+// regardless of paranoia so the guard-evaluation counts are the modes'
+// real costs, not the harness's.
+func epCell(o Options, idx int) CellResult {
+	c := epCases[idx]
 	g := c.make(o.Seed)
 	runSeed := o.Seed + int64(idx)
 	nStats, nSteps, nMoves := epRun(g, runSeed, c.steps, false, 1)
 	iStats, iSteps, iMoves := epRun(g, runSeed, c.steps, true, o.Shards)
 	match := nSteps == iSteps && sameMoves(nMoves, iMoves)
-	steps := iSteps
-	if steps == 0 {
-		steps = 1
-	}
+	steps := max(iSteps, 1)
 	evaluated := iStats.ProcsEvaluated + iStats.ProcsSkipped
 	skippedPct := 0.0
 	if evaluated > 0 {
 		skippedPct = 100 * float64(iStats.ProcsSkipped) / float64(evaluated)
 	}
-	row := EPRow{
-		Topology:        c.display,
-		N:               g.N(),
-		Steps:           iSteps,
-		NaivePerStep:    float64(nStats.GuardEvals) / float64(steps),
-		IncPerStep:      float64(iStats.GuardEvals) / float64(steps),
-		ProcsSkippedPct: skippedPct,
-		Match:           match,
+	naivePerStep := float64(nStats.GuardEvals) / float64(steps)
+	incPerStep := float64(iStats.GuardEvals) / float64(steps)
+	ratio := 0.0
+	if incPerStep > 0 {
+		ratio = naivePerStep / incPerStep
 	}
-	if row.IncPerStep > 0 {
-		row.Ratio = row.NaivePerStep / row.IncPerStep
+	return CellResult{
+		OK: match && (c.Name != "grid-20x20" || ratio >= 3),
+		Rows: [][]any{{c.display, g.N(), iSteps,
+			fmt.Sprintf("%.0f", naivePerStep),
+			fmt.Sprintf("%.0f", incPerStep),
+			fmt.Sprintf("%.1fx", ratio),
+			fmt.Sprintf("%.1f%%", skippedPct),
+			match}},
+		Measure: CellMeasure{
+			Steps:      iSteps,
+			GuardEvals: iStats.GuardEvals,
+			Extra:      map[string]float64{"ratio": ratio, "naive_guard_evals": float64(nStats.GuardEvals)},
+		},
 	}
-	return row, CellMeasure{
-		Steps:      iSteps,
-		GuardEvals: iStats.GuardEvals,
-		Extra:      map[string]float64{"ratio": row.Ratio, "naive_guard_evals": float64(nStats.GuardEvals)},
-	}
-}
-
-// ExperimentEnginePerf sweeps grids and random connected graphs at
-// n ∈ {25, 100, 400} under a central random daemon with a random-pairs
-// workload.
-func ExperimentEnginePerf(seed int64) EPResult {
-	return ExperimentEnginePerfWith(Options{Seed: seed})
-}
-
-// ExperimentEnginePerfWith runs the E-EP sweep with explicit options;
-// Options.Cases uses the slugs (grid-5x5 ... random-400).
-func ExperimentEnginePerfWith(o Options) EPResult {
-	res := EPResult{AllMatch: true}
-	t := metrics.NewTable("E-EP: guard evaluations per step — naive rescan vs incremental enabled set",
-		"topology", "n", "steps", "naive evals/step", "incremental evals/step", "ratio", "procs skipped", "identical run")
-	for i, c := range epCases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := epCell(o, i)
-		o.report(c.slug, m)
-		if !row.Match {
-			res.AllMatch = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.N, row.Steps,
-			fmt.Sprintf("%.0f", row.NaivePerStep),
-			fmt.Sprintf("%.0f", row.IncPerStep),
-			fmt.Sprintf("%.1fx", row.Ratio),
-			fmt.Sprintf("%.1f%%", row.ProcsSkippedPct),
-			row.Match)
-	}
-	res.Table = t
-	return res
 }

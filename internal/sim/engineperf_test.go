@@ -11,12 +11,14 @@ func TestEnginePerfIdenticalExecutions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive in -short mode")
 	}
-	res := ExperimentEnginePerf(42)
-	if !res.AllMatch {
-		t.Fatalf("incremental and naive executions diverged:\n%v", res.Table)
+	cells := runExp(t, "ep", 42)
+	for _, c := range cells {
+		if !c.Rows[0][7].(bool) { // the "identical run" column
+			t.Fatalf("incremental and naive executions diverged: %v", c.Rows)
+		}
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("expected 6 sweep points, got %d", len(res.Rows))
+	if len(cells) != 6 {
+		t.Fatalf("expected 6 sweep points, got %d", len(cells))
 	}
 }
 
@@ -27,19 +29,12 @@ func TestEnginePerfGridRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is expensive in -short mode")
 	}
-	res := ExperimentEnginePerf(7)
-	for _, row := range res.Rows {
-		if row.Topology != "grid 20x20" {
-			continue
-		}
-		if !row.Match {
-			t.Fatalf("20x20 grid executions diverged")
-		}
-		if row.Ratio < 3 {
-			t.Fatalf("20x20 grid guard-eval ratio %.2f < 3x (naive %.0f/step, incremental %.0f/step)",
-				row.Ratio, row.NaivePerStep, row.IncPerStep)
-		}
-		return
+	c := runExp(t, "ep", 7, "grid-20x20")[0]
+	if !c.Rows[0][7].(bool) {
+		t.Fatalf("20x20 grid executions diverged")
 	}
-	t.Fatal("20x20 grid row missing from sweep")
+	if ratio := c.Measure.Extra["ratio"]; ratio < 3 {
+		t.Fatalf("20x20 grid guard-eval ratio %.2f < 3x (naive %s/step, incremental %s/step)",
+			ratio, c.Rows[0][3], c.Rows[0][4])
+	}
 }

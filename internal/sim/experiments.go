@@ -11,7 +11,6 @@ import (
 	"ssmfp/internal/checker"
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
@@ -26,45 +25,34 @@ func correctTables(g *graph.Graph) []*routing.NodeState {
 	return ts
 }
 
-// Options parameterizes one experiment run explicitly. It replaces the
+// Options parameterizes one experiment cell explicitly. It replaces the
 // SSMFP_PARANOID environment variable as the way paranoia reaches the
-// engines an experiment constructs: the campaign runner executes many
-// cells concurrently in one process, so per-run configuration must not
-// live in process-global mutable state.
+// engines a cell constructs: the campaign runner executes many cells
+// concurrently in one process, so per-run configuration must not live in
+// process-global mutable state.
 type Options struct {
-	// Seed is the experiment's base seed; sweep cases derive their own
-	// seeds from it by canonical case index, so a case produces the same
-	// numbers whether it runs alone (one campaign cell) or inside the
-	// full sweep.
+	// Seed is the experiment's base seed; a cell derives its own seeds
+	// from it by canonical case index (or sweep parameter), so a cell's
+	// numbers do not depend on which other cells run.
 	Seed int64
 
 	// Paranoid turns the engine's differential self-check on for every
-	// engine the experiment builds. False keeps the engine default (on
-	// under `go test`, off otherwise) rather than forcing it off.
+	// engine the cell builds. False keeps the engine default (on under
+	// `go test`, off otherwise) rather than forcing it off.
 	Paranoid bool
 
 	// Ctx, when non-nil, aborts long runs early when cancelled
-	// (best-effort; checked at case boundaries and, inside scenario
-	// runs, every few hundred steps).
+	// (best-effort; inside scenario runs it is checked every few hundred
+	// steps).
 	Ctx context.Context
 
-	// Cases restricts a sweep experiment to the named canonical cases
-	// (nil = all). Unknown names are ignored. Per-case seeds stay tied
-	// to the canonical index, not the subset position.
-	Cases []string
-
-	// Shards > 1 runs every engine the experiment builds on the sharded
+	// Shards > 1 runs every engine the cell builds on the sharded
 	// parallel step engine (statemodel.WithShards): guard evaluation and
 	// non-adjacent action batches execute concurrently across Shards
 	// workers. Executions — and therefore every deterministic quantity
 	// in a campaign report — are bit-identical for any value; sharding
 	// only changes wall-clock time.
 	Shards int
-
-	// OnCell, when non-nil, receives each case's measurements as the
-	// case completes. The campaign runner collects per-cell quantities
-	// through it without running anything twice.
-	OnCell func(name string, m CellMeasure)
 }
 
 // engineOpts translates the options into engine construction options.
@@ -79,29 +67,9 @@ func (o Options) engineOpts() []sm.EngineOption {
 	return opts
 }
 
-// wants reports whether the named case is selected.
-func (o Options) wants(name string) bool {
-	if len(o.Cases) == 0 {
-		return true
-	}
-	for _, c := range o.Cases {
-		if c == name {
-			return true
-		}
-	}
-	return false
-}
-
-// cancelled reports a best-effort context check at case boundaries.
+// cancelled reports a best-effort context check inside long loops.
 func (o Options) cancelled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
-// report forwards one case's measurements to the OnCell hook.
-func (o Options) report(name string, m CellMeasure) {
-	if o.OnCell != nil {
-		o.OnCell(name, m)
-	}
 }
 
 // --- E-F1: Figure 1, destination-based buffer graph -------------------
@@ -109,11 +77,12 @@ func (o Options) report(name string, m CellMeasure) {
 // F1Result verifies the Figure 1 claims: with correct tables the
 // destination-based buffer graph is acyclic and has n connected
 // components, the one of destination d isomorphic to the routing tree T_d.
+// Rows are the E-F1 table rows, one per destination.
 type F1Result struct {
 	Acyclic    bool
 	Components int
 	AllTrees   bool
-	Table      *metrics.Table
+	Rows       [][]any
 }
 
 // ExperimentF1 reconstructs Figure 1 on the paper's 5-processor example
@@ -126,18 +95,24 @@ func ExperimentF1() F1Result {
 		Components: len(bg.Components()),
 		AllTrees:   true,
 	}
-	t := metrics.NewTable("E-F1: destination-based buffer graph (Figure 1)",
-		"destination", "buffers", "edges", "isomorphic to T_d")
 	for d := 0; d < g.N(); d++ {
 		sub := bg.Restrict(graph.ProcessID(d))
 		isTree := bg.ComponentIsTree(graph.ProcessID(d))
 		if !isTree {
 			res.AllTrees = false
 		}
-		t.AddRow(d, sub.Size(), sub.EdgeCount(), isTree)
+		res.Rows = append(res.Rows, []any{d, sub.Size(), sub.EdgeCount(), isTree})
 	}
-	res.Table = t
 	return res
+}
+
+func f1Cell(Options, int) CellResult {
+	r := ExperimentF1()
+	return CellResult{
+		OK:      r.Acyclic && r.AllTrees && r.Components == 5,
+		Rows:    r.Rows,
+		Measure: CellMeasure{Extra: map[string]float64{"components": float64(r.Components)}},
+	}
 }
 
 // --- E-F2: Figure 2, SSMFP's two-buffer graph --------------------------
@@ -145,11 +120,12 @@ func ExperimentF1() F1Result {
 // F2Result verifies the Figure 2 structure and its corruption hazard: with
 // correct tables the two-buffer graph is acyclic; with a routing loop it
 // has a cycle (the deadlock hazard SSMFP tolerates while A repairs).
+// Rows are the E-F2 table rows (correct, then corrupted tables).
 type F2Result struct {
 	CleanAcyclic bool
 	BuffersPerCC int
 	CycleLen     int // length of the cycle found under corruption (0 = none)
-	Table        *metrics.Table
+	Rows         [][]any
 }
 
 // ExperimentF2 builds the SSMFP buffer graph for one destination of the
@@ -171,38 +147,30 @@ func ExperimentF2() F2Result {
 		BuffersPerCC: sub.Size(),
 		CycleLen:     max(0, len(cycle)-1),
 	}
-	t := metrics.NewTable("E-F2: SSMFP buffer graph for destination b (Figure 2)",
-		"tables", "buffers", "edges", "acyclic", "cycle length")
-	t.AddRow("correct", sub.Size(), sub.EdgeCount(), sub.Acyclic(), 0)
-	t.AddRow("corrupted (a↔c)", sub.Size(), corrupt.Restrict(destB).EdgeCount(),
-		corrupt.Restrict(destB).Acyclic(), res.CycleLen)
-	res.Table = t
+	res.Rows = [][]any{
+		{"correct", sub.Size(), sub.EdgeCount(), sub.Acyclic(), 0},
+		{"corrupted (a↔c)", sub.Size(), corrupt.Restrict(destB).EdgeCount(),
+			corrupt.Restrict(destB).Acyclic(), res.CycleLen},
+	}
 	return res
+}
+
+func f2Cell(Options, int) CellResult {
+	r := ExperimentF2()
+	return CellResult{
+		OK:      r.CleanAcyclic && r.CycleLen > 0,
+		Rows:    r.Rows,
+		Measure: CellMeasure{Extra: map[string]float64{"cycle_len": float64(r.CycleLen)}},
+	}
 }
 
 // --- E-F4: Figure 4, caterpillar classification ------------------------
 
-// F4Result reports the caterpillar census observed along an adversarial
-// execution: all three types must occur, and every occupied buffer set must
-// contain at least one caterpillar head (the progress witness of the
-// proofs).
-type F4Result struct {
-	Seen        map[core.CaterpillarType]int
-	AllTypesHit bool
-	Consistent  bool
-	Table       *metrics.Table
-}
-
-// ExperimentF4 runs a corrupted scenario on the Figure 1 network and
-// classifies every buffer at every step.
-func ExperimentF4(seed int64) F4Result {
-	r, _ := ExperimentF4With(Options{Seed: seed})
-	return r
-}
-
-// ExperimentF4With runs the caterpillar census with explicit options and
-// reports the run's cell measurements alongside the result.
-func ExperimentF4With(o Options) (F4Result, CellMeasure) {
+// f4Cell runs a corrupted scenario on the Figure 1 network and
+// classifies every buffer at every step. All three caterpillar types
+// must occur, and every occupied buffer set must contain at least one
+// caterpillar head (the progress witness of the proofs).
+func f4Cell(o Options, _ int) CellResult {
 	seed := o.Seed
 	g := graph.Figure1Network()
 	rng := rand.New(rand.NewSource(seed))
@@ -211,7 +179,8 @@ func ExperimentF4With(o Options) (F4Result, CellMeasure) {
 	cfg[3].(*core.Node).FW.Enqueue("f4-probe-2", 2)
 	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
 
-	res := F4Result{Seen: make(map[core.CaterpillarType]int), Consistent: true}
+	seen := make(map[core.CaterpillarType]int)
+	consistent := true
 	snapshot := func() []sm.State {
 		out := make([]sm.State, g.N())
 		for p := 0; p < g.N(); p++ {
@@ -227,63 +196,58 @@ func ExperimentF4With(o Options) (F4Result, CellMeasure) {
 		for d := 0; d < g.N(); d++ {
 			census := core.CaterpillarCensus(g, cfgNow, graph.ProcessID(d))
 			for typ, c := range census {
-				res.Seen[typ] += c
+				seen[typ] += c
 			}
 			total, _ := core.Occupancy(cfgNow, graph.ProcessID(d))
 			heads := census[core.Type1] + census[core.Type2] + census[core.Type3]
 			if total > 0 && heads == 0 {
-				res.Consistent = false
+				consistent = false
 			}
 		}
 		if !e.Step() {
 			break
 		}
 	}
-	res.AllTypesHit = res.Seen[core.Type1] > 0 && res.Seen[core.Type2] > 0 && res.Seen[core.Type3] > 0
-	t := metrics.NewTable("E-F4: caterpillar census over an adversarial execution (Figure 4)",
-		"type", "buffer observations")
+	res := CellResult{OK: consistent && seen[core.Type1] > 0 && seen[core.Type2] > 0 && seen[core.Type3] > 0}
 	for _, typ := range []core.CaterpillarType{core.Type1, core.Type2, core.Type3} {
-		t.AddRow(typ.String(), res.Seen[typ])
+		res.Rows = append(res.Rows, []any{typ.String(), seen[typ]})
 	}
-	res.Table = t
 	stats := e.Stats()
-	return res, CellMeasure{
+	res.Measure = CellMeasure{
 		Steps:      e.Steps(),
 		Rounds:     e.Rounds(),
 		GuardEvals: stats.GuardEvals,
 		Extra: map[string]float64{
-			"type1": float64(res.Seen[core.Type1]),
-			"type2": float64(res.Seen[core.Type2]),
-			"type3": float64(res.Seen[core.Type3]),
+			"type1": float64(seen[core.Type1]),
+			"type2": float64(seen[core.Type2]),
+			"type3": float64(seen[core.Type3]),
 		},
 	}
+	return res
 }
 
 // --- E-P4: Proposition 4, ≤ 2n invalid deliveries ----------------------
 
-// P4Row is one sweep point of experiment E-P4.
-type P4Row struct {
-	N              int
-	InvalidPlaced  int
-	MaxPerDest     int
-	Bound          int
-	TotalDelivered int
+// sizeCase is one point of a sweep over an integer parameter (network
+// size, diameter, storm intensity).
+type sizeCase struct {
+	Variant
+	n int
 }
 
-// P4Result sweeps network size with every buffer stuffed with invalid
-// messages and verifies Proposition 4: at most 2n invalid messages are
-// delivered per destination.
-type P4Result struct {
-	Rows        []P4Row
-	WithinBound bool
-	Table       *metrics.Table
+// p4Cases is the network-size sweep of E-P4.
+var p4Cases = []sizeCase{
+	{Variant{Name: "n4"}, 4},
+	{Variant{Name: "n6"}, 6},
+	{Variant{Name: "n8", Heavy: true}, 8},
+	{Variant{Name: "n10", Heavy: true}, 10},
 }
 
-// P4Sizes is the canonical size sweep of experiment E-P4.
-var P4Sizes = []int{4, 6, 8, 10}
-
-// p4Cell runs one size of the E-P4 sweep.
-func p4Cell(o Options, n int) (P4Row, CellMeasure) {
+// p4Cell stuffs every buffer of a random network with invalid messages
+// and checks Proposition 4: at most 2n invalid messages are delivered
+// per destination.
+func p4Cell(o Options, idx int) CellResult {
+	n := p4Cases[idx].n
 	rng := rand.New(rand.NewSource(o.Seed + int64(n)))
 	g := graph.RandomConnected(n, 2*n, rng)
 	r := Run(Scenario{
@@ -302,97 +266,53 @@ func p4Cell(o Options, n int) (P4Row, CellMeasure) {
 		SelfCheck: o.Paranoid,
 		Shards:    o.Shards,
 	})
-	row := P4Row{
-		N:              n,
-		InvalidPlaced:  2 * n * n,
-		MaxPerDest:     r.MaxInvalidPerDst,
-		Bound:          2 * n,
-		TotalDelivered: r.InvalidDelivered,
-	}
 	m := measureOf(r)
-	m.InvalidBound = row.Bound
-	return row, m
-}
-
-// ExperimentP4 runs the invalid-delivery sweep.
-func ExperimentP4(seed int64, sizes []int) P4Result {
-	return ExperimentP4With(Options{Seed: seed}, sizes)
-}
-
-// ExperimentP4With runs the invalid-delivery sweep with explicit options.
-func ExperimentP4With(o Options, sizes []int) P4Result {
-	if len(sizes) == 0 {
-		sizes = P4Sizes
+	m.InvalidBound = 2 * n
+	return CellResult{
+		OK:      r.MaxInvalidPerDst <= m.InvalidBound,
+		Rows:    [][]any{{n, 2 * n * n, r.MaxInvalidPerDst, m.InvalidBound, r.InvalidDelivered}},
+		Measure: m,
 	}
-	res := P4Result{WithinBound: true}
-	t := metrics.NewTable("E-P4: invalid deliveries per destination vs the 2n bound (Prop. 4)",
-		"n", "invalid placed", "max delivered to one dest", "bound 2n", "total invalid delivered")
-	for _, n := range sizes {
-		if o.cancelled() {
-			break
-		}
-		row, m := p4Cell(o, n)
-		o.report(fmt.Sprintf("n%d", n), m)
-		if row.MaxPerDest > row.Bound {
-			res.WithinBound = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.N, row.InvalidPlaced, row.MaxPerDest, row.Bound, row.TotalDelivered)
-	}
-	res.Table = t
-	return res
 }
 
 // --- E-P5: Proposition 5, delivery latency bound -----------------------
 
-// P5Row is one sweep point of experiment E-P5.
-type P5Row struct {
-	Topology   string
-	Delta, D   int
-	MaxLatency int     // worst observed generation→delivery rounds
-	Bound      float64 // Δ^D reference
-}
-
-// P5Result checks that worst-case delivery latency stays within the
-// O(max(R_A, Δ^D)) bound of Proposition 5 and shows how observed latency
-// grows with D and Δ.
-type P5Result struct {
-	Rows        []P5Row
-	WithinBound bool
-	Table       *metrics.Table
-}
-
 // topoCase is one named topology of a sweep; graphs are built lazily so
-// enumerating the case list (for the campaign cell grid) costs nothing.
+// enumerating the grid costs nothing.
 type topoCase struct {
-	name string
+	Variant
 	make func() *graph.Graph
 }
 
-// p5Cases is the canonical case list of E-P5: lines grow D at Δ=2, stars
-// grow Δ at D=2. Per-case seeds are seed + canonical index.
-func p5Cases() []topoCase {
-	var cases []topoCase
-	for _, n := range []int{3, 5, 7, 9} {
-		n := n
-		cases = append(cases, topoCase{fmt.Sprintf("line-%d", n), func() *graph.Graph { return graph.Line(n) }})
-	}
-	for _, n := range []int{4, 6, 8} {
-		n := n
-		cases = append(cases, topoCase{fmt.Sprintf("star-%d", n), func() *graph.Graph { return graph.Star(n) }})
-	}
-	return cases
+func line(n int) func() *graph.Graph { return func() *graph.Graph { return graph.Line(n) } }
+func star(n int) func() *graph.Graph { return func() *graph.Graph { return graph.Star(n) } }
+func ring(n int) func() *graph.Graph { return func() *graph.Graph { return graph.Ring(n) } }
+func grid(r, c int) func() *graph.Graph {
+	return func() *graph.Graph { return graph.Grid(r, c) }
 }
 
-// p5Cell runs one canonical case of the E-P5 sweep and reports whether it
-// stayed within the (generously constant-factored) bound.
-func p5Cell(o Options, idx int) (P5Row, bool, CellMeasure) {
-	c := p5Cases()[idx]
+// p5Cases is the sweep of E-P5: lines grow D at Δ=2, stars grow Δ at
+// D=2.
+var p5Cases = []topoCase{
+	{Variant{Name: "line-3"}, line(3)},
+	{Variant{Name: "line-5"}, line(5)},
+	{Variant{Name: "line-7"}, line(7)},
+	{Variant{Name: "line-9", Heavy: true}, line(9)},
+	{Variant{Name: "star-4"}, star(4)},
+	{Variant{Name: "star-6"}, star(6)},
+	{Variant{Name: "star-8", Heavy: true}, star(8)},
+}
+
+// p5Cell runs one topology under adversarial cross-traffic and a
+// corrupted initial configuration, and checks that the worst delivery
+// latency stays within the O(max(R_A, Δ^D)) bound of Proposition 5.
+func p5Cell(o Options, idx int) CellResult {
+	c := p5Cases[idx]
 	g := c.make()
 	// Saturating cross-traffic: everyone sends to everyone once.
 	w := workload.AllToAll(g, 1)
 	r := Run(Scenario{
-		Name:      "p5-" + c.name,
+		Name:      "p5-" + c.Name,
 		Graph:     g,
 		Corrupt:   &core.DefaultCorrupt,
 		Daemon:    WeaklyFairLIFO,
@@ -404,78 +324,34 @@ func p5Cell(o Options, idx int) (P5Row, bool, CellMeasure) {
 		SelfCheck: o.Paranoid,
 		Shards:    o.Shards,
 	})
-	row := P5Row{
-		Topology:   c.name,
-		Delta:      g.MaxDegree(),
-		D:          g.Diameter(),
-		MaxLatency: int(r.LatencyRounds.Max),
-		Bound:      math.Pow(float64(g.MaxDegree()), float64(g.Diameter())),
-	}
-	// The paper's bound is asymptotic; we check against a generous
-	// constant multiple plus the routing-stabilization additive term.
-	within := float64(row.MaxLatency) <= 40*(row.Bound+float64(4*g.N()))
+	maxLatency := int(r.LatencyRounds.Max)
+	bound := math.Pow(float64(g.MaxDegree()), float64(g.Diameter()))
 	m := measureOf(r)
-	m.MaxLatencyRounds = row.MaxLatency
-	return row, within, m
-}
-
-// ExperimentP5 sweeps lines (growing D at Δ=2) and stars (growing Δ at
-// D=2) under adversarial cross-traffic and a corrupted initial
-// configuration.
-func ExperimentP5(seed int64) P5Result {
-	return ExperimentP5With(Options{Seed: seed})
-}
-
-// ExperimentP5With runs the E-P5 sweep with explicit options.
-func ExperimentP5With(o Options) P5Result {
-	res := P5Result{WithinBound: true}
-	t := metrics.NewTable("E-P5: worst delivery latency vs Δ^D bound (Prop. 5)",
-		"topology", "Δ", "D", "max latency (rounds)", "Δ^D")
-	for i, c := range p5Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
-		}
-		row, within, m := p5Cell(o, i)
-		o.report(c.name, m)
-		if !within {
-			res.WithinBound = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.Delta, row.D, row.MaxLatency, row.Bound)
+	m.MaxLatencyRounds = maxLatency
+	return CellResult{
+		// The paper's bound is asymptotic; we check against a generous
+		// constant multiple plus the routing-stabilization additive term.
+		OK:      float64(maxLatency) <= 40*(bound+float64(4*g.N())),
+		Rows:    [][]any{{c.Name, g.MaxDegree(), g.Diameter(), maxLatency, bound}},
+		Measure: m,
 	}
-	res.Table = t
-	return res
 }
 
 // --- E-P6: Proposition 6, delay and waiting time -----------------------
 
-// P6Row is one sweep point of experiment E-P6.
-type P6Row struct {
-	Topology   string
-	Delta, D   int
-	Delay      int // rounds before the probe's first R1
-	MaxWaiting int // max rounds between consecutive R1s at the probe source
+var p6Cases = []topoCase{
+	{Variant{Name: "line-5"}, line(5)},
+	{Variant{Name: "star-6"}, star(6)},
+	{Variant{Name: "grid-3x3"}, grid(3, 3)},
 }
 
-// P6Result measures the delay (rounds before the first emission) and the
-// waiting time (rounds between consecutive emissions) at a busy processor.
-type P6Result struct {
-	Rows  []P6Row
-	Table *metrics.Table
-}
-
-// p6Cases is the canonical case list of E-P6.
-func p6Cases() []topoCase {
-	return []topoCase{
-		{"line-5", func() *graph.Graph { return graph.Line(5) }},
-		{"star-6", func() *graph.Graph { return graph.Star(6) }},
-		{"grid-3x3", func() *graph.Graph { return graph.Grid(3, 3) }},
-	}
-}
-
-// p6Cell runs one canonical case of the E-P6 sweep.
-func p6Cell(o Options, idx int) (P6Row, CellMeasure) {
-	g := p6Cases()[idx].make()
+// p6Cell loads one source with extra messages under all-to-one
+// cross-traffic toward the same sink and measures the delay (rounds
+// before its first emission) and the waiting time (rounds between
+// consecutive emissions). Proposition 6 states bounds, not a checkable
+// constant, so the cell always passes.
+func p6Cell(o Options, idx int) CellResult {
+	g := p6Cases[idx].make()
 	sink := graph.ProcessID(0)
 	probe := graph.ProcessID(g.N() - 1)
 	w := workload.AllToOne(g, sink, 2)
@@ -495,72 +371,37 @@ func p6Cell(o Options, idx int) (P6Row, CellMeasure) {
 		SelfCheck: o.Paranoid,
 		Shards:    o.Shards,
 	})
-	gens := r.GenRoundsBySource[probe]
-	row := P6Row{Topology: g.String(), Delta: g.MaxDegree(), D: g.Diameter()}
-	if len(gens) > 0 {
-		row.Delay = gens[0]
-		for j := 1; j < len(gens); j++ {
-			if wait := gens[j] - gens[j-1]; wait > row.MaxWaiting {
-				row.MaxWaiting = wait
-			}
-		}
-	}
 	m := measureOf(r)
-	m.DelayRounds = row.Delay
-	m.MaxWaitingRounds = row.MaxWaiting
-	return row, m
-}
-
-// ExperimentP6 loads one source with k messages under all-to-one
-// cross-traffic toward the same sink and measures its emission cadence.
-func ExperimentP6(seed int64) P6Result {
-	return ExperimentP6With(Options{Seed: seed})
-}
-
-// ExperimentP6With runs the E-P6 sweep with explicit options.
-func ExperimentP6With(o Options) P6Result {
-	res := P6Result{}
-	t := metrics.NewTable("E-P6: delay and waiting time at a loaded source (Prop. 6)",
-		"topology", "Δ", "D", "delay (rounds)", "max waiting (rounds)")
-	for i, c := range p6Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
+	if gens := r.GenRoundsBySource[probe]; len(gens) > 0 {
+		m.DelayRounds = gens[0]
+		for j := 1; j < len(gens); j++ {
+			m.MaxWaitingRounds = max(m.MaxWaitingRounds, gens[j]-gens[j-1])
 		}
-		row, m := p6Cell(o, i)
-		o.report(c.name, m)
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.Delta, row.D, row.Delay, row.MaxWaiting)
 	}
-	res.Table = t
-	return res
+	return CellResult{
+		OK:      true,
+		Rows:    [][]any{{g.String(), g.MaxDegree(), g.Diameter(), m.DelayRounds, m.MaxWaitingRounds}},
+		Measure: m,
+	}
 }
 
 // --- E-P7: Proposition 7, amortized complexity Θ(D) --------------------
 
-// P7Row is one sweep point of experiment E-P7.
-type P7Row struct {
-	D          int
-	Rounds     int
-	Deliveries int
-	Amortized  float64
+// p7Cases is the diameter sweep of E-P7.
+var p7Cases = []sizeCase{
+	{Variant{Name: "d2"}, 2},
+	{Variant{Name: "d4"}, 4},
+	{Variant{Name: "d6"}, 6},
+	{Variant{Name: "d8", Heavy: true}, 8},
 }
 
-// P7Result verifies the amortized bound: rounds per delivered message grow
-// (at most) linearly in D under saturation — the Θ(D) of Proposition 7,
-// with 3D as the proof's reference constant.
-type P7Result struct {
-	Rows   []P7Row
-	Fit    metrics.Fit
-	Within bool // every point ≤ 3D + constant slack
-	Table  *metrics.Table
-}
-
-// P7Diameters is the canonical diameter sweep of experiment E-P7.
-var P7Diameters = []int{2, 4, 6, 8}
-
-// p7Cell runs one diameter of the E-P7 sweep and reports whether the
-// amortized cost stayed within the 3D (+ slack) reference.
-func p7Cell(o Options, d int) (P7Row, bool, CellMeasure) {
+// p7Cell saturates a line of diameter d with all-to-one traffic and
+// checks the amortized bound: rounds per delivered message stay within
+// the proof's 3D reference (+ constant slack) — the Θ(D) of
+// Proposition 7. ssmfp-bench fits the amortized cost against D across
+// the cells.
+func p7Cell(o Options, idx int) CellResult {
+	d := p7Cases[idx].n
 	g := graph.Line(d + 1)
 	w := workload.AllToOne(g, 0, 4)
 	r := Run(Scenario{
@@ -577,199 +418,108 @@ func p7Cell(o Options, d int) (P7Row, bool, CellMeasure) {
 		Shards:    o.Shards,
 	})
 	deliveries := r.DeliveredValid + r.InvalidDelivered
-	row := P7Row{D: d, Rounds: r.Rounds, Deliveries: deliveries}
+	amortized := 0.0
 	if deliveries > 0 {
-		row.Amortized = float64(r.Rounds) / float64(deliveries)
+		amortized = float64(r.Rounds) / float64(deliveries)
 	}
 	m := measureOf(r)
-	m.Extra = map[string]float64{"d": float64(d), "amortized": row.Amortized}
-	return row, row.Amortized <= float64(3*d)+10, m
-}
-
-// ExperimentP7 saturates lines of growing diameter with all-to-one traffic.
-func ExperimentP7(seed int64, diameters []int) P7Result {
-	return ExperimentP7With(Options{Seed: seed}, diameters)
-}
-
-// ExperimentP7With runs the E-P7 sweep with explicit options.
-func ExperimentP7With(o Options, diameters []int) P7Result {
-	if len(diameters) == 0 {
-		diameters = P7Diameters
+	m.Extra = map[string]float64{"d": float64(d), "amortized": amortized}
+	return CellResult{
+		OK:      amortized <= float64(3*d)+10,
+		Rows:    [][]any{{d, r.Rounds, deliveries, amortized, 3 * d}},
+		Measure: m,
 	}
-	res := P7Result{Within: true}
-	t := metrics.NewTable("E-P7: amortized rounds per delivery vs D (Prop. 7)",
-		"D", "rounds", "deliveries", "rounds/delivery", "3D reference")
-	var xs, ys []float64
-	for _, d := range diameters {
-		if o.cancelled() {
-			break
-		}
-		row, within, m := p7Cell(o, d)
-		o.report(fmt.Sprintf("d%d", d), m)
-		if !within {
-			res.Within = false
-		}
-		res.Rows = append(res.Rows, row)
-		xs = append(xs, float64(d))
-		ys = append(ys, row.Amortized)
-		t.AddRow(row.D, row.Rounds, row.Deliveries, row.Amortized, 3*d)
-	}
-	res.Fit = metrics.LinearFit(xs, ys)
-	res.Table = t
-	return res
 }
 
 // --- E-X1: SSMFP vs the classical baselines under corruption -----------
 
-// X1Row is one protocol's outcome in experiment E-X1.
-type X1Row struct {
-	Protocol   string
-	Delivered  int
-	Lost       int
-	Violations int  // duplications and other SP breaches observed
-	Stuck      bool // deadlocked or livelocked
-}
-
-// X1Result contrasts SSMFP with the classical controllers from identical
-// corrupted starting points: SSMFP satisfies SP; the atomic classical
-// controller livelocks without routing repair; the naive shared-memory
-// port loses and duplicates.
-type X1Result struct {
-	Rows    []X1Row
-	SSMFPOK bool
-	Table   *metrics.Table
-}
-
-// ExperimentX1 runs the three protocols on the same ring with the same
-// routing loop and the same traffic.
-func ExperimentX1(seed int64) X1Result {
-	r, _ := ExperimentX1With(Options{Seed: seed})
-	return r
-}
-
-// ExperimentX1With runs the comparison with explicit options.
-func ExperimentX1With(o Options) (X1Result, CellMeasure) {
+// x1Cell runs three protocols on the same ring with the same routing
+// loop and the same traffic, from identical corrupted starting points:
+// SSMFP must satisfy SP; the atomic classical controller livelocks
+// without routing repair; the naive shared-memory port loses and
+// duplicates. Each row is protocol, valid delivered, valid lost,
+// violations (duplications and other SP breaches), stuck (deadlocked or
+// livelocked).
+func x1Cell(o Options, _ int) CellResult {
 	seed := o.Seed
-	res := X1Result{}
 	g := graph.Ring(6)
 	const dest = 0
 
 	// --- SSMFP from a corrupted configuration.
-	ssmfpRes := func() X1Row {
-		cfg := core.CleanConfig(g)
-		cfg[2].(*core.Node).RT.Parent[dest] = 3
-		cfg[3].(*core.Node).RT.Parent[dest] = 2 // loop 2↔3 toward dest
-		cfg[3].(*core.Node).FW.Dests[dest].BufE = &core.Message{
-			Payload: "x", LastHop: 3, Color: 0, UID: 1 << 40, Src: 3, Dest: dest, Valid: false}
-		for p := 1; p < g.N(); p++ {
-			cfg[p].(*core.Node).FW.Enqueue("x", dest) // colliding payloads
-		}
-		e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
-		tr := checker.New(g)
-		tr.RecordInitial(cfg)
-		tr.Attach(e)
-		_, terminal := e.Run(5_000_000, nil)
-		return X1Row{
-			Protocol:   "SSMFP",
-			Delivered:  tr.DeliveredValid(),
-			Lost:       len(tr.UndeliveredValid()),
-			Violations: len(tr.Violations()),
-			Stuck:      !terminal,
-		}
-	}()
-	res.SSMFPOK = ssmfpRes.Lost == 0 && ssmfpRes.Violations == 0 && !ssmfpRes.Stuck
+	cfg := core.CleanConfig(g)
+	cfg[2].(*core.Node).RT.Parent[dest] = 3
+	cfg[3].(*core.Node).RT.Parent[dest] = 2 // loop 2↔3 toward dest
+	cfg[3].(*core.Node).FW.Dests[dest].BufE = &core.Message{
+		Payload: "x", LastHop: 3, Color: 0, UID: 1 << 40, Src: 3, Dest: dest, Valid: false}
+	for p := 1; p < g.N(); p++ {
+		cfg[p].(*core.Node).FW.Enqueue("x", dest) // colliding payloads
+	}
+	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
+	tr := checker.New(g)
+	tr.RecordInitial(cfg)
+	tr.Attach(e)
+	_, terminal := e.Run(5_000_000, nil)
+	delivered, lost, violations := tr.DeliveredValid(), len(tr.UndeliveredValid()), len(tr.Violations())
+	ssmfp := []any{"SSMFP", delivered, lost, violations, !terminal}
 
 	// --- Classical atomic controller, same loop, no routing repair.
-	atomicRow := func() X1Row {
-		ts := baseline.CorrectTables(g)
-		ts[2].Parent[dest] = 3
-		ts[3].Parent[dest] = 2
-		a := baseline.NewAtomic(g, ts, seed)
-		for p := 1; p < g.N(); p++ {
-			a.Enqueue(graph.ProcessID(p), "x", dest)
-		}
-		_, stopped := a.Run(100_000)
-		return X1Row{
-			Protocol:  "classical (atomic moves, no repair)",
-			Delivered: len(a.Delivered()),
-			Lost:      0,
-			Stuck:     !stopped || a.Deadlocked(), // livelock or deadlock
-		}
-	}()
+	ts := baseline.CorrectTables(g)
+	ts[2].Parent[dest] = 3
+	ts[3].Parent[dest] = 2
+	a := baseline.NewAtomic(g, ts, seed)
+	for p := 1; p < g.N(); p++ {
+		a.Enqueue(graph.ProcessID(p), "x", dest)
+	}
+	_, stopped := a.Run(100_000)
+	classical := []any{"classical (atomic moves, no repair)", len(a.Delivered()), 0, 0,
+		!stopped || a.Deadlocked()} // livelock or deadlock
 
 	// --- Naive shared-memory port with routing repair.
-	naiveRow := func() X1Row {
-		cfg := baseline.CleanConfig(g)
-		cfg[2].(*baseline.Node).RT.Parent[dest] = 3
-		cfg[3].(*baseline.Node).RT.Parent[dest] = 2
-		cfg[3].(*baseline.Node).FW.Buf[dest] = &core.Message{
-			Payload: "x", LastHop: 3, UID: 1 << 41, Src: 3, Dest: dest, Valid: false}
-		for p := 1; p < g.N(); p++ {
-			cfg[p].(*baseline.Node).FW.Enqueue("x", dest)
-		}
-		e := sm.NewEngine(g, baseline.NaiveFullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
-		tr := checker.New(g)
-		tr.Attach(e)
-		_, terminal := e.Run(5_000_000, nil)
-		return X1Row{
-			Protocol:   "naive shared-memory port (no colors)",
-			Delivered:  tr.DeliveredValid(),
-			Lost:       len(tr.UndeliveredValid()),
-			Violations: len(tr.Violations()),
-			Stuck:      !terminal,
-		}
-	}()
-
-	res.Rows = []X1Row{ssmfpRes, atomicRow, naiveRow}
-	t := metrics.NewTable("E-X1: corrupted initial configuration — SSMFP vs classical controllers",
-		"protocol", "valid delivered", "valid lost", "violations", "stuck (dead/livelock)")
-	for _, r := range res.Rows {
-		t.AddRow(r.Protocol, r.Delivered, r.Lost, r.Violations, r.Stuck)
+	ncfg := baseline.CleanConfig(g)
+	ncfg[2].(*baseline.Node).RT.Parent[dest] = 3
+	ncfg[3].(*baseline.Node).RT.Parent[dest] = 2
+	ncfg[3].(*baseline.Node).FW.Buf[dest] = &core.Message{
+		Payload: "x", LastHop: 3, UID: 1 << 41, Src: 3, Dest: dest, Valid: false}
+	for p := 1; p < g.N(); p++ {
+		ncfg[p].(*baseline.Node).FW.Enqueue("x", dest)
 	}
-	res.Table = t
-	return res, CellMeasure{
-		DeliveredValid: ssmfpRes.Delivered,
-		Extra: map[string]float64{
-			"ssmfp_violations": float64(ssmfpRes.Violations),
-			"ssmfp_lost":       float64(ssmfpRes.Lost),
+	ne := sm.NewEngine(g, baseline.NaiveFullProgram(g), NewDaemon(CentralRandom, seed, g.N()), ncfg, o.engineOpts()...)
+	ntr := checker.New(g)
+	ntr.Attach(ne)
+	_, nterminal := ne.Run(5_000_000, nil)
+	naive := []any{"naive shared-memory port (no colors)", ntr.DeliveredValid(),
+		len(ntr.UndeliveredValid()), len(ntr.Violations()), !nterminal}
+
+	return CellResult{
+		OK:   lost == 0 && violations == 0 && terminal,
+		Rows: [][]any{ssmfp, classical, naive},
+		Measure: CellMeasure{
+			DeliveredValid: delivered,
+			Extra: map[string]float64{
+				"ssmfp_violations": float64(violations),
+				"ssmfp_lost":       float64(lost),
+			},
 		},
 	}
 }
 
 // --- E-X2: fault-free overhead ------------------------------------------
 
-// X2Row is one topology's cost comparison in experiment E-X2.
-type X2Row struct {
-	Topology       string
-	SSMFPMoves     float64 // forwarding moves per delivered message
-	ClassicalMoves float64 // atomic moves per delivered message
-	Overhead       float64
+var x2Cases = []topoCase{
+	{Variant{Name: "line-6"}, line(6)},
+	{Variant{Name: "ring-8"}, ring(8)},
+	{Variant{Name: "grid-3x3"}, grid(3, 3)},
+	{Variant{Name: "star-6"}, star(6)},
 }
 
-// X2Result quantifies the paper's closing claim: snap-stabilization without
-// significant overcost with respect to the fault-free algorithm — the
-// per-message move overhead of SSMFP over the classical atomic controller
-// is a small constant (≈3×: copy + internal move + erase per hop instead
-// of one atomic move).
-type X2Result struct {
-	Rows        []X2Row
-	MaxOverhead float64
-	Table       *metrics.Table
-}
-
-// x2Cases is the canonical case list of E-X2.
-func x2Cases() []topoCase {
-	return []topoCase{
-		{"line-6", func() *graph.Graph { return graph.Line(6) }},
-		{"ring-8", func() *graph.Graph { return graph.Ring(8) }},
-		{"grid-3x3", func() *graph.Graph { return graph.Grid(3, 3) }},
-		{"star-6", func() *graph.Graph { return graph.Star(6) }},
-	}
-}
-
-// x2Cell runs one topology of the E-X2 comparison.
-func x2Cell(o Options, idx int) (X2Row, CellMeasure) {
-	g := x2Cases()[idx].make()
+// x2Cell runs identical permutation traffic fault-free through SSMFP and
+// the classical atomic controller on one topology. It quantifies the
+// paper's closing claim — snap-stabilization without significant
+// overcost with respect to the fault-free algorithm: the per-message move
+// overhead is a small constant (≈3×: copy + internal move + erase per hop
+// instead of one atomic move), checked as < 8.
+func x2Cell(o Options, idx int) CellResult {
+	g := x2Cases[idx].make()
 	rng := rand.New(rand.NewSource(o.Seed + int64(idx)))
 	w := workload.Permutation(g, rng)
 
@@ -798,44 +548,21 @@ func x2Cell(o Options, idx int) (X2Row, CellMeasure) {
 	}
 	a.Run(4_000_000)
 
-	row := X2Row{Topology: g.String()}
+	var ssmfpMoves, classicalMoves, overhead float64
 	if r.DeliveredValid > 0 {
-		row.SSMFPMoves = float64(fwMoves) / float64(r.DeliveredValid)
+		ssmfpMoves = float64(fwMoves) / float64(r.DeliveredValid)
 	}
 	if len(a.Delivered()) > 0 {
-		row.ClassicalMoves = float64(a.Moves()) / float64(len(a.Delivered()))
+		classicalMoves = float64(a.Moves()) / float64(len(a.Delivered()))
 	}
-	if row.ClassicalMoves > 0 {
-		row.Overhead = row.SSMFPMoves / row.ClassicalMoves
+	if classicalMoves > 0 {
+		overhead = ssmfpMoves / classicalMoves
 	}
 	m := measureOf(r)
-	m.Extra = map[string]float64{"overhead": row.Overhead}
-	return row, m
-}
-
-// ExperimentX2 runs identical permutation traffic fault-free on several
-// topologies.
-func ExperimentX2(seed int64) X2Result {
-	return ExperimentX2With(Options{Seed: seed})
-}
-
-// ExperimentX2With runs the E-X2 comparison with explicit options.
-func ExperimentX2With(o Options) X2Result {
-	res := X2Result{}
-	t := metrics.NewTable("E-X2: fault-free moves per message — SSMFP vs classical controller",
-		"topology", "SSMFP moves/msg", "classical moves/msg", "overhead")
-	for i, c := range x2Cases() {
-		if !o.wants(c.name) || o.cancelled() {
-			continue
-		}
-		row, m := x2Cell(o, i)
-		o.report(c.name, m)
-		if row.Overhead > res.MaxOverhead {
-			res.MaxOverhead = row.Overhead
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.SSMFPMoves, row.ClassicalMoves, row.Overhead)
+	m.Extra = map[string]float64{"overhead": overhead}
+	return CellResult{
+		OK:      overhead < 8,
+		Rows:    [][]any{{g.String(), ssmfpMoves, classicalMoves, overhead}},
+		Measure: m,
 	}
-	res.Table = t
-	return res
 }

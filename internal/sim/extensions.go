@@ -9,7 +9,6 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/faults"
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
@@ -17,73 +16,52 @@ import (
 
 // --- E-X4: buffer economy of the §4 alternative scheme -----------------
 
-// X4Row compares per-node buffer budgets across schemes for one topology.
-type X4Row struct {
-	Topology    string
-	N           int
-	SSMFP       int     // 2n buffers per node (bufR+bufE per destination)
-	DestBased   int     // n buffers per node (Figure 1 scheme)
-	AcyclicK    int     // k buffers per node (orientation cover)
-	Stretch     float64 // average path length / average shortest distance
-	Drained     bool    // the k-buffer controller delivered everything
-	ExactlyOnce bool
-}
-
-// X4Result quantifies the conclusion's discussion: the acyclic-covering
-// buffer graph needs far fewer buffers (3 for a ring, 2 for a tree), at
-// the price of general applicability (NP-hard minimal rank; our
-// alternating cover is an upper bound) and sometimes path stretch
-// (clockwise-only ring routing).
-type X4Result struct {
-	Rows  []X4Row
-	AllOK bool
-	Table *metrics.Table
-}
-
-// x4Case is one scheme/topology case of E-X4. The slug is the campaign
-// cell variant; the display name keeps the legacy table labels.
+// x4Case is one scheme/topology case of E-X4; display is its table label.
 type x4Case struct {
-	slug    string
+	Variant
 	display string
 	make    func(seed int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState)
 }
 
-// x4Cases is the canonical case list of E-X4.
-func x4Cases() []x4Case {
-	return []x4Case{
-		{"ring-8", "ring-8 (clockwise)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
-			g := graph.Ring(8)
-			return g, acyclic.RingCover(g), acyclic.ClockwiseRingTables(g)
-		}},
-		{"tree-15", "tree-15 (minimal)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
-			g := graph.BinaryTree(15)
-			return g, acyclic.TreeCover(g, 0), correctTables(g)
-		}},
-		{"grid-3x3", "grid-3x3 (alternating)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
-			g := graph.Grid(3, 3)
-			ts := correctTables(g)
-			c, err := acyclic.AlternatingCover(g, ts)
-			if err != nil {
-				panic(err)
-			}
-			return g, c, ts
-		}},
-		{"random-10", "random-10 (alternating)", func(seed int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
-			rng := rand.New(rand.NewSource(seed))
-			g := graph.RandomConnected(10, 20, rng)
-			ts := correctTables(g)
-			c, err := acyclic.AlternatingCover(g, ts)
-			if err != nil {
-				panic(err)
-			}
-			return g, c, ts
-		}},
-	}
+// x4Cases runs a ring (specialized 3-cover, clockwise routing), a tree
+// (2-cover, minimal routing), and general graphs (alternating cover).
+var x4Cases = []x4Case{
+	{Variant{Name: "ring-8"}, "ring-8 (clockwise)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
+		g := graph.Ring(8)
+		return g, acyclic.RingCover(g), acyclic.ClockwiseRingTables(g)
+	}},
+	{Variant{Name: "tree-15"}, "tree-15 (minimal)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
+		g := graph.BinaryTree(15)
+		return g, acyclic.TreeCover(g, 0), correctTables(g)
+	}},
+	{Variant{Name: "grid-3x3"}, "grid-3x3 (alternating)", func(int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
+		return alternating(graph.Grid(3, 3))
+	}},
+	{Variant{Name: "random-10"}, "random-10 (alternating)", func(seed int64) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
+		return alternating(graph.RandomConnected(10, 20, rand.New(rand.NewSource(seed))))
+	}},
 }
 
-// x4Cell runs one canonical case of E-X4.
-func x4Cell(o Options, idx int) (X4Row, CellMeasure) {
-	c := x4Cases()[idx]
+// alternating covers g's correct tables with the alternating cover.
+func alternating(g *graph.Graph) (*graph.Graph, *acyclic.Cover, []*routing.NodeState) {
+	ts := correctTables(g)
+	c, err := acyclic.AlternatingCover(g, ts)
+	if err != nil {
+		panic(err)
+	}
+	return g, c, ts
+}
+
+// x4Cell runs permutation traffic through the level-buffer controller on
+// one topology. It quantifies the conclusion's discussion: the
+// acyclic-covering buffer graph needs far fewer buffers per node (3 for
+// a ring, 2 for a tree) than SSMFP (2n) or the destination scheme (n),
+// at the price of general applicability (NP-hard minimal rank; the
+// alternating cover is an upper bound) and sometimes path stretch
+// (clockwise-only ring routing). The controller must drain and deliver
+// every message exactly once.
+func x4Cell(o Options, idx int) CellResult {
+	c := x4Cases[idx]
 	g, cover, tables := c.make(o.Seed)
 	ctrl := acyclic.NewController(cover, tables, o.Seed+int64(idx))
 	rng := rand.New(rand.NewSource(o.Seed + int64(idx)))
@@ -105,52 +83,19 @@ func x4Cell(o Options, idx int) (X4Row, CellMeasure) {
 			exactlyOnce = false
 		}
 	}
-	row := X4Row{
-		Topology:    c.display,
-		N:           g.N(),
-		SSMFP:       2 * g.N(),
-		DestBased:   g.N(),
-		AcyclicK:    cover.Size(),
-		Drained:     stopped && ctrl.Quiescent(),
-		ExactlyOnce: exactlyOnce,
-	}
+	stretch := 0.0
 	if shortest > 0 {
-		row.Stretch = float64(pathLen) / float64(shortest)
+		stretch = float64(pathLen) / float64(shortest)
 	}
-	return row, CellMeasure{
-		Generated:      len(w),
-		DeliveredValid: len(seen),
-		Extra:          map[string]float64{"cover_k": float64(cover.Size()), "stretch": row.Stretch},
+	return CellResult{
+		OK:   stopped && ctrl.Quiescent() && exactlyOnce,
+		Rows: [][]any{{c.display, g.N(), 2 * g.N(), g.N(), cover.Size(), stretch, exactlyOnce}},
+		Measure: CellMeasure{
+			Generated:      len(w),
+			DeliveredValid: len(seen),
+			Extra:          map[string]float64{"cover_k": float64(cover.Size()), "stretch": stretch},
+		},
 	}
-}
-
-// ExperimentX4 runs permutation traffic through the level-buffer
-// controller on a ring (specialized 3-cover, clockwise routing), a tree
-// (2-cover, minimal routing), and general graphs (alternating cover).
-func ExperimentX4(seed int64) X4Result {
-	return ExperimentX4With(Options{Seed: seed})
-}
-
-// ExperimentX4With runs the E-X4 sweep with explicit options; case names
-// in Options.Cases use the slugs (ring-8, tree-15, grid-3x3, random-10).
-func ExperimentX4With(o Options) X4Result {
-	res := X4Result{AllOK: true}
-	t := metrics.NewTable("E-X4: buffers per node — SSMFP vs destination-based vs acyclic cover (§4)",
-		"topology", "n", "SSMFP (2n)", "dest-based (n)", "acyclic cover (k)", "path stretch", "exactly once")
-	for i, c := range x4Cases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := x4Cell(o, i)
-		o.report(c.slug, m)
-		if !row.Drained || !row.ExactlyOnce {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Topology, row.N, row.SSMFP, row.DestBased, row.AcyclicK, row.Stretch, row.ExactlyOnce)
-	}
-	res.Table = t
-	return res
 }
 
 // tableDistance follows the tables, counting hops.
@@ -168,33 +113,26 @@ func tableDistance(tables []*routing.NodeState, p, d graph.ProcessID) int {
 
 // --- E-X5: choice_p(d) policy ablation ----------------------------------
 
-// X5Row is one policy's outcome.
-type X5Row struct {
-	Policy        string
-	AllDelivered  bool
-	ProbeDelivery int // step at which the lone probe message arrived
-	MaxLatency    int // worst latency (rounds) across all messages
+// x5Cases are the choice_p(d) policies E-X5 compares, named by their
+// String().
+var x5Cases = []struct {
+	Variant
+	policy core.ChoicePolicy
+}{
+	{Variant{Name: "fifo-queue"}, core.PolicyQueue},
+	{Variant{Name: "rotating"}, core.PolicyRotating},
+	{Variant{Name: "lowest-id"}, core.PolicyLowestID},
 }
 
-// X5Result ablates the fair selection scheme behind choice_p(d) — the
+// x5Cell ablates the fair selection scheme behind choice_p(d) — the
 // paper's conclusion suggests modifying it to improve the worst case, and
 // its fairness requirement exists to prevent starvation. The probe is one
 // message from the highest-ID leaf of a star whose other leaves hammer
 // the center; an unfair policy serves it last (or never, under sustained
-// load), the fair policies serve it within the Δ+1 passing bound.
-type X5Result struct {
-	Rows  []X5Row
-	Table *metrics.Table
-}
-
-// x5Policies is the canonical policy list of E-X5; Options.Cases and the
-// campaign cell variants use the policies' String() names.
-func x5Policies() []core.ChoicePolicy {
-	return []core.ChoicePolicy{core.PolicyQueue, core.PolicyRotating, core.PolicyLowestID}
-}
-
-// x5Cell runs the loaded star under one policy.
-func x5Cell(o Options, policy core.ChoicePolicy) (X5Row, CellMeasure) {
+// load), the fair policies serve it within the Δ+1 passing bound. The
+// supply is finite, so every policy must deliver everything.
+func x5Cell(o Options, idx int) CellResult {
+	policy := x5Cases[idx].policy
 	g := graph.Star(6)
 	cfg := core.CleanConfig(g)
 	for leaf := graph.ProcessID(1); leaf <= 4; leaf++ {
@@ -215,75 +153,41 @@ func x5Cell(o Options, policy core.ChoicePolicy) (X5Row, CellMeasure) {
 	})
 	e.Run(4_000_000, nil)
 
-	row := X5Row{
-		Policy:        policy.String(),
-		AllDelivered:  tr.AllValidDelivered() && len(tr.Violations()) == 0,
-		ProbeDelivery: probeStep,
-	}
+	allDelivered := tr.AllValidDelivered() && len(tr.Violations()) == 0
+	maxLatency := 0
 	for _, l := range tr.LatencyRounds() {
-		if l > row.MaxLatency {
-			row.MaxLatency = l
-		}
+		maxLatency = max(maxLatency, l)
 	}
 	stats := e.Stats()
-	return row, CellMeasure{
-		Steps:            e.Steps(),
-		Rounds:           e.Rounds(),
-		GuardEvals:       stats.GuardEvals,
-		DeliveredValid:   tr.DeliveredValid(),
-		MaxLatencyRounds: row.MaxLatency,
-		Extra:            map[string]float64{"probe_step": float64(probeStep)},
+	return CellResult{
+		OK:   allDelivered,
+		Rows: [][]any{{policy.String(), allDelivered, probeStep, maxLatency}},
+		Measure: CellMeasure{
+			Steps:            e.Steps(),
+			Rounds:           e.Rounds(),
+			GuardEvals:       stats.GuardEvals,
+			DeliveredValid:   tr.DeliveredValid(),
+			MaxLatencyRounds: maxLatency,
+			Extra:            map[string]float64{"probe_step": float64(probeStep)},
+		},
 	}
-}
-
-// ExperimentX5 runs the same loaded star under each policy.
-func ExperimentX5(seed int64) X5Result {
-	return ExperimentX5With(Options{Seed: seed})
-}
-
-// ExperimentX5With runs the policy ablation with explicit options.
-func ExperimentX5With(o Options) X5Result {
-	res := X5Result{}
-	t := metrics.NewTable("E-X5: choice policy ablation on a loaded star (§4 future work)",
-		"policy", "all delivered", "probe delivered at step", "max latency (rounds)")
-	for _, policy := range x5Policies() {
-		if !o.wants(policy.String()) || o.cancelled() {
-			continue
-		}
-		row, m := x5Cell(o, policy)
-		o.report(policy.String(), m)
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Policy, row.AllDelivered, row.ProbeDelivery, row.MaxLatency)
-	}
-	res.Table = t
-	return res
 }
 
 // --- E-X6: transient faults mid-execution -------------------------------
 
-// X6Row is one fault-storm configuration.
-type X6Row struct {
-	Waves       int
-	Compromised int
-	PostFaultOK bool
-	Violations  int
+// x6Cases is the storm-intensity sweep of E-X6 (fault waves).
+var x6Cases = []sizeCase{
+	{Variant{Name: "w1"}, 1},
+	{Variant{Name: "w3"}, 3},
+	{Variant{Name: "w6"}, 6},
 }
 
-// X6Result demonstrates the defining property of snap-stabilization with
+// x6Cell demonstrates the defining property of snap-stabilization with
 // mid-run transient faults instead of a corrupted time zero: after every
-// strike, newly generated messages are still delivered exactly once.
-type X6Result struct {
-	Rows  []X6Row
-	AllOK bool
-	Table *metrics.Table
-}
-
-// X6Waves is the canonical storm-intensity sweep of E-X6; campaign cell
-// variants are "w<waves>".
-var X6Waves = []int{1, 3, 6}
-
-// x6Cell runs one fault-storm intensity.
-func x6Cell(o Options, waves int) (X6Row, CellMeasure) {
+// strike of a storm of waves, newly generated messages are still
+// delivered exactly once.
+func x6Cell(o Options, idx int) CellResult {
+	waves := x6Cases[idx].n
 	seed := o.Seed
 	rng := rand.New(rand.NewSource(seed + int64(waves)))
 	g := graph.Grid(3, 3)
@@ -315,45 +219,19 @@ func x6Cell(o Options, waves int) (X6Row, CellMeasure) {
 	}
 	_, terminal := e.Run(4_000_000, nil)
 
-	row := X6Row{
-		Waves:       waves,
-		Compromised: tr.Compromised(),
-		PostFaultOK: terminal && tr.AllValidDelivered(),
-		Violations:  len(tr.Violations()),
-	}
+	postFaultOK := terminal && tr.AllValidDelivered()
+	violations := len(tr.Violations())
 	stats := e.Stats()
-	return row, CellMeasure{
-		Steps:          e.Steps(),
-		Rounds:         e.Rounds(),
-		GuardEvals:     stats.GuardEvals,
-		Generated:      tr.GeneratedCount(),
-		DeliveredValid: tr.DeliveredValid(),
-		Extra:          map[string]float64{"compromised": float64(row.Compromised)},
+	return CellResult{
+		OK:   postFaultOK && violations == 0,
+		Rows: [][]any{{waves, tr.Compromised(), postFaultOK, violations}},
+		Measure: CellMeasure{
+			Steps:          e.Steps(),
+			Rounds:         e.Rounds(),
+			GuardEvals:     stats.GuardEvals,
+			Generated:      tr.GeneratedCount(),
+			DeliveredValid: tr.DeliveredValid(),
+			Extra:          map[string]float64{"compromised": float64(tr.Compromised())},
+		},
 	}
-}
-
-// ExperimentX6 runs fault storms of growing intensity.
-func ExperimentX6(seed int64) X6Result {
-	return ExperimentX6With(Options{Seed: seed})
-}
-
-// ExperimentX6With runs the fault-storm sweep with explicit options.
-func ExperimentX6With(o Options) X6Result {
-	res := X6Result{AllOK: true}
-	t := metrics.NewTable("E-X6: transient fault storms (snap-stabilization mid-run)",
-		"fault waves", "messages compromised by faults", "post-fault exactly-once", "violations")
-	for _, waves := range X6Waves {
-		if !o.wants(fmt.Sprintf("w%d", waves)) || o.cancelled() {
-			continue
-		}
-		row, m := x6Cell(o, waves)
-		o.report(fmt.Sprintf("w%d", waves), m)
-		if !row.PostFaultOK || row.Violations > 0 {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Waves, row.Compromised, row.PostFaultOK, row.Violations)
-	}
-	res.Table = t
-	return res
 }

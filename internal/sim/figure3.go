@@ -52,6 +52,20 @@ func ExperimentF3() F3Result {
 	return r
 }
 
+func f3Cell(Options, int) CellResult {
+	r := ExperimentF3()
+	return CellResult{
+		OK: r.OK,
+		Text: fmt.Sprintf("%s\ndeliveries=%d (valid %d, invalid %d), m's color=%d, initial cycle=%v\n",
+			r.Trace, r.Deliveries, r.ValidDelivered, r.InvalidDelivered, r.HelloColor, r.CycleInitially),
+		Measure: CellMeasure{
+			DeliveredValid:   r.ValidDelivered,
+			DeliveredInvalid: r.InvalidDelivered,
+			Extra:            map[string]float64{"hello_color": float64(r.HelloColor)},
+		},
+	}
+}
+
 // ExperimentF3Recorded runs the Figure 3 replay while recording its typed
 // event stream and JSONL trace header. The returned header and events are
 // exactly what Scenario.TraceOut would have streamed: feeding them through

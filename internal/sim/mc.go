@@ -6,47 +6,41 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/explore"
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	sm "ssmfp/internal/statemodel"
 )
 
-// MCRow is one model-checking scenario's outcome.
+// MCRow is one model-checking scenario's outcome, as an E-MC table row.
 type MCRow struct {
 	Scenario  string
 	States    int
 	Terminals int
-	OK        bool
+	Verdict   string
 }
 
 // MCResult runs the exhaustive model-checking suite (experiment E-MC): the
 // key small scenarios explored over every central schedule (and, where
 // noted, every simultaneous pair), plus the literal-R5 counterexample,
-// whose witness schedule is reported.
+// whose witness schedule is reported (its row is last).
 type MCResult struct {
 	Rows            []MCRow
 	AllOK           bool
 	LiteralR5Found  bool
 	LiteralR5States int
 	Witness         []string
-	Table           *metrics.Table
 }
 
 // ExperimentMC runs the suite.
 func ExperimentMC() MCResult {
 	res := MCResult{AllOK: true}
-	t := metrics.NewTable("E-MC: exhaustive model checking (all central schedules)",
-		"scenario", "states", "terminals", "verdict")
 
 	add := func(name string, g *graph.Graph, cfg []sm.State, simultaneity int) {
 		opts := explore.CoreOptions(g)
 		opts.MaxSimultaneity = simultaneity
 		r := explore.Explore(g, core.FullProgram(g), cfg, opts)
-		row := MCRow{Scenario: name, States: r.States, Terminals: r.Terminals, OK: r.OK()}
-		if !row.OK {
+		if !r.OK() {
 			res.AllOK = false
 		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Scenario, row.States, row.Terminals, verdict(row.OK))
+		res.Rows = append(res.Rows, MCRow{name, r.States, r.Terminals, verdict(r.OK())})
 	}
 
 	// Clean line, one message.
@@ -100,10 +94,24 @@ func ExperimentMC() MCResult {
 		if !res.LiteralR5Found {
 			res.AllOK = false
 		}
-		t.AddRow("literal R5 (loss expected)", r.States, r.Terminals,
-			fmt.Sprintf("loss found, schedule %v", r.Witness))
+		res.Rows = append(res.Rows, MCRow{"literal R5 (loss expected)", r.States, r.Terminals,
+			fmt.Sprintf("loss found, schedule %v", r.Witness)})
 	}
-	res.Table = t
+	return res
+}
+
+func mcCell(Options, int) CellResult {
+	r := ExperimentMC()
+	res := CellResult{OK: r.AllOK}
+	states := 0
+	for _, row := range r.Rows {
+		states += row.States
+		res.Rows = append(res.Rows, []any{row.Scenario, row.States, row.Terminals, row.Verdict})
+	}
+	res.Measure = CellMeasure{Extra: map[string]float64{
+		"states_total":      float64(states),
+		"literal_r5_states": float64(r.LiteralR5States),
+	}}
 	return res
 }
 

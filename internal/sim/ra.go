@@ -6,47 +6,31 @@ import (
 	"ssmfp/internal/checker"
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
 
-// RARow is one routing-variant measurement.
-type RARow struct {
-	Variant      string
-	RoutingRound int // R_A: rounds until every table is canonical
-	ProbeDelay   int // rounds before the probe's R1 fires (Prop. 6 delay)
-	ProbeOK      bool
+// raRun is one routing variant's outcome.
+type raRun struct {
+	routingRound int // R_A: rounds until every table is canonical
+	probeDelay   int // rounds before the probe's R1 fires (Prop. 6 delay)
+	probeOK      bool
 }
 
-// RAResult isolates the max(R_A, ·) term of Propositions 5-7: the same
+// raCell isolates the max(R_A, ·) term of Propositions 5-7: the same
 // corrupted scenario is run with the normal routing algorithm A and with a
 // deliberately slowed variant (routing.NewSlowProgram). A is prioritized,
 // so a processor whose table is still wrong cannot execute R1; the probe's
 // generation delay (Prop. 6) therefore tracks the source's share of R_A —
 // the R_A branch of the paper's O(max(R_A, Δ^D)) bounds, exhibited
-// empirically. (End-to-end latency does NOT have to track global R_A: a
-// message only needs the tables along its own path, which usually repair
-// long before the whole network is silent — a nuance the bound hides.)
-type RAResult struct {
-	Rows   []RARow
-	Tracks bool // slow R_A > fast R_A and slow latency > fast latency
-	Table  *metrics.Table
-}
-
-// ExperimentRA runs the ablation.
-func ExperimentRA(seed int64) RAResult {
-	return ExperimentRAWith(Options{Seed: seed})
-}
-
-// ExperimentRAWith runs the ablation with explicit options.
-func ExperimentRAWith(o Options) RAResult {
+// empirically. The cell passes when the slow variant has both the larger
+// R_A and the larger delay. (End-to-end latency does NOT have to track
+// global R_A: a message only needs the tables along its own path, which
+// usually repair long before the whole network is silent — a nuance the
+// bound hides.)
+func raCell(o Options, _ int) CellResult {
 	seed := o.Seed
-	res := RAResult{}
-	t := metrics.NewTable("E-RA: generation delay tracks R_A (the max(R_A, ·) term of Props. 5-7)",
-		"routing variant", "R_A (rounds)", "probe generation delay (rounds)", "probe delivered")
-
-	run := func(name string, prog func(*graph.Graph, routing.Accessor) sm.Program) RARow {
+	run := func(prog func(*graph.Graph, routing.Accessor) sm.Program) raRun {
 		g := graph.Grid(3, 3)
 		rng := rand.New(rand.NewSource(seed))
 		// Corrupt only the routing tables, with maximal distance error at
@@ -67,34 +51,40 @@ func ExperimentRAWith(o Options) RAResult {
 		tr := checker.New(g)
 		tr.Attach(e)
 
-		row := RARow{Variant: name, RoutingRound: -1}
+		r := raRun{routingRound: -1}
 		for i := 0; i < 10_000_000; i++ {
 			if i%1024 == 0 && o.cancelled() {
 				break
 			}
-			if row.RoutingRound < 0 && routingCorrect(g, e) {
-				row.RoutingRound = e.Rounds()
+			if r.routingRound < 0 && routingCorrect(g, e) {
+				r.routingRound = e.Rounds()
 			}
 			if !e.Step() {
 				break
 			}
 		}
 		if gens := tr.GenerationRounds(); len(gens) == 1 {
-			row.ProbeDelay = gens[0]
-			row.ProbeOK = tr.AllValidDelivered() && len(tr.Violations()) == 0
+			r.probeDelay = gens[0]
+			r.probeOK = tr.AllValidDelivered() && len(tr.Violations()) == 0
 		}
-		return row
+		return r
 	}
 
-	fast := run("fast A (jump to target)", routing.NewProgram)
-	slow := run("slow A (unit steps)", routing.NewSlowProgram)
-	res.Rows = []RARow{fast, slow}
-	res.Tracks = fast.ProbeOK && slow.ProbeOK &&
-		slow.RoutingRound > fast.RoutingRound &&
-		slow.ProbeDelay > fast.ProbeDelay
-	for _, r := range res.Rows {
-		t.AddRow(r.Variant, r.RoutingRound, r.ProbeDelay, r.ProbeOK)
+	fast := run(routing.NewProgram)
+	slow := run(routing.NewSlowProgram)
+	return CellResult{
+		OK: fast.probeOK && slow.probeOK &&
+			slow.routingRound > fast.routingRound &&
+			slow.probeDelay > fast.probeDelay,
+		Rows: [][]any{
+			{"fast A (jump to target)", fast.routingRound, fast.probeDelay, fast.probeOK},
+			{"slow A (unit steps)", slow.routingRound, slow.probeDelay, slow.probeOK},
+		},
+		Measure: CellMeasure{Extra: map[string]float64{
+			"fast_ra_rounds":   float64(fast.routingRound),
+			"fast_probe_delay": float64(fast.probeDelay),
+			"slow_ra_rounds":   float64(slow.routingRound),
+			"slow_probe_delay": float64(slow.probeDelay),
+		}},
 	}
-	res.Table = t
-	return res
 }

@@ -2,9 +2,9 @@
 // experiments: topology + initial configuration (clean or adversarial) +
 // daemon + workload, executed on the state-model engine with the
 // specification oracles attached, yielding a structured Result. The
-// experiment drivers (experiments.go, figure3.go) regenerate every figure
-// and proposition of the paper; cmd/ssmfp-bench prints their tables and
-// bench_test.go turns each into a testing.B benchmark.
+// experiment registry (cells.go) regenerates every figure and proposition
+// of the paper as cells; cmd/ssmfp-bench prints their tables and
+// bench_test.go turns each experiment into a testing.B benchmark.
 package sim
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/metrics"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
 )
@@ -95,13 +96,35 @@ func TestNewDaemonKinds(t *testing.T) {
 	NewDaemon("bogus", 1, 5)
 }
 
+// runExp runs experiment id's cells at seed — the named variants, or all
+// of them — and fails the test on a RunCell error.
+func runExp(t testing.TB, id string, seed int64, variants ...string) []CellResult {
+	t.Helper()
+	if len(variants) == 0 {
+		for _, s := range CellGrid() {
+			if s.Exp == id {
+				variants = append(variants, s.Variant)
+			}
+		}
+	}
+	var out []CellResult
+	for _, v := range variants {
+		r, err := RunCell(CellSpec{Exp: id, Variant: v}, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestExperimentF1(t *testing.T) {
 	r := ExperimentF1()
 	if !r.Acyclic || r.Components != 5 || !r.AllTrees {
 		t.Fatalf("F1 failed: %+v", r)
 	}
-	if r.Table.Rows() != 5 {
-		t.Fatalf("F1 table rows = %d", r.Table.Rows())
+	if len(r.Rows) != 5 {
+		t.Fatalf("F1 table rows = %d", len(r.Rows))
 	}
 }
 
@@ -132,53 +155,55 @@ func TestExperimentF3(t *testing.T) {
 }
 
 func TestExperimentF4(t *testing.T) {
-	r := ExperimentF4(11)
-	if !r.Consistent {
-		t.Fatal("caterpillar census inconsistent (occupied buffers without a head)")
+	c := runExp(t, "f4", 11)[0]
+	if x := c.Measure.Extra; x["type1"] == 0 || x["type2"] == 0 || x["type3"] == 0 {
+		t.Fatalf("not all caterpillar types observed: %v", c.Rows)
 	}
-	if !r.AllTypesHit {
-		t.Fatalf("not all caterpillar types observed: %v", r.Seen)
+	if !c.OK {
+		t.Fatal("caterpillar census inconsistent (occupied buffers without a head)")
 	}
 }
 
 func TestExperimentP4(t *testing.T) {
-	r := ExperimentP4(3, []int{4, 6})
-	if !r.WithinBound {
-		t.Fatalf("Proposition 4 bound violated: %+v", r.Rows)
-	}
-	for _, row := range r.Rows {
-		if row.TotalDelivered == 0 {
+	for _, c := range runExp(t, "p4", 3, "n4", "n6") {
+		if !c.OK {
+			t.Fatalf("Proposition 4 bound violated: %v", c.Rows)
+		}
+		if c.Measure.DeliveredInvalid == 0 {
 			t.Fatal("expected some invalid deliveries under full corruption")
 		}
 	}
 }
 
 func TestExperimentP6(t *testing.T) {
-	r := ExperimentP6(5)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	cells := runExp(t, "p6", 5)
+	if len(cells) != 3 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	for _, row := range r.Rows {
-		if row.MaxWaiting <= 0 {
-			t.Fatalf("waiting time not measured: %+v", row)
+	for _, c := range cells {
+		if c.Measure.MaxWaitingRounds <= 0 {
+			t.Fatalf("waiting time not measured: %v", c.Rows)
 		}
 	}
 }
 
 func TestExperimentP7(t *testing.T) {
-	r := ExperimentP7(5, []int{2, 4, 6})
-	if !r.Within {
-		t.Fatalf("amortized complexity above 3D reference: %+v", r.Rows)
-	}
-	for _, row := range r.Rows {
-		if row.Deliveries == 0 || row.Amortized <= 0 {
-			t.Fatalf("bad row: %+v", row)
+	var ds, amortized []float64
+	for _, c := range runExp(t, "p7", 5, "d2", "d4", "d6") {
+		if !c.OK {
+			t.Fatalf("amortized complexity above 3D reference: %v", c.Rows)
 		}
+		m := c.Measure
+		if m.DeliveredValid+m.DeliveredInvalid == 0 || m.Extra["amortized"] <= 0 {
+			t.Fatalf("bad row: %v", c.Rows)
+		}
+		ds = append(ds, m.Extra["d"])
+		amortized = append(amortized, m.Extra["amortized"])
 	}
 	// Amortized cost must not explode: the fit over D should be sublinear
 	// in absolute terms (slope well below the 3·D proof constant).
-	if r.Fit.Slope > 3.0 {
-		t.Fatalf("amortized slope %v too steep", r.Fit.Slope)
+	if fit := metrics.LinearFit(ds, amortized); fit.Slope > 3.0 {
+		t.Fatalf("amortized slope %v too steep", fit.Slope)
 	}
 }
 
@@ -186,124 +211,175 @@ func TestExperimentP5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P5 sweep is the slowest experiment; skipped in -short mode")
 	}
-	r := ExperimentP5(5)
-	if !r.WithinBound {
-		t.Fatalf("Proposition 5 bound violated: %+v", r.Rows)
-	}
-	// Latency must grow with the diameter along the line sweep.
-	var lines []P5Row
-	for _, row := range r.Rows {
-		if strings.HasPrefix(row.Topology, "line-") {
-			lines = append(lines, row)
+	var lines []int
+	for _, c := range runExp(t, "p5", 5) {
+		if !c.OK {
+			t.Fatalf("Proposition 5 bound violated: %v", c.Rows)
+		}
+		if strings.HasPrefix(c.Spec.Variant, "line-") {
+			lines = append(lines, c.Measure.MaxLatencyRounds)
 		}
 	}
-	if len(lines) < 2 || lines[len(lines)-1].MaxLatency <= lines[0].MaxLatency {
-		t.Fatalf("latency should grow with D: %+v", lines)
+	// Latency must grow with the diameter along the line sweep.
+	if len(lines) < 2 || lines[len(lines)-1] <= lines[0] {
+		t.Fatalf("latency should grow with D: %v", lines)
 	}
 }
 
 func TestExperimentX1(t *testing.T) {
-	r := ExperimentX1(9)
-	if !r.SSMFPOK {
-		t.Fatalf("SSMFP failed in the comparison: %+v", r.Rows[0])
+	c := runExp(t, "x1", 9)[0]
+	if !c.OK {
+		t.Fatalf("SSMFP failed in the comparison: %v", c.Rows[0])
 	}
-	atomic, naive := r.Rows[1], r.Rows[2]
-	if !atomic.Stuck {
-		t.Fatalf("classical atomic controller should livelock in the loop: %+v", atomic)
+	// Columns: protocol, valid delivered, valid lost, violations, stuck.
+	classical, naive := c.Rows[1], c.Rows[2]
+	if !classical[4].(bool) {
+		t.Fatalf("classical atomic controller should livelock in the loop: %v", classical)
 	}
-	if naive.Lost == 0 && naive.Violations == 0 && !naive.Stuck {
-		t.Fatalf("naive port unexpectedly clean: %+v", naive)
+	if naive[2].(int) == 0 && naive[3].(int) == 0 && !naive[4].(bool) {
+		t.Fatalf("naive port unexpectedly clean: %v", naive)
 	}
 }
 
 func TestExperimentX2(t *testing.T) {
-	r := ExperimentX2(13)
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	cells := runExp(t, "x2", 13)
+	if len(cells) != 4 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	for _, row := range r.Rows {
-		if row.SSMFPMoves <= 0 || row.ClassicalMoves <= 0 {
-			t.Fatalf("bad row: %+v", row)
+	for _, c := range cells {
+		// Columns: topology, SSMFP moves/msg, classical moves/msg, overhead.
+		if row := c.Rows[0]; row[1].(float64) <= 0 || row[2].(float64) <= 0 {
+			t.Fatalf("bad row: %v", row)
 		}
-		if row.Overhead < 1 || row.Overhead > 8 {
-			t.Fatalf("overhead %v outside the 'small constant' claim", row.Overhead)
+		if o := c.Measure.Extra["overhead"]; o < 1 || o > 8 {
+			t.Fatalf("overhead %v outside the 'small constant' claim", o)
 		}
 	}
 }
 
 func TestExperimentX3(t *testing.T) {
-	r := ExperimentX3(21)
-	if !r.AllOK {
-		t.Fatalf("message-passing port violated exactly-once: %+v", r.Rows)
+	cells := runExp(t, "x3", 21)
+	for _, c := range cells {
+		if !c.OK {
+			t.Fatalf("message-passing port violated exactly-once: %v", c.Rows)
+		}
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(cells) != 3 {
+		t.Fatalf("cells = %d", len(cells))
 	}
 }
 
 func TestExperimentX4(t *testing.T) {
-	r := ExperimentX4(31)
-	if !r.AllOK {
-		t.Fatalf("acyclic-cover controller failed: %+v", r.Rows)
-	}
-	if r.Rows[0].AcyclicK != 3 {
-		t.Fatalf("ring cover size = %d, want 3 (the paper's '3 for a ring')", r.Rows[0].AcyclicK)
-	}
-	if r.Rows[1].AcyclicK != 2 {
-		t.Fatalf("tree cover size = %d, want 2 (the paper's '2 for a tree')", r.Rows[1].AcyclicK)
-	}
-	if r.Rows[0].Stretch <= 1.0 {
-		t.Fatalf("clockwise ring routing must show stretch > 1, got %v", r.Rows[0].Stretch)
-	}
-	if r.Rows[1].Stretch != 1.0 {
-		t.Fatalf("tree routing is minimal, stretch = %v", r.Rows[1].Stretch)
-	}
-	for _, row := range r.Rows {
-		if row.AcyclicK >= row.DestBased {
-			t.Fatalf("cover should beat the destination scheme on buffers: %+v", row)
+	cells := runExp(t, "x4", 31)
+	for _, c := range cells {
+		if !c.OK {
+			t.Fatalf("acyclic-cover controller failed: %v", c.Rows)
 		}
+		// Column 3 is the destination scheme's n buffers per node.
+		if k := c.Measure.Extra["cover_k"]; k >= float64(c.Rows[0][3].(int)) {
+			t.Fatalf("cover should beat the destination scheme on buffers: %v", c.Rows)
+		}
+	}
+	ring, tree := cells[0].Measure.Extra, cells[1].Measure.Extra
+	if ring["cover_k"] != 3 {
+		t.Fatalf("ring cover size = %v, want 3 (the paper's '3 for a ring')", ring["cover_k"])
+	}
+	if tree["cover_k"] != 2 {
+		t.Fatalf("tree cover size = %v, want 2 (the paper's '2 for a tree')", tree["cover_k"])
+	}
+	if ring["stretch"] <= 1.0 {
+		t.Fatalf("clockwise ring routing must show stretch > 1, got %v", ring["stretch"])
+	}
+	if tree["stretch"] != 1.0 {
+		t.Fatalf("tree routing is minimal, stretch = %v", tree["stretch"])
 	}
 }
 
 func TestExperimentX5(t *testing.T) {
-	r := ExperimentX5(33)
-	if len(r.Rows) != 3 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	cells := runExp(t, "x5", 33)
+	if len(cells) != 3 {
+		t.Fatalf("cells = %d", len(cells))
 	}
-	byPolicy := map[string]X5Row{}
-	for _, row := range r.Rows {
-		byPolicy[row.Policy] = row
-		if !row.AllDelivered {
-			t.Fatalf("policy %s failed to deliver (finite supply: even unfair policies finish): %+v", row.Policy, row)
+	probe := map[string]float64{}
+	for _, c := range cells {
+		probe[c.Spec.Variant] = c.Measure.Extra["probe_step"]
+		if !c.OK {
+			t.Fatalf("policy %s failed to deliver (finite supply: even unfair policies finish): %v", c.Spec.Variant, c.Rows)
 		}
-		if row.ProbeDelivery < 0 {
-			t.Fatalf("probe never delivered under %s", row.Policy)
+		if probe[c.Spec.Variant] < 0 {
+			t.Fatalf("probe never delivered under %s", c.Spec.Variant)
 		}
 	}
 	// The unfair policy must serve the probe later than the paper's queue.
-	if byPolicy["lowest-id"].ProbeDelivery <= byPolicy["fifo-queue"].ProbeDelivery {
-		t.Fatalf("lowest-id should starve the probe relative to the queue: %+v vs %+v",
-			byPolicy["lowest-id"], byPolicy["fifo-queue"])
+	if probe["lowest-id"] <= probe["fifo-queue"] {
+		t.Fatalf("lowest-id should starve the probe relative to the queue: %v", probe)
 	}
 }
 
 func TestExperimentX6(t *testing.T) {
-	r := ExperimentX6(35)
-	if !r.AllOK {
-		t.Fatalf("fault-storm experiment failed: %+v", r.Rows)
+	cells := runExp(t, "x6", 35)
+	for _, c := range cells {
+		if !c.OK {
+			t.Fatalf("fault-storm experiment failed: %v", c.Rows)
+		}
 	}
-	if r.Rows[len(r.Rows)-1].Compromised == 0 {
+	if cells[len(cells)-1].Measure.Extra["compromised"] == 0 {
 		t.Fatal("the heaviest storm should compromise something")
 	}
 }
 
 func TestExperimentRA(t *testing.T) {
-	r := ExperimentRA(47)
-	if !r.Tracks {
-		t.Fatalf("latency should track R_A: %+v", r.Rows)
+	c := runExp(t, "ra", 47)[0]
+	if !c.OK {
+		t.Fatalf("latency should track R_A: %v", c.Rows)
 	}
-	if r.Rows[0].RoutingRound < 0 || r.Rows[1].RoutingRound < 0 {
-		t.Fatalf("R_A never observed: %+v", r.Rows)
+	if x := c.Measure.Extra; x["fast_ra_rounds"] < 0 || x["slow_ra_rounds"] < 0 {
+		t.Fatalf("R_A never observed: %v", c.Rows)
+	}
+}
+
+// TestRunCellRejectsUnknown: a cell outside the registry is an error,
+// never a silent run of some other cell.
+func TestRunCellRejectsUnknown(t *testing.T) {
+	for _, spec := range []CellSpec{
+		{Exp: "nope"},
+		{Exp: "nope", Variant: "n4"},
+		{Exp: "p4", Variant: "n5"},
+		{Exp: "p4"},
+		{Exp: "f1", Variant: "x"},
+	} {
+		if _, err := RunCell(spec, Options{Seed: 1}); err == nil {
+			t.Errorf("RunCell(%s) succeeded, want an error", spec.Key())
+		}
+	}
+}
+
+// TestGridIsTheRegistry: every registry variant is one grid cell with its
+// heavy flag, in registry order, and the heavy set is the expected one.
+func TestGridIsTheRegistry(t *testing.T) {
+	grid := CellGrid()
+	i := 0
+	for _, e := range Experiments {
+		for _, v := range e.Variants {
+			want := CellSpec{Exp: e.ID, Variant: v.Name, Heavy: v.Heavy}
+			if i >= len(grid) || grid[i] != want {
+				t.Fatalf("grid cell %d: want %+v", i, want)
+			}
+			i++
+		}
+	}
+	if i != len(grid) {
+		t.Fatalf("grid has %d cells, registry %d", len(grid), i)
+	}
+	var heavy []string
+	for _, s := range grid {
+		if s.Heavy {
+			heavy = append(heavy, s.Key())
+		}
+	}
+	want := "f4 p4/n8 p4/n10 p5/line-9 p5/star-8 p7/d8 mc ep/grid-20x20 ep/random-100 ep/random-400"
+	if got := strings.Join(heavy, " "); got != want {
+		t.Fatalf("heavy cells: %s\nwant: %s", got, want)
 	}
 }
 

@@ -5,53 +5,35 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/metrics"
 	"ssmfp/internal/msgpass"
 )
 
-// X3Row is one configuration of the message-passing experiment.
-type X3Row struct {
-	Config      string
-	Sent        int
-	Delivered   int
-	Duplicates  int
-	WallTime    time.Duration
-	ExactlyOnce bool
-}
-
-// X3Result exercises the message-passing port (the paper's open problem,
-// §4): the same exactly-once guarantee on real asynchronous channels, with
-// corrupted initial state and lossy links.
-type X3Result struct {
-	Rows  []X3Row
-	AllOK bool
-	Table *metrics.Table
-}
-
-// x3Case is one regime of the message-passing experiment. The opts
-// constructor keeps the legacy seed offsets (seed, seed+1, seed+2) so the
-// regimes stay independent of which subset runs.
+// x3Case is one regime of the message-passing experiment; display is
+// its table label. The opts constructor keeps the seed offsets (seed,
+// seed+1, seed+2) so the regimes stay independent of which subset runs.
 type x3Case struct {
-	slug    string
+	Variant
 	display string
 	opts    func(seed int64) msgpass.Options
 }
 
-func x3Cases() []x3Case {
-	return []x3Case{
-		{"clean", "clean", func(s int64) msgpass.Options { return msgpass.Options{Seed: s} }},
-		{"corrupt", "corrupted init", func(s int64) msgpass.Options { return msgpass.Options{Seed: s + 1, CorruptInit: true} }},
-		{"corrupt-loss20", "corrupted + 20% loss", func(s int64) msgpass.Options {
-			return msgpass.Options{Seed: s + 2, CorruptInit: true, LossRate: 0.2}
-		}},
-	}
+// x3Cases runs the port in three regimes: clean, corrupted initial
+// state, and corrupted + 20% frame loss.
+var x3Cases = []x3Case{
+	{Variant{Name: "clean"}, "clean", func(s int64) msgpass.Options { return msgpass.Options{Seed: s} }},
+	{Variant{Name: "corrupt"}, "corrupted init", func(s int64) msgpass.Options { return msgpass.Options{Seed: s + 1, CorruptInit: true} }},
+	{Variant{Name: "corrupt-loss20"}, "corrupted + 20% loss", func(s int64) msgpass.Options {
+		return msgpass.Options{Seed: s + 2, CorruptInit: true, LossRate: 0.2}
+	}},
 }
 
-// x3Cell runs one regime of E-X3 on a 3x3 grid. Wall time is inherently
-// nondeterministic (real goroutines and channels); the deterministic part
-// of the measure is the delivery accounting.
-func x3Cell(o Options, idx int) (X3Row, CellMeasure) {
-	c := x3Cases()[idx]
+// x3Cell exercises the message-passing port (the paper's open problem,
+// §4) in one regime on a 3x3 grid: the same exactly-once guarantee on
+// real asynchronous channels. Wall time is inherently nondeterministic
+// (real goroutines and channels); the deterministic part of the measure
+// is the delivery accounting.
+func x3Cell(o Options, idx int) CellResult {
+	c := x3Cases[idx]
 	g := graph.Grid(3, 3)
 	nw := msgpass.New(g, c.opts(o.Seed))
 	nw.Start()
@@ -88,51 +70,23 @@ func x3Cell(o Options, idx int) (X3Row, CellMeasure) {
 	}
 	nw.Stop()
 
-	row := X3Row{Config: c.display, Sent: len(want), WallTime: wall.Round(time.Millisecond), ExactlyOnce: true}
+	delivered, duplicates := 0, 0
 	for uid := range want {
 		if counts[uid] >= 1 {
-			row.Delivered++
+			delivered++
 		}
 		if counts[uid] > 1 {
-			row.Duplicates += counts[uid] - 1
-			row.ExactlyOnce = false
+			duplicates += counts[uid] - 1
 		}
 	}
-	if row.Delivered != row.Sent {
-		row.ExactlyOnce = false
+	exactlyOnce := delivered == len(want) && duplicates == 0
+	return CellResult{
+		OK:   exactlyOnce,
+		Rows: [][]any{{c.display, len(want), delivered, duplicates, wall.Round(time.Millisecond).String(), exactlyOnce}},
+		Measure: CellMeasure{
+			Generated:      len(want),
+			DeliveredValid: delivered,
+			Extra:          map[string]float64{"duplicates": float64(duplicates)},
+		},
 	}
-	m := CellMeasure{
-		Generated:      row.Sent,
-		DeliveredValid: row.Delivered,
-		Extra:          map[string]float64{"duplicates": float64(row.Duplicates)},
-	}
-	return row, m
-}
-
-// ExperimentX3 runs the port in three regimes: clean, corrupted initial
-// state, and corrupted + 20% frame loss.
-func ExperimentX3(seed int64) X3Result {
-	return ExperimentX3With(Options{Seed: seed})
-}
-
-// ExperimentX3With runs E-X3 with explicit options; Options.Cases uses the
-// slugs clean, corrupt, corrupt-loss20.
-func ExperimentX3With(o Options) X3Result {
-	res := X3Result{AllOK: true}
-	t := metrics.NewTable("E-X3: message-passing port (goroutines + channels)",
-		"configuration", "sent", "delivered", "duplicates", "wall time", "exactly once")
-	for i, c := range x3Cases() {
-		if !o.wants(c.slug) || o.cancelled() {
-			continue
-		}
-		row, m := x3Cell(o, i)
-		o.report(c.slug, m)
-		if !row.ExactlyOnce {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, row)
-		t.AddRow(row.Config, row.Sent, row.Delivered, row.Duplicates, row.WallTime.String(), row.ExactlyOnce)
-	}
-	res.Table = t
-	return res
 }

@@ -53,12 +53,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the per-message lifecycle report (JSON) to this file")
 	httpAddr := flag.String("http", "", "serve /debug/vars, /debug/pprof and /debug/ssmfp on this address during the run")
 	flag.Parse()
-	if *paranoid {
-		// The engine is constructed inside sim.Run; the env var is how the
-		// default self-check mode reaches it.
-		os.Setenv("SSMFP_PARANOID", "1")
-	}
-
 	g, err := buildTopology(*topology, *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssmfp-sim:", err)
@@ -88,13 +82,14 @@ func main() {
 	}
 
 	sc := sim.Scenario{
-		Name:     fmt.Sprintf("%s-%d", *topology, g.N()),
-		Graph:    g,
-		Daemon:   sim.DaemonKind(*daemonKind),
-		Seed:     *seed,
-		Workload: w,
-		MaxSteps: *maxSteps,
-		Shards:   *shards,
+		Name:      fmt.Sprintf("%s-%d", *topology, g.N()),
+		Graph:     g,
+		Daemon:    sim.DaemonKind(*daemonKind),
+		Seed:      *seed,
+		Workload:  w,
+		MaxSteps:  *maxSteps,
+		Shards:    *shards,
+		SelfCheck: *paranoid,
 	}
 	switch *policy {
 	case "fifo-queue":

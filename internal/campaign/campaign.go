@@ -35,8 +35,7 @@ type Config struct {
 	// Quick skips the cells marked Heavy in the grid.
 	Quick bool
 
-	// Paranoid threads the engine differential self-check into every
-	// cell (the explicit replacement for the old SSMFP_PARANOID env var).
+	// Paranoid threads the engine differential self-check into every cell.
 	Paranoid bool
 
 	// Shards > 1 runs every cell's engines on the sharded parallel step

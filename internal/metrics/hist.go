@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Log-linear bucket layout of LatencyHist: values below histSub land in
@@ -16,37 +17,6 @@ const (
 	histSub     = 1 << histSubBits
 	histBuckets = (64 - histSubBits) * histSub
 )
-
-// HistBuckets is the number of buckets in the shared log-linear layout.
-// The telemetry registry's lock-free histograms accumulate into the same
-// bucket space (via HistBucketIndex) and reconstruct a LatencyHist with
-// HistFromCounts, so node-side and collector-side histograms merge and
-// quantile identically.
-const HistBuckets = histBuckets
-
-// HistBucketIndex maps a value to its bucket index in the shared layout;
-// negative values clamp to bucket 0.
-func HistBucketIndex(v int64) int { return histBucketOf(v) }
-
-// HistBucketRange returns the half-open value range [lo, hi) of bucket i.
-func HistBucketRange(i int) (lo, hi int64) { return histBucketBounds(i) }
-
-// HistFromCounts reconstructs a LatencyHist from externally accumulated
-// state: per-bucket counts in the shared layout plus the scalar summary.
-// counts longer than HistBuckets panics; shorter is zero-padded. min/max
-// are ignored when count is 0.
-func HistFromCounts(counts []int64, count, sum, min, max int64) LatencyHist {
-	if len(counts) > histBuckets {
-		panic("metrics: HistFromCounts: too many buckets")
-	}
-	var h LatencyHist
-	copy(h.counts[:], counts)
-	h.count, h.sum = count, sum
-	if count > 0 {
-		h.min, h.max = min, max
-	}
-	return h
-}
 
 // LatencyHist is a mergeable log-bucketed histogram of non-negative int64
 // observations (the load subsystem feeds it latencies in nanoseconds).
@@ -89,6 +59,73 @@ func histBucketBounds(i int) (lo, hi int64) {
 	width := int64(1) << (uint(exp) - histSubBits)
 	lo = (histSub + int64(i%histSub)) << (uint(exp) - histSubBits)
 	return lo, lo + width
+}
+
+// AtomicHist is a lock-free accumulator over the LatencyHist bucket
+// layout, for hot paths that many goroutines update (the telemetry
+// registry's histograms). Observe is atomics only and allocation-free;
+// Snapshot reconstructs a LatencyHist, so concurrently accumulated
+// histograms quantile and merge exactly like LatencyHist. Min/max are
+// maintained with CAS loops, so a snapshot taken under concurrent
+// Observe calls is a consistent-enough summary (counts may lag sum by
+// in-flight observations; both are monotone). Build it with
+// NewAtomicHist.
+type AtomicHist struct {
+	counts [histBuckets]atomic.Int64
+	count  atomic.Int64
+	sum    atomic.Int64
+	min    atomic.Int64 // MaxInt64 until the first observation
+	max    atomic.Int64
+}
+
+// NewAtomicHist returns an empty AtomicHist.
+func NewAtomicHist() *AtomicHist {
+	h := &AtomicHist{}
+	h.min.Store(math.MaxInt64)
+	return h
+}
+
+// Observe folds one observation (negative values clamp to 0, matching
+// LatencyHist.Add).
+func (h *AtomicHist) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.counts[histBucketOf(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+	for {
+		m := h.min.Load()
+		if v >= m || h.min.CompareAndSwap(m, v) {
+			break
+		}
+	}
+	for {
+		m := h.max.Load()
+		if v <= m || h.max.CompareAndSwap(m, v) {
+			break
+		}
+	}
+}
+
+// Count returns the number of observations so far.
+func (h *AtomicHist) Count() int64 { return h.count.Load() }
+
+// Snapshot reconstructs the accumulated state as a LatencyHist, ready for
+// Quantile, Merge, and the sparse JSON encoding.
+func (h *AtomicHist) Snapshot() LatencyHist {
+	var out LatencyHist
+	for i := range h.counts {
+		out.counts[i] = h.counts[i].Load()
+	}
+	out.count, out.sum = h.count.Load(), h.sum.Load()
+	if out.count > 0 {
+		if out.min = h.min.Load(); out.min == math.MaxInt64 {
+			out.min = 0
+		}
+		out.max = h.max.Load()
+	}
+	return out
 }
 
 // Add folds one observation into the histogram.

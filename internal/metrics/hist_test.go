@@ -135,3 +135,28 @@ func TestHistEmptyAndSingle(t *testing.T) {
 		}
 	}
 }
+
+// TestHistMatchesLatencyHist holds the shared-bucket contract: an
+// AtomicHist fed the same observations as a LatencyHist snapshots to the
+// identical histogram — buckets, summary and quantiles.
+func TestHistMatchesLatencyHist(t *testing.T) {
+	h := NewAtomicHist()
+	var want LatencyHist
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		v := rng.Int63n(1 << 30)
+		h.Observe(v)
+		want.Add(v)
+	}
+	got := h.Snapshot()
+	if got != want {
+		t.Fatalf("snapshot differs from LatencyHist: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
+			got.Count(), got.Sum(), got.Min(), got.Max(),
+			want.Count(), want.Sum(), want.Min(), want.Max())
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+		if got.Quantile(q) != want.Quantile(q) {
+			t.Fatalf("q%.3f: got %d want %d", q, got.Quantile(q), want.Quantile(q))
+		}
+	}
+}

@@ -495,12 +495,15 @@ func (nw *Network) QueueDepths() []QueueDepth {
 		if n == nil {
 			continue
 		}
-		pending := int(n.tg.pending.Load())
 		wireOut := 0
 		for _, l := range *n.outp.Load() {
 			wireOut += l.Stats().Queued
 		}
+		// Pending and its breakdown come from one locked read, so
+		// Pending == sum(PendingByDest) in every snapshot; the lock-free
+		// gauge R1 checks can lag a concurrent Send.
 		var byDest map[graph.ProcessID]int
+		pending := 0
 		n.mu.Lock()
 		inbox := len(n.inbox)
 		for d := range n.pendingByDest {
@@ -509,6 +512,7 @@ func (nw *Network) QueueDepths() []QueueDepth {
 					byDest = make(map[graph.ProcessID]int)
 				}
 				byDest[graph.ProcessID(d)] = c
+				pending += c
 			}
 		}
 		n.mu.Unlock()

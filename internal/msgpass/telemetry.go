@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/metrics"
 	"ssmfp/internal/telemetry"
 	"ssmfp/internal/transport"
 )
@@ -44,9 +45,9 @@ type netTelemetry struct {
 	// offer waited at a congested hop (park), and time between arrival at
 	// the destination and the R6 consumption (deliver). The residual of
 	// the collector's end-to-end measurement is wire transfer.
-	compQueued  *telemetry.Hist
-	compPark    *telemetry.Hist
-	compDeliver *telemetry.Hist
+	compQueued  *metrics.AtomicHist
+	compPark    *metrics.AtomicHist
+	compDeliver *metrics.AtomicHist
 }
 
 func newNetTelemetry(reg *telemetry.Registry) *netTelemetry {
@@ -82,7 +83,7 @@ func newNetTelemetry(reg *telemetry.Registry) *netTelemetry {
 		"Local drains that completed (the processor detached from the member set).")
 	t.drainHandoffs = reg.Counter(telemetry.SeriesDrainHandoffs,
 		"Buffered messages a draining processor handed off to live neighbors.")
-	comp := func(c string) *telemetry.Hist {
+	comp := func(c string) *metrics.AtomicHist {
 		return reg.Hist(telemetry.SeriesLatencyComponent,
 			"Per-hop latency attribution components, nanoseconds.",
 			telemetry.L("component", c))

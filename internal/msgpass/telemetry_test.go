@@ -194,6 +194,46 @@ func TestWatermarkViolationTelemetry(t *testing.T) {
 	}
 }
 
+// TestQueueDepthsPendingMatchesBreakdown snapshots a running network
+// over and over while sends flow and R1 drains them: every row's Pending
+// must equal the sum of its PendingByDest, i.e. both come from one read.
+func TestQueueDepthsPendingMatchesBreakdown(t *testing.T) {
+	nw := New(graph.Ring(4), Options{Seed: 1})
+	nw.Start()
+	defer nw.Stop()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 400; i++ {
+			src := graph.ProcessID(i % 4)
+			if _, err := nw.Send(src, "q", (src+2)%4); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for snaps := 0; ; snaps++ {
+		for _, q := range nw.QueueDepths() {
+			sum := 0
+			for _, c := range q.PendingByDest {
+				sum += c
+			}
+			if q.Pending != sum {
+				t.Fatalf("snapshot %d: proc %d Pending=%d but PendingByDest %v sums to %d",
+					snaps, q.Proc, q.Pending, q.PendingByDest, sum)
+			}
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+	}
+}
+
 // TestQueueDepthsParkedAndPendingByDest: the cold-path occupancy snapshot
 // carries the new parked count and the per-destination pending breakdown.
 func TestQueueDepthsParkedAndPendingByDest(t *testing.T) {

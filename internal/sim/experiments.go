@@ -25,11 +25,9 @@ func correctTables(g *graph.Graph) []*routing.NodeState {
 	return ts
 }
 
-// Options parameterizes one experiment cell explicitly. It replaces the
-// SSMFP_PARANOID environment variable as the way paranoia reaches the
-// engines a cell constructs: the campaign runner executes many cells
-// concurrently in one process, so per-run configuration must not live in
-// process-global mutable state.
+// Options parameterizes one experiment cell explicitly: the campaign
+// runner executes many cells concurrently in one process, so per-run
+// configuration must not live in process-global mutable state.
 type Options struct {
 	// Seed is the experiment's base seed; a cell derives its own seeds
 	// from it by canonical case index (or sweep parameter), so a cell's

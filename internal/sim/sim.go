@@ -74,10 +74,8 @@ type Scenario struct {
 	// but not exact. Result.Interrupted reports an abort.
 	Ctx context.Context
 
-	// SelfCheck forces the engine's differential self-check on — the
-	// explicit, per-run replacement for the SSMFP_PARANOID environment
-	// variable (campaign workers run in one process; an env var would be
-	// shared mutable state across concurrent cells). False leaves the
+	// SelfCheck forces the engine's differential self-check (and its
+	// boundary-conflict oracle) on for this run. False leaves the
 	// engine's default (on under `go test`, off otherwise).
 	SelfCheck bool
 

@@ -2,7 +2,6 @@ package statemodel
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -29,7 +28,7 @@ type Stats struct {
 
 	SelfChecks int // naive recomputations performed by the self-check mode
 
-	// Sharded-engine counters (zero on a serial engine).
+	// Sharded-engine counters (zero with one shard).
 	ParallelBatches int   // non-adjacent execution batches run concurrently
 	ParallelMoves   int64 // selections executed through the parallel path
 	BoundaryChecks  int   // batches re-verified by the boundary-conflict oracle
@@ -45,13 +44,16 @@ type Stats struct {
 // re-evaluated, since a guard at p reads only N[p] — the locality that
 // View.Read enforces on protocol code. WithIncremental(false) restores
 // the naive full scan per step; WithSelfCheck(true) — the default under
-// `go test` and when SSMFP_PARANOID is set — recomputes the enabled set
-// naively every step and panics with a minimal diff on any divergence.
+// `go test` — recomputes the enabled set naively every step, panicking
+// with a minimal diff on any divergence, and runs the boundary-conflict
+// oracle on every parallel batch.
 //
-// WithShards(k, seed) turns on the sharded parallel step engine (see
-// parallel.go): guard scans and non-adjacent action batches execute
-// concurrently across workers, with results merged in canonical order so
-// the execution stays bit-identical to the serial engine at any k.
+// Every step runs one code path: evaluate guards into canonical slots,
+// merge them into the enabled set, let the daemon select, and execute
+// each selection through one executor against the pre-step snapshot.
+// WithShards(k, seed) only lets that path fan out across k workers (see
+// parallel.go); a serial engine is the sharded engine with one shard, so
+// executions are bit-identical at any k.
 type Engine struct {
 	g       *graph.Graph
 	program Program
@@ -69,8 +71,8 @@ type Engine struct {
 	// current round that have neither executed nor been neutralized yet.
 	roundPending map[graph.ProcessID]bool
 	roundOpen    bool
-	lastEnabled  []Choice
-	inStep       bool // Rounds() settles lazily only between steps
+	lastEnabled  []Choice // the previous step's pre-step set, to detect neutralizations
+	inStep       bool     // Rounds() settles lazily only between steps
 
 	// incremental enabled-set cache
 	incremental  bool
@@ -81,24 +83,25 @@ type Engine struct {
 	dirtyList    []graph.ProcessID
 	stats        Stats
 
-	// sharded parallel execution (parallel.go); nil = serial engine
-	part          *graph.Partition
-	boundaryCheck *bool // nil = follow selfCheck
+	all []graph.ProcessID // every processor, ascending: a full scan's re-evaluation set
+
+	// sharded execution (parallel.go); nil = one shard
+	part *graph.Partition
 }
 
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
 
-// WithIncremental toggles the incremental enabled-set cache (default on;
-// the environment variable SSMFP_INCREMENTAL=0 flips the default off).
+// WithIncremental toggles the incremental enabled-set cache (default on).
 func WithIncremental(on bool) EngineOption {
 	return func(e *Engine) { e.incremental = on }
 }
 
 // WithSelfCheck toggles the differential self-check: every Step recomputes
 // the enabled set with the naive full scan and panics with a minimal diff
-// if the incremental cache diverged. The default is on under `go test`
-// (testing.Testing()) and when SSMFP_PARANOID is set, off otherwise.
+// if the incremental cache diverged; it also turns on the boundary-conflict
+// oracle of sharded batches. The default is on under `go test`
+// (testing.Testing()), off otherwise.
 func WithSelfCheck(on bool) EngineOption {
 	return func(e *Engine) { e.selfCheck = on }
 }
@@ -129,10 +132,14 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		states:       append([]State(nil), initial...),
 		moves:        make(map[string]int),
 		roundPending: make(map[graph.ProcessID]bool),
-		incremental:  os.Getenv("SSMFP_INCREMENTAL") != "0",
-		selfCheck:    testing.Testing() || os.Getenv("SSMFP_PARANOID") != "",
+		incremental:  true,
+		selfCheck:    testing.Testing(),
 		dirty:        make([]bool, g.N()),
+		all:          make([]graph.ProcessID, g.N()),
 		bus:          obs.NewBus(),
+	}
+	for p := range e.all {
+		e.all[p] = graph.ProcessID(p)
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -281,52 +288,34 @@ func (e *Engine) clearDirty() {
 	e.dirtyList = e.dirtyList[:0]
 }
 
-// enabledCurrent returns the enabled choices of the current configuration.
-// In incremental mode the memoized list is returned, flushing any dirty
-// closed neighborhoods first; callers inside the engine must not mutate
-// it. Every rebuild allocates a fresh slice, so a list handed out before a
-// flush (e.g. the pre-step set a Step holds) stays intact.
+// enabledCurrent returns the enabled choices of the current configuration:
+// a full scan when the cache is off or invalid, otherwise the memoized
+// list with the closed neighborhoods of the dirty processors re-evaluated
+// first. Both are one evaluate over a re-evaluation set and one mergeDelta.
+// Callers inside the engine must not mutate the list. Every rebuild
+// allocates a fresh slice, so a list handed out before a flush (e.g. the
+// pre-step set a Step holds) stays intact.
 func (e *Engine) enabledCurrent() []Choice {
-	if !e.incremental {
+	var reeval []graph.ProcessID
+	switch {
+	case !e.incremental || !e.enabledValid:
 		e.stats.FullScans++
-		e.stats.ProcsEvaluated += int64(e.g.N())
-		return e.fullScan()
-	}
-	if !e.enabledValid {
-		e.stats.FullScans++
-		e.stats.ProcsEvaluated += int64(e.g.N())
-		e.enabledList = e.fullScan()
-		e.enabledValid = true
-		e.clearDirty()
-		return e.enabledList
-	}
-	if len(e.dirtyList) > 0 {
+		reeval, e.enabledList = e.all, nil
+		e.enabledValid = e.incremental
+	case len(e.dirtyList) > 0:
 		e.stats.Flushes++
 		e.stats.DirtyMarks += int64(len(e.dirtyList))
-		var out []Choice
-		var evaluated int
-		if e.part != nil {
-			out, evaluated = e.parFlushEnabled(e.enabledList, e.dirtyList, &e.stats.GuardEvals)
-		} else {
-			out, evaluated = enabledDelta(e.g, e.rules, e.states, e.enabledList, e.dirtyList, e.step, &e.stats.GuardEvals)
-		}
-		e.stats.ProcsEvaluated += int64(evaluated)
-		e.stats.ProcsSkipped += int64(e.g.N() - evaluated)
-		e.enabledList = out
-		e.clearDirty()
+		reeval = closedNeighborhood(e.g, e.dirtyList)
+		e.stats.ProcsSkipped += int64(e.g.N() - len(reeval))
+	default:
+		return e.enabledList
 	}
+	slots, evals := evaluate(e.g, e.rules, e.states, reeval, e.step, e.Shards())
+	e.stats.GuardEvals += evals
+	e.stats.ProcsEvaluated += int64(len(reeval))
+	e.enabledList = mergeDelta(e.enabledList, reeval, slots)
+	e.clearDirty()
 	return e.enabledList
-}
-
-// fullScan computes the complete enabled set, sharded across workers
-// when the engine is parallel and the graph is large enough to pay for
-// the fan-out. Both paths yield the same list and guard-evaluation
-// count.
-func (e *Engine) fullScan() []Choice {
-	if e.part != nil && e.g.N() >= parScanMinProcs {
-		return e.parScanEnabled(&e.stats.GuardEvals)
-	}
-	return scanEnabled(e.g, e.rules, e.states, e.step, &e.stats.GuardEvals)
 }
 
 // selfCheckEnabled recomputes the enabled set with the naive full scan and
@@ -424,46 +413,34 @@ func (e *Engine) Step() bool {
 	sels := e.daemon.Select(e.step, enabled)
 	e.validateSelections(enabled, sels)
 
-	// Execute all selected actions against the same pre-step snapshot.
-	snapshot := e.states
-	newStates := make(map[graph.ProcessID]State, len(sels))
+	// Execute every selection against the same pre-step snapshot, then
+	// commit. One shard (or one selection) runs them in order; more run
+	// non-adjacent batches concurrently, merged in canonical order.
+	next := make([]State, len(sels))
 	var events []Event
-	observing := e.bus.Active()
 	var typed []obs.Event
-	if e.part != nil && len(sels) > 1 {
-		// Sharded path: execute non-adjacent batches concurrently into
-		// per-selection slots, then merge in canonical selection order so
-		// the commit, the event stream, and the move counts are identical
-		// to the serial loop below.
-		results := e.executeParallel(sels, snapshot, observing)
+	var tb *[]obs.Event
+	if e.bus.Active() {
+		tb = &typed
+	}
+	if e.part == nil || len(sels) == 1 {
 		for i, sel := range sels {
-			newStates[sel.Process] = results[i].state
-			events = append(events, results[i].events...)
-			e.moves[e.rules[sel.Rule].Name]++
-			if observing {
-				typed = append(typed, results[i].typed...)
-			}
+			next[i] = e.execute(sel, &events, tb)
 		}
 	} else {
-		e.executeSerial(sels, snapshot, observing, newStates, &events, &typed)
+		e.executeBatches(sels, next, &events, tb)
 	}
-	for p, s := range newStates {
-		e.states[p] = s
-		e.markDirty(p)
-	}
-	for _, sel := range sels {
+	for i, sel := range sels {
+		e.states[sel.Process] = next[i]
+		e.markDirty(sel.Process)
+		e.moves[e.rules[sel.Rule].Name]++
 		delete(e.roundPending, sel.Process)
 	}
-	e.rememberEnabled(enabled)
-	for i := range events {
-		if events[i].Rule == "" {
-			// Events emitted via View.Emit carry the rule of the emitting
-			// selection; fill it from the matching fire event if absent.
-			events[i].Rule = ruleOf(events, i)
-		}
-		e.publish(events[i])
+	e.lastEnabled = enabled
+	for _, ev := range events {
+		e.publish(ev)
 	}
-	if observing {
+	if tb != nil {
 		for _, ev := range typed {
 			e.bus.Publish(ev)
 		}
@@ -474,57 +451,18 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// executeSerial is the original single-goroutine execution loop.
-func (e *Engine) executeSerial(sels []Selection, snapshot []State, observing bool, newStates map[graph.ProcessID]State, eventsOut *[]Event, typedOut *[]obs.Event) {
-	events := *eventsOut
-	typed := *typedOut
-	for _, sel := range sels {
-		r := e.rules[sel.Rule]
-		v := &View{
-			id:       sel.Process,
-			g:        e.g,
-			snapshot: snapshot,
-			self:     snapshot[sel.Process].Clone(),
-			step:     e.step,
-			events:   &events,
-		}
-		typedStart := 0
-		if observing {
-			typedStart = len(typed)
-			v.obsBuf = &typed
-		}
-		// Guards were evaluated on this same snapshot when computing the
-		// enabled set, so the action's precondition still holds.
-		r.Action(v)
-		newStates[sel.Process] = v.self
-		events = append(events, Event{Step: e.step, Process: sel.Process, Rule: r.Name, Kind: "fire"})
-		e.moves[r.Name]++
-		if observing {
-			for i := typedStart; i < len(typed); i++ {
-				typed[i].Step = e.step
-				typed[i].Round = e.rounds
-				typed[i].Proc = sel.Process
-				typed[i].Rule = r.Name
-			}
-			typed = append(typed, obs.Event{
-				Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: r.Name,
-			})
-		}
+// execute is the engine's one executor: it runs sel against the pre-step
+// snapshot (apply), appends the action's events and then its fire marker
+// to the given buffers, and returns the successor state. typed is nil
+// when no bus subscriber is attached.
+func (e *Engine) execute(sel Selection, events *[]Event, typed *[]obs.Event) State {
+	name := e.rules[sel.Rule].Name
+	s := apply(e.g, e.rules, e.states, sel, e.step, e.rounds, events, typed)
+	*events = append(*events, Event{Step: e.step, Process: sel.Process, Rule: name, Kind: "fire"})
+	if typed != nil {
+		*typed = append(*typed, obs.Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: name})
 	}
-	*eventsOut = events
-	*typedOut = typed
-}
-
-// ruleOf backfills the rule name for an Emit event from the next "fire"
-// event of the same processor in the same step (actions emit before the
-// engine appends the fire marker).
-func ruleOf(events []Event, i int) string {
-	for j := i + 1; j < len(events); j++ {
-		if events[j].Kind == "fire" && events[j].Process == events[i].Process {
-			return events[j].Rule
-		}
-	}
-	return ""
+	return s
 }
 
 func (e *Engine) validateSelections(enabled []Choice, sels []Selection) {
@@ -556,12 +494,6 @@ func (e *Engine) validateSelections(enabled []Choice, sels []Selection) {
 }
 
 // --- round accounting -------------------------------------------------
-
-// rememberEnabled stores the pre-step enabled set so the next step can
-// detect neutralizations (enabled before, not enabled after, not executed).
-func (e *Engine) rememberEnabled(enabled []Choice) {
-	e.lastEnabled = enabled
-}
 
 // closeRoundBookkeeping runs when a fresh enabled set is known: any
 // processor still pending in the current round that was enabled at the

@@ -73,7 +73,7 @@ func TestShardedMatchesSerialEveryStep(t *testing.T) {
 		}
 		serial := NewEngine(g, prog, daemon(), clone(), WithSelfCheck(false))
 		sharded := NewEngine(g, prog, daemon(), clone(),
-			WithShards(shards, seed), WithSelfCheck(false), WithBoundaryCheck(true))
+			WithShards(shards, seed), WithSelfCheck(true))
 		var serialEvents, shardedEvents []string
 		serial.Subscribe(func(ev Event) {
 			serialEvents = append(serialEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Process, ev.Rule, ev.Kind))
@@ -133,7 +133,7 @@ func TestShardedExercisesParallelPath(t *testing.T) {
 		cfg[i] = &intState{v: i % 5}
 	}
 	e := NewEngine(g, maxProgram(), allDaemon{}, cfg,
-		WithShards(4, 1), WithSelfCheck(false), WithBoundaryCheck(true))
+		WithShards(4, 1), WithSelfCheck(true))
 	e.Run(100, nil)
 	st := e.Stats()
 	if st.ParallelBatches == 0 || st.ParallelMoves == 0 {
@@ -242,7 +242,7 @@ func TestShardedWithSelfCheck(t *testing.T) {
 		cfg[i] = &intState{v: (i * 7) % 4}
 	}
 	e := NewEngine(g, maxProgram(), allDaemon{}, cfg,
-		WithShards(3, 5), WithSelfCheck(true), WithBoundaryCheck(true))
+		WithShards(3, 5), WithSelfCheck(true))
 	_, terminal := e.Run(200, nil)
 	if !terminal {
 		t.Fatal("max protocol should reach a terminal configuration")
@@ -252,8 +252,9 @@ func TestShardedWithSelfCheck(t *testing.T) {
 	}
 }
 
-// TestParScanMatchesSerialScan compares the sharded full scan against
-// the serial one on graphs above the fan-out threshold.
+// TestParScanMatchesSerialScan compares the sharded full scan (evaluate
+// fanned out over four workers, then mergeDelta) against the naive
+// reference scan on graphs above the fan-out threshold.
 func TestParScanMatchesSerialScan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -264,8 +265,8 @@ func TestParScanMatchesSerialScan(t *testing.T) {
 			cfg[i] = &intState{v: rng.Intn(6)}
 		}
 		e := NewEngine(g, maxProgram(), allDaemon{}, cfg, WithShards(4, seed), WithSelfCheck(false))
-		var evals int64
-		got := e.parScanEnabled(&evals)
+		slots, evals := evaluate(g, e.rules, e.states, e.all, 0, e.Shards())
+		got := mergeDelta(nil, e.all, slots)
 		var wantEvals int64
 		want := scanEnabled(g, e.rules, e.states, 0, &wantEvals)
 		if d := diffEnabled(e.rules, want, got); d != "" {

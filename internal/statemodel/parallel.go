@@ -2,6 +2,7 @@ package statemodel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,32 +10,33 @@ import (
 	"ssmfp/internal/obs"
 )
 
-// Sharded parallel step engine.
+// Sharded execution.
 //
-// WithShards(k, seed) partitions the graph into k seeded, deterministic
-// shards (graph.Partition) and makes the engine execute its two hot
-// loops concurrently across a per-operation worker fan-out:
+// A serial engine is the sharded engine with one shard: every step runs
+// the same code at any shard count, and WithShards(k, seed) only changes
+// how many workers that code may use. The graph is partitioned into k
+// seeded, deterministic shards (graph.Partition), and the two hot loops
+// fan out:
 //
-//   - guard evaluation: full scans and incremental flushes evaluate each
-//     processor's choice into a canonical-index slot from multiple
-//     workers, then merge the slots in ascending processor order — the
-//     same order the serial scan produces;
+//   - guard evaluation: evaluate fills one canonical slot per processor
+//     of the re-evaluation set (every processor for a full scan, N[dirty]
+//     for a flush) and mergeDelta folds the slots into the previous
+//     enabled list in ascending processor order;
 //   - action execution: the daemon's selections are planned into batches
 //     such that no two processors in one batch are adjacent (the
 //     concurrency discipline of the paper's distributed daemon, where
 //     only non-neighboring processors move simultaneously), each batch
 //     is split across workers along shard ownership, every action runs
-//     against the immutable pre-step snapshot into a per-selection
-//     result slot, and the slots are committed in canonical selection
-//     order.
+//     against the immutable pre-step snapshot into a per-selection slot,
+//     and the slots are concatenated in canonical selection order.
 //
-// Because every worker writes only to slots indexed canonically and all
-// merges walk the slots in canonical order, a run with any shard count
-// is bit-identical to the serial run: same states after every step, same
-// event stream, same move counts, same guard-evaluation totals. The
-// boundary-conflict oracle (WithBoundaryCheck, on by default under `go
-// test` like the differential self-check) independently re-verifies the
-// non-adjacency of every executed batch and panics on a violation.
+// Because every worker writes only to canonically indexed slots and
+// every merge walks them in canonical order, a run with any shard count
+// produces the same states after every step, the same event stream, the
+// same move counts and the same guard-evaluation totals. Whenever the
+// differential self-check runs, the boundary-conflict oracle also
+// re-verifies the non-adjacency of every executed batch and panics on a
+// violation.
 
 // parScanMinProcs is the smallest evaluation set worth fanning out;
 // below it the goroutine overhead exceeds the guard work.
@@ -43,8 +45,8 @@ const parScanMinProcs = 64
 // WithShards runs the engine's guard evaluation and action execution on
 // a sharded worker fan-out: the graph is partitioned into k seeded,
 // deterministic shards and each parallel operation splits along shard
-// ownership. k <= 1 keeps the serial engine. Executions are bit-identical
-// for every k — sharding only changes wall-clock time.
+// ownership. k <= 1 keeps one shard. Executions are bit-identical for
+// every k — sharding only changes wall-clock time.
 func WithShards(k int, seed int64) EngineOption {
 	return func(e *Engine) {
 		if k <= 1 {
@@ -55,16 +57,7 @@ func WithShards(k int, seed int64) EngineOption {
 	}
 }
 
-// WithBoundaryCheck toggles the boundary-conflict oracle: after every
-// parallel batch executes, the oracle independently asserts that no two
-// processors that moved in that batch are adjacent, and panics naming
-// the conflicting edge otherwise. The default follows the differential
-// self-check (on under `go test` and SSMFP_PARANOID, off otherwise).
-func WithBoundaryCheck(on bool) EngineOption {
-	return func(e *Engine) { e.boundaryCheck = &on }
-}
-
-// Shards returns the configured shard count (1 = serial engine).
+// Shards returns the configured shard count.
 func (e *Engine) Shards() int {
 	if e.part == nil {
 		return 1
@@ -72,21 +65,11 @@ func (e *Engine) Shards() int {
 	return e.part.K()
 }
 
-// boundaryCheckOn resolves the oracle default lazily so option order
-// does not matter: explicit WithBoundaryCheck wins, otherwise the oracle
-// follows the self-check mode.
-func (e *Engine) boundaryCheckOn() bool {
-	if e.boundaryCheck != nil {
-		return *e.boundaryCheck
-	}
-	return e.selfCheck
-}
-
-// fanOut runs tasks 0..n-1 on up to K workers (never more than tasks).
-// Assignment is dynamic (atomic counter): callers must write results
-// into canonically indexed slots, never append from workers.
-func (e *Engine) fanOut(n int, task func(i int)) {
-	workers := e.part.K()
+// fanOut runs tasks 0..n-1 on up to workers goroutines (never more than
+// tasks; one worker runs them inline). Assignment is dynamic (atomic
+// counter): callers must write results into canonically indexed slots,
+// never append from workers.
+func fanOut(workers, n int, task func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -114,61 +97,50 @@ func (e *Engine) fanOut(n int, task func(i int)) {
 	wg.Wait()
 }
 
-// parScanEnabled is the sharded full scan: workers evaluate whole shards
-// (each shard's members in ascending ID order) into per-shard slots, and
-// the slots are merged in ascending processor order — byte-identical to
-// scanEnabled's output. Guard evaluations accumulate per shard and are
-// summed canonically.
-func (e *Engine) parScanEnabled(guardEvals *int64) []Choice {
-	k := e.part.K()
-	perShard := make([][]Choice, k)
-	evals := make([]int64, k)
-	e.fanOut(k, func(s int) {
-		var cnt *int64
-		if guardEvals != nil {
-			cnt = &evals[s]
-		}
-		for _, p := range e.part.Members(s) {
-			if c := enabledAtConfig(e.g, e.rules, e.states, p, e.step, cnt); len(c.Rules) > 0 {
-				perShard[s] = append(perShard[s], c)
-			}
-		}
-	})
-	if guardEvals != nil {
-		for _, v := range evals {
-			*guardEvals += v
-		}
+// --- enabled-set evaluation --------------------------------------------
+
+// closedNeighborhood returns N[changed] — every changed processor plus
+// its neighbors, deduplicated and sorted ascending: the only processors
+// whose guards can read a changed state.
+func closedNeighborhood(g *graph.Graph, changed []graph.ProcessID) []graph.ProcessID {
+	n := len(changed)
+	for _, p := range changed {
+		n += g.Degree(p)
 	}
-	return mergeChoices(perShard)
+	out := make([]graph.ProcessID, 0, n)
+	for _, p := range changed {
+		out = append(out, p)
+		out = append(out, g.Neighbors(p)...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// parFlushEnabled is the sharded incremental flush: the re-evaluation
-// set N[changed] is computed exactly as in enabledDelta, its members are
-// evaluated into canonical-index slots from the worker fan-out, and the
-// merge with the previous enabled list runs serially over the slots.
-// Output and guard-evaluation totals match enabledDelta exactly.
-func (e *Engine) parFlushEnabled(prev []Choice, changed []graph.ProcessID, guardEvals *int64) (out []Choice, evaluated int) {
-	reeval := closedNeighborhood(e.g, changed)
-	if len(reeval) < parScanMinProcs {
-		return enabledDeltaOver(e.g, e.rules, e.states, prev, reeval, e.step, guardEvals)
+// evaluate computes the choices of ps on cfg into canonical slots
+// (slots[i] belongs to ps[i]) and counts the guard invocations. The work
+// fans out over up to workers goroutines when ps is large enough to pay
+// for it; the result does not depend on workers.
+func evaluate(g *graph.Graph, rules []Rule, cfg []State, ps []graph.ProcessID, step, workers int) (slots []Choice, guardEvals int64) {
+	if len(ps) < parScanMinProcs {
+		workers = 1
 	}
-	slots := make([]Choice, len(reeval))
-	evals := make([]int64, len(reeval))
-	e.fanOut(len(reeval), func(i int) {
-		var cnt *int64
-		if guardEvals != nil {
-			cnt = &evals[i]
-		}
-		slots[i] = enabledAtConfig(e.g, e.rules, e.states, reeval[i], e.step, cnt)
+	slots = make([]Choice, len(ps))
+	var evals atomic.Int64
+	fanOut(workers, len(ps), func(i int) {
+		var n int64
+		slots[i] = enabledAtConfig(g, rules, cfg, ps[i], step, &n)
+		evals.Add(n)
 	})
-	if guardEvals != nil {
-		for _, v := range evals {
-			*guardEvals += v
-		}
-	}
-	out = make([]Choice, 0, len(prev)+len(reeval))
+	return slots, evals.Load()
+}
+
+// mergeDelta replaces the entries of prev (sorted by processor ID) for
+// the re-evaluated processors ps with their fresh slots, dropping the
+// ones no longer enabled. The result is freshly allocated and sorted.
+func mergeDelta(prev []Choice, ps []graph.ProcessID, slots []Choice) []Choice {
+	out := make([]Choice, 0, len(prev)+len(ps))
 	pi := 0
-	for i, p := range reeval {
+	for i, p := range ps {
 		for pi < len(prev) && prev[pi].Process < p {
 			out = append(out, prev[pi])
 			pi++
@@ -180,46 +152,60 @@ func (e *Engine) parFlushEnabled(prev []Choice, changed []graph.ProcessID, guard
 			out = append(out, slots[i])
 		}
 	}
-	out = append(out, prev[pi:]...)
-	return out, len(reeval)
+	return append(out, prev[pi:]...)
 }
 
-// mergeChoices k-way-merges per-shard choice lists (each sorted by
-// processor ID) into one ascending list. Shard member sets are disjoint,
-// so no tie-breaking is needed.
-func mergeChoices(perShard [][]Choice) []Choice {
-	total := 0
-	for _, l := range perShard {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Choice, 0, total)
-	idx := make([]int, len(perShard))
-	for len(out) < total {
-		best, bestP := -1, graph.ProcessID(0)
-		for s, l := range perShard {
-			if idx[s] < len(l) {
-				if p := l[idx[s]].Process; best < 0 || p < bestP {
-					best, bestP = s, p
-				}
-			}
-		}
-		out = append(out, perShard[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
+// --- action execution --------------------------------------------------
 
-// --- parallel action execution ----------------------------------------
-
-// execResult is one selection's outcome, produced by a worker against
-// the pre-step snapshot and committed later in canonical order.
-type execResult struct {
-	state  State
+// execSlot holds one selection's events during a sharded batch until
+// they are concatenated in canonical order.
+type execSlot struct {
 	events []Event
 	typed  []obs.Event
+}
+
+// executeBatches runs the step's selections on the worker fan-out:
+// batches of provably non-adjacent moves execute concurrently (split
+// across workers along shard ownership), every action reads the
+// immutable pre-step snapshot, and each selection's successor state and
+// events land in its own slot. The events are appended to the step's
+// buffers in canonical selection order; typed is nil when no bus
+// subscriber is attached.
+func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event, typed *[]obs.Event) {
+	slots := make([]execSlot, len(sels))
+	for _, batch := range e.planBatches(sels) {
+		groups := make([][]int, e.part.K())
+		for _, i := range batch {
+			s := e.part.Of(sels[i].Process)
+			groups[s] = append(groups[s], i)
+		}
+		active := groups[:0]
+		for _, grp := range groups {
+			if len(grp) > 0 {
+				active = append(active, grp)
+			}
+		}
+		fanOut(len(active), len(active), func(gi int) {
+			for _, i := range active[gi] {
+				var tb *[]obs.Event
+				if typed != nil {
+					tb = &slots[i].typed
+				}
+				next[i] = e.execute(sels[i], &slots[i].events, tb)
+			}
+		})
+		if e.selfCheck {
+			e.assertBatchNonAdjacent(sels, batch)
+		}
+		e.stats.ParallelBatches++
+	}
+	e.stats.ParallelMoves += int64(len(sels))
+	for i := range slots {
+		*events = append(*events, slots[i].events...)
+		if typed != nil {
+			*typed = append(*typed, slots[i].typed...)
+		}
+	}
 }
 
 // planBatches greedily colors the selections into batches such that no
@@ -275,130 +261,4 @@ func (e *Engine) assertBatchNonAdjacent(sels []Selection, batch []int) {
 		}
 	}
 	e.stats.BoundaryChecks++
-}
-
-// executeParallel runs the step's selections on the worker fan-out:
-// batches of provably non-adjacent moves execute concurrently (split
-// across workers along shard ownership), every action reads the
-// immutable pre-step snapshot and writes a per-selection result slot,
-// and nothing commits until the caller merges the slots in canonical
-// selection order. observing gates the construction of typed events,
-// exactly as on the serial path.
-func (e *Engine) executeParallel(sels []Selection, snapshot []State, observing bool) []execResult {
-	results := make([]execResult, len(sels))
-	check := e.boundaryCheckOn()
-	for _, batch := range e.planBatches(sels) {
-		// Split the batch along shard ownership so each worker stays in
-		// its own region of the graph.
-		groups := make([][]int, e.part.K())
-		for _, i := range batch {
-			s := e.part.Of(sels[i].Process)
-			groups[s] = append(groups[s], i)
-		}
-		active := groups[:0]
-		for _, grp := range groups {
-			if len(grp) > 0 {
-				active = append(active, grp)
-			}
-		}
-		e.fanOut(len(active), func(gi int) {
-			for _, i := range active[gi] {
-				results[i] = e.execOne(sels[i], snapshot, observing)
-			}
-		})
-		if check {
-			e.assertBatchNonAdjacent(sels, batch)
-		}
-		e.stats.ParallelBatches++
-	}
-	e.stats.ParallelMoves += int64(len(sels))
-	return results
-}
-
-// execOne executes one selection against the pre-step snapshot into a
-// private result. The emitted event order inside the result matches the
-// serial engine: the action's own events first, then the fire marker.
-func (e *Engine) execOne(sel Selection, snapshot []State, observing bool) execResult {
-	r := e.rules[sel.Rule]
-	var res execResult
-	v := &View{
-		id:       sel.Process,
-		g:        e.g,
-		snapshot: snapshot,
-		self:     snapshot[sel.Process].Clone(),
-		step:     e.step,
-		events:   &res.events,
-	}
-	if observing {
-		v.obsBuf = &res.typed
-	}
-	r.Action(v)
-	res.state = v.self
-	for i := range res.events {
-		if res.events[i].Rule == "" {
-			res.events[i].Rule = r.Name
-		}
-	}
-	res.events = append(res.events, Event{Step: e.step, Process: sel.Process, Rule: r.Name, Kind: "fire"})
-	if observing {
-		for i := range res.typed {
-			res.typed[i].Step = e.step
-			res.typed[i].Round = e.rounds
-			res.typed[i].Proc = sel.Process
-			res.typed[i].Rule = r.Name
-		}
-		res.typed = append(res.typed, obs.Event{
-			Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: r.Name,
-		})
-	}
-	return res
-}
-
-// closedNeighborhood returns N[changed] — every changed processor plus
-// its neighbors, deduplicated and sorted ascending. This is exactly the
-// re-evaluation set enabledDelta derives.
-func closedNeighborhood(g *graph.Graph, changed []graph.ProcessID) []graph.ProcessID {
-	dirty := make(map[graph.ProcessID]bool, 4*len(changed))
-	for _, p := range changed {
-		dirty[p] = true
-		for _, q := range g.Neighbors(p) {
-			dirty[q] = true
-		}
-	}
-	out := make([]graph.ProcessID, 0, len(dirty))
-	for p := range dirty {
-		out = append(out, p)
-	}
-	sortProcessIDs(out)
-	return out
-}
-
-func sortProcessIDs(ps []graph.ProcessID) {
-	// insertion sort: re-evaluation sets are small and nearly sorted
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-// enabledDeltaOver is enabledDelta with the re-evaluation set already
-// computed — the serial fallback of the sharded flush for small sets.
-func enabledDeltaOver(g *graph.Graph, rules []Rule, cfg []State, prev []Choice, reeval []graph.ProcessID, step int, guardEvals *int64) (out []Choice, evaluated int) {
-	out = make([]Choice, 0, len(prev)+len(reeval))
-	pi := 0
-	for _, p := range reeval {
-		for pi < len(prev) && prev[pi].Process < p {
-			out = append(out, prev[pi])
-			pi++
-		}
-		if pi < len(prev) && prev[pi].Process == p {
-			pi++
-		}
-		if c := enabledAtConfig(g, rules, cfg, p, step, guardEvals); len(c.Rules) > 0 {
-			out = append(out, c)
-		}
-	}
-	out = append(out, prev[pi:]...)
-	return out, len(reeval)
 }

@@ -16,7 +16,6 @@ package statemodel
 
 import (
 	"fmt"
-	"sort"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
@@ -58,6 +57,8 @@ type View struct {
 	snapshot []State
 	self     State // nil during guard evaluation (fall back to snapshot)
 	step     int
+	round    int    // stamped on typed events
+	rule     string // executing rule's name, stamped on every event
 	events   *[]Event
 	obsBuf   *[]obs.Event // typed-event buffer; nil when no bus subscriber is attached
 }
@@ -95,13 +96,13 @@ func (v *View) Read(q graph.ProcessID) State {
 	return v.snapshot[q]
 }
 
-// Emit records an observable event; only meaningful during action
-// execution.
+// Emit records an observable event, stamped with the step, processor and
+// executing rule; only meaningful during action execution.
 func (v *View) Emit(kind string, payload any) {
 	if v.events == nil {
 		panic("statemodel: Emit outside action execution")
 	}
-	*v.events = append(*v.events, Event{Step: v.step, Process: v.id, Kind: kind, Payload: payload})
+	*v.events = append(*v.events, Event{Step: v.step, Process: v.id, Rule: v.rule, Kind: kind, Payload: payload})
 }
 
 // Observing reports whether a typed-event consumer is attached to the
@@ -111,10 +112,11 @@ func (v *View) Emit(kind string, payload any) {
 func (v *View) Observing() bool { return v.obsBuf != nil }
 
 // Observe records a typed observability event; a no-op when no consumer
-// is attached. The engine stamps Step, Round, Proc and Rule after the
-// action returns, so actions only fill the kind-specific fields.
+// is attached. Step, Round, Proc and Rule are stamped from the executing
+// selection, so actions only fill the kind-specific fields.
 func (v *View) Observe(ev obs.Event) {
 	if v.obsBuf != nil {
+		ev.Step, ev.Round, ev.Proc, ev.Rule = v.step, v.round, v.id, v.rule
 		*v.obsBuf = append(*v.obsBuf, ev)
 	}
 }
@@ -214,48 +216,9 @@ func scanEnabled(g *graph.Graph, rules []Rule, cfg []State, step int, guardEvals
 // else is carried over from prev. The result is freshly allocated and
 // sorted by processor ID, identical to EnabledOf(g, rules, cfg).
 func EnabledDelta(g *graph.Graph, rules []Rule, cfg []State, prev []Choice, changed []graph.ProcessID) []Choice {
-	out, _ := enabledDelta(g, rules, cfg, prev, changed, 0, nil)
-	return out
-}
-
-// enabledDelta is EnabledDelta with instrumentation: it additionally
-// reports how many processors were re-evaluated (|N[changed]|) and, when
-// guardEvals is non-nil, accumulates guard invocations.
-func enabledDelta(g *graph.Graph, rules []Rule, cfg []State, prev []Choice, changed []graph.ProcessID, step int, guardEvals *int64) (out []Choice, evaluated int) {
-	dirty := make([]bool, g.N())
-	reeval := make([]graph.ProcessID, 0, 4*len(changed))
-	mark := func(p graph.ProcessID) {
-		if !dirty[p] {
-			dirty[p] = true
-			reeval = append(reeval, p)
-		}
-	}
-	for _, p := range changed {
-		mark(p)
-		for _, q := range g.Neighbors(p) {
-			mark(q)
-		}
-	}
-	sort.Slice(reeval, func(i, j int) bool { return reeval[i] < reeval[j] })
-
-	// Merge the untouched entries of prev with the re-evaluated closed
-	// neighborhood, keeping ascending processor order.
-	out = make([]Choice, 0, len(prev)+len(reeval))
-	pi := 0
-	for _, p := range reeval {
-		for pi < len(prev) && prev[pi].Process < p {
-			out = append(out, prev[pi])
-			pi++
-		}
-		if pi < len(prev) && prev[pi].Process == p {
-			pi++
-		}
-		if c := enabledAtConfig(g, rules, cfg, p, step, guardEvals); len(c.Rules) > 0 {
-			out = append(out, c)
-		}
-	}
-	out = append(out, prev[pi:]...)
-	return out, len(reeval)
+	ps := closedNeighborhood(g, changed)
+	slots, _ := evaluate(g, rules, cfg, ps, 0, 1)
+	return mergeDelta(prev, ps, slots)
 }
 
 // enabledAtConfig evaluates the guards of p on cfg, offering only the
@@ -291,6 +254,16 @@ func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessI
 // only applying selections whose guards hold on cfg.
 func ApplySelection(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step int) (State, []Event) {
 	var events []Event
+	s := apply(g, rules, cfg, sel, step, 0, &events, nil)
+	return s, events
+}
+
+// apply runs sel's action on a private clone of its processor's state,
+// every read seeing cfg, and returns the successor state. Emitted events
+// are appended to *events and typed events to *typed (nil: not
+// observing), each stamped with the selection's step, round, processor
+// and rule. It is the executor shared by ApplySelection and Engine.Step.
+func apply(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event, typed *[]obs.Event) State {
 	r := rules[sel.Rule]
 	v := &View{
 		id:       sel.Process,
@@ -298,13 +271,11 @@ func ApplySelection(g *graph.Graph, rules []Rule, cfg []State, sel Selection, st
 		snapshot: cfg,
 		self:     cfg[sel.Process].Clone(),
 		step:     step,
-		events:   &events,
+		round:    round,
+		rule:     r.Name,
+		events:   events,
+		obsBuf:   typed,
 	}
 	r.Action(v)
-	for i := range events {
-		if events[i].Rule == "" {
-			events[i].Rule = r.Name
-		}
-	}
-	return v.self, events
+	return v.self
 }

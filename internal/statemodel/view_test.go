@@ -2,6 +2,7 @@ package statemodel
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,37 +58,70 @@ func TestViewReadLocality(t *testing.T) {
 	}
 }
 
-// TestRuleOfBackfill pins the emit-backfill behavior: an event emitted via
-// View.Emit carries no rule name and the engine fills it from the next
-// "fire" marker of the same processor. When the ordering is unexpected —
-// no later fire marker for that processor — the rule stays empty rather
-// than borrowing another processor's rule. These are the current
-// semantics; checkers treat an empty Rule as "unknown origin".
+// scriptDaemon selects script[step] at every step, ignoring the offer.
+type scriptDaemon [][]Selection
+
+func (scriptDaemon) Name() string                              { return "script" }
+func (d scriptDaemon) Select(step int, _ []Choice) []Selection { return d[step] }
+
+// TestRuleOfBackfill pins the rule name of emitted events: every event an
+// action emits carries the rule of the selection that emitted it, never
+// the rule of another processor's or another step's fire marker, and it
+// precedes its own selection's fire marker. Each case runs on one shard
+// and on two; "no fire at all" runs ApplySelection, which emits no fire
+// marker but still names the rule.
 func TestRuleOfBackfill(t *testing.T) {
-	fire := func(p graph.ProcessID, rule string) Event {
-		return Event{Process: p, Rule: rule, Kind: "fire"}
+	emitter := func(name string) Rule {
+		return Rule{Name: name, Guard: func(*View) bool { return true }, Action: func(v *View) { v.Emit("hello", nil) }}
 	}
-	emit := func(p graph.ProcessID) Event {
-		return Event{Process: p, Kind: "deliver"}
-	}
+	prog := NewProgram(emitter("emitA"), emitter("emitB"),
+		Rule{Name: "quiet", Guard: func(*View) bool { return true }, Action: func(*View) {}})
+	const a, b, q = 0, 1, 2
+	sel := func(p graph.ProcessID, rule int) Selection { return Selection{Process: p, Rule: rule} }
 	cases := []struct {
 		name   string
-		events []Event
-		idx    int
-		want   string
+		script scriptDaemon
+		apply  bool // run ApplySelection on script[0][0] instead of an engine
+		want   []string
 	}{
-		{"emit then own fire", []Event{emit(1), fire(1, "R6@1")}, 0, "R6@1"},
-		{"interleaved processors", []Event{emit(1), fire(2, "R1@2"), fire(1, "R6@1")}, 0, "R6@1"},
-		{"two emits same step", []Event{emit(1), emit(2), fire(1, "R6@1"), fire(2, "R4@2")}, 1, "R4@2"},
-		{"first of two fires wins", []Event{emit(1), fire(1, "R1@1"), fire(1, "R2@1")}, 0, "R1@1"},
-		{"no fire at all", []Event{emit(1)}, 0, ""},
-		{"only other processor fires", []Event{emit(1), fire(2, "R1@2")}, 0, ""},
-		{"fire before emit (unexpected order)", []Event{fire(1, "R6@1"), emit(1)}, 1, ""},
+		{"emit then own fire", scriptDaemon{{sel(1, a)}}, false,
+			[]string{"0/1/emitA/hello", "0/1/emitA/fire"}},
+		{"interleaved processors", scriptDaemon{{sel(1, a), sel(2, q), sel(3, b)}}, false,
+			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "0/2/quiet/fire", "0/3/emitB/hello", "0/3/emitB/fire"}},
+		{"two emits same step", scriptDaemon{{sel(1, a), sel(2, b)}}, false,
+			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "0/2/emitB/hello", "0/2/emitB/fire"}},
+		{"first of two fires wins", scriptDaemon{{sel(1, a)}, {sel(1, b)}}, false,
+			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "1/1/emitB/hello", "1/1/emitB/fire"}},
+		{"no fire at all", scriptDaemon{{sel(1, a)}}, true,
+			[]string{"0/1/emitA/hello"}},
+		{"only other processor fires", scriptDaemon{{sel(1, q), sel(2, a)}}, false,
+			[]string{"0/1/quiet/fire", "0/2/emitA/hello", "0/2/emitA/fire"}},
+		{"fire before emit (unexpected order)", scriptDaemon{{sel(1, q)}, {sel(1, a)}}, false,
+			[]string{"0/1/quiet/fire", "1/1/emitA/hello", "1/1/emitA/fire"}},
 	}
+	render := func(ev Event) string { return fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Process, ev.Rule, ev.Kind) }
+	g := graph.Line(4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := ruleOf(c.events, c.idx); got != c.want {
-				t.Fatalf("ruleOf(%v, %d) = %q, want %q", c.events, c.idx, got, c.want)
+			if c.apply {
+				_, events := ApplySelection(g, prog.Rules(), intConfig(0, 0, 0, 0), c.script[0][0], 0)
+				var got []string
+				for _, ev := range events {
+					got = append(got, render(ev))
+				}
+				if !reflect.DeepEqual(got, c.want) {
+					t.Fatalf("ApplySelection events = %v, want %v", got, c.want)
+				}
+				return
+			}
+			for _, shards := range []int{1, 2} {
+				e := NewEngine(g, prog, c.script, intConfig(0, 0, 0, 0), WithShards(shards, 0))
+				var got []string
+				e.Subscribe(func(ev Event) { got = append(got, render(ev)) })
+				e.Run(len(c.script), nil)
+				if !reflect.DeepEqual(got, c.want) {
+					t.Fatalf("shards=%d: events = %v, want %v", shards, got, c.want)
+				}
 			}
 		})
 	}

@@ -7,16 +7,16 @@
 //
 // The contract mirrors the obs bus's: all registration happens at setup
 // time (Registry methods take a lock and may allocate), while every
-// hot-path update — Counter.Inc, Gauge.Add, Hist.Observe — is a handful of
-// atomic operations with zero heap allocations, so the `make bench-allocs`
-// gate holds with telemetry always on. There is no "disabled" mode:
-// msgpass owns a registry unconditionally, and an un-scraped registry
-// costs exactly those atomics.
+// hot-path update — Counter.Inc, Gauge.Add, metrics.AtomicHist.Observe —
+// is a handful of atomic operations with zero heap allocations, so the
+// `make bench-allocs` gate holds with telemetry always on. There is no
+// "disabled" mode: msgpass owns a registry unconditionally, and an
+// un-scraped registry costs exactly those atomics.
 //
-// Histograms accumulate into the same log-linear bucket layout as
-// metrics.LatencyHist (≤12.5% relative quantile error) and snapshot into
-// one, so node-side component histograms and the load collector's
-// end-to-end histogram quantile and merge identically.
+// Histograms are metrics.AtomicHist: they accumulate into the log-linear
+// bucket layout of metrics.LatencyHist (≤12.5% relative quantile error)
+// and snapshot into one, so node-side component histograms and the load
+// collector's end-to-end histogram quantile and merge identically.
 //
 // The package sits beside msgpass: it may import internal/metrics and
 // internal/obs only.
@@ -24,7 +24,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -88,65 +87,6 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // Peak returns the highest level ever folded in (0 if never positive).
 func (g *Gauge) Peak() int64 { return g.peak.Load() }
 
-// Hist is a lock-free histogram over the metrics.LatencyHist bucket
-// layout. Observe is atomics only; Snapshot reconstructs a mergeable
-// LatencyHist. Min/max are maintained with CAS loops, so a snapshot taken
-// under concurrent Observe calls is a consistent-enough summary (counts
-// may lag sum by in-flight observations; both are monotone).
-type Hist struct {
-	counts [metrics.HistBuckets]atomic.Int64
-	count  atomic.Int64
-	sum    atomic.Int64
-	min    atomic.Int64 // MaxInt64 until the first observation
-	max    atomic.Int64
-}
-
-func newHist() *Hist {
-	h := &Hist{}
-	h.min.Store(math.MaxInt64)
-	return h
-}
-
-// Observe folds one observation (negative values clamp to 0, matching
-// LatencyHist.Add). Lock-free, alloc-free.
-func (h *Hist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[metrics.HistBucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		m := h.min.Load()
-		if v >= m || h.min.CompareAndSwap(m, v) {
-			break
-		}
-	}
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations so far.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
-// Snapshot reconstructs the accumulated state as a metrics.LatencyHist,
-// ready for Quantile, Merge, and the sparse JSON encoding.
-func (h *Hist) Snapshot() metrics.LatencyHist {
-	var counts [metrics.HistBuckets]int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	min := h.min.Load()
-	if min == math.MaxInt64 {
-		min = 0
-	}
-	return metrics.HistFromCounts(counts[:], h.count.Load(), h.sum.Load(), min, h.max.Load())
-}
-
 // Label is one name="value" dimension of a metric.
 type Label struct {
 	Key   string `json:"key"`
@@ -172,7 +112,7 @@ type entry struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Hist
+	hist    *metrics.AtomicHist
 	fn      func() int64 // non-nil for Func variants; kind carries semantics
 }
 
@@ -236,8 +176,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // Hist registers (or finds) a histogram.
-func (r *Registry) Hist(name, help string, labels ...Label) *Hist {
-	e := r.register(&entry{name: name, help: help, labels: labels, kind: KindHist, hist: newHist()})
+func (r *Registry) Hist(name, help string, labels ...Label) *metrics.AtomicHist {
+	e := r.register(&entry{name: name, help: help, labels: labels, kind: KindHist, hist: metrics.NewAtomicHist()})
 	return e.hist
 }
 

@@ -1,11 +1,8 @@
 package telemetry
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
-
-	"ssmfp/internal/metrics"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -51,33 +48,6 @@ func TestRegistrationIdempotent(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "", L("k", "v"))
-}
-
-// TestHistMatchesLatencyHist holds the shared-bucket contract: a Hist fed
-// the same observations as a LatencyHist snapshots to identical quantiles
-// and summary.
-func TestHistMatchesLatencyHist(t *testing.T) {
-	r := New()
-	h := r.Hist("lat_ns", "")
-	var want metrics.LatencyHist
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 5000; i++ {
-		v := rng.Int63n(1 << 30)
-		h.Observe(v)
-		want.Add(v)
-	}
-	got := h.Snapshot()
-	if got.Count() != want.Count() || got.Sum() != want.Sum() ||
-		got.Min() != want.Min() || got.Max() != want.Max() {
-		t.Fatalf("summary mismatch: got (%d,%d,%d,%d) want (%d,%d,%d,%d)",
-			got.Count(), got.Sum(), got.Min(), got.Max(),
-			want.Count(), want.Sum(), want.Min(), want.Max())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		if got.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q%.3f: got %d want %d", q, got.Quantile(q), want.Quantile(q))
-		}
-	}
 }
 
 func TestHistEmptyAndNegative(t *testing.T) {

@@ -1,7 +1,6 @@
 package ssmfp_test
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,61 +8,6 @@ import (
 
 	"ssmfp"
 )
-
-// TestLiveStatusCongestedHopState pins the congested-hop view of the
-// Status snapshot: the per-destination pending breakdown is exact and the
-// parked count is present, and both survive the JSON round trip that
-// /debug/ssmfp serves.
-func TestLiveStatusCongestedHopState(t *testing.T) {
-	// An hour-long tick freezes the protocol: nothing leaves the pending
-	// rings, so the snapshot is deterministic.
-	live := ssmfp.NewLiveNetwork(ssmfp.Line(3), ssmfp.LiveOptions{Seed: 1, Tick: time.Hour})
-	defer live.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := live.Send(0, 2, "far"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := live.Send(0, 1, "near"); err != nil {
-		t.Fatal(err)
-	}
-
-	st := live.Status()
-	var q0 *ssmfp.LiveQueue
-	for i := range st.Queues {
-		if st.Queues[i].Proc == 0 {
-			q0 = &st.Queues[i]
-		}
-	}
-	if q0 == nil {
-		t.Fatal("no queue row for proc 0")
-	}
-	if q0.Pending != 4 || q0.PendingByDest[2] != 3 || q0.PendingByDest[1] != 1 {
-		t.Fatalf("pending breakdown wrong: %+v", q0)
-	}
-	if q0.Parked != 0 {
-		t.Fatalf("parked = %d on an idle node", q0.Parked)
-	}
-
-	// The JSON form keeps the breakdown (this is what /debug/ssmfp shows).
-	b, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ssmfp.LiveStatus
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, q := range back.Queues {
-		if q.Proc == 0 && q.PendingByDest[2] == 3 && q.PendingByDest[1] == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("pendingByDest lost in JSON round trip: %s", b)
-	}
-}
 
 // TestLiveNetworkMetricsHandler scrapes the live network's Prometheus
 // endpoint and checks the protocol series are there with sane values.

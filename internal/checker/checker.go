@@ -31,17 +31,18 @@ type Delivery struct {
 // Tracker accumulates generation and delivery events of one execution and
 // answers specification questions about it. Create with New, register with
 // Attach before running the engine, and optionally RecordInitial the
-// initial configuration so invalid messages are known individually.
+// initial configuration so the invalid messages present at start are
+// counted.
 type Tracker struct {
 	g       *graph.Graph
 	e       *sm.Engine
-	initial map[uint64]*core.Message // invalid messages present at start
+	initial int // distinct invalid messages present at start
 
 	generated  map[uint64]*core.Message
 	genStep    map[uint64]int
 	genRound   map[uint64]int
 	deliveries []Delivery
-	delivered  map[uint64]int // UID -> delivery count
+	delivered  map[uint64]int // valid UID -> delivery count
 
 	violations  []violation
 	compromised map[uint64]bool // UIDs invalidated by an injected fault
@@ -58,7 +59,6 @@ type violation struct {
 func New(g *graph.Graph) *Tracker {
 	return &Tracker{
 		g:           g,
-		initial:     make(map[uint64]*core.Message),
 		generated:   make(map[uint64]*core.Message),
 		genStep:     make(map[uint64]int),
 		genRound:    make(map[uint64]int),
@@ -67,12 +67,11 @@ func New(g *graph.Graph) *Tracker {
 	}
 }
 
-// RecordInitial remembers the invalid messages occupying buffers in the
-// initial configuration (for Proposition 4 accounting).
+// RecordInitial counts the distinct invalid messages occupying buffers
+// in the initial configuration (for Proposition 4 accounting). It keeps
+// no message alive: an erased invalid message is garbage.
 func (t *Tracker) RecordInitial(cfg []sm.State) {
-	for uid, m := range core.InvalidMessages(cfg) {
-		t.initial[uid] = m
-	}
+	t.initial = len(core.InvalidMessages(cfg))
 }
 
 // Attach subscribes the tracker to the engine's event stream.
@@ -94,14 +93,16 @@ func (t *Tracker) onEvent(ev sm.Event) {
 	case core.KindDeliver:
 		msg := ev.Payload.(core.DeliverEvent).Msg
 		t.deliveries = append(t.deliveries, Delivery{Msg: msg, At: ev.Process, Step: ev.Step, Round: t.e.Rounds()})
-		t.delivered[msg.UID]++
 		if ev.Process != msg.Dest {
 			t.violations = append(t.violations,
 				violation{msg.UID, fmt.Sprintf("UID %d delivered at %d, destination is %d", msg.UID, ev.Process, msg.Dest)})
 		}
-		if msg.Valid && t.delivered[msg.UID] > 1 {
-			t.violations = append(t.violations,
-				violation{msg.UID, fmt.Sprintf("valid UID %d delivered %d times (duplication)", msg.UID, t.delivered[msg.UID])})
+		if msg.Valid {
+			t.delivered[msg.UID]++
+			if t.delivered[msg.UID] > 1 {
+				t.violations = append(t.violations,
+					violation{msg.UID, fmt.Sprintf("valid UID %d delivered %d times (duplication)", msg.UID, t.delivered[msg.UID])})
+			}
 		}
 	}
 }

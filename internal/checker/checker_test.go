@@ -174,8 +174,8 @@ func TestRecordInitial(t *testing.T) {
 	cfg := core.CleanConfig(g)
 	cfg[0].(*core.Node).FW.Dests[1].BufE = &core.Message{Payload: "junk", UID: 500, Valid: false}
 	tr.RecordInitial(cfg)
-	if len(tr.initial) != 1 {
-		t.Fatalf("initial invalid count = %d", len(tr.initial))
+	if tr.initial != 1 {
+		t.Fatalf("initial invalid count = %d", tr.initial)
 	}
 }
 

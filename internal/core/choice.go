@@ -1,18 +1,19 @@
 package core
 
 import (
+	"slices"
+
 	"ssmfp/internal/graph"
 	sm "ssmfp/internal/statemodel"
 )
 
-// candidates returns, in deterministic order (sorted neighbors, then the
-// processor itself), the processors currently satisfying the candidacy
-// predicate of choice_p(d): neighbors q with a message in bufE_q(d) routed
-// to p (nextHop_q(d) = p), plus p itself when the higher layer requests a
-// generation for destination d.
-func candidates(v *sm.View, d graph.ProcessID) []graph.ProcessID {
+// candidates appends to cands, in deterministic order (sorted neighbors,
+// then the processor itself), the processors currently satisfying the
+// candidacy predicate of choice_p(d): neighbors q with a message in
+// bufE_q(d) routed to p (nextHop_q(d) = p), plus p itself when the higher
+// layer requests a generation for destination d.
+func candidates(v *sm.View, d graph.ProcessID, cands []graph.ProcessID) []graph.ProcessID {
 	p := v.ID()
-	var cands []graph.ProcessID
 	for _, q := range v.Neighbors() {
 		nq := v.Read(q).(*Node)
 		if nq.FW.Dests[d].BufE != nil && nq.RT.NextHop(d) == p {
@@ -29,29 +30,23 @@ func candidates(v *sm.View, d graph.ProcessID) []graph.ProcessID {
 }
 
 // normalizeQueue reconciles the persisted FIFO with the current candidate
-// set: stored entries that are still candidates keep their order (no
-// candidate is ever passed by a later arrival), stale or duplicate or
-// ill-typed entries are dropped, and new candidates are appended in
-// deterministic order. The result has length ≤ Δ+1 since candidates ⊆
-// N_p ∪ {p}. Both guards and actions recompute this same function, so
-// guards stay side-effect free while fairness state persists across steps.
-func normalizeQueue(stored, cands []graph.ProcessID) []graph.ProcessID {
-	isCand := make(map[graph.ProcessID]bool, len(cands))
-	for _, q := range cands {
-		isCand[q] = true
-	}
-	out := make([]graph.ProcessID, 0, len(cands))
-	seen := make(map[graph.ProcessID]bool, len(cands))
+// set, appending the result to out: stored entries that are still
+// candidates keep their order (no candidate is ever passed by a later
+// arrival), stale or duplicate or ill-typed entries are dropped, and new
+// candidates are appended in deterministic order. The result has length
+// ≤ Δ+1 since candidates ⊆ N_p ∪ {p}, small enough for linear membership
+// tests. Both guards and actions recompute this same function, so guards
+// stay side-effect free while fairness state persists across steps.
+func normalizeQueue(stored, cands, out []graph.ProcessID) []graph.ProcessID {
+	start := len(out)
 	for _, q := range stored {
-		if isCand[q] && !seen[q] {
+		if slices.Contains(cands, q) && !slices.Contains(out[start:], q) {
 			out = append(out, q)
-			seen[q] = true
 		}
 	}
 	for _, q := range cands {
-		if !seen[q] {
+		if !slices.Contains(out[start:], q) {
 			out = append(out, q)
-			seen[q] = true
 		}
 	}
 	return out
@@ -92,13 +87,20 @@ func (p ChoicePolicy) String() string {
 	}
 }
 
+// choiceBuf sizes the stack scratch guards give choose: the candidates
+// and the normalized queue, each at most Δ+1 long, fit without a heap
+// allocation up to Δ = 7 (append spills beyond that).
+const choiceBuf = 16
+
 // choose evaluates choice_p(d) under the policy. It returns the chosen
 // processor, the queue contents to persist after serving it, and whether
 // any candidate exists. For PolicyQueue the persisted value is the
 // normalized queue minus its head; for PolicyRotating it is the served
-// candidate (the rotation point); PolicyLowestID persists nothing.
-func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID) (graph.ProcessID, []graph.ProcessID, bool) {
-	cands := candidates(v, d)
+// candidate (the rotation point); PolicyLowestID persists nothing. buf is
+// scratch space the result may alias: guards pass a stack array so that
+// evaluating them allocates nothing, actions pass nil.
+func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID, buf []graph.ProcessID) (graph.ProcessID, []graph.ProcessID, bool) {
+	cands := candidates(v, d, buf[:0])
 	if len(cands) == 0 {
 		return 0, nil, false
 	}
@@ -132,9 +134,9 @@ func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID) (graph.ProcessID
 				}
 			}
 		}
-		return best, []graph.ProcessID{best}, true
+		return best, append(cands[len(cands):], best), true
 	default: // PolicyQueue
-		q := normalizeQueue(stored, cands)
+		q := normalizeQueue(stored, cands, cands[len(cands):])
 		return q[0], q[1:], true
 	}
 }

@@ -25,7 +25,7 @@ func Fingerprint(cfg []sm.State) string {
 			fmt.Fprintf(&sb, "%s>%d;", out.Payload, out.Dest)
 		}
 		for d := range n.FW.Dests {
-			ds := &n.FW.Dests[d]
+			ds := n.FW.Dests[d]
 			if ds.BufR == nil && ds.BufE == nil && len(ds.Queue) == 0 {
 				continue
 			}

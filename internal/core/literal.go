@@ -2,6 +2,7 @@ package core
 
 import (
 	"ssmfp/internal/graph"
+	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -20,17 +21,19 @@ func LiteralR5Program(g *graph.Graph) sm.Program {
 	for dd := 0; dd < g.N(); dd++ {
 		d := graph.ProcessID(dd)
 		dr := destRules(d, PolicyQueue)
-		ds := func(v *sm.View) *DestState { return &v.Self().(*Node).FW.Dests[d] }
+		ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dests[d] }
 		peer := func(v *sm.View, q graph.ProcessID) *Node {
 			if q == v.ID() {
 				return v.Self().(*Node)
 			}
 			return v.Read(q).(*Node)
 		}
-		// Replace R5 (index 4 in the R1..R6 listing) with the literal rule.
+		// Replace R5 (index 4 in the R1..R6 listing) with the literal rule,
+		// which like the derived one reads and writes only destination d.
 		dr[4] = sm.Rule{
 			Name:     RuleName("R5", d),
 			Priority: PriorityForwarding,
+			Slot:     routing.SlotOf(d),
 			Guard: func(v *sm.View) bool {
 				s := ds(v)
 				if s.BufR == nil {

@@ -5,6 +5,7 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
+	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -17,9 +18,11 @@ func RuleName(base string, d graph.ProcessID) string { return fmt.Sprintf("%s@%d
 // NewProgram returns the SSMFP program for every destination of g: the six
 // rules of Algorithm 1 instantiated per destination, all at priority
 // PriorityForwarding so that the routing algorithm A (priority
-// routing.Priority) preempts them wherever both are enabled. Compose with
-// routing.NewProgram(g, RoutingOf) to obtain the full system of the paper.
-// The choice_p(d) macro uses the paper's FIFO queue (PolicyQueue).
+// routing.Priority) preempts them wherever both are enabled. The rules for
+// d live in destination d's engine slot, routing.SlotOf(d), beside A@d.
+// Compose with routing.NewProgram(g, RoutingOf) to obtain the full system
+// of the paper. The choice_p(d) macro uses the paper's FIFO queue
+// (PolicyQueue).
 func NewProgram(g *graph.Graph) sm.Program {
 	return NewProgramWithPolicy(g, PolicyQueue)
 }
@@ -38,7 +41,8 @@ func NewProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
 
 // destRules instantiates R1..R6 for destination d.
 func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
-	ds := func(v *sm.View) *DestState { return &v.Self().(*Node).FW.Dests[d] }
+	ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dests[d] }
+	slot := routing.SlotOf(d)
 	peer := func(v *sm.View, q graph.ProcessID) *Node {
 		if q == v.ID() {
 			return v.Self().(*Node)
@@ -53,6 +57,9 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R1", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
+			// Pending, Request and NextSeq are unsliced.
+			WritesUnsliced: true,
 			Guard: func(v *sm.View) bool {
 				self := v.Self().(*Node).FW
 				if !self.Request || self.Dests[d].BufR != nil {
@@ -61,12 +68,13 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				if nd, ok := self.NextDestination(); !ok || nd != d {
 					return false
 				}
-				c, _, ok := choose(policy, v, d)
+				var buf [choiceBuf]graph.ProcessID
+				c, _, ok := choose(policy, v, d, buf[:0])
 				return ok && c == v.ID()
 			},
 			Action: func(v *sm.View) {
 				self := v.Self().(*Node).FW
-				_, rest, _ := choose(policy, v, d)
+				_, rest, _ := choose(policy, v, d, nil)
 				out := self.Pending[0]
 				self.Pending = self.Pending[1:]
 				msg := &Message{
@@ -99,6 +107,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R2", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
 			Guard: func(v *sm.View) bool {
 				s := ds(v)
 				if s.BufE != nil || s.BufR == nil {
@@ -124,16 +133,18 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R3", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
 			Guard: func(v *sm.View) bool {
 				if ds(v).BufR != nil {
 					return false
 				}
-				c, _, ok := choose(policy, v, d)
+				var buf [choiceBuf]graph.ProcessID
+				c, _, ok := choose(policy, v, d, buf[:0])
 				return ok && c != v.ID()
 			},
 			Action: func(v *sm.View) {
 				s := ds(v)
-				src, rest, _ := choose(policy, v, d)
+				src, rest, _ := choose(policy, v, d, nil)
 				// Candidacy guarantees bufE_src(d) is occupied; the copy
 				// keeps the color and records src as the last hop. (If the
 				// stored last hop of bufE_src differs from src the message
@@ -152,6 +163,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R4", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
 			Guard: func(v *sm.View) bool {
 				if v.ID() == d {
 					return false
@@ -197,6 +209,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R5", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
 			Guard: func(v *sm.View) bool {
 				s := ds(v)
 				if s.BufR == nil {
@@ -222,6 +235,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		{
 			Name:     RuleName("R6", d),
 			Priority: PriorityForwarding,
+			Slot:     slot,
 			Guard: func(v *sm.View) bool {
 				return v.ID() == d && ds(v).BufE != nil
 			},

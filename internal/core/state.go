@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"ssmfp/internal/graph"
@@ -26,19 +27,30 @@ type DestState struct {
 	Queue []graph.ProcessID
 }
 
-func (d *DestState) clone() DestState {
-	return DestState{BufR: d.BufR, BufE: d.BufE, Queue: append([]graph.ProcessID(nil), d.Queue...)}
-}
-
 // NodeState is the forwarding state of one processor: the shared request
 // bit of the higher-layer interface, the pending FIFO behind the
 // nextMessage/nextDestination macros, per-destination buffer pairs, and a
 // sequence counter minting simulation UIDs for generated messages.
+//
+// Dests holds one pointer per destination, initially into one backing
+// array per node, so a slot-scoped copy (Node.CloneSlot) copies the
+// pointer table and one DestState while sharing the rest. Rule actions
+// replace a queue rather than write its elements.
 type NodeState struct {
 	Request bool
 	Pending []Outbound
-	Dests   []DestState
+	Dests   []*DestState
 	NextSeq uint64
+}
+
+// newDests returns n empty destination slots backed by one array.
+func newDests(n int) []*DestState {
+	backing := make([]DestState, n)
+	dests := make([]*DestState, n)
+	for i := range dests {
+		dests[i] = &backing[i]
+	}
+	return dests
 }
 
 // Clone deep-copies the forwarding state. Messages are immutable and may be
@@ -47,11 +59,11 @@ func (s *NodeState) Clone() *NodeState {
 	c := &NodeState{
 		Request: s.Request,
 		Pending: append([]Outbound(nil), s.Pending...),
-		Dests:   make([]DestState, len(s.Dests)),
+		Dests:   newDests(len(s.Dests)),
 		NextSeq: s.NextSeq,
 	}
-	for i := range s.Dests {
-		c.Dests[i] = s.Dests[i].clone()
+	for i, ds := range s.Dests {
+		*c.Dests[i] = DestState{BufR: ds.BufR, BufE: ds.BufE, Queue: append([]graph.ProcessID(nil), ds.Queue...)}
 	}
 	return c
 }
@@ -89,6 +101,32 @@ type Node struct {
 // Clone implements statemodel.State.
 func (n *Node) Clone() sm.State { return &Node{RT: n.RT.Clone(), FW: n.FW.Clone()} }
 
+// nodeCopy lays out a slot-scoped copy's own structs in one allocation.
+type nodeCopy struct {
+	node Node
+	fw   NodeState
+	rt   routing.NodeState
+}
+
+// CloneSlot implements statemodel.SlotState for the slots of the composed
+// program, slot d+1 holding destination d (routing.SlotOf). The copy owns
+// its Node, NodeState and routing.NodeState structs, its Dests pointer
+// table and destination d's DestState. It shares the routing arrays,
+// which A replaces rather than writes (routing.Accessor), the other
+// destinations' DestStates and the pending queue's backing array, which
+// it caps so an append reallocates.
+func (n *Node) CloneSlot(slot int) sm.State {
+	d := slot - 1
+	c := &nodeCopy{fw: *n.FW, rt: *n.RT}
+	c.fw.Pending = slices.Clip(c.fw.Pending)
+	c.fw.Dests = slices.Clone(n.FW.Dests)
+	ds := *n.FW.Dests[d]
+	ds.Queue = slices.Clip(ds.Queue)
+	c.fw.Dests[d] = &ds
+	c.node = Node{RT: &c.rt, FW: &c.fw}
+	return &c.node
+}
+
 // RoutingOf adapts Node for routing.NewProgram.
 func RoutingOf(s sm.State) *routing.NodeState { return s.(*Node).RT }
 
@@ -109,7 +147,7 @@ func CleanNode(g *graph.Graph, p graph.ProcessID) *Node {
 
 // EmptyState returns a forwarding state with all buffers empty.
 func EmptyState(g *graph.Graph) *NodeState {
-	return &NodeState{Dests: make([]DestState, g.N())}
+	return &NodeState{Dests: newDests(g.N())}
 }
 
 // CleanConfig returns the fault-free initial configuration on g.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/routing"
+	sm "ssmfp/internal/statemodel"
 )
 
 func TestMessageEqualityHelpers(t *testing.T) {
@@ -82,6 +84,47 @@ func TestNodeCloneIsDeep(t *testing.T) {
 	}
 	if n.RT.Dist[0] == 99 {
 		t.Error("routing table shared")
+	}
+}
+
+// TestNodeCloneSlotIsolation writes everything a slot-s move may write on
+// a slot-scoped copy — destination s-1's buffers and queue, the unsliced
+// pending queue, request bit and sequence counter, and the routing table
+// the way A does — and requires the original to stay unchanged, while the
+// untouched destinations stay shared.
+func TestNodeCloneSlotIsolation(t *testing.T) {
+	g := graph.Line(3)
+	n := CleanNode(g, 1)
+	n.FW.Pending = make([]Outbound, 0, 8) // spare capacity an append could share
+	n.FW.Enqueue("a", 0)
+	n.FW.Enqueue("b", 2)
+	n.FW.Dests[0].BufR = &Message{Payload: "x"}
+	n.FW.Dests[0].Queue = []graph.ProcessID{0, 1}
+	before := Fingerprint([]sm.State{n})
+
+	c := n.CloneSlot(routing.SlotOf(0)).(*Node)
+	c.FW.Dests[0].BufR = nil
+	c.FW.Dests[0].BufE = &Message{Payload: "y"}
+	c.FW.Dests[0].Queue = append(c.FW.Dests[0].Queue, 2)
+	c.FW.Pending = c.FW.Pending[1:]
+	c.FW.Enqueue("c", 2)
+	c.FW.Request = false
+	c.FW.NextSeq++
+	c.RT.Dist = append([]int(nil), c.RT.Dist...)
+	c.RT.Dist[0] = 99
+
+	if after := Fingerprint([]sm.State{n}); after != before {
+		t.Fatalf("writing slot 1 of the copy changed the original:\nbefore %s\nafter  %s", before, after)
+	}
+	n.FW.Enqueue("d", 0) // the original's append must not reach the copy either
+	if got := c.FW.Pending[len(c.FW.Pending)-1].Payload; got != "c" {
+		t.Fatalf("copy's pending tail = %q, want c", got)
+	}
+	if c.FW.Dests[1] != n.FW.Dests[1] || c.FW.Dests[2] != n.FW.Dests[2] {
+		t.Fatal("untouched destinations should stay shared")
+	}
+	if c.FW.Dests[0] == n.FW.Dests[0] || c.RT == n.RT || c.FW == n.FW {
+		t.Fatal("the written slot and the structs must be the copy's own")
 	}
 }
 
@@ -248,7 +291,7 @@ func TestNormalizeQueue(t *testing.T) {
 		{[]graph.ProcessID{3}, []graph.ProcessID{1, 2, 3}, []graph.ProcessID{3, 1, 2}}, // head kept, arrivals appended
 	}
 	for i, c := range cases {
-		got := normalizeQueue(c.stored, c.cands)
+		got := normalizeQueue(c.stored, c.cands, nil)
 		if len(got) != len(c.want) {
 			t.Fatalf("case %d: got %v, want %v", i, got, c.want)
 		}

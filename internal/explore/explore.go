@@ -174,6 +174,7 @@ func Explore(g *graph.Graph, program sm.Program, initial []sm.State, opts Option
 		parent:    -1,
 	}
 	rootID, _ := intern(root)
+	delta := sm.NewDelta(g, rules)
 	queue := []int32{rootID}
 
 	witness := func(n *node) []string {
@@ -209,7 +210,7 @@ func Explore(g *graph.Graph, program sm.Program, initial []sm.State, opts Option
 
 		// The enabled set was maintained incrementally when the node was
 		// reached: only the closed neighborhoods of the processors that
-		// fired on the incoming edge were re-evaluated (sm.EnabledDelta),
+		// fired on the incoming edge were re-evaluated (sm.Delta),
 		// the same shared machinery the engine's incremental mode uses.
 		enabled := n.enabled
 		if len(enabled) == 0 {
@@ -250,7 +251,7 @@ func Explore(g *graph.Graph, program sm.Program, initial []sm.State, opts Option
 					}
 				}
 			}
-			succ.enabled = sm.EnabledDelta(g, rules, succCfg, n.enabled, executed)
+			succ.enabled = delta.Enabled(succCfg, n.enabled, executed)
 			sid, fresh := intern(succ)
 			n.succs = append(n.succs, sid)
 			nodes[sid].preds = append(nodes[sid].preds, id)

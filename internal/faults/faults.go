@@ -104,7 +104,11 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 		// longer exists) on top of the cache dirtying StateOf already did.
 		e.Invalidate(p)
 		d := in.rng.Intn(in.g.N())
-		ds := &node.FW.Dests[d]
+		// Successive configurations share the DestStates no move wrote
+		// (core.Node.CloneSlot), so the fault corrupts a private copy.
+		ds := new(core.DestState)
+		*ds = *node.FW.Dests[d]
+		node.FW.Dests[d] = ds
 		buf := &ds.BufR
 		if in.rng.Intn(2) == 0 {
 			buf = &ds.BufE

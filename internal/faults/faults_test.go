@@ -54,6 +54,28 @@ func TestStrikeReportsTouchedMessages(t *testing.T) {
 	}
 }
 
+// TestStrikeLeavesEarlierConfigurationsIntact: configurations share the
+// per-destination state no move wrote, so a fault after some moves must
+// corrupt a private copy and leave the initial configuration as it was.
+func TestStrikeLeavesEarlierConfigurationsIntact(t *testing.T) {
+	g := graph.Grid(3, 3)
+	cfg := core.RandomConfig(g, rand.New(rand.NewSource(4)), core.DefaultCorrupt)
+	want := core.Fingerprint(cfg)
+	initial := append([]sm.State(nil), cfg...)
+	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(4), cfg)
+	for i := 0; i < 5; i++ {
+		e.Step()
+	}
+	in := faults.NewInjector(g, 9, nil)
+	for i := 0; i < 50; i++ {
+		in.Strike(e, 1)
+		e.Step()
+	}
+	if got := core.Fingerprint(initial); got != want {
+		t.Fatal("a fault struck after some moves changed the initial configuration")
+	}
+}
+
 func TestInFlightValid(t *testing.T) {
 	g := graph.Line(4)
 	e, _ := newSystem(g, 1)

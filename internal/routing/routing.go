@@ -19,6 +19,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
@@ -48,16 +49,32 @@ func (s *NodeState) Clone() *NodeState {
 // meaningful at p ≠ d; the protocol never consults it at the destination.
 func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Parent[d] }
 
+// set writes destination d's entry into fresh copies of Dist and Parent:
+// A never writes the arrays in place.
+func (s *NodeState) set(d graph.ProcessID, dist int, parent graph.ProcessID) {
+	s.Dist, s.Parent = slices.Clone(s.Dist), slices.Clone(s.Parent)
+	s.Dist[d], s.Parent[d] = dist, parent
+}
+
 // Accessor extracts the routing component from a composed scenario state.
 // Scenario states embed a routing NodeState next to the forwarding state;
-// the rules built by NewProgram reach it through this function.
+// the rules built by NewProgram reach it through this function. A's
+// actions replace the table's Dist and Parent arrays instead of writing
+// them, so a slot-scoped copy of the composed state
+// (statemodel.SlotState) must own the NodeState struct but may share
+// its arrays.
 type Accessor func(sm.State) *NodeState
+
+// SlotOf is the engine slot of destination d (statemodel.Rule.Slot):
+// A@d lives in slot d+1, slot 0 being the whole processor.
+func SlotOf(d graph.ProcessID) int { return int(d) + 1 }
 
 // NewProgram returns the guarded-action program of A over graph g: one rule
 // per destination ("A@d"), each at Priority, correcting (Dist, Parent) for
 // that destination. Rules are generated per destination so the composed
 // system matches the paper's "one algorithm per destination running
-// simultaneously" structure.
+// simultaneously" structure; A@d reads and writes only destination d's
+// entries, so it lives in slot SlotOf(d).
 func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 	n := g.N()
 	rules := make([]sm.Rule, 0, n)
@@ -66,6 +83,7 @@ func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 		rules = append(rules, sm.Rule{
 			Name:     fmt.Sprintf("A@%d", d),
 			Priority: Priority,
+			Slot:     SlotOf(d),
 			Guard: func(v *sm.View) bool {
 				wantDist, wantParent := target(g, v, acc, d)
 				s := acc(v.Self())
@@ -77,8 +95,7 @@ func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 				if v.Observing() && s.Parent[d] != wantParent {
 					v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: wantParent})
 				}
-				s.Dist[d] = wantDist
-				s.Parent[d] = wantParent
+				s.set(d, wantDist, wantParent)
 			},
 		})
 	}
@@ -248,7 +265,8 @@ func CycleCorrupt(g *graph.Graph, d graph.ProcessID, u, v graph.ProcessID, table
 // self-stabilizing and silent — it reaches the same fixpoint as NewProgram
 // — but its stabilization time R_A grows with the magnitude of the initial
 // corruption, letting experiments vary the max(R_A, ·) term of the paper's
-// Propositions 5-7 independently of the topology.
+// Propositions 5-7 independently of the topology. Its rules share
+// NewProgram's slots.
 func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program {
 	n := g.N()
 	rules := make([]sm.Rule, 0, n)
@@ -257,6 +275,7 @@ func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program {
 		rules = append(rules, sm.Rule{
 			Name:     fmt.Sprintf("A@%d", d),
 			Priority: Priority,
+			Slot:     SlotOf(d),
 			Guard: func(v *sm.View) bool {
 				wantDist, wantParent := target(g, v, acc, d)
 				s := acc(v.Self())
@@ -267,14 +286,14 @@ func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program {
 				s := acc(v.Self())
 				switch {
 				case s.Dist[d] < wantDist:
-					s.Dist[d]++
+					s.set(d, s.Dist[d]+1, s.Parent[d])
 				case s.Dist[d] > wantDist:
-					s.Dist[d]--
+					s.set(d, s.Dist[d]-1, s.Parent[d])
 				default:
 					if v.Observing() && s.Parent[d] != wantParent {
 						v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: wantParent})
 					}
-					s.Parent[d] = wantParent
+					s.set(d, s.Dist[d], wantParent)
 				}
 			},
 		})

@@ -2,6 +2,7 @@ package statemodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,20 +12,22 @@ import (
 )
 
 // Stats counts the enabled-set work an engine has performed. GuardEvals is
-// the headline number: the naive engine pays N·R guard invocations per
-// step, the incremental engine only re-evaluates the closed neighborhoods
-// of the processors that executed or were mutated. Self-check sweeps are
-// excluded from every counter so checked and unchecked runs report the
-// same work.
+// the headline number: the naive engine evaluates every slot of every
+// processor per step, the incremental engine only the (processor, slot)
+// pairs that a move or a mutation marked. Within a slot, guards are
+// evaluated in rule order and a rule of lower priority than the slot's
+// best enabled one so far is skipped (the per-slot priority filter).
+// Self-check sweeps are excluded from every counter so checked and
+// unchecked runs report the same work.
 type Stats struct {
 	Steps      int   // engine steps executed
 	FullScans  int   // complete enabled-set rebuilds (all N processors)
-	Flushes    int   // incremental cache flushes (dirty neighborhoods only)
+	Flushes    int   // incremental cache flushes (marked slots only)
 	GuardEvals int64 // guard invocations, full scans and flushes combined
 
 	ProcsEvaluated int64 // processors whose choice was (re-)computed
 	ProcsSkipped   int64 // processors served from the cache during flushes
-	DirtyMarks     int64 // cumulative dirty-set sizes at flush time
+	DirtyMarks     int64 // cumulative (processor, slot) marks at flush time
 
 	SelfChecks int // naive recomputations performed by the self-check mode
 
@@ -38,19 +41,23 @@ type Stats struct {
 // arbitrary initial configuration (the essence of stabilization: the
 // initial states are inputs, not something the engine sanitizes).
 //
-// By default the engine maintains the enabled-Choice set incrementally:
-// after a step only the closed neighborhoods of the processors that
-// executed (or whose state was replaced or handed out for mutation) are
-// re-evaluated, since a guard at p reads only N[p] — the locality that
-// View.Read enforces on protocol code. WithIncremental(false) restores
-// the naive full scan per step; WithSelfCheck(true) — the default under
-// `go test` — recomputes the enabled set naively every step, panicking
-// with a minimal diff on any divergence, and runs the boundary-conflict
-// oracle on every parallel batch.
+// By default the engine maintains the enabled-Choice set incrementally,
+// cached per (processor, slot) (see Rule.Slot and slots.go): after a move
+// of a slot-s rule at p only slot s is re-evaluated in N[p], since a guard
+// at p reads only N[p] — the locality that View.Read enforces on protocol
+// code — and a slotted guard only its slot there. A processor whose state
+// was replaced or handed out for mutation has every slot of its closed
+// neighborhood re-evaluated. WithIncremental(false) restores the naive
+// full scan per step; WithSelfCheck(true) — the default under `go test`
+// — recomputes the enabled set naively every step, panicking with a
+// minimal per-processor diff on any divergence (which is how a rule that
+// reads outside its declared slot is caught), and runs the
+// boundary-conflict oracle on every parallel batch.
 //
-// Every step runs one code path: evaluate guards into canonical slots,
-// merge them into the enabled set, let the daemon select, and execute
-// each selection through one executor against the pre-step snapshot.
+// Every step runs one code path: re-evaluate the marked guards, merge
+// the fresh choices into the enabled set, let the daemon select, and
+// execute each selection through one executor against the pre-step
+// snapshot.
 // WithShards(k, seed) only lets that path fan out across k workers (see
 // parallel.go); a serial engine is the sharded engine with one shard, so
 // executions are bit-identical at any k.
@@ -67,9 +74,10 @@ type Engine struct {
 	listeners []func(Event)
 	bus       *obs.Bus
 
-	// round accounting: the set of processors enabled at the start of the
+	// round accounting: the processors enabled at the start of the
 	// current round that have neither executed nor been neutralized yet.
-	roundPending map[graph.ProcessID]bool
+	roundPending []bool
+	pendingLeft  int // processors still pending in the round
 	roundOpen    bool
 	lastEnabled  []Choice // the previous step's pre-step set, to detect neutralizations
 	inStep       bool     // Rounds() settles lazily only between steps
@@ -78,15 +86,33 @@ type Engine struct {
 	incremental  bool
 	selfCheck    bool
 	enabledValid bool
-	enabledList  []Choice // memoized enabled set; valid iff enabledValid
-	dirty        []bool
-	dirtyList    []graph.ProcessID
+	enabledList  []Choice   // memoized enabled set; valid iff enabledValid
+	cache        *slotCache // per-(processor, slot) cache, built at the first scan
 	stats        Stats
 
-	all []graph.ProcessID // every processor, ascending: a full scan's re-evaluation set
+	buf stepBuffers
 
 	// sharded execution (parallel.go); nil = one shard
 	part *graph.Partition
+}
+
+// stepBuffers is the per-step scratch of Step, reused across steps so the
+// bookkeeping allocates nothing once warm.
+type stepBuffers struct {
+	view    View // one shard's executing view
+	next    []State
+	events  []Event
+	typed   []obs.Event
+	outs    []execOut // sharded execution: per-selection events
+	batches [][]int   // sharded execution: batch pool
+	groups  [][]int   // sharded execution: one batch's selections per shard
+	active  [][]int   // sharded execution: the non-empty groups
+
+	batchOf []int32  // processor -> 1 + its batch while planning, 0 = none
+	offer   []int32  // processor -> index of its Choice in the validated set
+	mark    []uint32 // processor -> generation it was last offered/enabled in
+	picked  []uint32 // processor -> generation it was last selected in
+	gen     uint32
 }
 
 // EngineOption configures an Engine at construction time.
@@ -131,15 +157,16 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		daemon:       daemon,
 		states:       append([]State(nil), initial...),
 		moves:        make(map[string]int),
-		roundPending: make(map[graph.ProcessID]bool),
+		roundPending: make([]bool, g.N()),
 		incremental:  true,
 		selfCheck:    testing.Testing(),
-		dirty:        make([]bool, g.N()),
-		all:          make([]graph.ProcessID, g.N()),
 		bus:          obs.NewBus(),
-	}
-	for p := range e.all {
-		e.all[p] = graph.ProcessID(p)
+		buf: stepBuffers{
+			batchOf: make([]int32, g.N()),
+			offer:   make([]int32, g.N()),
+			mark:    make([]uint32, g.N()),
+			picked:  make([]uint32, g.N()),
+		},
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -153,8 +180,13 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // StateOf returns the current state of processor p. Because many callers
 // (workload injection, fault injection, tests) mutate the returned state
 // in place, the engine conservatively marks p dirty so the incremental
-// cache re-evaluates N[p] at the next flush. Use PeekStateOf on hot
-// read-only paths.
+// cache re-evaluates every slot of N[p] at the next flush. Use
+// PeekStateOf on hot read-only paths. A slotted move's successor shares
+// what the move did not write with earlier configurations
+// (SlotState.CloneSlot), so a caller may write the state's own fields but
+// must replace, not write in place, anything it reaches through a
+// pointer or slice (for core.Node: a DestState, a queue, the routing
+// arrays).
 func (e *Engine) StateOf(p graph.ProcessID) State {
 	e.markDirty(p)
 	return e.states[p]
@@ -178,14 +210,16 @@ func (e *Engine) SetStateOf(p graph.ProcessID, s State) {
 }
 
 // Invalidate tells the engine that the states of the given processors were
-// (or may have been) mutated behind its back: their closed neighborhoods
-// are re-evaluated at the next flush and the round bookkeeping is reset,
-// exactly as for SetStateOf. With no arguments the whole enabled-set cache
-// is dropped.
+// (or may have been) mutated behind its back: every slot of their closed
+// neighborhoods is re-evaluated at the next flush and the round
+// bookkeeping is reset, exactly as for SetStateOf. With no arguments the
+// whole enabled-set cache is dropped.
 func (e *Engine) Invalidate(ps ...graph.ProcessID) {
 	if len(ps) == 0 {
 		e.enabledValid = false
-		e.clearDirty()
+		if e.cache != nil {
+			e.cache.clearMarks()
+		}
 	} else {
 		for _, p := range ps {
 			e.markDirty(p)
@@ -195,9 +229,8 @@ func (e *Engine) Invalidate(ps ...graph.ProcessID) {
 }
 
 func (e *Engine) resetRoundBookkeeping() {
-	for p := range e.roundPending {
-		delete(e.roundPending, p)
-	}
+	clear(e.roundPending)
+	e.pendingLeft = 0
 	e.roundOpen = false
 	e.lastEnabled = nil
 }
@@ -273,49 +306,50 @@ func (e *Engine) publish(ev Event) {
 
 // --- incremental enabled-set cache ------------------------------------
 
+// markDirty schedules every slot of N[p] for re-evaluation; a no-op
+// while the cache is off or invalid (the next scan is a full one).
 func (e *Engine) markDirty(p graph.ProcessID) {
-	if !e.incremental || !e.enabledValid || e.dirty[p] {
+	if !e.incremental || !e.enabledValid {
 		return
 	}
-	e.dirty[p] = true
-	e.dirtyList = append(e.dirtyList, p)
-}
-
-func (e *Engine) clearDirty() {
-	for _, p := range e.dirtyList {
-		e.dirty[p] = false
-	}
-	e.dirtyList = e.dirtyList[:0]
+	e.cache.markClosed(e.g, p)
 }
 
 // enabledCurrent returns the enabled choices of the current configuration:
 // a full scan when the cache is off or invalid, otherwise the memoized
-// list with the closed neighborhoods of the dirty processors re-evaluated
-// first. Both are one evaluate over a re-evaluation set and one mergeDelta.
-// Callers inside the engine must not mutate the list. Every rebuild
-// allocates a fresh slice, so a list handed out before a flush (e.g. the
-// pre-step set a Step holds) stays intact.
+// list with the marked (processor, slot) pairs re-evaluated first. Both
+// are one flush of the slot cache. Callers inside the engine must not
+// mutate the list. Every rebuild allocates a fresh slice, so a list
+// handed out before a flush (e.g. the pre-step set a Step holds) stays
+// intact.
 func (e *Engine) enabledCurrent() []Choice {
-	var reeval []graph.ProcessID
+	if e.cache == nil {
+		e.cache = newSlotCache(e.rules, e.g.N())
+	}
+	prev := e.enabledList
+	full := !e.incremental || !e.enabledValid
 	switch {
-	case !e.incremental || !e.enabledValid:
+	case full:
 		e.stats.FullScans++
-		reeval, e.enabledList = e.all, nil
+		for p := 0; p < e.g.N(); p++ {
+			e.cache.markProc(graph.ProcessID(p))
+		}
+		prev = nil
 		e.enabledValid = e.incremental
-	case len(e.dirtyList) > 0:
+	case len(e.cache.dirty) > 0:
 		e.stats.Flushes++
-		e.stats.DirtyMarks += int64(len(e.dirtyList))
-		reeval = closedNeighborhood(e.g, e.dirtyList)
-		e.stats.ProcsSkipped += int64(e.g.N() - len(reeval))
 	default:
 		return e.enabledList
 	}
-	slots, evals := evaluate(e.g, e.rules, e.states, reeval, e.step, e.Shards())
+	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, e.Shards())
 	e.stats.GuardEvals += evals
-	e.stats.ProcsEvaluated += int64(len(reeval))
-	e.enabledList = mergeDelta(e.enabledList, reeval, slots)
-	e.clearDirty()
-	return e.enabledList
+	e.stats.ProcsEvaluated += int64(procs)
+	if !full {
+		e.stats.DirtyMarks += marks
+		e.stats.ProcsSkipped += int64(e.g.N() - procs)
+	}
+	e.enabledList = list
+	return list
 }
 
 // selfCheckEnabled recomputes the enabled set with the naive full scan and
@@ -350,7 +384,7 @@ func diffEnabled(rules []Rule, want, got []Choice) string {
 			fmt.Fprintf(&sb, "  p%d: naive=[] incremental=%s\n", got[gi].Process, names(got[gi]))
 			gi++
 		default:
-			if !equalInts(want[wi].Rules, got[gi].Rules) {
+			if !slices.Equal(want[wi].Rules, got[gi].Rules) {
 				fmt.Fprintf(&sb, "  p%d: naive=%s incremental=%s\n", want[wi].Process, names(want[wi]), names(got[gi]))
 			}
 			wi++
@@ -358,18 +392,6 @@ func diffEnabled(rules []Rule, want, got []Choice) string {
 		}
 	}
 	return sb.String()
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Enabled computes the Choice list of the current configuration: every
@@ -416,32 +438,41 @@ func (e *Engine) Step() bool {
 	// Execute every selection against the same pre-step snapshot, then
 	// commit. One shard (or one selection) runs them in order; more run
 	// non-adjacent batches concurrently, merged in canonical order.
-	next := make([]State, len(sels))
-	var events []Event
-	var typed []obs.Event
+	b := &e.buf
+	next := slices.Grow(b.next[:0], len(sels))[:len(sels)]
+	b.next = next
+	b.events, b.typed = b.events[:0], b.typed[:0]
 	var tb *[]obs.Event
 	if e.bus.Active() {
-		tb = &typed
+		tb = &b.typed
 	}
 	if e.part == nil || len(sels) == 1 {
 		for i, sel := range sels {
-			next[i] = e.execute(sel, &events, tb)
+			next[i] = e.execute(sel, &b.view, &b.events, tb)
 		}
 	} else {
-		e.executeBatches(sels, next, &events, tb)
+		e.executeBatches(sels, next, &b.events, tb)
 	}
 	for i, sel := range sels {
-		e.states[sel.Process] = next[i]
-		e.markDirty(sel.Process)
-		e.moves[e.rules[sel.Rule].Name]++
-		delete(e.roundPending, sel.Process)
+		p := sel.Process
+		r := &e.rules[sel.Rule]
+		e.states[p] = next[i]
+		next[i] = nil
+		if e.incremental && e.enabledValid {
+			e.cache.markMove(e.g, p, r)
+		}
+		e.moves[r.Name]++
+		if e.roundPending[p] {
+			e.roundPending[p] = false
+			e.pendingLeft--
+		}
 	}
 	e.lastEnabled = enabled
-	for _, ev := range events {
+	for _, ev := range b.events {
 		e.publish(ev)
 	}
 	if tb != nil {
-		for _, ev := range typed {
+		for _, ev := range b.typed {
 			e.bus.Publish(ev)
 		}
 		e.bus.Publish(obs.Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
@@ -452,12 +483,12 @@ func (e *Engine) Step() bool {
 }
 
 // execute is the engine's one executor: it runs sel against the pre-step
-// snapshot (apply), appends the action's events and then its fire marker
-// to the given buffers, and returns the successor state. typed is nil
-// when no bus subscriber is attached.
-func (e *Engine) execute(sel Selection, events *[]Event, typed *[]obs.Event) State {
+// snapshot (apply, through the reused view v), appends the action's events
+// and then its fire marker to the given buffers, and returns the successor
+// state. typed is nil when no bus subscriber is attached.
+func (e *Engine) execute(sel Selection, v *View, events *[]Event, typed *[]obs.Event) State {
 	name := e.rules[sel.Rule].Name
-	s := apply(e.g, e.rules, e.states, sel, e.step, e.rounds, events, typed)
+	s := apply(v, e.g, e.rules, e.states, sel, e.step, e.rounds, events, typed)
 	*events = append(*events, Event{Step: e.step, Process: sel.Process, Rule: name, Kind: "fire"})
 	if typed != nil {
 		*typed = append(*typed, obs.Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: name})
@@ -465,32 +496,42 @@ func (e *Engine) execute(sel Selection, events *[]Event, typed *[]obs.Event) Sta
 	return s
 }
 
+// validateSelections enforces the daemon contract with processor-indexed
+// generation stamps (no per-step maps).
 func (e *Engine) validateSelections(enabled []Choice, sels []Selection) {
 	if len(sels) == 0 {
 		panic(fmt.Sprintf("statemodel: daemon %q selected nothing from a non-empty enabled set", e.daemon.Name()))
 	}
-	offered := make(map[graph.ProcessID]map[int]bool, len(enabled))
-	for _, c := range enabled {
-		m := make(map[int]bool, len(c.Rules))
-		for _, r := range c.Rules {
-			m[r] = true
-		}
-		offered[c.Process] = m
+	b := &e.buf
+	gen := e.nextGen()
+	for i, c := range enabled {
+		b.mark[c.Process], b.offer[c.Process] = gen, int32(i)
 	}
-	seen := make(map[graph.ProcessID]bool, len(sels))
 	for _, s := range sels {
-		if seen[s.Process] {
-			panic(fmt.Sprintf("statemodel: daemon %q selected processor %d twice", e.daemon.Name(), s.Process))
+		p := s.Process
+		if p < 0 || int(p) >= e.g.N() || b.mark[p] != gen {
+			panic(fmt.Sprintf("statemodel: daemon %q selected disabled processor %d", e.daemon.Name(), p))
 		}
-		seen[s.Process] = true
-		m, ok := offered[s.Process]
-		if !ok {
-			panic(fmt.Sprintf("statemodel: daemon %q selected disabled processor %d", e.daemon.Name(), s.Process))
+		if b.picked[p] == gen {
+			panic(fmt.Sprintf("statemodel: daemon %q selected processor %d twice", e.daemon.Name(), p))
 		}
-		if !m[s.Rule] {
-			panic(fmt.Sprintf("statemodel: daemon %q selected rule %d not enabled at processor %d", e.daemon.Name(), s.Rule, s.Process))
+		b.picked[p] = gen
+		if !slices.Contains(enabled[b.offer[p]].Rules, s.Rule) {
+			panic(fmt.Sprintf("statemodel: daemon %q selected rule %d not enabled at processor %d", e.daemon.Name(), s.Rule, p))
 		}
 	}
+}
+
+// nextGen starts a fresh generation of the processor stamps.
+func (e *Engine) nextGen() uint32 {
+	b := &e.buf
+	b.gen++
+	if b.gen == 0 { // wrapped: old stamps could alias the new generation
+		clear(b.mark)
+		clear(b.picked)
+		b.gen = 1
+	}
+	return b.gen
 }
 
 // --- round accounting -------------------------------------------------
@@ -504,21 +545,19 @@ func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) {
 		return
 	}
 	if len(e.lastEnabled) > 0 {
-		wasEnabled := make(map[graph.ProcessID]bool, len(e.lastEnabled))
-		for _, c := range e.lastEnabled {
-			wasEnabled[c.Process] = true
-		}
-		isEnabled := make(map[graph.ProcessID]bool, len(enabledNow))
+		b := &e.buf
+		gen := e.nextGen()
 		for _, c := range enabledNow {
-			isEnabled[c.Process] = true
+			b.mark[c.Process] = gen
 		}
-		for p := range e.roundPending {
-			if wasEnabled[p] && !isEnabled[p] {
-				delete(e.roundPending, p) // neutralized
+		for _, c := range e.lastEnabled {
+			if p := c.Process; e.roundPending[p] && b.mark[p] != gen {
+				e.roundPending[p] = false // neutralized
+				e.pendingLeft--
 			}
 		}
 	}
-	if len(e.roundPending) == 0 {
+	if e.pendingLeft == 0 {
 		e.rounds++
 		e.roundOpen = false
 		if e.bus.Active() {
@@ -531,6 +570,7 @@ func (e *Engine) openRound(enabled []Choice) {
 	for _, c := range enabled {
 		e.roundPending[c.Process] = true
 	}
+	e.pendingLeft = len(enabled)
 	e.roundOpen = true
 }
 

@@ -310,7 +310,8 @@ func TestRoundsSettledAfterNeutralizationAtTerminal(t *testing.T) {
 }
 
 // TestEnabledDeltaMatchesFullScan drives the shared incremental primitive
-// directly over random mutation sequences and compares against EnabledOf.
+// (one Delta reused across configurations) directly over random mutation
+// sequences and compares against EnabledOf.
 func TestEnabledDeltaMatchesFullScan(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -321,6 +322,7 @@ func TestEnabledDeltaMatchesFullScan(t *testing.T) {
 			cfg[i] = &intState{v: rng.Intn(6)}
 		}
 		enabled := EnabledOf(g, rules, cfg)
+		delta := NewDelta(g, rules)
 		for step := 0; step < 30; step++ {
 			k := 1 + rng.Intn(3)
 			changed := make([]graph.ProcessID, 0, k)
@@ -329,7 +331,7 @@ func TestEnabledDeltaMatchesFullScan(t *testing.T) {
 				cfg[p] = &intState{v: rng.Intn(6)}
 				changed = append(changed, p)
 			}
-			enabled = EnabledDelta(g, rules, cfg, enabled, changed)
+			enabled = delta.Enabled(cfg, enabled, changed)
 			want := EnabledOf(g, rules, cfg)
 			if d := diffEnabled(rules, want, enabled); d != "" {
 				t.Fatalf("seed %d step %d: delta diverged from full scan:\n%s", seed, step, d)

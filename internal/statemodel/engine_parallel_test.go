@@ -252,9 +252,9 @@ func TestShardedWithSelfCheck(t *testing.T) {
 	}
 }
 
-// TestParScanMatchesSerialScan compares the sharded full scan (evaluate
-// fanned out over four workers, then mergeDelta) against the naive
-// reference scan on graphs above the fan-out threshold.
+// TestParScanMatchesSerialScan compares the sharded full scan (a slot
+// cache flush fanned out over four workers) against the naive reference
+// scan on graphs above the fan-out threshold.
 func TestParScanMatchesSerialScan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -265,8 +265,11 @@ func TestParScanMatchesSerialScan(t *testing.T) {
 			cfg[i] = &intState{v: rng.Intn(6)}
 		}
 		e := NewEngine(g, maxProgram(), allDaemon{}, cfg, WithShards(4, seed), WithSelfCheck(false))
-		slots, evals := evaluate(g, e.rules, e.states, e.all, 0, e.Shards())
-		got := mergeDelta(nil, e.all, slots)
+		c := newSlotCache(e.rules, n)
+		for p := 0; p < n; p++ {
+			c.markProc(graph.ProcessID(p))
+		}
+		got, evals, _, _ := c.flush(g, e.states, nil, 0, e.Shards())
 		var wantEvals int64
 		want := scanEnabled(g, e.rules, e.states, 0, &wantEvals)
 		if d := diffEnabled(e.rules, want, got); d != "" {

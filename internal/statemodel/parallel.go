@@ -18,19 +18,20 @@ import (
 // seeded, deterministic shards (graph.Partition), and the two hot loops
 // fan out:
 //
-//   - guard evaluation: evaluate fills one canonical slot per processor
-//     of the re-evaluation set (every processor for a full scan, N[dirty]
-//     for a flush) and mergeDelta folds the slots into the previous
-//     enabled list in ascending processor order;
+//   - guard evaluation: a flush (slots.go) re-evaluates the marked
+//     (processor, slot) pairs, each worker writing only its processors'
+//     cache rows, then rebuilds their choices and merges them into the
+//     previous enabled list in ascending processor order;
 //   - action execution: the daemon's selections are planned into batches
 //     such that no two processors in one batch are adjacent (the
 //     concurrency discipline of the paper's distributed daemon, where
 //     only non-neighboring processors move simultaneously), each batch
 //     is split across workers along shard ownership, every action runs
-//     against the immutable pre-step snapshot into a per-selection slot,
-//     and the slots are concatenated in canonical selection order.
+//     against the immutable pre-step snapshot into a per-selection
+//     output, and the outputs are concatenated in canonical selection
+//     order.
 //
-// Because every worker writes only to canonically indexed slots and
+// Because every worker writes only to canonically indexed outputs and
 // every merge walks them in canonical order, a run with any shard count
 // produces the same states after every step, the same event stream, the
 // same move counts and the same guard-evaluation totals. Whenever the
@@ -67,7 +68,7 @@ func (e *Engine) Shards() int {
 
 // fanOut runs tasks 0..n-1 on up to workers goroutines (never more than
 // tasks; one worker runs them inline). Assignment is dynamic (atomic
-// counter): callers must write results into canonically indexed slots,
+// counter): callers must write results into canonically indexed outputs,
 // never append from workers.
 func fanOut(workers, n int, task func(i int)) {
 	if workers > n {
@@ -97,69 +98,12 @@ func fanOut(workers, n int, task func(i int)) {
 	wg.Wait()
 }
 
-// --- enabled-set evaluation --------------------------------------------
-
-// closedNeighborhood returns N[changed] — every changed processor plus
-// its neighbors, deduplicated and sorted ascending: the only processors
-// whose guards can read a changed state.
-func closedNeighborhood(g *graph.Graph, changed []graph.ProcessID) []graph.ProcessID {
-	n := len(changed)
-	for _, p := range changed {
-		n += g.Degree(p)
-	}
-	out := make([]graph.ProcessID, 0, n)
-	for _, p := range changed {
-		out = append(out, p)
-		out = append(out, g.Neighbors(p)...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// evaluate computes the choices of ps on cfg into canonical slots
-// (slots[i] belongs to ps[i]) and counts the guard invocations. The work
-// fans out over up to workers goroutines when ps is large enough to pay
-// for it; the result does not depend on workers.
-func evaluate(g *graph.Graph, rules []Rule, cfg []State, ps []graph.ProcessID, step, workers int) (slots []Choice, guardEvals int64) {
-	if len(ps) < parScanMinProcs {
-		workers = 1
-	}
-	slots = make([]Choice, len(ps))
-	var evals atomic.Int64
-	fanOut(workers, len(ps), func(i int) {
-		var n int64
-		slots[i] = enabledAtConfig(g, rules, cfg, ps[i], step, &n)
-		evals.Add(n)
-	})
-	return slots, evals.Load()
-}
-
-// mergeDelta replaces the entries of prev (sorted by processor ID) for
-// the re-evaluated processors ps with their fresh slots, dropping the
-// ones no longer enabled. The result is freshly allocated and sorted.
-func mergeDelta(prev []Choice, ps []graph.ProcessID, slots []Choice) []Choice {
-	out := make([]Choice, 0, len(prev)+len(ps))
-	pi := 0
-	for i, p := range ps {
-		for pi < len(prev) && prev[pi].Process < p {
-			out = append(out, prev[pi])
-			pi++
-		}
-		if pi < len(prev) && prev[pi].Process == p {
-			pi++
-		}
-		if len(slots[i].Rules) > 0 {
-			out = append(out, slots[i])
-		}
-	}
-	return append(out, prev[pi:]...)
-}
-
 // --- action execution --------------------------------------------------
 
-// execSlot holds one selection's events during a sharded batch until
-// they are concatenated in canonical order.
-type execSlot struct {
+// execOut holds one selection's executing view and its events during a
+// sharded batch until the events are concatenated in canonical order.
+type execOut struct {
+	view   View
 	events []Event
 	typed  []obs.Event
 }
@@ -168,30 +112,41 @@ type execSlot struct {
 // batches of provably non-adjacent moves execute concurrently (split
 // across workers along shard ownership), every action reads the
 // immutable pre-step snapshot, and each selection's successor state and
-// events land in its own slot. The events are appended to the step's
+// events land in its own output. The events are appended to the step's
 // buffers in canonical selection order; typed is nil when no bus
-// subscriber is attached.
+// subscriber is attached. Outputs and groups are engine buffers reused
+// across steps.
 func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event, typed *[]obs.Event) {
-	slots := make([]execSlot, len(sels))
+	b := &e.buf
+	b.outs = slices.Grow(b.outs[:0], len(sels))[:len(sels)]
+	for i := range b.outs {
+		b.outs[i].events, b.outs[i].typed = b.outs[i].events[:0], b.outs[i].typed[:0]
+	}
+	if b.groups == nil {
+		b.groups = make([][]int, e.part.K())
+	}
 	for _, batch := range e.planBatches(sels) {
-		groups := make([][]int, e.part.K())
+		for s := range b.groups {
+			b.groups[s] = b.groups[s][:0]
+		}
 		for _, i := range batch {
 			s := e.part.Of(sels[i].Process)
-			groups[s] = append(groups[s], i)
+			b.groups[s] = append(b.groups[s], i)
 		}
-		active := groups[:0]
-		for _, grp := range groups {
+		active := b.active[:0]
+		for _, grp := range b.groups {
 			if len(grp) > 0 {
 				active = append(active, grp)
 			}
 		}
+		b.active = active
 		fanOut(len(active), len(active), func(gi int) {
 			for _, i := range active[gi] {
 				var tb *[]obs.Event
 				if typed != nil {
-					tb = &slots[i].typed
+					tb = &b.outs[i].typed
 				}
-				next[i] = e.execute(sels[i], &slots[i].events, tb)
+				next[i] = e.execute(sels[i], &b.outs[i].view, &b.outs[i].events, tb)
 			}
 		})
 		if e.selfCheck {
@@ -200,10 +155,10 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event,
 		e.stats.ParallelBatches++
 	}
 	e.stats.ParallelMoves += int64(len(sels))
-	for i := range slots {
-		*events = append(*events, slots[i].events...)
+	for i := range b.outs {
+		*events = append(*events, b.outs[i].events...)
 		if typed != nil {
-			*typed = append(*typed, slots[i].typed...)
+			*typed = append(*typed, b.outs[i].typed...)
 		}
 	}
 }
@@ -213,33 +168,39 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event,
 // order) joins the first batch that contains none of its neighbors.
 // Interior processors of distinct shards can never collide, so the
 // neighbor probe only ever rejects same-shard or boundary pairs. The
-// returned batches hold indices into sels, each batch ascending.
+// returned batches hold indices into sels, each batch ascending; they
+// live in engine buffers until the next call.
 func (e *Engine) planBatches(sels []Selection) [][]int {
-	var batches [][]int
-	inBatch := make([]map[graph.ProcessID]bool, 0, 4)
+	b := &e.buf
+	nb := 0
 	for i, sel := range sels {
-		placed := false
-		for b := range batches {
+		k := 0
+		for ; k < nb; k++ {
 			conflict := false
 			for _, q := range e.g.Neighbors(sel.Process) {
-				if inBatch[b][q] {
+				if b.batchOf[q] == int32(k+1) {
 					conflict = true
 					break
 				}
 			}
 			if !conflict {
-				batches[b] = append(batches[b], i)
-				inBatch[b][sel.Process] = true
-				placed = true
 				break
 			}
 		}
-		if !placed {
-			batches = append(batches, []int{i})
-			inBatch = append(inBatch, map[graph.ProcessID]bool{sel.Process: true})
+		if k == nb {
+			if nb == len(b.batches) {
+				b.batches = append(b.batches, nil)
+			}
+			b.batches[nb] = b.batches[nb][:0]
+			nb++
 		}
+		b.batches[k] = append(b.batches[k], i)
+		b.batchOf[sel.Process] = int32(k + 1)
 	}
-	return batches
+	for _, sel := range sels {
+		b.batchOf[sel.Process] = 0
+	}
+	return b.batches[:nb]
 }
 
 // assertBatchNonAdjacent is the boundary-conflict oracle: an independent

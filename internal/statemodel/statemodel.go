@@ -29,6 +29,17 @@ type State interface {
 	Clone() State
 }
 
+// SlotState is a State sliced into slots (see Rule.Slot). CloneSlot
+// returns a copy that owns what an action of the given slot (> 0) may
+// write: the slot itself and the processor's unsliced fields. Everything
+// else may be shared with the receiver, so no action may write it in
+// place. The executor uses CloneSlot for slotted rules and Clone for
+// slot 0.
+type SlotState interface {
+	State
+	CloneSlot(slot int) State
+}
+
 // Event is an observable side effect emitted by an action, e.g. the
 // delivery of a message to the higher layer. Events are how specification
 // checkers observe an execution without peeking into protocol internals.
@@ -50,7 +61,9 @@ type Event struct {
 // it provides read-only access to the processor's own state and its
 // neighbors' states (pre-step snapshot). During action execution Self
 // returns a private mutable clone; reads of other processors still see the
-// pre-step snapshot, which gives the model's composite atomicity.
+// pre-step snapshot, which gives the model's composite atomicity. A View
+// is valid only for the guard or action call it is passed to: the engine
+// reuses it.
 type View struct {
 	id       graph.ProcessID
 	g        *graph.Graph
@@ -127,11 +140,23 @@ func (v *View) Observe(ev obs.Event) {
 // processor with an enabled rule of priority k never executes a rule of
 // priority > k (lower number = higher priority). The routing algorithm A
 // runs at priority 0, SSMFP at priority 1.
+//
+// Slot is the part of the processor's state the rule belongs to, e.g. one
+// destination of a per-destination protocol. A slotted guard (Slot > 0)
+// reads only its slot at every processor of N[p], plus p's own unsliced
+// fields; a slotted action writes only its slot at p, so its move
+// re-evaluates just that slot in N[p]. WritesUnsliced declares a slotted
+// action that also writes p's unsliced fields: its move re-evaluates
+// every slot of p. Slot 0, the default, is the whole processor: its
+// guards may read and its actions write anything the model allows. The
+// engine's self-check catches a guard that reads outside its slot.
 type Rule struct {
-	Name     string
-	Priority int
-	Guard    func(v *View) bool
-	Action   func(v *View)
+	Name           string
+	Priority       int
+	Slot           int
+	WritesUnsliced bool
+	Guard          func(v *View) bool
+	Action         func(v *View)
 }
 
 // Program is the collection of rules run by every processor. Programs are
@@ -207,18 +232,35 @@ func scanEnabled(g *graph.Graph, rules []Rule, cfg []State, step int, guardEvals
 	return enabled
 }
 
-// EnabledDelta incrementally updates an enabled set after a localized
-// configuration change: prev must be the enabled choices of the
-// configuration cfg was derived from, and changed the processors whose
-// state differs. Because a guard at p reads only the closed neighborhood
-// N[p] (enforced by View.Read), enabledness can have changed only inside
-// N[changed]; exactly those processors are re-evaluated and everything
-// else is carried over from prev. The result is freshly allocated and
-// sorted by processor ID, identical to EnabledOf(g, rules, cfg).
-func EnabledDelta(g *graph.Graph, rules []Rule, cfg []State, prev []Choice, changed []graph.ProcessID) []Choice {
-	ps := closedNeighborhood(g, changed)
-	slots, _ := evaluate(g, rules, cfg, ps, 0, 1)
-	return mergeDelta(prev, ps, slots)
+// Delta incrementally updates enabled sets after localized configuration
+// changes, for one program on one graph. It groups the rules by slot once
+// and reuses the engine's slot evaluator between calls, so an exhaustive
+// exploration (internal/explore) pays for the grouping once. A Delta is
+// not safe for concurrent use.
+type Delta struct {
+	g     *graph.Graph
+	cache *slotCache
+}
+
+// NewDelta returns a Delta for rules on g.
+func NewDelta(g *graph.Graph, rules []Rule) *Delta {
+	return &Delta{g: g, cache: newSlotCache(rules, g.N())}
+}
+
+// Enabled returns the enabled choices of cfg: prev must be the enabled
+// choices of the configuration cfg was derived from, and changed the
+// processors whose state differs. Because a guard at p reads only the
+// closed neighborhood N[p] (enforced by View.Read), enabledness can have
+// changed only inside N[changed]; exactly those processors are
+// re-evaluated, every slot of each, and everything else is carried over
+// from prev. The result is freshly allocated and sorted by processor ID,
+// identical to EnabledOf(g, rules, cfg).
+func (d *Delta) Enabled(cfg []State, prev []Choice, changed []graph.ProcessID) []Choice {
+	for _, p := range changed {
+		d.cache.markClosed(d.g, p)
+	}
+	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, 1)
+	return list
 }
 
 // enabledAtConfig evaluates the guards of p on cfg, offering only the
@@ -250,26 +292,35 @@ func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessI
 
 // ApplySelection executes one selection against cfg without mutating it:
 // it returns the successor state of the selected processor (a mutated
-// clone) and the events the action emitted. The caller is responsible for
+// copy, which may share what the action did not write with cfg's state)
+// and the events the action emitted. The caller is responsible for
 // only applying selections whose guards hold on cfg.
 func ApplySelection(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step int) (State, []Event) {
 	var events []Event
-	s := apply(g, rules, cfg, sel, step, 0, &events, nil)
+	s := apply(&View{}, g, rules, cfg, sel, step, 0, &events, nil)
 	return s, events
 }
 
-// apply runs sel's action on a private clone of its processor's state,
-// every read seeing cfg, and returns the successor state. Emitted events
-// are appended to *events and typed events to *typed (nil: not
-// observing), each stamped with the selection's step, round, processor
-// and rule. It is the executor shared by ApplySelection and Engine.Step.
-func apply(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event, typed *[]obs.Event) State {
-	r := rules[sel.Rule]
-	v := &View{
+// apply runs sel's action through v on a private copy of its
+// processor's state, every read seeing cfg, and returns the successor
+// state. The copy is slot-scoped (SlotState.CloneSlot) for a slotted rule
+// of a sliced state and deep otherwise. Emitted events are appended to *events and typed
+// events to *typed (nil: not observing), each stamped with the
+// selection's step, round, processor and rule. It is the executor shared
+// by ApplySelection and Engine.Step.
+func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event, typed *[]obs.Event) State {
+	r := &rules[sel.Rule]
+	self := cfg[sel.Process]
+	if ss, ok := self.(SlotState); ok && r.Slot > 0 {
+		self = ss.CloneSlot(r.Slot)
+	} else {
+		self = self.Clone()
+	}
+	*v = View{
 		id:       sel.Process,
 		g:        g,
 		snapshot: cfg,
-		self:     cfg[sel.Process].Clone(),
+		self:     self,
 		step:     step,
 		round:    round,
 		rule:     r.Name,

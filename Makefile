@@ -5,7 +5,7 @@ GO ?= go
 # Coverage floor enforced by `make cover-check` (CI satellite): total
 # statement coverage must not drop below this. Raise it when coverage
 # grows; never lower it to make a PR pass.
-COVER_FLOOR ?= 76.5
+COVER_FLOOR ?= 80.0
 
 # Canonical flags of the checked-in benchmark baseline (BENCH_baseline.json).
 # PR benches and baseline refreshes must use the same cell selection.

@@ -163,7 +163,6 @@ func run(cfg config) error {
 			Latency:      cfg.latency,
 			Jitter:       cfg.jitter,
 			BandwidthBps: cfg.bandwidth,
-			Bus:          bus,
 			OnDeliver:    hook.OnDeliver,
 			// Nodes stamp R1-queue and park waits into the payload tag's
 			// hold slot so the collector can attribute end-to-end latency.

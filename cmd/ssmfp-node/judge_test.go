@@ -5,20 +5,21 @@ import (
 	"strings"
 	"testing"
 
+	"ssmfp/internal/harness"
 	"ssmfp/internal/secure"
 	"ssmfp/internal/telemetry"
 )
 
-// judgePlan and judgeReports are a clean three-node run: each node sends
-// one message to its ring successor and receives one from its
+// judgeShares and judgeReports are a clean three-node run: each node
+// sends one message to its ring successor and receives one from its
 // predecessor.
-var judgePlan = []workloadEntry{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}}
+var judgeShares = map[int]int{0: 1, 1: 1, 2: 1}
 
-func judgeReports() []report {
-	return []report{
-		{ID: 0, Sent: []sentRec{{UID: 10, Dst: 1}}, Delivered: []delivRec{{UID: 30, Src: 2, Valid: true}}},
-		{ID: 1, Sent: []sentRec{{UID: 20, Dst: 2}}, Delivered: []delivRec{{UID: 10, Src: 0, Valid: true}}},
-		{ID: 2, Sent: []sentRec{{UID: 30, Dst: 0}}, Delivered: []delivRec{{UID: 20, Src: 1, Valid: true}}},
+func judgeReports() []harness.Report {
+	return []harness.Report{
+		{ID: 0, Sent: []harness.SentRec{{UID: 10, Dst: 1}}, Delivered: []harness.DelivRec{{UID: 30, Src: 2, Valid: true}}},
+		{ID: 1, Sent: []harness.SentRec{{UID: 20, Dst: 2}}, Delivered: []harness.DelivRec{{UID: 10, Src: 0, Valid: true}}},
+		{ID: 2, Sent: []harness.SentRec{{UID: 30, Dst: 0}}, Delivered: []harness.DelivRec{{UID: 20, Src: 1, Valid: true}}},
 	}
 }
 
@@ -56,33 +57,30 @@ func balancedCounts() map[string]float64 {
 func TestJudgeFlagsEachViolation(t *testing.T) {
 	cases := []struct {
 		name   string
-		report func(rs []report)
+		report func(rs []harness.Report)
 		counts func(c map[string]float64)
 		want   string // substring of the single expected violation; "" = clean
 	}{
 		{name: "clean"},
-		{name: "duplicate", want: "uid 10 delivered 2 times", report: func(rs []report) {
+		{name: "duplicate", want: "uid 10 delivered 2 times", report: func(rs []harness.Report) {
 			rs[1].Delivered = append(rs[1].Delivered, rs[1].Delivered[0])
 		}},
-		{name: "missing", want: "uid 20 (for node 2) never delivered", report: func(rs []report) {
+		{name: "missing", want: "uid 20 (for node 2) never delivered", report: func(rs []harness.Report) {
 			rs[2].Delivered = nil
 		}},
-		{name: "misroute", want: "uid 20 delivered at node 0, addressed to 2", report: func(rs []report) {
+		{name: "misroute", want: "uid 20 delivered at node 0, addressed to 2", report: func(rs []harness.Report) {
 			rs[0].Delivered = append(rs[0].Delivered, rs[2].Delivered...)
 			rs[2].Delivered = nil
 		}},
-		{name: "unknown uid", want: "node 0 delivered unknown uid 99", report: func(rs []report) {
-			rs[0].Delivered = append(rs[0].Delivered, delivRec{UID: 99, Src: 1, Valid: true})
+		{name: "unknown uid", want: "node 0 delivered unknown uid 99", report: func(rs []harness.Report) {
+			rs[0].Delivered = append(rs[0].Delivered, harness.DelivRec{UID: 99, Src: 1, Valid: true})
 		}},
-		{name: "invalid delivery", want: "node 0 delivered invalid uid 77", report: func(rs []report) {
-			rs[0].Delivered = append(rs[0].Delivered, delivRec{UID: 77, Src: 1})
+		{name: "invalid delivery", want: "node 0 delivered invalid uid 77", report: func(rs []harness.Report) {
+			rs[0].Delivered = append(rs[0].Delivered, harness.DelivRec{UID: 77, Src: 1})
 		}},
-		{name: "send count off plan", want: "node 0 sent 2 messages, plan says 1", report: func(rs []report) {
-			rs[0].Sent = append(rs[0].Sent, sentRec{UID: 11, Dst: 1})
-			rs[1].Delivered = append(rs[1].Delivered, delivRec{UID: 11, Src: 0, Valid: true})
-		}},
-		{name: "tag mismatch", want: "node 2 saw 1 deliveries with a foreign tag version", report: func(rs []report) {
-			rs[2].TagMismatches = 1
+		{name: "send count off plan", want: "node 0 sent 2 messages, plan says 1", report: func(rs []harness.Report) {
+			rs[0].Sent = append(rs[0].Sent, harness.SentRec{UID: 11, Dst: 1})
+			rs[1].Delivered = append(rs[1].Delivered, harness.DelivRec{UID: 11, Src: 0, Valid: true})
 		}},
 		{name: "ledger over by one", want: `reason "handshake" counted 3 rejections, rogue ledger says 2`, counts: func(c map[string]float64) {
 			c[secure.ReasonHandshake]++
@@ -100,7 +98,7 @@ func TestJudgeFlagsEachViolation(t *testing.T) {
 			if c.counts != nil {
 				c.counts(counts)
 			}
-			got := judge(rs, judgePlan)
+			got := harness.Judge(rs, judgeShares)
 			books, short := balanceLedger(ledgerSamples(counts), judgeLedger)
 			got = append(got, books...)
 			if c.want == "" {

@@ -5,9 +5,10 @@
 // forms the network. Because the workload is derived deterministically
 // from (seed, topology), every process can compute the full global send
 // plan, execute its own share, and know exactly how many deliveries to
-// expect — so each process emits a single JSON report line on stdout and
-// an external judge (the -spawn launcher, or a human with jq) can check
-// exactly-once delivery across the whole cluster.
+// expect — so each process emits a single JSON line with its send and
+// delivery ledger on stdout and an external judge (the -spawn launcher,
+// or a human with jq) can check exactly-once delivery across the whole
+// cluster; every counter is served on the node's /metrics.
 //
 // Single-node usage:
 //
@@ -49,10 +50,8 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
-	"ssmfp/internal/metrics"
-	"ssmfp/internal/msgpass"
-	"ssmfp/internal/telemetry"
 	"ssmfp/internal/transport"
 )
 
@@ -336,92 +335,6 @@ func chaosOpts(cfg config) (transport.ChaosOptions, bool, error) {
 	return opts, on, nil
 }
 
-// report is the one JSON line a node prints on stdout. The launcher (or
-// any external judge) joins all nodes' reports to check exactly-once.
-type report struct {
-	ID        int         `json:"id"`
-	Sent      []sentRec   `json:"sent"`
-	Delivered []delivRec  `json:"delivered"`
-	Expected  int         `json:"expected"`
-	Stats     wireSummary `json:"stats"`
-
-	// Achieved per-node rates, messages/second: sends over this node's
-	// injection window, valid deliveries over the span from start to the
-	// last delivery. Always reported (0 when the node sent or received
-	// nothing).
-	SendRate    float64 `json:"sendRate"`
-	DeliverRate float64 `json:"deliverRate"`
-
-	// Latency carries this node's delivery-latency quantiles and Hist the
-	// mergeable histogram shard behind them — only in -rate mode, where
-	// payloads are tagged with their scheduled instants. The launcher
-	// merges all nodes' shards into cluster-wide quantiles.
-	Latency *load.LatencySummary `json:"latency,omitempty"`
-	Hist    *metrics.LatencyHist `json:"hist,omitempty"`
-
-	// TagMismatches counts valid deliveries whose payload carried a
-	// recognizable tag of a version other than the current codec's. The
-	// judge turns any nonzero count into an exactly-once violation, so a
-	// malformed or foreign tag arriving from outside fails loudly instead
-	// of silently mis-measuring.
-	TagMismatches int `json:"tagMismatches,omitempty"`
-
-	// MetricsAddr is the node's debug-mux address when -http is set; the
-	// judge scrapes <addr>/metrics while the node idles on stdin.
-	MetricsAddr string `json:"metricsAddr,omitempty"`
-
-	// Event-driven occupancy high-water marks from the telemetry registry
-	// (exact, not tick samples), plus the congested-hop park counter. The
-	// judge cross-checks them against the delivery record: a node that
-	// delivered must have occupied both buffers, a node that sent must
-	// have had pending work, and park events imply a nonzero parked peak.
-	PeakBufR    int64 `json:"peakBufR,omitempty"`
-	PeakBufE    int64 `json:"peakBufE,omitempty"`
-	PeakPending int64 `json:"peakPending,omitempty"`
-	PeakParked  int64 `json:"peakParked,omitempty"`
-	ParkEvents  int64 `json:"parkEvents,omitempty"`
-}
-
-type sentRec struct {
-	UID uint64 `json:"uid"`
-	Dst int    `json:"dst"`
-}
-
-type delivRec struct {
-	UID   uint64 `json:"uid"`
-	Src   int    `json:"src"`
-	Valid bool   `json:"valid"`
-}
-
-// wireSummary is the slice of msgpass.Stats worth shipping in a report.
-type wireSummary struct {
-	Offers      int    `json:"offers"`
-	LostImpair  int    `json:"lostImpair"`
-	LostFull    int    `json:"lostFull"`
-	Duplicated  uint64 `json:"duplicated"`
-	BytesSent   uint64 `json:"bytesSent"`
-	BytesRecvd  uint64 `json:"bytesRecvd"`
-	Dials       uint64 `json:"dials"`
-	Redials     uint64 `json:"redials"`
-	FramesSent  uint64 `json:"framesSent"`
-	FramesRecvd uint64 `json:"framesRecvd"`
-}
-
-func summarize(s msgpass.Stats) wireSummary {
-	return wireSummary{
-		Offers:      s.OffersSent,
-		LostImpair:  s.LostInjected,
-		LostFull:    s.LostCongestion,
-		Duplicated:  s.Wire.Duplicated,
-		BytesSent:   s.Wire.BytesSent,
-		BytesRecvd:  s.Wire.BytesRecvd,
-		Dials:       s.Wire.Dials,
-		Redials:     s.Wire.Redials,
-		FramesSent:  s.Wire.FramesSent,
-		FramesRecvd: s.Wire.FramesRecvd,
-	}
-}
-
 // runNode runs one processor over TCP: open the wire, run the protocol,
 // execute this node's share of the workload, report, then keep
 // forwarding until stdin closes.
@@ -431,12 +344,7 @@ func runNode(cfg config) error {
 		return err
 	}
 	defer rt.close()
-	g, local, nw, reg := rt.g, rt.local, rt.nw, rt.reg
-
-	// Process-side health counter: valid deliveries carrying a
-	// recognizable tag of a different codec version.
-	tagMismatchCounter := reg.Counter(telemetry.SeriesTagMismatches,
-		"Valid deliveries whose payload tag speaks a different codec version.")
+	g, local, nw := rt.g, rt.local, rt.nw
 
 	debugSrv, err := serveDebug(cfg, rt)
 	if err != nil {
@@ -445,7 +353,7 @@ func runNode(cfg config) error {
 	if debugSrv != nil {
 		defer debugSrv.Close()
 	}
-	stopEmit, err := startEmitter(cfg, reg)
+	stopEmit, err := startEmitter(cfg, rt.reg)
 	if err != nil {
 		return err
 	}
@@ -459,7 +367,7 @@ func runNode(cfg config) error {
 		}
 	}
 	expected := 0
-	var sent []sentRec
+	var sent []harness.SentRec
 	start := time.Now()
 	for i, e := range plan {
 		if e.Dst == local {
@@ -494,61 +402,16 @@ func runNode(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("send %d->%d: %w", e.Src, e.Dst, err)
 		}
-		sent = append(sent, sentRec{UID: uid, Dst: int(e.Dst)})
+		sent = append(sent, harness.SentRec{UID: uid, Dst: int(e.Dst)})
 	}
 	sendWindow := time.Since(start)
 
 	nw.WaitDelivered(expected, cfg.timeout)
 
-	var delivered []delivRec
-	var hist metrics.LatencyHist
-	var lastDelivery time.Time
-	validDeliveries, tagMismatches := 0, 0
-	for _, d := range nw.Deliveries() {
-		delivered = append(delivered, delivRec{UID: d.Msg.UID, Src: int(d.Msg.Src), Valid: d.Msg.Valid})
-		if !d.Msg.Valid {
-			continue
-		}
-		validDeliveries++
-		if d.Time.After(lastDelivery) {
-			lastDelivery = d.Time
-		}
-		if _, _, _, schedNanos, ok := load.ParseTag(d.Msg.Payload); ok {
-			hist.Add(d.Time.UnixNano() - schedNanos)
-		} else if v := load.TagVersion(d.Msg.Payload); v != 0 && v != load.TagVersionCurrent {
-			tagMismatches++
-			tagMismatchCounter.Inc()
-		}
-	}
-	rep := report{
-		ID:        cfg.id,
-		Sent:      sent,
-		Delivered: delivered,
-		Expected:  expected,
-		Stats:     summarize(nw.Stats()),
-
-		TagMismatches: tagMismatches,
-	}
-	if len(sent) > 0 && sendWindow > 0 {
-		rep.SendRate = float64(len(sent)) / sendWindow.Seconds()
-	}
-	if span := lastDelivery.Sub(start); validDeliveries > 0 && span > 0 {
-		rep.DeliverRate = float64(validDeliveries) / span.Seconds()
-	}
-	if hist.Count() > 0 {
-		sum := load.SummarizeHist(&hist)
-		rep.Latency = &sum
-		rep.Hist = &hist
-	}
+	rep := harness.NewReport(cfg.id, sent, expected, nw.Deliveries(), start, sendWindow)
 	if debugSrv != nil {
 		rep.MetricsAddr = debugSrv.Addr()
 	}
-	proc := telemetry.L("proc", strconv.Itoa(cfg.id))
-	rep.PeakBufR, _ = reg.PeakValue(telemetry.SeriesBufOccupancy, proc, telemetry.L("buf", "R"))
-	rep.PeakBufE, _ = reg.PeakValue(telemetry.SeriesBufOccupancy, proc, telemetry.L("buf", "E"))
-	rep.PeakPending, _ = reg.PeakValue(telemetry.SeriesPending, proc)
-	rep.PeakParked, _ = reg.PeakValue(telemetry.SeriesParked, proc)
-	rep.ParkEvents, _ = reg.Value(telemetry.SeriesParkEvents)
 	enc, err := json.Marshal(rep)
 	if err != nil {
 		return err

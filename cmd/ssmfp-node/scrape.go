@@ -66,18 +66,13 @@ type scrapeSummary struct {
 }
 
 // runScrape aggregates the /metrics endpoints in cfg.scrape into one
-// cluster view. Every endpoint must answer and parse; with
-// -scrape-validate the core series must all be present on every node and
-// the merged health verdict must be clean.
+// cluster view through the harness cluster check. Every endpoint must
+// answer and parse; with -scrape-validate the check must pass outright:
+// the core series on every node and a clean merged health verdict.
 func runScrape(cfg config) error {
 	client, scheme, err := clientFromFlags(cfg)
 	if err != nil {
 		return err
-	}
-	var all []telemetry.PromSample
-	sum := scrapeSummary{
-		Totals: make(map[string]float64),
-		Peaks:  make(map[string]float64),
 	}
 	var targets, urls []string
 	for _, target := range strings.Split(cfg.scrape, ",") {
@@ -98,15 +93,20 @@ func runScrape(cfg config) error {
 		targets = append(targets, target)
 		urls = append(urls, url)
 	}
-	for i, s := range harness.Sweep(client, urls) {
+	if len(urls) == 0 {
+		return fmt.Errorf("-scrape: no targets")
+	}
+	cs := harness.CheckCluster(client, targets, urls, false)
+	sum := scrapeSummary{
+		Totals: make(map[string]float64),
+		Peaks:  make(map[string]float64),
+		Health: cs.Health,
+	}
+	for i, s := range cs.Scrapes {
 		if s.Err != nil {
 			return fmt.Errorf("scrape %s: %w", targets[i], s.Err)
 		}
 		sum.Nodes = append(sum.Nodes, nodeScrape{Target: targets[i], Series: len(s.Samples), Missing: s.MissingCore()})
-		all = append(all, s.Samples...)
-	}
-	if len(sum.Nodes) == 0 {
-		return fmt.Errorf("-scrape: no targets")
 	}
 
 	// Counters sum across the cluster; occupancy peaks take the maximum.
@@ -116,16 +116,15 @@ func runScrape(cfg config) error {
 		telemetry.SeriesWireBytesSent, telemetry.SeriesParkEvents,
 		telemetry.SeriesRetransmits,
 	} {
-		sum.Totals[name] = telemetry.SumSeries(all, name)
+		sum.Totals[name] = telemetry.SumSeries(cs.All, name)
 	}
 	for _, name := range []string{
 		telemetry.SeriesBufOccupancy + "_peak",
 		telemetry.SeriesPending + "_peak",
 		telemetry.SeriesParked + "_peak",
 	} {
-		sum.Peaks[name] = telemetry.MaxSeries(all, name)
+		sum.Peaks[name] = telemetry.MaxSeries(cs.All, name)
 	}
-	sum.Health = telemetry.CheckHealth(all)
 
 	enc, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
@@ -134,13 +133,8 @@ func runScrape(cfg config) error {
 	fmt.Println(string(enc))
 
 	if cfg.scrapeValidate {
-		for _, ns := range sum.Nodes {
-			if len(ns.Missing) > 0 {
-				return fmt.Errorf("%s is missing core series: %s", ns.Target, strings.Join(ns.Missing, ", "))
-			}
-		}
-		if !sum.Health.Healthy {
-			return fmt.Errorf("cluster unhealthy: %s", sum.Health)
+		if len(cs.Violations) > 0 {
+			return fmt.Errorf("cluster fails validation: %s", strings.Join(cs.Violations, "; "))
 		}
 		fmt.Fprintf(os.Stderr, "ssmfp-node: %d endpoints scraped, core series present, %s\n",
 			len(sum.Nodes), sum.Health)

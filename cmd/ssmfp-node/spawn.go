@@ -89,14 +89,18 @@ func runSpawn(cfg config) error {
 	// Children stop waiting after cfg.timeout and report whatever they
 	// have; allow slack on top for process startup and JSON plumbing.
 	deadline := time.Now().Add(cfg.timeout + 15*time.Second)
-	reports := make([]report, len(children))
+	reports := make([]harness.Report, len(children))
 	for i, c := range children {
 		if err := c.Announce(&reports[i], time.Until(deadline)); err != nil {
 			return fmt.Errorf("node %d: no report: %v", i, err)
 		}
 	}
 
-	violations := judge(reports, workload(g, cfg.seed, cfg.messages))
+	shares := make(map[int]int)
+	for _, e := range workload(g, cfg.seed, cfg.messages) {
+		shares[int(e.Src)]++
+	}
+	violations := harness.Judge(reports, shares)
 	var merged metrics.LatencyHist
 	delivered := 0
 	for _, r := range reports {
@@ -130,7 +134,7 @@ func runSpawn(cfg config) error {
 		// every node's /metrics scrape.
 		Health *telemetry.HealthReport `json:"health,omitempty"`
 
-		Reports []report `json:"reports"`
+		Reports []harness.Report `json:"reports"`
 	}{Nodes: len(reports), Messages: cfg.messages, Delivered: delivered,
 		Violations: violations, Byzantine: ledger, Health: health, Reports: reports}
 	if merged.Count() > 0 {
@@ -231,19 +235,17 @@ func strikeCluster(cfg config, g *graph.Graph, ca *secure.CA, peers map[graph.Pr
 	return rogue.Strike(cfg.burst)
 }
 
-// scrapeCluster judges the telemetry plane the way judge judges the
-// delivery record: every node's /metrics must answer and parse, carry the
-// core series, and agree with the peaks the node put in its report; the
-// union of all scrapes must pass the stabilization-health checks; and in
-// rate mode the node-stamped latency-attribution components must fit
-// inside the collector-measured end-to-end latency.
+// scrapeCluster judges the telemetry plane the way harness.Judge judges
+// the delivery ledger: the harness cluster check over every node's
+// /metrics, each node's occupancy peaks against its own ledger, and in
+// rate mode the latency-attribution bound against the merged end-to-end
+// histogram.
 //
 // With certs the children serve /metrics behind mutual TLS, so the judge
 // scrapes as an operator. With a byzantine ledger the secure-rejection
-// health flag is *expected* — every other flag stays a violation — and
-// the cluster's per-reason rejection counters must balance the ledger
-// exactly.
-func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist, ledger *secure.RogueCounts) (*telemetry.HealthReport, []string) {
+// health flag is *expected*, and the cluster's per-reason rejection
+// counters must balance the ledger exactly.
+func scrapeCluster(certs *certSet, reports []harness.Report, merged *metrics.LatencyHist, ledger *secure.RogueCounts) (*telemetry.HealthReport, []string) {
 	var violations []string
 	badf := func(format string, a ...any) {
 		violations = append(violations, fmt.Sprintf(format, a...))
@@ -259,111 +261,36 @@ func scrapeCluster(certs *certSet, reports []report, merged *metrics.LatencyHist
 		return nil, violations
 	}
 	var (
-		urls []string
-		ids  []int
+		scraped     []harness.Report
+		names, urls []string
 	)
 	for _, r := range reports {
-		// Report-internal consistency first — the peaks are event-driven,
-		// so activity the report claims must have left a high-water mark.
-		if n := len(r.Delivered); n > 0 && (r.PeakBufR < 1 || r.PeakBufE < 1) {
-			badf("node %d delivered %d messages but reports buffer peaks R=%d E=%d",
-				r.ID, n, r.PeakBufR, r.PeakBufE)
-		}
-		if len(r.Sent) > 0 && r.PeakPending < 1 {
-			badf("node %d sent %d messages but reports pending peak 0", r.ID, len(r.Sent))
-		}
-		if r.ParkEvents > 0 && r.PeakParked < 1 {
-			badf("node %d counted %d park events but reports parked peak 0", r.ID, r.ParkEvents)
-		}
 		if r.MetricsAddr == "" {
 			badf("node %d reported no metrics address", r.ID)
 			continue
 		}
+		scraped = append(scraped, r)
+		names = append(names, fmt.Sprintf("node %d", r.ID))
 		urls = append(urls, scheme+r.MetricsAddr+"/metrics")
-		ids = append(ids, r.ID)
 	}
-	var all []telemetry.PromSample
-	for i, s := range harness.Sweep(client, urls) {
-		if s.Err != nil {
-			badf("node %d: scraping /metrics: %v", ids[i], s.Err)
-			continue
+	cs := harness.CheckCluster(client, names, urls, ledger != nil)
+	violations = append(violations, cs.Violations...)
+	for i, s := range cs.Scrapes {
+		if s.Err == nil {
+			violations = append(violations, scraped[i].CheckPeaks(s.Samples)...)
 		}
-		for _, core := range s.MissingCore() {
-			badf("node %d: /metrics missing core series %s", ids[i], core)
-		}
-		all = append(all, s.Samples...)
 	}
-	if len(all) == 0 {
+	if len(cs.All) == 0 {
 		return nil, violations
 	}
-	health := telemetry.CheckHealth(all)
-	if !health.Healthy {
-		if ledger == nil {
-			badf("cluster %s", health)
-		} else {
-			// Under attack the secure-rejection flag is the system working;
-			// any other flag is still a violation.
-			for _, f := range health.Flags {
-				if !f.SecureFlag() {
-					badf("cluster flag [%s=%g: %s]", f.Series, f.Value, f.Why)
-				}
-			}
-		}
-	}
 	if ledger != nil {
-		if ledger.Total() > 0 && !flaggedSecure(health) {
+		if ledger.Total() > 0 && !flaggedSecure(cs.Health) {
 			badf("rogue injected %d frames but the cluster counted no secure rejections", ledger.Total())
 		}
-		violations = append(violations, auditLedger(client, urls, all, *ledger)...)
+		violations = append(violations, auditLedger(client, urls, cs.All, *ledger)...)
 	}
-
-	// Attribution: summed across the cluster, the stamped components
-	// (queued + park + deliver) divided by the delivered-message count
-	// must not exceed the measured end-to-end mean — the residual is wire
-	// time, which is strictly nonnegative. Allow 25% plus scheduling
-	// slack for the separate clock reads on either side of a hop.
-	if merged.Count() > 0 {
-		perMsg := telemetry.SumSeries(all, telemetry.SeriesLatencyComponent+"_sum") / float64(merged.Count())
-		if e2e := merged.Mean(); perMsg > e2e*1.25+float64(2*time.Millisecond) {
-			badf("latency attribution components sum to %.0fns per message, more than the e2e mean %.0fns",
-				perMsg, e2e)
-		}
-	}
-	return &health, violations
-}
-
-// judge checks the cross-process exactly-once property over the nodes'
-// reports: every node sent its share of the plan and saw no payload tag
-// of a foreign codec version, and the union of sends and deliveries
-// passes the harness verdict. Spawned nodes never restart, so a uid
-// alone names a message.
-func judge(reports []report, plan []workloadEntry) []string {
-	var (
-		violations []string
-		sent       []harness.Sent
-		delivered  []harness.Delivered
-	)
-	for _, r := range reports {
-		want := 0
-		for _, e := range plan {
-			if int(e.Src) == r.ID {
-				want++
-			}
-		}
-		if len(r.Sent) != want {
-			violations = append(violations, fmt.Sprintf("node %d sent %d messages, plan says %d", r.ID, len(r.Sent), want))
-		}
-		if r.TagMismatches > 0 {
-			violations = append(violations, fmt.Sprintf("node %d saw %d deliveries with a foreign tag version", r.ID, r.TagMismatches))
-		}
-		for _, s := range r.Sent {
-			sent = append(sent, harness.Sent{Key: harness.Key{UID: s.UID}, Dst: graph.ProcessID(s.Dst)})
-		}
-		for _, d := range r.Delivered {
-			delivered = append(delivered, harness.Delivered{Key: harness.Key{UID: d.UID}, At: graph.ProcessID(r.ID), Valid: d.Valid})
-		}
-	}
-	return append(violations, harness.Verdict(sent, delivered)...)
+	violations = append(violations, harness.CheckAttribution(cs.All, merged)...)
+	return &cs.Health, violations
 }
 
 func flaggedSecure(h telemetry.HealthReport) bool {

@@ -84,10 +84,6 @@ func NewAgent(nw *msgpass.Network, peers PeerBook) *Agent {
 	return &Agent{net: nw, peers: peers}
 }
 
-// Network returns the wrapped network (the spawn judge reaches through
-// for its delivery oracle).
-func (a *Agent) Network() *msgpass.Network { return a.net }
-
 // Apply compiles and applies one epoch to the local network. A stale
 // sequence returns msgpass.ErrStaleEpoch — the caller decides whether
 // that is an error (operator typo) or convergence (a re-broadcast the

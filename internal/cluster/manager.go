@@ -21,7 +21,7 @@ import (
 //
 // The Manager is not a consensus system and does not pretend to be one:
 // it is one operator's console. Broadcast is at-least-once per node
-// (re-Push on failure); a node that misses an epoch and later receives a
+// (every later operation re-broadcasts the full desired state); a node that misses an epoch and later receives a
 // newer one converges directly — epochs carry full topology, not diffs —
 // and snap-stabilization absorbs whatever transient disagreement the gap
 // produced, exactly as it absorbs any other arbitrary configuration.
@@ -163,10 +163,10 @@ func (m *Manager) bump() (Epoch, []graph.ProcessID, []Client) {
 }
 
 // broadcast pushes one epoch at every client. A stale rejection counts as
-// success — the node already converged past this sequence (a re-Push, or
-// a node that saw the epoch through another path). Other failures are
-// collected; the epoch stays the desired state either way, so Push
-// retries convergence.
+// success — the node already converged past this sequence (a
+// re-broadcast, or a node that saw the epoch through another path). Other
+// failures are collected; the epoch stays the desired state either way,
+// so the next operation's broadcast retries convergence.
 func (m *Manager) broadcast(e Epoch, ids []graph.ProcessID, cs []Client) error {
 	var errs []error
 	for i, c := range cs {
@@ -180,14 +180,6 @@ func (m *Manager) broadcast(e Epoch, ids []graph.ProcessID, cs []Client) error {
 // push bumps the sequence and broadcasts the resulting epoch.
 func (m *Manager) push() error {
 	return m.broadcast(m.bump())
-}
-
-// Push re-broadcasts the current desired epoch at the next sequence —
-// the anti-entropy knob after a partially failed operation.
-func (m *Manager) Push() error {
-	m.opMu.Lock()
-	defer m.opMu.Unlock()
-	return m.push()
 }
 
 // JoinNode admits id with links to peers, records its address book entry
@@ -242,8 +234,8 @@ func (m *Manager) AddLink(u, v graph.ProcessID) error {
 // in-flight handshakes across it complete — then, after CutSettle, a
 // second epoch removes it. The graceful path is what preserves the
 // exactly-once guarantee: tearing a wire mid-handshake can force a
-// sender to re-offer a message its old next hop already owns (see
-// CutLinkForced). Refused if the cut would disconnect the member set.
+// sender in another process to re-offer a message its old next hop
+// already owns. Refused if the cut would disconnect the member set.
 func (m *Manager) CutLink(u, v graph.ProcessID) error {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()
@@ -274,23 +266,6 @@ func (m *Manager) CutLink(u, v graph.ProcessID) error {
 	return m.push()
 }
 
-// CutLinkForced removes the edge in one epoch, wire and all. In-flight
-// handshakes on the edge are abandoned: a message whose accept was lost
-// with the wire is re-offered along the new route and may be delivered
-// twice. Use CutLink unless modeling link failure is the point.
-func (m *Manager) CutLinkForced(u, v graph.ProcessID) error {
-	m.opMu.Lock()
-	defer m.opMu.Unlock()
-	m.mu.Lock()
-	delete(m.disabled, edgeKey(u, v))
-	err := m.topo.RemoveEdge(u, v)
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return m.push()
-}
-
 // Drain quiesces node id and detaches it, in two stages. Stage one marks
 // id draining: it refuses new injections, hands its buffered messages to
 // live neighbors, and leaves routing as a candidate only for its own
@@ -303,8 +278,7 @@ func (m *Manager) CutLinkForced(u, v graph.ProcessID) error {
 // connected; with none given, a chain between id's neighbors is added
 // where needed. The heal edges actually applied are returned (rolling
 // restarts remove them again after the rejoin). On timeout the node is
-// left draining and attached; the caller can re-Drain (it polls again)
-// or Push a corrective epoch.
+// left draining and attached; the caller can re-Drain (it polls again).
 func (m *Manager) Drain(id graph.ProcessID, heal ...[2]graph.ProcessID) ([][2]graph.ProcessID, error) {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()

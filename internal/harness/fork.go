@@ -1,9 +1,10 @@
 // Package harness is the multi-process judge kit behind ssmfp-node's
 // cluster modes: fork a fleet of single-node processes on loopback,
-// sweep their /metrics endpoints, and check the exactly-once promise
-// over what they report. Each judge supplies only its scenario — which
-// children to start and what to do to them; the lifecycle, the scrape
-// and the verdict live here, once.
+// collect each node's ledger report, check their /metrics endpoints, and
+// check the exactly-once promise over the ledgers. Each judge supplies
+// only its scenario — which children to start and what to do to them;
+// the lifecycle, the report, the cluster check and the verdict live
+// here, once.
 package harness
 
 import (

@@ -65,3 +65,69 @@ func TestSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCluster runs the one cluster check over live endpoints: a
+// clean cluster passes, and an unreachable node, a node missing core
+// series and each health flag are violations named after their source —
+// except the secure-rejection flag when the judge expects an attack.
+func TestCheckCluster(t *testing.T) {
+	serve := func(extra ...string) string {
+		reg := telemetry.New()
+		for _, names := range [][]string{telemetry.CoreSeries, extra} {
+			for _, name := range names {
+				reg.Counter(name, "planted").Add(1)
+			}
+		}
+		srv := httptest.NewServer(telemetry.Handler(reg))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	check := func(expectSecure bool, urls ...string) ClusterScrape {
+		names := make([]string, len(urls))
+		for i := range urls {
+			names[i] = fmt.Sprintf("node %d", i)
+		}
+		return CheckCluster(client, names, urls, expectSecure)
+	}
+
+	clean := check(false, serve(), serve())
+	if len(clean.Violations) != 0 || !clean.Health.Healthy || len(clean.Scrapes) != 2 {
+		t.Fatalf("clean cluster: %q, %s", clean.Violations, clean.Health)
+	}
+	if got := telemetry.SumSeries(clean.All, telemetry.SeriesSends); got != 2 {
+		t.Fatalf("union sums sends to %g, want 2", got)
+	}
+
+	bare := httptest.NewServer(telemetry.Handler(telemetry.New()))
+	defer bare.Close()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	broken := check(false, serve(), bare.URL, gone.URL)
+	if n := len(broken.Violations); n != len(telemetry.CoreSeries)+1 {
+		t.Fatalf("%d violations for a bare and a dead node: %q", n, broken.Violations)
+	}
+	if !strings.HasPrefix(broken.Violations[0], "node 1: /metrics missing core series ") ||
+		!strings.HasPrefix(broken.Violations[len(broken.Violations)-1], "node 2: scraping /metrics: ") {
+		t.Fatalf("violations not named after their node: %q", broken.Violations)
+	}
+
+	for _, c := range []struct {
+		series       string
+		expectSecure bool
+		violations   int
+	}{
+		{telemetry.SeriesWatermarkViolations, false, 1},
+		{telemetry.SeriesWatermarkViolations, true, 1},
+		{telemetry.SeriesSecureRejected, false, 1},
+		{telemetry.SeriesSecureRejected, true, 0},
+	} {
+		got := check(c.expectSecure, serve(), serve(c.series))
+		if got.Health.Healthy || len(got.Violations) != c.violations {
+			t.Fatalf("%s (expectSecure=%v): %s, violations %q", c.series, c.expectSecure, got.Health, got.Violations)
+		}
+		if c.violations == 1 && !strings.Contains(got.Violations[0], "cluster flag ["+c.series+"=1") {
+			t.Fatalf("flag violation %q does not name %s", got.Violations[0], c.series)
+		}
+	}
+}

@@ -27,9 +27,8 @@ type expectRec struct {
 // exactly-once accounting. It is pre-seeded with the full injection plan,
 // marks entries as the driver sends them, and continuously cross-checks
 // every tagged delivery: unknown sequence numbers, deliveries at the
-// wrong destination, duplicates, deliveries of never-sent entries, and
-// tags of a foreign codec version are all violations the moment they
-// happen, not at the end of the run.
+// wrong destination, duplicates and deliveries of never-sent entries are
+// all violations the moment they happen, not at the end of the run.
 type Collector struct {
 	mu        sync.Mutex
 	expect    []expectRec
@@ -38,7 +37,6 @@ type Collector struct {
 	dupes     int
 	misrouted int
 	unsent    int
-	badver    int
 	details   []string
 	hist      metrics.LatencyHist
 
@@ -127,8 +125,8 @@ func (c *Collector) waitUntil(cond func() bool, deadline time.Time) bool {
 
 // observe folds one delivery. Invalid messages (planted junk from
 // corrupted starts) and untagged payloads are not load traffic and are
-// ignored; tags of a recognizable but foreign version are a violation —
-// such a payload must fail the verdict loudly, not be mis-parsed.
+// ignored; a plan entry whose tag did not survive is caught by finish as
+// never delivered.
 func (c *Collector) observe(d msgpass.Delivery) {
 	if !d.Msg.Valid {
 		return
@@ -140,12 +138,6 @@ func (c *Collector) observe(d msgpass.Delivery) {
 	}
 	seq, src, dst, sched, ok := ParseTag(d.Msg.Payload)
 	if !ok {
-		if v := TagVersion(d.Msg.Payload); v != 0 && v != TagVersionCurrent {
-			c.mu.Lock()
-			c.badver++
-			c.detail("tag version %d delivery at %d (this build speaks v%d)", v, d.At, TagVersionCurrent)
-			c.mu.Unlock()
-		}
 		return
 	}
 	var complete func(graph.ProcessID)
@@ -213,7 +205,7 @@ func (c *Collector) finish(sent int) (exactlyOnce bool, violations []string) {
 			c.detail("seq %d sent but never delivered", seq)
 		}
 	}
-	total := c.dupes + c.misrouted + c.unsent + c.badver + missing
+	total := c.dupes + c.misrouted + c.unsent + missing
 	if total > len(c.details) {
 		c.details = append(c.details, fmt.Sprintf("... and %d more violations", total-len(c.details)))
 	}

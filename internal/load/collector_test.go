@@ -68,40 +68,21 @@ func TestWarmupDeliveryPulsesProgress(t *testing.T) {
 	}
 }
 
-// TestCollectorFlagsForeignTagVersion pins the loud-failure contract for
-// foreign tags: a delivery carrying a recognizable tag of another version
-// is a verdict-breaking violation, while untagged traffic stays
-// invisible.
-func TestCollectorFlagsForeignTagVersion(t *testing.T) {
-	col := newCollector([]planEntry{{Src: 0, Dst: 1}})
+// TestCollectorJudgesForeignTagAsMissing: a payload that is not a v3 tag
+// is not load traffic, so it raises no violation of its own; a plan entry
+// whose only delivery carried such a tag is judged never delivered.
+func TestCollectorJudgesForeignTagAsMissing(t *testing.T) {
+	col := newCollector([]planEntry{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}})
 	col.markSent(0)
-	deliver := func(payload string) {
+	col.markSent(1)
+	for _, payload := range []string{"unrelated traffic", tagV1Fixture, tagV2Fixture, EncodeTag(0, 0, 1, time.Now().UnixNano())} {
 		col.observe(msgpass.Delivery{
 			Msg: msgpass.Message{Payload: payload, Src: 0, Dest: 1, Valid: true},
 			At:  1, Time: time.Now(),
 		})
 	}
-	deliver("unrelated traffic")                       // ignored
-	deliver(tagV1Fixture)                              // v1 text tag: violation
-	deliver(tagV2Fixture)                              // v2 binary tag: also a violation
-	deliver(EncodeTag(0, 0, 1, time.Now().UnixNano())) // the real delivery
-	ok, violations := col.finish(1)
-	if ok {
-		t.Fatalf("verdict passed despite foreign-tagged deliveries: %v", violations)
-	}
-	found, foundV2 := false, false
-	for _, v := range violations {
-		if v == "tag version 1 delivery at 1 (this build speaks v3)" {
-			found = true
-		}
-		if v == "tag version 2 delivery at 1 (this build speaks v3)" {
-			foundV2 = true
-		}
-	}
-	if !foundV2 {
-		t.Fatalf("no v2-mismatch violation recorded: %v", violations)
-	}
-	if !found {
-		t.Fatalf("no version-mismatch violation recorded: %v", violations)
+	ok, violations := col.finish(2)
+	if ok || len(violations) != 1 || violations[0] != "seq 1 sent but never delivered" {
+		t.Fatalf("verdict ok=%v, violations %q; want exactly seq 1 missing", ok, violations)
 	}
 }

@@ -31,22 +31,15 @@ import (
 // ~71 minutes, far beyond any latency this system measures.
 //
 // Encoding is one string conversion; parsing is fixed-offset reads with
-// zero allocations. The earlier formats — "lt2:" (the same layout without
-// the hold slot) and "lt1:" (colon-separated decimal) — were never
-// deployed and have no codec here; TagVersion still recognizes their
-// prefixes, so such a payload arriving from outside is counted as a tag
-// mismatch instead of being taken for untagged traffic.
+// zero allocations. A payload that is not a well-formed v3 tag is
+// untagged traffic: a load message whose tag was mangled on the way is
+// still judged, by its plan sequence number, as never delivered.
 //
 // The parser rejects out-of-range fields: a corrupted or hostile payload
 // must not cast into a bogus graph.ProcessID and misattribute a delivery.
 
-// Tag version prefixes are 4 bytes, "lt" + digit + ':'.
-const (
-	tagPrefixV3 = "lt3:"
-
-	// TagVersionCurrent is the version EncodeTag writes.
-	TagVersionCurrent = 3
-)
+// tagPrefixV3 opens every tag EncodeTag writes.
+const tagPrefixV3 = "lt3:"
 
 // warmupPrefix tags warmup traffic: counted on arrival so the driver can
 // wait for the deployment to be hot, but excluded from the histogram and
@@ -86,9 +79,8 @@ func EncodeTag(seq int, src, dst graph.ProcessID, schedNanos int64) string {
 }
 
 // ParseTag decodes a payload written by EncodeTag; ok is false for
-// foreign payloads (untagged traffic sharing the network, or a tag of a
-// different version — use TagVersion to tell the two apart). It performs
-// no allocation.
+// anything else (untagged traffic sharing the network, or a malformed
+// tag). It performs no allocation.
 func ParseTag(payload string) (seq int, src, dst graph.ProcessID, schedNanos int64, ok bool) {
 	if len(payload) != tagV3Len || payload[:4] != tagPrefixV3 {
 		return 0, 0, 0, 0, false
@@ -136,24 +128,4 @@ func AddHold(payload string, waitNanos int64) (string, bool) {
 	}
 	binary.BigEndian.PutUint32(b[holdOffset:holdOffset+4], uint32(next))
 	return string(b[:]), true
-}
-
-// TagVersion identifies which tag version a payload claims: 1, 2 or 3
-// for the known prefixes (matched on prefix alone, so a malformed or
-// truncated body still reports its claimed version) and 0 for untagged
-// traffic. Collectors use it to fail loudly on load traffic whose tag is
-// not the current version.
-func TagVersion(payload string) int {
-	if len(payload) < 4 || payload[:2] != "lt" || payload[3] != ':' {
-		return 0
-	}
-	switch payload[2] {
-	case '1':
-		return 1
-	case '2':
-		return 2
-	case '3':
-		return 3
-	}
-	return 0
 }

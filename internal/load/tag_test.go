@@ -47,9 +47,6 @@ func TestTagRoundTripProperty(t *testing.T) {
 		if hold, ok := ParseTagHold(tag); !ok || hold != 0 {
 			t.Fatalf("fresh tag carries hold (%d,%v), want (0,true)", hold, ok)
 		}
-		if v := TagVersion(tag); v != TagVersionCurrent {
-			t.Fatalf("TagVersion(%q) = %d", tag, v)
-		}
 	}
 }
 
@@ -155,8 +152,8 @@ func TestParseTagRejectsMalformed(t *testing.T) {
 // the old text v1 parser, whose strconv.Atoi accepted negative seq/src/dst
 // (and int32 overflow of process IDs) and cast them into graph.ProcessID.
 // The v1 codec is gone; the same hostile literals must now be refused by
-// every decoder that is left and still be classified as v1, so a node
-// that receives one counts a foreign tag instead of decoding it.
+// every decoder that is left, so a node that receives one treats it as
+// untagged traffic instead of decoding it.
 func TestParseTagV1RejectsNegativeAndOverflow(t *testing.T) {
 	bad := []string{
 		"lt1:-1:0:1:0",
@@ -182,15 +179,12 @@ func TestParseTagV1RejectsNegativeAndOverflow(t *testing.T) {
 		if got, ok := AddHold(b, 1000); ok || got != b {
 			t.Errorf("AddHold(%q) = (%q,%v), want unchanged pass-through", b, got, ok)
 		}
-		if v := TagVersion(b); v != 1 {
-			t.Errorf("TagVersion(%q) = %d, want 1", b, v)
-		}
 	}
 }
 
-// TestParseTagV2Fixture pins the prior binary format so the version
-// guard keeps something real to detect: a v2 tag has no hold slot, is
-// refused by every v3 codec entry point, and reports version 2.
+// TestParseTagV2Fixture pins the prior binary format, the one most easily
+// mistaken for v3: a v2 tag has no hold slot and is refused by every v3
+// codec entry point.
 func TestParseTagV2Fixture(t *testing.T) {
 	if len(tagV2Fixture) != tagV3Len-4 {
 		t.Fatalf("v2 fixture is %d bytes, want %d", len(tagV2Fixture), tagV3Len-4)
@@ -200,9 +194,6 @@ func TestParseTagV2Fixture(t *testing.T) {
 	}
 	if _, ok := ParseTagHold(tagV2Fixture); ok {
 		t.Fatal("v3 hold parser accepted a v2 tag")
-	}
-	if v := TagVersion(tagV2Fixture); v != 2 {
-		t.Fatalf("TagVersion(v2 tag) = %d", v)
 	}
 }
 
@@ -219,27 +210,6 @@ func TestParseTagAllocFree(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Fatalf("tag decode allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-func TestTagVersion(t *testing.T) {
-	cases := map[string]int{
-		EncodeTag(1, 2, 3, 4): 3,
-		tagV2Fixture:          2,
-		tagV1Fixture:          1,
-		"lt1:":                1, // truncated body still claims v1
-		"lt2:garbage":         2,
-		"lt3:short":           3,
-		"lt9:1:2:3:4":         0, // unknown version digit
-		"lw1:w0":              0, // warmup is not a load tag
-		"":                    0,
-		"hello":               0,
-		"lt":                  0,
-	}
-	for payload, want := range cases {
-		if got := TagVersion(payload); got != want {
-			t.Errorf("TagVersion(%q) = %d, want %d", payload, got, want)
-		}
 	}
 }
 
@@ -271,9 +241,6 @@ func FuzzParseTag(f *testing.F) {
 			back, _ := AddHold(EncodeTag(seq, src, dst, sched), hold)
 			if back != payload {
 				t.Fatalf("v3 re-encode mismatch: %q -> %q", payload, back)
-			}
-			if TagVersion(payload) != 3 {
-				t.Fatalf("parseable v3 tag %q claims version %d", payload, TagVersion(payload))
 			}
 		}
 	})

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 	"ssmfp/internal/telemetry"
 	"ssmfp/internal/transport"
 )
@@ -118,13 +117,6 @@ type Options struct {
 	// for sources outside the subset; Deliveries reports local
 	// consumptions only.
 	Procs []graph.ProcessID
-	// Bus, when non-nil, receives typed lifecycle events from the nodes
-	// (generate, internal move, hop transfer, erase, deliver). The port
-	// runs on wall-clock time, not engine steps, so events carry Step and
-	// Round -1; they are meant for live monitoring, not frame replay. With
-	// no bus (or no subscriber) the nodes pay one atomic load per event
-	// site.
-	Bus *obs.Bus
 	// OnDeliver, when non-nil, is invoked once per local delivery, from
 	// the destination's node goroutine, after the delivery is recorded
 	// and before Delivered counts it.
@@ -255,7 +247,6 @@ func New(g *graph.Graph, opts Options) *Network {
 				Latency:      opts.Latency,
 				Jitter:       opts.Jitter,
 				BandwidthBps: opts.BandwidthBps,
-				Bus:          opts.Bus,
 			})
 		}
 		nw.tr = tr
@@ -528,20 +519,6 @@ func (nw *Network) QueueDepths() []QueueDepth {
 		})
 	}
 	return out
-}
-
-// busActive reports whether observability events should be constructed at
-// all — nodes guard every event site with it, so a run without a
-// subscriber builds no Event and no MsgRecord (one atomic load per site).
-func (nw *Network) busActive() bool { return nw.opts.Bus.Active() }
-
-// record converts a port message into its observability image; lastHop is
-// the hop identity the state model would have stored alongside it.
-func record(m *Message, lastHop graph.ProcessID) *obs.MsgRecord {
-	if m == nil {
-		return nil
-	}
-	return &obs.MsgRecord{Payload: m.Payload, LastHop: lastHop, Color: m.Color, UID: m.UID, Valid: m.Valid}
 }
 
 // countFrame attributes one sent frame to its kind counter. The counters

@@ -10,7 +10,6 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
-	"ssmfp/internal/obs"
 )
 
 // mustSend injects a message on a network the test knows is running.
@@ -351,65 +350,6 @@ func TestDuplicatingLinksStillExactlyOnce(t *testing.T) {
 		t.Fatalf("only %d/%d delivered under dup+loss", len(nw.Deliveries()), len(want))
 	}
 	checkExactlyOnce(t, nw, want)
-}
-
-func TestBusObservesMessageLifecycle(t *testing.T) {
-	g := graph.Line(4)
-	bus := obs.NewBus()
-	var mu sync.Mutex
-	kinds := make(map[obs.Kind]int)
-	var uid2kinds []obs.Kind
-	bus.Subscribe(func(ev obs.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		kinds[ev.Kind]++
-		if ev.Step != -1 || ev.Round != -1 {
-			t.Errorf("wall-clock event carries engine time: %+v", ev)
-		}
-		if ev.Msg != nil && ev.Msg.UID == 1 {
-			uid2kinds = append(uid2kinds, ev.Kind)
-		}
-	})
-	nw := msgpass.New(g, msgpass.Options{Seed: 5, Bus: bus})
-	nw.Start()
-	defer nw.Stop()
-	uid := mustSend(t, nw, 0, "watched", 3)
-	if uid != 1 {
-		t.Fatalf("uid = %d, want 1", uid)
-	}
-	if !nw.WaitDelivered(1, 10*time.Second) {
-		t.Fatal("message not delivered in time")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, k := range []obs.Kind{obs.KindGenerate, obs.KindInternal, obs.KindForward, obs.KindDeliver, obs.KindErase} {
-		if kinds[k] == 0 {
-			t.Errorf("no %s event observed; kinds = %v", k, kinds)
-		}
-	}
-	// The watched message's own stream starts with its generation and
-	// delivers exactly once. The delivery races the previous hop's bufE
-	// erase (they happen on different node goroutines: the destination
-	// consumes while the upstream node waits for the accept), so erase
-	// events may trail the delivery — but nothing else may.
-	if len(uid2kinds) == 0 || uid2kinds[0] != obs.KindGenerate {
-		t.Fatalf("uid 1 lifecycle = %v, want it to open with %s", uid2kinds, obs.KindGenerate)
-	}
-	delivers := 0
-	for i, k := range uid2kinds {
-		switch k {
-		case obs.KindDeliver:
-			delivers++
-		case obs.KindErase:
-		default:
-			if delivers > 0 {
-				t.Fatalf("uid 1 lifecycle continues with %s after its delivery: %v", uid2kinds[i], uid2kinds)
-			}
-		}
-	}
-	if delivers != 1 {
-		t.Fatalf("uid 1 delivered %d times in lifecycle %v", delivers, uid2kinds)
-	}
 }
 
 func TestQueueDepthsSnapshot(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 	"ssmfp/internal/transport"
 )
 
@@ -139,12 +138,6 @@ type node struct {
 	// event-driven high-water marks. QueueDepths reads the same gauges.
 	tg nodeGauges
 
-	// evs batches this node's observability events; the main loop flushes
-	// it once per iteration (obs.Bus.PublishBatch), so a burst of rule
-	// firings costs one sequence reservation instead of one per event.
-	// Touched only from the node goroutine.
-	evs []obs.Event
-
 	// pendingByDest queues, per destination, the messages sent by the
 	// higher layer; written by Network.Send concurrently. The tg.pending
 	// gauge counts them and is read lock-free on the hot path so an idle
@@ -225,30 +218,11 @@ func (nw *Network) inboxOf(p graph.ProcessID, nbrs []graph.ProcessID) <-chan tra
 // send counts and ships one frame on the cached link to q. A nil link
 // (a neighbor that vanished between the decision and the send — only
 // possible transiently around an epoch) drops the frame like congestion.
-// Batched events go out first, so whatever the peer observes in reply
-// follows them on the bus.
 func (n *node) send(q graph.ProcessID, f transport.Frame) {
-	n.flushObs()
 	n.nw.countFrame(f.Kind)
 	if l := (*n.outp.Load())[q]; l != nil {
 		l.Send(f)
 	}
-}
-
-// observe queues one event on the node's batch; callers must guard with
-// nw.busActive() so the inactive path constructs nothing.
-func (n *node) observe(ev obs.Event) {
-	ev.Step, ev.Round = -1, -1
-	n.evs = append(n.evs, ev)
-}
-
-// flushObs publishes the batched events of one loop iteration.
-func (n *node) flushObs() {
-	if len(n.evs) == 0 {
-		return
-	}
-	n.nw.opts.Bus.PublishBatch(n.evs)
-	n.evs = n.evs[:0]
 }
 
 // run is the node main loop: it reacts to frames from the transport
@@ -282,7 +256,6 @@ func (n *node) run() {
 			n.tick()
 		}
 		n.localMoves()
-		n.flushObs()
 	}
 }
 
@@ -409,9 +382,6 @@ func (n *node) handleOffer(from graph.ProcessID, o transport.Offer) {
 			// Final hop: start the destination-side wait clock R6 reads.
 			ds.rAtNS = time.Now().UnixNano()
 		}
-		if n.nw.busActive() {
-			n.observe(obs.Event{Kind: obs.KindForward, Proc: n.id, Dest: o.Dest, From: from, Msg: record(&ds.bufR, from)})
-		}
 		n.ack(from, o.Dest, o.Seq)
 	case !ds.hasParked || ds.parkedFrom == from:
 		// Buffer occupied: park the offer (a retransmit from the same
@@ -457,9 +427,6 @@ func (n *node) handleAccept(from graph.ProcessID, a transport.Ack) {
 // stored at the target.
 func (n *node) erase(d graph.ProcessID) {
 	ds := &n.dests[d]
-	if n.nw.busActive() {
-		n.observe(obs.Event{Kind: obs.KindErase, Proc: n.id, Dest: d, Buf: obs.BufEmission, Msg: record(&ds.bufE, n.id)})
-	}
 	ds.bufE = Message{}
 	ds.hasE = false
 	ds.offerSeq = 0
@@ -601,9 +568,6 @@ func (n *node) localMoves() {
 			ds.offerSeq = 0 // fresh occupancy, fresh handshake
 			n.tg.bufR.Add(-1)
 			n.tg.bufE.Add(1)
-			if n.nw.busActive() {
-				n.observe(obs.Event{Kind: obs.KindInternal, Proc: n.id, Dest: graph.ProcessID(d), Msg: record(&ds.bufE, n.id)})
-			}
 			if graph.ProcessID(d) != n.id {
 				n.driveTransfer(graph.ProcessID(d))
 			}
@@ -640,12 +604,6 @@ func (n *node) localMoves() {
 			wait = time.Now().UnixNano() - self.rAtNS
 			self.rAtNS = 0
 		}
-		if n.nw.busActive() {
-			n.observe(obs.Event{Kind: obs.KindDeliver, Proc: n.id, Dest: n.id, Msg: record(&self.bufE, n.id)})
-			// Publish before the delivery is counted, so a caller woken
-			// by WaitDelivered has already seen its event.
-			n.flushObs()
-		}
 		n.nw.deliver(Delivery{Msg: self.bufE, At: n.id, DeliverWaitNS: wait})
 		self.bufE = Message{}
 		self.hasE = false
@@ -660,7 +618,6 @@ func (n *node) acceptPending() {
 	if n.tg.pending.Load() == 0 {
 		return
 	}
-	active := n.nw.busActive()
 	hs := n.nw.opts.HoldStamp
 	now := time.Now().UnixNano()
 	n.mu.Lock()
@@ -694,9 +651,6 @@ func (n *node) acceptPending() {
 			pq.head = 0
 		}
 		n.tg.pending.Add(-1)
-		if active {
-			n.observe(obs.Event{Kind: obs.KindGenerate, Proc: n.id, Dest: ds.bufR.Dest, Msg: record(&ds.bufR, n.id)})
-		}
 	}
 	n.mu.Unlock()
 }

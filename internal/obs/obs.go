@@ -1,9 +1,10 @@
 // Package obs is the structured observability layer of the reproduction:
 // a typed event bus that the engine, the protocol rules, the fault
-// injector, and the message-passing port publish to, plus the consumers
-// that turn the stream into artifacts — a versioned JSONL sink/loader
-// (jsonl.go), a per-message lifecycle tracker feeding metrics summaries
-// (lifecycle.go), and an opt-in HTTP introspection endpoint (http.go).
+// injector, the transports and the telemetry emitter publish to, plus
+// the consumers that turn the stream into artifacts — a versioned JSONL
+// sink/loader (jsonl.go), a per-message lifecycle tracker feeding
+// metrics summaries (lifecycle.go), and an opt-in HTTP introspection
+// endpoint (http.go).
 //
 // The bus is zero-cost when unsubscribed: publishers guard event
 // construction behind Bus.Active (a single atomic pointer load), so a run
@@ -13,7 +14,7 @@
 //
 // The package sits below the protocol layers: it may import only
 // internal/graph and internal/metrics, so that statemodel, core, routing,
-// faults, trace, sim and msgpass can all publish to it without import
+// faults, trace, sim and transport can all publish to it without import
 // cycles.
 package obs
 
@@ -130,8 +131,8 @@ type MsgRecord struct {
 // Event is one typed observation. Which fields are meaningful depends on
 // Kind (see the kind constants); Seq is stamped by the bus and totally
 // orders the stream, Step/Round locate the event in the execution (Step is
-// -1 for wall-clock domains such as the message-passing port, where steps
-// do not exist).
+// -1 for wall-clock domains such as the transports, where steps do not
+// exist).
 type Event struct {
 	Seq    uint64          `json:"seq"`
 	Kind   Kind            `json:"kind"`
@@ -152,9 +153,9 @@ type Event struct {
 // a monotone sequence number and invokes every subscriber synchronously,
 // in subscription order. Active is a single atomic load, making the
 // no-subscriber case free; Subscribe is copy-on-write, so publishing is
-// safe from concurrent goroutines (the message-passing port) as long as
-// each subscriber tolerates concurrent calls itself. A nil *Bus is a valid
-// inactive bus: Active reports false and Publish is a no-op.
+// safe from concurrent goroutines (transport links, the load driver) as
+// long as each subscriber tolerates concurrent calls itself. A nil *Bus
+// is a valid inactive bus: Active reports false and Publish is a no-op.
 type Bus struct {
 	seq    atomic.Uint64
 	mu     sync.Mutex
@@ -249,8 +250,8 @@ func (b *Bus) Publish(ev Event) {
 // PublishBatch stamps and delivers a burst of events with one sequence
 // reservation: the batch occupies a contiguous, gapless seq range in
 // publication order, and concurrent batches interleave without tearing a
-// batch's internal order. Publishers that emit several events per action
-// (the message-passing port's rule firings) use it to amortize the
+// batch's internal order. Publishers that emit several events at once
+// (the telemetry emitter's snapshot events) use it to amortize the
 // per-event atomic to one per burst. evs is modified in place (Seq is
 // stamped); events are handed to subscribers by value, so the caller may
 // reuse the backing slice as soon as PublishBatch returns.

@@ -83,13 +83,13 @@ func TestParseSnapshotRejectsForeignSchema(t *testing.T) {
 func TestCheckHealth(t *testing.T) {
 	healthy := []PromSample{
 		{Name: SeriesDeliveries, Value: 100},
-		{Name: SeriesTagMismatches, Value: 0},
+		{Name: SeriesPhantomDeliveries, Value: 0},
 	}
 	if rep := CheckHealth(healthy); !rep.Healthy || len(rep.Flags) != 0 {
 		t.Fatalf("healthy samples flagged: %v", rep)
 	}
 	sick := []PromSample{
-		{Name: SeriesTagMismatches, Value: 2},
+		{Name: SeriesPhantomDeliveries, Value: 2},
 		{Name: SeriesWatermarkViolations, Value: 1},
 		{Name: SeriesDeliveries, Value: 5},
 	}
@@ -97,7 +97,7 @@ func TestCheckHealth(t *testing.T) {
 	if rep.Healthy || len(rep.Flags) != 2 {
 		t.Fatalf("want 2 flags, got %v", rep)
 	}
-	if !strings.Contains(rep.String(), SeriesTagMismatches) {
+	if !strings.Contains(rep.String(), SeriesPhantomDeliveries) {
 		t.Fatalf("String() omits the flagged series: %s", rep.String())
 	}
 }

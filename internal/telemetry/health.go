@@ -30,7 +30,6 @@ var healthChecks = []struct {
 	series string
 	why    string
 }{
-	{SeriesTagMismatches, "foreign-version payload tags: a node on this cluster speaks a different tag codec"},
 	{SeriesPhantomDeliveries, "phantom deliveries: messages delivered that no plan entry sent"},
 	{SeriesInvalidDeliveries, "invalid messages delivered: corrupted initial buffer state reached a destination"},
 	{SeriesWatermarkViolations, "watermark violations: handshake acks referencing sequences never issued"},

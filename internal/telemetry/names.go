@@ -26,7 +26,6 @@ const (
 	// Stabilization-health counters: nonzero values indicate the cluster
 	// is (or recently was) operating outside the stabilized regime.
 	SeriesWatermarkViolations = "ssmfp_watermark_violations_total"
-	SeriesTagMismatches       = "ssmfp_tag_mismatches_total"
 	SeriesPhantomDeliveries   = "ssmfp_phantom_deliveries_total"
 	// Per-hop latency attribution (label component=queued|park|deliver),
 	// nanoseconds. queued and park are also folded into the payload tag's

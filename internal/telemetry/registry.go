@@ -289,15 +289,6 @@ func (r *Registry) Value(name string, labels ...Label) (int64, bool) {
 	return 0, false
 }
 
-// PeakValue finds a gauge by (name, labels) and returns its peak.
-func (r *Registry) PeakValue(name string, labels ...Label) (int64, bool) {
-	e := r.find(name, labels)
-	if e == nil || e.gauge == nil {
-		return 0, false
-	}
-	return e.gauge.Peak(), true
-}
-
 // HistSnapshot finds a histogram by (name, labels) and snapshots it.
 func (r *Registry) HistSnapshot(name string, labels ...Label) (metrics.LatencyHist, bool) {
 	e := r.find(name, labels)

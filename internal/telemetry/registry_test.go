@@ -135,9 +135,6 @@ func TestLookupHelpers(t *testing.T) {
 	if _, ok := r.Value("occ", L("proc", "7")); ok {
 		t.Fatal("Value found an unregistered series")
 	}
-	if p, ok := r.PeakValue("occ", L("proc", "1")); !ok || p != 9 {
-		t.Fatalf("PeakValue = %d,%v, want 9", p, ok)
-	}
 	if m := r.MaxPeak("occ"); m != 9 {
 		t.Fatalf("MaxPeak = %d, want 9", m)
 	}

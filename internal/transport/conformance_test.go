@@ -3,6 +3,7 @@ package transport_test
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -494,6 +495,112 @@ func TestExactlyOncePartitionHeal(t *testing.T) {
 	})
 	runExactlyOnce(t, mk, msgpass.Options{Seed: 25}, 60*time.Second)
 }
+
+// --- elastic conformance: a link's life across epochs ----------------
+
+// elasticDeployment is a running deployment whose epochs a test drives:
+// the Network that runs each processor (one for a whole-graph transport,
+// one per processor for node-scoped ones), and for node-scoped wires the
+// hook that teaches every node transport the dial addresses a new graph
+// needs — what cluster.Agent replays before each epoch.
+type elasticDeployment struct {
+	nets  map[graph.ProcessID]*msgpass.Network
+	peers func(g *graph.Graph)
+}
+
+// elasticFactory boots a deployment of g with hook wired into every
+// Network's OnDeliver.
+type elasticFactory func(t *testing.T, g *graph.Graph, hook func(msgpass.Delivery)) elasticDeployment
+
+// chaosChanElastic runs one Network over Chaos(Chan): every epoch's wire
+// change goes through Chaos.EnsureLink/DropLink to the channel backend.
+func chaosChanElastic(t *testing.T, g *graph.Graph, hook func(msgpass.Delivery)) elasticDeployment {
+	tr := transport.NewChaos(transport.NewChan(g, 64), transport.ChaosOptions{
+		Seed: 31, LossRate: 0.1, DupRate: 0.1, Jitter: 500 * time.Microsecond,
+	})
+	nw := msgpass.New(g, msgpass.Options{Seed: 31, Tick: time.Millisecond, Transport: tr, OnDeliver: hook})
+	nw.Start()
+	t.Cleanup(func() { nw.Stop(); tr.Close() })
+	nets := make(map[graph.ProcessID]*msgpass.Network, g.N())
+	for _, p := range g.Processors() {
+		nets[p] = nw
+	}
+	return elasticDeployment{nets: nets}
+}
+
+// runEpochExactlyOnce takes a chord through its whole life on Line(4).
+// Epoch 1 adds edge 0-3 and disables 1-2, so traffic between the two
+// halves can only cross the new chord; epoch 2 re-enables 1-2 and
+// disables the chord (the graceful cut's first phase); epoch 3 removes
+// the chord once its traffic has drained. Messages sent under every
+// epoch must each be delivered exactly once, at their destination.
+func runEpochExactlyOnce(t *testing.T, mk elasticFactory) {
+	line := graph.Line(4)
+	var mu sync.Mutex
+	seen := make(map[string][]graph.ProcessID)
+	d := mk(t, line, func(dl msgpass.Delivery) {
+		mu.Lock()
+		seen[dl.Msg.Payload] = append(seen[dl.Msg.Payload], dl.At)
+		mu.Unlock()
+	})
+	want := make(map[string]graph.ProcessID)
+	round := func(epoch int) {
+		t.Helper()
+		for _, sd := range [][2]graph.ProcessID{{1, 2}, {2, 1}, {0, 3}, {3, 0}, {1, 3}} {
+			payload := fmt.Sprintf("e%d:%d->%d", epoch, sd[0], sd[1])
+			if _, err := d.nets[sd[0]].Send(sd[0], payload, sd[1]); err != nil {
+				t.Fatalf("epoch %d: Send %s: %v", epoch, payload, err)
+			}
+			want[payload] = sd[1]
+		}
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			mu.Lock()
+			n := len(seen)
+			mu.Unlock()
+			if n == len(want) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("epoch %d: %d/%d messages delivered", epoch, n, len(want))
+			}
+		}
+	}
+	apply := func(e msgpass.Epoch) {
+		t.Helper()
+		if d.peers != nil {
+			d.peers(e.Graph)
+		}
+		applied := make(map[*msgpass.Network]bool)
+		for _, p := range e.Graph.Processors() {
+			if nw := d.nets[p]; !applied[nw] {
+				applied[nw] = true
+				if err := nw.ApplyEpoch(e); err != nil {
+					t.Fatalf("epoch %d at node %d: %v", e.Seq, p, err)
+				}
+			}
+		}
+	}
+
+	chorded := graph.Ring(4) // Line(4) plus the chord 0-3
+	round(0)
+	apply(msgpass.Epoch{Seq: 1, Graph: chorded, Disabled: [][2]graph.ProcessID{{1, 2}}})
+	round(1)
+	apply(msgpass.Epoch{Seq: 2, Graph: chorded, Disabled: [][2]graph.ProcessID{{0, 3}}})
+	round(2)
+	apply(msgpass.Epoch{Seq: 3, Graph: line})
+	round(3)
+
+	time.Sleep(50 * time.Millisecond) // let a late duplicate surface
+	mu.Lock()
+	defer mu.Unlock()
+	for payload, dst := range want {
+		if at := seen[payload]; len(at) != 1 || at[0] != dst {
+			t.Errorf("%s delivered at %v, want once at %d", payload, at, dst)
+		}
+	}
+}
+
+func TestEpochExactlyOnceOverChaosChan(t *testing.T) { runEpochExactlyOnce(t, chaosChanElastic) }
 
 // TestChaosBandwidthCapSustained pushes a sustained burst through a
 // bandwidth-capped link and checks the line-rate model: every frame

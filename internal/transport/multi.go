@@ -9,8 +9,9 @@ import (
 // Multi composes node-scoped transports (one TCP transport per
 // processor, typically) into a whole-graph transport: the send end of
 // u→v resolves into u's transport, the receive end into v's. It is how
-// an in-process test or example runs a full loopback TCP cluster behind
-// the same Transport interface msgpass consumes.
+// an in-process test or benchmark runs a full loopback TCP cluster behind
+// the same Transport interface msgpass consumes. It is not Elastic: an
+// epoch that changes edges needs one Network per node transport.
 type Multi struct {
 	per map[graph.ProcessID]Transport
 
@@ -38,33 +39,6 @@ func (m *Multi) Link(from, to graph.ProcessID) Link {
 	}
 	m.links[key] = l
 	return l
-}
-
-// EnsureLink forwards to the two node transports that own the edge's
-// ends, when they are elastic.
-func (m *Multi) EnsureLink(from, to graph.ProcessID) error {
-	for _, p := range [2]graph.ProcessID{from, to} {
-		if el, ok := m.per[p].(Elastic); ok {
-			if err := el.EnsureLink(from, to); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// DropLink forgets the cached composite link and forwards to the edge's
-// owning node transports, when they are elastic.
-func (m *Multi) DropLink(from, to graph.ProcessID) {
-	key := [2]graph.ProcessID{from, to}
-	m.mu.Lock()
-	delete(m.links, key)
-	m.mu.Unlock()
-	for _, p := range [2]graph.ProcessID{from, to} {
-		if el, ok := m.per[p].(Elastic); ok {
-			el.DropLink(from, to)
-		}
-	}
 }
 
 // Stats sums every node transport's counters. Sends are counted at the

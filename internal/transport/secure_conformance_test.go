@@ -96,6 +96,64 @@ func TestSecureTLSPartitionHealExactlyOnce(t *testing.T) {
 	runExactlyOnce(t, mk, msgpass.Options{Seed: 28}, 90*time.Second)
 }
 
+// tlsElastic runs one Network per processor, each over its own mutual-
+// TLS node transport that starts out knowing only its neighbours'
+// addresses — the shape of an ssmfp-node -serve -require-tls cluster.
+// Each epoch first teaches the node transports the addresses of their
+// new neighbours (TLS.AddPeer); ApplyEpoch then grows and shrinks the
+// wire through TLS.EnsureLink/DropLink.
+func tlsElastic(t *testing.T, g *graph.Graph, hook func(msgpass.Delivery)) elasticDeployment {
+	t.Helper()
+	ca, err := secure.GenCA("elastic-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make(map[graph.ProcessID]string, g.N())
+	listeners := make(map[graph.ProcessID]net.Listener, g.N())
+	for _, p := range g.Processors() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[p], addrs[p] = ln, ln.Addr().String()
+	}
+	d := elasticDeployment{nets: make(map[graph.ProcessID]*msgpass.Network, g.N())}
+	trs := make(map[graph.ProcessID]*secure.TLS, g.N())
+	for _, p := range g.Processors() {
+		cred, err := ca.IssueNode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := map[graph.ProcessID]string{p: addrs[p]}
+		for _, q := range g.Neighbors(p) {
+			peers[q] = addrs[q]
+		}
+		tr, err := secure.NewTLS(g, secure.TLSOptions{
+			Local: p, Peers: peers, Listener: listeners[p], Cred: cred, Pool: ca.Pool(), Seed: int64(p),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := msgpass.New(g, msgpass.Options{
+			Seed: 32 + int64(p), Tick: time.Millisecond, Transport: tr,
+			Procs: []graph.ProcessID{p}, OnDeliver: hook,
+		})
+		nw.Start()
+		t.Cleanup(func() { nw.Stop(); tr.Close() })
+		trs[p], d.nets[p] = tr, nw
+	}
+	d.peers = func(g *graph.Graph) {
+		for _, p := range g.Processors() {
+			for _, q := range g.Neighbors(p) {
+				trs[p].AddPeer(q, addrs[q])
+			}
+		}
+	}
+	return d
+}
+
+func TestEpochExactlyOnceOverSecureTLS(t *testing.T) { runEpochExactlyOnce(t, tlsElastic) }
+
 // TestSecureTLSLateStartAndReconnect is the TCP late-start/redial test
 // over mutual TLS: the peer is down at first send (every dial's TLS
 // handshake fails with the socket), comes up late, restarts, and frames

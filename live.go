@@ -137,7 +137,7 @@ type LiveQueue struct {
 func (l *LiveNetwork) Status() LiveStatus {
 	st := l.nw.Stats()
 	out := LiveStatus{
-		Deliveries:     len(l.nw.Deliveries()),
+		Deliveries:     l.nw.Delivered(),
 		DVSent:         st.DVSent,
 		OffersSent:     st.OffersSent,
 		AcceptsSent:    st.AcceptsSent,

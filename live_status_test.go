@@ -39,3 +39,34 @@ func TestLiveNetworkMetricsHandler(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveNetworkDeliveries checks the delivery snapshot field by field,
+// and that Status counts the same deliveries without copying the log.
+func TestLiveNetworkDeliveries(t *testing.T) {
+	live := ssmfp.NewLiveNetwork(ssmfp.Line(3), ssmfp.LiveOptions{Seed: 4})
+	defer live.Close()
+	want := map[string]ssmfp.Delivery{
+		"east": {Payload: "east", From: 0, To: 2, Valid: true},
+		"west": {Payload: "west", From: 2, To: 0, Valid: true},
+	}
+	for _, d := range want {
+		if _, err := live.Send(d.From, d.To, d.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !live.WaitDelivered(len(want), 10*time.Second) {
+		t.Fatal("not delivered")
+	}
+	got := live.Deliveries()
+	if len(got) != len(want) {
+		t.Fatalf("Deliveries() = %+v, want %d entries", got, len(want))
+	}
+	for _, d := range got {
+		if d != want[d.Payload] {
+			t.Fatalf("delivery %+v, want %+v", d, want[d.Payload])
+		}
+	}
+	if n := live.Status().Deliveries; n != len(want) {
+		t.Fatalf("Status().Deliveries = %d, want %d", n, len(want))
+	}
+}

@@ -102,7 +102,8 @@ type netView struct {
 }
 
 // pauseReq is one stop-the-world request: every running node goroutine
-// receives it, signals arrival, and parks until release closes.
+// finds it in its own pause slot, signals arrival, and parks until
+// release closes.
 type pauseReq struct {
 	arrived sync.WaitGroup
 	release chan struct{}
@@ -215,25 +216,22 @@ func (nw *Network) inspect(fn func()) {
 	}
 }
 
-// pauseAll sends one pause request to every running node goroutine and
-// waits until all have parked. Caller holds epochMu and must close the
-// returned release channel. Returns nil when nothing is running (network
-// not started, all nodes detached, or the network stopped mid-pause —
-// nodes park-or-exit on stop, so arrival still completes).
+// pauseAll posts one pause request in every running node's pause slot,
+// wakes the node, and waits until all have parked. Caller holds epochMu
+// and must close the returned release channel. Returns nil when nothing
+// is running (network not started, or all nodes detached). Stop also
+// takes epochMu before it sets the nodes' quit flags, so every running
+// node is alive to arrive.
 func (nw *Network) pauseAll() *pauseReq {
 	if !nw.started || len(nw.running) == 0 {
 		return nil
 	}
 	req := &pauseReq{release: make(chan struct{})}
 	req.arrived.Add(len(nw.running))
-	for range nw.running {
-		select {
-		case nw.pause <- req:
-		case <-nw.stop:
-			// Some nodes may have parked already; release them and give up.
-			// The remaining arrivals never happen, so adjust them away.
-			req.arrived.Add(-1)
-		}
+	for _, p := range nw.running {
+		n := nw.nodes[p]
+		n.pause.Store(req)
+		n.wakeUp()
 	}
 	req.arrived.Wait()
 	return req
@@ -482,6 +480,7 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 	n.dist[n.id] = 0
 	n.parent[n.id] = n.id
 	n.dvDirty = true
+	n.gossip = nil
 
 	// Grow the per-destination state. Slots never shrink, so surviving
 	// indices keep their buffers and watermarks.

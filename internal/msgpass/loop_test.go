@@ -1,0 +1,195 @@
+package msgpass
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"ssmfp/internal/graph"
+	"ssmfp/internal/transport"
+)
+
+// TestLoopBarrierUnderSaturation floods one node's inbox from both of its
+// neighbors' links, then requires a barrier inspection, a queue snapshot
+// and an epoch to complete within a fixed deadline while the flood goes
+// on. The node takes queued frames without a select; only the burst bound
+// brings it back to read its pause slot, which TestLoopBarrierBeatsBacklog
+// pins without depending on the scheduler.
+func TestLoopBarrierUnderSaturation(t *testing.T) {
+	g := graph.Line(3)
+	nw := New(g, Options{Seed: 1})
+	nw.Start()
+	defer nw.Stop()
+
+	// Frames as the neighbors would gossip them: handled in full, but
+	// routing-neutral, so the flood changes nothing but the load.
+	stop := make(chan struct{})
+	var flooders sync.WaitGroup
+	for _, from := range []graph.ProcessID{0, 2} {
+		dv := []int{1, 1, 1}
+		dv[from] = 0
+		l := nw.tr.Link(from, 1)
+		flooders.Add(1)
+		go func() {
+			defer flooders.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < 64; i++ {
+					l.Send(transport.Frame{Kind: transport.KindDV, From: from, DV: dv})
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		flooders.Wait()
+	}()
+
+	saturated := false
+	for deadline := time.Now().Add(5 * time.Second); !saturated && time.Now().Before(deadline); {
+		saturated = nw.QueueDepths()[1].Inbox > 0
+	}
+	if !saturated {
+		t.Fatal("the flood never left a frame in node 1's inbox")
+	}
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fn()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5s under a saturated inbox", what)
+		}
+	}
+	within("InFlightFor", func() { nw.InFlightFor(2) })
+	within("QueueDepths", func() { nw.QueueDepths() })
+	within("ApplyEpoch", func() {
+		if err := nw.ApplyEpoch(Epoch{Seq: 1, Graph: g}); err != nil {
+			t.Errorf("ApplyEpoch: %v", err)
+		}
+	})
+}
+
+// TestLoopBarrierBeatsBacklog queues a backlog many bursts deep at one
+// node before it starts and posts a barrier request in its pause slot
+// while it works through the backlog: the node must park after handling
+// at most one burst and one more frame from its select, not after
+// draining its inbox.
+func TestLoopBarrierBeatsBacklog(t *testing.T) {
+	g := graph.Line(3)
+	nw := New(g, Options{Seed: 1, ChannelDepth: 1 << 13})
+	defer nw.Stop()
+	n := nw.nodes[1]
+	l := nw.tr.Link(0, 1)
+	backlog := cap(n.inbox)
+	f := transport.Frame{Kind: transport.KindDV, From: 0, DV: []int{0, 1, 2}}
+	for i := 0; i < backlog; i++ {
+		l.Send(f)
+	}
+	nw.Start()
+	for len(n.inbox) == backlog {
+		runtime.Gosched()
+	}
+	req := &pauseReq{release: make(chan struct{})}
+	req.arrived.Add(1)
+	n.pause.Store(req)
+	before := len(n.inbox) // frames node 1 may still handle before it parks
+	req.arrived.Wait()
+	handled := before - len(n.inbox) // neighbor heartbeats only add to the inbox
+	close(req.release)
+	if handled > inboxBurst+1 {
+		t.Fatalf("node 1 handled %d of %d queued frames after the barrier was posted, want at most %d", handled, before, inboxBurst+1)
+	}
+}
+
+// TestHeartbeatAllocFree holds the DV heartbeat to zero allocations while
+// the vector is unchanged: tick resends the vector it last gossiped. A
+// draining node's all-infinity vector is built once per epoch, so its
+// heartbeat is allocation-free even while its own distances keep moving.
+func TestHeartbeatAllocFree(t *testing.T) {
+	g := graph.Grid(3, 3)
+	nw := New(g, Options{Seed: 1})
+	defer nw.tr.Close()
+	n := nw.nodes[4]
+	n.tick() // the initial vector is dirty: gossip it once
+	before := nw.Stats().DVSent
+	const runs = 4 * dvHeartbeatTicks
+	if allocs := testing.AllocsPerRun(runs, n.tick); allocs > 0 {
+		t.Fatalf("heartbeat tick allocates %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun adds one warm-up call; each heartbeat goes to all 4
+	// neighbors.
+	if got, want := nw.Stats().DVSent-before, (runs+1)/dvHeartbeatTicks*4; got < want {
+		t.Fatalf("%d DV frames sent over %d ticks, want at least %d", got, runs+1, want)
+	}
+
+	n.draining = true
+	n.gossip = nil // what an epoch does
+	n.tick()
+	if allocs := testing.AllocsPerRun(runs, func() {
+		n.dvDirty = true // a route change while draining
+		n.tick()
+	}); allocs > 0 {
+		t.Fatalf("draining heartbeat allocates %.1f times, want 0", allocs)
+	}
+	for d, v := range n.gossip {
+		if want := g.N(); d != int(n.id) && v != want {
+			t.Fatalf("draining node advertises %d for %d, want %d", v, d, want)
+		}
+	}
+}
+
+// BenchmarkNodeLoop runs a started grid-4x4 network over in-process
+// channels as a closed loop: b.N messages between opposite corners of the
+// grid's numbering, 16 in flight. It reports ns/msg through the whole
+// node loop — inbox, handlers, local moves, ticks — without the load
+// harness.
+func BenchmarkNodeLoop(b *testing.B) {
+	const inFlight = 16
+	g := graph.Grid(4, 4)
+	done := make(chan struct{}, inFlight)
+	nw := New(g, Options{
+		Seed:              1,
+		DiscardDeliveries: true,
+		OnDeliver:         func(Delivery) { done <- struct{}{} },
+	})
+	nw.Start()
+	defer nw.Stop()
+	send := func(i int) {
+		src := graph.ProcessID(i % g.N())
+		if _, err := nw.Send(src, "loop", graph.ProcessID(g.N()-1)-src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm up: routing converges and every queue reaches its steady size.
+	for i := 0; i < inFlight; i++ {
+		send(i)
+	}
+	for i := 0; i < inFlight; i++ {
+		<-done
+	}
+	b.ResetTimer()
+	sent := 0
+	for ; sent < inFlight && sent < b.N; sent++ {
+		send(sent)
+	}
+	for got := 0; got < b.N; got++ {
+		<-done
+		if sent < b.N {
+			send(sent)
+			sent++
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/msg")
+}

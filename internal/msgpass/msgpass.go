@@ -172,13 +172,11 @@ type Network struct {
 
 	// Elastic-membership machinery (epoch.go). view is the atomic read
 	// surface for goroutines outside the epoch barrier; epochMu serializes
-	// ApplyEpoch and barrier inspections; pause carries the stop-the-world
-	// requests; running lists the processors with a live goroutine;
-	// procsWant pins a node-scoped instance to its configured processor
-	// set (nil = adopt every member).
+	// ApplyEpoch, barrier inspections and Stop; running lists the
+	// processors with a live goroutine; procsWant pins a node-scoped
+	// instance to its configured processor set (nil = adopt every member).
 	view      atomic.Pointer[netView]
 	epochMu   sync.Mutex
-	pause     chan *pauseReq
 	running   []graph.ProcessID
 	procsWant []graph.ProcessID
 	started   bool
@@ -198,6 +196,8 @@ type Network struct {
 	deliveries []Delivery
 	delivered  chan struct{} // closed and replaced on a delivery while waiters > 0
 
+	// stop is closed by Stop to release WaitDelivered callers. Node
+	// goroutines never wait on it: each is stopped through its own quit.
 	stop     chan struct{}
 	stopOnce sync.Once
 	stopped  atomic.Bool
@@ -256,7 +256,6 @@ func New(g *graph.Graph, opts Options) *Network {
 	if nw.local == nil {
 		nw.local = g.Processors()
 	}
-	nw.pause = make(chan *pauseReq)
 	nw.running = nw.local
 	rng := rand.New(rand.NewSource(opts.Seed))
 	seeds := make([]int64, g.N())
@@ -302,12 +301,23 @@ func (nw *Network) Start() {
 // Network built for itself is closed, a caller-supplied one is left open.
 // Stop is idempotent: long-running load drivers race their shutdown paths
 // against the network's, and a second Stop must be a harmless no-op, not a
-// close-of-closed-channel panic.
+// close-of-closed-channel panic. Stop waits out an epoch barrier in
+// progress: it sets each running node's quit under epochMu, so a join's
+// fresh goroutines are stopped too and a barrier never loses a node, and
+// it holds epochMu until the goroutines are gone, so an inspection that
+// finds the network stopped reads node state no goroutine still writes.
 func (nw *Network) Stop() {
 	nw.stopOnce.Do(func() {
+		nw.epochMu.Lock()
 		nw.stopped.Store(true)
 		close(nw.stop)
+		for _, p := range nw.running {
+			n := nw.nodes[p]
+			n.quit.Store(true)
+			n.wakeUp()
+		}
 		nw.wg.Wait()
+		nw.epochMu.Unlock()
 		if nw.ownTr {
 			nw.tr.Close()
 		}
@@ -351,11 +361,7 @@ func (nw *Network) Send(src graph.ProcessID, payload string, dst graph.ProcessID
 	n.tg.pending.Add(1)
 	nw.tel.sends.Inc()
 	// Wake the node so R1 runs now rather than at the next tick or frame.
-	// A wake already pending covers this send too.
-	select {
-	case n.wake <- struct{}{}:
-	default:
-	}
+	n.wakeUp()
 	return uid, nil
 }
 
@@ -365,6 +371,18 @@ func (nw *Network) Deliveries() []Delivery {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	return append([]Delivery(nil), nw.deliveries...)
+}
+
+// EachDelivery calls fn on every retained delivery, in order, without
+// copying the log. It holds the network lock throughout, so fn must be
+// quick and must not call into the Network. With
+// Options.DiscardDeliveries it calls nothing.
+func (nw *Network) EachDelivery(fn func(*Delivery)) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	for i := range nw.deliveries {
+		fn(&nw.deliveries[i])
+	}
 }
 
 // Delivered returns the count of local deliveries so far; unlike

@@ -22,6 +22,15 @@ const (
 	offerRetransmitTicks = 2
 )
 
+// inboxBurst bounds how many frames run handles back to back through the
+// non-blocking inbox receive before it reads its control path and passes
+// through its blocking select again. The fast path keeps a busy node out
+// of selectgo; the bound keeps a saturated inbox from starving the
+// ticker, Send wakes, Stop and the epoch barrier. 64 is one incoming
+// link's share of the inbox at the default ChannelDepth: at about a
+// microsecond per frame a burst ends well inside one 200µs tick.
+const inboxBurst = 64
+
 // destState is the per-destination forwarding state of a node: the bufR /
 // bufE pair of the protocol plus the handshake bookkeeping that replaces
 // the shared-memory R3/R4 reasoning. Buffers are values guarded by
@@ -114,6 +123,12 @@ type node struct {
 	draining bool
 	detached bool
 
+	// gossip is the vector last put on the wire. It is never mutated
+	// after sending, so a heartbeat with nothing changed resends it as is;
+	// a change (dvDirty) or an epoch (which resets it to nil) builds a
+	// fresh one.
+	gossip []int
+
 	// forwarding.
 	dests     []destState
 	nextSeq   uint64
@@ -129,9 +144,18 @@ type node struct {
 	// incoming link — and nil while it has no neighbor. It is written
 	// only at the epoch barrier and under mu; other goroutines read it
 	// under mu. wake (capacity 1) is signalled by Network.Send so R1 runs
-	// without waiting for a tick or a frame.
+	// without waiting for a tick or a frame, and by pauseAll and Stop so
+	// an idle node reads its control path at once.
 	inbox <-chan transport.Frame
 	wake  chan struct{}
+
+	// pause and quit are the node's control path, each set with a wake:
+	// pauseAll posts its barrier request in pause, Stop sets quit. run
+	// reads both once per pass, so its blocking select waits on the inbox,
+	// wake and the ticker alone, and on no channel another node's
+	// goroutine also locks.
+	pause atomic.Pointer[pauseReq]
+	quit  atomic.Bool
 
 	// tg holds this processor's occupancy gauges (bufR/bufE/pending/
 	// parked), updated at the exact transition points so peaks are
@@ -226,29 +250,43 @@ func (n *node) send(q graph.ProcessID, f transport.Frame) {
 }
 
 // run is the node main loop: it reacts to frames from the transport
-// inbox, Send wakes, ticks, and epoch barriers.
+// inbox, Send wakes, ticks, and epoch barriers. Frames already queued are
+// taken with a non-blocking receive, up to inboxBurst of them, so a busy
+// node pays no select; only an empty inbox or a finished burst reaches
+// the blocking select, which holds the node's own channels and nothing
+// shared with other nodes. Stop and the barrier are read at the top of
+// every pass, so either reaches the node within one burst.
 func (n *node) run() {
 	defer n.nw.wg.Done()
 	ticker := time.NewTicker(n.nw.opts.Tick)
 	defer ticker.Stop()
 
 	for {
-		select {
-		case <-n.nw.stop:
+		if n.quit.Load() {
 			return
-		case req := <-n.nw.pause:
+		}
+		if req := n.pause.Load(); req != nil {
 			// Epoch barrier: park while the network re-shapes this node's
 			// state, resume on release — or exit, when the epoch detached
-			// this processor or the network stopped mid-barrier.
+			// this processor. Stop waits for the barrier's release.
+			n.pause.Store(nil)
 			req.arrived.Done()
-			select {
-			case <-req.release:
-			case <-n.nw.stop:
-				return
-			}
+			<-req.release
 			if n.detached {
 				return
 			}
+		}
+	burst:
+		for i := 0; i < inboxBurst; i++ {
+			select {
+			case f := <-n.inbox:
+				n.handle(f)
+				n.localMoves()
+			default:
+				break burst
+			}
+		}
+		select {
 		case f := <-n.inbox:
 			n.handle(f)
 		case <-n.wake:
@@ -256,6 +294,15 @@ func (n *node) run() {
 			n.tick()
 		}
 		n.localMoves()
+	}
+}
+
+// wakeUp makes the node run a pass now rather than at its next frame or
+// tick. A wake already pending covers this one too.
+func (n *node) wakeUp() {
+	select {
+	case n.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -488,30 +535,37 @@ func (n *node) handleCancelAck(from graph.ProcessID, c transport.Ack) {
 func (n *node) tick() {
 	n.tickCount++
 	if n.dvDirty || n.tickCount%dvHeartbeatTicks == 1 {
-		// One copy shared by all neighbor sends: receivers only read a DV
-		// slice (handleDV copies it into the per-neighbor store), and the
-		// sender never mutates a vector after gossiping it.
-		var dv []int
-		if n.draining {
-			// A draining node advertises infinity everywhere but itself:
-			// in-flight deliveries to it complete, nothing new routes
-			// through it.
-			dv = make([]int, len(n.dist))
-			for d := range dv {
-				dv[d] = n.nw.g.N()
-			}
-			dv[n.id] = 0
-		} else {
-			dv = append([]int(nil), n.dist...)
+		// One copy shared by all neighbor sends and by every heartbeat
+		// until the vector changes: receivers only read a DV slice
+		// (handleDV copies it into the per-neighbor store), and the sender
+		// never mutates a vector after gossiping it.
+		if n.gossip == nil || (n.dvDirty && !n.draining) {
+			n.gossip = n.advertised()
 		}
 		for _, q := range n.nbrs {
-			n.send(q, transport.Frame{Kind: transport.KindDV, From: n.id, DV: dv})
+			n.send(q, transport.Frame{Kind: transport.KindDV, From: n.id, DV: n.gossip})
 		}
 		n.dvDirty = false
 	}
 	for d := range n.dests {
 		n.driveTransfer(graph.ProcessID(d))
 	}
+}
+
+// advertised builds the vector to gossip. A draining node advertises
+// infinity everywhere but itself — in-flight deliveries to it complete,
+// nothing new routes through it — whatever its own distances say, so it
+// builds that vector once per epoch.
+func (n *node) advertised() []int {
+	if !n.draining {
+		return append([]int(nil), n.dist...)
+	}
+	dv := make([]int, len(n.dist))
+	for d := range dv {
+		dv[d] = n.nw.g.N()
+	}
+	dv[n.id] = 0
+	return dv
 }
 
 // driveTransfer (re)transmits the offer for an occupied emission buffer,

@@ -14,7 +14,7 @@ import (
 // path once or twice per frame. Before the kind counters became atomics
 // this path took the network-wide mutex once or twice per frame; on this
 // benchmark the lock's removal cut the contended cost from ~64 ns/op to
-// ~29 ns/op (8 hardware threads; numbers in DESIGN.md §3).
+// ~29 ns/op on 8 hardware threads.
 func BenchmarkSendHotPathParallel(b *testing.B) {
 	g := graph.Complete(8)
 	nw := New(g, Options{Seed: 1})

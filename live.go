@@ -77,23 +77,29 @@ func (l *LiveNetwork) WaitDelivered(k int, timeout time.Duration) bool {
 // Deliveries returns a snapshot of deliveries so far.
 func (l *LiveNetwork) Deliveries() []Delivery {
 	var out []Delivery
-	for _, d := range l.nw.Deliveries() {
+	l.nw.EachDelivery(func(d *msgpass.Delivery) {
 		out = append(out, Delivery{
 			Payload: d.Msg.Payload, From: d.Msg.Src, To: d.At, Valid: d.Msg.Valid,
 		})
-	}
+	})
 	return out
 }
 
 // DeliveredExactlyOnce reports whether every UID in ids was delivered
-// exactly once so far.
+// exactly once so far. It counts only the requested UIDs, in one pass
+// over the delivery log and without copying it, so callers may poll it.
 func (l *LiveNetwork) DeliveredExactlyOnce(ids ...uint64) bool {
-	counts := make(map[uint64]int)
-	for _, d := range l.nw.Deliveries() {
-		counts[d.Msg.UID]++
-	}
+	counts := make(map[uint64]int, len(ids))
 	for _, id := range ids {
-		if counts[id] != 1 {
+		counts[id] = 0
+	}
+	l.nw.EachDelivery(func(d *msgpass.Delivery) {
+		if c, ok := counts[d.Msg.UID]; ok {
+			counts[d.Msg.UID] = c + 1
+		}
+	})
+	for _, c := range counts {
+		if c != 1 {
 			return false
 		}
 	}

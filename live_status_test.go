@@ -70,3 +70,38 @@ func TestLiveNetworkDeliveries(t *testing.T) {
 		t.Fatalf("Status().Deliveries = %d, want %d", n, len(want))
 	}
 }
+
+// TestLiveNetworkDeliveredExactlyOnce checks the verdict for delivered,
+// unknown and mixed UID sets.
+func TestLiveNetworkDeliveredExactlyOnce(t *testing.T) {
+	live := ssmfp.NewLiveNetwork(ssmfp.Line(3), ssmfp.LiveOptions{Seed: 5})
+	defer live.Close()
+	a, err := live.Send(0, 2, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := live.Send(2, 0, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !live.WaitDelivered(2, 10*time.Second) {
+		t.Fatal("not delivered")
+	}
+	unknown := a + b + 1000
+	for _, c := range []struct {
+		ids  []uint64
+		want bool
+	}{
+		{nil, true},
+		{[]uint64{a}, true},
+		{[]uint64{a, b}, true},
+		{[]uint64{a, a}, true},
+		{[]uint64{unknown}, false},
+		{[]uint64{a, unknown}, false},
+		{[]uint64{unknown, b}, false},
+	} {
+		if got := live.DeliveredExactlyOnce(c.ids...); got != c.want {
+			t.Errorf("DeliveredExactlyOnce(%v) = %v, want %v", c.ids, got, c.want)
+		}
+	}
+}

@@ -122,9 +122,6 @@ func main() {
 		sc.TraceOut = traceFile
 		sc.TraceDest = graph.ProcessID(*traceDest)
 	}
-	if *metricsOut != "" {
-		sc.Lifecycle = true
-	}
 	var lastStatus atomic.Pointer[sim.Status]
 	if *httpAddr != "" {
 		sc.OnStatus = func(st sim.Status) { lastStatus.Store(&st) }

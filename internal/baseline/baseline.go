@@ -23,6 +23,7 @@ import (
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
@@ -162,7 +163,9 @@ func destRules(d graph.ProcessID) []sm.Rule {
 				self.NextSeq++
 				self.Buf[d] = msg
 				self.Request = len(self.Pending) > 0
-				v.Emit(core.KindGenerate, core.GenerateEvent{Msg: msg})
+				if v.Observing() {
+					v.Observe(obs.Event{Kind: obs.KindGenerate, Dest: d, Msg: msg.Record()})
+				}
 			},
 		},
 		// (F1) Copy: receiver pulls from the first neighbor routed to it.
@@ -211,7 +214,9 @@ func destRules(d graph.ProcessID) []sm.Rule {
 			},
 			Action: func(v *sm.View) {
 				self := fw(v.Self())
-				v.Emit(core.KindDeliver, core.DeliverEvent{Msg: self.Buf[d]})
+				if v.Observing() {
+					v.Observe(obs.Event{Kind: obs.KindDeliver, Dest: d, Msg: self.Buf[d].Record()})
+				}
 				self.Buf[d] = nil
 			},
 		},

@@ -1,10 +1,13 @@
 // Package checker provides the specification oracles of the reproduction:
-// it observes an execution through engine events and verifies Specification
-// SP of the paper — every valid (generated) message is delivered to its
-// destination once and only once — plus the supporting invariants the
-// proofs rely on (no valid message is ever lost from all buffers before
-// delivery, invalid deliveries per destination stay within the 2n bound of
-// Proposition 4, messages are only delivered at their destination).
+// it observes an execution through the engine's event stream and verifies
+// Specification SP of the paper — every valid (generated) message is
+// delivered to its destination once and only once — plus the supporting
+// invariants the proofs rely on (no valid message is ever lost from all
+// buffers before delivery, invalid deliveries per destination stay within
+// the 2n bound of Proposition 4, messages are only delivered at their
+// destination). The same fold keeps every generated message's lifecycle
+// (generation, hops, delivery) and summarizes it into the Report of
+// Propositions 5-7 (lifecycle.go).
 //
 // The oracles watch simulation-side UIDs, which no protocol guard or action
 // reads, so they detect losses and duplications even when distinct messages
@@ -13,10 +16,11 @@ package checker
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -28,19 +32,19 @@ type Delivery struct {
 	Round int
 }
 
-// Tracker accumulates generation and delivery events of one execution and
-// answers specification questions about it. Create with New, register with
-// Attach before running the engine, and optionally RecordInitial the
-// initial configuration so the invalid messages present at start are
-// counted.
+// Tracker folds the generation (R1), hop (R3) and delivery (R6) events of
+// one execution into per-message timelines and answers specification
+// questions about them. Create with New, register with Attach before
+// running the engine, and optionally RecordInitial the initial
+// configuration so the invalid messages present at start are counted.
+// Only messages seen generated get a timeline: initial garbage and
+// fault-injected messages have no lifecycle start.
 type Tracker struct {
 	g       *graph.Graph
-	e       *sm.Engine
 	initial int // distinct invalid messages present at start
 
-	generated  map[uint64]*core.Message
-	genStep    map[uint64]int
-	genRound   map[uint64]int
+	timelines  map[uint64]*Timeline // generated UID -> its lifecycle
+	order      []*Timeline          // the timelines in generation order
 	deliveries []Delivery
 	delivered  map[uint64]int // valid UID -> delivery count
 
@@ -59,9 +63,7 @@ type violation struct {
 func New(g *graph.Graph) *Tracker {
 	return &Tracker{
 		g:           g,
-		generated:   make(map[uint64]*core.Message),
-		genStep:     make(map[uint64]int),
-		genRound:    make(map[uint64]int),
+		timelines:   make(map[uint64]*Timeline),
 		delivered:   make(map[uint64]int),
 		compromised: make(map[uint64]bool),
 	}
@@ -75,27 +77,32 @@ func (t *Tracker) RecordInitial(cfg []sm.State) {
 }
 
 // Attach subscribes the tracker to the engine's event stream.
-func (t *Tracker) Attach(e *sm.Engine) {
-	t.e = e
-	e.Subscribe(t.onEvent)
-}
+func (t *Tracker) Attach(e *sm.Engine) { e.Subscribe(t.observe) }
 
-func (t *Tracker) onEvent(ev sm.Event) {
+func (t *Tracker) observe(ev sm.Event) {
 	switch ev.Kind {
-	case core.KindGenerate:
-		msg := ev.Payload.(core.GenerateEvent).Msg
-		if _, dup := t.generated[msg.UID]; dup {
-			t.violations = append(t.violations, violation{msg.UID, fmt.Sprintf("UID %d generated twice", msg.UID)})
+	case obs.KindGenerate:
+		uid := ev.Msg.UID
+		if _, dup := t.timelines[uid]; dup {
+			t.violations = append(t.violations, violation{uid, fmt.Sprintf("UID %d generated twice", uid)})
+			return
 		}
-		t.generated[msg.UID] = msg
-		t.genStep[msg.UID] = ev.Step
-		t.genRound[msg.UID] = t.e.Rounds()
-	case core.KindDeliver:
-		msg := ev.Payload.(core.DeliverEvent).Msg
-		t.deliveries = append(t.deliveries, Delivery{Msg: msg, At: ev.Process, Step: ev.Step, Round: t.e.Rounds()})
-		if ev.Process != msg.Dest {
+		tl := &Timeline{
+			UID: uid, Src: ev.Proc, Dest: ev.Dest, Payload: ev.Msg.Payload,
+			GenStep: ev.Step, GenRound: ev.Round,
+		}
+		t.timelines[uid] = tl
+		t.order = append(t.order, tl)
+	case obs.KindForward:
+		if tl := t.timelines[ev.Msg.UID]; tl != nil {
+			tl.Hops = append(tl.Hops, Hop{From: ev.From, To: ev.Proc, Step: ev.Step, Round: ev.Round})
+		}
+	case obs.KindDeliver:
+		msg := (*core.Message)(ev.Msg)
+		t.deliveries = append(t.deliveries, Delivery{Msg: msg, At: ev.Proc, Step: ev.Step, Round: ev.Round})
+		if ev.Proc != msg.Dest {
 			t.violations = append(t.violations,
-				violation{msg.UID, fmt.Sprintf("UID %d delivered at %d, destination is %d", msg.UID, ev.Process, msg.Dest)})
+				violation{msg.UID, fmt.Sprintf("UID %d delivered at %d, destination is %d", msg.UID, ev.Proc, msg.Dest)})
 		}
 		if msg.Valid {
 			t.delivered[msg.UID]++
@@ -104,11 +111,17 @@ func (t *Tracker) onEvent(ev sm.Event) {
 					violation{msg.UID, fmt.Sprintf("valid UID %d delivered %d times (duplication)", msg.UID, t.delivered[msg.UID])})
 			}
 		}
+		if tl := t.timelines[msg.UID]; tl != nil {
+			tl.Deliveries++
+			if !tl.Delivered {
+				tl.Delivered, tl.DeliverStep, tl.DeliverRound = true, ev.Step, ev.Round
+			}
+		}
 	}
 }
 
 // GeneratedCount returns how many messages R1 accepted.
-func (t *Tracker) GeneratedCount() int { return len(t.generated) }
+func (t *Tracker) GeneratedCount() int { return len(t.order) }
 
 // Deliveries returns all recorded deliveries in order.
 func (t *Tracker) Deliveries() []Delivery { return t.deliveries }
@@ -116,8 +129,8 @@ func (t *Tracker) Deliveries() []Delivery { return t.deliveries }
 // DeliveredValid returns how many distinct valid messages were delivered.
 func (t *Tracker) DeliveredValid() int {
 	n := 0
-	for uid := range t.generated {
-		if t.delivered[uid] > 0 {
+	for _, tl := range t.order {
+		if t.delivered[tl.UID] > 0 {
 			n++
 		}
 	}
@@ -166,8 +179,8 @@ func (t *Tracker) Compromised() int { return len(t.compromised) }
 // message has been delivered (at least once; duplications are reported
 // separately).
 func (t *Tracker) AllValidDelivered() bool {
-	for uid := range t.generated {
-		if t.delivered[uid] == 0 && !t.compromised[uid] {
+	for _, tl := range t.order {
+		if t.delivered[tl.UID] == 0 && !t.compromised[tl.UID] {
 			return false
 		}
 	}
@@ -178,12 +191,12 @@ func (t *Tracker) AllValidDelivered() bool {
 // sorted for stable output.
 func (t *Tracker) UndeliveredValid() []uint64 {
 	var out []uint64
-	for uid := range t.generated {
-		if t.delivered[uid] == 0 && !t.compromised[uid] {
-			out = append(out, uid)
+	for _, tl := range t.order {
+		if t.delivered[tl.UID] == 0 && !t.compromised[tl.UID] {
+			out = append(out, tl.UID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -203,10 +216,10 @@ func (t *Tracker) CheckNoLoss(cfg []sm.State) error {
 			}
 		}
 	}
-	for uid, msg := range t.generated {
-		if t.delivered[uid] == 0 && !present[uid] && !t.compromised[uid] {
+	for _, tl := range t.order {
+		if t.delivered[tl.UID] == 0 && !present[tl.UID] && !t.compromised[tl.UID] {
 			return fmt.Errorf("checker: valid message %d (%s, %d→%d) lost: undelivered and absent from all buffers",
-				uid, msg.Payload, msg.Src, msg.Dest)
+				tl.UID, tl.Payload, tl.Src, tl.Dest)
 		}
 	}
 	return nil
@@ -215,7 +228,8 @@ func (t *Tracker) CheckNoLoss(cfg []sm.State) error {
 // Violations returns every specification violation observed so far:
 // duplicate deliveries of valid messages, deliveries at wrong destinations,
 // duplicate generations, plus (computed on demand) Proposition 4 breaches —
-// more than 2n invalid deliveries to one destination.
+// more than 2n invalid deliveries to one destination, listed by
+// destination.
 func (t *Tracker) Violations() []string {
 	var out []string
 	for _, v := range t.violations {
@@ -225,8 +239,14 @@ func (t *Tracker) Violations() []string {
 		out = append(out, v.msg)
 	}
 	bound := 2 * t.g.N()
-	for d, c := range t.InvalidDeliveredPerDest() {
-		if c > bound {
+	perDest := t.InvalidDeliveredPerDest()
+	dests := make([]graph.ProcessID, 0, len(perDest))
+	for d := range perDest {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	for _, d := range dests {
+		if c := perDest[d]; c > bound {
 			out = append(out, fmt.Sprintf("destination %d received %d invalid deliveries, bound is 2n=%d", d, c, bound))
 		}
 	}
@@ -237,11 +257,9 @@ func (t *Tracker) Violations() []string {
 // steps between generation and (first) delivery.
 func (t *Tracker) LatencySteps() map[uint64]int {
 	out := make(map[uint64]int)
-	seen := make(map[uint64]bool)
-	for _, d := range t.deliveries {
-		if d.Msg.Valid && !seen[d.Msg.UID] {
-			seen[d.Msg.UID] = true
-			out[d.Msg.UID] = d.Step - t.genStep[d.Msg.UID]
+	for _, tl := range t.order {
+		if tl.Delivered {
+			out[tl.UID] = tl.DeliverStep - tl.GenStep
 		}
 	}
 	return out
@@ -250,11 +268,9 @@ func (t *Tracker) LatencySteps() map[uint64]int {
 // LatencyRounds returns generation-to-delivery latencies in rounds.
 func (t *Tracker) LatencyRounds() map[uint64]int {
 	out := make(map[uint64]int)
-	seen := make(map[uint64]bool)
-	for _, d := range t.deliveries {
-		if d.Msg.Valid && !seen[d.Msg.UID] {
-			seen[d.Msg.UID] = true
-			out[d.Msg.UID] = d.Round - t.genRound[d.Msg.UID]
+	for _, tl := range t.order {
+		if tl.Delivered {
+			out[tl.UID] = tl.DeliverRound - tl.GenRound
 		}
 	}
 	return out
@@ -265,19 +281,9 @@ func (t *Tracker) LatencyRounds() map[uint64]int {
 // raw data behind the per-processor delay and waiting-time measurements of
 // Proposition 6.
 func (t *Tracker) GenerationRoundsBySource() map[graph.ProcessID][]int {
-	type gen struct{ step, round int }
-	bySrc := make(map[graph.ProcessID][]gen)
-	for uid, m := range t.generated {
-		bySrc[m.Src] = append(bySrc[m.Src], gen{t.genStep[uid], t.genRound[uid]})
-	}
-	out := make(map[graph.ProcessID][]int, len(bySrc))
-	for src, gens := range bySrc {
-		sort.Slice(gens, func(i, j int) bool { return gens[i].step < gens[j].step })
-		rounds := make([]int, len(gens))
-		for i, g := range gens {
-			rounds[i] = g.round
-		}
-		out[src] = rounds
+	out := make(map[graph.ProcessID][]int)
+	for _, tl := range t.order {
+		out[tl.Src] = append(out[tl.Src], tl.GenRound)
 	}
 	return out
 }
@@ -286,15 +292,9 @@ func (t *Tracker) GenerationRoundsBySource() map[graph.ProcessID][]int {
 // generation order — the raw data behind the delay/waiting-time
 // measurements of Proposition 6.
 func (t *Tracker) GenerationRounds() []int {
-	type gen struct{ step, round int }
-	var gens []gen
-	for uid := range t.generated {
-		gens = append(gens, gen{t.genStep[uid], t.genRound[uid]})
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].step < gens[j].step })
-	out := make([]int, len(gens))
-	for i, g := range gens {
-		out[i] = g.round
+	out := make([]int, len(t.order))
+	for i, tl := range t.order {
+		out[i] = tl.GenRound
 	}
 	return out
 }

@@ -1,47 +1,32 @@
 package checker
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/daemon"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
 
-// fakeEngine satisfies the tracker's needs in unit tests: we only need an
-// event source and a round counter, so we use a real engine with a trivial
-// program and feed events through its Subscribe machinery indirectly by
-// calling the tracker's handler via a real run where possible. For pure
-// unit tests we call onEvent through a minimal engine.
-func newEngineForEvents(g *graph.Graph) *sm.Engine {
-	prog := sm.NewProgram(sm.Rule{
-		Name:   "noop",
-		Guard:  func(v *sm.View) bool { return false },
-		Action: func(v *sm.View) {},
-	})
-	return sm.NewEngine(g, prog, daemon.NewSynchronous(1), core.CleanConfig(g))
-}
-
 func gen(t *Tracker, uid uint64, src, dest graph.ProcessID, step int) *core.Message {
 	m := &core.Message{Payload: "p", UID: uid, Src: src, Dest: dest, Valid: true, GenStep: step}
-	t.onEvent(sm.Event{Step: step, Process: src, Kind: core.KindGenerate,
-		Payload: core.GenerateEvent{Msg: m}})
+	t.observe(sm.Event{Kind: obs.KindGenerate, Step: step, Proc: src, Dest: dest, Msg: m.Record()})
 	return m
 }
 
 func deliver(t *Tracker, m *core.Message, at graph.ProcessID, step int) {
-	t.onEvent(sm.Event{Step: step, Process: at, Kind: core.KindDeliver,
-		Payload: core.DeliverEvent{Msg: m}})
+	t.observe(sm.Event{Kind: obs.KindDeliver, Step: step, Proc: at, Dest: at, Msg: m.Record()})
 }
 
 func newTestTracker() (*Tracker, *graph.Graph) {
 	g := graph.Line(4)
-	tr := New(g)
-	tr.Attach(newEngineForEvents(g))
-	return tr, g
+	return New(g), g
 }
 
 func TestExactlyOnceAccepted(t *testing.T) {
@@ -123,6 +108,29 @@ func TestInvalidDeliveryAccounting(t *testing.T) {
 	v := tr.Violations()
 	if len(v) != 1 || !strings.Contains(v[0], "bound is 2n") {
 		t.Fatalf("violations = %v, want Prop 4 breach", v)
+	}
+}
+
+// TestPropFourBreachesListedByDestination pins the order of Proposition 4
+// breaches: with several destinations over the 2n bound, Violations lists
+// them by ascending destination, identically on every call.
+func TestPropFourBreachesListedByDestination(t *testing.T) {
+	tr, g := newTestTracker()
+	bound := 2 * g.N()
+	for _, d := range []graph.ProcessID{3, 1, 0, 2} {
+		inv := &core.Message{Payload: "junk", UID: 100 + uint64(d), Dest: d}
+		for i := 0; i <= bound; i++ {
+			deliver(tr, inv, d, i)
+		}
+	}
+	var want []string
+	for d := 0; d < g.N(); d++ {
+		want = append(want, fmt.Sprintf("destination %d received %d invalid deliveries, bound is 2n=%d", d, bound+1, bound))
+	}
+	for run := 0; run < 20; run++ {
+		if got := tr.Violations(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: violations = %q, want %q", run, got, want)
+		}
 	}
 }
 
@@ -275,5 +283,84 @@ func TestWellTypedDetectsViolations(t *testing.T) {
 		if err := WellTyped(g, cfg); err == nil {
 			t.Errorf("%s: violation not detected", c.name)
 		}
+	}
+}
+
+// feedLifecycle plays a small hand-built execution into a tracker:
+// two messages from source 2 to destination 0, one from source 1.
+func feedLifecycle(t *Tracker) {
+	msg := func(uid uint64, src graph.ProcessID) *obs.MsgRecord {
+		return &obs.MsgRecord{Payload: "m", UID: uid, Src: src, Dest: 0, Valid: true}
+	}
+	evs := []sm.Event{
+		// uid 1: generated at round 2, two hops, delivered at round 6.
+		{Kind: obs.KindGenerate, Proc: 2, Dest: 0, Step: 1, Round: 2, Msg: msg(1, 2)},
+		{Kind: obs.KindForward, Proc: 1, Dest: 0, From: 2, Step: 3, Round: 4, Msg: msg(1, 2)},
+		{Kind: obs.KindForward, Proc: 0, Dest: 0, From: 1, Step: 4, Round: 5, Msg: msg(1, 2)},
+		{Kind: obs.KindDeliver, Proc: 0, Dest: 0, Step: 5, Round: 6, Msg: msg(1, 2)},
+		// uid 2: generated by the same source at round 5, delivered at 9.
+		{Kind: obs.KindGenerate, Proc: 2, Dest: 0, Step: 6, Round: 5, Msg: msg(2, 2)},
+		{Kind: obs.KindDeliver, Proc: 0, Dest: 0, Step: 9, Round: 9, Msg: msg(2, 2)},
+		// uid 3: another source, generated at round 4, never delivered.
+		{Kind: obs.KindGenerate, Proc: 1, Dest: 0, Step: 7, Round: 4, Msg: msg(3, 1)},
+		// forward of an unknown UID (initial garbage): ignored.
+		{Kind: obs.KindForward, Proc: 1, Dest: 0, From: 0, Step: 8, Round: 8, Msg: msg(99, 0)},
+	}
+	for _, ev := range evs {
+		t.observe(ev)
+	}
+}
+
+func TestTrackerTimelines(t *testing.T) {
+	tr, _ := newTestTracker()
+	feedLifecycle(tr)
+	tls := tr.Report().Timelines
+	if len(tls) != 3 {
+		t.Fatalf("got %d timelines, want 3", len(tls))
+	}
+	m1 := tls[0]
+	if m1.UID != 1 || m1.Src != 2 || m1.Dest != 0 || m1.GenRound != 2 {
+		t.Fatalf("uid 1 timeline wrong: %+v", m1)
+	}
+	if len(m1.Hops) != 2 || m1.Hops[0].From != 2 || m1.Hops[0].To != 1 || m1.Hops[1].To != 0 {
+		t.Fatalf("uid 1 hops wrong: %+v", m1.Hops)
+	}
+	if !m1.Delivered || m1.DeliverRound != 6 || m1.Deliveries != 1 {
+		t.Fatalf("uid 1 delivery wrong: %+v", m1)
+	}
+	if tls[2].Delivered {
+		t.Fatal("uid 3 reported delivered")
+	}
+	if tr.GeneratedCount() != 3 || tr.DeliveredValid() != 2 {
+		t.Fatalf("counters = %d gen / %d dlv, want 3 / 2", tr.GeneratedCount(), tr.DeliveredValid())
+	}
+}
+
+func TestTrackerReport(t *testing.T) {
+	tr, _ := newTestTracker()
+	feedLifecycle(tr)
+	r := tr.Report()
+	if r.Messages != 3 || r.Delivered != 2 {
+		t.Fatalf("report counts = %d/%d, want 3/2", r.Messages, r.Delivered)
+	}
+	// Delivery times: uid1 6-2=4, uid2 9-5=4.
+	if r.DeliveryRounds.N != 2 || r.DeliveryRounds.Mean != 4 {
+		t.Fatalf("delivery summary = %+v, want N=2 mean=4", r.DeliveryRounds)
+	}
+	// Delays: source 1 first gen at round 4, source 2 at round 2.
+	if r.DelayRounds.N != 2 || r.DelayRounds.Min != 2 || r.DelayRounds.Max != 4 {
+		t.Fatalf("delay summary = %+v, want N=2 min=2 max=4", r.DelayRounds)
+	}
+	// Waiting: source 2's consecutive generations, 5-2=3.
+	if r.WaitingRounds.N != 1 || r.WaitingRounds.Mean != 3 {
+		t.Fatalf("waiting summary = %+v, want N=1 mean=3", r.WaitingRounds)
+	}
+	// Hop transits for uid 1: 4-2=2, 5-4=1.
+	if r.HopRounds.N != 2 || r.HopRounds.Min != 1 || r.HopRounds.Max != 2 {
+		t.Fatalf("hop summary = %+v, want N=2 min=1 max=2", r.HopRounds)
+	}
+	// Last delivery at round 9, 2 deliveries.
+	if r.AmortizedRoundsPerDelivery != 4.5 {
+		t.Fatalf("amortized = %v, want 4.5", r.AmortizedRoundsPerDelivery)
 	}
 }

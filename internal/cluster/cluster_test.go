@@ -410,6 +410,51 @@ func TestHTTPAdmin(t *testing.T) {
 	}
 }
 
+// TestHTTPDeliveries reads a node's delivery ledger through
+// HTTPClient.Deliveries: empty (a JSON array, not null) before any send,
+// then one record per injected message, each naming its UID, route,
+// payload and validity.
+func TestHTTPDeliveries(t *testing.T) {
+	nw := msgpass.New(graph.Line(3), msgpass.Options{Seed: 5})
+	nw.Start()
+	defer nw.Stop()
+	srv := httptest.NewServer(cluster.NewAgent(nw, nil).Handler())
+	defer srv.Close()
+	hc := cluster.NewHTTPClient(srv.URL)
+
+	ds, err := hc.Deliveries()
+	if err != nil || ds == nil || len(ds) != 0 {
+		t.Fatalf("ledger before any send = %#v, err %v; want an empty list", ds, err)
+	}
+	rep, err := hc.Inject(0, 2, 3, "ledger")
+	if err != nil || rep.Sent != 3 {
+		t.Fatalf("Inject: rep=%+v err=%v", rep, err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(ds) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger holds %d of 3 deliveries: %+v", len(ds), ds)
+		}
+		time.Sleep(time.Millisecond)
+		if ds, err = hc.Deliveries(); err != nil {
+			t.Fatalf("Deliveries: %v", err)
+		}
+	}
+	want := make(map[uint64]bool)
+	for _, uid := range rep.UIDs {
+		want[uid] = true
+	}
+	for _, d := range ds {
+		if !want[d.UID] || d.Src != 0 || d.Dest != 2 || d.At != 2 || d.Payload != "ledger" || !d.Valid {
+			t.Fatalf("delivery record %+v, want one of UIDs %v routed 0→2 with payload ledger", d, rep.UIDs)
+		}
+		delete(want, d.UID)
+	}
+	if len(ds) != 3 || len(want) != 0 {
+		t.Fatalf("ledger %+v does not hold each injected UID once", ds)
+	}
+}
+
 // TestEpochWire pins the wire format: an Epoch survives a JSON round
 // trip, and Build rejects the malformed shapes an operator could POST.
 func TestEpochWire(t *testing.T) {

@@ -8,8 +8,23 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/daemon"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
+
+// served returns the candidate that choice_p(d) served in the move behind
+// ev: R1 serves p itself (obs.KindGenerate at p), R3 the neighbor whose
+// emission buffer it copied (obs.KindForward from it). The event's Proc
+// is p and its Dest is d.
+func served(ev sm.Event) (graph.ProcessID, bool) {
+	switch ev.Kind {
+	case obs.KindGenerate:
+		return ev.Proc, true
+	case obs.KindForward:
+		return ev.From, true
+	}
+	return 0, false
+}
 
 // TestPassingBoundDeltaPlusOne verifies the fairness lemma behind
 // Propositions 5 and 6 at the system level: once a processor q becomes
@@ -41,15 +56,12 @@ func TestPassingBoundDeltaPlusOne(t *testing.T) {
 	}
 	var violation string
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind != core.KindServe || ev.Process != center {
-			return
-		}
-		se := ev.Payload.(core.ServeEvent)
-		if se.Dest != center {
+		s, ok := served(ev)
+		if !ok || ev.Proc != center || ev.Dest != center {
 			return
 		}
 		for q := range passedSince {
-			if q == se.Served {
+			if q == s {
 				continue
 			}
 			passedSince[q]++
@@ -58,7 +70,7 @@ func TestPassingBoundDeltaPlusOne(t *testing.T) {
 					q, passedSince[q], delta, ev.Step)
 			}
 		}
-		delete(passedSince, se.Served)
+		delete(passedSince, s)
 	})
 
 	for i := 0; i < 1_000_000; i++ {
@@ -115,12 +127,12 @@ func TestPassingBoundHoldsOnRandomGraphs(t *testing.T) {
 		}
 		var violation string
 		e.Subscribe(func(ev sm.Event) {
-			if ev.Kind != core.KindServe {
+			s, ok := served(ev)
+			if !ok {
 				return
 			}
-			se := ev.Payload.(core.ServeEvent)
 			for k := range passed {
-				if k.p != ev.Process || k.d != se.Dest || k.q == se.Served {
+				if k.p != ev.Proc || k.d != ev.Dest || k.q == s {
 					continue
 				}
 				passed[k]++
@@ -128,7 +140,7 @@ func TestPassingBoundHoldsOnRandomGraphs(t *testing.T) {
 					violation = fmt.Sprintf("trial candidate %+v passed %d times (Δ=%d)", k, passed[k], delta)
 				}
 			}
-			delete(passed, key{ev.Process, se.Dest, se.Served})
+			delete(passed, key{ev.Proc, ev.Dest, s})
 		})
 		for i := 0; i < 2_000_000; i++ {
 			for p := graph.ProcessID(0); int(p) < g.N(); p++ {
@@ -179,10 +191,8 @@ func TestPassingBoundIsAttained(t *testing.T) {
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewCentralRandom(3), cfg)
 	var serves []graph.ProcessID
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind == core.KindServe && ev.Process == center {
-			if se := ev.Payload.(core.ServeEvent); se.Dest == center {
-				serves = append(serves, se.Served)
-			}
+		if s, ok := served(ev); ok && ev.Proc == center && ev.Dest == center {
+			serves = append(serves, s)
 		}
 	})
 	if _, terminal := e.Run(1_000_000, nil); !terminal {

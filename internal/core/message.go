@@ -26,18 +26,9 @@ import (
 // action ever reads: UID is the true identity of the message (the paper's
 // proof-level notion that two messages with equal useful information are
 // still distinct messages), Src/Dest/Valid/GenStep feed the specification
-// checkers.
-type Message struct {
-	Payload string
-	LastHop graph.ProcessID
-	Color   int
-
-	UID     uint64
-	Src     graph.ProcessID
-	Dest    graph.ProcessID
-	Valid   bool
-	GenStep int
-}
+// checkers. The fields are those of obs.MsgRecord, the message as the
+// event stream carries it, so Record is a conversion, not a copy.
+type Message obs.MsgRecord
 
 // SameMC reports whether two messages agree on payload and color — the
 // paper's "(m, q', c)" comparisons in R2 and R5 that ignore the last hop.
@@ -77,14 +68,10 @@ func (m *Message) WithHopColor(q graph.ProcessID, color int) *Message {
 	return &c
 }
 
-// Record converts the message into its observability image: the value an
-// obs.Event carries. A nil message records as nil (an empty buffer).
-func (m *Message) Record() *obs.MsgRecord {
-	if m == nil {
-		return nil
-	}
-	return &obs.MsgRecord{Payload: m.Payload, LastHop: m.LastHop, Color: m.Color, UID: m.UID, Valid: m.Valid}
-}
+// Record is the message as an obs.Event carries it: the same storage,
+// since messages are immutable. A nil message records as nil (an empty
+// buffer).
+func (m *Message) Record() *obs.MsgRecord { return (*obs.MsgRecord)(m) }
 
 // String renders the protocol-visible triple plus validity, e.g.
 // "(hello,q=2,c=1,valid)".
@@ -98,26 +85,3 @@ func (m *Message) String() string {
 	}
 	return fmt.Sprintf("(%s,q=%d,c=%d,%s)", m.Payload, m.LastHop, m.Color, v)
 }
-
-// GenerateEvent is emitted by R1 when a message is accepted from the higher
-// layer. DeliverEvent is emitted by R6 when a message is handed to the
-// higher layer at its destination. Both carry the delivered message; the
-// checkers correlate them by UID. ServeEvent is emitted whenever
-// choice_p(d) serves a candidate (R1 serving the processor itself, R3
-// serving a neighbor) — the observable the fairness analyses of
-// Propositions 5 and 6 are about.
-type (
-	GenerateEvent struct{ Msg *Message }
-	DeliverEvent  struct{ Msg *Message }
-	ServeEvent    struct {
-		Dest   graph.ProcessID // destination whose reception buffer was filled
-		Served graph.ProcessID // the candidate that was served
-	}
-)
-
-// Event kinds used with statemodel.View.Emit.
-const (
-	KindGenerate = "generate"
-	KindDeliver  = "deliver"
-	KindServe    = "serve"
-)

@@ -90,12 +90,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				self.NextSeq++
 				self.Dests[d].BufR = msg
 				self.Dests[d].Queue = rest // p has been served
-				v.Emit(KindServe, ServeEvent{Dest: d, Served: v.ID()})
 				// The paper sets request := false and lets the (blocking)
 				// higher layer raise it again; we model an eager higher
 				// layer that immediately re-requests while messages wait.
 				self.Request = len(self.Pending) > 0
-				v.Emit(KindGenerate, GenerateEvent{Msg: msg})
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindGenerate, Dest: d, Msg: msg.Record()})
 				}
@@ -151,7 +149,6 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				// was present at the initial configuration — footnote 1.)
 				s.BufR = v.Read(src).(*Node).FW.Dests[d].BufE.WithHop(src)
 				s.Queue = rest // src has been served
-				v.Emit(KindServe, ServeEvent{Dest: d, Served: src})
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindForward, Dest: d, From: src, Msg: s.BufR.Record()})
 				}
@@ -241,7 +238,6 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 			},
 			Action: func(v *sm.View) {
 				s := ds(v)
-				v.Emit(KindDeliver, DeliverEvent{Msg: s.BufE})
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindDeliver, Dest: d, Msg: s.BufE.Record()})
 				}

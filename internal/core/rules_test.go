@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -44,8 +45,8 @@ func TestR1GeneratesMessage(t *testing.T) {
 	}
 	var gen *Message
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind == KindGenerate {
-			gen = ev.Payload.(GenerateEvent).Msg
+		if ev.Kind == obs.KindGenerate {
+			gen = (*Message)(ev.Msg)
 		}
 	})
 	e.Step()
@@ -102,8 +103,8 @@ func TestFullForwardingPath(t *testing.T) {
 
 	var delivered []*Message
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind == KindDeliver {
-			delivered = append(delivered, ev.Payload.(DeliverEvent).Msg)
+		if ev.Kind == obs.KindDeliver {
+			delivered = append(delivered, (*Message)(ev.Msg))
 		}
 	})
 
@@ -323,13 +324,16 @@ func TestR6DeliversAndEmpties(t *testing.T) {
 	node(cfg, 2).FW.Dests[2].BufE = msg
 	var got *Message
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind == KindDeliver {
-			got = ev.Payload.(DeliverEvent).Msg
+		if ev.Kind == obs.KindDeliver {
+			got = (*Message)(ev.Msg)
 		}
 	})
 	e.Step()
 	if got == nil || got.UID != 42 {
 		t.Fatalf("delivered %v", got)
+	}
+	if got != msg {
+		t.Fatal("the deliver event copied the message instead of sharing the immutable buffer value")
 	}
 	if engineNode(e, 2).FW.Dests[2].BufE != nil {
 		t.Fatal("R6 must empty the buffer")

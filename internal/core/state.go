@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/routing"
@@ -187,18 +186,17 @@ var DefaultCorrupt = CorruptOptions{
 }
 
 // Invalid messages draw UIDs from a range valid traffic never reaches.
-// The counter is shared by every concurrent run in the process.
 const invalidUIDBase = 1<<63 + 1
-
-var invalidUIDs atomic.Uint64
 
 // RandomConfig returns a well-typed but otherwise arbitrary initial
 // configuration: the starting point of every snap-stabilization experiment.
 // Message fields stay in their domains (LastHop ∈ N_p ∪ {p}, Color ∈
 // {0..Δ}) as §3.2 defines, but contents are adversarial: invalid messages,
 // corrupted queues, phantom requests and (optionally) corrupted routing
-// tables. Invalid messages receive fresh UIDs with the high bit set so
-// checkers can track them individually.
+// tables. Invalid messages receive distinct UIDs with the high bit set so
+// checkers can track them individually; they are numbered within the
+// configuration, so the same rng state builds the same configuration
+// whatever else the process built before.
 func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.State {
 	alphabet := opts.PayloadAlphabet
 	if len(alphabet) == 0 {
@@ -206,6 +204,7 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 	}
 	delta := g.MaxDegree()
 	cfg := make([]sm.State, g.N())
+	invalid := uint64(0)
 	for pp := 0; pp < g.N(); pp++ {
 		p := graph.ProcessID(pp)
 		var rt *routing.NodeState
@@ -218,11 +217,12 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 		hops := append(append([]graph.ProcessID(nil), g.Neighbors(p)...), p)
 		for d := 0; d < g.N(); d++ {
 			mk := func() *Message {
+				invalid++
 				return &Message{
 					Payload: alphabet[rng.Intn(len(alphabet))],
 					LastHop: hops[rng.Intn(len(hops))],
 					Color:   rng.Intn(delta + 1),
-					UID:     invalidUIDBase + invalidUIDs.Add(1),
+					UID:     invalidUIDBase + invalid,
 					Src:     p,
 					Dest:    graph.ProcessID(d),
 					Valid:   false,

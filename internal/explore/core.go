@@ -10,29 +10,13 @@ import (
 )
 
 // CoreOptions returns Options prewired for the composed SSMFP system: the
-// canonical fingerprint, the generate/deliver extractors, the safety
+// canonical fingerprint, the safety
 // invariant of Specification SP (no valid message delivered twice, no
 // generated message lost, domains well-typed), and the terminal check
 // (quiescent, everything generated delivered exactly once).
 func CoreOptions(g *graph.Graph) Options {
 	return Options{
 		Fingerprint: core.Fingerprint,
-		GeneratedUID: func(ev sm.Event) (uint64, bool) {
-			if ev.Kind != core.KindGenerate {
-				return 0, false
-			}
-			return ev.Payload.(core.GenerateEvent).Msg.UID, true
-		},
-		DeliveredUID: func(ev sm.Event) (uint64, bool) {
-			if ev.Kind != core.KindDeliver {
-				return 0, false
-			}
-			m := ev.Payload.(core.DeliverEvent).Msg
-			if !m.Valid {
-				return 0, false // invalid repeats are allowed (Prop. 4 territory)
-			}
-			return m.UID, true
-		},
 		Invariant: func(cfg []sm.State, generated, delivered map[uint64]int) error {
 			if err := checker.WellTyped(g, cfg); err != nil {
 				return err

@@ -16,7 +16,9 @@
 //
 // Each explored state is the pair (configuration, history), where history
 // is the multiset of generated and delivered message UIDs — exactly what
-// Specification SP constrains. Properties:
+// Specification SP constrains — read from the obs.KindGenerate and
+// obs.KindDeliver events the actions observe (valid deliveries only).
+// Properties:
 //
 //   - Invariant: checked on every reachable state (e.g. no valid message
 //     delivered twice, no generated message lost, domains well-typed).
@@ -33,6 +35,7 @@ import (
 	"strings"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -52,11 +55,6 @@ type Options struct {
 
 	// Fingerprint renders a configuration canonically (required).
 	Fingerprint func(cfg []sm.State) string
-
-	// GeneratedUID / DeliveredUID extract message identities from action
-	// events; return false for unrelated events.
-	GeneratedUID func(ev sm.Event) (uint64, bool)
-	DeliveredUID func(ev sm.Event) (uint64, bool)
 
 	// Invariant is checked on every reachable state.
 	Invariant func(cfg []sm.State, generated, delivered map[uint64]int) error
@@ -237,17 +235,14 @@ func Explore(g *graph.Graph, program sm.Program, initial []sm.State, opts Option
 				succCfg[sel.Process] = newState
 				executed = append(executed, sel.Process)
 				for _, ev := range events {
-					if opts.GeneratedUID != nil {
-						if uid, ok := opts.GeneratedUID(ev); ok {
-							succ.generated = copyCounts(succ.generated)
-							succ.generated[uid]++
-						}
-					}
-					if opts.DeliveredUID != nil {
-						if uid, ok := opts.DeliveredUID(ev); ok {
-							succ.delivered = copyCounts(succ.delivered)
-							succ.delivered[uid]++
-						}
+					switch {
+					case ev.Kind == obs.KindGenerate:
+						succ.generated = copyCounts(succ.generated)
+						succ.generated[ev.Msg.UID]++
+					case ev.Kind == obs.KindDeliver && ev.Msg.Valid:
+						// Invalid repeats are allowed (Prop. 4 territory).
+						succ.delivered = copyCounts(succ.delivered)
+						succ.delivered[ev.Msg.UID]++
 					}
 				}
 			}

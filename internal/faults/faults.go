@@ -114,12 +114,10 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 			buf = &ds.BufE
 		}
 		kind := in.kinds[in.rng.Intn(len(in.kinds))]
-		if bus := e.Obs(); bus.Active() {
-			bus.Publish(obs.Event{
-				Kind: obs.KindFault, Step: e.Steps(), Round: e.Rounds(),
-				Proc: p, Dest: graph.ProcessID(d), Detail: kind.String(),
-			})
-		}
+		e.Publish(obs.Event{
+			Kind: obs.KindFault, Step: e.Steps(), Round: e.Rounds(),
+			Proc: p, Dest: graph.ProcessID(d), Detail: kind.String(),
+		})
 		switch kind {
 		case TableScramble:
 			*node.RT = *routing.RandomState(in.g, p, in.rng)

@@ -8,8 +8,9 @@
 // become explicit frames:
 //
 //   - routing: a self-stabilizing distance-vector — nodes gossip their
-//     per-destination distances on every tick and correct (dist, parent)
-//     exactly like internal/routing does in shared memory;
+//     per-destination distances at the first tick after they change, and
+//     as a heartbeat every 8 ticks (dvHeartbeatTicks), and correct
+//     (dist, parent) exactly like internal/routing does in shared memory;
 //   - forwarding: the bufR/bufE pairs survive, but the R3/R4 pair (copy at
 //     the next hop, then erase at the origin) becomes an offer/accept
 //     handshake with per-(sender, destination) sequence numbers,

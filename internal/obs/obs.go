@@ -2,9 +2,9 @@
 // a typed event bus that the engine, the protocol rules, the fault
 // injector, the transports and the telemetry emitter publish to, plus
 // the consumers that turn the stream into artifacts — a versioned JSONL
-// sink/loader (jsonl.go), a per-message lifecycle tracker feeding
-// metrics summaries (lifecycle.go), and an opt-in HTTP introspection
-// endpoint (http.go).
+// sink/loader (jsonl.go) and an opt-in HTTP introspection endpoint
+// (http.go). The state-model engine has no other event: the checker's
+// per-message tracker (internal/checker) folds this same stream.
 //
 // The bus is zero-cost when unsubscribed: publishers guard event
 // construction behind Bus.Active (a single atomic pointer load), so a run
@@ -13,7 +13,7 @@
 // measured under.
 //
 // The package sits below the protocol layers: it may import only
-// internal/graph and internal/metrics, so that statemodel, core, routing,
+// internal/graph, so that statemodel, core, routing,
 // faults, trace, sim and transport can all publish to it without import
 // cycles.
 package obs
@@ -115,17 +115,23 @@ const (
 	BufEmission  = "E"
 )
 
-// MsgRecord is the observability image of a protocol message: the triple
-// (payload, last hop, color) the rules compare, plus the simulation-side
-// UID and validity bit the lifecycle tracker keys on. Records are values —
-// an event carries the buffer's content at emission time, never a live
-// pointer into protocol state.
+// MsgRecord is a protocol message as the event stream carries it: the
+// triple (payload, last hop, color) the rules compare, plus the
+// simulation-side bookkeeping no guard or action reads — the UID and
+// validity bit the checker keys on, and the source, destination and
+// generation step, which the JSONL form omits. core.Message has this
+// record as its underlying type and is immutable, so an event shares its
+// buffer's message instead of copying it and still shows the buffer's
+// content at emission time.
 type MsgRecord struct {
 	Payload string          `json:"payload"`
 	LastHop graph.ProcessID `json:"lasthop"`
 	Color   int             `json:"color"`
 	UID     uint64          `json:"uid"`
+	Src     graph.ProcessID `json:"-"`
+	Dest    graph.ProcessID `json:"-"`
 	Valid   bool            `json:"valid"`
+	GenStep int             `json:"-"`
 }
 
 // Event is one typed observation. Which fields are meaningful depends on

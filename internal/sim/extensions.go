@@ -9,6 +9,7 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/faults"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 	"ssmfp/internal/workload"
@@ -147,7 +148,7 @@ func x5Cell(o Options, idx int) CellResult {
 	tr.Attach(e)
 	probeStep := -1
 	e.Subscribe(func(ev sm.Event) {
-		if ev.Kind == core.KindDeliver && ev.Payload.(core.DeliverEvent).Msg.Payload == "probe" {
+		if ev.Kind == obs.KindDeliver && ev.Msg.Payload == "probe" {
 			probeStep = ev.Step
 		}
 	})

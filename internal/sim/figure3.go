@@ -138,7 +138,7 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	var events []obs.Event
 	if record {
 		hdr = trace.HeaderFor(g, Figure3Names, cfg, "figure3", b)
-		e.Obs().Subscribe(func(ev obs.Event) { events = append(events, ev) })
+		e.Subscribe(func(ev obs.Event) { events = append(events, ev) })
 	}
 
 	engNode := func(p graph.ProcessID) *core.Node { return e.PeekStateOf(p).(*core.Node) }

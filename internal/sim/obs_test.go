@@ -52,10 +52,9 @@ func TestF3TraceRoundTripsThroughJSONL(t *testing.T) {
 	}
 }
 
-// TestScenarioTraceAndLifecycle drives a grid scenario with both
-// observability consumers attached: the JSONL sink must produce a loadable
-// stream and the lifecycle tracker a report whose delivery counts agree
-// with the specification checker.
+// TestScenarioTraceAndLifecycle drives a grid scenario with a JSONL sink
+// attached: the sink must produce a loadable stream, and the checker's
+// lifecycle report must carry a delivered timeline per message.
 func TestScenarioTraceAndLifecycle(t *testing.T) {
 	g := graph.Grid(3, 3)
 	var buf bytes.Buffer
@@ -69,7 +68,6 @@ func TestScenarioTraceAndLifecycle(t *testing.T) {
 		MaxSteps:  500_000,
 		TraceOut:  &buf,
 		TraceDest: 4,
-		Lifecycle: true,
 	})
 	if !res.OK() {
 		t.Fatalf("scenario failed: %+v", res)
@@ -89,31 +87,20 @@ func TestScenarioTraceAndLifecycle(t *testing.T) {
 		t.Fatalf("loaded %d events, sink reported %d", len(evs), res.TraceEvents)
 	}
 
-	if res.Lifecycle == nil {
-		t.Fatal("no lifecycle report")
-	}
 	rep := res.Lifecycle
-	if rep.Messages != res.Generated || rep.Delivered != res.DeliveredValid {
-		t.Fatalf("lifecycle counts gen=%d dlv=%d, checker gen=%d dlv=%d",
-			rep.Messages, rep.Delivered, res.Generated, res.DeliveredValid)
-	}
-	if rep.DeliveryRounds.N != res.DeliveredValid {
-		t.Fatalf("delivery summary over %d messages, want %d", rep.DeliveryRounds.N, res.DeliveredValid)
-	}
-	// The lifecycle latencies must agree with the checker's (both measure
-	// generation round → delivery round of valid messages).
-	if rep.DeliveryRounds.Mean != res.LatencyRounds.Mean {
-		t.Fatalf("lifecycle mean latency %v, checker %v", rep.DeliveryRounds.Mean, res.LatencyRounds.Mean)
+	if len(rep.Timelines) != res.Generated || rep.DeliveryRounds.N != res.DeliveredValid {
+		t.Fatalf("lifecycle report covers %d timelines, %d deliveries; run generated %d, delivered %d",
+			len(rep.Timelines), rep.DeliveryRounds.N, res.Generated, res.DeliveredValid)
 	}
 	if rep.DelayRounds.N == 0 || rep.WaitingRounds.N == 0 {
 		t.Fatalf("delay/waiting summaries empty: %+v", rep)
 	}
 	for _, tl := range rep.Timelines {
-		if !tl.Delivered {
-			t.Fatalf("undelivered timeline in an OK run: %+v", tl)
+		if !tl.Delivered || tl.Deliveries != 1 {
+			t.Fatalf("timeline not delivered exactly once in an OK run: %+v", tl)
 		}
-		if tl.DeliverRound < tl.GenRound {
-			t.Fatalf("timeline delivers before generation: %+v", tl)
+		if tl.DeliverRound < tl.GenRound || len(tl.Hops) == 0 && tl.Src != tl.Dest {
+			t.Fatalf("timeline inconsistent: %+v", tl)
 		}
 	}
 }

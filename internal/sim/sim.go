@@ -99,10 +99,6 @@ type Scenario struct {
 	TraceOut  io.Writer
 	TraceDest graph.ProcessID
 
-	// Lifecycle attaches a per-message lifecycle tracker; the run's
-	// timelines and Props. 5–7 summaries land in Result.Lifecycle.
-	Lifecycle bool
-
 	// OnStatus, when non-nil, receives a progress snapshot every
 	// StatusEvery steps (default 1000) and once at the end — the hook the
 	// CLIs' -http endpoint polls for live introspection.
@@ -176,8 +172,9 @@ type Result struct {
 	// Stats holds the engine's enabled-set instrumentation counters.
 	Stats sm.Stats
 
-	// Lifecycle is the per-message lifecycle report (Scenario.Lifecycle).
-	Lifecycle *obs.Report
+	// Lifecycle is the checker's per-message lifecycle report: every
+	// generated message's timeline and the Props. 5–7 summaries.
+	Lifecycle checker.Report
 
 	// TraceEvents and TraceErr report on the JSONL sink
 	// (Scenario.TraceOut): events written and the sink's sticky error.
@@ -240,9 +237,8 @@ func Run(s Scenario) Result {
 	}
 	res := Result{Name: s.Name, RoutingRounds: -1}
 
-	// Observability consumers. Both subscribe to the typed bus before the
-	// first step so the stream covers the whole run; with neither requested
-	// the bus stays subscriber-free and the engine keeps its zero-cost path.
+	// The JSONL sink subscribes before the first step, next to the
+	// checker, so the trace covers the whole run.
 	var sink *obs.Sink
 	if s.TraceOut != nil {
 		var err error
@@ -250,13 +246,8 @@ func Run(s Scenario) Result {
 		if err != nil {
 			res.TraceErr = err
 		} else {
-			e.Obs().Subscribe(sink.Observe)
+			e.Subscribe(sink.Observe)
 		}
-	}
-	var life *obs.Tracker
-	if s.Lifecycle {
-		life = obs.NewTracker()
-		e.Obs().Subscribe(life.Observe)
 	}
 	statusEvery := s.StatusEvery
 	if statusEvery < 1 {
@@ -301,9 +292,7 @@ func Run(s Scenario) Result {
 		in.Tick(e)
 		if res.RoutingRounds < 0 && !s.NoRA && routingCorrect(g, e) {
 			res.RoutingRounds = e.Rounds()
-			if e.Obs().Active() {
-				e.Obs().Publish(obs.Event{Kind: obs.KindStabilized, Step: e.Steps(), Round: e.Rounds()})
-			}
+			e.Publish(obs.Event{Kind: obs.KindStabilized, Step: e.Steps(), Round: e.Rounds()})
 		}
 		if s.OnStatus != nil && e.Steps()%statusEvery == 0 {
 			status()
@@ -355,10 +344,7 @@ func Run(s Scenario) Result {
 	}
 	res.GenRoundsBySource = tr.GenerationRoundsBySource()
 	res.Stats = e.Stats()
-	if life != nil {
-		rep := life.Report()
-		res.Lifecycle = &rep
-	}
+	res.Lifecycle = tr.Report()
 	if sink != nil {
 		res.TraceEvents = sink.Events()
 		res.TraceErr = sink.Flush()

@@ -68,11 +68,10 @@ type Engine struct {
 	daemon  Daemon
 	states  []State
 
-	step      int
-	rounds    int
-	moves     map[string]int // rule name -> executions
-	listeners []func(Event)
-	bus       *obs.Bus
+	step   int
+	rounds int
+	moves  map[string]int // rule name -> executions
+	bus    *obs.Bus
 
 	// round accounting: the processors enabled at the start of the
 	// current round that have neither executed nor been neutralized yet.
@@ -102,7 +101,6 @@ type stepBuffers struct {
 	view    View // one shard's executing view
 	next    []State
 	events  []Event
-	typed   []obs.Event
 	outs    []execOut // sharded execution: per-selection events
 	batches [][]int   // sharded execution: batch pool
 	groups  [][]int   // sharded execution: one batch's selections per shard
@@ -243,7 +241,7 @@ func (e *Engine) Steps() int { return e.step }
 // processors have all executed or been neutralized is closed immediately
 // rather than at the start of the next step, so the count is exact even at
 // a terminal configuration that no further Step call will visit. During a
-// step (i.e. inside event listeners) the raw count is returned.
+// step (i.e. inside event subscribers) the raw count is returned.
 func (e *Engine) Rounds() int {
 	if !e.inStep {
 		e.settleRounds()
@@ -284,25 +282,19 @@ func (e *Engine) MoveCounts() map[string]int {
 // Stats returns a copy of the instrumentation counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Subscribe registers a listener invoked for every event emitted by actions
-// (in emission order) and for every rule execution (kind "fire"). This is
-// the legacy stringly-typed channel, kept as a compatibility shim; new
-// consumers should subscribe to the typed bus via Obs.
-func (e *Engine) Subscribe(fn func(Event)) { e.listeners = append(e.listeners, fn) }
-
-// Obs returns the engine's typed event bus. With no subscribers the bus
-// costs one atomic load per step (the zero-subscriber fast path); with
-// subscribers the engine publishes, in commit order: the actions' own
-// typed events (stamped with step, round, processor and rule), one
+// Subscribe attaches fn to the engine's event stream and returns the
+// closure that detaches it. With no subscriber the engine builds no
+// events at all (one atomic load per step); with subscribers it
+// publishes, in commit order after each step's writes: the actions' own
+// events (stamped with step, round, processor and rule), one
 // obs.KindFire per selection, one obs.KindStep per step, and one
 // obs.KindRound at every round boundary.
-func (e *Engine) Obs() *obs.Bus { return e.bus }
+func (e *Engine) Subscribe(fn func(Event)) (unsubscribe func()) { return e.bus.Subscribe(fn) }
 
-func (e *Engine) publish(ev Event) {
-	for _, fn := range e.listeners {
-		fn(ev)
-	}
-}
+// Publish hands an event from outside the rules (a fault injection, a
+// stabilization marker) to the subscribers, in order with the engine's
+// own events; a no-op when nothing subscribes.
+func (e *Engine) Publish(ev Event) { e.bus.Publish(ev) }
 
 // --- incremental enabled-set cache ------------------------------------
 
@@ -441,17 +433,17 @@ func (e *Engine) Step() bool {
 	b := &e.buf
 	next := slices.Grow(b.next[:0], len(sels))[:len(sels)]
 	b.next = next
-	b.events, b.typed = b.events[:0], b.typed[:0]
-	var tb *[]obs.Event
+	b.events = b.events[:0]
+	var events *[]Event
 	if e.bus.Active() {
-		tb = &b.typed
+		events = &b.events
 	}
 	if e.part == nil || len(sels) == 1 {
 		for i, sel := range sels {
-			next[i] = e.execute(sel, &b.view, &b.events, tb)
+			next[i] = e.execute(sel, &b.view, events)
 		}
 	} else {
-		e.executeBatches(sels, next, &b.events, tb)
+		e.executeBatches(sels, next, events)
 	}
 	for i, sel := range sels {
 		p := sel.Process
@@ -468,14 +460,11 @@ func (e *Engine) Step() bool {
 		}
 	}
 	e.lastEnabled = enabled
-	for _, ev := range b.events {
-		e.publish(ev)
-	}
-	if tb != nil {
-		for _, ev := range b.typed {
+	if events != nil {
+		for _, ev := range b.events {
 			e.bus.Publish(ev)
 		}
-		e.bus.Publish(obs.Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
+		e.bus.Publish(Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
 	}
 	e.step++
 	e.stats.Steps++
@@ -483,15 +472,13 @@ func (e *Engine) Step() bool {
 }
 
 // execute is the engine's one executor: it runs sel against the pre-step
-// snapshot (apply, through the reused view v), appends the action's events
-// and then its fire marker to the given buffers, and returns the successor
-// state. typed is nil when no bus subscriber is attached.
-func (e *Engine) execute(sel Selection, v *View, events *[]Event, typed *[]obs.Event) State {
-	name := e.rules[sel.Rule].Name
-	s := apply(v, e.g, e.rules, e.states, sel, e.step, e.rounds, events, typed)
-	*events = append(*events, Event{Step: e.step, Process: sel.Process, Rule: name, Kind: "fire"})
-	if typed != nil {
-		*typed = append(*typed, obs.Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: name})
+// snapshot (apply, through the reused view v), appends the action's
+// events and then its fire marker to events, and returns the successor
+// state. events is nil when nothing subscribes.
+func (e *Engine) execute(sel Selection, v *View, events *[]Event) State {
+	s := apply(v, e.g, e.rules, e.states, sel, e.step, e.rounds, events)
+	if events != nil {
+		*events = append(*events, Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: e.rules[sel.Rule].Name})
 	}
 	return s
 }
@@ -561,7 +548,7 @@ func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) {
 		e.rounds++
 		e.roundOpen = false
 		if e.bus.Active() {
-			e.bus.Publish(obs.Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
+			e.bus.Publish(Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
 		}
 	}
 }

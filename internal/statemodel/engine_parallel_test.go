@@ -76,10 +76,10 @@ func TestShardedMatchesSerialEveryStep(t *testing.T) {
 			WithShards(shards, seed), WithSelfCheck(true))
 		var serialEvents, shardedEvents []string
 		serial.Subscribe(func(ev Event) {
-			serialEvents = append(serialEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Process, ev.Rule, ev.Kind))
+			serialEvents = append(serialEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Proc, ev.Rule, ev.Kind))
 		})
 		sharded.Subscribe(func(ev Event) {
-			shardedEvents = append(shardedEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Process, ev.Rule, ev.Kind))
+			shardedEvents = append(shardedEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Proc, ev.Rule, ev.Kind))
 		})
 		for step := 0; step < 200; step++ {
 			a := serial.Step()

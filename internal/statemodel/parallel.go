@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 )
 
 // Sharded execution.
@@ -105,22 +104,20 @@ func fanOut(workers, n int, task func(i int)) {
 type execOut struct {
 	view   View
 	events []Event
-	typed  []obs.Event
 }
 
 // executeBatches runs the step's selections on the worker fan-out:
 // batches of provably non-adjacent moves execute concurrently (split
 // across workers along shard ownership), every action reads the
 // immutable pre-step snapshot, and each selection's successor state and
-// events land in its own output. The events are appended to the step's
-// buffers in canonical selection order; typed is nil when no bus
-// subscriber is attached. Outputs and groups are engine buffers reused
-// across steps.
-func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event, typed *[]obs.Event) {
+// events land in its own output. The events are appended to *events in
+// canonical selection order; events is nil when nothing subscribes.
+// Outputs and groups are engine buffers reused across steps.
+func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event) {
 	b := &e.buf
 	b.outs = slices.Grow(b.outs[:0], len(sels))[:len(sels)]
 	for i := range b.outs {
-		b.outs[i].events, b.outs[i].typed = b.outs[i].events[:0], b.outs[i].typed[:0]
+		b.outs[i].events = b.outs[i].events[:0]
 	}
 	if b.groups == nil {
 		b.groups = make([][]int, e.part.K())
@@ -142,11 +139,11 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event,
 		b.active = active
 		fanOut(len(active), len(active), func(gi int) {
 			for _, i := range active[gi] {
-				var tb *[]obs.Event
-				if typed != nil {
-					tb = &b.outs[i].typed
+				var out *[]Event
+				if events != nil {
+					out = &b.outs[i].events
 				}
-				next[i] = e.execute(sels[i], &b.outs[i].view, &b.outs[i].events, tb)
+				next[i] = e.execute(sels[i], &b.outs[i].view, out)
 			}
 		})
 		if e.selfCheck {
@@ -155,10 +152,9 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event,
 		e.stats.ParallelBatches++
 	}
 	e.stats.ParallelMoves += int64(len(sels))
-	for i := range b.outs {
-		*events = append(*events, b.outs[i].events...)
-		if typed != nil {
-			*typed = append(*typed, b.outs[i].typed...)
+	if events != nil {
+		for i := range b.outs {
+			*events = append(*events, b.outs[i].events...)
 		}
 	}
 }

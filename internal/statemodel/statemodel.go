@@ -40,22 +40,12 @@ type SlotState interface {
 	CloneSlot(slot int) State
 }
 
-// Event is an observable side effect emitted by an action, e.g. the
-// delivery of a message to the higher layer. Events are how specification
-// checkers observe an execution without peeking into protocol internals.
-//
-// This stringly-typed event is the engine's original observation channel
-// and lives on as a compatibility shim: the checker, the trace recorder
-// and the fairness oracles consume it via Engine.Subscribe. New consumers
-// should use the typed bus instead (Engine.Obs, package obs), which adds
-// step/round markers, message values, and a machine-readable JSONL form.
-type Event struct {
-	Step    int             // step index at which the action executed
-	Process graph.ProcessID // processor whose action emitted the event
-	Rule    string          // rule name, e.g. "R6"
-	Kind    string          // event kind, e.g. "deliver"
-	Payload any             // event-specific data
-}
+// Event is the engine's one observation: the typed obs.Event. Actions
+// publish the protocol's own events through View.Observe; the engine
+// adds one obs.KindFire per selection, one obs.KindStep per step and one
+// obs.KindRound at every round boundary. Specification checkers, trace
+// recorders and JSONL sinks all read this stream via Engine.Subscribe.
+type Event = obs.Event
 
 // View is a rule's window onto the configuration. During guard evaluation
 // it provides read-only access to the processor's own state and its
@@ -70,10 +60,9 @@ type View struct {
 	snapshot []State
 	self     State // nil during guard evaluation (fall back to snapshot)
 	step     int
-	round    int    // stamped on typed events
-	rule     string // executing rule's name, stamped on every event
-	events   *[]Event
-	obsBuf   *[]obs.Event // typed-event buffer; nil when no bus subscriber is attached
+	round    int      // stamped on events
+	rule     string   // executing rule's name, stamped on every event
+	events   *[]Event // nil when nothing subscribes to the engine
 }
 
 // ID returns the processor evaluating or executing the rule.
@@ -109,34 +98,24 @@ func (v *View) Read(q graph.ProcessID) State {
 	return v.snapshot[q]
 }
 
-// Emit records an observable event, stamped with the step, processor and
-// executing rule; only meaningful during action execution.
-func (v *View) Emit(kind string, payload any) {
-	if v.events == nil {
-		panic("statemodel: Emit outside action execution")
-	}
-	*v.events = append(*v.events, Event{Step: v.step, Process: v.id, Rule: v.rule, Kind: kind, Payload: payload})
-}
+// Observing reports whether anything subscribes to the executing
+// engine. Actions use it to skip the construction of events on the
+// zero-subscriber fast path. Always false during guard evaluation.
+func (v *View) Observing() bool { return v.events != nil }
 
-// Observing reports whether a typed-event consumer is attached to the
-// executing engine. Actions use it to skip observability work — including
-// the construction of obs.Event values — on the zero-subscriber fast
-// path. Always false during guard evaluation.
-func (v *View) Observing() bool { return v.obsBuf != nil }
-
-// Observe records a typed observability event; a no-op when no consumer
-// is attached. Step, Round, Proc and Rule are stamped from the executing
-// selection, so actions only fill the kind-specific fields.
-func (v *View) Observe(ev obs.Event) {
-	if v.obsBuf != nil {
+// Observe records an event; a no-op when nothing subscribes. Step, Round,
+// Proc and Rule are stamped from the executing selection, so actions only
+// fill the kind-specific fields.
+func (v *View) Observe(ev Event) {
+	if v.events != nil {
 		ev.Step, ev.Round, ev.Proc, ev.Rule = v.step, v.round, v.id, v.rule
-		*v.obsBuf = append(*v.obsBuf, ev)
+		*v.events = append(*v.events, ev)
 	}
 }
 
 // Rule is one guarded action < label > :: < guard > → < statement >.
-// Guards must be side-effect free; actions mutate only v.Self() and emit
-// events. Priority implements the paper's inter-protocol priority: a
+// Guards must be side-effect free; actions mutate only v.Self() and
+// observe events. Priority implements the paper's inter-protocol priority: a
 // processor with an enabled rule of priority k never executes a rule of
 // priority > k (lower number = higher priority). The routing algorithm A
 // runs at priority 0, SSMFP at priority 1.
@@ -293,22 +272,22 @@ func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessI
 // ApplySelection executes one selection against cfg without mutating it:
 // it returns the successor state of the selected processor (a mutated
 // copy, which may share what the action did not write with cfg's state)
-// and the events the action emitted. The caller is responsible for
-// only applying selections whose guards hold on cfg.
+// and the events the action observed (no fire marker). The caller is
+// responsible for only applying selections whose guards hold on cfg.
 func ApplySelection(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step int) (State, []Event) {
 	var events []Event
-	s := apply(&View{}, g, rules, cfg, sel, step, 0, &events, nil)
+	s := apply(&View{}, g, rules, cfg, sel, step, 0, &events)
 	return s, events
 }
 
 // apply runs sel's action through v on a private copy of its
 // processor's state, every read seeing cfg, and returns the successor
 // state. The copy is slot-scoped (SlotState.CloneSlot) for a slotted rule
-// of a sliced state and deep otherwise. Emitted events are appended to *events and typed
-// events to *typed (nil: not observing), each stamped with the
-// selection's step, round, processor and rule. It is the executor shared
-// by ApplySelection and Engine.Step.
-func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event, typed *[]obs.Event) State {
+// of a sliced state and deep otherwise. Observed events are appended to
+// *events (nil: nothing subscribes), each stamped with the selection's
+// step, round, processor and rule. It is the executor shared by
+// ApplySelection and Engine.Step.
+func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event) State {
 	r := &rules[sel.Rule]
 	self := cfg[sel.Process]
 	if ss, ok := self.(SlotState); ok && r.Slot > 0 {
@@ -325,7 +304,6 @@ func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, st
 		round:    round,
 		rule:     r.Name,
 		events:   events,
-		obsBuf:   typed,
 	}
 	r.Action(v)
 	return v.self

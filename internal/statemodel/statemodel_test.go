@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 )
 
 // intState is a one-variable state for toy protocols.
@@ -245,41 +246,42 @@ func TestEventsAndSubscribe(t *testing.T) {
 		Name:  "emit",
 		Guard: func(v *View) bool { return v.Self().(*intState).v == 0 },
 		Action: func(v *View) {
-			v.Emit("ping", v.ID())
+			v.Observe(Event{Kind: obs.KindGenerate, Dest: v.ID()})
 			v.Self().(*intState).v = 1
 		},
 	})
 	g := graph.Line(3)
 	e := NewEngine(g, prog, allDaemon{}, intConfig(0, 0, 0))
-	var pings, fires int
+	var gens, fires int
 	e.Subscribe(func(ev Event) {
 		switch ev.Kind {
-		case "ping":
-			pings++
+		case obs.KindGenerate:
+			gens++
 			if ev.Rule != "emit" {
-				t.Errorf("ping event rule = %q, want emit", ev.Rule)
+				t.Errorf("generate event rule = %q, want emit", ev.Rule)
 			}
-			if ev.Payload.(graph.ProcessID) != ev.Process {
-				t.Errorf("payload mismatch: %v vs %v", ev.Payload, ev.Process)
+			if ev.Dest != ev.Proc {
+				t.Errorf("event fields mismatch: dest %v vs proc %v", ev.Dest, ev.Proc)
 			}
-		case "fire":
+		case obs.KindFire:
 			fires++
 		}
 	})
 	e.Run(10, nil)
-	if pings != 3 || fires != 3 {
-		t.Fatalf("pings=%d fires=%d, want 3 and 3", pings, fires)
+	if gens != 3 || fires != 3 {
+		t.Fatalf("gens=%d fires=%d, want 3 and 3", gens, fires)
 	}
 }
 
-func TestEmitOutsideActionPanics(t *testing.T) {
+// TestObserveOutsideActionIgnored: a view that is not executing an
+// action (guard evaluation, or no subscriber) neither observes nor
+// records, so Observe is a no-op there rather than a panic.
+func TestObserveOutsideActionIgnored(t *testing.T) {
 	v := &View{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	v.Emit("x", nil)
+	if v.Observing() {
+		t.Fatal("a view outside action execution reports Observing")
+	}
+	v.Observe(Event{Kind: obs.KindGenerate})
 }
 
 func TestRoundCountingCentralDaemon(t *testing.T) {
@@ -477,7 +479,7 @@ func TestThreePriorityClasses(t *testing.T) {
 	e := NewEngine(g, prog, oneDaemon{}, intConfig(0, 6))
 	order := []string{}
 	e.Subscribe(func(ev Event) {
-		if ev.Kind == "fire" {
+		if ev.Kind == obs.KindFire {
 			order = append(order, ev.Rule)
 		}
 	})

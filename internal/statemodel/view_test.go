@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 )
 
 // TestViewReadLocality pins View.Read's locality contract in both
@@ -64,15 +65,15 @@ type scriptDaemon [][]Selection
 func (scriptDaemon) Name() string                              { return "script" }
 func (d scriptDaemon) Select(step int, _ []Choice) []Selection { return d[step] }
 
-// TestRuleOfBackfill pins the rule name of emitted events: every event an
-// action emits carries the rule of the selection that emitted it, never
+// TestRuleOfBackfill pins the rule name of observed events: every event an
+// action observes carries the rule of the selection that observed it, never
 // the rule of another processor's or another step's fire marker, and it
 // precedes its own selection's fire marker. Each case runs on one shard
 // and on two; "no fire at all" runs ApplySelection, which emits no fire
 // marker but still names the rule.
 func TestRuleOfBackfill(t *testing.T) {
 	emitter := func(name string) Rule {
-		return Rule{Name: name, Guard: func(*View) bool { return true }, Action: func(v *View) { v.Emit("hello", nil) }}
+		return Rule{Name: name, Guard: func(*View) bool { return true }, Action: func(v *View) { v.Observe(Event{Kind: obs.KindGenerate}) }}
 	}
 	prog := NewProgram(emitter("emitA"), emitter("emitB"),
 		Rule{Name: "quiet", Guard: func(*View) bool { return true }, Action: func(*View) {}})
@@ -85,21 +86,21 @@ func TestRuleOfBackfill(t *testing.T) {
 		want   []string
 	}{
 		{"emit then own fire", scriptDaemon{{sel(1, a)}}, false,
-			[]string{"0/1/emitA/hello", "0/1/emitA/fire"}},
+			[]string{"0/1/emitA/generate", "0/1/emitA/fire"}},
 		{"interleaved processors", scriptDaemon{{sel(1, a), sel(2, q), sel(3, b)}}, false,
-			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "0/2/quiet/fire", "0/3/emitB/hello", "0/3/emitB/fire"}},
+			[]string{"0/1/emitA/generate", "0/1/emitA/fire", "0/2/quiet/fire", "0/3/emitB/generate", "0/3/emitB/fire"}},
 		{"two emits same step", scriptDaemon{{sel(1, a), sel(2, b)}}, false,
-			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "0/2/emitB/hello", "0/2/emitB/fire"}},
+			[]string{"0/1/emitA/generate", "0/1/emitA/fire", "0/2/emitB/generate", "0/2/emitB/fire"}},
 		{"first of two fires wins", scriptDaemon{{sel(1, a)}, {sel(1, b)}}, false,
-			[]string{"0/1/emitA/hello", "0/1/emitA/fire", "1/1/emitB/hello", "1/1/emitB/fire"}},
+			[]string{"0/1/emitA/generate", "0/1/emitA/fire", "1/1/emitB/generate", "1/1/emitB/fire"}},
 		{"no fire at all", scriptDaemon{{sel(1, a)}}, true,
-			[]string{"0/1/emitA/hello"}},
+			[]string{"0/1/emitA/generate"}},
 		{"only other processor fires", scriptDaemon{{sel(1, q), sel(2, a)}}, false,
-			[]string{"0/1/quiet/fire", "0/2/emitA/hello", "0/2/emitA/fire"}},
+			[]string{"0/1/quiet/fire", "0/2/emitA/generate", "0/2/emitA/fire"}},
 		{"fire before emit (unexpected order)", scriptDaemon{{sel(1, q)}, {sel(1, a)}}, false,
-			[]string{"0/1/quiet/fire", "1/1/emitA/hello", "1/1/emitA/fire"}},
+			[]string{"0/1/quiet/fire", "1/1/emitA/generate", "1/1/emitA/fire"}},
 	}
-	render := func(ev Event) string { return fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Process, ev.Rule, ev.Kind) }
+	render := func(ev Event) string { return fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Proc, ev.Rule, ev.Kind) }
 	g := graph.Line(4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,7 +118,11 @@ func TestRuleOfBackfill(t *testing.T) {
 			for _, shards := range []int{1, 2} {
 				e := NewEngine(g, prog, c.script, intConfig(0, 0, 0, 0), WithShards(shards, 0))
 				var got []string
-				e.Subscribe(func(ev Event) { got = append(got, render(ev)) })
+				e.Subscribe(func(ev Event) {
+					if ev.Kind != obs.KindStep && ev.Kind != obs.KindRound {
+						got = append(got, render(ev))
+					}
+				})
 				e.Run(len(c.script), nil)
 				if !reflect.DeepEqual(got, c.want) {
 					t.Fatalf("shards=%d: events = %v, want %v", shards, got, c.want)
@@ -128,13 +133,13 @@ func TestRuleOfBackfill(t *testing.T) {
 }
 
 // TestEngineBackfillsEmitRule drives the backfill end to end: events
-// published by the engine carry the emitting rule's name.
+// published by the engine carry the observing rule's name.
 func TestEngineBackfillsEmitRule(t *testing.T) {
 	prog := NewProgram(Rule{
 		Name:  "announce",
 		Guard: func(v *View) bool { return v.Self().(*intState).v == 0 },
 		Action: func(v *View) {
-			v.Emit("hello", nil)
+			v.Observe(Event{Kind: obs.KindGenerate})
 			v.Self().(*intState).v = 1
 		},
 	})
@@ -142,7 +147,7 @@ func TestEngineBackfillsEmitRule(t *testing.T) {
 	e := NewEngine(g, prog, allDaemon{}, intConfig(0, 0))
 	var rules []string
 	e.Subscribe(func(ev Event) {
-		if ev.Kind == "hello" {
+		if ev.Kind == obs.KindGenerate {
 			rules = append(rules, ev.Rule)
 		}
 	})

@@ -131,3 +131,35 @@ func TestSeriesHelpers(t *testing.T) {
 		t.Fatalf("Key = %q", s.Key())
 	}
 }
+
+// TestSumSeriesLabel covers the byzantine judge's per-reason sum: only
+// samples of the named series whose label key carries the value count.
+func TestSumSeriesLabel(t *testing.T) {
+	rejected := func(labels map[string]string, v float64) PromSample {
+		return PromSample{Name: SeriesSecureRejected, Labels: labels, Value: v}
+	}
+	samples := []PromSample{
+		rejected(map[string]string{"reason": "role", "node": "0"}, 2),
+		rejected(map[string]string{"reason": "role", "node": "1"}, 3),
+		rejected(map[string]string{"reason": "spoof", "node": "0"}, 5),
+		rejected(map[string]string{"node": "2"}, 7), // no reason label
+		{Name: "ssmfp_other_total", Labels: map[string]string{"reason": "role"}, Value: 11},
+	}
+	cases := []struct {
+		name             string
+		series, key, val string
+		want             float64
+	}{
+		{"matching label, summed across nodes", SeriesSecureRejected, "reason", "role", 5},
+		{"another label value", SeriesSecureRejected, "reason", "spoof", 5},
+		{"label value no sample carries", SeriesSecureRejected, "reason", "membership", 0},
+		{"missing key", SeriesSecureRejected, "cause", "role", 0},
+		{"another series name", "ssmfp_other_total", "reason", "role", 11},
+		{"series absent", "ssmfp_absent_total", "reason", "role", 0},
+	}
+	for _, c := range cases {
+		if got := SumSeriesLabel(samples, c.series, c.key, c.val); got != c.want {
+			t.Errorf("%s: SumSeriesLabel(%s, %s=%s) = %g, want %g", c.name, c.series, c.key, c.val, got, c.want)
+		}
+	}
+}

@@ -121,10 +121,10 @@ func NewRecorder(e *sm.Engine, renderer *Renderer, dest graph.ProcessID, limit i
 }
 
 func (rec *Recorder) onEvent(ev sm.Event) {
-	if ev.Kind != "fire" {
+	if ev.Kind != obs.KindFire {
 		return
 	}
-	label := fmt.Sprintf("%s@%s", ev.Rule, rec.r.names.of(ev.Process))
+	label := fmt.Sprintf("%s@%s", ev.Rule, rec.r.names.of(ev.Proc))
 	last := len(rec.frames) - 1
 	if rec.frames[last].Step == ev.Step {
 		rec.frames[last].Fired = append(rec.frames[last].Fired, label)

@@ -130,7 +130,7 @@ func TestReplayMatchesLiveRecordingByteForByte(t *testing.T) {
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(1), cfg)
 	h := trace.HeaderFor(g, abNames, cfg, "test", 2)
 	var events []obs.Event
-	e.Obs().Subscribe(func(ev obs.Event) { events = append(events, ev) })
+	e.Subscribe(func(ev obs.Event) { events = append(events, ev) })
 	r := trace.NewRenderer(g, abNames)
 	rec := trace.NewRecorder(e, r, 2, 0)
 	e.Run(100, nil)

@@ -9,6 +9,7 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/daemon"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -113,12 +114,10 @@ func NewNetwork(t *Topology, opts ...Option) *Network {
 	n.tracker.Attach(n.engine)
 	if len(o.subscribers) > 0 {
 		n.engine.Subscribe(func(ev sm.Event) {
-			if ev.Kind != core.KindDeliver {
+			if ev.Kind != obs.KindDeliver {
 				return
 			}
-			msg := ev.Payload.(core.DeliverEvent).Msg
-			d := Delivery{Payload: msg.Payload, From: msg.Src, To: ev.Process,
-				Valid: msg.Valid, Step: ev.Step, Round: n.engine.Rounds()}
+			d := newDelivery((*core.Message)(ev.Msg), ev.Proc, ev.Step, ev.Round)
 			for _, fn := range o.subscribers {
 				fn(d)
 			}
@@ -195,12 +194,15 @@ func (n *Network) Report() Report {
 func (n *Network) Deliveries() []Delivery {
 	var out []Delivery
 	for _, d := range n.tracker.Deliveries() {
-		out = append(out, Delivery{
-			Payload: d.Msg.Payload, From: d.Msg.Src, To: d.At,
-			Valid: d.Msg.Valid, Step: d.Step, Round: d.Round,
-		})
+		out = append(out, newDelivery(d.Msg, d.At, d.Step, d.Round))
 	}
 	return out
+}
+
+// newDelivery is the one place a Delivery is built, for Deliveries and
+// for the delivery handlers alike.
+func newDelivery(m *core.Message, at ProcessID, step, round int) Delivery {
+	return Delivery{Payload: m.Payload, From: m.Src, To: at, Valid: m.Valid, Step: step, Round: round}
 }
 
 // Report is the outcome summary of a Network execution.

@@ -152,11 +152,22 @@ load-compare:
 
 # ~10s open-loop load smoke on a 3x3 grid: exits nonzero if any message
 # is lost, duplicated or misdelivered, or if the latency histogram comes
-# back empty. Gates the load subsystem end to end in tier-2 CI.
+# back empty. Gates the load subsystem end to end in tier-2 CI. A second,
+# ~1s run pins the -progress output: at least one load-tick line and
+# exactly one load-done line on stderr.
 load-smoke:
 	$(GO) run ./cmd/ssmfp-load -topology grid -rows 3 -cols 3 \
 		-rate 2000 -messages 20000 -seed 42 -drain-timeout 30s -json /tmp/load-smoke.json
 	$(GO) run ./cmd/ssmfp-bench compare /tmp/load-smoke.json /tmp/load-smoke.json
+	$(GO) run ./cmd/ssmfp-load -topology grid -rows 3 -cols 3 \
+		-rate 2000 -messages 2000 -seed 42 -drain-timeout 30s -progress -tick 100ms \
+		> /dev/null 2> /tmp/load-smoke-progress.txt
+	@ticks=$$(grep -c '^load-tick step=' /tmp/load-smoke-progress.txt); \
+	dones=$$(grep -c '^load-done rate=' /tmp/load-smoke-progress.txt); \
+	if [ "$$ticks" -lt 1 ] || [ "$$dones" -ne 1 ]; then \
+		echo "FAIL: -progress printed $$ticks load-tick and $$dones load-done lines, want >=1 and 1"; \
+		cat /tmp/load-smoke-progress.txt; exit 1; fi; \
+	echo "load-smoke: -progress printed $$ticks load-tick lines and 1 load-done line"
 
 # Fuzz pass over every fuzz target: the transport frame codec, the
 # load-trace tag parser, and the certificate role-extension decoder

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -26,7 +27,6 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/load"
 	"ssmfp/internal/msgpass"
-	"ssmfp/internal/obs"
 )
 
 type config struct {
@@ -77,7 +77,7 @@ func main() {
 	flag.IntVar(&cfg.warmup, "warmup", 64, "untracked warmup messages before each measured step")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for the injection plan and protocol randomness")
 	flag.DurationVar(&cfg.drain, "drain-timeout", 60*time.Second, "wait this long for stragglers after injection")
-	flag.DurationVar(&cfg.tick, "tick", 0, "publish a load-tick progress beat at this period (0 = off)")
+	flag.DurationVar(&cfg.tick, "tick", 0, "period of the -progress load-tick lines on stderr (default 500ms) and of queue-depth sampling (default 25ms)")
 	flag.Float64Var(&cfg.loss, "loss", 0, "chaos: drop each frame with this probability")
 	flag.Float64Var(&cfg.dup, "dup", 0, "chaos: duplicate each frame with this probability")
 	flag.DurationVar(&cfg.latency, "latency", 0, "chaos: base one-way frame delay")
@@ -129,13 +129,9 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	bus := obs.NewBus()
+	var progress io.Writer
 	if cfg.progress {
-		bus.Subscribe(func(ev obs.Event) {
-			if ev.Kind == obs.KindLoadTick || ev.Kind == obs.KindLoadDone {
-				fmt.Fprintf(os.Stderr, "%s %s\n", ev.Kind, ev.Detail)
-			}
-		})
+		progress = os.Stderr
 		if cfg.tick <= 0 {
 			cfg.tick = 500 * time.Millisecond
 		}
@@ -151,7 +147,7 @@ func run(cfg config) error {
 		Seed:         cfg.seed,
 		DrainTimeout: cfg.drain,
 		TickEvery:    cfg.tick,
-		Bus:          bus,
+		Progress:     progress,
 	}
 	factory := func(step int) (load.Network, *load.Hook, func(), error) {
 		hook := &load.Hook{}

@@ -213,7 +213,7 @@ func startEmitter(cfg config, reg *telemetry.Registry) (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	em := telemetry.NewEmitter(reg, fmt.Sprintf("node%d", cfg.id), f, nil, cfg.telemetryEvery)
+	em := telemetry.NewEmitter(reg, fmt.Sprintf("node%d", cfg.id), f, cfg.telemetryEvery)
 	em.Start()
 	return func() { em.Close(); f.Close() }, nil
 }

@@ -20,7 +20,6 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
-	"ssmfp/internal/obs"
 	"ssmfp/internal/transport"
 )
 
@@ -32,12 +31,9 @@ func main() {
 		Edges:    [][2]graph.ProcessID{{0, 1}, {0, 4}}, // isolate processor 0
 	}
 
-	bus := obs.NewBus()
-	bus.Subscribe(func(ev obs.Event) {
-		if ev.Kind == obs.KindWire {
-			fmt.Printf("  wire: %s %d-%d\n", ev.Detail, ev.From, ev.To)
-		}
-	})
+	for _, e := range cut.Edges {
+		fmt.Printf("  partition: link %d-%d cut from %v to %v\n", e[0], e[1], cut.Start, cut.Start+cut.Duration)
+	}
 
 	tr := transport.NewChaos(transport.NewChan(g, 64), transport.ChaosOptions{
 		Seed:       42,
@@ -45,7 +41,6 @@ func main() {
 		DupRate:    0.10,
 		Jitter:     time.Millisecond,
 		Partitions: []transport.PartitionWindow{cut},
-		Bus:        bus,
 	})
 	nw := msgpass.New(g, msgpass.Options{Seed: 42, Transport: tr})
 	nw.Start()

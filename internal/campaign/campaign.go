@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"ssmfp/internal/obs"
 	"ssmfp/internal/sim"
 )
 
@@ -43,9 +42,6 @@ type Config struct {
 	// same normalized report; it only changes wall time. It is recorded in
 	// the volatile RunInfo, not in the deterministic section.
 	Shards int
-
-	// Bus, when non-nil, receives cell-start/cell-done progress events.
-	Bus *obs.Bus
 
 	// OnResult, when non-nil, is called serially (from the aggregation
 	// loop, in completion order) after each cell finishes.
@@ -176,10 +172,6 @@ func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				cfg.Bus.Publish(obs.Event{
-					Kind: obs.KindCellStart, Step: -1, Round: -1,
-					Detail: j.spec.Key(), Count: j.idx,
-				})
 				rep.Cells[j.idx], results[j.idx] = runOne(ctx, cfg, j)
 				doneCh <- j.idx
 			}
@@ -203,17 +195,8 @@ func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 	completed := 0
 	for idx := range doneCh {
 		completed++
-		cr := rep.Cells[idx]
-		verdict := "ok"
-		if !cr.OK {
-			verdict = "fail"
-		}
-		cfg.Bus.Publish(obs.Event{
-			Kind: obs.KindCellDone, Step: -1, Round: -1,
-			Detail: cr.Key, Count: completed, Rule: verdict,
-		})
 		if cfg.OnResult != nil {
-			cfg.OnResult(completed, len(jobs), cr, results[idx])
+			cfg.OnResult(completed, len(jobs), rep.Cells[idx], results[idx])
 		}
 	}
 

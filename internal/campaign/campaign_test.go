@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"ssmfp/internal/obs"
 	"ssmfp/internal/sim"
 )
 
@@ -170,25 +168,13 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunPublishesProgress checks the obs bus wiring and the OnResult
-// serialization contract.
+// TestRunPublishesProgress checks the progress contract of OnResult: one
+// serialized call per finished cell, counting completions up to the total.
 func TestRunPublishesProgress(t *testing.T) {
-	bus := obs.NewBus()
-	var starts, dones atomic.Int64
-	bus.Subscribe(func(ev obs.Event) {
-		switch ev.Kind {
-		case obs.KindCellStart:
-			starts.Add(1)
-		case obs.KindCellDone:
-			dones.Add(1)
-		}
-		if ev.Step != -1 || ev.Round != -1 {
-			t.Errorf("campaign events must be wall-clock domain, got step=%d round=%d", ev.Step, ev.Round)
-		}
-	})
 	calls := 0
+	seen := map[string]bool{}
 	rep, results, err := Run(context.Background(), Config{
-		Seed: 7, Parallel: 4, Filter: "f1,f2,p7/d2", Bus: bus,
+		Seed: 7, Parallel: 4, Filter: "f1,f2,p7/d2",
 		OnResult: func(done, total int, cr CellReport, res sim.CellResult) {
 			calls++
 			if done != calls {
@@ -197,6 +183,10 @@ func TestRunPublishesProgress(t *testing.T) {
 			if total != 3 {
 				t.Errorf("total = %d, want 3", total)
 			}
+			if seen[cr.Key] {
+				t.Errorf("cell %s reported twice", cr.Key)
+			}
+			seen[cr.Key] = true
 		},
 	})
 	if err != nil {
@@ -205,8 +195,8 @@ func TestRunPublishesProgress(t *testing.T) {
 	if len(rep.Cells) != 3 || len(results) != 3 {
 		t.Fatalf("got %d cells, %d results, want 3", len(rep.Cells), len(results))
 	}
-	if starts.Load() != 3 || dones.Load() != 3 {
-		t.Errorf("bus saw %d starts, %d dones, want 3 each", starts.Load(), dones.Load())
+	if len(seen) != 3 {
+		t.Errorf("OnResult reported %d distinct cells, want 3", len(seen))
 	}
 	if rep.Totals.Cells != 3 || rep.Totals.Failed != 0 {
 		t.Errorf("totals = %+v", rep.Totals)

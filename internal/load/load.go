@@ -23,6 +23,7 @@ package load
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,6 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
-	"ssmfp/internal/obs"
 	"ssmfp/internal/telemetry"
 )
 
@@ -88,14 +88,17 @@ type Config struct {
 	// DrainTimeout bounds the wait for stragglers after the last
 	// injection. Default 60s.
 	DrainTimeout time.Duration
-	// TickEvery, when positive, publishes a KindLoadTick progress beat on
-	// Bus at this period. Queue-depth gauges are sampled on the same
-	// ticker (at a default period when TickEvery is zero).
+	// TickEvery, when positive, writes a "load-tick step=<i> sent=<s>
+	// delivered=<d>" line to Progress at this period. Queue-depth gauges
+	// are sampled on the same ticker (at a default period when TickEvery
+	// is zero).
 	TickEvery time.Duration
-	// Bus receives load-tick and load-done events; nil is fine.
-	Bus *obs.Bus
-	// Step is the step index stamped into events and the report (a sweep
-	// sets it; single runs leave it 0).
+	// Progress, when non-nil, receives the load-tick lines and, at the end
+	// of the step, one "load-done rate=<r> sent=<s> delivered=<d> p99=<t>"
+	// line.
+	Progress io.Writer
+	// Step is the step index stamped into the progress lines and the
+	// report (a sweep sets it; single runs leave it 0).
 	Step int
 }
 
@@ -230,12 +233,9 @@ func Run(nw Network, g *graph.Graph, hook *Hook, cfg Config) (StepReport, error)
 				return
 			case <-t.C:
 				peaks.sample(nw.QueueDepths())
-				if cfg.TickEvery > 0 && cfg.Bus.Active() {
-					cfg.Bus.Publish(obs.Event{
-						Kind: obs.KindLoadTick, Step: -1, Round: -1,
-						Count:  col.Delivered(),
-						Detail: fmt.Sprintf("step=%d sent=%d delivered=%d", cfg.Step, sent.Load(), col.Delivered()),
-					})
+				if cfg.TickEvery > 0 && cfg.Progress != nil {
+					fmt.Fprintf(cfg.Progress, "load-tick step=%d sent=%d delivered=%d\n",
+						cfg.Step, sent.Load(), col.Delivered())
 				}
 			}
 		}
@@ -275,17 +275,9 @@ func Run(nw Network, g *graph.Graph, hook *Hook, cfg Config) (StepReport, error)
 	}
 	rep := buildStepReport(cfg, plan, col, int(sent.Load()), exactlyOnce, violations, injectNS, spanNS, &peaks, parkEvents)
 
-	if cfg.Bus.Active() {
-		verdict := "ok"
-		if !rep.ExactlyOnce {
-			verdict = "fail"
-		}
-		cfg.Bus.Publish(obs.Event{
-			Kind: obs.KindLoadDone, Step: -1, Round: -1,
-			Count: cfg.Step, Rule: verdict,
-			Detail: fmt.Sprintf("rate=%.0f sent=%d delivered=%d p99=%s",
-				cfg.Rate, rep.Sent, rep.Delivered, time.Duration(rep.Latency.P99NS)),
-		})
+	if cfg.Progress != nil {
+		fmt.Fprintf(cfg.Progress, "load-done rate=%.0f sent=%d delivered=%d p99=%s\n",
+			cfg.Rate, rep.Sent, rep.Delivered, time.Duration(rep.Latency.P99NS))
 	}
 	return rep, nil
 }

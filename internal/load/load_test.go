@@ -2,14 +2,13 @@ package load_test
 
 import (
 	"bytes"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/load"
 	"ssmfp/internal/msgpass"
-	"ssmfp/internal/obs"
 )
 
 // newNet builds and starts a msgpass deployment wired to a fresh hook.
@@ -81,40 +80,31 @@ func TestClosedLoopExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestLoadEventsOnBus(t *testing.T) {
+// TestLoadProgressLines pins the progress output: load-tick lines at the
+// tick period and one load-done line at the end of the step.
+func TestLoadProgressLines(t *testing.T) {
 	g := graph.Grid(2, 2)
-	bus := obs.NewBus()
-	var mu sync.Mutex
-	var ticks, dones int
-	bus.Subscribe(func(ev obs.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch ev.Kind {
-		case obs.KindLoadTick:
-			ticks++
-		case obs.KindLoadDone:
-			dones++
-			if ev.Rule != "ok" {
-				t.Errorf("load-done verdict %q, want ok", ev.Rule)
-			}
-		}
-	})
 	nw, hook := newNet(g, msgpass.Options{Seed: 13})
 	defer nw.Stop()
+	var progress bytes.Buffer
 	_, err := load.Run(nw, g, hook, load.Config{
 		Rate: 500, Messages: 100, Seed: 13,
-		TickEvery: 20 * time.Millisecond, Bus: bus, DrainTimeout: 60 * time.Second,
+		TickEvery: 20 * time.Millisecond, Progress: &progress, DrainTimeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ticks == 0 {
-		t.Error("no load-tick events for a ~200ms run with a 20ms beat")
+	lines := strings.Split(strings.TrimSuffix(progress.String(), "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("no load-tick lines for a ~200ms run with a 20ms beat:\n%s", progress.String())
 	}
-	if dones != 1 {
-		t.Errorf("%d load-done events, want 1", dones)
+	for _, line := range lines[:len(lines)-1] {
+		if !strings.HasPrefix(line, "load-tick step=0 sent=") {
+			t.Errorf("progress line %q, want a load-tick", line)
+		}
+	}
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "load-done rate=500 sent=100 delivered=100 p99=") {
+		t.Errorf("last progress line %q, want the load-done summary", last)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // TestDeliveryPathAllocFree holds the whole receiver-side delivery path —
 // offer into bufR, R2 internal move, R6 delivery through the OnDeliver
 // hook, accept back on the wire — to zero steady-state allocations under
-// the load generator's configuration (DiscardDeliveries, no bus). This is
+// the load generator's configuration (DiscardDeliveries). This is
 // the unit-test twin of BenchmarkDeliveryHotPath; `make bench-allocs`
 // gates the benchmark, this gates every plain `go test` run.
 func TestDeliveryPathAllocFree(t *testing.T) {

@@ -340,17 +340,23 @@ func (n *node) handleDV(from graph.ProcessID, dv []int) {
 			break
 		}
 	}
-	if idx < 0 || len(dv) != n.nw.g.N() {
+	nProcs := n.nw.g.N()
+	if idx < 0 || len(dv) != nProcs {
 		return // not a neighbor, or a corrupt frame from an untrusted wire
 	}
 	stored := n.nbrDV[idx]
-	if stored == nil {
-		n.nbrDV[idx] = append([]int(nil), dv...)
-		n.recomputeRoutes()
-		return
+	fresh := stored == nil
+	if fresh {
+		stored = make([]int, nProcs)
+		n.nbrDV[idx] = stored
 	}
-	changed := false
+	changed := fresh
 	for i, v := range dv {
+		// A distance outside [0, n] is corrupt (a garbage frame or a
+		// neighbor starting from an arbitrary configuration); clamp it as
+		// routing.target does, so dv[d]+1 cannot wrap below every real
+		// candidate and win the route.
+		v = min(max(v, 0), nProcs)
 		if stored[i] != v {
 			stored[i] = v
 			changed = true

@@ -58,7 +58,7 @@ type Sink struct {
 }
 
 // NewSink writes the header line (stamping the schema version) and returns
-// a sink ready to subscribe to a Bus.
+// a sink ready to subscribe to an engine.
 func NewSink(w io.Writer, h Header) (*Sink, error) {
 	h.Schema = SchemaVersion
 	bw := bufio.NewWriter(w)
@@ -72,7 +72,7 @@ func NewSink(w io.Writer, h Header) (*Sink, error) {
 	return &Sink{w: bw}, nil
 }
 
-// Observe appends one event line; pass it to Bus.Subscribe.
+// Observe appends one event line; pass it to Engine.Subscribe.
 func (s *Sink) Observe(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -200,50 +200,6 @@ func RandomState(g *graph.Graph, p graph.ProcessID, rng *rand.Rand) *NodeState {
 	return s
 }
 
-// Reframe ports processor p's routing table onto a changed graph — the
-// state-model face of a membership epoch. The new slot space may be
-// larger or smaller than the table's; entries for destinations both
-// graphs share are kept verbatim (after the change they are merely
-// arbitrary — possibly wrong — state, which is exactly what A stabilizes
-// from), new destinations start at the pessimistic distance n, and any
-// parent that is no longer a neighbor of p is re-anchored to p's
-// smallest current neighbor. The result is always well-typed (Dist ∈
-// [0, n], Parent ∈ N_p ∪ {p}) — the domain A's stabilization guarantee
-// is stated over — so a topology change never needs more than ordinary
-// re-stabilization, which is the property the elastic cluster layer
-// (internal/cluster) leans on when an epoch changes the graph under a
-// running deployment.
-func Reframe(newG *graph.Graph, p graph.ProcessID, s *NodeState) *NodeState {
-	n := newG.N()
-	out := &NodeState{Dist: make([]int, n), Parent: make([]graph.ProcessID, n)}
-	ns := newG.Neighbors(p)
-	nbr := make(map[graph.ProcessID]bool, len(ns))
-	for _, q := range ns {
-		nbr[q] = true
-	}
-	for dd := 0; dd < n; dd++ {
-		d := graph.ProcessID(dd)
-		dist := n
-		parent := p
-		if len(ns) > 0 {
-			parent = ns[0]
-		}
-		if dd < len(s.Dist) {
-			if kept := s.Dist[dd]; kept >= 0 && kept < dist {
-				dist = kept
-			}
-			if kept := s.Parent[dd]; nbr[kept] {
-				parent = kept
-			}
-		}
-		if d == p {
-			dist, parent = 0, p
-		}
-		out.Dist[dd], out.Parent[dd] = dist, parent
-	}
-	return out
-}
-
 // CycleCorrupt overwrites the tables of the endpoints of edge (u, v) so
 // that, for destination d, u routes to v and v routes to u: a guaranteed
 // routing loop. Dist entries are set to plausible-looking small values so

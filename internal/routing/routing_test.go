@@ -278,69 +278,3 @@ func TestSlowProgramIsSlower(t *testing.T) {
 		t.Fatalf("slow variant rounds = %d, fast = %d; expected slower", slow, fast)
 	}
 }
-
-// TestRestabilizesAcrossTopologyChange is the state-model face of a
-// membership epoch: stabilize on the base graph, change the topology
-// (join a processor, cut a ring edge) via graph.Topology, reframe every
-// stabilized table onto the new graph, and require A to re-stabilize to
-// the new canonical fixpoint. This is the guarantee the elastic cluster
-// layer leans on — a topology change leaves behind nothing worse than an
-// arbitrary configuration.
-func TestRestabilizesAcrossTopologyChange(t *testing.T) {
-	base := graph.Ring(5)
-	e := sm.NewEngine(base, NewProgram(base, access), daemon.NewSynchronous(1), correctConfig(base))
-	if !e.Terminal() {
-		t.Fatal("base config not silent")
-	}
-
-	topo := graph.NewTopology(base)
-	joiner := graph.ProcessID(5)
-	if err := topo.AddNodeID(joiner); err != nil {
-		t.Fatal(err)
-	}
-	for _, edge := range [][2]graph.ProcessID{{joiner, 0}, {joiner, 2}} {
-		if err := topo.AddEdge(edge[0], edge[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := topo.RemoveEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := topo.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	cfg := make([]sm.State, g2.N())
-	for p := 0; p < g2.N(); p++ {
-		if p < base.N() {
-			// Survivors carry their old tables onto the new graph.
-			cfg[p] = &routeOnlyState{rt: Reframe(g2, graph.ProcessID(p), access(e.StateOf(graph.ProcessID(p))))}
-		} else {
-			// The joiner boots with an arbitrary (well-typed) table.
-			cfg[p] = &routeOnlyState{rt: RandomState(g2, graph.ProcessID(p), rng)}
-		}
-	}
-	for p := 0; p < g2.N(); p++ {
-		s := access(cfg[p].(*routeOnlyState))
-		if len(s.Dist) != g2.N() || len(s.Parent) != g2.N() {
-			t.Fatalf("processor %d table not resized to %d", p, g2.N())
-		}
-	}
-
-	e2 := sm.NewEngine(g2, NewProgram(g2, access), daemon.NewSynchronous(2), cfg)
-	if _, terminal := e2.Run(100_000, nil); !terminal {
-		t.Fatal("did not re-stabilize after the topology change")
-	}
-	for p := 0; p < g2.N(); p++ {
-		if !Correct(g2, graph.ProcessID(p), access(e2.StateOf(graph.ProcessID(p)))) {
-			t.Fatalf("processor %d table incorrect after re-stabilization", p)
-		}
-	}
-	for d := 0; d < g2.N(); d++ {
-		if !LoopFree(g2, graph.ProcessID(d), tables(e2)) {
-			t.Fatalf("routes to %d not loop-free", d)
-		}
-	}
-}

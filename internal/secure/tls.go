@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 	"ssmfp/internal/telemetry"
 	"ssmfp/internal/transport"
 )
@@ -41,7 +40,6 @@ type TLSOptions struct {
 	BackoffMin, BackoffMax time.Duration
 	DialTimeout            time.Duration
 	Seed                   int64
-	Bus                    *obs.Bus
 }
 
 // DefaultPolicy is SSNTP's rule specialized to SSMFP, the role check of
@@ -176,7 +174,6 @@ func NewTLS(g *graph.Graph, opts TLSOptions) (*TLS, error) {
 		BackoffMax:  opts.BackoffMax,
 		DialTimeout: opts.DialTimeout,
 		Seed:        opts.Seed,
-		Bus:         opts.Bus,
 		Dial:        s.dial,
 		Inbound:     s.gate,
 	})

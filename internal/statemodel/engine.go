@@ -71,7 +71,12 @@ type Engine struct {
 	step   int
 	rounds int
 	moves  map[string]int // rule name -> executions
-	bus    *obs.Bus
+
+	// event stream: the subscribers in subscription order (a detached
+	// one is nil), how many are attached, and the last stamped Seq.
+	subs  []func(Event)
+	nsubs int
+	seq   uint64
 
 	// round accounting: the processors enabled at the start of the
 	// current round that have neither executed nor been neutralized yet.
@@ -158,7 +163,6 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		roundPending: make([]bool, g.N()),
 		incremental:  true,
 		selfCheck:    testing.Testing(),
-		bus:          obs.NewBus(),
 		buf: stepBuffers{
 			batchOf: make([]int32, g.N()),
 			offer:   make([]int32, g.N()),
@@ -283,18 +287,41 @@ func (e *Engine) MoveCounts() map[string]int {
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Subscribe attaches fn to the engine's event stream and returns the
-// closure that detaches it. With no subscriber the engine builds no
-// events at all (one atomic load per step); with subscribers it
+// closure that detaches it (idempotent). Subscribers run synchronously,
+// in subscription order, on the goroutine that steps the engine. With no
+// subscriber the engine builds no events at all; with subscribers it
 // publishes, in commit order after each step's writes: the actions' own
 // events (stamped with step, round, processor and rule), one
 // obs.KindFire per selection, one obs.KindStep per step, and one
 // obs.KindRound at every round boundary.
-func (e *Engine) Subscribe(fn func(Event)) (unsubscribe func()) { return e.bus.Subscribe(fn) }
+func (e *Engine) Subscribe(fn func(Event)) (unsubscribe func()) {
+	i := len(e.subs)
+	e.subs = append(e.subs, fn)
+	e.nsubs++
+	return func() {
+		if e.subs[i] != nil {
+			e.subs[i] = nil
+			e.nsubs--
+		}
+	}
+}
 
 // Publish hands an event from outside the rules (a fault injection, a
 // stabilization marker) to the subscribers, in order with the engine's
-// own events; a no-op when nothing subscribes.
-func (e *Engine) Publish(ev Event) { e.bus.Publish(ev) }
+// own events. It stamps Seq; with no subscriber it is a no-op and
+// consumes no sequence number, so a recorded stream is gapless.
+func (e *Engine) Publish(ev Event) {
+	if e.nsubs == 0 {
+		return
+	}
+	e.seq++
+	ev.Seq = e.seq
+	for _, fn := range e.subs {
+		if fn != nil {
+			fn(ev)
+		}
+	}
+}
 
 // --- incremental enabled-set cache ------------------------------------
 
@@ -435,7 +462,7 @@ func (e *Engine) Step() bool {
 	b.next = next
 	b.events = b.events[:0]
 	var events *[]Event
-	if e.bus.Active() {
+	if e.nsubs > 0 {
 		events = &b.events
 	}
 	if e.part == nil || len(sels) == 1 {
@@ -462,9 +489,9 @@ func (e *Engine) Step() bool {
 	e.lastEnabled = enabled
 	if events != nil {
 		for _, ev := range b.events {
-			e.bus.Publish(ev)
+			e.Publish(ev)
 		}
-		e.bus.Publish(Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
+		e.Publish(Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
 	}
 	e.step++
 	e.stats.Steps++
@@ -547,9 +574,7 @@ func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) {
 	if e.pendingLeft == 0 {
 		e.rounds++
 		e.roundOpen = false
-		if e.bus.Active() {
-			e.bus.Publish(Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
-		}
+		e.Publish(Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
 	}
 }
 

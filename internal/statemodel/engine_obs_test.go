@@ -69,9 +69,9 @@ func TestEngineTypedBusPublishesStampedEvents(t *testing.T) {
 			t.Fatalf("action event not stamped with rule: %+v", ev)
 		}
 	}
-	// Round count on the bus matches the engine's accounting.
+	// Round count in the stream matches the engine's accounting.
 	if last := got[len(got)-1]; e.Rounds() < last.Round {
-		t.Fatalf("bus round %d exceeds engine rounds %d", last.Round, e.Rounds())
+		t.Fatalf("stream round %d exceeds engine rounds %d", last.Round, e.Rounds())
 	}
 }
 
@@ -96,5 +96,70 @@ func TestEngineObservingFalseWithoutSubscriber(t *testing.T) {
 	}
 	if observed {
 		t.Fatal("Observing() reported true with no subscriber")
+	}
+}
+
+// TestEnginePublishGaplessUntilSubscribed pins the stream's numbering: a
+// publish with nothing subscribed is dropped without consuming a
+// sequence number, so the first event a subscriber sees is Seq 1.
+func TestEnginePublishGaplessUntilSubscribed(t *testing.T) {
+	e := NewEngine(graph.Line(2), obsProgram(1), allDaemon{}, intConfig(0, 0))
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	var got []obs.Event
+	e.Subscribe(func(ev obs.Event) { got = append(got, ev) })
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	e.Step()
+	if len(got) < 2 || got[0].Seq != 1 || got[0].Kind != obs.KindFault {
+		t.Fatalf("first events %+v, want the fault at seq 1", got)
+	}
+	for i, ev := range got {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+	}
+}
+
+// TestEngineSubscribersRunInOrder pins the fan-out: every subscriber sees
+// every event, earlier subscribers first.
+func TestEngineSubscribersRunInOrder(t *testing.T) {
+	e := NewEngine(graph.Line(2), obsProgram(2), allDaemon{}, intConfig(0, 0))
+	var calls []string
+	var a, b []uint64
+	e.Subscribe(func(ev obs.Event) { calls = append(calls, "a"); a = append(a, ev.Seq) })
+	e.Subscribe(func(ev obs.Event) { calls = append(calls, "b"); b = append(b, ev.Seq) })
+	for e.Step() {
+	}
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("subscribers saw %d and %d events", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] || calls[2*i] != "a" || calls[2*i+1] != "b" {
+			t.Fatalf("fan-out out of order at event %d: seq %d/%d, calls %v", i, a[i], b[i], calls[2*i:2*i+2])
+		}
+	}
+}
+
+// TestEngineUnsubscribeRestoresGaplessSeq pins the detach closure: it is
+// idempotent, it detaches only its own subscriber, and once the last one
+// is gone publishes consume no sequence numbers again.
+func TestEngineUnsubscribeRestoresGaplessSeq(t *testing.T) {
+	e := NewEngine(graph.Line(2), obsProgram(1), allDaemon{}, intConfig(0, 0))
+	var first, second int
+	detachFirst := e.Subscribe(func(obs.Event) { first++ })
+	detachSecond := e.Subscribe(func(obs.Event) { second++ })
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	detachFirst()
+	detachFirst()
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	if first != 1 || second != 2 {
+		t.Fatalf("calls after one detach: first %d, second %d; want 1, 2", first, second)
+	}
+	detachSecond()
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	var seq uint64
+	e.Subscribe(func(ev obs.Event) { seq = ev.Seq })
+	e.Publish(obs.Event{Kind: obs.KindFault})
+	if seq != 3 {
+		t.Fatalf("seq after an unobserved publish = %d, want 3", seq)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"ssmfp/internal/obs"
 )
 
 // SnapshotSchema is the JSONL snapshot stream format version. Bump it on
@@ -34,15 +32,14 @@ func Snap(r *Registry, node string, seq int64) Snapshot {
 	}
 }
 
-// Emitter periodically writes registry snapshots as JSONL (one line per
-// period) and/or publishes them on an obs bus as KindTelemetry events
-// (Detail carries the encoded line; Count the sample count). Emission is
-// a cold path: it allocates freely, off the protocol goroutines.
+// Emitter periodically writes registry snapshots to a writer as JSONL,
+// one line per period: the file form of the telemetry plane that /metrics
+// serves live. Emission is a cold path: it allocates freely, off the
+// protocol goroutines.
 type Emitter struct {
 	reg    *Registry
 	node   string
 	w      io.Writer
-	bus    *obs.Bus
 	period time.Duration
 
 	seq  int64
@@ -51,13 +48,12 @@ type Emitter struct {
 	once sync.Once
 }
 
-// NewEmitter builds an emitter; w and bus may each be nil (but not both,
-// or the emitter has nowhere to write). Start begins the stream.
-func NewEmitter(reg *Registry, node string, w io.Writer, bus *obs.Bus, period time.Duration) *Emitter {
+// NewEmitter builds an emitter writing to w. Start begins the stream.
+func NewEmitter(reg *Registry, node string, w io.Writer, period time.Duration) *Emitter {
 	if period <= 0 {
 		period = time.Second
 	}
-	return &Emitter{reg: reg, node: node, w: w, bus: bus, period: period, stop: make(chan struct{})}
+	return &Emitter{reg: reg, node: node, w: w, period: period, stop: make(chan struct{})}
 }
 
 // Start launches the periodic emission goroutine.
@@ -87,19 +83,7 @@ func (e *Emitter) EmitOnce() {
 	if err != nil {
 		return
 	}
-	if e.w != nil {
-		e.w.Write(append(line, '\n'))
-	}
-	if e.bus.Active() {
-		// One batch per emission: consumers that fan telemetry into the
-		// same stream as protocol events see each snapshot as one
-		// contiguous seq reservation.
-		e.bus.PublishBatch([]obs.Event{{
-			Kind: obs.KindTelemetry, Step: -1, Round: -1,
-			Count:  len(snap.Samples),
-			Detail: string(line),
-		}})
-	}
+	e.w.Write(append(line, '\n'))
 }
 
 // Close stops the goroutine and emits one final snapshot.

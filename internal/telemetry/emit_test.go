@@ -4,27 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"ssmfp/internal/obs"
 )
 
-func TestEmitterWritesSchemaLinesAndBusEvents(t *testing.T) {
+func TestEmitterWritesSchemaLines(t *testing.T) {
 	r := New()
 	r.Counter(SeriesDeliveries, "").Add(7)
 	var buf bytes.Buffer
-	bus := obs.NewBus()
-	var mu sync.Mutex
-	var events []obs.Event
-	bus.Subscribe(func(ev obs.Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-
-	e := NewEmitter(r, "node3", &buf, bus, 10*time.Millisecond)
+	e := NewEmitter(r, "node3", &buf, 10*time.Millisecond)
 	e.Start()
 	time.Sleep(35 * time.Millisecond)
 	e.Close()
@@ -55,19 +43,6 @@ func TestEmitterWritesSchemaLinesAndBusEvents(t *testing.T) {
 	}
 	if lines < 2 {
 		t.Fatalf("only %d JSONL lines after 3 periods + final frame", lines)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != lines {
-		t.Fatalf("%d bus events, %d JSONL lines — must match", len(events), lines)
-	}
-	for _, ev := range events {
-		if ev.Kind != obs.KindTelemetry || ev.Step != -1 {
-			t.Fatalf("bad event: %+v", ev)
-		}
-		if _, err := ParseSnapshot([]byte(ev.Detail)); err != nil {
-			t.Fatalf("event Detail is not a snapshot line: %v", err)
-		}
 	}
 }
 

@@ -1,25 +1,26 @@
-// Package telemetry is the cluster telemetry plane: a zero-allocation
-// metrics registry that the protocol layers (msgpass, transport, load)
-// update from their hot paths, plus the two export surfaces every consumer
-// scrapes — Prometheus text exposition (prom.go) and a self-describing
-// ssmfp-telemetry/v1 JSONL snapshot stream (emit.go) — and a
-// stabilization-health detector over scraped series (health.go).
+// Package telemetry is the cluster telemetry plane, the one place live
+// components report (the obs event stream is the state-model engine's
+// execution trace only): a zero-allocation metrics registry that the
+// protocol layers (msgpass, transport, load) update from their hot paths,
+// plus the two export surfaces every consumer scrapes — Prometheus text
+// exposition (prom.go) and a self-describing ssmfp-telemetry/v1 JSONL
+// snapshot stream (emit.go) — and a stabilization-health detector over
+// scraped series (health.go).
 //
-// The contract mirrors the obs bus's: all registration happens at setup
-// time (Registry methods take a lock and may allocate), while every
-// hot-path update — Counter.Inc, Gauge.Add, metrics.AtomicHist.Observe —
-// is a handful of atomic operations with zero heap allocations, so the
-// `make bench-allocs` gate holds with telemetry always on. There is no
-// "disabled" mode: msgpass owns a registry unconditionally, and an
-// un-scraped registry costs exactly those atomics.
+// All registration happens at setup time (Registry methods take a lock
+// and may allocate), while every hot-path update — Counter.Inc,
+// Gauge.Add, metrics.AtomicHist.Observe — is a handful of atomic
+// operations with zero heap allocations, so the `make bench-allocs` gate
+// holds with telemetry always on. There is no "disabled" mode: msgpass
+// owns a registry unconditionally, and an un-scraped registry costs
+// exactly those atomics.
 //
 // Histograms are metrics.AtomicHist: they accumulate into the log-linear
 // bucket layout of metrics.LatencyHist (≤12.5% relative quantile error)
 // and snapshot into one, so node-side component histograms and the load
 // collector's end-to-end histogram quantile and merge identically.
 //
-// The package sits beside msgpass: it may import internal/metrics and
-// internal/obs only.
+// The package sits beside msgpass: it may import internal/metrics only.
 package telemetry
 
 import (

@@ -106,8 +106,8 @@ func NamesFromHeader(h obs.Header) map[graph.ProcessID]string {
 // the initial configuration). Streams containing fault injections are
 // rejected: a fault corrupts state arbitrarily and is recorded by
 // reference only, so the configurations after it cannot be reconstructed.
-// Engine-domain streams only — wall-clock (msgpass) events carry no step
-// structure to frame. Trailing events of a step the stream truncates
+// Every event of the stream comes from a state-model engine, so each sits
+// at a step of the recorded execution. Trailing events of a step the stream truncates
 // before its step marker are dropped, matching a live recording stopped
 // mid-run.
 func ReplayFrames(r *Renderer, h obs.Header, events []obs.Event, dest graph.ProcessID) ([]Frame, error) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 )
 
 // PartitionWindow schedules a network partition: for the half-open
@@ -58,9 +57,6 @@ type ChaosOptions struct {
 	BandwidthBps int
 	// Partitions schedules cut/heal windows.
 	Partitions []PartitionWindow
-	// Bus, when non-nil, receives KindWire events for partition cuts and
-	// heals (wall-clock domain, Step/Round −1).
-	Bus *obs.Bus
 }
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
@@ -86,63 +82,18 @@ type Chaos struct {
 
 	mu     sync.Mutex
 	links  map[[2]graph.ProcessID]*chaosLink
-	timers map[*time.Timer]struct{}
 	closed bool
 }
 
 // NewChaos wraps inner with impairment.
 func NewChaos(inner Transport, opts ChaosOptions) *Chaos {
-	c := &Chaos{
-		inner:  inner,
-		opts:   opts.withDefaults(),
-		start:  time.Now(),
-		done:   make(chan struct{}),
-		links:  make(map[[2]graph.ProcessID]*chaosLink),
-		timers: make(map[*time.Timer]struct{}),
+	return &Chaos{
+		inner: inner,
+		opts:  opts.withDefaults(),
+		start: time.Now(),
+		done:  make(chan struct{}),
+		links: make(map[[2]graph.ProcessID]*chaosLink),
 	}
-	if c.opts.Bus != nil {
-		for _, w := range c.opts.Partitions {
-			c.announcePartition(w)
-		}
-	}
-	return c
-}
-
-// announcePartition schedules the cut and heal wire events for one window.
-func (c *Chaos) announcePartition(w PartitionWindow) {
-	publish := func(detail string) func() {
-		return func() {
-			for _, e := range w.Edges {
-				c.opts.Bus.Publish(obs.Event{
-					Kind: obs.KindWire, Step: -1, Round: -1,
-					From: e[0], To: e[1], Detail: detail,
-				})
-			}
-		}
-	}
-	c.after(w.Start, publish("chaos: partition cut"))
-	c.after(w.Start+w.Duration, publish("chaos: partition heal"))
-}
-
-// after schedules fn on the chaos clock; the timer is tracked so Close
-// can cancel it.
-func (c *Chaos) after(d time.Duration, fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		c.mu.Lock()
-		delete(c.timers, t)
-		dead := c.closed
-		c.mu.Unlock()
-		if !dead {
-			fn()
-		}
-	})
-	c.timers[t] = struct{}{}
 }
 
 // Link returns the impaired view of the inner directed link from→to.
@@ -217,18 +168,13 @@ func (c *Chaos) Stats() Stats {
 	return s
 }
 
-// Close stops the link dispatchers, cancels pending announcement timers
-// and closes the inner transport.
+// Close stops the link dispatchers and closes the inner transport.
 func (c *Chaos) Close() error {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
 		close(c.done)
 	}
-	for t := range c.timers {
-		t.Stop()
-	}
-	c.timers = map[*time.Timer]struct{}{}
 	c.mu.Unlock()
 	return c.inner.Close()
 }
@@ -401,7 +347,7 @@ func (l *chaosLink) heapLess(i, j int) bool {
 // dispatch is the link's release goroutine: it sleeps until the earliest
 // due instant and forwards frames to the inner link in due order. It
 // lives until the transport closes; undelivered frames at close are
-// dropped, like the cancelled timers before it.
+// dropped.
 func (l *chaosLink) dispatch() {
 	for {
 		l.mu.Lock()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
-	"ssmfp/internal/obs"
 )
 
 // TCPOptions configures a node-scoped TCP transport.
@@ -41,9 +40,6 @@ type TCPOptions struct {
 	DialTimeout time.Duration
 	// Seed drives the backoff jitter.
 	Seed int64
-	// Bus, when non-nil, receives KindWire events for dials, redials and
-	// accepted connections (wall-clock domain, Step/Round −1).
-	Bus *obs.Bus
 	// Dial, when non-nil, replaces net.DialTimeout for outbound
 	// connections — how a secure wrapper substitutes a TLS client
 	// handshake without re-implementing the writer's reconnect logic.
@@ -327,15 +323,6 @@ func (t *TCP) untrack(c net.Conn) {
 	c.Close()
 }
 
-func (t *TCP) observe(detail string, from, to graph.ProcessID) {
-	if b := t.opts.Bus; b.Active() {
-		b.Publish(obs.Event{
-			Kind: obs.KindWire, Step: -1, Round: -1,
-			Proc: t.opts.Local, From: from, To: to, Detail: detail,
-		})
-	}
-}
-
 // acceptLoop serves inbound connections; each gets a reader goroutine
 // that writes frames from configured neighbors into the inbox.
 func (t *TCP) acceptLoop() {
@@ -354,7 +341,6 @@ func (t *TCP) acceptLoop() {
 			continue
 		}
 		t.track(conn)
-		t.observe("tcp: accept "+conn.RemoteAddr().String(), t.opts.Local, t.opts.Local)
 		t.wg.Add(1)
 		go t.readLoop(conn)
 	}
@@ -431,9 +417,6 @@ func (t *TCP) writer(sl *tcpSendLink, rng *rand.Rand) {
 			t.dials.Add(1)
 			if everConnected {
 				t.redials.Add(1)
-				t.observe("tcp: redial "+t.peerAddr(sl.peer), t.opts.Local, sl.peer)
-			} else {
-				t.observe("tcp: dial "+t.peerAddr(sl.peer), t.opts.Local, sl.peer)
 			}
 			c, err := t.dial(t.peerAddr(sl.peer))
 			if err == nil {

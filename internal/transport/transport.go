@@ -27,8 +27,10 @@
 //     genuine reordering, bandwidth caps, and scheduled partition/heal
 //     windows.
 //
-// The package sits below msgpass and may import only internal/graph and
-// internal/obs (for wall-clock wire events, Step/Round = −1).
+// The package sits below msgpass and may import only internal/graph. A
+// transport reports through its Stats counters (dials, redials, frames,
+// drops), which the live node exports on its telemetry plane (/metrics);
+// it publishes no events.
 package transport
 
 import (
@@ -91,7 +93,7 @@ const (
 	KindCancelAck
 )
 
-// String names the kind for stats and wire events.
+// String names the kind for stats and telemetry labels.
 func (k FrameKind) String() string {
 	switch k {
 	case KindDV:
@@ -205,6 +207,7 @@ type Transport interface {
 	// with the wrapped backend's).
 	Stats() Stats
 	// Close shuts the transport down: goroutines stop, sockets close,
-	// pending impairment timers are cancelled. Frames in flight are lost.
+	// frames held back by impairment are dropped. Frames in flight are
+	// lost.
 	Close() error
 }

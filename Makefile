@@ -34,16 +34,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path benchmarks the zero-allocation gate covers: the sender-side
-# wire handoff, the full receiver-side delivery path, and the telemetry
-# registry's counter/gauge/histogram update path.
-ALLOC_BENCHES ?= BenchmarkSendHotPathParallel|BenchmarkDeliveryHotPath|BenchmarkTelemetryHotPath
+# wire handoff, the full receiver-side delivery path, the telemetry
+# registry's counter/gauge/histogram update path, and the load
+# collector's delivery hook.
+ALLOC_BENCHES ?= BenchmarkSendHotPathParallel|BenchmarkDeliveryHotPath|BenchmarkTelemetryHotPath|BenchmarkCollectorObserve
 
 # Zero-allocation gate (tier-1 CI): the live-network hot-path benchmarks
 # must report exactly 0 allocs/op. Any regression — a payload copy, an
 # event built outside the Active() guard, a pooled buffer dropped on the
 # floor — fails this target before it can blunt the saturation knee.
 bench-allocs:
-	@out=$$($(GO) test -run '^$$' -bench '$(ALLOC_BENCHES)' -benchmem -benchtime 2000x ./internal/msgpass/ ./internal/telemetry/); \
+	@out=$$($(GO) test -run '^$$' -bench '$(ALLOC_BENCHES)' -benchmem -benchtime 2000x ./internal/msgpass/ ./internal/telemetry/ ./internal/load/); \
 	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
 	echo "$$out" | awk '/allocs\/op/ { if ($$(NF-1)+0 > 0) { bad=1; print "FAIL: " $$1 " reports " $$(NF-1) " allocs/op, want 0" } } \
 		END { if (bad) exit 1; print "bench-allocs: all hot-path benchmarks at 0 allocs/op" }'

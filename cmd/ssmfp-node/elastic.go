@@ -13,6 +13,7 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
+	"ssmfp/internal/spec"
 )
 
 // runElastic is the churn judge: the -spawn launcher's elastic sibling.
@@ -217,7 +218,7 @@ func runElastic(cfg config) error {
 	if verr != nil {
 		badf("%v", verr)
 	}
-	violations = append(violations, harness.Verdict(sent, delivered)...)
+	violations = append(violations, spec.Fold(sent, delivered).Lines...)
 
 	// Final control-plane coherence: every surviving node at the console's
 	// epoch, membership = base + 2 joiners - 1 drained, no status errors.
@@ -278,14 +279,14 @@ func buildTopo(slots int, edges [][2]graph.ProcessID) (*graph.Graph, error) {
 // streams append from their own goroutines.
 type ledger struct {
 	mu   sync.Mutex
-	sent []harness.Sent
+	sent []spec.Sent
 }
 
 // add records one accepted injection and returns its records.
-func (l *ledger) add(payload string, dst graph.ProcessID, uids []uint64) []harness.Sent {
-	batch := make([]harness.Sent, len(uids))
+func (l *ledger) add(payload string, dst graph.ProcessID, uids []uint64) []spec.Sent {
+	batch := make([]spec.Sent, len(uids))
 	for i, uid := range uids {
-		batch[i] = harness.Sent{Key: harness.Key{Payload: payload, UID: uid}, Dst: dst}
+		batch[i] = spec.Sent{Key: spec.Key{Payload: payload, UID: uid}, Dst: dst}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -298,11 +299,11 @@ func (l *ledger) add(payload string, dst graph.ProcessID, uids []uint64) []harne
 // have left), or the timeout passes. It returns every delivery record of
 // the last poll, cached ones included; a timeout error says how much of
 // sent arrived and names the last failed poll, if any.
-func collectDeliveries(nodes map[graph.ProcessID]*cluster.HTTPClient, cached []harness.Delivered,
-	sent []harness.Sent, timeout time.Duration) ([]harness.Delivered, error) {
+func collectDeliveries(nodes map[graph.ProcessID]*cluster.HTTPClient, cached []spec.Delivered,
+	sent []spec.Sent, timeout time.Duration) ([]spec.Delivered, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		all := append([]harness.Delivered(nil), cached...)
+		all := append([]spec.Delivered(nil), cached...)
 		var lastErr error
 		for id, hc := range nodes {
 			ds, err := hc.Deliveries()
@@ -311,19 +312,10 @@ func collectDeliveries(nodes map[graph.ProcessID]*cluster.HTTPClient, cached []h
 				continue
 			}
 			for _, d := range ds {
-				all = append(all, harness.Delivered{Key: harness.Key{Payload: d.Payload, UID: d.UID}, At: d.At, Valid: d.Valid})
+				all = append(all, spec.Delivered{Key: spec.Key{Payload: d.Payload, UID: d.UID}, At: d.At, Valid: d.Valid})
 			}
 		}
-		seen := make(map[harness.Key]bool, len(all))
-		for _, d := range all {
-			seen[d.Key] = seen[d.Key] || d.Valid
-		}
-		arrived := 0
-		for _, s := range sent {
-			if seen[s.Key] {
-				arrived++
-			}
-		}
+		arrived := len(sent) - len(spec.Fold(sent, all).Lost)
 		if arrived == len(sent) && lastErr == nil {
 			return all, nil
 		}

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"ssmfp/internal/graph"
 	"ssmfp/internal/harness"
 	"ssmfp/internal/secure"
+	"ssmfp/internal/spec"
 	"ssmfp/internal/telemetry"
 )
 
@@ -17,10 +19,18 @@ var judgeShares = map[int]int{0: 1, 1: 1, 2: 1}
 
 func judgeReports() []harness.Report {
 	return []harness.Report{
-		{ID: 0, Sent: []harness.SentRec{{UID: 10, Dst: 1}}, Delivered: []harness.DelivRec{{UID: 30, Src: 2, Valid: true}}},
-		{ID: 1, Sent: []harness.SentRec{{UID: 20, Dst: 2}}, Delivered: []harness.DelivRec{{UID: 10, Src: 0, Valid: true}}},
-		{ID: 2, Sent: []harness.SentRec{{UID: 30, Dst: 0}}, Delivered: []harness.DelivRec{{UID: 20, Src: 1, Valid: true}}},
+		{ID: 0, Sent: []spec.Sent{sent(10, 1)}, Delivered: []spec.Delivered{delivered(30, 0, true)}},
+		{ID: 1, Sent: []spec.Sent{sent(20, 2)}, Delivered: []spec.Delivered{delivered(10, 1, true)}},
+		{ID: 2, Sent: []spec.Sent{sent(30, 0)}, Delivered: []spec.Delivered{delivered(20, 2, true)}},
 	}
+}
+
+func sent(uid uint64, dst graph.ProcessID) spec.Sent {
+	return spec.Sent{Key: spec.Key{UID: uid}, Dst: dst}
+}
+
+func delivered(uid uint64, at graph.ProcessID, valid bool) spec.Delivered {
+	return spec.Delivered{Key: spec.Key{UID: uid}, At: at, Valid: valid}
 }
 
 var judgeLedger = secure.RogueCounts{Handshake: 2, Role: 3, Sender: 4, Membership: 5}
@@ -73,14 +83,14 @@ func TestJudgeFlagsEachViolation(t *testing.T) {
 			rs[2].Delivered = nil
 		}},
 		{name: "unknown uid", want: "node 0 delivered unknown uid 99", report: func(rs []harness.Report) {
-			rs[0].Delivered = append(rs[0].Delivered, harness.DelivRec{UID: 99, Src: 1, Valid: true})
+			rs[0].Delivered = append(rs[0].Delivered, delivered(99, 0, true))
 		}},
-		{name: "invalid delivery", want: "node 0 delivered invalid uid 77", report: func(rs []harness.Report) {
-			rs[0].Delivered = append(rs[0].Delivered, harness.DelivRec{UID: 77, Src: 1})
+		{name: "invalid delivery", want: "destination 0 received 1 invalid deliveries, bound is 0", report: func(rs []harness.Report) {
+			rs[0].Delivered = append(rs[0].Delivered, delivered(77, 0, false))
 		}},
 		{name: "send count off plan", want: "node 0 sent 2 messages, plan says 1", report: func(rs []harness.Report) {
-			rs[0].Sent = append(rs[0].Sent, harness.SentRec{UID: 11, Dst: 1})
-			rs[1].Delivered = append(rs[1].Delivered, harness.DelivRec{UID: 11, Src: 0, Valid: true})
+			rs[0].Sent = append(rs[0].Sent, sent(11, 1))
+			rs[1].Delivered = append(rs[1].Delivered, delivered(11, 1, true))
 		}},
 		{name: "ledger over by one", want: `reason "handshake" counted 3 rejections, rogue ledger says 2`, counts: func(c map[string]float64) {
 			c[secure.ReasonHandshake]++

@@ -52,6 +52,7 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
+	"ssmfp/internal/spec"
 	"ssmfp/internal/transport"
 )
 
@@ -367,7 +368,7 @@ func runNode(cfg config) error {
 		}
 	}
 	expected := 0
-	var sent []harness.SentRec
+	var sent []spec.Sent
 	start := time.Now()
 	for i, e := range plan {
 		if e.Dst == local {
@@ -402,7 +403,7 @@ func runNode(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("send %d->%d: %w", e.Src, e.Dst, err)
 		}
-		sent = append(sent, harness.SentRec{UID: uid, Dst: int(e.Dst)})
+		sent = append(sent, spec.Sent{Key: spec.Key{UID: uid}, Dst: e.Dst})
 	}
 	sendWindow := time.Since(start)
 

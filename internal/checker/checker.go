@@ -21,6 +21,7 @@ import (
 	"ssmfp/internal/core"
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
+	"ssmfp/internal/spec"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -33,40 +34,33 @@ type Delivery struct {
 }
 
 // Tracker folds the generation (R1), hop (R3) and delivery (R6) events of
-// one execution into per-message timelines and answers specification
-// questions about them. Create with New, register with Attach before
-// running the engine, and optionally RecordInitial the initial
-// configuration so the invalid messages present at start are counted.
-// Only messages seen generated get a timeline: initial garbage and
-// fault-injected messages have no lifecycle start.
+// one execution into per-message timelines, and feeds generations and
+// deliveries to a spec.Ledger bounded by Proposition 4's 2n invalid
+// deliveries per destination, which answers the specification
+// questions. Create with New, register with Attach before running the
+// engine, and optionally RecordInitial the initial configuration so the
+// invalid messages present at start are counted. Only messages seen
+// generated get a timeline: initial garbage and fault-injected messages
+// have no lifecycle start.
 type Tracker struct {
-	g       *graph.Graph
 	initial int // distinct invalid messages present at start
 
-	timelines  map[uint64]*Timeline // generated UID -> its lifecycle
-	order      []*Timeline          // the timelines in generation order
+	order      []*Timeline // the timelines in generation order, indexed as the ledger's keys
 	deliveries []Delivery
-	delivered  map[uint64]int // valid UID -> delivery count
-
-	violations  []violation
-	compromised map[uint64]bool // UIDs invalidated by an injected fault
-}
-
-// violation is a recorded specification breach; uid == 0 means not
-// attributable to one message.
-type violation struct {
-	uid uint64
-	msg string
+	ledger     *spec.Ledger
 }
 
 // New returns a Tracker for executions on g.
 func New(g *graph.Graph) *Tracker {
-	return &Tracker{
-		g:           g,
-		timelines:   make(map[uint64]*Timeline),
-		delivered:   make(map[uint64]int),
-		compromised: make(map[uint64]bool),
+	return &Tracker{ledger: spec.New(2 * g.N())}
+}
+
+// timeline returns uid's lifecycle, or nil if it was never generated.
+func (t *Tracker) timeline(uid uint64) *Timeline {
+	if i, ok := t.ledger.Index(spec.Key{UID: uid}); ok {
+		return t.order[i]
 	}
+	return nil
 }
 
 // RecordInitial counts the distinct invalid messages occupying buffers
@@ -82,36 +76,21 @@ func (t *Tracker) Attach(e *sm.Engine) { e.Subscribe(t.observe) }
 func (t *Tracker) observe(ev sm.Event) {
 	switch ev.Kind {
 	case obs.KindGenerate:
-		uid := ev.Msg.UID
-		if _, dup := t.timelines[uid]; dup {
-			t.violations = append(t.violations, violation{uid, fmt.Sprintf("UID %d generated twice", uid)})
-			return
+		if t.ledger.Sent(spec.Key{UID: ev.Msg.UID}, ev.Dest) == len(t.order) {
+			t.order = append(t.order, &Timeline{
+				UID: ev.Msg.UID, Src: ev.Proc, Dest: ev.Dest, Payload: ev.Msg.Payload,
+				GenStep: ev.Step, GenRound: ev.Round,
+			})
 		}
-		tl := &Timeline{
-			UID: uid, Src: ev.Proc, Dest: ev.Dest, Payload: ev.Msg.Payload,
-			GenStep: ev.Step, GenRound: ev.Round,
-		}
-		t.timelines[uid] = tl
-		t.order = append(t.order, tl)
 	case obs.KindForward:
-		if tl := t.timelines[ev.Msg.UID]; tl != nil {
+		if tl := t.timeline(ev.Msg.UID); tl != nil {
 			tl.Hops = append(tl.Hops, Hop{From: ev.From, To: ev.Proc, Step: ev.Step, Round: ev.Round})
 		}
 	case obs.KindDeliver:
 		msg := (*core.Message)(ev.Msg)
 		t.deliveries = append(t.deliveries, Delivery{Msg: msg, At: ev.Proc, Step: ev.Step, Round: ev.Round})
-		if ev.Proc != msg.Dest {
-			t.violations = append(t.violations,
-				violation{msg.UID, fmt.Sprintf("UID %d delivered at %d, destination is %d", msg.UID, ev.Proc, msg.Dest)})
-		}
-		if msg.Valid {
-			t.delivered[msg.UID]++
-			if t.delivered[msg.UID] > 1 {
-				t.violations = append(t.violations,
-					violation{msg.UID, fmt.Sprintf("valid UID %d delivered %d times (duplication)", msg.UID, t.delivered[msg.UID])})
-			}
-		}
-		if tl := t.timelines[msg.UID]; tl != nil {
+		t.ledger.Delivered(spec.Key{UID: msg.UID}, ev.Proc, msg.Valid)
+		if tl := t.timeline(msg.UID); tl != nil {
 			tl.Deliveries++
 			if !tl.Delivered {
 				tl.Delivered, tl.DeliverStep, tl.DeliverRound = true, ev.Step, ev.Round
@@ -127,36 +106,20 @@ func (t *Tracker) GeneratedCount() int { return len(t.order) }
 func (t *Tracker) Deliveries() []Delivery { return t.deliveries }
 
 // DeliveredValid returns how many distinct valid messages were delivered.
-func (t *Tracker) DeliveredValid() int {
-	n := 0
-	for _, tl := range t.order {
-		if t.delivered[tl.UID] > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (t *Tracker) DeliveredValid() int { return t.ledger.Verdict().Delivered }
 
 // InvalidDeliveredPerDest returns, per destination, how many invalid
 // deliveries occurred (counting repeats: the Proposition 4 bound is on
 // deliveries, not distinct messages).
 func (t *Tracker) InvalidDeliveredPerDest() map[graph.ProcessID]int {
-	out := make(map[graph.ProcessID]int)
-	for _, d := range t.deliveries {
-		if !d.Msg.Valid {
-			out[d.At]++
-		}
-	}
-	return out
+	return t.ledger.Verdict().Invalid
 }
 
 // InvalidDeliveredTotal returns the total number of invalid deliveries.
 func (t *Tracker) InvalidDeliveredTotal() int {
 	n := 0
-	for _, d := range t.deliveries {
-		if !d.Msg.Valid {
-			n++
-		}
+	for _, c := range t.ledger.Verdict().Invalid {
+		n += c
 	}
 	return n
 }
@@ -168,33 +131,24 @@ func (t *Tracker) InvalidDeliveredTotal() int {
 // internal/faults). Idempotent.
 func (t *Tracker) MarkCompromised(uids ...uint64) {
 	for _, uid := range uids {
-		t.compromised[uid] = true
+		t.ledger.Void(spec.Key{UID: uid})
 	}
 }
 
 // Compromised reports how many tracked messages a fault invalidated.
-func (t *Tracker) Compromised() int { return len(t.compromised) }
+func (t *Tracker) Compromised() int { return t.ledger.Verdict().Voided }
 
 // AllValidDelivered reports whether every generated, non-compromised
 // message has been delivered (at least once; duplications are reported
 // separately).
-func (t *Tracker) AllValidDelivered() bool {
-	for _, tl := range t.order {
-		if t.delivered[tl.UID] == 0 && !t.compromised[tl.UID] {
-			return false
-		}
-	}
-	return true
-}
+func (t *Tracker) AllValidDelivered() bool { return len(t.ledger.Verdict().Lost) == 0 }
 
 // UndeliveredValid lists the UIDs of generated messages not yet delivered,
 // sorted for stable output.
 func (t *Tracker) UndeliveredValid() []uint64 {
 	var out []uint64
-	for _, tl := range t.order {
-		if t.delivered[tl.UID] == 0 && !t.compromised[tl.UID] {
-			out = append(out, tl.UID)
-		}
+	for _, s := range t.ledger.Verdict().Lost {
+		out = append(out, s.UID)
 	}
 	slices.Sort(out)
 	return out
@@ -216,8 +170,8 @@ func (t *Tracker) CheckNoLoss(cfg []sm.State) error {
 			}
 		}
 	}
-	for _, tl := range t.order {
-		if t.delivered[tl.UID] == 0 && !present[tl.UID] && !t.compromised[tl.UID] {
+	for _, s := range t.ledger.Verdict().Lost {
+		if tl := t.timeline(s.UID); !present[s.UID] {
 			return fmt.Errorf("checker: valid message %d (%s, %d→%d) lost: undelivered and absent from all buffers",
 				tl.UID, tl.Payload, tl.Src, tl.Dest)
 		}
@@ -225,33 +179,14 @@ func (t *Tracker) CheckNoLoss(cfg []sm.State) error {
 	return nil
 }
 
-// Violations returns every specification violation observed so far:
-// duplicate deliveries of valid messages, deliveries at wrong destinations,
-// duplicate generations, plus (computed on demand) Proposition 4 breaches —
-// more than 2n invalid deliveries to one destination, listed by
-// destination.
-func (t *Tracker) Violations() []string {
-	var out []string
-	for _, v := range t.violations {
-		if v.uid != 0 && t.compromised[v.uid] {
-			continue
-		}
-		out = append(out, v.msg)
-	}
-	bound := 2 * t.g.N()
-	perDest := t.InvalidDeliveredPerDest()
-	dests := make([]graph.ProcessID, 0, len(perDest))
-	for d := range perDest {
-		dests = append(dests, d)
-	}
-	slices.Sort(dests)
-	for _, d := range dests {
-		if c := perDest[d]; c > bound {
-			out = append(out, fmt.Sprintf("destination %d received %d invalid deliveries, bound is 2n=%d", d, c, bound))
-		}
-	}
-	return out
-}
+// Violations returns the specification violations observed so far, in
+// stream order — duplicate generations, deliveries away from the
+// destination, duplicate or unknown valid deliveries; past the ledger's
+// cap, one line counts the rest — then every destination over
+// Proposition 4's 2n invalid deliveries, ascending.
+// Messages not yet delivered are not violations here; UndeliveredValid
+// lists them.
+func (t *Tracker) Violations() []string { return t.ledger.Breaches() }
 
 // LatencySteps returns, for every delivered valid message, the number of
 // steps between generation and (first) delivery.

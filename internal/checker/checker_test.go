@@ -11,6 +11,8 @@ import (
 	"ssmfp/internal/daemon"
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
+	"ssmfp/internal/spec"
+	"ssmfp/internal/spec/spectest"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -57,7 +59,7 @@ func TestWrongDestinationDetected(t *testing.T) {
 	m := gen(tr, 1, 0, 3, 0)
 	deliver(tr, m, 2, 10) // wrong processor
 	v := tr.Violations()
-	if len(v) != 1 || !strings.Contains(v[0], "destination") {
+	if len(v) != 1 || !strings.Contains(v[0], "addressed to 3") {
 		t.Fatalf("violations = %v", v)
 	}
 }
@@ -67,7 +69,7 @@ func TestDoubleGenerationDetected(t *testing.T) {
 	gen(tr, 1, 0, 3, 0)
 	gen(tr, 1, 0, 3, 5)
 	v := tr.Violations()
-	if len(v) != 1 || !strings.Contains(v[0], "generated twice") {
+	if len(v) != 1 || !strings.Contains(v[0], "sent twice") {
 		t.Fatalf("violations = %v", v)
 	}
 }
@@ -106,7 +108,7 @@ func TestInvalidDeliveryAccounting(t *testing.T) {
 		deliver(tr, inv, 2, 10+i)
 	}
 	v := tr.Violations()
-	if len(v) != 1 || !strings.Contains(v[0], "bound is 2n") {
+	if len(v) != 1 || !strings.Contains(v[0], fmt.Sprintf("bound is %d", 2*g.N())) {
 		t.Fatalf("violations = %v, want Prop 4 breach", v)
 	}
 }
@@ -125,7 +127,7 @@ func TestPropFourBreachesListedByDestination(t *testing.T) {
 	}
 	var want []string
 	for d := 0; d < g.N(); d++ {
-		want = append(want, fmt.Sprintf("destination %d received %d invalid deliveries, bound is 2n=%d", d, bound+1, bound))
+		want = append(want, fmt.Sprintf("destination %d received %d invalid deliveries, bound is %d", d, bound+1, bound))
 	}
 	for run := 0; run < 20; run++ {
 		if got := tr.Violations(); !slices.Equal(got, want) {
@@ -363,4 +365,42 @@ func TestTrackerReport(t *testing.T) {
 	if r.AmortizedRoundsPerDelivery != 4.5 {
 		t.Fatalf("amortized = %v, want 4.5", r.AmortizedRoundsPerDelivery)
 	}
+}
+
+// TestTrackerCases replays the shared judge table as engine events: a
+// send is an R1 generation, a delivery an R6 consumption, a void a
+// compromised UID. The tracker's bound is Proposition 4's 2n, so cases
+// judged under another bound with invalid deliveries in them are not
+// its to run.
+func TestTrackerCases(t *testing.T) {
+	for _, c := range spectest.Cases {
+		t.Run(c.Name, func(t *testing.T) {
+			invalid := slices.ContainsFunc(c.Delivered, func(d spec.Delivered) bool { return !d.Valid })
+			if invalid && c.Bound != 2*spectest.N {
+				t.Skipf("bound %d is not the tracker's 2n", c.Bound)
+			}
+			tr := New(graph.Line(spectest.N))
+			for _, s := range c.Sent {
+				gen(tr, s.UID, 0, s.Dst, 0)
+			}
+			for _, d := range c.Delivered {
+				deliver(tr, &core.Message{Payload: "p", UID: d.UID, Dest: d.At, Valid: d.Valid}, d.At, 1)
+			}
+			tr.MarkCompromised(uidsOf(c.Void)...)
+			if got := tr.ledger.Verdict().Lines; !slices.Equal(got, c.Want) {
+				t.Fatalf("lines %q, want %q", got, c.Want)
+			}
+			if tr.AllValidDelivered() != (len(tr.UndeliveredValid()) == 0) {
+				t.Fatal("AllValidDelivered disagrees with UndeliveredValid")
+			}
+		})
+	}
+}
+
+func uidsOf(keys []spec.Key) []uint64 {
+	var out []uint64
+	for _, k := range keys {
+		out = append(out, k.UID)
+	}
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"ssmfp/internal/load"
 	"ssmfp/internal/metrics"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec"
 )
 
 // Report is the one JSON line a spawned node prints on stdout: its send
@@ -15,10 +16,10 @@ import (
 // its /metrics are served. Counters live on /metrics only; the judge
 // scrapes them there and checks them against this ledger (CheckPeaks).
 type Report struct {
-	ID        int        `json:"id"`
-	Sent      []SentRec  `json:"sent"`
-	Delivered []DelivRec `json:"delivered"`
-	Expected  int        `json:"expected"`
+	ID        int              `json:"id"`
+	Sent      []spec.Sent      `json:"sent"`
+	Delivered []spec.Delivered `json:"delivered"`
+	Expected  int              `json:"expected"`
 
 	// Achieved per-node rates, messages/second: sends over this node's
 	// injection window, valid deliveries over the span from start to the
@@ -37,29 +38,16 @@ type Report struct {
 	MetricsAddr string `json:"metricsAddr,omitempty"`
 }
 
-// SentRec is one message a node's network accepted, addressed to Dst.
-type SentRec struct {
-	UID uint64 `json:"uid"`
-	Dst int    `json:"dst"`
-}
-
-// DelivRec is one entry of a node's delivery log.
-type DelivRec struct {
-	UID   uint64 `json:"uid"`
-	Src   int    `json:"src"`
-	Valid bool   `json:"valid"`
-}
-
 // NewReport assembles node id's report from the messages it sent and its
 // delivery log. The node started its share of the plan at start and took
 // sendWindow to inject it.
-func NewReport(id int, sent []SentRec, expected int, log []msgpass.Delivery, start time.Time, sendWindow time.Duration) Report {
+func NewReport(id int, sent []spec.Sent, expected int, log []msgpass.Delivery, start time.Time, sendWindow time.Duration) Report {
 	rep := Report{ID: id, Sent: sent, Expected: expected}
 	var hist metrics.LatencyHist
 	var last time.Time
 	valid := 0
 	for _, d := range log {
-		rep.Delivered = append(rep.Delivered, DelivRec{UID: d.Msg.UID, Src: int(d.Msg.Src), Valid: d.Msg.Valid})
+		rep.Delivered = append(rep.Delivered, spec.Delivered{Key: spec.Key{UID: d.Msg.UID}, At: graph.ProcessID(id), Valid: d.Msg.Valid})
 		if !d.Msg.Valid {
 			continue
 		}
@@ -86,24 +74,25 @@ func NewReport(id int, sent []SentRec, expected int, log []msgpass.Delivery, sta
 
 // Judge checks the cross-process exactly-once promise over the nodes'
 // reports: node i sent shares[i] messages, as the shared plan says, and
-// the union of sends and deliveries passes Verdict. Spawned nodes never
-// restart, so a uid alone names a message.
+// the union of sends and deliveries passes a clean-start spec.Ledger
+// (spawned nodes start clean). A report speaks for its own node: its
+// deliveries happened there. Spawned nodes never restart, so a uid alone
+// names a message.
 func Judge(reports []Report, shares map[int]int) []string {
 	var (
 		violations []string
-		sent       []Sent
-		delivered  []Delivered
+		sent       []spec.Sent
+		delivered  []spec.Delivered
 	)
 	for _, r := range reports {
 		if len(r.Sent) != shares[r.ID] {
 			violations = append(violations, fmt.Sprintf("node %d sent %d messages, plan says %d", r.ID, len(r.Sent), shares[r.ID]))
 		}
-		for _, s := range r.Sent {
-			sent = append(sent, Sent{Key: Key{UID: s.UID}, Dst: graph.ProcessID(s.Dst)})
-		}
+		sent = append(sent, r.Sent...)
 		for _, d := range r.Delivered {
-			delivered = append(delivered, Delivered{Key: Key{UID: d.UID}, At: graph.ProcessID(r.ID), Valid: d.Valid})
+			d.At = graph.ProcessID(r.ID)
+			delivered = append(delivered, d)
 		}
 	}
-	return append(violations, Verdict(sent, delivered)...)
+	return append(violations, spec.Fold(sent, delivered).Lines...)
 }

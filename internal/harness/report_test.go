@@ -8,6 +8,7 @@ import (
 	"ssmfp/internal/load"
 	"ssmfp/internal/metrics"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec"
 	"ssmfp/internal/telemetry"
 )
 
@@ -23,12 +24,12 @@ func TestNewReport(t *testing.T) {
 		{Msg: msgpass.Message{UID: 2, Src: 0, Payload: "m-0-2", Valid: true}, Time: start.Add(time.Second)},
 		{Msg: msgpass.Message{UID: 3, Src: 1}, Time: start.Add(4 * time.Second)},
 	}
-	sent := []SentRec{{UID: 7, Dst: 1}, {UID: 8, Dst: 0}}
+	sent := []spec.Sent{{Key: spec.Key{UID: 7}, Dst: 1}, {Key: spec.Key{UID: 8}, Dst: 0}}
 	r := NewReport(2, sent, 3, log, start, 500*time.Millisecond)
 	if r.ID != 2 || r.Expected != 3 || len(r.Sent) != 2 {
 		t.Fatalf("report header %+v", r)
 	}
-	if len(r.Delivered) != 3 || r.Delivered[2] != (DelivRec{UID: 3, Src: 1}) {
+	if len(r.Delivered) != 3 || r.Delivered[2] != (spec.Delivered{Key: spec.Key{UID: 3}, At: 2}) {
 		t.Fatalf("ledger %+v", r.Delivered)
 	}
 	if r.SendRate != 4 || r.DeliverRate != 1 {
@@ -62,7 +63,7 @@ func peakSamples() []telemetry.PromSample {
 // passes, and each missing high-water mark the ledger implies yields
 // exactly its one violation.
 func TestCheckPeaks(t *testing.T) {
-	busy := Report{ID: 1, Sent: []SentRec{{UID: 1, Dst: 0}}, Delivered: []DelivRec{{UID: 9, Src: 0, Valid: true}}}
+	busy := Report{ID: 1, Sent: []spec.Sent{{Key: spec.Key{UID: 1}, Dst: 0}}, Delivered: []spec.Delivered{{Key: spec.Key{UID: 9}, At: 1, Valid: true}}}
 	zero := func(series, buf string) func([]telemetry.PromSample) {
 		return func(ss []telemetry.PromSample) {
 			for i := range ss {

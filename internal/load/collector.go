@@ -1,7 +1,6 @@
 package load
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,34 +9,22 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/metrics"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec"
 )
 
-// maxViolationDetails caps the per-violation detail strings kept in a
-// report; beyond it only counters grow.
-const maxViolationDetails = 8
-
-// expectRec is the collector's per-plan-entry state.
-type expectRec struct {
-	src, dst graph.ProcessID
-	sent     bool
-	seen     int
-}
-
-// Collector folds the delivery stream of one load step into latency and
-// exactly-once accounting. It is pre-seeded with the full injection plan,
-// marks entries as the driver sends them, and continuously cross-checks
-// every tagged delivery: unknown sequence numbers, deliveries at the
-// wrong destination, duplicates and deliveries of never-sent entries are
-// all violations the moment they happen, not at the end of the run.
+// Collector folds the delivery stream of one load step into latency
+// accounting and a clean-start spec.Ledger over the step's injection
+// plan (every load network starts clean). It is pre-seeded with the full
+// plan, marks entries as Run sends them, and feeds every delivery
+// to the ledger, which judges unknown and never-sent sequence numbers,
+// deliveries at the wrong destination, duplicates and invalid deliveries
+// as they happen.
 type Collector struct {
 	mu        sync.Mutex
-	expect    []expectRec
+	plan      []planEntry
+	ledger    *spec.Ledger
 	delivered atomic.Int64
 	warm      atomic.Int64
-	dupes     int
-	misrouted int
-	unsent    int
-	details   []string
 	hist      metrics.LatencyHist
 
 	// Latency attribution: every first delivery's end-to-end latency is
@@ -62,30 +49,27 @@ type Collector struct {
 	onComplete func(src graph.ProcessID)
 }
 
-// newCollector seeds a collector with the plan's (src, dst) pairs.
+// newCollector seeds a collector with the plan.
 func newCollector(plan []planEntry) *Collector {
-	c := &Collector{
-		expect:   make([]expectRec, len(plan)),
+	return &Collector{
+		plan:     plan,
+		ledger:   spec.NewSeq(len(plan)),
 		progress: make(chan struct{}, 1),
 	}
-	for i, e := range plan {
-		c.expect[i] = expectRec{src: e.Src, dst: e.Dst}
-	}
-	return c
 }
 
 // markSent records that plan entry seq is about to be injected. It must
 // run before the Send so a fast delivery can never race the bookkeeping.
 func (c *Collector) markSent(seq int) {
 	c.mu.Lock()
-	c.expect[seq].sent = true
+	c.ledger.SentSeq(seq, c.plan[seq].Dst)
 	c.mu.Unlock()
 }
 
 // unmarkSent rolls markSent back after a failed Send.
 func (c *Collector) unmarkSent(seq int) {
 	c.mu.Lock()
-	c.expect[seq].sent = false
+	c.ledger.UnsentSeq(seq)
 	c.mu.Unlock()
 }
 
@@ -123,12 +107,15 @@ func (c *Collector) waitUntil(cond func() bool, deadline time.Time) bool {
 	}
 }
 
-// observe folds one delivery. Invalid messages (planted junk from
-// corrupted starts) and untagged payloads are not load traffic and are
-// ignored; a plan entry whose tag did not survive is caught by finish as
-// never delivered.
+// observe folds one delivery. Untagged valid payloads are not load
+// traffic and are ignored; a plan entry whose tag did not survive is
+// judged never delivered. A tag that disagrees with the plan's source or
+// destination for its sequence number names no planned message.
 func (c *Collector) observe(d msgpass.Delivery) {
 	if !d.Msg.Valid {
+		c.mu.Lock()
+		c.ledger.DeliveredSeq(-1, d.At, false)
+		c.mu.Unlock()
 		return
 	}
 	if strings.HasPrefix(d.Msg.Payload, warmupPrefix) {
@@ -142,38 +129,26 @@ func (c *Collector) observe(d msgpass.Delivery) {
 	}
 	var complete func(graph.ProcessID)
 	c.mu.Lock()
-	switch {
-	case seq < 0 || seq >= len(c.expect):
-		c.misrouted++
-		c.detail("delivery of unknown seq %d at %d", seq, d.At)
-	case !c.expect[seq].sent:
-		c.unsent++
-		c.detail("delivery of never-sent seq %d at %d", seq, d.At)
-	default:
-		rec := &c.expect[seq]
-		if d.At != rec.dst || dst != rec.dst || src != rec.src {
-			c.misrouted++
-			c.detail("seq %d delivered at %d, want %d", seq, d.At, rec.dst)
+	var n int
+	if seq >= 0 && seq < len(c.plan) && (c.plan[seq].Src != src || c.plan[seq].Dst != dst) {
+		n = c.ledger.Delivered(spec.Key{UID: uint64(seq)}, d.At, true)
+	} else {
+		n = c.ledger.DeliveredSeq(seq, d.At, true)
+	}
+	if n == 1 {
+		e2e := d.Time.UnixNano() - sched
+		c.hist.Add(e2e)
+		hold, _ := ParseTagHold(d.Msg.Payload)
+		deliver := d.DeliverWaitNS
+		wire := e2e - hold - deliver
+		if wire < 0 {
+			wire = 0
 		}
-		rec.seen++
-		if rec.seen > 1 {
-			c.dupes++
-			c.detail("seq %d delivered %d times", seq, rec.seen)
-		} else {
-			e2e := d.Time.UnixNano() - sched
-			c.hist.Add(e2e)
-			hold, _ := ParseTagHold(d.Msg.Payload)
-			deliver := d.DeliverWaitNS
-			wire := e2e - hold - deliver
-			if wire < 0 {
-				wire = 0
-			}
-			c.holdHist.Add(hold)
-			c.deliverHist.Add(deliver)
-			c.wireHist.Add(wire)
-			c.delivered.Add(1)
-			complete = c.onComplete
-		}
+		c.holdHist.Add(hold)
+		c.deliverHist.Add(deliver)
+		c.wireHist.Add(wire)
+		c.delivered.Add(1)
+		complete = c.onComplete
 	}
 	c.mu.Unlock()
 	c.signal()
@@ -182,34 +157,18 @@ func (c *Collector) observe(d msgpass.Delivery) {
 	}
 }
 
-func (c *Collector) detail(format string, args ...any) {
-	if len(c.details) < maxViolationDetails {
-		c.details = append(c.details, fmt.Sprintf(format, args...))
-	}
-}
-
 // Delivered returns the number of distinct plan entries delivered so far;
 // safe without the lock (the progress ticker reads it concurrently).
 func (c *Collector) Delivered() int { return int(c.delivered.Load()) }
 
-// finish closes the books after the drain window: it counts entries that
-// were sent but never delivered and returns the step's verdict. sent is
-// the driver's count of successful Sends.
+// finish closes the books after the drain window and returns the step's
+// verdict: the ledger's, and every one of sent (Run's count of
+// successful Sends) delivered.
 func (c *Collector) finish(sent int) (exactlyOnce bool, violations []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	missing := 0
-	for seq := range c.expect {
-		if c.expect[seq].sent && c.expect[seq].seen == 0 {
-			missing++
-			c.detail("seq %d sent but never delivered", seq)
-		}
-	}
-	total := c.dupes + c.misrouted + c.unsent + missing
-	if total > len(c.details) {
-		c.details = append(c.details, fmt.Sprintf("... and %d more violations", total-len(c.details)))
-	}
-	return total == 0 && c.Delivered() == sent, c.details
+	v := c.ledger.Verdict()
+	return v.OK() && c.Delivered() == sent, v.Lines
 }
 
 // Hist returns the latency histogram; call only after the run is drained

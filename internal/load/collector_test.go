@@ -1,10 +1,14 @@
 package load
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec/spectest"
 )
 
 // TestDrainWakesPromptlyOnDelivery pins the event-driven drain contract
@@ -82,7 +86,83 @@ func TestCollectorJudgesForeignTagAsMissing(t *testing.T) {
 		})
 	}
 	ok, violations := col.finish(2)
-	if ok || len(violations) != 1 || violations[0] != "seq 1 sent but never delivered" {
+	if ok || len(violations) != 1 || violations[0] != "seq 1 (for node 1) never delivered" {
 		t.Fatalf("verdict ok=%v, violations %q; want exactly seq 1 missing", ok, violations)
+	}
+}
+
+// TestCollectorCases replays the shared judge table through observe: a
+// case's UIDs are its plan's sequence numbers, a send is markSent, a
+// valid delivery carries the plan entry's tag and an invalid one junk.
+// The collector voids no message and judges a clean start, so the voided
+// case and the cases with another invalid-delivery bound are not its to
+// run.
+func TestCollectorCases(t *testing.T) {
+	for _, c := range spectest.Cases {
+		t.Run(c.Name, func(t *testing.T) {
+			if len(c.Void) > 0 || c.Bound != 0 {
+				t.Skip("the collector voids no message and allows no invalid delivery")
+			}
+			var plan []planEntry
+			for _, s := range c.Sent {
+				if int(s.UID) == len(plan) {
+					plan = append(plan, planEntry{Src: (s.Dst + 1) % spectest.N, Dst: s.Dst})
+				}
+			}
+			col := newCollector(plan)
+			for _, s := range c.Sent {
+				col.markSent(int(s.UID))
+			}
+			for _, d := range c.Delivered {
+				src, dst := graph.ProcessID(0), d.At
+				if int(d.UID) < len(plan) {
+					src, dst = plan[d.UID].Src, plan[d.UID].Dst
+				}
+				payload := EncodeTag(int(d.UID), src, dst, time.Now().UnixNano())
+				if !d.Valid {
+					payload = "junk"
+				}
+				col.observe(msgpass.Delivery{Msg: msgpass.Message{Payload: payload, Valid: d.Valid}, At: d.At, Time: time.Now()})
+			}
+			ok, lines := col.finish(len(plan))
+			for i := range lines {
+				lines[i] = strings.ReplaceAll(lines[i], "seq ", "uid ") // the collector names plan entries by sequence number
+			}
+			if !slices.Equal(lines, c.Want) || ok != (len(c.Want) == 0) {
+				t.Fatalf("verdict ok=%v lines %q, want %q", ok, lines, c.Want)
+			}
+		})
+	}
+}
+
+// BenchmarkCollectorObserve is the delivery hook's per-delivery cost: a
+// first valid delivery of a sent plan entry, with its latency split into
+// the attribution histograms. make bench-allocs gates it at 0 allocs/op.
+// Each batch of plan entries gets a fresh collector, built off the clock.
+func BenchmarkCollectorObserve(b *testing.B) {
+	const batch = 4096
+	plan := make([]planEntry, batch)
+	ds := make([]msgpass.Delivery, batch)
+	now := time.Now()
+	for i := range plan {
+		plan[i] = planEntry{Src: 0, Dst: 1}
+		ds[i] = msgpass.Delivery{
+			Msg: msgpass.Message{Payload: EncodeTag(i, 0, 1, now.UnixNano()), Src: 0, Dest: 1, Valid: true},
+			At:  1, Time: now.Add(time.Millisecond), DeliverWaitNS: 1000,
+		}
+	}
+	var col *Collector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			col = newCollector(plan)
+			for seq := range plan {
+				col.markSent(seq)
+			}
+			b.StartTimer()
+		}
+		col.observe(ds[i%batch])
 	}
 }

@@ -2,6 +2,7 @@ package load_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -333,5 +334,41 @@ func TestAttributionInReport(t *testing.T) {
 	r.Normalize()
 	if r.Steps[0].Attribution != nil || r.Steps[0].Queues != (load.QueueSummary{}) {
 		t.Fatalf("Normalize left volatile telemetry: %+v", r.Steps[0])
+	}
+}
+
+// refusingNet refuses the refuse-th Send (counting from 1) and forwards
+// every other one.
+type refusingNet struct {
+	*msgpass.Network
+	refuse, calls int
+}
+
+func (r *refusingNet) Send(src graph.ProcessID, payload string, dst graph.ProcessID) (uint64, error) {
+	if r.calls++; r.calls == r.refuse {
+		return 0, errors.New("refused")
+	}
+	return r.Network.Send(src, payload, dst)
+}
+
+// TestRefusedSendIsRolledBack: when the network refuses a Send, the open
+// loop stops and the step fails on the send error alone — the entry the
+// collector had marked before the refused Send is rolled back, so it is
+// judged neither missing nor unknown.
+func TestRefusedSendIsRolledBack(t *testing.T) {
+	g := graph.Grid(2, 2)
+	nw, hook := newNet(g, msgpass.Options{Seed: 3})
+	defer nw.Stop()
+	rep, err := load.Run(&refusingNet{Network: nw, refuse: 3}, g, hook, load.Config{
+		Rate: 5000, Messages: 6, Seed: 3, DrainTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ExactlyOnce || rep.Sent != 2 || rep.Delivered != 2 {
+		t.Fatalf("exactly-once %v, sent %d, delivered %d; want false, 2, 2", rep.ExactlyOnce, rep.Sent, rep.Delivered)
+	}
+	if want := "send of seq 2 failed: refused"; len(rep.Violations) != 1 || rep.Violations[0] != want {
+		t.Fatalf("violations %q, want only %q", rep.Violations, want)
 	}
 }

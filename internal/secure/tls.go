@@ -240,8 +240,9 @@ func (s *TLS) dial(addr string, timeout time.Duration) (net.Conn, error) {
 var errUntrusted = errors.New("secure: connection identity contradicts frame sender")
 
 // gate is the transport.TCPOptions.Inbound hook — the four checks in the
-// type comment, in order.
-func (s *TLS) gate(conn net.Conn, f *transport.Frame) error {
+// type comment, in order. It asks tcp, not s.tcp, about membership: the
+// accept loop may run it before NewTLS has stored s.tcp.
+func (s *TLS) gate(tcp *transport.TCP, conn net.Conn, f *transport.Frame) error {
 	sc, ok := conn.(*serverConn)
 	if !ok || sc.id == nil {
 		s.reject(ReasonHandshake)
@@ -255,7 +256,7 @@ func (s *TLS) gate(conn net.Conn, f *transport.Frame) error {
 		s.reject(ReasonSender)
 		return errUntrusted
 	}
-	if !s.tcp.KnownSender(f.From) {
+	if !tcp.KnownSender(f.From) {
 		s.reject(ReasonMembership)
 		return transport.ErrRejectFrame
 	}

@@ -286,3 +286,54 @@ func TestDefaultPolicy(t *testing.T) {
 		t.Error("invalid kind admitted")
 	}
 }
+
+// TestNewTLSGatesFramesDuringConstruction: a peer may connect and send
+// while NewTLS is still building the transport, because the TCP accept
+// loop runs before NewTCP returns. The gate on that connection's reader
+// must ask the TCP transport it is handed, never the TLS wrapper's field
+// that NewTLS stores last. Node 2 is no neighbour of node 0 on a 3-line,
+// so its frame is rejected for membership. Run under -race.
+func TestNewTLSGatesFramesDuringConstruction(t *testing.T) {
+	ca, err := secure.GenCA("tls-construct-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Line(3)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred0, err := ca.IssueNode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred2, err := ca.IssueNode(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent, done := make(chan error, 1), make(chan struct{})
+	go func() {
+		conn, err := tls.Dial("tcp", ln.Addr().String(), secure.ClientConfig(cred2, ca.Pool()))
+		if err != nil {
+			sent <- err
+			return
+		}
+		defer conn.Close()
+		_, err = transport.WriteFrame(conn, &transport.Frame{Kind: transport.KindDV, From: 2, DV: []int{1, 1, 0}})
+		sent <- err
+		<-done // keep the connection up until the gate has judged the frame
+	}()
+	tr, err := secure.NewTLS(g, secure.TLSOptions{
+		Local: 0, Peers: map[graph.ProcessID]string{0: ln.Addr().String(), 1: "127.0.0.1:1"}, Listener: ln,
+		Cred: cred0, Pool: ca.Pool(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	defer close(done)
+	if err := <-sent; err != nil {
+		t.Fatalf("peer send: %v", err)
+	}
+	waitRejection(t, tr, secure.ReasonMembership, 1)
+}

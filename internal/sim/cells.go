@@ -114,7 +114,7 @@ var Experiments = []Experiment{
 		[]string{"topology", "SSMFP moves/msg", "classical moves/msg", "overhead"},
 		variantsOf(x2Cases), x2Cell},
 	{"x3", "E-X3: message-passing port (goroutines + channels)",
-		[]string{"configuration", "sent", "delivered", "duplicates", "wall time", "exactly once"},
+		[]string{"configuration", "sent", "delivered", "duplicates", "invalid per dest (max/bound)", "wall time", "exactly once"},
 		variantsOf(x3Cases), x3Cell},
 	{"x4", "E-X4: buffers per node — SSMFP vs destination-based vs acyclic cover (§4)",
 		[]string{"topology", "n", "SSMFP (2n)", "dest-based (n)", "acyclic cover (k)", "path stretch", "exactly once"},

@@ -6,6 +6,7 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec"
 )
 
 // x3Case is one regime of the message-passing experiment; display is
@@ -29,19 +30,28 @@ var x3Cases = []x3Case{
 
 // x3Cell exercises the message-passing port (the paper's open problem,
 // §4) in one regime on a 3x3 grid: the same exactly-once guarantee on
-// real asynchronous channels. Wall time is inherently nondeterministic
-// (real goroutines and channels); the deterministic part of the measure
-// is the delivery accounting.
+// real asynchronous channels. The delivery log is judged by a
+// spec.Ledger — destination included — that allows no invalid delivery
+// from a clean start and Proposition 4's 2n per destination from a
+// corrupted one. Wall time is inherently nondeterministic (real
+// goroutines and channels); the deterministic part of the measure is the
+// delivery accounting.
 func x3Cell(o Options, idx int) CellResult {
 	c := x3Cases[idx]
 	g := graph.Grid(3, 3)
-	nw := msgpass.New(g, c.opts(o.Seed))
+	opts := c.opts(o.Seed)
+	bound := 0
+	if opts.CorruptInit {
+		bound = 2 * g.N()
+	}
+	ledger := spec.New(bound)
+	nw := msgpass.New(g, opts)
 	nw.Start()
-	want := make(map[uint64]graph.ProcessID)
-	for src := 0; src < g.N(); src++ {
+	sent := g.N()
+	for src := 0; src < sent; src++ {
 		dst := graph.ProcessID((src + 4) % g.N())
 		uid, _ := nw.Send(graph.ProcessID(src), fmt.Sprintf("x3-%s-%d", c.display, src), dst)
-		want[uid] = dst
+		ledger.Sent(spec.Key{UID: uid}, dst)
 	}
 	start := time.Now()
 	// Wait for all valid deliveries (invalid planted junk also flows).
@@ -51,41 +61,35 @@ func x3Cell(o Options, idx int) CellResult {
 			break
 		}
 		valid := 0
-		for _, d := range nw.Deliveries() {
+		nw.EachDelivery(func(d *msgpass.Delivery) {
 			if d.Msg.Valid {
 				valid++
 			}
-		}
-		if valid >= len(want) {
+		})
+		if valid >= sent {
 			break
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	wall := time.Since(start)
-	counts := make(map[uint64]int)
-	for _, d := range nw.Deliveries() {
-		if d.Msg.Valid {
-			counts[d.Msg.UID]++
-		}
-	}
 	nw.Stop()
-
-	delivered, duplicates := 0, 0
-	for uid := range want {
-		if counts[uid] >= 1 {
-			delivered++
+	duplicates, invalid := 0, 0
+	nw.EachDelivery(func(d *msgpass.Delivery) {
+		if ledger.Delivered(spec.Key{UID: d.Msg.UID}, d.At, d.Msg.Valid) > 1 {
+			duplicates++
 		}
-		if counts[uid] > 1 {
-			duplicates += counts[uid] - 1
-		}
+	})
+	v := ledger.Verdict()
+	for _, n := range v.Invalid {
+		invalid = max(invalid, n)
 	}
-	exactlyOnce := delivered == len(want) && duplicates == 0
 	return CellResult{
-		OK:   exactlyOnce,
-		Rows: [][]any{{c.display, len(want), delivered, duplicates, wall.Round(time.Millisecond).String(), exactlyOnce}},
+		OK: v.OK(),
+		Rows: [][]any{{c.display, sent, v.Delivered, duplicates, fmt.Sprintf("%d/%d", invalid, bound),
+			wall.Round(time.Millisecond).String(), v.OK()}},
 		Measure: CellMeasure{
-			Generated:      len(want),
-			DeliveredValid: delivered,
+			Generated:      sent,
+			DeliveredValid: v.Delivered,
 			Extra:          map[string]float64{"duplicates": float64(duplicates)},
 		},
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 
 	"ssmfp/internal/graph"
@@ -61,11 +62,17 @@ func (m *Multi) Stats() Stats {
 	return s
 }
 
-// Close closes every node transport, returning the first error.
+// Close closes every node transport in node-id order and returns the
+// error of the lowest id that failed.
 func (m *Multi) Close() error {
+	ids := make([]graph.ProcessID, 0, len(m.per))
+	for p := range m.per {
+		ids = append(ids, p)
+	}
+	slices.Sort(ids)
 	var first error
-	for _, t := range m.per {
-		if err := t.Close(); err != nil && first == nil {
+	for _, p := range ids {
+		if err := m.per[p].Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -45,13 +45,14 @@ type TCPOptions struct {
 	// handshake without re-implementing the writer's reconnect logic.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// Inbound, when non-nil, is consulted for every decoded inbound frame
-	// before it enters the inbox, with the connection it arrived on. A nil
+	// before it enters the inbox, with the transport and the connection it
+	// arrived on (reader goroutines may run it before NewTCP returns). A nil
 	// return admits the frame; ErrRejectFrame drops the frame but keeps
 	// the connection (a recoverable policy rejection); any other error
 	// drops the frame AND ends the connection (the stream can no longer
 	// be trusted — e.g. a peer whose certificate identity contradicts the
 	// frame's self-identified sender).
-	Inbound func(conn net.Conn, f *Frame) error
+	Inbound func(t *TCP, conn net.Conn, f *Frame) error
 }
 
 // ErrRejectFrame is the sentinel an Inbound gate returns to drop one frame
@@ -360,7 +361,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			return
 		}
 		if gate := t.opts.Inbound; gate != nil {
-			if gerr := gate(conn, &f); gerr != nil {
+			if gerr := gate(t, conn, &f); gerr != nil {
 				if errors.Is(gerr, ErrRejectFrame) {
 					continue
 				}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/spec"
 	"ssmfp/internal/telemetry"
 )
 
@@ -15,7 +16,8 @@ import (
 // the paper's closing open problem. Links may drop frames; retransmission
 // recovers them.
 type LiveNetwork struct {
-	nw *msgpass.Network
+	nw    *msgpass.Network
+	bound int // invalid deliveries allowed per destination: 0, or 2n from a corrupt start
 }
 
 // LiveOptions tunes a LiveNetwork.
@@ -54,7 +56,11 @@ func NewLiveNetwork(t *Topology, opts LiveOptions) *LiveNetwork {
 		Tick:         opts.Tick,
 	})
 	nw.Start()
-	return &LiveNetwork{nw: nw}
+	l := &LiveNetwork{nw: nw}
+	if opts.CorruptStart {
+		l.bound = 2 * t.N()
+	}
+	return l
 }
 
 // ErrClosed is returned by Send on a LiveNetwork that has been closed.
@@ -86,24 +92,27 @@ func (l *LiveNetwork) Deliveries() []Delivery {
 }
 
 // DeliveredExactlyOnce reports whether every UID in ids was delivered
-// exactly once so far. It counts only the requested UIDs, in one pass
-// over the delivery log and without copying it, so callers may poll it.
+// exactly once so far, valid and at its destination, with no destination
+// over the invalid deliveries a clean (none) or corrupt (2n) start
+// allows. It folds the delivery log through a spec.Ledger in one pass,
+// without copying it, so callers may poll it.
 func (l *LiveNetwork) DeliveredExactlyOnce(ids ...uint64) bool {
-	counts := make(map[uint64]int, len(ids))
+	ledger := spec.New(l.bound)
+	asked := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
-		counts[id] = 0
+		asked[id] = true
 	}
 	l.nw.EachDelivery(func(d *msgpass.Delivery) {
-		if c, ok := counts[d.Msg.UID]; ok {
-			counts[d.Msg.UID] = c + 1
+		k := spec.Key{UID: d.Msg.UID}
+		if _, sent := ledger.Index(k); d.Msg.Valid && asked[k.UID] && !sent {
+			ledger.Sent(k, d.Msg.Dest) // a message carries its destination from Send
+		}
+		if !d.Msg.Valid || asked[k.UID] {
+			ledger.Delivered(k, d.At, d.Msg.Valid)
 		}
 	})
-	for _, c := range counts {
-		if c != 1 {
-			return false
-		}
-	}
-	return true
+	v := ledger.Verdict()
+	return v.OK() && v.Delivered == len(asked)
 }
 
 // LiveStatus is a point-in-time introspection snapshot of a running

@@ -173,7 +173,7 @@ func (n *Network) Run() Report {
 
 // Report summarizes the execution so far at any point.
 func (n *Network) Report() Report {
-	r := Report{
+	return Report{
 		Steps:            n.engine.Steps(),
 		Rounds:           n.engine.Rounds(),
 		Quiescent:        n.engine.Terminal(),
@@ -182,12 +182,8 @@ func (n *Network) Report() Report {
 		InvalidDelivered: n.tracker.InvalidDeliveredTotal(),
 		Compromised:      n.tracker.Compromised(),
 		Violations:       n.tracker.Violations(),
+		Undelivered:      len(n.tracker.UndeliveredValid()),
 	}
-	for _, uid := range n.tracker.UndeliveredValid() {
-		_ = uid
-		r.Undelivered++
-	}
-	return r
 }
 
 // Deliveries lists every delivery so far, in order.

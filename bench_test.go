@@ -10,6 +10,7 @@
 package ssmfp_test
 
 import (
+	"ssmfp/internal/routing"
 	"testing"
 
 	"ssmfp/internal/core"
@@ -258,11 +259,9 @@ func BenchmarkExhaustiveModelCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := graph.Figure3Network()
 		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).RT.Parent[1] = 2
-		cfg[0].(*core.Node).RT.Dist[1] = 2
-		cfg[2].(*core.Node).RT.Parent[1] = 0
-		cfg[2].(*core.Node).RT.Dist[1] = 2
-		cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
+		cfg[0].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 2})
+		cfg[2].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 0})
+		cfg[1].(*core.Node).FW.Dest(1).BufR = &core.Message{
 			Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false}
 		cfg[2].(*core.Node).FW.Enqueue("data", 1)
 		r := explore.Explore(g, core.FullProgram(g), cfg, explore.CoreOptions(g))

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"ssmfp/internal/routing"
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/explore"
@@ -75,11 +76,9 @@ func buildScenario(name string) (*graph.Graph, sm.Program, []sm.State, bool, str
 	case "figure3":
 		g := graph.Figure3Network()
 		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).RT.Parent[1] = 2
-		cfg[0].(*core.Node).RT.Dist[1] = 2
-		cfg[2].(*core.Node).RT.Parent[1] = 0
-		cfg[2].(*core.Node).RT.Dist[1] = 2
-		cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
+		cfg[0].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 2})
+		cfg[2].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 0})
+		cfg[1].(*core.Node).FW.Dest(1).BufR = &core.Message{
 			Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false}
 		cfg[2].(*core.Node).FW.Enqueue("data", 1)
 		return g, core.FullProgram(g), cfg, false,
@@ -87,7 +86,7 @@ func buildScenario(name string) (*graph.Graph, sm.Program, []sm.State, bool, str
 	case "r5-literal":
 		g := graph.Line(3)
 		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{
+		cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
 			Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false}
 		cfg[0].(*core.Node).FW.Enqueue("x", 2)
 		return g, core.LiteralR5Program(g), cfg, true,

@@ -220,15 +220,13 @@ func ClockwiseRingTables(g *graph.Graph) []*routing.NodeState {
 	n := g.N()
 	tables := make([]*routing.NodeState, n)
 	for p := 0; p < n; p++ {
-		s := &routing.NodeState{Dist: make([]int, n), Parent: make([]graph.ProcessID, n)}
+		s := routing.NewState(n)
 		for d := 0; d < n; d++ {
 			if p == d {
-				s.Dist[d] = 0
-				s.Parent[d] = graph.ProcessID(p)
+				*s.Routes.At(d) = routing.Route{Dist: 0, Parent: graph.ProcessID(p)}
 				continue
 			}
-			s.Dist[d] = (d - p + n) % n
-			s.Parent[d] = graph.ProcessID((p + 1) % n)
+			*s.Routes.At(d) = routing.Route{Dist: (d - p + n) % n, Parent: graph.ProcessID((p + 1) % n)}
 		}
 		tables[p] = s
 	}

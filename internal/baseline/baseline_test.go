@@ -99,7 +99,7 @@ func TestSSMFPSurvivesTheSameCollision(t *testing.T) {
 	// exactly once (the color flag distinguishes the two).
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
-	cfg[1].(*core.Node).FW.Dests[2].BufE = &core.Message{
+	cfg[1].(*core.Node).FW.Dest(2).BufE = &core.Message{
 		Payload: "x", LastHop: 0, Color: 0, UID: 888_888, Src: 1, Dest: 2, Valid: false,
 	}
 	cfg[0].(*core.Node).FW.Enqueue("x", 2)
@@ -133,8 +133,8 @@ func TestNaiveCloneDeep(t *testing.T) {
 	c := n.Clone().(*baseline.Node)
 	c.FW.Pending[0].Payload = "z"
 	c.FW.Buf[1] = nil
-	c.RT.Dist[2] = 77
-	if n.FW.Pending[0].Payload != "a" || n.FW.Buf[1] == nil || n.RT.Dist[2] == 77 {
+	c.RT.Routes.At(2).Dist = 77
+	if n.FW.Pending[0].Payload != "a" || n.FW.Buf[1] == nil || n.RT.Route(2).Dist == 77 {
 		t.Fatal("Clone must deep-copy")
 	}
 }
@@ -190,8 +190,8 @@ func TestAtomicDeadlockOnFullCycle(t *testing.T) {
 	// neither message can move, the component deadlocks.
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Parent[0] = 2
-	ts[2].Parent[0] = 1
+	ts[1].Routes.At(0).Parent = 2
+	ts[2].Routes.At(0).Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	a.PlaceInvalid(1, 0, "stuck-a")
 	a.PlaceInvalid(2, 0, "stuck-b")
@@ -208,8 +208,8 @@ func TestAtomicLivelockOnRoutingLoop(t *testing.T) {
 	// but nothing is ever delivered.
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Parent[0] = 2
-	ts[2].Parent[0] = 1
+	ts[1].Routes.At(0).Parent = 2
+	ts[2].Routes.At(0).Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	a.PlaceInvalid(1, 0, "wanderer")
 	moves, stopped := a.Run(10_000)
@@ -224,8 +224,8 @@ func TestAtomicLivelockOnRoutingLoop(t *testing.T) {
 func TestAtomicRepairEndsLivelock(t *testing.T) {
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Parent[0] = 2
-	ts[2].Parent[0] = 1
+	ts[1].Routes.At(0).Parent = 2
+	ts[2].Routes.At(0).Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	m := a.PlaceInvalid(1, 0, "wanderer")
 	a.Run(1_000)

@@ -143,11 +143,11 @@ func TestCheckNoLoss(t *testing.T) {
 	if err := tr.CheckNoLoss(cfg); err == nil {
 		t.Fatal("message is in no buffer and undelivered: must report loss")
 	}
-	cfg[1].(*core.Node).FW.Dests[3].BufR = m
+	cfg[1].(*core.Node).FW.Dest(3).BufR = m
 	if err := tr.CheckNoLoss(cfg); err != nil {
 		t.Fatalf("message present: %v", err)
 	}
-	cfg[1].(*core.Node).FW.Dests[3].BufR = nil
+	cfg[1].(*core.Node).FW.Dest(3).BufR = nil
 	deliver(tr, m, 3, 4)
 	if err := tr.CheckNoLoss(cfg); err != nil {
 		t.Fatalf("message delivered: %v", err)
@@ -182,7 +182,7 @@ func TestRecordInitial(t *testing.T) {
 	g := graph.Line(3)
 	tr := New(g)
 	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).FW.Dests[1].BufE = &core.Message{Payload: "junk", UID: 500, Valid: false}
+	cfg[0].(*core.Node).FW.Dest(1).BufE = &core.Message{Payload: "junk", UID: 500, Valid: false}
 	tr.RecordInitial(cfg)
 	if tr.initial != 1 {
 		t.Fatalf("initial invalid count = %d", tr.initial)
@@ -264,19 +264,19 @@ func TestWellTypedDetectsViolations(t *testing.T) {
 		name   string
 		break_ func(cfg []sm.State)
 	}{
-		{"bad dist", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Dist[2] = 99 }},
-		{"bad parent", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Parent[2] = 3 }},
+		{"bad dist", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes.At(2).Dist = 99 }},
+		{"bad parent", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes.At(2).Parent = 3 }},
 		{"bad last hop", func(cfg []sm.State) {
-			cfg[0].(*core.Node).FW.Dests[2].BufR = &core.Message{Payload: "m", LastHop: 3, Color: 0}
+			cfg[0].(*core.Node).FW.Dest(2).BufR = &core.Message{Payload: "m", LastHop: 3, Color: 0}
 		}},
 		{"bad color", func(cfg []sm.State) {
-			cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{Payload: "m", LastHop: 0, Color: 9}
+			cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{Payload: "m", LastHop: 0, Color: 9}
 		}},
 		{"bad queue entry", func(cfg []sm.State) {
-			cfg[0].(*core.Node).FW.Dests[2].Queue = []graph.ProcessID{3}
+			cfg[0].(*core.Node).FW.Dest(2).Queue = []graph.ProcessID{3}
 		}},
 		{"overlong queue", func(cfg []sm.State) {
-			cfg[1].(*core.Node).FW.Dests[2].Queue = []graph.ProcessID{0, 1, 2, 0}
+			cfg[1].(*core.Node).FW.Dest(2).Queue = []graph.ProcessID{0, 1, 2, 0}
 		}},
 	}
 	for _, c := range cases {

@@ -45,14 +45,14 @@ func routingProgram(g *graph.Graph) sm.Program {
 // origin q's emission buffer no longer carries (m, ·, c) or the message was
 // generated here (q = p).
 func ClassifyR(g *graph.Graph, cfg []sm.State, p, d graph.ProcessID) CaterpillarType {
-	m := fw(cfg[p]).Dests[d].BufR
+	m := fw(cfg[p]).Dest(d).BufR
 	if m == nil {
 		return None
 	}
 	if m.LastHop == p {
 		return Type1
 	}
-	if !fw(cfg[m.LastHop]).Dests[d].BufE.SameMC(m) {
+	if !fw(cfg[m.LastHop]).Dest(d).BufE.SameMC(m) {
 		return Type1
 	}
 	return None
@@ -64,12 +64,12 @@ func ClassifyR(g *graph.Graph, cfg []sm.State, p, d graph.ProcessID) Caterpillar
 // (p = d, where nextHop is not consulted and R6 consumes directly) the
 // occurrence is classified type 2 unless a neighbor holds a copy.
 func ClassifyE(g *graph.Graph, cfg []sm.State, p, d graph.ProcessID) CaterpillarType {
-	m := fw(cfg[p]).Dests[d].BufE
+	m := fw(cfg[p]).Dest(d).BufE
 	if m == nil {
 		return None
 	}
 	for _, q := range g.Neighbors(p) {
-		if matchesForward(fw(cfg[q]).Dests[d].BufR, m, p) {
+		if matchesForward(fw(cfg[q]).Dest(d).BufR, m, p) {
 			return Type3
 		}
 	}
@@ -98,7 +98,7 @@ func CaterpillarCensus(g *graph.Graph, cfg []sm.State, d graph.ProcessID) map[Ca
 // destination d (0..2n), and how many of those hold valid messages.
 func Occupancy(cfg []sm.State, d graph.ProcessID) (total, valid int) {
 	for _, s := range cfg {
-		ds := fw(s).Dests[d]
+		ds := fw(s).Dest(d)
 		for _, m := range []*Message{ds.BufR, ds.BufE} {
 			if m != nil {
 				total++
@@ -120,8 +120,8 @@ func Quiescent(cfg []sm.State) bool {
 		if len(n.Pending) > 0 {
 			return false
 		}
-		for _, ds := range n.Dests {
-			if ds.BufR != nil || ds.BufE != nil {
+		for d := range n.Dests.Len() {
+			if ds := n.Dests.At(d); ds.BufR != nil || ds.BufE != nil {
 				return false
 			}
 		}

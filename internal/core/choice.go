@@ -16,7 +16,7 @@ func candidates(v *sm.View, d graph.ProcessID, cands []graph.ProcessID) []graph.
 	p := v.ID()
 	for _, q := range v.Neighbors() {
 		nq := v.Read(q).(*Node)
-		if nq.FW.Dests[d].BufE != nil && nq.RT.NextHop(d) == p {
+		if nq.FW.Dest(d).BufE != nil && nq.RT.NextHop(d) == p {
 			cands = append(cands, q)
 		}
 	}
@@ -104,7 +104,7 @@ func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID, buf []graph.Proc
 	if len(cands) == 0 {
 		return 0, nil, false
 	}
-	stored := v.Self().(*Node).FW.Dests[d].Queue
+	stored := v.Self().(*Node).FW.Dest(d).Queue
 	switch policy {
 	case PolicyLowestID:
 		best := cands[0]
@@ -149,7 +149,7 @@ func freshColor(v *sm.View, d graph.ProcessID) int {
 	delta := v.Graph().MaxDegree()
 	used := make([]bool, delta+1)
 	for _, q := range v.Neighbors() {
-		if m := v.Read(q).(*Node).FW.Dests[d].BufR; m != nil && m.Color >= 0 && m.Color <= delta {
+		if m := v.Read(q).(*Node).FW.Dest(d).BufR; m != nil && m.Color >= 0 && m.Color <= delta {
 			used[m.Color] = true
 		}
 	}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"ssmfp/internal/routing"
 	"testing"
 	"testing/quick"
 
@@ -111,9 +112,8 @@ func TestCorruptedRoutingStillDeliversExactlyOnce(t *testing.T) {
 		tables[p] = cfg[p].(*core.Node)
 	}
 	// For destination 4, make 1 and 2 route at each other (loop).
-	tables[1].RT.Parent[4] = 2
-	tables[2].RT.Parent[4] = 1
-	tables[2].RT.Dist[4] = 3
+	tables[1].RT.Routes.At(4).Parent = 2
+	*tables[2].RT.Routes.At(4) = routing.Route{Dist: 3, Parent: 1}
 	inject(cfg, 0, "through-the-loop", 4)
 	e, tr := newTracked(g, daemon.NewCentralRandom(3), cfg)
 	runToTerminal(t, e, 500_000)
@@ -304,7 +304,7 @@ func TestR5SelfHopDoesNotEraseFreshGeneration(t *testing.T) {
 	// message. R5 must be restricted to neighbors (q ∈ N_p).
 	g := graph.Ring(6)
 	cfg := core.CleanConfig(g)
-	cfg[3].(*core.Node).FW.Dests[0].BufE = &core.Message{
+	cfg[3].(*core.Node).FW.Dest(0).BufE = &core.Message{
 		Payload: "x", LastHop: 3, Color: 0, UID: 1 << 40, Src: 3, Dest: 0, Valid: false}
 	inject(cfg, 3, "x", 0) // same payload; R1 will stamp color 0
 	e, tr := newTracked(g, daemon.NewCentralRandom(2009), cfg)

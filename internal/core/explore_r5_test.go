@@ -20,7 +20,7 @@ import (
 func TestExhaustiveLiteralR5FindsTheLoss(t *testing.T) {
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{
+	cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
 		Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false,
 	}
 	cfg[0].(*core.Node).FW.Enqueue("x", 2)

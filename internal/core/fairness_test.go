@@ -52,7 +52,7 @@ func TestPassingBoundDeltaPlusOne(t *testing.T) {
 
 	isCandidate := func(q graph.ProcessID) bool {
 		n := e.StateOf(q).(*core.Node)
-		return n.FW.Dests[center].BufE != nil && n.RT.NextHop(center) == center
+		return n.FW.Dest(center).BufE != nil && n.RT.NextHop(center) == center
 	}
 	var violation string
 	e.Subscribe(func(ev sm.Event) {
@@ -123,7 +123,7 @@ func TestPassingBoundHoldsOnRandomGraphs(t *testing.T) {
 				return n.FW.Request && ok && nd == d
 			}
 			n := e.StateOf(q).(*core.Node)
-			return n.FW.Dests[d].BufE != nil && n.RT.NextHop(d) == p
+			return n.FW.Dest(d).BufE != nil && n.RT.NextHop(d) == p
 		}
 		var violation string
 		e.Subscribe(func(ev sm.Event) {
@@ -181,7 +181,7 @@ func TestPassingBoundIsAttained(t *testing.T) {
 	const center = graph.ProcessID(0)
 	cfg := core.CleanConfig(g)
 	for leaf := graph.ProcessID(1); leaf < 5; leaf++ {
-		cfg[leaf].(*core.Node).FW.Dests[center].BufE = &core.Message{
+		cfg[leaf].(*core.Node).FW.Dest(center).BufE = &core.Message{
 			Payload: fmt.Sprintf("ahead-%d", leaf), LastHop: leaf, Color: 0,
 			UID: uint64(leaf), Valid: true, Dest: center,
 		}

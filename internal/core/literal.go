@@ -21,7 +21,6 @@ func LiteralR5Program(g *graph.Graph) sm.Program {
 	for dd := 0; dd < g.N(); dd++ {
 		d := graph.ProcessID(dd)
 		dr := destRules(d, PolicyQueue)
-		ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dests[d] }
 		peer := func(v *sm.View, q graph.ProcessID) *Node {
 			if q == v.ID() {
 				return v.Self().(*Node)
@@ -35,15 +34,20 @@ func LiteralR5Program(g *graph.Graph) sm.Program {
 			Priority: PriorityForwarding,
 			Slot:     routing.SlotOf(d),
 			Guard: func(v *sm.View) bool {
-				s := ds(v)
+				s := v.Self().(*Node).FW.Dest(d)
 				if s.BufR == nil {
 					return false
 				}
 				q := s.BufR.LastHop // literal: q = p is NOT excluded
 				origin := peer(v, q)
-				return origin.FW.Dests[d].BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
+				return origin.FW.Dest(d).BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
 			},
-			Action: func(v *sm.View) { ds(v).BufR = nil },
+			Action: func(v *sm.View) {
+				fw := v.Self().(*Node).FW
+				s := *fw.Dest(d)
+				s.BufR = nil
+				fw.SetDest(d, s)
+			},
 		}
 		rules = append(rules, dr...)
 	}

@@ -20,6 +20,15 @@ func newTrackedWithPolicy(g *graph.Graph, policy core.ChoicePolicy, d sm.Daemon,
 	return e, tr
 }
 
+// drainBufR empties p's reception buffer for destination p, as R2 would,
+// through SetDest so that earlier configurations stay intact.
+func drainBufR(e *sm.Engine, p graph.ProcessID) {
+	fw := e.StateOf(p).(*core.Node).FW
+	ds := *fw.Dest(p)
+	ds.BufR = nil
+	fw.SetDest(p, ds)
+}
+
 func TestPolicyStrings(t *testing.T) {
 	if core.PolicyQueue.String() != "fifo-queue" ||
 		core.PolicyLowestID.String() != "lowest-id" ||
@@ -51,7 +60,7 @@ func TestRotatingPolicyServesRoundRobin(t *testing.T) {
 	g := graph.Star(4)
 	cfg := core.CleanConfig(g)
 	for _, leaf := range []graph.ProcessID{1, 2, 3} {
-		cfg[leaf].(*core.Node).FW.Dests[0].BufE = &core.Message{
+		cfg[leaf].(*core.Node).FW.Dest(0).BufE = &core.Message{
 			Payload: fmt.Sprintf("L%d", leaf), LastHop: leaf, Color: 0,
 			UID: uint64(leaf), Valid: true, Dest: 0,
 		}
@@ -62,12 +71,12 @@ func TestRotatingPolicyServesRoundRobin(t *testing.T) {
 	var served []graph.ProcessID
 	for i := 0; i < 6; i++ {
 		e.Step()
-		m := e.StateOf(0).(*core.Node).FW.Dests[0].BufR
+		m := e.StateOf(0).(*core.Node).FW.Dest(0).BufR
 		if m == nil {
 			t.Fatal("pull failed")
 		}
 		served = append(served, m.LastHop)
-		e.StateOf(0).(*core.Node).FW.Dests[0].BufR = nil // drain for the next pull
+		drainBufR(e, 0) // for the next pull
 	}
 	want := []graph.ProcessID{1, 2, 3, 1, 2, 3}
 	for i := range want {
@@ -83,7 +92,7 @@ func TestLowestIDPolicyPassesWaitingCandidates(t *testing.T) {
 	g := graph.Star(4)
 	cfg := core.CleanConfig(g)
 	for _, leaf := range []graph.ProcessID{1, 2, 3} {
-		cfg[leaf].(*core.Node).FW.Dests[0].BufE = &core.Message{
+		cfg[leaf].(*core.Node).FW.Dest(0).BufE = &core.Message{
 			Payload: fmt.Sprintf("L%d", leaf), LastHop: leaf, Color: 0,
 			UID: uint64(leaf), Valid: true, Dest: 0,
 		}
@@ -92,11 +101,11 @@ func TestLowestIDPolicyPassesWaitingCandidates(t *testing.T) {
 	e := sm.NewEngine(g, prog, syncOnly{}, cfg)
 	for i := 0; i < 5; i++ {
 		e.Step()
-		m := e.StateOf(0).(*core.Node).FW.Dests[0].BufR
+		m := e.StateOf(0).(*core.Node).FW.Dest(0).BufR
 		if m.LastHop != 1 {
 			t.Fatalf("lowest-id served %d, want 1 every time", m.LastHop)
 		}
-		e.StateOf(0).(*core.Node).FW.Dests[0].BufR = nil
+		drainBufR(e, 0)
 	}
 }
 

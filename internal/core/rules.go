@@ -41,7 +41,10 @@ func NewProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
 
 // destRules instantiates R1..R6 for destination d.
 func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
-	ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dests[d] }
+	// ds reads destination d's state at the executing processor; an
+	// action writes its updated copy back through setDS.
+	ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dest(d) }
+	setDS := func(v *sm.View, s DestState) { v.Self().(*Node).FW.SetDest(d, s) }
 	slot := routing.SlotOf(d)
 	peer := func(v *sm.View, q graph.ProcessID) *Node {
 		if q == v.ID() {
@@ -62,7 +65,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 			WritesUnsliced: true,
 			Guard: func(v *sm.View) bool {
 				self := v.Self().(*Node).FW
-				if !self.Request || self.Dests[d].BufR != nil {
+				if !self.Request || self.Dest(d).BufR != nil {
 					return false
 				}
 				if nd, ok := self.NextDestination(); !ok || nd != d {
@@ -88,8 +91,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 					GenStep: v.Step(),
 				}
 				self.NextSeq++
-				self.Dests[d].BufR = msg
-				self.Dests[d].Queue = rest // p has been served
+				s := *self.Dest(d)
+				s.BufR = msg
+				s.Queue = rest // p has been served
+				self.SetDest(d, s)
 				// The paper sets request := false and lets the (blocking)
 				// higher layer raise it again; we model an eager higher
 				// layer that immediately re-requests while messages wait.
@@ -115,12 +120,13 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				if q == v.ID() {
 					return true
 				}
-				return !v.Read(q).(*Node).FW.Dests[d].BufE.SameMC(s.BufR)
+				return !v.Read(q).(*Node).FW.Dest(d).BufE.SameMC(s.BufR)
 			},
 			Action: func(v *sm.View) {
-				s := ds(v)
+				s := *ds(v)
 				s.BufE = s.BufR.WithHopColor(v.ID(), freshColor(v, d))
 				s.BufR = nil
+				setDS(v, s)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindInternal, Dest: d, Msg: s.BufE.Record()})
 				}
@@ -141,14 +147,15 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				return ok && c != v.ID()
 			},
 			Action: func(v *sm.View) {
-				s := ds(v)
+				s := *ds(v)
 				src, rest, _ := choose(policy, v, d, nil)
 				// Candidacy guarantees bufE_src(d) is occupied; the copy
 				// keeps the color and records src as the last hop. (If the
 				// stored last hop of bufE_src differs from src the message
 				// was present at the initial configuration — footnote 1.)
-				s.BufR = v.Read(src).(*Node).FW.Dests[d].BufE.WithHop(src)
+				s.BufR = v.Read(src).(*Node).FW.Dest(d).BufE.WithHop(src)
 				s.Queue = rest // src has been served
+				setDS(v, s)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindForward, Dest: d, From: src, Msg: s.BufR.Record()})
 				}
@@ -170,25 +177,26 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 					return false
 				}
 				hop := v.Self().(*Node).RT.NextHop(d)
-				if !matchesForward(v.Read(hop).(*Node).FW.Dests[d].BufR, s.BufE, v.ID()) {
+				if !matchesForward(v.Read(hop).(*Node).FW.Dest(d).BufR, s.BufE, v.ID()) {
 					return false
 				}
 				for _, r := range v.Neighbors() {
 					if r == hop {
 						continue
 					}
-					if matchesForward(v.Read(r).(*Node).FW.Dests[d].BufR, s.BufE, v.ID()) {
+					if matchesForward(v.Read(r).(*Node).FW.Dest(d).BufR, s.BufE, v.ID()) {
 						return false
 					}
 				}
 				return true
 			},
 			Action: func(v *sm.View) {
-				s := ds(v)
+				s := *ds(v)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindErase, Dest: d, Buf: obs.BufEmission, Msg: s.BufE.Record()})
 				}
 				s.BufE = nil
+				setDS(v, s)
 			},
 		},
 		// (R5) Erasing after duplication: bufR_p(d) = (m,q,c) ∧ q ≠ p ∧
@@ -217,14 +225,15 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 					return false
 				}
 				origin := peer(v, q)
-				return origin.FW.Dests[d].BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
+				return origin.FW.Dest(d).BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
 			},
 			Action: func(v *sm.View) {
-				s := ds(v)
+				s := *ds(v)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindErase, Dest: d, Buf: obs.BufReception, Msg: s.BufR.Record()})
 				}
 				s.BufR = nil
+				setDS(v, s)
 			},
 		},
 		// (R6) Consumption: bufE_p(p) = (m,q,c)  →
@@ -237,11 +246,12 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				return v.ID() == d && ds(v).BufE != nil
 			},
 			Action: func(v *sm.View) {
-				s := ds(v)
+				s := *ds(v)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindDeliver, Dest: d, Msg: s.BufE.Record()})
 				}
 				s.BufE = nil
+				setDS(v, s)
 			},
 		},
 	}

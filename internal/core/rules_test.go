@@ -52,7 +52,7 @@ func TestR1GeneratesMessage(t *testing.T) {
 	e.Step()
 
 	fw0 := engineNode(e, 0).FW
-	m := fw0.Dests[2].BufR
+	m := fw0.Dest(2).BufR
 	if m == nil {
 		t.Fatal("R1 did not fill bufR")
 	}
@@ -72,7 +72,7 @@ func TestR1GeneratesMessage(t *testing.T) {
 
 func TestR1BlockedByOccupiedBufR(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
-	node(cfg, 0).FW.Dests[2].BufR = &Message{Payload: "stale", LastHop: 0, Color: 1}
+	node(cfg, 0).FW.Dest(2).BufR = &Message{Payload: "stale", LastHop: 0, Color: 1}
 	node(cfg, 0).FW.Enqueue("hello", 2)
 	for _, name := range e.EnabledRuleNames(0) {
 		if name == "R1@2" {
@@ -110,13 +110,13 @@ func TestFullForwardingPath(t *testing.T) {
 
 	// Step 1: R1 at 0.
 	e.Step()
-	if m := engineNode(e, 0).FW.Dests[2].BufR; m == nil || m.LastHop != 0 || m.Color != 0 {
+	if m := engineNode(e, 0).FW.Dest(2).BufR; m == nil || m.LastHop != 0 || m.Color != 0 {
 		t.Fatalf("after R1: bufR_0(2) = %v", m)
 	}
 
 	// Step 2: R2 at 0 — internal move, fresh color (neighbors' bufR empty → 0).
 	e.Step()
-	n0 := engineNode(e, 0).FW.Dests[2]
+	n0 := engineNode(e, 0).FW.Dest(2)
 	if n0.BufR != nil {
 		t.Fatal("R2 must empty bufR")
 	}
@@ -126,39 +126,39 @@ func TestFullForwardingPath(t *testing.T) {
 
 	// Step 3: R3 at 1 pulls the message.
 	e.Step()
-	m1 := engineNode(e, 1).FW.Dests[2].BufR
+	m1 := engineNode(e, 1).FW.Dest(2).BufR
 	if m1 == nil || m1.LastHop != 0 || m1.Color != 0 || m1.Payload != "hello" {
 		t.Fatalf("after R3: bufR_1(2) = %v", m1)
 	}
-	if engineNode(e, 0).FW.Dests[2].BufE == nil {
+	if engineNode(e, 0).FW.Dest(2).BufE == nil {
 		t.Fatal("R3 copies; the origin emission buffer keeps the message until R4")
 	}
 
 	// Step 4: R4 at 0 erases the forwarded original. (R2 at 1 is blocked
 	// until then because bufE_0 still matches (m, ·, c).)
 	e.Step()
-	if engineNode(e, 0).FW.Dests[2].BufE != nil {
+	if engineNode(e, 0).FW.Dest(2).BufE != nil {
 		t.Fatal("R4 must erase bufE_0")
 	}
 
 	// Step 5: R2 at 1.
 	e.Step()
-	n1 := engineNode(e, 1).FW.Dests[2]
+	n1 := engineNode(e, 1).FW.Dest(2)
 	if n1.BufR != nil || n1.BufE == nil || n1.BufE.LastHop != 1 {
 		t.Fatalf("after R2 at 1: bufR=%v bufE=%v", n1.BufR, n1.BufE)
 	}
 
 	// Steps 6-8: R3 at 2, R4 at 1, R2 at 2.
 	e.Step()
-	if m := engineNode(e, 2).FW.Dests[2].BufR; m == nil || m.LastHop != 1 {
+	if m := engineNode(e, 2).FW.Dest(2).BufR; m == nil || m.LastHop != 1 {
 		t.Fatalf("after R3 at 2: %v", m)
 	}
 	e.Step()
-	if engineNode(e, 1).FW.Dests[2].BufE != nil {
+	if engineNode(e, 1).FW.Dest(2).BufE != nil {
 		t.Fatal("R4 must erase bufE_1")
 	}
 	e.Step()
-	if m := engineNode(e, 2).FW.Dests[2].BufE; m == nil || m.LastHop != 2 {
+	if m := engineNode(e, 2).FW.Dest(2).BufE; m == nil || m.LastHop != 2 {
 		t.Fatalf("after R2 at 2: %v", m)
 	}
 
@@ -187,15 +187,15 @@ func TestR2BlockedWhileOriginHoldsMessage(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
 	// bufR_1(2) holds (m,0,1) and bufE_0(2) still holds (m,·,1): R2 at 1
 	// must wait (otherwise the same message could advance twice).
-	node(cfg, 1).FW.Dests[2].BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
-	node(cfg, 0).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
+	node(cfg, 1).FW.Dest(2).BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
+	node(cfg, 0).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
 	for _, name := range e.EnabledRuleNames(1) {
 		if name == "R2@2" {
 			t.Fatal("R2 must be blocked while bufE of the last hop matches (m,·,c)")
 		}
 	}
 	// Different color at the origin: R2 unblocks.
-	node(cfg, 0).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 0, Color: 2}
+	node(cfg, 0).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 0, Color: 2}
 	found := false
 	for _, name := range e.EnabledRuleNames(1) {
 		if name == "R2@2" {
@@ -210,8 +210,8 @@ func TestR2BlockedWhileOriginHoldsMessage(t *testing.T) {
 func TestR2SelfGeneratedBypassesOriginCheck(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
 	// LastHop = p itself (generated here): the origin check is vacuous.
-	node(cfg, 1).FW.Dests[2].BufR = &Message{Payload: "m", LastHop: 1, Color: 1}
-	node(cfg, 1).FW.Dests[2].BufE = nil
+	node(cfg, 1).FW.Dest(2).BufR = &Message{Payload: "m", LastHop: 1, Color: 1}
+	node(cfg, 1).FW.Dest(2).BufE = nil
 	found := false
 	for _, name := range e.EnabledRuleNames(1) {
 		if name == "R2@2" {
@@ -228,10 +228,10 @@ func TestFreshColorAvoidsNeighborReceptionBuffers(t *testing.T) {
 	cfg := CleanConfig(g)
 	// Center is about to run R2 for destination 3; its neighbors' bufR(3)
 	// hold colors 0, 1, 2 → the fresh color must be 3.
-	node(cfg, 0).FW.Dests[3].BufR = &Message{Payload: "m", LastHop: 0, Color: 0}
-	node(cfg, 1).FW.Dests[3].BufR = &Message{Payload: "x", LastHop: 1, Color: 0}
-	node(cfg, 2).FW.Dests[3].BufR = &Message{Payload: "y", LastHop: 2, Color: 1}
-	node(cfg, 3).FW.Dests[3].BufR = &Message{Payload: "z", LastHop: 3, Color: 2}
+	node(cfg, 0).FW.Dest(3).BufR = &Message{Payload: "m", LastHop: 0, Color: 0}
+	node(cfg, 1).FW.Dest(3).BufR = &Message{Payload: "x", LastHop: 1, Color: 0}
+	node(cfg, 2).FW.Dest(3).BufR = &Message{Payload: "y", LastHop: 2, Color: 1}
+	node(cfg, 3).FW.Dest(3).BufR = &Message{Payload: "z", LastHop: 3, Color: 2}
 	e := sm.NewEngine(g, NewProgram(g), syncDaemon{}, cfg)
 
 	// Force only R2 at 0 by stepping a scripted-like single selection: the
@@ -240,7 +240,7 @@ func TestFreshColorAvoidsNeighborReceptionBuffers(t *testing.T) {
 	prog := sm.NewProgram(destRules(3, PolicyQueue)[1]) // R2@3 only
 	e = sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
-	m := engineNode(e, 0).FW.Dests[3].BufE
+	m := engineNode(e, 0).FW.Dest(3).BufE
 	if m == nil || m.Color != 3 {
 		t.Fatalf("fresh color = %v, want 3", m)
 	}
@@ -250,10 +250,10 @@ func TestR4RequiresExactCopyAtNextHopOnly(t *testing.T) {
 	g := graph.Star(4) // center 0, leaves 1,2,3
 	cfg := CleanConfig(g)
 	// Center forwarded (m,0,1) toward destination 3 (nextHop_0(3)=3).
-	node(cfg, 0).FW.Dests[3].BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
-	node(cfg, 3).FW.Dests[3].BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
+	node(cfg, 0).FW.Dest(3).BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
+	node(cfg, 3).FW.Dest(3).BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
 	// A stale exact copy also sits at leaf 2: R4 must be blocked.
-	node(cfg, 2).FW.Dests[3].BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
+	node(cfg, 2).FW.Dest(3).BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
 	e := sm.NewEngine(g, FullProgram(g), syncDaemon{}, cfg)
 
 	for _, name := range e.EnabledRuleNames(0) {
@@ -272,7 +272,7 @@ func TestR4RequiresExactCopyAtNextHopOnly(t *testing.T) {
 		t.Fatalf("R5 must clear the stale duplicate; enabled at 2: %v", e.EnabledRuleNames(2))
 	}
 	// Clear the stale copy; now R4 fires.
-	node(cfg, 2).FW.Dests[3].BufR = nil
+	node(cfg, 2).FW.Dest(3).BufR = nil
 	r4 := false
 	for _, name := range e.EnabledRuleNames(0) {
 		if name == "R4@3" {
@@ -286,7 +286,7 @@ func TestR4RequiresExactCopyAtNextHopOnly(t *testing.T) {
 
 func TestR4NeverFiresAtDestination(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
-	node(cfg, 2).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 2, Color: 0}
+	node(cfg, 2).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 2, Color: 0}
 	for _, name := range e.EnabledRuleNames(2) {
 		if name == "R4@2" {
 			t.Fatal("R4 is for p ≠ d only; the destination consumes via R6")
@@ -308,8 +308,8 @@ func TestR5RequiresReroutedOrigin(t *testing.T) {
 	cfg := CleanConfig(g)
 	// Copy at leaf 1 whose origin 0 still holds (m,·,c) but routes to 1:
 	// this is a normal in-flight forward, R5 must NOT fire.
-	node(cfg, 1).FW.Dests[1].BufR = &Message{Payload: "m", LastHop: 0, Color: 2}
-	node(cfg, 0).FW.Dests[1].BufE = &Message{Payload: "m", LastHop: 0, Color: 2}
+	node(cfg, 1).FW.Dest(1).BufR = &Message{Payload: "m", LastHop: 0, Color: 2}
+	node(cfg, 0).FW.Dest(1).BufE = &Message{Payload: "m", LastHop: 0, Color: 2}
 	e := sm.NewEngine(g, FullProgram(g), syncDaemon{}, cfg)
 	for _, name := range e.EnabledRuleNames(1) {
 		if name == "R5@1" {
@@ -321,7 +321,7 @@ func TestR5RequiresReroutedOrigin(t *testing.T) {
 func TestR6DeliversAndEmpties(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
 	msg := &Message{Payload: "m", LastHop: 1, Color: 2, UID: 42, Dest: 2, Valid: true}
-	node(cfg, 2).FW.Dests[2].BufE = msg
+	node(cfg, 2).FW.Dest(2).BufE = msg
 	var got *Message
 	e.Subscribe(func(ev sm.Event) {
 		if ev.Kind == obs.KindDeliver {
@@ -335,7 +335,7 @@ func TestR6DeliversAndEmpties(t *testing.T) {
 	if got != msg {
 		t.Fatal("the deliver event copied the message instead of sharing the immutable buffer value")
 	}
-	if engineNode(e, 2).FW.Dests[2].BufE != nil {
+	if engineNode(e, 2).FW.Dest(2).BufE != nil {
 		t.Fatal("R6 must empty the buffer")
 	}
 }
@@ -344,8 +344,8 @@ func TestRoutingPriorityPreemptsForwarding(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
 	// Processor 2 could consume (R6@2) but its routing table is corrupt:
 	// the A rule must preempt.
-	node(cfg, 2).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 2, Color: 0}
-	node(cfg, 2).RT.Dist[0] = 7 // incorrect distance to 0
+	node(cfg, 2).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 2, Color: 0}
+	node(cfg, 2).RT.Routes.At(0).Dist = 7 // incorrect distance to 0
 	names := e.EnabledRuleNames(2)
 	if len(names) != 1 || names[0] != "A@0" {
 		t.Fatalf("enabled at 2: %v, want only the routing correction", names)
@@ -356,7 +356,7 @@ func TestChoiceFIFONoPassing(t *testing.T) {
 	g := graph.Star(4) // leaves 1,2,3 all forward to center 0 for dest 0
 	cfg := CleanConfig(g)
 	for _, leaf := range []graph.ProcessID{1, 2, 3} {
-		node(cfg, leaf).FW.Dests[0].BufE = &Message{
+		node(cfg, leaf).FW.Dest(0).BufE = &Message{
 			Payload: "from" + string(rune('0'+leaf)), LastHop: leaf, Color: 0, UID: uint64(leaf), Valid: true, Dest: 0,
 		}
 	}
@@ -365,23 +365,25 @@ func TestChoiceFIFONoPassing(t *testing.T) {
 	prog := sm.NewProgram(destRules(0, PolicyQueue)[2])
 	e := sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
-	first := engineNode(e, 0).FW.Dests[0].BufR
+	first := engineNode(e, 0).FW.Dest(0).BufR
 	if first == nil || first.LastHop != 1 {
 		t.Fatalf("first served should be 1, got %v", first)
 	}
-	if q := engineNode(e, 0).FW.Dests[0].Queue; len(q) != 2 || q[0] != 2 || q[1] != 3 {
+	if q := engineNode(e, 0).FW.Dest(0).Queue; len(q) != 2 || q[0] != 2 || q[1] != 3 {
 		t.Fatalf("queue after first serve = %v, want [2 3]", q)
 	}
 	// bufR occupied → R3 disabled; empty it (as R2 would) and pull again.
-	engineNode(e, 0).FW.Dests[0].BufR = nil
+	ds := *engineNode(e, 0).FW.Dest(0)
+	ds.BufR = nil
+	engineNode(e, 0).FW.SetDest(0, ds)
 	e.Step()
-	second := engineNode(e, 0).FW.Dests[0].BufR
+	second := engineNode(e, 0).FW.Dest(0).BufR
 	if second == nil || second.LastHop != 2 {
 		t.Fatalf("second served should be 2, got %v", second)
 	}
 	// Leaf 1 re-arrives (it never left: its bufE is still occupied) — it
 	// must requeue BEHIND 3.
-	if q := engineNode(e, 0).FW.Dests[0].Queue; len(q) != 2 || q[0] != 3 || q[1] != 1 {
+	if q := engineNode(e, 0).FW.Dest(0).Queue; len(q) != 2 || q[0] != 3 || q[1] != 1 {
 		t.Fatalf("queue after second serve = %v, want [3 1]", q)
 	}
 }
@@ -390,10 +392,10 @@ func TestCorruptQueueEntriesIgnored(t *testing.T) {
 	_, cfg, e := newLineEngine(t)
 	// Queue at 1 stuffed with entries that are not candidates; a real
 	// candidate (0, holding a message routed to 1) must still be served.
-	node(cfg, 0).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 0, Color: 0, Valid: true, Dest: 2}
-	node(cfg, 1).FW.Dests[2].Queue = []graph.ProcessID{2, 1, 1, 2}
+	node(cfg, 0).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 0, Color: 0, Valid: true, Dest: 2}
+	node(cfg, 1).FW.Dest(2).Queue = []graph.ProcessID{2, 1, 1, 2}
 	e.Step() // sync: R3 at 1 fires (choice normalizes to [0])
-	if m := engineNode(e, 1).FW.Dests[2].BufR; m == nil || m.LastHop != 0 {
+	if m := engineNode(e, 1).FW.Dest(2).BufR; m == nil || m.LastHop != 0 {
 		t.Fatalf("bufR_1(2) = %v; corrupt queue entries must be ignored", m)
 	}
 }
@@ -403,12 +405,12 @@ func TestCaterpillarClassification(t *testing.T) {
 	cfg := CleanConfig(g)
 
 	// Type 1: message in bufR_1 whose origin 0 no longer holds (m,·,c).
-	cfg[1].(*Node).FW.Dests[2].BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
+	cfg[1].(*Node).FW.Dest(2).BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
 	if got := ClassifyR(g, cfg, 1, 2); got != Type1 {
 		t.Fatalf("ClassifyR = %v, want type-1", got)
 	}
 	// Tail of an in-flight forward: origin still holds (m,·,c) → not a head.
-	cfg[0].(*Node).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
+	cfg[0].(*Node).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
 	if got := ClassifyR(g, cfg, 1, 2); got != None {
 		t.Fatalf("ClassifyR = %v, want none while origin holds the message", got)
 	}
@@ -417,14 +419,14 @@ func TestCaterpillarClassification(t *testing.T) {
 		t.Fatalf("ClassifyE = %v, want type-3", got)
 	}
 	// Self-generated in bufR → type 1 regardless of neighbors.
-	cfg[1].(*Node).FW.Dests[2].BufR = &Message{Payload: "m", LastHop: 1, Color: 1}
+	cfg[1].(*Node).FW.Dest(2).BufR = &Message{Payload: "m", LastHop: 1, Color: 1}
 	if got := ClassifyR(g, cfg, 1, 2); got != Type1 {
 		t.Fatalf("ClassifyR = %v, want type-1 for self-generated", got)
 	}
 	// Emission buffer with no copy anywhere → type 2.
-	cfg[1].(*Node).FW.Dests[2].BufR = nil
-	cfg[0].(*Node).FW.Dests[2].BufE = nil
-	cfg[1].(*Node).FW.Dests[2].BufE = &Message{Payload: "w", LastHop: 1, Color: 0}
+	cfg[1].(*Node).FW.Dest(2).BufR = nil
+	cfg[0].(*Node).FW.Dest(2).BufE = nil
+	cfg[1].(*Node).FW.Dest(2).BufE = &Message{Payload: "w", LastHop: 1, Color: 0}
 	if got := ClassifyE(g, cfg, 1, 2); got != Type2 {
 		t.Fatalf("ClassifyE = %v, want type-2", got)
 	}
@@ -437,9 +439,9 @@ func TestCaterpillarClassification(t *testing.T) {
 func TestCaterpillarCensus(t *testing.T) {
 	g := graph.Line(3)
 	cfg := CleanConfig(g)
-	cfg[0].(*Node).FW.Dests[2].BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
-	cfg[1].(*Node).FW.Dests[2].BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
-	cfg[2].(*Node).FW.Dests[2].BufE = &Message{Payload: "z", LastHop: 2, Color: 0}
+	cfg[0].(*Node).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 0, Color: 1}
+	cfg[1].(*Node).FW.Dest(2).BufR = &Message{Payload: "m", LastHop: 0, Color: 1}
+	cfg[2].(*Node).FW.Dest(2).BufE = &Message{Payload: "z", LastHop: 2, Color: 0}
 	census := CaterpillarCensus(g, cfg, 2)
 	if census[Type3] != 1 || census[Type2] != 1 || census[Type1] != 0 {
 		t.Fatalf("census = %v, want 1×type-3, 1×type-2", census)

@@ -14,27 +14,49 @@ import (
 
 // TestApplyLeavesSnapshotIntact executes every enabled selection of
 // corrupted configurations through the slot-scoped executor and requires
-// the pre-step configuration to be unchanged: a move may share
-// destinations and routing arrays with its predecessor, never write them.
+// the pre-step configuration to be unchanged: a move may share slot-table
+// chunks with its predecessor, never write them. The graphs' sizes are
+// not multiples of the chunk length, so the last chunk is partly used;
+// corrupted routing tables enable A moves, correct ones let R1–R6 move
+// everywhere, and the test requires moves of both kinds at destinations
+// on both edges of a chunk and in the last one.
 func TestApplyLeavesSnapshotIntact(t *testing.T) {
-	g := graph.Figure1Network()
-	rules := core.FullProgram(g).Rules()
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		cfg := core.RandomConfig(g, rng, core.DefaultCorrupt)
-		for p := 0; p < g.N(); p += 2 {
-			cfg[p].(*core.Node).FW.Enqueue(fmt.Sprintf("t%d", trial), graph.ProcessID((p+1)%g.N()))
-		}
-		before := core.Fingerprint(cfg)
-		moved := 0
-		for _, c := range sm.EnabledOf(g, rules, cfg) {
-			for _, r := range c.Rules {
-				sm.ApplySelection(g, rules, cfg, sm.Selection{Process: c.Process, Rule: r}, 0)
-				moved++
+	const chunkLen = 4 // statemodel's slot-table chunk length
+	for _, g := range []*graph.Graph{graph.Figure1Network(), graph.Grid(3, 3), graph.Ring(7)} {
+		rules := core.FullProgram(g).Rules()
+		rng := rand.New(rand.NewSource(3))
+		moved := map[string]bool{} // kind/edge of the destinations moved
+		for trial := 0; trial < 20; trial++ {
+			opts := core.DefaultCorrupt
+			opts.CorruptRouting = trial%2 == 0
+			cfg := core.RandomConfig(g, rng, opts)
+			for p := 0; p < g.N(); p += 2 {
+				cfg[p].(*core.Node).FW.Enqueue(fmt.Sprintf("t%d", trial), graph.ProcessID((p+1)%g.N()))
+			}
+			before := core.Fingerprint(cfg)
+			for _, c := range sm.EnabledOf(g, rules, cfg) {
+				for _, r := range c.Rules {
+					sm.ApplySelection(g, rules, cfg, sm.Selection{Process: c.Process, Rule: r}, 0)
+					d := rules[r].Slot - 1
+					kind := rules[r].Name[:1]
+					switch {
+					case d == g.N()-1:
+						moved[kind+"/last"] = true
+					case d%chunkLen == 0:
+						moved[kind+"/first"] = true
+					case d%chunkLen == chunkLen-1:
+						moved[kind+"/end"] = true
+					}
+				}
+			}
+			if after := core.Fingerprint(cfg); after != before {
+				t.Fatalf("%v trial %d: executing the enabled selections mutated the snapshot", g, trial)
 			}
 		}
-		if after := core.Fingerprint(cfg); after != before {
-			t.Fatalf("trial %d: executing %d selections mutated the snapshot", trial, moved)
+		for _, k := range []string{"A/first", "A/end", "A/last", "R/first", "R/end", "R/last"} {
+			if !moved[k] {
+				t.Errorf("%v: no %s move at a destination on the %s chunk edge", g, k[:1], k[2:])
+			}
 		}
 	}
 }

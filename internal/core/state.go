@@ -31,26 +31,24 @@ type DestState struct {
 // nextMessage/nextDestination macros, per-destination buffer pairs, and a
 // sequence counter minting simulation UIDs for generated messages.
 //
-// Dests holds one pointer per destination, initially into one backing
-// array per node, so a slot-scoped copy (Node.CloneSlot) copies the
-// pointer table and one DestState while sharing the rest. Rule actions
+// Dests holds the destinations in a copy-on-write slot table
+// (statemodel.SlotTable), so a slot-scoped copy (Node.CloneSlot) shares
+// it whole and a move's SetDest copies one chunk of it. Rule actions
 // replace a queue rather than write its elements.
 type NodeState struct {
 	Request bool
 	Pending []Outbound
-	Dests   []*DestState
+	Dests   sm.SlotTable[DestState]
 	NextSeq uint64
 }
 
-// newDests returns n empty destination slots backed by one array.
-func newDests(n int) []*DestState {
-	backing := make([]DestState, n)
-	dests := make([]*DestState, n)
-	for i := range dests {
-		dests[i] = &backing[i]
-	}
-	return dests
-}
+// Dest returns destination d's state. Write through it only on a state
+// fresh from EmptyState or Clone; everywhere else use SetDest.
+func (s *NodeState) Dest(d graph.ProcessID) *DestState { return s.Dests.At(int(d)) }
+
+// SetDest writes destination d's state copy-on-write: states sharing the
+// table keep the old value.
+func (s *NodeState) SetDest(d graph.ProcessID, ds DestState) { s.Dests.Set(int(d), ds) }
 
 // Clone deep-copies the forwarding state. Messages are immutable and may be
 // shared between clones.
@@ -58,11 +56,12 @@ func (s *NodeState) Clone() *NodeState {
 	c := &NodeState{
 		Request: s.Request,
 		Pending: append([]Outbound(nil), s.Pending...),
-		Dests:   newDests(len(s.Dests)),
+		Dests:   s.Dests.Clone(),
 		NextSeq: s.NextSeq,
 	}
-	for i, ds := range s.Dests {
-		*c.Dests[i] = DestState{BufR: ds.BufR, BufE: ds.BufE, Queue: append([]graph.ProcessID(nil), ds.Queue...)}
+	for d := range c.Dests.Len() {
+		ds := c.Dests.At(d)
+		ds.Queue = append([]graph.ProcessID(nil), ds.Queue...)
 	}
 	return c
 }
@@ -101,6 +100,7 @@ type Node struct {
 func (n *Node) Clone() sm.State { return &Node{RT: n.RT.Clone(), FW: n.FW.Clone()} }
 
 // nodeCopy lays out a slot-scoped copy's own structs in one allocation.
+// It holds no chunk of a slot table (see statemodel.SlotTable).
 type nodeCopy struct {
 	node Node
 	fw   NodeState
@@ -109,19 +109,14 @@ type nodeCopy struct {
 
 // CloneSlot implements statemodel.SlotState for the slots of the composed
 // program, slot d+1 holding destination d (routing.SlotOf). The copy owns
-// its Node, NodeState and routing.NodeState structs, its Dests pointer
-// table and destination d's DestState. It shares the routing arrays,
-// which A replaces rather than writes (routing.Accessor), the other
-// destinations' DestStates and the pending queue's backing array, which
-// it caps so an append reallocates.
-func (n *Node) CloneSlot(slot int) sm.State {
-	d := slot - 1
+// its Node, NodeState and routing.NodeState structs and shares both slot
+// tables whole: a move writes destination d through SetDest or
+// routing.NodeState.SetRoute, which copy only the chunk they write. It
+// also shares the pending queue's backing array, which it caps so an
+// append reallocates.
+func (n *Node) CloneSlot(int) sm.State {
 	c := &nodeCopy{fw: *n.FW, rt: *n.RT}
 	c.fw.Pending = slices.Clip(c.fw.Pending)
-	c.fw.Dests = slices.Clone(n.FW.Dests)
-	ds := *n.FW.Dests[d]
-	ds.Queue = slices.Clip(ds.Queue)
-	c.fw.Dests[d] = &ds
 	c.node = Node{RT: &c.rt, FW: &c.fw}
 	return &c.node
 }
@@ -146,7 +141,7 @@ func CleanNode(g *graph.Graph, p graph.ProcessID) *Node {
 
 // EmptyState returns a forwarding state with all buffers empty.
 func EmptyState(g *graph.Graph) *NodeState {
-	return &NodeState{Dests: newDests(g.N())}
+	return &NodeState{Dests: sm.NewSlotTable[DestState](g.N())}
 }
 
 // CleanConfig returns the fault-free initial configuration on g.
@@ -216,6 +211,7 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 		fwState := EmptyState(g)
 		hops := append(append([]graph.ProcessID(nil), g.Neighbors(p)...), p)
 		for d := 0; d < g.N(); d++ {
+			ds := fwState.Dests.At(d)
 			mk := func() *Message {
 				invalid++
 				return &Message{
@@ -229,16 +225,16 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 				}
 			}
 			if rng.Float64() < opts.BufferFill {
-				fwState.Dests[d].BufR = mk()
+				ds.BufR = mk()
 			}
 			if rng.Float64() < opts.BufferFill {
-				fwState.Dests[d].BufE = mk()
+				ds.BufE = mk()
 			}
 			if opts.CorruptQueues {
 				perm := rng.Perm(len(hops))
 				k := rng.Intn(len(hops) + 1)
 				for _, i := range perm[:k] {
-					fwState.Dests[d].Queue = append(fwState.Dests[d].Queue, hops[i])
+					ds.Queue = append(ds.Queue, hops[i])
 				}
 			}
 		}
@@ -256,7 +252,9 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 func InvalidMessages(cfg []sm.State) map[uint64]*Message {
 	out := make(map[uint64]*Message)
 	for _, s := range cfg {
-		for _, ds := range fw(s).Dests {
+		dests := fw(s).Dests
+		for d := range dests.Len() {
+			ds := dests.At(d)
 			for _, m := range []*Message{ds.BufR, ds.BufE} {
 				if m != nil && !m.Valid {
 					out[m.UID] = m

@@ -64,54 +64,56 @@ func TestNodeCloneIsDeep(t *testing.T) {
 	g := graph.Line(3)
 	n := CleanNode(g, 1)
 	n.FW.Enqueue("a", 0)
-	n.FW.Dests[0].BufR = &Message{Payload: "x"}
-	n.FW.Dests[0].Queue = []graph.ProcessID{0, 1}
+	n.FW.Dest(0).BufR = &Message{Payload: "x"}
+	n.FW.Dest(0).Queue = []graph.ProcessID{0, 1}
 
 	c := n.Clone().(*Node)
 	c.FW.Pending[0].Payload = "mutated"
-	c.FW.Dests[0].BufR = nil
-	c.FW.Dests[0].Queue[0] = 2
-	c.RT.Dist[0] = 99
+	c.FW.Dest(0).BufR = nil
+	c.FW.Dest(0).Queue[0] = 2
+	c.RT.Routes.At(0).Dist = 99
 
 	if n.FW.Pending[0].Payload != "a" {
 		t.Error("Pending shared")
 	}
-	if n.FW.Dests[0].BufR == nil {
+	if n.FW.Dest(0).BufR == nil {
 		t.Error("buffer field shared")
 	}
-	if n.FW.Dests[0].Queue[0] != 0 {
+	if n.FW.Dest(0).Queue[0] != 0 {
 		t.Error("queue shared")
 	}
-	if n.RT.Dist[0] == 99 {
+	if n.RT.Route(0).Dist == 99 {
 		t.Error("routing table shared")
 	}
 }
 
 // TestNodeCloneSlotIsolation writes everything a slot-s move may write on
-// a slot-scoped copy — destination s-1's buffers and queue, the unsliced
-// pending queue, request bit and sequence counter, and the routing table
-// the way A does — and requires the original to stay unchanged, while the
-// untouched destinations stay shared.
+// a slot-scoped copy — destination s-1's buffers and queue through
+// SetDest, the unsliced pending queue, request bit and sequence counter,
+// and the routing entry through SetRoute, the way A does — and requires
+// the original to stay unchanged. The slot tables' chunks the writes did
+// not reach stay shared; the written ones are the copy's own.
 func TestNodeCloneSlotIsolation(t *testing.T) {
-	g := graph.Line(3)
+	g := graph.Line(11) // three chunks, the last one partly used
 	n := CleanNode(g, 1)
 	n.FW.Pending = make([]Outbound, 0, 8) // spare capacity an append could share
 	n.FW.Enqueue("a", 0)
 	n.FW.Enqueue("b", 2)
-	n.FW.Dests[0].BufR = &Message{Payload: "x"}
-	n.FW.Dests[0].Queue = []graph.ProcessID{0, 1}
+	n.FW.Dest(0).BufR = &Message{Payload: "x"}
+	n.FW.Dest(0).Queue = []graph.ProcessID{0, 1}
 	before := Fingerprint([]sm.State{n})
 
 	c := n.CloneSlot(routing.SlotOf(0)).(*Node)
-	c.FW.Dests[0].BufR = nil
-	c.FW.Dests[0].BufE = &Message{Payload: "y"}
-	c.FW.Dests[0].Queue = append(c.FW.Dests[0].Queue, 2)
+	ds := *c.FW.Dest(0)
+	ds.BufR = nil
+	ds.BufE = &Message{Payload: "y"}
+	ds.Queue = append(ds.Queue, 2)
+	c.FW.SetDest(0, ds)
 	c.FW.Pending = c.FW.Pending[1:]
 	c.FW.Enqueue("c", 2)
 	c.FW.Request = false
 	c.FW.NextSeq++
-	c.RT.Dist = append([]int(nil), c.RT.Dist...)
-	c.RT.Dist[0] = 99
+	c.RT.SetRoute(0, routing.Route{Dist: 99, Parent: 2})
 
 	if after := Fingerprint([]sm.State{n}); after != before {
 		t.Fatalf("writing slot 1 of the copy changed the original:\nbefore %s\nafter  %s", before, after)
@@ -120,11 +122,19 @@ func TestNodeCloneSlotIsolation(t *testing.T) {
 	if got := c.FW.Pending[len(c.FW.Pending)-1].Payload; got != "c" {
 		t.Fatalf("copy's pending tail = %q, want c", got)
 	}
-	if c.FW.Dests[1] != n.FW.Dests[1] || c.FW.Dests[2] != n.FW.Dests[2] {
-		t.Fatal("untouched destinations should stay shared")
+	if c.FW.Dest(0).BufE == nil || c.RT.Route(0).Dist != 99 {
+		t.Fatal("the copy lost its own writes")
 	}
-	if c.FW.Dests[0] == n.FW.Dests[0] || c.RT == n.RT || c.FW == n.FW {
-		t.Fatal("the written slot and the structs must be the copy's own")
+	for _, d := range []graph.ProcessID{4, 7, 8, 10} { // other chunks
+		if c.FW.Dest(d) != n.FW.Dest(d) || c.RT.Routes.At(int(d)) != n.RT.Routes.At(int(d)) {
+			t.Fatalf("destination %d is in an unwritten chunk and should stay shared", d)
+		}
+	}
+	if c.FW.Dest(1) == n.FW.Dest(1) || c.RT.Routes.At(1) == n.RT.Routes.At(1) || c.RT == n.RT || c.FW == n.FW {
+		t.Fatal("the written chunk and the structs must be the copy's own")
+	}
+	if c1, n1 := c.FW.Dest(1), n.FW.Dest(1); c1.BufR != n1.BufR || c1.BufE != n1.BufE || len(c1.Queue) != len(n1.Queue) {
+		t.Fatal("the written chunk's other entries must keep their values")
 	}
 }
 
@@ -168,7 +178,7 @@ func TestRandomConfigWellTyped(t *testing.T) {
 			p := graph.ProcessID(pp)
 			node := s.(*Node)
 			for d := 0; d < g.N(); d++ {
-				ds := node.FW.Dests[d]
+				ds := node.FW.Dests.At(d)
 				for _, m := range []*Message{ds.BufR, ds.BufE} {
 					if m == nil {
 						continue
@@ -203,10 +213,10 @@ func TestRandomConfigRespectsOptions(t *testing.T) {
 	for pp, s := range cfg {
 		node := s.(*Node)
 		for d := 0; d < g.N(); d++ {
-			if node.FW.Dests[d].BufR != nil || node.FW.Dests[d].BufE != nil {
+			if ds := node.FW.Dests.At(d); ds.BufR != nil || ds.BufE != nil {
 				t.Fatal("BufferFill=0 must leave buffers empty")
 			}
-			if len(node.FW.Dests[d].Queue) != 0 {
+			if len(node.FW.Dests.At(d).Queue) != 0 {
 				t.Fatal("CorruptQueues=false must leave queues empty")
 			}
 		}
@@ -214,7 +224,7 @@ func TestRandomConfigRespectsOptions(t *testing.T) {
 			t.Fatal("PhantomRequests=false must leave request down")
 		}
 		for d := 0; d < g.N(); d++ {
-			if node.RT.Dist[d] != g.Dist(graph.ProcessID(pp), graph.ProcessID(d)) {
+			if node.RT.Routes.At(d).Dist != g.Dist(graph.ProcessID(pp), graph.ProcessID(d)) {
 				t.Fatal("CorruptRouting=false must give correct tables")
 			}
 		}
@@ -246,8 +256,8 @@ func TestOccupancyAndQuiescent(t *testing.T) {
 	if total != 0 || valid != 0 {
 		t.Fatal("clean config must have empty buffers")
 	}
-	cfg[1].(*Node).FW.Dests[0].BufR = &Message{Payload: "x", Valid: true}
-	cfg[2].(*Node).FW.Dests[0].BufE = &Message{Payload: "y"}
+	cfg[1].(*Node).FW.Dest(0).BufR = &Message{Payload: "x", Valid: true}
+	cfg[2].(*Node).FW.Dest(0).BufE = &Message{Payload: "y"}
 	if Quiescent(cfg) {
 		t.Fatal("occupied config must not be quiescent")
 	}

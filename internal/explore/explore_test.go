@@ -56,11 +56,9 @@ func TestExhaustiveCorruptedTables(t *testing.T) {
 	cfg := core.CleanConfig(g)
 	// The Figure 3 corruption: a↔c cycle for destination b plus the
 	// color-0 invalid message in bufR_b(b).
-	cfg[0].(*core.Node).RT.Parent[1] = 2
-	cfg[0].(*core.Node).RT.Dist[1] = 2
-	cfg[2].(*core.Node).RT.Parent[1] = 0
-	cfg[2].(*core.Node).RT.Dist[1] = 2
-	cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
+	cfg[0].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 2})
+	cfg[2].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 0})
+	cfg[1].(*core.Node).FW.Dest(1).BufR = &core.Message{
 		Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false,
 	}
 	enqueue(cfg, 2, "data", 1) // valid message colliding with the invalid's payload
@@ -80,7 +78,7 @@ func TestExhaustiveCorruptedTables(t *testing.T) {
 func TestExhaustiveR5RegressionScenario(t *testing.T) {
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{
+	cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
 		Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false,
 	}
 	enqueue(cfg, 0, "x", 2)
@@ -168,8 +166,8 @@ func TestExhaustiveRoutingOnly(t *testing.T) {
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
 	// Corrupt two entries.
-	cfg[0].(*core.Node).RT.Dist[2] = 0
-	cfg[2].(*core.Node).RT.Dist[0] = 3
+	cfg[0].(*core.Node).RT.Routes.At(2).Dist = 0
+	cfg[2].(*core.Node).RT.Routes.At(0).Dist = 3
 	opts := explore.CoreOptions(g)
 	opts.TerminalCheck = func(cfg []sm.State, _, _ map[uint64]int) error {
 		for p := 0; p < g.N(); p++ {
@@ -195,11 +193,9 @@ func TestExhaustiveRoutingOnly(t *testing.T) {
 func TestExhaustiveSimultaneityTwo(t *testing.T) {
 	g := graph.Figure3Network()
 	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).RT.Parent[1] = 2
-	cfg[0].(*core.Node).RT.Dist[1] = 2
-	cfg[2].(*core.Node).RT.Parent[1] = 0
-	cfg[2].(*core.Node).RT.Dist[1] = 2
-	cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
+	cfg[0].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 2})
+	cfg[2].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 0})
+	cfg[1].(*core.Node).FW.Dest(1).BufR = &core.Message{
 		Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false,
 	}
 	enqueue(cfg, 2, "data", 1)

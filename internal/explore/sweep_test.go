@@ -33,8 +33,7 @@ var templates = []corruptionTemplate{
 				continue
 			}
 			nbrs := g.Neighbors(graph.ProcessID(p))
-			cfg[p].(*core.Node).RT.Parent[d] = nbrs[rng.Intn(len(nbrs))]
-			cfg[p].(*core.Node).RT.Dist[d] = rng.Intn(g.N() + 1)
+			cfg[p].(*core.Node).RT.SetRoute(d, routing.Route{Dist: rng.Intn(g.N() + 1), Parent: nbrs[rng.Intn(len(nbrs))]})
 		}
 	}},
 	{"invalid-squatter", func(g *graph.Graph, cfg []sm.State, rng *rand.Rand) {
@@ -44,11 +43,11 @@ var templates = []corruptionTemplate{
 		p := graph.ProcessID(rng.Intn(g.N()))
 		d := graph.ProcessID(g.N() - 1)
 		hops := append(append([]graph.ProcessID(nil), g.Neighbors(p)...), p)
-		cfg[p].(*core.Node).FW.Dests[d].BufR = &core.Message{
+		cfg[p].(*core.Node).FW.Dest(d).BufR = &core.Message{
 			Payload: "m", LastHop: hops[rng.Intn(len(hops))], Color: 0,
 			UID: 1 << 52, Src: p, Dest: d, Valid: false,
 		}
-		cfg[p].(*core.Node).FW.Dests[d].Queue = hops
+		cfg[p].(*core.Node).FW.Dest(d).Queue = hops
 	}},
 }
 

@@ -103,12 +103,11 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 		// bookkeeping (the pending set describes a configuration that no
 		// longer exists) on top of the cache dirtying StateOf already did.
 		e.Invalidate(p)
-		d := in.rng.Intn(in.g.N())
-		// Successive configurations share the DestStates no move wrote
-		// (core.Node.CloneSlot), so the fault corrupts a private copy.
-		ds := new(core.DestState)
-		*ds = *node.FW.Dests[d]
-		node.FW.Dests[d] = ds
+		d := graph.ProcessID(in.rng.Intn(in.g.N()))
+		// Successive configurations share the slot-table chunks no move
+		// wrote (core.Node.CloneSlot), so the fault corrupts a private
+		// copy and writes it back through SetDest.
+		ds := *node.FW.Dest(d)
 		buf := &ds.BufR
 		if in.rng.Intn(2) == 0 {
 			buf = &ds.BufE
@@ -116,7 +115,7 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 		kind := in.kinds[in.rng.Intn(len(in.kinds))]
 		e.Publish(obs.Event{
 			Kind: obs.KindFault, Step: e.Steps(), Round: e.Rounds(),
-			Proc: p, Dest: graph.ProcessID(d), Detail: kind.String(),
+			Proc: p, Dest: d, Detail: kind.String(),
 		})
 		switch kind {
 		case TableScramble:
@@ -138,7 +137,7 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 				Color:   in.rng.Intn(in.g.MaxDegree() + 1),
 				UID:     garbageUID,
 				Src:     p,
-				Dest:    graph.ProcessID(d),
+				Dest:    d,
 				Valid:   false,
 			}
 		case BufferClone:
@@ -177,6 +176,7 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 				*buf = &recolored
 			}
 		}
+		node.FW.SetDest(d, ds)
 	}
 	return compromised
 }
@@ -193,7 +193,8 @@ func InFlightValid(e *sm.Engine, g *graph.Graph) []uint64 {
 	seen := make(map[uint64]bool)
 	for p := 0; p < g.N(); p++ {
 		fw := e.PeekStateOf(graph.ProcessID(p)).(*core.Node).FW
-		for _, ds := range fw.Dests {
+		for d := range fw.Dests.Len() {
+			ds := fw.Dests.At(d)
 			for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 				if m != nil && m.Valid && !seen[m.UID] {
 					seen[m.UID] = true

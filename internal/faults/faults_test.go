@@ -14,6 +14,16 @@ import (
 	sm "ssmfp/internal/statemodel"
 )
 
+// editDest rewrites p's state for destination d on a running engine
+// through SetDest, leaving the configurations that share its chunk
+// intact.
+func editDest(e *sm.Engine, p, d graph.ProcessID, edit func(*core.DestState)) {
+	fw := e.StateOf(p).(*core.Node).FW
+	ds := *fw.Dest(d)
+	edit(&ds)
+	fw.SetDest(d, ds)
+}
+
 func newSystem(g *graph.Graph, seed int64) (*sm.Engine, *checker.Tracker) {
 	cfg := core.CleanConfig(g)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewCentralRandom(seed), cfg)
@@ -42,8 +52,9 @@ func TestStrikeReportsTouchedMessages(t *testing.T) {
 	g := graph.Line(4)
 	e, _ := newSystem(g, 1)
 	// Put a valid message in flight.
-	e.StateOf(1).(*core.Node).FW.Dests[3].BufE = &core.Message{
-		Payload: "v", LastHop: 1, Color: 0, UID: 42, Src: 1, Dest: 3, Valid: true}
+	editDest(e, 1, 3, func(ds *core.DestState) {
+		ds.BufE = &core.Message{Payload: "v", LastHop: 1, Color: 0, UID: 42, Src: 1, Dest: 3, Valid: true}
+	})
 	in := faults.NewInjector(g, 5, []faults.Kind{faults.BufferDrop})
 	var got []uint64
 	for i := 0; i < 200 && len(got) == 0; i++ {
@@ -82,9 +93,9 @@ func TestInFlightValid(t *testing.T) {
 	if ids := faults.InFlightValid(e, g); len(ids) != 0 {
 		t.Fatalf("clean system has no in-flight messages, got %v", ids)
 	}
-	e.StateOf(1).(*core.Node).FW.Dests[3].BufE = &core.Message{UID: 7, Valid: true}
-	e.StateOf(2).(*core.Node).FW.Dests[3].BufR = &core.Message{UID: 7, Valid: true} // copy, same UID
-	e.StateOf(0).(*core.Node).FW.Dests[2].BufR = &core.Message{UID: 9, Valid: false}
+	editDest(e, 1, 3, func(ds *core.DestState) { ds.BufE = &core.Message{UID: 7, Valid: true} })
+	editDest(e, 2, 3, func(ds *core.DestState) { ds.BufR = &core.Message{UID: 7, Valid: true} }) // copy, same UID
+	editDest(e, 0, 2, func(ds *core.DestState) { ds.BufR = &core.Message{UID: 9, Valid: false} })
 	ids := faults.InFlightValid(e, g)
 	if len(ids) != 1 || ids[0] != 7 {
 		t.Fatalf("InFlightValid = %v, want [7] (dedup, valid only)", ids)
@@ -219,13 +230,15 @@ func TestEachFaultKindBehaves(t *testing.T) {
 	place := func(e *sm.Engine, p graph.ProcessID, d int, uid uint64) *core.Message {
 		m := &core.Message{Payload: "v", LastHop: p, Color: 0, UID: uid,
 			Src: p, Dest: graph.ProcessID(d), Valid: true}
-		e.StateOf(p).(*core.Node).FW.Dests[d].BufE = m
+		editDest(e, p, graph.ProcessID(d), func(ds *core.DestState) { ds.BufE = m })
 		return m
 	}
 	countMsgs := func(e *sm.Engine) int {
 		n := 0
 		for p := 0; p < g.N(); p++ {
-			for _, ds := range e.StateOf(graph.ProcessID(p)).(*core.Node).FW.Dests {
+			dests := e.StateOf(graph.ProcessID(p)).(*core.Node).FW.Dests
+			for d := range dests.Len() {
+				ds := dests.At(d)
 				for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 					if m != nil {
 						n++
@@ -255,7 +268,7 @@ func TestEachFaultKindBehaves(t *testing.T) {
 		if len(compromised) != 1 || compromised[0] != 71 {
 			t.Fatalf("clone never reported: %v", compromised)
 		}
-		ds := e.StateOf(1).(*core.Node).FW.Dests[3]
+		ds := e.StateOf(1).(*core.Node).FW.Dest(3)
 		if ds.BufR == nil || ds.BufE == nil || ds.BufR.UID != ds.BufE.UID {
 			t.Fatal("clone must occupy both buffers with the same UID")
 		}
@@ -271,7 +284,7 @@ func TestEachFaultKindBehaves(t *testing.T) {
 		if len(compromised) != 1 || compromised[0] != 72 {
 			t.Fatalf("recolor never reported: %v", compromised)
 		}
-		if m := e.StateOf(2).(*core.Node).FW.Dests[0].BufE; m == nil || m.UID != 72 {
+		if m := e.StateOf(2).(*core.Node).FW.Dest(0).BufE; m == nil || m.UID != 72 {
 			t.Fatal("recolored message must stay in place")
 		}
 	})

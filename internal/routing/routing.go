@@ -19,7 +19,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
@@ -30,39 +29,48 @@ import (
 // strictly larger value so that A takes precedence.
 const Priority = 0
 
-// NodeState holds one processor's routing table: Dist and Parent indexed by
-// destination. At the destination itself Parent is the processor's own ID.
-type NodeState struct {
-	Dist   []int             // Dist[d] ∈ [0, n]
-	Parent []graph.ProcessID // Parent[d] ∈ N_p ∪ {p}
+// Route is one destination's entry of a routing table.
+type Route struct {
+	Dist   int             // ∈ [0, n]
+	Parent graph.ProcessID // ∈ N_p ∪ {p}; p itself at the destination
 }
 
-// Clone deep-copies the routing table.
-func (s *NodeState) Clone() *NodeState {
-	return &NodeState{
-		Dist:   append([]int(nil), s.Dist...),
-		Parent: append([]graph.ProcessID(nil), s.Parent...),
-	}
+// NodeState holds one processor's routing table, a Route per destination
+// in a copy-on-write slot table (statemodel.SlotTable): copies of the
+// state share the entries no move wrote.
+type NodeState struct {
+	Routes sm.SlotTable[Route]
 }
+
+// NewState returns a table of n zero routes, for filling through
+// Routes.At before any copy of it is taken.
+func NewState(n int) *NodeState {
+	return &NodeState{Routes: sm.NewSlotTable[Route](n)}
+}
+
+// Clone copies the routing table; the copy shares nothing with s.
+func (s *NodeState) Clone() *NodeState {
+	return &NodeState{Routes: s.Routes.Clone()}
+}
+
+// Route returns destination d's entry.
+func (s *NodeState) Route(d graph.ProcessID) Route { return *s.Routes.At(int(d)) }
+
+// SetRoute writes destination d's entry copy-on-write: states sharing the
+// table keep the old entry.
+func (s *NodeState) SetRoute(d graph.ProcessID, r Route) { s.Routes.Set(int(d), r) }
 
 // NextHop returns nextHop_p(d) as read from the table. It is only
 // meaningful at p ≠ d; the protocol never consults it at the destination.
-func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Parent[d] }
-
-// set writes destination d's entry into fresh copies of Dist and Parent:
-// A never writes the arrays in place.
-func (s *NodeState) set(d graph.ProcessID, dist int, parent graph.ProcessID) {
-	s.Dist, s.Parent = slices.Clone(s.Dist), slices.Clone(s.Parent)
-	s.Dist[d], s.Parent[d] = dist, parent
-}
+func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Routes.At(int(d)).Parent }
 
 // Accessor extracts the routing component from a composed scenario state.
 // Scenario states embed a routing NodeState next to the forwarding state;
 // the rules built by NewProgram reach it through this function. A's
-// actions replace the table's Dist and Parent arrays instead of writing
-// them, so a slot-scoped copy of the composed state
-// (statemodel.SlotState) must own the NodeState struct but may share
-// its arrays.
+// actions write an entry through SetRoute, which copies only the chunk
+// of the slot table it writes, so a slot-scoped copy of the composed
+// state (statemodel.SlotState) must own the NodeState struct but may
+// share its table.
 type Accessor func(sm.State) *NodeState
 
 // SlotOf is the engine slot of destination d (statemodel.Rule.Slot):
@@ -85,35 +93,33 @@ func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 			Priority: Priority,
 			Slot:     SlotOf(d),
 			Guard: func(v *sm.View) bool {
-				wantDist, wantParent := target(g, v, acc, d)
-				s := acc(v.Self())
-				return s.Dist[d] != wantDist || s.Parent[d] != wantParent
+				return acc(v.Self()).Route(d) != target(g, v, acc, d)
 			},
 			Action: func(v *sm.View) {
-				wantDist, wantParent := target(g, v, acc, d)
+				want := target(g, v, acc, d)
 				s := acc(v.Self())
-				if v.Observing() && s.Parent[d] != wantParent {
-					v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: wantParent})
+				if v.Observing() && s.NextHop(d) != want.Parent {
+					v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: want.Parent})
 				}
-				s.set(d, wantDist, wantParent)
+				s.SetRoute(d, want)
 			},
 		})
 	}
 	return sm.NewProgram(rules...)
 }
 
-// target computes the canonical (Dist, Parent) pair processor v.ID() should
-// hold for destination d given its neighbors' current tables.
-func target(g *graph.Graph, v *sm.View, acc Accessor, d graph.ProcessID) (int, graph.ProcessID) {
+// target computes the canonical route processor v.ID() should hold for
+// destination d given its neighbors' current tables.
+func target(g *graph.Graph, v *sm.View, acc Accessor, d graph.ProcessID) Route {
 	p := v.ID()
 	if p == d {
-		return 0, p
+		return Route{Dist: 0, Parent: p}
 	}
 	n := g.N()
 	bestDist := n
 	bestParent := v.Neighbors()[0] // neighbors are sorted: first min is the smallest ID
 	for _, q := range v.Neighbors() {
-		dq := acc(v.Read(q)).Dist[d]
+		dq := acc(v.Read(q)).Route(d).Dist
 		if dq < 0 {
 			dq = 0 // tolerate ill-typed corruption
 		}
@@ -125,24 +131,23 @@ func target(g *graph.Graph, v *sm.View, acc Accessor, d graph.ProcessID) (int, g
 			bestDist, bestParent = cand, q
 		}
 	}
-	return bestDist, bestParent
+	return Route{Dist: bestDist, Parent: bestParent}
 }
 
 // CorrectState returns the canonical stabilized routing table for processor
 // p on g: true BFS distances and smallest-ID shortest-path parents.
 func CorrectState(g *graph.Graph, p graph.ProcessID) *NodeState {
 	n := g.N()
-	s := &NodeState{Dist: make([]int, n), Parent: make([]graph.ProcessID, n)}
+	s := NewState(n)
 	for dd := 0; dd < n; dd++ {
 		d := graph.ProcessID(dd)
 		if p == d {
-			s.Dist[d] = 0
-			s.Parent[d] = p
+			*s.Routes.At(dd) = Route{Dist: 0, Parent: p}
 			continue
 		}
-		s.Dist[d] = g.Dist(p, d)
 		next := g.ShortestPathNext(p, d)
-		s.Parent[d] = next[0] // Neighbors() is sorted, so next[0] is the smallest ID
+		// Neighbors() is sorted, so next[0] is the smallest ID.
+		*s.Routes.At(dd) = Route{Dist: g.Dist(p, d), Parent: next[0]}
 	}
 	return s
 }
@@ -152,7 +157,7 @@ func CorrectState(g *graph.Graph, p graph.ProcessID) *NodeState {
 func Correct(g *graph.Graph, p graph.ProcessID, s *NodeState) bool {
 	want := CorrectState(g, p)
 	for d := 0; d < g.N(); d++ {
-		if s.Dist[d] != want.Dist[d] || s.Parent[d] != want.Parent[d] {
+		if *s.Routes.At(d) != *want.Routes.At(d) {
 			return false
 		}
 	}
@@ -172,7 +177,7 @@ func LoopFree(g *graph.Graph, d graph.ProcessID, tables []*NodeState) bool {
 				return false
 			}
 			seen[p] = true
-			p = tables[p].Parent[d]
+			p = tables[p].NextHop(d)
 		}
 	}
 	return true
@@ -183,17 +188,17 @@ func LoopFree(g *graph.Graph, d graph.ProcessID, tables []*NodeState) bool {
 // arbitrary initial configuration keeps variables in their domains).
 func RandomState(g *graph.Graph, p graph.ProcessID, rng *rand.Rand) *NodeState {
 	n := g.N()
-	s := &NodeState{Dist: make([]int, n), Parent: make([]graph.ProcessID, n)}
+	s := NewState(n)
 	ns := g.Neighbors(p)
 	for d := 0; d < n; d++ {
-		s.Dist[d] = rng.Intn(n + 1)
-		s.Parent[d] = ns[rng.Intn(len(ns))]
+		r := s.Routes.At(d)
+		r.Dist = rng.Intn(n + 1)
+		r.Parent = ns[rng.Intn(len(ns))]
 		if graph.ProcessID(d) == p {
 			// Even "arbitrary" tables keep Parent ∈ N_p ∪ {p}; give the
 			// destination entry a chance to be corrupt too.
 			if rng.Intn(2) == 0 {
-				s.Dist[d] = 0
-				s.Parent[d] = p
+				*r = Route{Dist: 0, Parent: p}
 			}
 		}
 	}
@@ -208,10 +213,8 @@ func CycleCorrupt(g *graph.Graph, d graph.ProcessID, u, v graph.ProcessID, table
 	if !g.HasEdge(u, v) {
 		panic(fmt.Sprintf("routing: CycleCorrupt needs an edge (%d,%d)", u, v))
 	}
-	tables[u].Parent[d] = v
-	tables[u].Dist[d] = 2
-	tables[v].Parent[d] = u
-	tables[v].Dist[d] = 2
+	tables[u].SetRoute(d, Route{Dist: 2, Parent: v})
+	tables[v].SetRoute(d, Route{Dist: 2, Parent: u})
 }
 
 // NewSlowProgram returns a deliberately slow variant of A for the R_A
@@ -233,24 +236,24 @@ func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program {
 			Priority: Priority,
 			Slot:     SlotOf(d),
 			Guard: func(v *sm.View) bool {
-				wantDist, wantParent := target(g, v, acc, d)
-				s := acc(v.Self())
-				return s.Dist[d] != wantDist || s.Parent[d] != wantParent
+				return acc(v.Self()).Route(d) != target(g, v, acc, d)
 			},
 			Action: func(v *sm.View) {
-				wantDist, wantParent := target(g, v, acc, d)
+				want := target(g, v, acc, d)
 				s := acc(v.Self())
+				r := s.Route(d)
 				switch {
-				case s.Dist[d] < wantDist:
-					s.set(d, s.Dist[d]+1, s.Parent[d])
-				case s.Dist[d] > wantDist:
-					s.set(d, s.Dist[d]-1, s.Parent[d])
+				case r.Dist < want.Dist:
+					r.Dist++
+				case r.Dist > want.Dist:
+					r.Dist--
 				default:
-					if v.Observing() && s.Parent[d] != wantParent {
-						v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: wantParent})
+					if v.Observing() && r.Parent != want.Parent {
+						v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: want.Parent})
 					}
-					s.set(d, s.Dist[d], wantParent)
+					r.Parent = want.Parent
 				}
+				s.SetRoute(d, r)
 			},
 		})
 	}

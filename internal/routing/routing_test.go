@@ -197,11 +197,12 @@ func TestRandomStateWellTyped(t *testing.T) {
 		for p := 0; p < g.N(); p++ {
 			s := RandomState(g, graph.ProcessID(p), rng)
 			for d := 0; d < g.N(); d++ {
-				if s.Dist[d] < 0 || s.Dist[d] > g.N() {
-					t.Fatalf("Dist out of range: %d", s.Dist[d])
+				r := s.Routes.At(d)
+				if r.Dist < 0 || r.Dist > g.N() {
+					t.Fatalf("Dist out of range: %d", r.Dist)
 				}
-				if !g.IsNeighborOrSelf(graph.ProcessID(p), s.Parent[d]) {
-					t.Fatalf("Parent %d not in N_%d ∪ {%d}", s.Parent[d], p, p)
+				if !g.IsNeighborOrSelf(graph.ProcessID(p), r.Parent) {
+					t.Fatalf("Parent %d not in N_%d ∪ {%d}", r.Parent, p, p)
 				}
 			}
 		}
@@ -212,10 +213,9 @@ func TestCloneIsDeep(t *testing.T) {
 	g := graph.Line(3)
 	s := CorrectState(g, 0)
 	c := s.Clone()
-	c.Dist[1] = 99
-	c.Parent[1] = 0
-	if s.Dist[1] == 99 || s.Parent[1] == 0 && s.Dist[1] == 99 {
-		t.Fatal("Clone shares backing arrays")
+	*c.Routes.At(1) = Route{Dist: 99, Parent: 0}
+	if s.Route(1) == c.Route(1) {
+		t.Fatal("Clone shares table chunks")
 	}
 }
 

@@ -87,12 +87,10 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	cfg := core.CleanConfig(g)
 	node := func(p graph.ProcessID) *core.Node { return cfg[p].(*core.Node) }
 	// Routing cycle a↔c for destination b.
-	node(a).RT.Parent[b] = c
-	node(a).RT.Dist[b] = 2
-	node(c).RT.Parent[b] = a
-	node(c).RT.Dist[b] = 2
+	node(a).RT.SetRoute(b, routing.Route{Dist: 2, Parent: c})
+	node(c).RT.SetRoute(b, routing.Route{Dist: 2, Parent: a})
 	// Invalid message m' (payload "data") with color 0 in bufR_b(b).
-	node(b).FW.Dests[b].BufR = &core.Message{
+	node(b).FW.Dest(b).BufR = &core.Message{
 		Payload: "data", LastHop: c, Color: 0, UID: 1 << 50, Src: b, Dest: b, Valid: false,
 	}
 	// The higher layer at c wants to send m ("hello") and m' ("data").
@@ -149,12 +147,12 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 		}
 		switch i + 1 {
 		case 2:
-			m := engNode(c).FW.Dests[b].BufR
+			m := engNode(c).FW.Dest(b).BufR
 			if m == nil || m.Payload != "hello" || m.Color != 0 || m.LastHop != c {
 				fail("after (2): bufR_c(b) = %v, want (hello,q=c,c=0)", m)
 			}
 		case 3:
-			m := engNode(c).FW.Dests[b].BufE
+			m := engNode(c).FW.Dest(b).BufE
 			if m == nil {
 				fail("after (3): bufE_c(b) empty")
 			} else {
@@ -164,7 +162,7 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 				}
 			}
 		case 4:
-			m := engNode(c).FW.Dests[b].BufR
+			m := engNode(c).FW.Dest(b).BufR
 			if m == nil || m.Payload != "data" || m.Color != 0 {
 				fail("after (4): bufR_c(b) = %v, want (data,q=c,c=0)", m)
 			}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"ssmfp/internal/routing"
 
 	"ssmfp/internal/core"
 	"ssmfp/internal/explore"
@@ -62,11 +63,9 @@ func ExperimentMC() MCResult {
 	fig3 := func() (*graph.Graph, []sm.State) {
 		g := graph.Figure3Network()
 		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).RT.Parent[1] = 2
-		cfg[0].(*core.Node).RT.Dist[1] = 2
-		cfg[2].(*core.Node).RT.Parent[1] = 0
-		cfg[2].(*core.Node).RT.Dist[1] = 2
-		cfg[1].(*core.Node).FW.Dests[1].BufR = &core.Message{
+		cfg[0].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 2})
+		cfg[2].(*core.Node).RT.SetRoute(1, routing.Route{Dist: 2, Parent: 0})
+		cfg[1].(*core.Node).FW.Dest(1).BufR = &core.Message{
 			Payload: "data", LastHop: 2, Color: 0, UID: 1 << 50, Src: 1, Dest: 1, Valid: false}
 		cfg[2].(*core.Node).FW.Enqueue("data", 1)
 		return g, cfg
@@ -84,7 +83,7 @@ func ExperimentMC() MCResult {
 	{
 		g := graph.Line(3)
 		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{
+		cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
 			Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false}
 		cfg[0].(*core.Node).FW.Enqueue("x", 2)
 		r := explore.Explore(g, core.LiteralR5Program(g), cfg, explore.CoreOptions(g))

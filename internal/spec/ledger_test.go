@@ -90,6 +90,39 @@ func TestSeqLedger(t *testing.T) {
 	}
 }
 
+// TestSeqLedgerFirstDeliveries: a first delivery through DeliveredSeq
+// counts once when it is clean, and is a breach at the wrong node, of a
+// rolled-back send, or (over bound 0) when invalid.
+func TestSeqLedgerFirstDeliveries(t *testing.T) {
+	l := spec.NewSeq(4)
+	for seq := range 4 {
+		l.SentSeq(seq, 1)
+	}
+	l.UnsentSeq(3)
+	if n := l.DeliveredSeq(0, 1, true); n != 1 {
+		t.Fatalf("clean first delivery returned %d, want 1", n)
+	}
+	if n := l.DeliveredSeq(1, 2, true); n != 1 {
+		t.Fatalf("misrouted first delivery returned %d, want 1", n)
+	}
+	if n := l.DeliveredSeq(2, 1, false); n != 0 {
+		t.Fatalf("invalid delivery returned %d, want 0", n)
+	}
+	if n := l.DeliveredSeq(3, 1, true); n != 0 {
+		t.Fatalf("delivery of a rolled-back send returned %d, want 0", n)
+	}
+	v := l.Verdict()
+	want := []string{
+		"seq 1 delivered at node 2, addressed to 1",
+		"node 1 delivered unknown seq 3",
+		"destination 1 received 1 invalid deliveries, bound is 0",
+		"seq 2 (for node 1) never delivered",
+	}
+	if !slices.Equal(v.Lines, want) || v.Delivered != 2 || v.Invalid[1] != 1 {
+		t.Fatalf("lines %q delivered %d invalid %v, want %q, 2, 1 at node 1", v.Lines, v.Delivered, v.Invalid, want)
+	}
+}
+
 // TestLedgerCapsBreaches: a network that duplicates every message keeps
 // the ledger's memory flat — the first ten breaches as lines, the rest
 // as one count — and a breach of a key already voided is not kept.

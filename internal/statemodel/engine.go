@@ -31,9 +31,10 @@ type Stats struct {
 
 	SelfChecks int // naive recomputations performed by the self-check mode
 
-	// Sharded-engine counters (zero with one shard).
+	// Sharded-engine counters: only work that fanned out to several
+	// workers counts (zero with one shard or below the thresholds).
 	ParallelBatches int   // non-adjacent execution batches run concurrently
-	ParallelMoves   int64 // selections executed through the parallel path
+	ParallelMoves   int64 // selections in those batches
 	BoundaryChecks  int   // batches re-verified by the boundary-conflict oracle
 }
 
@@ -83,21 +84,25 @@ type Engine struct {
 	roundPending []bool
 	pendingLeft  int // processors still pending in the round
 	roundOpen    bool
-	lastEnabled  []Choice // the previous step's pre-step set, to detect neutralizations
-	inStep       bool     // Rounds() settles lazily only between steps
+	lastEnabled  []Choice    // the previous step's pre-step set, to detect neutralizations
+	lastBuf      *choiceList // the one lastEnabled reads
+	inStep       bool        // Rounds() settles lazily only between steps
 
 	// incremental enabled-set cache
 	incremental  bool
 	selfCheck    bool
 	enabledValid bool
-	enabledList  []Choice   // memoized enabled set; valid iff enabledValid
-	cache        *slotCache // per-(processor, slot) cache, built at the first scan
+	enabledList  []Choice    // memoized enabled set; valid iff enabledValid
+	enabledBuf   *choiceList // the stepBuffers.lists entry enabledList reads, if any
+	heldBuf      *choiceList // the one the pre-step set of the step in progress reads
+	cache        *slotCache  // per-(processor, slot) cache, built at the first scan
 	stats        Stats
 
 	buf stepBuffers
 
 	// sharded execution (parallel.go); nil = one shard
 	part *graph.Partition
+	fan  fanOutMin
 }
 
 // stepBuffers is the per-step scratch of Step, reused across steps so the
@@ -106,10 +111,11 @@ type stepBuffers struct {
 	view    View // one shard's executing view
 	next    []State
 	events  []Event
-	outs    []execOut // sharded execution: per-selection events
-	batches [][]int   // sharded execution: batch pool
-	groups  [][]int   // sharded execution: one batch's selections per shard
-	active  [][]int   // sharded execution: the non-empty groups
+	lists   [3]choiceList // storage of the enabled sets (see freeList)
+	outs    []execOut     // sharded execution: per-selection events
+	batches [][]int       // sharded execution: batch pool
+	groups  [][]int       // sharded execution: one batch's selections per shard
+	active  [][]int       // sharded execution: the non-empty groups
 
 	batchOf []int32  // processor -> 1 + its batch while planning, 0 = none
 	offer   []int32  // processor -> index of its Choice in the validated set
@@ -163,6 +169,7 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		roundPending: make([]bool, g.N()),
 		incremental:  true,
 		selfCheck:    testing.Testing(),
+		fan:          fanOutMin{marks: parFlushMinMarks, moves: parBatchMinMoves},
 		buf: stepBuffers{
 			batchOf: make([]int32, g.N()),
 			offer:   make([]int32, g.N()),
@@ -187,8 +194,8 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // what the move did not write with earlier configurations
 // (SlotState.CloneSlot), so a caller may write the state's own fields but
 // must replace, not write in place, anything it reaches through a
-// pointer or slice (for core.Node: a DestState, a queue, the routing
-// arrays).
+// pointer or slice (for core.Node: a queue; a destination or route
+// entry goes through SlotTable.Set, i.e. SetDest or SetRoute).
 func (e *Engine) StateOf(p graph.ProcessID) State {
 	e.markDirty(p)
 	return e.states[p]
@@ -234,7 +241,7 @@ func (e *Engine) resetRoundBookkeeping() {
 	clear(e.roundPending)
 	e.pendingLeft = 0
 	e.roundOpen = false
-	e.lastEnabled = nil
+	e.lastEnabled, e.lastBuf = nil, nil
 }
 
 // Steps returns the number of executed steps.
@@ -338,9 +345,16 @@ func (e *Engine) markDirty(p graph.ProcessID) {
 // a full scan when the cache is off or invalid, otherwise the memoized
 // list with the marked (processor, slot) pairs re-evaluated first. Both
 // are one flush of the slot cache. Callers inside the engine must not
-// mutate the list. Every rebuild allocates a fresh slice, so a list
-// handed out before a flush (e.g. the pre-step set a Step holds) stays
-// intact.
+// mutate the list. A rebuild writes only into storage no live list
+// reads (freeList), so a list handed out before a flush (the pre-step
+// set a Step holds, the previous step's set) stays intact.
+//
+// Building into reused storage copies the rules of every carried choice,
+// so a flush does it only when it rebuilds at least half as many
+// processors as prev holds (a synchronous step). One that rebuilds fewer
+// (a central daemon's step) allocates its fresh choices and shares the
+// carried ones with prev, so the new list still reads prev's storage,
+// which stays reserved as enabledBuf.
 func (e *Engine) enabledCurrent() []Choice {
 	if e.cache == nil {
 		e.cache = newSlotCache(e.rules, e.g.N())
@@ -360,7 +374,11 @@ func (e *Engine) enabledCurrent() []Choice {
 	default:
 		return e.enabledList
 	}
-	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, e.Shards())
+	var dst *choiceList
+	if 2*len(e.cache.dirty) >= len(prev) {
+		dst = e.freeList()
+	}
+	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, e.Shards(), e.fan.marks, dst)
 	e.stats.GuardEvals += evals
 	e.stats.ProcsEvaluated += int64(procs)
 	if !full {
@@ -368,7 +386,23 @@ func (e *Engine) enabledCurrent() []Choice {
 		e.stats.ProcsSkipped += int64(e.g.N() - procs)
 	}
 	e.enabledList = list
+	if dst != nil {
+		e.enabledBuf = dst
+	}
 	return list
+}
+
+// freeList returns enabled-set storage that no live list reads: neither
+// the memoized set, nor the previous step's, nor the pre-step set of the
+// step in progress. Nil (allocate afresh) if all three are taken, which
+// only a subscriber flushing twice inside one step can cause.
+func (e *Engine) freeList() *choiceList {
+	for i := range e.buf.lists {
+		if l := &e.buf.lists[i]; l != e.enabledBuf && l != e.lastBuf && l != e.heldBuf {
+			return l
+		}
+	}
+	return nil
 }
 
 // selfCheckEnabled recomputes the enabled set with the naive full scan and
@@ -437,9 +471,10 @@ func (e *Engine) Terminal() bool { return len(e.enabledCurrent()) == 0 }
 // terminal.
 func (e *Engine) Step() bool {
 	e.inStep = true
-	defer func() { e.inStep = false }()
+	defer func() { e.inStep, e.heldBuf = false, nil }()
 
 	enabled := e.enabledCurrent()
+	e.heldBuf = e.enabledBuf
 	if e.incremental && e.selfCheck {
 		e.selfCheckEnabled(enabled)
 	}
@@ -455,8 +490,9 @@ func (e *Engine) Step() bool {
 	e.validateSelections(enabled, sels)
 
 	// Execute every selection against the same pre-step snapshot, then
-	// commit. One shard (or one selection) runs them in order; more run
-	// non-adjacent batches concurrently, merged in canonical order.
+	// commit. One shard (or too few selections to fan out) runs them in
+	// order; more run non-adjacent batches concurrently, merged in
+	// canonical order.
 	b := &e.buf
 	next := slices.Grow(b.next[:0], len(sels))[:len(sels)]
 	b.next = next
@@ -465,7 +501,7 @@ func (e *Engine) Step() bool {
 	if e.nsubs > 0 {
 		events = &b.events
 	}
-	if e.part == nil || len(sels) == 1 {
+	if e.part == nil || len(sels) < e.fan.moves {
 		for i, sel := range sels {
 			next[i] = e.execute(sel, &b.view, events)
 		}
@@ -486,7 +522,7 @@ func (e *Engine) Step() bool {
 			e.pendingLeft--
 		}
 	}
-	e.lastEnabled = enabled
+	e.lastEnabled, e.lastBuf = enabled, e.heldBuf
 	if events != nil {
 		for _, ev := range b.events {
 			e.Publish(ev)

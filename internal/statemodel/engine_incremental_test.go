@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/obs"
 )
 
 // TestIncrementalDefaults pins the engine's default configuration under
@@ -351,5 +352,64 @@ func TestNonIncrementalEngineUnaffected(t *testing.T) {
 	}
 	if st := e.Stats(); st.Flushes != 0 || st.FullScans == 0 {
 		t.Fatalf("naive engine stats: %+v", st)
+	}
+}
+
+// checkingDaemon compares every set it is handed with want, then serves
+// every processor on even steps and the lowest one on odd steps, so
+// flushes alternate between rebuilding most processors (into reused list
+// storage) and a few (sharing the carried choices' rules with the
+// previous list).
+type checkingDaemon struct {
+	t    *testing.T
+	e    *Engine
+	want []Choice // the naive scan of the step's pre-step configuration
+}
+
+func (d *checkingDaemon) Name() string { return "checking" }
+func (d *checkingDaemon) Select(step int, enabled []Choice) []Selection {
+	if diff := diffEnabled(d.e.rules, d.want, enabled); diff != "" {
+		d.t.Fatalf("step %d: the set handed to the daemon was overwritten:\n%s", step, diff)
+	}
+	if step%2 == 1 {
+		return oneDaemon{}.Select(step, enabled)
+	}
+	return allDaemon{}.Select(step, enabled)
+}
+
+// TestReusedEnabledListsStayIntact: the engine builds its enabled lists
+// in reused storage, so no flush may write into storage a live list
+// reads. A subscriber rewrites one processor or all of them and flushes
+// at the end of every step, and twice more at every round event, between
+// the step's own flush and the daemon's Select; the set the daemon is
+// handed must still be the one of the step's start, and the self-check
+// compares the memoized set at every step.
+func TestReusedEnabledListsStayIntact(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.RandomConnected(24, 40, rng)
+		d := &checkingDaemon{t: t}
+		e := NewEngine(g, slotMaxProgram(4, func(s int) int { return s }), d, vecConfig(rng, g.N(), 4), WithSelfCheck(true))
+		d.e, d.want = e, scanEnabled(g, e.rules, e.states, 0, nil)
+		perturb := func() {
+			for range 1 + rng.Intn(2)*(g.N()-1) {
+				st := e.StateOf(graph.ProcessID(rng.Intn(g.N()))).(*vecState)
+				st.v = vecConfig(rng, 1, 4)[0].(*vecState).v
+			}
+			e.Terminal()
+		}
+		e.Subscribe(func(ev Event) {
+			switch ev.Kind {
+			case obs.KindRound:
+				perturb()
+				perturb()
+			case obs.KindStep:
+				perturb()
+				d.want = scanEnabled(g, e.rules, e.states, ev.Step+1, nil)
+			}
+		})
+		if steps, _ := e.Run(300, nil); steps != 300 {
+			t.Fatalf("seed %d: the perturbed run stopped after %d steps", seed, steps)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestShardedMatchesSerialEveryStep(t *testing.T) {
 		}
 		serial := NewEngine(g, prog, daemon(), clone(), WithSelfCheck(false))
 		sharded := NewEngine(g, prog, daemon(), clone(),
-			WithShards(shards, seed), WithSelfCheck(true))
+			WithShards(shards, seed), WithSelfCheck(true), withFanOutMin(0, 2))
 		var serialEvents, shardedEvents []string
 		serial.Subscribe(func(ev Event) {
 			serialEvents = append(serialEvents, fmt.Sprintf("%d/%d/%s/%s", ev.Step, ev.Proc, ev.Rule, ev.Kind))
@@ -124,17 +124,23 @@ func TestShardedMatchesSerialEveryStep(t *testing.T) {
 
 // TestShardedExercisesParallelPath guards the property test against
 // silently degrading into serial-vs-serial: under a synchronous daemon
-// on a grid, the sharded engine must actually run parallel batches and
-// the boundary-conflict oracle must actually fire.
+// on a grid, the sharded engine with lowered thresholds must actually
+// run parallel batches and the boundary-conflict oracle must actually
+// fire. At the real thresholds the same small run stays inline and the
+// parallel counters stay at zero: they count only work that fanned out.
 func TestShardedExercisesParallelPath(t *testing.T) {
 	g := graph.Grid(6, 6)
-	cfg := make([]State, g.N())
-	for i := range cfg {
-		cfg[i] = &intState{v: i % 5}
+	run := func(opts ...EngineOption) *Engine {
+		cfg := make([]State, g.N())
+		for i := range cfg {
+			cfg[i] = &intState{v: i % 5}
+		}
+		e := NewEngine(g, maxProgram(), allDaemon{}, cfg,
+			append([]EngineOption{WithShards(4, 1), WithSelfCheck(true)}, opts...)...)
+		e.Run(100, nil)
+		return e
 	}
-	e := NewEngine(g, maxProgram(), allDaemon{}, cfg,
-		WithShards(4, 1), WithSelfCheck(true))
-	e.Run(100, nil)
+	e := run(withFanOutMin(0, 2))
 	st := e.Stats()
 	if st.ParallelBatches == 0 || st.ParallelMoves == 0 {
 		t.Fatalf("sharded engine never took the parallel path: %+v", st)
@@ -144,6 +150,13 @@ func TestShardedExercisesParallelPath(t *testing.T) {
 	}
 	if e.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", e.Shards())
+	}
+	small := run()
+	if st := small.Stats(); st.ParallelBatches != 0 || st.ParallelMoves != 0 || st.BoundaryChecks != 0 {
+		t.Fatalf("a grid-6x6 step is below the fan-out thresholds, yet the counters read %+v", st)
+	}
+	if small.Steps() != e.Steps() || small.Rounds() != e.Rounds() || !reflect.DeepEqual(small.MoveCounts(), e.MoveCounts()) {
+		t.Fatal("the inline and the fanned-out run diverged")
 	}
 }
 
@@ -253,12 +266,12 @@ func TestShardedWithSelfCheck(t *testing.T) {
 }
 
 // TestParScanMatchesSerialScan compares the sharded full scan (a slot
-// cache flush fanned out over four workers) against the naive reference
-// scan on graphs above the fan-out threshold.
+// cache flush fanned out over four workers, the mark threshold lowered
+// to zero) against the naive reference scan.
 func TestParScanMatchesSerialScan(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := parScanMinProcs + rng.Intn(80)
+		n := 64 + rng.Intn(80)
 		g := graph.RandomConnected(n, 2*n, rng)
 		cfg := make([]State, n)
 		for i := range cfg {
@@ -269,7 +282,7 @@ func TestParScanMatchesSerialScan(t *testing.T) {
 		for p := 0; p < n; p++ {
 			c.markProc(graph.ProcessID(p))
 		}
-		got, evals, _, _ := c.flush(g, e.states, nil, 0, e.Shards())
+		got, evals, _, _ := c.flush(g, e.states, nil, 0, e.Shards(), 0, nil)
 		var wantEvals int64
 		want := scanEnabled(g, e.rules, e.states, 0, &wantEvals)
 		if d := diffEnabled(e.rules, want, got); d != "" {

@@ -15,32 +15,50 @@ import (
 // the same code at any shard count, and WithShards(k, seed) only changes
 // how many workers that code may use. The graph is partitioned into k
 // seeded, deterministic shards (graph.Partition), and the two hot loops
-// fan out:
+// fan out once they hold enough work to pay for it:
 //
-//   - guard evaluation: a flush (slots.go) re-evaluates the marked
-//     (processor, slot) pairs, each worker writing only its processors'
-//     cache rows, then rebuilds their choices and merges them into the
-//     previous enabled list in ascending processor order;
+//   - guard evaluation: a flush (slots.go) of at least parFlushMinMarks
+//     marked (processor, slot) pairs re-evaluates them on the workers,
+//     each writing only its processors' cache rows, then rebuilds their
+//     choices and merges them into the previous enabled list in
+//     ascending processor order;
 //   - action execution: the daemon's selections are planned into batches
 //     such that no two processors in one batch are adjacent (the
 //     concurrency discipline of the paper's distributed daemon, where
-//     only non-neighboring processors move simultaneously), each batch
-//     is split across workers along shard ownership, every action runs
-//     against the immutable pre-step snapshot into a per-selection
-//     output, and the outputs are concatenated in canonical selection
-//     order.
+//     only non-neighboring processors move simultaneously), a batch of at
+//     least parBatchMinMoves selections is split across workers along
+//     shard ownership, every action runs against the immutable pre-step
+//     snapshot into a per-selection output, and the outputs are
+//     concatenated in canonical selection order.
 //
 // Because every worker writes only to canonically indexed outputs and
 // every merge walks them in canonical order, a run with any shard count
 // produces the same states after every step, the same event stream, the
 // same move counts and the same guard-evaluation totals. Whenever the
 // differential self-check runs, the boundary-conflict oracle also
-// re-verifies the non-adjacency of every executed batch and panics on a
-// violation.
+// re-verifies the non-adjacency of every batch that fanned out and
+// panics on a violation.
 
-// parScanMinProcs is the smallest evaluation set worth fanning out;
-// below it the goroutine overhead exceeds the guard work.
-const parScanMinProcs = 64
+// The fan-out thresholds, in units of work. Below them a flush or a
+// batch runs inline on the stepping goroutine. They are not measured
+// break-even points: on a 2-vCPU host BenchmarkEngineStep (internal/core)
+// found no flush or batch size of grid-8x8 or grid-20x20 at which waking
+// workers paid for itself, so both sit above every flush and batch of
+// those shapes, and only a first full scan of at least 4,096 pairs still
+// fans out. Whether fan-out pays on a host with real cores is open
+// (ROADMAP).
+const (
+	parFlushMinMarks = 4096 // marked (processor, slot) pairs in one flush
+	parBatchMinMoves = 256  // selections in one non-adjacent batch
+)
+
+// fanOutMin holds an engine's fan-out thresholds: the constants above,
+// lowered only by tests that must drive the parallel path on small
+// graphs.
+type fanOutMin struct {
+	marks int64 // flush: marked (processor, slot) pairs
+	moves int   // execution: selections in one batch
+}
 
 // WithShards runs the engine's guard evaluation and action execution on
 // a sharded worker fan-out: the graph is partitioned into k seeded,
@@ -108,7 +126,8 @@ type execOut struct {
 
 // executeBatches runs the step's selections on the worker fan-out:
 // batches of provably non-adjacent moves execute concurrently (split
-// across workers along shard ownership), every action reads the
+// across workers along shard ownership) when they reach
+// parBatchMinMoves selections and inline otherwise, every action reads the
 // immutable pre-step snapshot, and each selection's successor state and
 // events land in its own output. The events are appended to *events in
 // canonical selection order; events is nil when nothing subscribes.
@@ -137,7 +156,11 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event)
 			}
 		}
 		b.active = active
-		fanOut(len(active), len(active), func(gi int) {
+		workers := len(active)
+		if len(batch) < e.fan.moves {
+			workers = 1
+		}
+		fanOut(workers, len(active), func(gi int) {
 			for _, i := range active[gi] {
 				var out *[]Event
 				if events != nil {
@@ -146,12 +169,14 @@ func (e *Engine) executeBatches(sels []Selection, next []State, events *[]Event)
 				next[i] = e.execute(sels[i], &b.outs[i].view, out)
 			}
 		})
-		if e.selfCheck {
-			e.assertBatchNonAdjacent(sels, batch)
+		if workers > 1 {
+			if e.selfCheck {
+				e.assertBatchNonAdjacent(sels, batch)
+			}
+			e.stats.ParallelBatches++
+			e.stats.ParallelMoves += int64(len(batch))
 		}
-		e.stats.ParallelBatches++
 	}
-	e.stats.ParallelMoves += int64(len(sels))
 	if events != nil {
 		for i := range b.outs {
 			*events = append(*events, b.outs[i].events...)

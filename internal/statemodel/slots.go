@@ -16,10 +16,12 @@ import (
 // every (processor, slot) the cache holds the minimal priority among the
 // slot's enabled rules, as a one-byte rank among the program's distinct
 // priorities, and, as a bitset over the slot's rule list, which of them
-// have that priority. A processor's Choice is the minimal priority class
-// across its slots, rule indices ascending — exactly the per-processor
-// filter of enabledAtConfig, which the self-check runs as the naive
-// oracle.
+// have that priority. Per processor and rank it also keeps a bitset of
+// the slots at that rank, so rebuilding a processor's Choice — the
+// minimal priority class across its slots, rule indices ascending,
+// exactly the per-processor filter of enabledAtConfig, which the
+// self-check runs as the naive oracle — visits only the slots of its best
+// rank, never all of them.
 //
 // A move marks only the (processor, slot) pairs it can affect (markMove);
 // a flush re-evaluates the marked slots, plus slot 0 of every marked
@@ -36,12 +38,14 @@ type slotCache struct {
 	rank   []uint8 // rule -> rank of its priority among the program's priorities
 	slots  [][]int // slot -> indices of its rules, ascending
 	nslots int
+	nranks int  // distinct rule priorities
 	words  int  // enabled-set words per (processor, slot)
-	mwords int  // mark words per processor
+	mwords int  // slot-set words per processor (marks, rank rows)
 	has0   bool // slot 0 has rules: re-evaluate it at every marked processor
 
 	prio    []uint8  // [p*nslots+s]: rank of the minimal enabled priority, noRank if none
 	bits    []uint64 // [(p*nslots+s)*words:]: enabled rules of that priority
+	ranked  []uint64 // [(p*nranks+r)*mwords:]: slots of p whose prio is r
 	marks   []uint64 // [p*mwords:]: slots of p to re-evaluate at the next flush
 	full    []uint64 // a mark row with every slot set
 	dirty   []graph.ProcessID
@@ -66,7 +70,7 @@ func newSlotCache(rules []Rule, n int) *slotCache {
 	if len(prios) >= noRank {
 		panic(fmt.Sprintf("statemodel: %d distinct rule priorities, at most %d supported", len(prios), noRank-1))
 	}
-	c := &slotCache{rules: rules, rank: make([]uint8, len(rules)), slots: make([][]int, nslots), nslots: nslots}
+	c := &slotCache{rules: rules, rank: make([]uint8, len(rules)), slots: make([][]int, nslots), nslots: nslots, nranks: len(prios)}
 	for i, r := range rules {
 		k, _ := slices.BinarySearch(prios, r.Priority)
 		c.rank[i] = uint8(k)
@@ -84,6 +88,7 @@ func newSlotCache(rules []Rule, n int) *slotCache {
 		c.prio[i] = noRank
 	}
 	c.bits = make([]uint64, n*nslots*c.words)
+	c.ranked = make([]uint64, n*c.nranks*c.mwords)
 	c.marks = make([]uint64, n*c.mwords)
 	c.full = make([]uint64, c.mwords)
 	for s := 0; s < nslots; s++ {
@@ -148,14 +153,27 @@ func (c *slotCache) clearMarks() {
 	c.dirty = c.dirty[:0]
 }
 
+// choiceList is storage for an enabled list that a flush may reuse: the
+// choices and one arena holding all their rule indices.
+type choiceList struct {
+	list  []Choice
+	arena []int
+}
+
 // flush re-evaluates the marked slots on cfg, rebuilds the marked
 // processors' choices and merges them into prev (sorted by processor ID).
-// It returns the fresh enabled list, the guard invocations, the number of
+// It returns the new enabled list, the guard invocations, the number of
 // (processor, slot) marks and the number of processors re-evaluated. The
-// evaluation fans out over up to workers goroutines when enough
-// processors are marked; every worker writes only its processors' rows,
-// so the result does not depend on workers.
-func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, workers int) (list []Choice, guardEvals, marks int64, procs int) {
+// evaluation fans out over up to workers goroutines when at least
+// minMarks pairs are marked; every worker writes only its processors'
+// rows, so the result does not depend on workers.
+//
+// With dst nil the list is freshly allocated and the choices carried
+// over from prev share their rules with it. Otherwise the list is built
+// in dst's storage, carried rules copied, so it references nothing of
+// prev or of any older list; the caller must not reuse dst while it
+// still reads a list built there.
+func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, workers int, minMarks int64, dst *choiceList) (list []Choice, guardEvals, marks int64, procs int) {
 	ps := c.dirty
 	slices.Sort(ps)
 	for _, p := range ps {
@@ -163,7 +181,7 @@ func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, work
 			marks += int64(bits.OnesCount64(w))
 		}
 	}
-	if len(ps) < parScanMinProcs {
+	if marks < minMarks {
 		workers = 1
 	}
 	var evals atomic.Int64
@@ -172,27 +190,52 @@ func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, work
 	})
 
 	// The fresh choices of ps replace (or drop) their entries of prev and
-	// share one exactly sized arena; carried choices keep their rules.
+	// share one arena, sized up front so that it never moves.
 	n := 0
 	for _, p := range ps {
 		n += c.choiceLen(p)
 	}
-	arena := make([]int, 0, n)
-	list = make([]Choice, 0, len(prev)+len(ps))
+	var arena []int
+	if dst == nil {
+		arena = make([]int, 0, n)
+		list = make([]Choice, 0, len(prev)+len(ps))
+	} else {
+		for _, ch := range prev {
+			n += len(ch.Rules)
+		}
+		arena = slices.Grow(dst.arena[:0], n)
+		list = slices.Grow(dst.list[:0], len(prev)+len(ps))
+	}
+	carry := func(chs []Choice) {
+		if dst == nil {
+			list = append(list, chs...)
+			return
+		}
+		for _, ch := range chs {
+			start := len(arena)
+			arena = append(arena, ch.Rules...)
+			list = append(list, Choice{Process: ch.Process, Rules: arena[start:len(arena):len(arena)]})
+		}
+	}
 	pi := 0
 	for _, p := range ps {
-		for ; pi < len(prev) && prev[pi].Process < p; pi++ {
-			list = append(list, prev[pi])
+		start := pi
+		for pi < len(prev) && prev[pi].Process < p {
+			pi++
 		}
+		carry(prev[start:pi])
 		if pi < len(prev) && prev[pi].Process == p {
 			pi++
 		}
-		start := len(arena)
+		start = len(arena)
 		if arena = c.appendChoice(arena, p); len(arena) > start {
 			list = append(list, Choice{Process: p, Rules: arena[start:len(arena):len(arena)]})
 		}
 	}
-	list = append(list, prev[pi:]...)
+	carry(prev[pi:])
+	if dst != nil {
+		dst.list, dst.arena = list, arena
+	}
 	c.dirty = ps[:0]
 	return list, evals.Load(), marks, len(ps)
 }
@@ -241,27 +284,50 @@ func (c *slotCache) evalSlot(v *View, p graph.ProcessID, s int) int64 {
 			set[j/64] |= 1 << (j % 64)
 		}
 	}
-	c.prio[k] = best
+	if old := c.prio[k]; old != best {
+		if old != noRank {
+			row := c.rankRow(p, old)
+			row[s/64] &^= 1 << (s % 64)
+		}
+		if best != noRank {
+			row := c.rankRow(p, best)
+			row[s/64] |= 1 << (s % 64)
+		}
+		c.prio[k] = best
+	}
 	return evals
 }
 
-// minRank returns p's minimal priority rank across slots, noRank if no
-// rule is enabled.
-func (c *slotCache) minRank(p graph.ProcessID) uint8 {
-	return slices.Min(c.prio[int(p)*c.nslots : (int(p)+1)*c.nslots])
+// rankRow returns the set of p's slots at rank r.
+func (c *slotCache) rankRow(p graph.ProcessID, r uint8) []uint64 {
+	i := (int(p)*c.nranks + int(r)) * c.mwords
+	return c.ranked[i : i+c.mwords]
+}
+
+// bestRank returns p's minimal priority rank across slots and the set of
+// slots at that rank; noRank and nil if no rule of p is enabled.
+func (c *slotCache) bestRank(p graph.ProcessID) (uint8, []uint64) {
+	for r := 0; r < c.nranks; r++ {
+		row := c.rankRow(p, uint8(r))
+		for _, w := range row {
+			if w != 0 {
+				return uint8(r), row
+			}
+		}
+	}
+	return noRank, nil
 }
 
 // choiceLen returns the length of p's choice.
 func (c *slotCache) choiceLen(p graph.ProcessID) int {
-	best, n := c.minRank(p), 0
-	if best == noRank {
-		return 0
-	}
-	for s, r := range c.prio[int(p)*c.nslots : (int(p)+1)*c.nslots] {
-		if r == best {
-			k := int(p)*c.nslots + s
-			for _, word := range c.bits[k*c.words : (k+1)*c.words] {
-				n += bits.OnesCount64(word)
+	_, row := c.bestRank(p)
+	n := 0
+	for w, word := range row {
+		for word != 0 {
+			k := int(p)*c.nslots + w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for _, set := range c.bits[k*c.words : (k+1)*c.words] {
+				n += bits.OnesCount64(set)
 			}
 		}
 	}
@@ -271,21 +337,19 @@ func (c *slotCache) choiceLen(p graph.ProcessID) int {
 // appendChoice appends p's choice — the enabled rules of its minimal
 // priority class across slots, ascending — to arena.
 func (c *slotCache) appendChoice(arena []int, p graph.ProcessID) []int {
-	best := c.minRank(p)
-	if best == noRank {
-		return arena
-	}
+	_, row := c.bestRank(p)
 	start := len(arena)
-	for s, r := range c.prio[int(p)*c.nslots : (int(p)+1)*c.nslots] {
-		if r != best {
-			continue
-		}
-		k := int(p)*c.nslots + s
-		for w, word := range c.bits[k*c.words : (k+1)*c.words] {
-			for word != 0 {
-				j := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				arena = append(arena, c.slots[s][j])
+	for w, word := range row {
+		for word != 0 {
+			s := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			k := int(p)*c.nslots + s
+			for sw, set := range c.bits[k*c.words : (k+1)*c.words] {
+				for set != 0 {
+					j := sw*64 + bits.TrailingZeros64(set)
+					set &= set - 1
+					arena = append(arena, c.slots[s][j])
+				}
 			}
 		}
 	}

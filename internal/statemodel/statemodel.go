@@ -33,8 +33,9 @@ type State interface {
 // returns a copy that owns what an action of the given slot (> 0) may
 // write: the slot itself and the processor's unsliced fields. Everything
 // else may be shared with the receiver, so no action may write it in
-// place. The executor uses CloneSlot for slotted rules and Clone for
-// slot 0.
+// place; per-slot values kept in a SlotTable are owned through its
+// copy-on-write Set, so the copy may share the table whole. The executor
+// uses CloneSlot for slotted rules and Clone for slot 0.
 type SlotState interface {
 	State
 	CloneSlot(slot int) State
@@ -182,7 +183,9 @@ type Selection struct {
 // is non-empty, contains each processor at most once, and every selection
 // picks a rule offered in that processor's Choice. This matches the
 // distributed daemon of §2.1; a central daemon simply returns a single
-// selection.
+// selection. enabled, and the Rules of its choices, are valid only during
+// Select: the engine reuses their storage at later steps, so a daemon
+// that keeps any of it past the call must copy it.
 type Daemon interface {
 	Name() string
 	Select(step int, enabled []Choice) []Selection
@@ -238,7 +241,7 @@ func (d *Delta) Enabled(cfg []State, prev []Choice, changed []graph.ProcessID) [
 	for _, p := range changed {
 		d.cache.markClosed(d.g, p)
 	}
-	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, 1)
+	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, 1, 0, nil)
 	return list
 }
 

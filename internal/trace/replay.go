@@ -63,8 +63,9 @@ func HeaderFor(g *graph.Graph, displayNames map[graph.ProcessID]string, cfg []sm
 		}
 		for d := 0; d < n; d++ {
 			ip.NextHop[d] = node.RT.NextHop(graph.ProcessID(d))
-			ip.BufR[d] = node.FW.Dests[d].BufR.Record()
-			ip.BufE[d] = node.FW.Dests[d].BufE.Record()
+			ds := node.FW.Dests.At(d)
+			ip.BufR[d] = ds.BufR.Record()
+			ip.BufE[d] = ds.BufE.Record()
 		}
 		h.Init.Procs[p] = ip
 	}

@@ -66,7 +66,7 @@ func (r *Renderer) Destination(cfg []sm.State, d graph.ProcessID) string {
 	hop := make([]graph.ProcessID, n)
 	for pp := 0; pp < n; pp++ {
 		node := cfg[pp].(*core.Node)
-		ds := node.FW.Dests[d]
+		ds := node.FW.Dest(d)
 		bufR[pp], bufE[pp] = ds.BufR.Record(), ds.BufE.Record()
 		hop[pp] = node.RT.NextHop(d)
 	}

@@ -17,7 +17,7 @@ var abNames = map[graph.ProcessID]string{0: "a", 1: "b", 2: "c"}
 func TestDestinationRendering(t *testing.T) {
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).FW.Dests[2].BufE = &core.Message{Payload: "m", LastHop: 0, Color: 1}
+	cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{Payload: "m", LastHop: 0, Color: 1}
 	r := trace.NewRenderer(g, abNames)
 	out := r.Destination(cfg, 2)
 	for _, want := range []string{"destination c:", "a: R[·", "E[m(q=a,c=1)", "nextHop=b", "c: R[·"} {

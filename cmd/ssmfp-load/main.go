@@ -83,7 +83,7 @@ func main() {
 	flag.DurationVar(&cfg.latency, "latency", 0, "chaos: base one-way frame delay")
 	flag.DurationVar(&cfg.jitter, "jitter", 0, "chaos: extra uniform per-frame delay")
 	flag.IntVar(&cfg.bandwidth, "bandwidth", 0, "chaos: per-link line rate in bytes/second (0 = unlimited)")
-	flag.DurationVar(&cfg.netTick, "net-tick", 0, "protocol timer period (default 200µs)")
+	flag.DurationVar(&cfg.netTick, "net-tick", 0, "base unit of the protocol's gossip and retransmission deadlines (default 200µs)")
 	flag.BoolVar(&cfg.sweep, "sweep", false, "step the offered rate up a geometric ladder and locate the saturation knee")
 	flag.Float64Var(&cfg.sweepStart, "sweep-start", 500, "sweep: first offered rate")
 	flag.Float64Var(&cfg.sweepGrow, "sweep-factor", 2, "sweep: rate multiplier between steps")

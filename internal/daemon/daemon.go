@@ -31,6 +31,7 @@ func pickRandom(c sm.Choice, rng *rand.Rand) sm.Selection {
 // Synchronous activates every enabled processor at every step.
 type Synchronous struct {
 	rng *rand.Rand
+	buf []sm.Selection
 }
 
 // NewSynchronous returns a synchronous daemon; rule choice within a
@@ -42,11 +43,11 @@ func NewSynchronous(seed int64) *Synchronous {
 func (d *Synchronous) Name() string { return "synchronous" }
 
 func (d *Synchronous) Select(step int, enabled []sm.Choice) []sm.Selection {
-	out := make([]sm.Selection, len(enabled))
-	for i, c := range enabled {
-		out[i] = pickRandom(c, d.rng)
+	d.buf = d.buf[:0]
+	for _, c := range enabled {
+		d.buf = append(d.buf, pickRandom(c, d.rng))
 	}
-	return out
+	return d.buf
 }
 
 // CentralRoundRobin activates exactly one processor per step, cycling
@@ -54,6 +55,7 @@ func (d *Synchronous) Select(step int, enabled []sm.Choice) []sm.Selection {
 // processor is chosen within n steps of the cycle reaching it).
 type CentralRoundRobin struct {
 	next graph.ProcessID
+	buf  [1]sm.Selection
 }
 
 // NewCentralRoundRobin returns a central round-robin daemon.
@@ -76,13 +78,15 @@ func (d *CentralRoundRobin) Select(step int, enabled []sm.Choice) []sm.Selection
 		best = enabled[0] // wrap around
 	}
 	d.next = best.Process + 1
-	return []sm.Selection{pickFirst(best)}
+	d.buf[0] = pickFirst(best)
+	return d.buf[:]
 }
 
 // CentralRandom activates one uniformly random enabled processor per step.
 // It is strongly fair with probability 1 but gives no deterministic bound.
 type CentralRandom struct {
 	rng *rand.Rand
+	buf [1]sm.Selection
 }
 
 // NewCentralRandom returns a central uniform-random daemon.
@@ -93,7 +97,8 @@ func NewCentralRandom(seed int64) *CentralRandom {
 func (d *CentralRandom) Name() string { return "central-random" }
 
 func (d *CentralRandom) Select(step int, enabled []sm.Choice) []sm.Selection {
-	return []sm.Selection{pickRandom(enabled[d.rng.Intn(len(enabled))], d.rng)}
+	d.buf[0] = pickRandom(enabled[d.rng.Intn(len(enabled))], d.rng)
+	return d.buf[:]
 }
 
 // DistributedRandom activates each enabled processor independently with
@@ -102,6 +107,7 @@ func (d *CentralRandom) Select(step int, enabled []sm.Choice) []sm.Selection {
 type DistributedRandom struct {
 	rng *rand.Rand
 	p   float64
+	buf []sm.Selection
 }
 
 // NewDistributedRandom returns a distributed daemon activating each enabled
@@ -117,14 +123,14 @@ func (d *DistributedRandom) Name() string { return "distributed-random" }
 
 func (d *DistributedRandom) Select(step int, enabled []sm.Choice) []sm.Selection {
 	for {
-		var out []sm.Selection
+		d.buf = d.buf[:0]
 		for _, c := range enabled {
 			if d.rng.Float64() < d.p {
-				out = append(out, pickRandom(c, d.rng))
+				d.buf = append(d.buf, pickRandom(c, d.rng))
 			}
 		}
-		if len(out) > 0 {
-			return out
+		if len(d.buf) > 0 {
+			return d.buf
 		}
 	}
 }
@@ -134,7 +140,9 @@ func (d *DistributedRandom) Select(step int, enabled []sm.Choice) []sm.Selection
 // rule). Alone it is unfair — wrap it in WeaklyFair to obtain an
 // adversarial-but-weakly-fair daemon, the worst case the paper's proofs
 // admit.
-type CentralLIFO struct{}
+type CentralLIFO struct {
+	buf [1]sm.Selection
+}
 
 // NewCentralLIFO returns the biased central daemon described above.
 func NewCentralLIFO() *CentralLIFO { return &CentralLIFO{} }
@@ -148,7 +156,8 @@ func (d *CentralLIFO) Select(step int, enabled []sm.Choice) []sm.Selection {
 			best = c
 		}
 	}
-	return []sm.Selection{{Process: best.Process, Rule: best.Rules[len(best.Rules)-1]}}
+	d.buf[0] = sm.Selection{Process: best.Process, Rule: best.Rules[len(best.Rules)-1]}
+	return d.buf[:]
 }
 
 // WeaklyFair wraps an inner daemon and enforces weak fairness with a
@@ -162,6 +171,7 @@ type WeaklyFair struct {
 	inner sm.Daemon
 	bound int
 	age   map[graph.ProcessID]int
+	buf   [1]sm.Selection
 }
 
 // NewWeaklyFair wraps inner with starvation bound ≥ 1.
@@ -185,7 +195,8 @@ func (d *WeaklyFair) Select(step int, enabled []sm.Choice) []sm.Selection {
 	}
 	var out []sm.Selection
 	if starvedAge >= d.bound {
-		out = []sm.Selection{pickFirst(starved)}
+		d.buf[0] = pickFirst(starved)
+		out = d.buf[:]
 	} else {
 		out = d.inner.Select(step, enabled)
 	}

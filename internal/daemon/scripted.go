@@ -43,6 +43,7 @@ type Scripted struct {
 	script   []ScriptStep
 	fallback sm.Daemon
 	cursor   int
+	buf      []sm.Selection
 }
 
 // NewScripted builds a scripted daemon for a program (the engine's rule
@@ -69,7 +70,7 @@ func (d *Scripted) Select(step int, enabled []sm.Choice) []sm.Selection {
 	for _, c := range enabled {
 		byProc[c.Process] = c
 	}
-	out := make([]sm.Selection, 0, len(want))
+	out := d.buf[:0]
 	for _, act := range want {
 		c, ok := byProc[act.Process]
 		if !ok {
@@ -89,6 +90,7 @@ func (d *Scripted) Select(step int, enabled []sm.Choice) []sm.Selection {
 		}
 		out = append(out, sm.Selection{Process: act.Process, Rule: found})
 	}
+	d.buf = out
 	return out
 }
 

@@ -480,7 +480,7 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 	n.dist[n.id] = 0
 	n.parent[n.id] = n.id
 	n.dvDirty = true
-	n.gossip = nil
+	n.gossip = nil // gossiped within a Tick, heartbeat restarts at heartbeatMinTicks
 
 	// Grow the per-destination state. Slots never shrink, so surviving
 	// indices keep their buffers and watermarks.
@@ -523,6 +523,10 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 			}
 		}
 	}
+
+	// Buffers, handshakes and pending sends changed under the sets that
+	// track them: R1 and R2 look at every destination once more.
+	n.markAll()
 
 	// Rebuild the outgoing link cache against the (already ensured) wire;
 	// it is also the neighbor set handle admits frames from.

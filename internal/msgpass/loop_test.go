@@ -112,33 +112,82 @@ func TestLoopBarrierBeatsBacklog(t *testing.T) {
 	}
 }
 
-// TestHeartbeatAllocFree holds the DV heartbeat to zero allocations while
-// the vector is unchanged: tick resends the vector it last gossiped. A
-// draining node's all-infinity vector is built once per epoch, so its
-// heartbeat is allocation-free even while its own distances keep moving.
+// TestHeartbeatAllocFree drives one node's timer on a hand-moved clock.
+// A changed vector goes out at once, or a Tick after the previous gossip;
+// the heartbeat then backs off 8, 16, 32, 64, 64 Ticks; each heartbeat
+// resends the vector last gossiped, allocating nothing. A draining node's
+// all-infinity vector is built once per epoch, so its heartbeat is
+// allocation-free even while its own distances keep moving.
 func TestHeartbeatAllocFree(t *testing.T) {
 	g := graph.Grid(3, 3)
 	nw := New(g, Options{Seed: 1})
 	defer nw.tr.Close()
+	clk := &manualClock{}
+	nw.clk = clk
 	n := nw.nodes[4]
-	n.tick() // the initial vector is dirty: gossip it once
-	before := nw.Stats().DVSent
-	const runs = 4 * dvHeartbeatTicks
-	if allocs := testing.AllocsPerRun(runs, n.tick); allocs > 0 {
-		t.Fatalf("heartbeat tick allocates %.1f times, want 0", allocs)
+	tick := nw.opts.Tick
+	dvSent := func() int { return nw.Stats().DVSent }
+
+	n.timed() // the initial vector is dirty: gossiped at once
+	if got := dvSent(); got != 4 {
+		t.Fatalf("initial gossip sent %d DV frames, want 4 (one per neighbor)", got)
 	}
-	// AllocsPerRun adds one warm-up call; each heartbeat goes to all 4
-	// neighbors.
-	if got, want := nw.Stats().DVSent-before, (runs+1)/dvHeartbeatTicks*4; got < want {
-		t.Fatalf("%d DV frames sent over %d ticks, want at least %d", got, runs+1, want)
+	for i, ticks := range []time.Duration{8, 16, 32, 64, 64} {
+		before := dvSent()
+		clk.advance(ticks*tick - 1)
+		n.timed()
+		if got := dvSent() - before; got != 0 {
+			t.Fatalf("heartbeat %d: %d DV frames 1ns before %d Ticks of silence", i, got, ticks)
+		}
+		clk.advance(1)
+		n.timed()
+		if got := dvSent() - before; got != 4 {
+			t.Fatalf("heartbeat %d: %d DV frames after %d Ticks of silence, want 4", i, got, ticks)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		clk.advance(heartbeatMaxTicks * tick)
+		n.timed()
+	}); allocs > 0 {
+		t.Fatalf("heartbeat allocates %.1f times, want 0", allocs)
+	}
+
+	// A change long after the last gossip goes out at once; one within a
+	// Tick of it waits for the Tick; either restarts the back-off.
+	clk.advance(tick)
+	before := dvSent()
+	n.handleDV(1, []int{0, 0, 0, 0, 0, 0, 0, 0, 0})
+	n.timed()
+	if got := dvSent() - before; got != 4 {
+		t.Fatalf("a changed vector a Tick after the last gossip sent %d DV frames, want 4", got)
+	}
+	n.handleDV(1, []int{9, 9, 9, 9, 9, 9, 9, 9, 9})
+	n.timed()
+	clk.advance(tick - 1)
+	n.timed()
+	if got := dvSent() - before; got != 4 {
+		t.Fatalf("a second change within a Tick went out early (%d DV frames, want 4)", got)
+	}
+	clk.advance(1)
+	n.timed()
+	if got := dvSent() - before; got != 8 {
+		t.Fatalf("a second change was not gossiped a Tick after the first (%d DV frames, want 8)", got)
+	}
+	if want := int64(heartbeatMinTicks * tick); n.hbEvery != want {
+		t.Fatalf("heartbeat interval after a change is %v, want %v", time.Duration(n.hbEvery), time.Duration(want))
 	}
 
 	n.draining = true
 	n.gossip = nil // what an epoch does
-	n.tick()
-	if allocs := testing.AllocsPerRun(runs, func() {
-		n.dvDirty = true // a route change while draining
-		n.tick()
+	clk.advance(tick)
+	n.timed()
+	flip := [][]int{{0, 0, 0, 0, 0, 0, 0, 0, 0}, {9, 9, 9, 9, 9, 9, 9, 9, 9}}
+	i := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		n.handleDV(1, flip[i%2]) // routes move while draining
+		i++
+		clk.advance(heartbeatMaxTicks * tick)
+		n.timed()
 	}); allocs > 0 {
 		t.Fatalf("draining heartbeat allocates %.1f times, want 0", allocs)
 	}
@@ -149,10 +198,57 @@ func TestHeartbeatAllocFree(t *testing.T) {
 	}
 }
 
+// manualClock is a clock a test moves by hand: time stands still until
+// advance, which fires, on the test's goroutine, every timer it passes.
+type manualClock struct {
+	now    int64
+	timers []*manualTimer
+}
+
+type manualTimer struct {
+	c  *manualClock
+	at int64
+	on bool
+	f  func()
+}
+
+func (c *manualClock) Nanos() int64 { return c.now }
+
+func (c *manualClock) Now() time.Time { return time.Unix(0, c.now) }
+
+func (c *manualClock) AfterFunc(d time.Duration, f func()) timer {
+	t := &manualTimer{c: c, f: f}
+	t.Reset(d)
+	c.timers = append(c.timers, t)
+	return t
+}
+
+func (c *manualClock) advance(d time.Duration) {
+	c.now += int64(d)
+	for _, t := range c.timers {
+		if t.on && t.at <= c.now {
+			t.on = false
+			t.f()
+		}
+	}
+}
+
+func (t *manualTimer) Reset(d time.Duration) bool {
+	was := t.on
+	t.at, t.on = t.c.now+int64(d), true
+	return was
+}
+
+func (t *manualTimer) Stop() bool {
+	was := t.on
+	t.on = false
+	return was
+}
+
 // BenchmarkNodeLoop runs a started grid-4x4 network over in-process
 // channels as a closed loop: b.N messages between opposite corners of the
 // grid's numbering, 16 in flight. It reports ns/msg through the whole
-// node loop — inbox, handlers, local moves, ticks — without the load
+// node loop — inbox, handlers, local moves, timers — without the load
 // harness.
 func BenchmarkNodeLoop(b *testing.B) {
 	const inFlight = 16

@@ -8,15 +8,16 @@
 // become explicit frames:
 //
 //   - routing: a self-stabilizing distance-vector — nodes gossip their
-//     per-destination distances at the first tick after they change, and
-//     as a heartbeat every 8 ticks (dvHeartbeatTicks), and correct
-//     (dist, parent) exactly like internal/routing does in shared memory;
+//     per-destination distances within one tick after they change, and as
+//     a heartbeat that backs off from 8 to 64 ticks while they do not
+//     (heartbeatMinTicks, heartbeatMaxTicks), and correct (dist, parent)
+//     exactly like internal/routing does in shared memory;
 //   - forwarding: the bufR/bufE pairs survive, but the R3/R4 pair (copy at
 //     the next hop, then erase at the origin) becomes an offer/accept
 //     handshake with per-(sender, destination) sequence numbers,
-//     retransmission on a timer, and idempotent acknowledgement — the
-//     standard alternating-bit-style realization of the state model's
-//     "copy visible ⇒ erase" reasoning;
+//     retransmission at a per-offer deadline, and idempotent
+//     acknowledgement — the standard alternating-bit-style realization
+//     of the state model's "copy visible ⇒ erase" reasoning;
 //   - consumption stays local.
 //
 // The handshake assumes nothing about the wire beyond best effort: frames
@@ -75,8 +76,12 @@ var ErrStopped = errors.New("msgpass: network stopped")
 
 // Options tunes the port.
 type Options struct {
-	// Tick is the node timer period (distance-vector gossip and offer
-	// retransmission). Default 200µs.
+	// Tick is the base unit of every timed action of a node; a node with
+	// nothing due sets no timer. A changed distance vector goes on the
+	// wire within one Tick, an unchanged one is repeated as a heartbeat
+	// 8 Ticks after the last change and then at doubling intervals up to
+	// 64 Ticks, and an unanswered offer or cancel is retransmitted 2
+	// Ticks after it was sent. Default 200µs.
 	Tick time.Duration
 	// ChannelDepth sizes the default channel transport: each node's inbox
 	// buffers ChannelDepth frames per incoming link; overflowing frames
@@ -164,6 +169,7 @@ func (o Options) withDefaults() Options {
 type Network struct {
 	g    *graph.Graph
 	opts Options
+	clk  clock // every instant the port stamps and every node timer
 
 	tr    transport.Transport
 	ownTr bool
@@ -231,6 +237,7 @@ func New(g *graph.Graph, opts Options) *Network {
 	nw := &Network{
 		g:         g,
 		opts:      opts,
+		clk:       newWallClock(),
 		tr:        opts.Transport,
 		tel:       newNetTelemetry(reg),
 		nodes:     make([]*node, g.N()),
@@ -354,14 +361,15 @@ func (nw *Network) Send(src graph.ProcessID, payload string, dst graph.ProcessID
 		uid |= (uint64(src) + 1) << 40
 	}
 	m := Message{Payload: payload, UID: uid, Src: src, Dest: dst, Valid: true}
-	enq := time.Now().UnixNano()
+	enq := nw.clk.Nanos()
 	n.mu.Lock()
 	pq := &n.pendingByDest[dst]
 	pq.q = append(pq.q, pendEntry{m: m, enqNS: enq})
+	n.pending.add(dst)
 	n.mu.Unlock()
 	n.tg.pending.Add(1)
 	nw.tel.sends.Inc()
-	// Wake the node so R1 runs now rather than at the next tick or frame.
+	// Wake the node so R1 runs now rather than at its next frame.
 	n.wakeUp()
 	return uid, nil
 }
@@ -423,7 +431,7 @@ func (nw *Network) WaitDelivered(k int, timeout time.Duration) bool {
 }
 
 func (nw *Network) deliver(d Delivery) {
-	d.Time = time.Now()
+	d.Time = nw.clk.Now()
 	nw.tel.deliveries.Inc()
 	if !d.Msg.Valid {
 		nw.tel.invalidDeliveries.Inc()

@@ -91,6 +91,10 @@ func TestSendWakesNode(t *testing.T) {
 func TestStartAddsOneGoroutinePerNode(t *testing.T) {
 	g := graph.Grid(4, 4)
 	nw := msgpass.New(g, msgpass.Options{Seed: 3})
+	// A node goroutine of an earlier test may still be between its
+	// stopped network's Wait and its exit; it would leave the count
+	// below.
+	requireNoNodeGoroutines(t)
 	before := msgpassGoroutines()
 	nw.Start()
 	defer nw.Stop()

@@ -1,6 +1,8 @@
 package msgpass
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,25 +12,31 @@ import (
 	"ssmfp/internal/transport"
 )
 
-// Cadence constants, in ticks. The distance vector is gossiped whenever it
-// changed and at least every dvHeartbeatTicks regardless (the heartbeat is
-// what lets a node with arbitrarily corrupted routing state recover — the
-// snap-stabilization requirement); an outstanding offer or cancel is
-// retransmitted after offerRetransmitTicks of silence instead of every
-// tick, so a healthy handshake in flight is not amplified into an offer
-// storm under load.
+// Cadence constants, in multiples of Options.Tick, the base unit of every
+// timed action. A changed distance vector goes on the wire at once, or
+// one Tick after the previous gossip if that was sooner. An unchanged one
+// is repeated as a heartbeat heartbeatMinTicks after the last change,
+// then at doubling intervals up to heartbeatMaxTicks. The heartbeat is
+// what lets a node with arbitrarily corrupted routing state recover (the
+// snap-stabilization requirement), so heartbeatMaxTicks — 12.8 ms at the
+// default Tick — bounds how long a corrupted neighbor table can stay
+// uncorrected on a silent network. An outstanding offer or cancel is
+// retransmitted offerRetransmitTicks after it last went on the wire, so a
+// healthy handshake in flight is not amplified into an offer storm under
+// load.
 const (
-	dvHeartbeatTicks     = 8
+	heartbeatMinTicks    = 8
+	heartbeatMaxTicks    = 64
 	offerRetransmitTicks = 2
 )
 
 // inboxBurst bounds how many frames run handles back to back through the
 // non-blocking inbox receive before it reads its control path and passes
 // through its blocking select again. The fast path keeps a busy node out
-// of selectgo; the bound keeps a saturated inbox from starving the
-// ticker, Send wakes, Stop and the epoch barrier. 64 is one incoming
-// link's share of the inbox at the default ChannelDepth: at about a
-// microsecond per frame a burst ends well inside one 200µs tick.
+// of selectgo; the bound keeps a saturated inbox from starving the timer,
+// Send wakes, Stop and the epoch barrier. 64 is one incoming link's share
+// of the inbox at the default ChannelDepth: at about a microsecond per
+// frame a burst ends well inside one Tick.
 const inboxBurst = 64
 
 // destState is the per-destination forwarding state of a node: the bufR /
@@ -41,11 +49,11 @@ type destState struct {
 
 	// Sender side: the occupancy's outstanding offer. offerSeq == 0 means
 	// no offer issued yet; offerTarget is the single neighbor the sequence
-	// was offered to (retargeting requires the cancel round trip).
-	// lastDrive is the tick the offer/cancel was last put on the wire.
+	// was offered to (retargeting requires the cancel round trip). due is
+	// when the offer or cancel last put on the wire is retransmitted.
 	offerSeq    uint64
 	offerTarget graph.ProcessID
-	lastDrive   uint64
+	due         int64
 
 	// Receiver side: an offer that arrived while bufR was occupied is
 	// parked here and accepted the instant R2 frees the buffer — the
@@ -126,13 +134,29 @@ type node struct {
 	// gossip is the vector last put on the wire. It is never mutated
 	// after sending, so a heartbeat with nothing changed resends it as is;
 	// a change (dvDirty) or an epoch (which resets it to nil) builds a
-	// fresh one.
-	gossip []int
+	// fresh one. gossipAt is when it went out and hbEvery the interval to
+	// the next heartbeat, in nanoseconds on the network's clock.
+	gossip   []int
+	gossipAt int64
+	hbEvery  int64
 
-	// forwarding.
-	dests     []destState
-	nextSeq   uint64
-	tickCount uint64
+	// forwarding. dirty holds the destinations whose bufR was stored or
+	// bufE erased since R2 last looked at them: R2 visits only those, so
+	// a pass costs what changed, not one probe per destination.
+	dests   []destState
+	dirty   destSet
+	nextSeq uint64
+
+	// Timed work. The node has one timer, armed only while something is
+	// due: the gossip of a changed vector, the heartbeat, or the
+	// retransmission of an outstanding offer or cancel. The timer only
+	// sets fired and wakes the node; run does the work. armedAt is the
+	// instant it is set for (math.MaxInt64 while it is not set), retx the
+	// outstanding offers and cancels in deadline order.
+	timer   timer
+	fired   atomic.Bool
+	armedAt int64
+	retx    deadlineQueue
 
 	// outp caches this node's outgoing wire links, one per neighbor; the
 	// send hot path is an atomic pointer load plus a map read. The map is
@@ -144,16 +168,16 @@ type node struct {
 	// incoming link — and nil while it has no neighbor. It is written
 	// only at the epoch barrier and under mu; other goroutines read it
 	// under mu. wake (capacity 1) is signalled by Network.Send so R1 runs
-	// without waiting for a tick or a frame, and by pauseAll and Stop so
-	// an idle node reads its control path at once.
+	// without waiting for a frame, by the timer, and by pauseAll and Stop
+	// so an idle node reads its control path at once.
 	inbox <-chan transport.Frame
 	wake  chan struct{}
 
 	// pause and quit are the node's control path, each set with a wake:
 	// pauseAll posts its barrier request in pause, Stop sets quit. run
-	// reads both once per pass, so its blocking select waits on the inbox,
-	// wake and the ticker alone, and on no channel another node's
-	// goroutine also locks.
+	// reads both once per pass, so its blocking select waits on the inbox
+	// and wake alone, and on no channel another node's goroutine also
+	// locks.
 	pause atomic.Pointer[pauseReq]
 	quit  atomic.Bool
 
@@ -163,11 +187,73 @@ type node struct {
 	tg nodeGauges
 
 	// pendingByDest queues, per destination, the messages sent by the
-	// higher layer; written by Network.Send concurrently. The tg.pending
-	// gauge counts them and is read lock-free on the hot path so an idle
-	// R1 costs one atomic load. mu also guards inbox.
+	// higher layer; written by Network.Send concurrently, which also marks
+	// the destination in pending, so R1 visits only destinations with
+	// queued sends. The tg.pending gauge counts them and is read lock-free
+	// on the hot path so an idle R1 costs one atomic load. mu also guards
+	// inbox.
 	mu            sync.Mutex
 	pendingByDest []pendQueue
+	pending       destSet
+}
+
+// destSet is a set of destinations, one bit each. The forwarding sets
+// start full and an epoch refills them (markAll), so whatever state a
+// node starts or resumes from is looked at once.
+type destSet []uint64
+
+// fullDestSet returns the set of destinations 0..n-1.
+func fullDestSet(n int) destSet {
+	s := make(destSet, (n+63)/64)
+	for i := range s {
+		s[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		s[len(s)-1] = 1<<r - 1
+	}
+	return s
+}
+
+func (s destSet) add(d graph.ProcessID) { s[d>>6] |= 1 << (d & 63) }
+
+func (s destSet) remove(d graph.ProcessID) { s[d>>6] &^= 1 << (d & 63) }
+
+// deadline is one retransmission: the offer or cancel for dest under
+// sequence seq is due again at due, unless it was answered or re-driven
+// since (the destination's own due no longer matches).
+type deadline struct {
+	dest graph.ProcessID
+	seq  uint64
+	due  int64
+}
+
+// deadlineQueue is a FIFO ring of deadlines. Every deadline is its drive
+// time plus the same interval, so entries arrive in deadline order and
+// the front is always the earliest; superseded entries are skipped when
+// they reach it. The ring's storage is reused, so steady load does not
+// allocate.
+type deadlineQueue struct {
+	buf        []deadline
+	head, size int
+}
+
+func (q *deadlineQueue) push(e deadline) {
+	if q.size == len(q.buf) {
+		grown := make([]deadline, max(8, 2*len(q.buf)))
+		for i := 0; i < q.size; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.size)%len(q.buf)] = e
+	q.size++
+}
+
+func (q *deadlineQueue) front() deadline { return q.buf[q.head] }
+
+func (q *deadlineQueue) pop() {
+	q.head = (q.head + 1) % len(q.buf)
+	q.size--
 }
 
 func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *node {
@@ -183,11 +269,15 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 		nbrDisabled:   make([]bool, len(nbrs)),
 		nbrDraining:   make([]bool, len(nbrs)),
 		dests:         make([]destState, g.N()),
+		dirty:         fullDestSet(g.N()),
 		nextSeq:       1,
 		inbox:         nw.inboxOf(id, nbrs),
 		wake:          make(chan struct{}, 1),
 		pendingByDest: make([]pendQueue, g.N()),
-		dvDirty:       true, // gossip the initial vector on the first tick
+		pending:       fullDestSet(g.N()),
+		dvDirty:       true,          // gossip the initial vector on the first pass
+		gossipAt:      math.MinInt64, // never gossiped: the first is due at once
+		armedAt:       math.MaxInt64,
 	}
 	n.tg = newNodeGauges(nw.tel.reg, id)
 	out := make(map[graph.ProcessID]transport.Link, len(nbrs))
@@ -250,16 +340,17 @@ func (n *node) send(q graph.ProcessID, f transport.Frame) {
 }
 
 // run is the node main loop: it reacts to frames from the transport
-// inbox, Send wakes, ticks, and epoch barriers. Frames already queued are
-// taken with a non-blocking receive, up to inboxBurst of them, so a busy
-// node pays no select; only an empty inbox or a finished burst reaches
-// the blocking select, which holds the node's own channels and nothing
-// shared with other nodes. Stop and the barrier are read at the top of
-// every pass, so either reaches the node within one burst.
+// inbox, Send wakes, its timer and epoch barriers, and blocks while none
+// of them has anything for it. Frames already queued are taken with a
+// non-blocking receive, up to inboxBurst of them, so a busy node pays no
+// select; only an empty inbox or a finished burst reaches the blocking
+// select, which holds the node's own channels and nothing shared with
+// other nodes. Stop and the barrier are read at the top of every pass, so
+// either reaches the node within one burst.
 func (n *node) run() {
 	defer n.nw.wg.Done()
-	ticker := time.NewTicker(n.nw.opts.Tick)
-	defer ticker.Stop()
+	defer n.stopTimer()
+	n.wakeUp() // the first pass gossips the initial vector and settles the start state
 
 	for {
 		if n.quit.Load() {
@@ -275,6 +366,7 @@ func (n *node) run() {
 			if n.detached {
 				return
 			}
+			n.wakeUp() // an epoch leaves work: resume with a pass
 		}
 	burst:
 		for i := 0; i < inboxBurst; i++ {
@@ -286,24 +378,142 @@ func (n *node) run() {
 				break burst
 			}
 		}
+		// Timed work is checked here, after every pass and before the node
+		// blocks: a frame handled in the burst may have changed the vector,
+		// and nothing else would put it on the wire before the heartbeat.
+		if n.fired.Load() || n.dvDirty {
+			n.timed()
+		}
 		select {
 		case f := <-n.inbox:
 			n.handle(f)
 		case <-n.wake:
-		case <-ticker.C:
-			n.tick()
 		}
 		n.localMoves()
 	}
 }
 
-// wakeUp makes the node run a pass now rather than at its next frame or
-// tick. A wake already pending covers this one too.
+// wakeUp makes the node run a pass now rather than at its next frame. A
+// wake already pending covers this one too.
 func (n *node) wakeUp() {
 	select {
 	case n.wake <- struct{}{}:
 	default:
 	}
+}
+
+// fire is the timer's callback: the work itself runs on the node's
+// goroutine, at its next pass.
+func (n *node) fire() {
+	n.fired.Store(true)
+	n.wakeUp()
+}
+
+func (n *node) stopTimer() {
+	if n.timer != nil {
+		n.timer.Stop()
+	}
+}
+
+// armBy makes the timer fire no later than due. A timer already set for
+// an earlier instant stays as it is: when it fires, timed re-arms it for
+// what is then the earliest deadline.
+func (n *node) armBy(due, now int64) {
+	if n.armedAt <= due {
+		return
+	}
+	n.armedAt = due
+	if n.timer == nil {
+		n.timer = n.nw.clk.AfterFunc(time.Duration(due-now), n.fire)
+	} else {
+		n.timer.Reset(time.Duration(due - now))
+	}
+}
+
+// timed runs the node's timed work: what the timer found due, and the
+// gossip of a changed vector, which goes out at once unless the previous
+// gossip was less than a Tick ago. It leaves the timer armed for the
+// earliest deadline still ahead.
+func (n *node) timed() {
+	now := n.nw.clk.Nanos()
+	if n.fired.Swap(false) {
+		n.armedAt = math.MaxInt64
+		n.retransmit(now)
+	}
+	if len(n.nbrs) == 0 {
+		n.dvDirty = false // nobody to tell
+	} else {
+		if now >= n.gossipDue() {
+			n.gossipNow(now)
+		}
+		n.armBy(n.gossipDue(), now)
+	}
+	if n.liveFront() {
+		n.armBy(n.retx.front().due, now)
+	}
+}
+
+// gossipDue is when the vector next goes on the wire: one Tick after the
+// previous gossip if it changed since (or an epoch reset it), otherwise
+// when the heartbeat is due.
+func (n *node) gossipDue() int64 {
+	if n.gossip == nil || n.dvDirty {
+		return n.gossipAt + int64(n.nw.opts.Tick)
+	}
+	return n.gossipAt + n.hbEvery
+}
+
+// gossipNow puts the vector on the wire to every neighbor. A changed
+// vector restarts the heartbeat at heartbeatMinTicks; an unchanged one
+// (a heartbeat) doubles the interval to the next, up to
+// heartbeatMaxTicks.
+func (n *node) gossipNow(now int64) {
+	tick := int64(n.nw.opts.Tick)
+	if n.gossip == nil || n.dvDirty {
+		// One copy shared by all neighbor sends and by every heartbeat
+		// until the vector changes: receivers only read a DV slice
+		// (handleDV copies it into the per-neighbor store), and the sender
+		// never mutates a vector after gossiping it.
+		n.gossip = n.advertised()
+		n.hbEvery = heartbeatMinTicks * tick
+	} else {
+		n.hbEvery = min(2*n.hbEvery, heartbeatMaxTicks*tick)
+	}
+	n.dvDirty = false
+	n.gossipAt = now
+	for _, q := range n.nbrs {
+		n.send(q, transport.Frame{Kind: transport.KindDV, From: n.id, DV: n.gossip})
+	}
+}
+
+// retransmit re-drives every outstanding offer or cancel whose deadline
+// has passed. Entries whose drive was answered or superseded are dropped
+// on the way.
+func (n *node) retransmit(now int64) {
+	for n.liveFront() {
+		e := n.retx.front()
+		if e.due > now {
+			return
+		}
+		n.retx.pop()
+		// Re-driving an outstanding offer (or its cancel) after the
+		// silence interval: the retransmission machinery at work.
+		n.nw.tel.retransmits.Inc()
+		n.driveTransfer(e.dest)
+	}
+}
+
+// liveFront drops superseded deadlines from the front of retx and reports
+// whether one is left.
+func (n *node) liveFront() bool {
+	for n.retx.size > 0 {
+		e := n.retx.front()
+		if ds := &n.dests[e.dest]; ds.hasE && ds.offerSeq == e.seq && ds.due == e.due {
+			return true
+		}
+		n.retx.pop()
+	}
+	return false
 }
 
 // handle processes one incoming frame. A frame from a processor that is
@@ -405,7 +615,9 @@ func (n *node) recomputeRoutes() {
 		}
 		if n.dist[d] != best {
 			n.dist[d] = best
-			n.dvDirty = true
+			// A draining node advertises a fixed vector (advertised), so
+			// its own distances moving changes nothing on the wire.
+			n.dvDirty = n.dvDirty || !n.draining
 		}
 		n.parent[d] = bestQ
 	}
@@ -431,9 +643,10 @@ func (n *node) handleOffer(from graph.ProcessID, o transport.Offer) {
 		ds.hasR = true
 		ds.accepted[from] = o.Seq
 		n.tg.bufR.Add(1)
+		n.dirty.add(o.Dest)
 		if o.Dest == n.id {
 			// Final hop: start the destination-side wait clock R6 reads.
-			ds.rAtNS = time.Now().UnixNano()
+			ds.rAtNS = n.nw.clk.Nanos()
 		}
 		n.ack(from, o.Dest, o.Seq)
 	case !ds.hasParked || ds.parkedFrom == from:
@@ -442,7 +655,7 @@ func (n *node) handleOffer(from graph.ProcessID, o transport.Offer) {
 		// retransmitting; one parked offer per destination is enough to
 		// make the common single-chain pipeline event-driven.
 		if !ds.hasParked {
-			ds.parkedAtNS = time.Now().UnixNano()
+			ds.parkedAtNS = n.nw.clk.Nanos()
 			n.tg.parked.Add(1)
 			n.nw.tel.parkEvents.Inc()
 		}
@@ -484,6 +697,7 @@ func (n *node) erase(d graph.ProcessID) {
 	ds.hasE = false
 	ds.offerSeq = 0
 	n.tg.bufE.Add(-1)
+	n.dirty.add(d) // a bufR waiting on this buffer can move now
 	if n.draining {
 		// One buffered message handed off to a live neighbor on the
 		// way out — the drain-progress series operators watch.
@@ -536,28 +750,6 @@ func (n *node) handleCancelAck(from graph.ProcessID, c transport.Ack) {
 	}
 }
 
-// tick gossips the distance vector (when changed, or on the heartbeat)
-// and drives outstanding transfers.
-func (n *node) tick() {
-	n.tickCount++
-	if n.dvDirty || n.tickCount%dvHeartbeatTicks == 1 {
-		// One copy shared by all neighbor sends and by every heartbeat
-		// until the vector changes: receivers only read a DV slice
-		// (handleDV copies it into the per-neighbor store), and the sender
-		// never mutates a vector after gossiping it.
-		if n.gossip == nil || (n.dvDirty && !n.draining) {
-			n.gossip = n.advertised()
-		}
-		for _, q := range n.nbrs {
-			n.send(q, transport.Frame{Kind: transport.KindDV, From: n.id, DV: n.gossip})
-		}
-		n.dvDirty = false
-	}
-	for d := range n.dests {
-		n.driveTransfer(graph.ProcessID(d))
-	}
-}
-
 // advertised builds the vector to gossip. A draining node advertises
 // infinity everywhere but itself — in-flight deliveries to it complete,
 // nothing new routes through it — whatever its own distances say, so it
@@ -574,11 +766,10 @@ func (n *node) advertised() []int {
 	return dv
 }
 
-// driveTransfer (re)transmits the offer for an occupied emission buffer,
-// or cancels it when routing has moved away from the offered target. A
-// fresh occupancy (offerSeq == 0) goes on the wire immediately; an
-// outstanding one is retransmitted only after offerRetransmitTicks of
-// silence, giving the accept a chance to arrive first.
+// driveTransfer puts the offer for an occupied emission buffer on the
+// wire, or its cancel when routing has moved away from the offered
+// target, and sets the deadline for the retransmission. A fresh
+// occupancy (offerSeq == 0) is issued a sequence first.
 func (n *node) driveTransfer(d graph.ProcessID) {
 	ds := &n.dests[d]
 	if !ds.hasE || d == n.id {
@@ -588,14 +779,11 @@ func (n *node) driveTransfer(d graph.ProcessID) {
 		ds.offerSeq = n.nextSeq
 		n.nextSeq++
 		ds.offerTarget = n.parent[d]
-	} else if n.tickCount-ds.lastDrive < offerRetransmitTicks {
-		return
-	} else {
-		// Re-driving an outstanding offer (or its cancel) after the
-		// silence interval: the retransmission machinery at work.
-		n.nw.tel.retransmits.Inc()
 	}
-	ds.lastDrive = n.tickCount
+	now := n.nw.clk.Nanos()
+	ds.due = now + offerRetransmitTicks*int64(n.nw.opts.Tick)
+	n.retx.push(deadline{dest: d, seq: ds.offerSeq, due: ds.due})
+	n.armBy(ds.due, now)
 	if ds.offerTarget == n.parent[d] {
 		n.send(ds.offerTarget,
 			transport.Frame{Kind: transport.KindOffer, From: n.id, Offer: transport.Offer{Dest: d, Seq: ds.offerSeq, Msg: ds.bufE}})
@@ -610,107 +798,166 @@ func (n *node) driveTransfer(d graph.ProcessID) {
 // localMoves performs the purely local rules in pipeline order —
 // generation (R1), the internal bufR→bufE move (R2), consumption (R6) —
 // so one pass carries a fresh send to its first offer, a final-hop
-// arrival to its delivery, and a self-send all the way through.
+// arrival to its delivery, and a self-send all the way through. R2 and R6
+// visit only the dirty destinations and R1 only those with queued sends;
+// R1 runs again whenever R2 freed a buffer it may fill.
 func (n *node) localMoves() {
-	n.acceptPending()
-	// R2: internal move wherever possible. Hop-level exactly-once is
-	// carried by the handshake sequences in this port; the color field is
-	// kept populated for observability only.
-	for d := range n.dests {
-		ds := &n.dests[d]
-		if ds.hasR && !ds.hasE {
-			m := ds.bufR
-			m.Color = n.rng.Intn(n.nw.g.MaxDegree() + 1)
-			ds.bufE = m
-			ds.hasE = true
-			ds.bufR = Message{}
-			ds.hasR = false
-			ds.offerSeq = 0 // fresh occupancy, fresh handshake
-			n.tg.bufR.Add(-1)
-			n.tg.bufE.Add(1)
-			if graph.ProcessID(d) != n.id {
-				n.driveTransfer(graph.ProcessID(d))
+	n.internalMoves()
+	for n.acceptPending() && n.internalMoves() {
+	}
+}
+
+// internalMoves settles every dirty destination and reports whether a
+// bufR was freed. A destination marked again while it settles (a parked
+// offer accepted into the freed buffer) is settled again in the same
+// call.
+func (n *node) internalMoves() (freed bool) {
+	for w := range n.dirty {
+		for n.dirty[w] != 0 {
+			b := bits.TrailingZeros64(n.dirty[w])
+			n.dirty[w] &^= 1 << b
+			if n.settle(graph.ProcessID(w<<6 | b)) {
+				freed = true
 			}
-			if ds.hasParked {
-				// bufR just freed: accept the parked offer now. Re-running
-				// handleOffer keeps every watermark check in one place (a
-				// cancel may have raised killed since the offer parked).
-				o, from, parkedAt := ds.parked, ds.parkedFrom, ds.parkedAtNS
-				ds.parked, ds.hasParked = transport.Offer{}, false
-				n.tg.parked.Add(-1)
-				n.handleOffer(from, o)
-				if ds.hasR && ds.bufR.UID == o.Msg.UID {
-					// The parked offer was accepted (not refused by a raised
-					// watermark): the slot wait is park time the message
-					// spent at this congested hop.
-					wait := time.Now().UnixNano() - parkedAt
-					n.nw.tel.compPark.Observe(wait)
-					if hs := n.nw.opts.HoldStamp; hs != nil {
-						if p, ok := hs(ds.bufR.Payload, wait); ok {
-							ds.bufR.Payload = p
-						}
-					}
+		}
+	}
+	return freed
+}
+
+// settle applies R2 to destination d — and R6 when d is this node — and
+// puts an emission buffer that was never offered on the wire. It reports
+// whether bufR was freed.
+func (n *node) settle(d graph.ProcessID) bool {
+	ds := &n.dests[d]
+	if d == n.id && ds.hasE {
+		n.consume()
+	}
+	if !ds.hasR || ds.hasE {
+		if ds.hasE && ds.offerSeq == 0 {
+			// Occupied but not offered: the start state or an epoch
+			// restart left it so.
+			n.driveTransfer(d)
+		}
+		return false
+	}
+	// R2: internal move. Hop-level exactly-once is carried by the
+	// handshake sequences in this port; the color field is kept populated
+	// for observability only.
+	m := ds.bufR
+	m.Color = n.rng.Intn(n.nw.g.MaxDegree() + 1)
+	ds.bufE = m
+	ds.hasE = true
+	ds.bufR = Message{}
+	ds.hasR = false
+	ds.offerSeq = 0 // fresh occupancy, fresh handshake
+	n.tg.bufR.Add(-1)
+	n.tg.bufE.Add(1)
+	if d == n.id {
+		n.consume()
+	} else {
+		n.driveTransfer(d)
+	}
+	if ds.hasParked {
+		// bufR just freed: accept the parked offer now. Re-running
+		// handleOffer keeps every watermark check in one place (a cancel
+		// may have raised killed since the offer parked).
+		o, from, parkedAt := ds.parked, ds.parkedFrom, ds.parkedAtNS
+		ds.parked, ds.hasParked = transport.Offer{}, false
+		n.tg.parked.Add(-1)
+		n.handleOffer(from, o)
+		if ds.hasR && ds.bufR.UID == o.Msg.UID {
+			// The parked offer was accepted (not refused by a raised
+			// watermark): the slot wait is park time the message spent at
+			// this congested hop.
+			wait := n.nw.clk.Nanos() - parkedAt
+			n.nw.tel.compPark.Observe(wait)
+			if hs := n.nw.opts.HoldStamp; hs != nil {
+				if p, ok := hs(ds.bufR.Payload, wait); ok {
+					ds.bufR.Payload = p
 				}
 			}
 		}
 	}
-	// R6: consume at the destination. The wait since the message landed in
-	// this node's bufR is the "deliver" attribution component; it rides the
-	// Delivery struct (the destination never rewrites the payload tag).
+	return true
+}
+
+// consume is R6: the destination hands its emission buffer up. The wait
+// since the message landed in this node's bufR is the "deliver"
+// attribution component; it rides the Delivery struct (the destination
+// never rewrites the payload tag).
+func (n *node) consume() {
 	self := &n.dests[n.id]
-	if self.hasE {
-		var wait int64
-		if self.rAtNS != 0 {
-			wait = time.Now().UnixNano() - self.rAtNS
-			self.rAtNS = 0
-		}
-		n.nw.deliver(Delivery{Msg: self.bufE, At: n.id, DeliverWaitNS: wait})
-		self.bufE = Message{}
-		self.hasE = false
-		n.tg.bufE.Add(-1)
+	var wait int64
+	if self.rAtNS != 0 {
+		wait = n.nw.clk.Nanos() - self.rAtNS
+		self.rAtNS = 0
 	}
+	n.nw.deliver(Delivery{Msg: self.bufE, At: n.id, DeliverWaitNS: wait})
+	self.bufE = Message{}
+	self.hasE = false
+	n.tg.bufE.Add(-1)
 }
 
 // acceptPending is R1: accept pending higher-layer messages wherever the
-// destination's bufR is free. The lock-free occupancy check keeps an idle
-// R1 at one atomic load per loop iteration.
-func (n *node) acceptPending() {
+// destination's bufR is free, and report whether any was accepted. The
+// lock-free occupancy check keeps an idle R1 at one atomic load per pass;
+// a busy one visits only the destinations with queued sends.
+func (n *node) acceptPending() (accepted bool) {
 	if n.tg.pending.Load() == 0 {
-		return
+		return false
 	}
 	hs := n.nw.opts.HoldStamp
-	now := time.Now().UnixNano()
+	now := n.nw.clk.Nanos()
 	n.mu.Lock()
-	for d := range n.pendingByDest {
-		pq := &n.pendingByDest[d]
-		if pq.head >= len(pq.q) {
-			continue
-		}
-		ds := &n.dests[d]
-		if ds.hasR {
-			continue
-		}
-		ent := pq.q[pq.head]
-		wait := now - ent.enqNS
-		n.nw.tel.compQueued.Observe(wait)
-		if hs != nil {
-			if p, ok := hs(ent.m.Payload, wait); ok {
-				ent.m.Payload = p
+	for w := range n.pending {
+		for word := n.pending[w]; word != 0; word &= word - 1 {
+			d := graph.ProcessID(w<<6 | bits.TrailingZeros64(word))
+			pq := &n.pendingByDest[d]
+			if pq.head >= len(pq.q) {
+				n.pending.remove(d)
+				continue
 			}
+			ds := &n.dests[d]
+			if ds.hasR {
+				continue
+			}
+			ent := pq.q[pq.head]
+			wait := now - ent.enqNS
+			n.nw.tel.compQueued.Observe(wait)
+			if hs != nil {
+				if p, ok := hs(ent.m.Payload, wait); ok {
+					ent.m.Payload = p
+				}
+			}
+			ds.bufR = ent.m
+			ds.hasR = true
+			n.tg.bufR.Add(1)
+			n.dirty.add(d)
+			accepted = true
+			if d == n.id {
+				ds.rAtNS = now // self-send: the source is the final hop
+			}
+			pq.q[pq.head] = pendEntry{} // release the payload reference
+			pq.head++
+			if pq.head == len(pq.q) {
+				pq.q = pq.q[:0] // drained: reuse the backing array
+				pq.head = 0
+				n.pending.remove(d)
+			}
+			n.tg.pending.Add(-1)
 		}
-		ds.bufR = ent.m
-		ds.hasR = true
-		n.tg.bufR.Add(1)
-		if graph.ProcessID(d) == n.id {
-			ds.rAtNS = now // self-send: the source is the final hop
-		}
-		pq.q[pq.head] = pendEntry{} // release the payload reference
-		pq.head++
-		if pq.head == len(pq.q) {
-			pq.q = pq.q[:0] // drained: reuse the backing array
-			pq.head = 0
-		}
-		n.tg.pending.Add(-1)
 	}
+	n.mu.Unlock()
+	return accepted
+}
+
+// markAll marks every destination dirty and pending, so the next pass
+// looks at each once: what a node starts or resumes from after an epoch
+// is not known to the sets. Caller holds the barrier (or the node has
+// not started).
+func (n *node) markAll() {
+	n.dirty = fullDestSet(len(n.dests))
+	n.mu.Lock()
+	n.pending = fullDestSet(len(n.pendingByDest))
 	n.mu.Unlock()
 }

@@ -185,7 +185,9 @@ type Selection struct {
 // distributed daemon of §2.1; a central daemon simply returns a single
 // selection. enabled, and the Rules of its choices, are valid only during
 // Select: the engine reuses their storage at later steps, so a daemon
-// that keeps any of it past the call must copy it.
+// that keeps any of it past the call must copy it. In the other direction,
+// the returned slice is valid until the next Select: the engine consumes
+// it within the step, so a daemon may hand out the same buffer each time.
 type Daemon interface {
 	Name() string
 	Select(step int, enabled []Choice) []Selection

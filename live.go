@@ -38,7 +38,8 @@ type LiveOptions struct {
 	// CorruptStart randomizes the initial routing state and plants garbage
 	// messages in buffers.
 	CorruptStart bool
-	// Tick is the gossip/retransmission period (default 200µs).
+	// Tick is the base unit of the nodes' gossip and retransmission
+	// deadlines (default 200µs; see msgpass.Options.Tick).
 	Tick time.Duration
 }
 

@@ -14,7 +14,7 @@ BENCH_FLAGS ?= -quick -seeds 2 -parallel 1
 .PHONY: all build test test-short race bench experiments check cluster examples \
 	cover cover-check fmt lint vet fuzz campaign bench-baseline load-smoke \
 	bench-allocs load-baseline load-compare cluster-metrics cluster-elastic \
-	engine-parallel cluster-tls
+	cluster-tls
 
 all: build vet test
 
@@ -179,20 +179,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/transport/
 	$(GO) test -fuzz=FuzzParseTag -fuzztime=$(FUZZTIME) -run '^$$' ./internal/load/
 	$(GO) test -fuzz=FuzzCertRoleParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/secure/
-
-# Sharded-engine determinism gate: the engine's oracles under the race
-# detector, then the full quick E-EP grid at -shards 1, 2 and 4 — the
-# three normalized campaign reports must be byte-identical (the
-# shard-count-invariance contract of statemodel.WithShards).
-engine-parallel:
-	$(GO) test -race ./internal/statemodel/
-	@for s in 1 2 4; do \
-		$(GO) run ./cmd/ssmfp-bench -quick -seeds 2 -parallel 2 -shards $$s \
-			-filter ep -json /tmp/engine-shards-$$s.json -normalize > /dev/null || exit 1; \
-	done; \
-	cmp /tmp/engine-shards-1.json /tmp/engine-shards-2.json || { echo "FAIL: -shards 2 report differs from -shards 1"; exit 1; }; \
-	cmp /tmp/engine-shards-1.json /tmp/engine-shards-4.json || { echo "FAIL: -shards 4 report differs from -shards 1"; exit 1; }; \
-	echo "engine-parallel: normalized E-EP reports byte-identical at -shards 1/2/4"
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

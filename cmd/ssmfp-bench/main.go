@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ssmfp-bench [-seed N] [-seeds K] [-parallel W] [-shards S]
+//	ssmfp-bench [-seed N] [-seeds K] [-parallel W]
 //	            [-filter p5,ep/grid] [-quick] [-paranoid]
 //	            [-json BENCH.json] [-normalize] [-cells]
 //	            [-progress] [-trace-out f3.jsonl]
@@ -15,10 +15,10 @@
 //
 // The campaign is deterministic: the normalized report (wall-clock,
 // allocation and host fields excluded) is byte-identical for any
-// -parallel and any -shards value; -normalize writes the -json report
-// pre-normalized so reports from different shard/worker counts can be
-// diffed byte-for-byte. compare exits 1 on a regression against the
-// baseline and 2 on usage or I/O errors.
+// -parallel value; -normalize writes the -json report pre-normalized so
+// reports from different worker counts can be diffed byte-for-byte.
+// compare exits 1 on a regression against the baseline and 2 on usage or
+// I/O errors.
 package main
 
 import (
@@ -49,7 +49,6 @@ func benchMain(args []string) int {
 	seed := fs.Int64("seed", 2009, "campaign seed (repetition 0 of every cell runs it directly)")
 	seeds := fs.Int("seeds", 1, "repetitions per cell (rep > 0 uses derived seeds)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker count (any value yields the same normalized report)")
-	shards := fs.Int("shards", 1, "run every engine on the sharded parallel step engine with this many shards (any value yields the same normalized report)")
 	filter := fs.String("filter", "", "comma-separated cell-key prefixes (p5, ep/grid, f3)")
 	quick := fs.Bool("quick", false, "skip the heavy cells")
 	paranoid := fs.Bool("paranoid", false, "run every engine with the incremental self-check enabled (naive rescan cross-checks each step)")
@@ -61,7 +60,7 @@ func benchMain(args []string) int {
 	fs.Parse(args)
 
 	cfg := campaign.Config{
-		Seed: *seed, Seeds: *seeds, Parallel: *parallel, Shards: *shards,
+		Seed: *seed, Seeds: *seeds, Parallel: *parallel,
 		Filter: *filter, Quick: *quick, Paranoid: *paranoid,
 	}
 	if *listCells {

@@ -77,7 +77,7 @@ func adminClient(cfg config, url string) (*cluster.HTTPClient, error) {
 	if err := checkTargetScheme(cfg, url); err != nil {
 		return nil, err
 	}
-	return cluster.NewHTTPClientWith(url, hc), nil
+	return &cluster.HTTPClient{Base: url, HTTP: hc}, nil
 }
 
 // targetClient resolves the single-node client for -target (falling back

@@ -8,7 +8,7 @@
 //	          [-n 8] [-daemon synchronous|central-random|central-round-robin|distributed-random|weakly-fair-lifo]
 //	          [-corrupt] [-messages 10] [-pattern random|all-to-one|one-to-all|all-to-all|permutation]
 //	          [-workload-file trace.txt] [-seed 1] [-max-steps 10000000]
-//	          [-shards 1] [-paranoid] [-v]
+//	          [-paranoid] [-v]
 //	          [-trace-out run.jsonl] [-trace-dest 0] [-metrics-out lifecycle.json] [-http 127.0.0.1:0]
 //
 // -trace-out streams the run as a JSONL event trace (replayable with
@@ -45,7 +45,6 @@ func main() {
 	workloadFile := flag.String("workload-file", "", "replay sends from a file ('src dest payload [atStep]' per line; overrides -pattern)")
 	seed := flag.Int64("seed", 1, "random seed")
 	maxSteps := flag.Int("max-steps", 10_000_000, "step cap")
-	shards := flag.Int("shards", 1, "run on the sharded parallel step engine with this many shards (bit-identical to -shards 1; changes wall time only)")
 	verbose := flag.Bool("v", false, "print per-rule move counts and engine stats")
 	paranoid := flag.Bool("paranoid", false, "cross-check the incremental enabled set against a naive rescan every step")
 	traceOut := flag.String("trace-out", "", "write the run as a JSONL event trace to this file")
@@ -88,7 +87,6 @@ func main() {
 		Seed:      *seed,
 		Workload:  w,
 		MaxSteps:  *maxSteps,
-		Shards:    *shards,
 		SelfCheck: *paranoid,
 	}
 	switch *policy {
@@ -189,10 +187,6 @@ func main() {
 		st := r.Stats
 		fmt.Printf("engine    : %d guard evals in %d full scans + %d flushes (procs: %d evaluated, %d cached; %d dirty marks, %d self-checks)\n",
 			st.GuardEvals, st.FullScans, st.Flushes, st.ProcsEvaluated, st.ProcsSkipped, st.DirtyMarks, st.SelfChecks)
-		if *shards > 1 {
-			fmt.Printf("sharding  : %d shards, %d moves in %d non-adjacent batches (%d oracle checks)\n",
-				*shards, st.ParallelMoves, st.ParallelBatches, st.BoundaryChecks)
-		}
 	}
 	if r.OK() {
 		fmt.Println("verdict   : SP satisfied — every generated message delivered exactly once")

@@ -37,12 +37,6 @@ type Config struct {
 	// Paranoid threads the engine differential self-check into every cell.
 	Paranoid bool
 
-	// Shards > 1 runs every cell's engines on the sharded parallel step
-	// engine (statemodel.WithShards). Like Parallel, any value yields the
-	// same normalized report; it only changes wall time. It is recorded in
-	// the volatile RunInfo, not in the deterministic section.
-	Shards int
-
 	// OnResult, when non-nil, is called serially (from the aggregation
 	// loop, in completion order) after each cell finishes.
 	OnResult func(done, total int, cr CellReport, res sim.CellResult)
@@ -213,7 +207,7 @@ func Run(ctx context.Context, cfg Config) (*Report, []sim.CellResult, error) {
 		rep.Totals.DeliveredInvalid += int64(c.Measure.DeliveredInvalid)
 	}
 	rep.Run = RunInfo{
-		Parallel: par, Shards: cfg.Shards, WallNS: time.Since(start).Nanoseconds(),
+		Parallel: par, WallNS: time.Since(start).Nanoseconds(),
 		NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(),
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		StartedAt: start.UTC().Format(time.RFC3339),
@@ -231,7 +225,7 @@ func runOne(ctx context.Context, cfg Config, j job) (CellReport, sim.CellResult)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	res, err := sim.RunCell(j.spec, sim.Options{Seed: j.seed, Paranoid: cfg.Paranoid, Shards: cfg.Shards, Ctx: ctx})
+	res, err := sim.RunCell(j.spec, sim.Options{Seed: j.seed, Paranoid: cfg.Paranoid, Ctx: ctx})
 	cr.WallNS = time.Since(t0).Nanoseconds()
 	runtime.ReadMemStats(&m1)
 	cr.Allocs = int64(m1.Mallocs - m0.Mallocs)

@@ -141,33 +141,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardDeterminism locks the sharded engine's campaign-level
-// contract: the normalized report is byte-identical at -shards 1, 2 and
-// 4. The filter leans on cells that actually drive engines (including an
-// E-EP cell, whose incremental run goes through the sharded path).
-func TestShardDeterminism(t *testing.T) {
-	run := func(shards int) []byte {
-		rep, _, err := Run(context.Background(), Config{
-			Seed: 42, Parallel: 2, Shards: shards,
-			Filter: "p4/n4,p5/line-3,p6/star-6,x2/ring-8,ep/grid-5x5",
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		b, err := rep.Normalize().Marshal()
-		if err != nil {
-			t.Fatalf("shards=%d: marshal: %v", shards, err)
-		}
-		return b
-	}
-	one := run(1)
-	for _, k := range []int{2, 4} {
-		if got := run(k); !bytes.Equal(one, got) {
-			t.Errorf("normalized reports differ between -shards 1 and -shards %d:\n--- shards 1 ---\n%s\n--- shards %d ---\n%s", k, one, k, got)
-		}
-	}
-}
-
 // TestRunPublishesProgress checks the progress contract of OnResult: one
 // serialized call per finished cell, counting completions up to the total.
 func TestRunPublishesProgress(t *testing.T) {

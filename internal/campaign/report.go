@@ -68,7 +68,6 @@ type Totals struct {
 // else.
 type RunInfo struct {
 	Parallel  int    `json:"parallel,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	WallNS    int64  `json:"wall_ns,omitempty"`
 	NumCPU    int    `json:"num_cpu,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`

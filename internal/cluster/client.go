@@ -34,21 +34,15 @@ type HTTPClient struct {
 	Base string
 	// HTTP is the underlying client; nil selects a private one with a
 	// 10-second timeout (admin calls are small; only epoch application
-	// does real work, and that is bounded by the pause barrier).
+	// does real work, and that is bounded by the pause barrier). An
+	// operator console reaches nodes behind mutual TLS through one that
+	// carries the client certificate and the cluster CA pool.
 	HTTP *http.Client
 }
 
 // NewHTTPClient builds a client for the node at base.
 func NewHTTPClient(base string) *HTTPClient {
 	return &HTTPClient{Base: base}
-}
-
-// NewHTTPClientWith builds a client carrying an explicit *http.Client —
-// how an operator console reaches nodes behind mutual TLS (hc carries the
-// client certificate and the cluster CA pool). A nil hc falls back to the
-// private plaintext default.
-func NewHTTPClientWith(base string, hc *http.Client) *HTTPClient {
-	return &HTTPClient{Base: base, HTTP: hc}
 }
 
 func (c *HTTPClient) http() *http.Client {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -453,6 +454,83 @@ func TestHTTPDeliveries(t *testing.T) {
 	if len(ds) != 3 || len(want) != 0 {
 		t.Fatalf("ledger %+v does not hold each injected UID once", ds)
 	}
+}
+
+// TestManagerResumeAt rebuilds an operator console the way ssmfp-node's
+// admin commands do: from a running node's status, with the epoch
+// sequence resumed where the node stands. Its next broadcast must carry
+// that sequence plus one, the node must adopt it, and Epoch().Seq must
+// read it. A console that restarts the sequence instead is ignored as
+// stale, which is the failure ResumeAt exists to avoid.
+func TestManagerResumeAt(t *testing.T) {
+	orc := newOracle()
+	nw := msgpass.New(graph.Ring(4), msgpass.Options{Seed: 31, OnDeliver: orc.hook})
+	nw.Start()
+	defer nw.Stop()
+	srv := httptest.NewServer(cluster.NewAgent(nw, nil).Handler())
+	defer srv.Close()
+	hc := &cluster.HTTPClient{Base: srv.URL}
+
+	// An earlier console already moved the node to epoch 3.
+	ring := graph.NewTopology(graph.Ring(4))
+	if err := hc.Apply(cluster.Epoch{Seq: 3, Slots: ring.Cap(), Edges: ring.Edges()}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+
+	console := func(resume bool) *cluster.Manager {
+		st, err := hc.Status()
+		if err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+		topo, err := cluster.Topology(st.Slots, st.Edges)
+		if err != nil {
+			t.Fatalf("Topology: %v", err)
+		}
+		mgr := cluster.NewManager(topo)
+		if resume {
+			mgr.ResumeAt(st.Epoch)
+		}
+		mgr.Attach(0, hc, "")
+		return mgr
+	}
+
+	stale := console(false)
+	if err := stale.AddLink(1, 3); err != nil {
+		t.Fatalf("stale AddLink: %v", err)
+	}
+	if got := nw.CurrentEpoch(); got != 3 {
+		t.Fatalf("a sequence-1 broadcast moved the node from epoch 3 to %d", got)
+	}
+
+	mgr := console(true)
+	if got := mgr.Epoch().Seq; got != 3 {
+		t.Fatalf("Epoch().Seq after ResumeAt(3) = %d, want 3", got)
+	}
+	if err := mgr.AddLink(0, 2); err != nil {
+		t.Fatalf("AddLink: %v", err)
+	}
+	if got := mgr.Epoch().Seq; got != 4 {
+		t.Fatalf("Epoch().Seq after the broadcast = %d, want 4", got)
+	}
+	st, err := hc.Status()
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if st.Epoch != 4 || nw.CurrentEpoch() != 4 {
+		t.Fatalf("node at epoch %d (status %d), want 4", nw.CurrentEpoch(), st.Epoch)
+	}
+	if !slices.Contains(st.Edges, [2]graph.ProcessID{0, 2}) || slices.Contains(st.Edges, [2]graph.ProcessID{1, 3}) {
+		t.Fatalf("edges at epoch 4 = %v, want the chord 0-2 and not 1-3", st.Edges)
+	}
+
+	// Messages still flow at the new epoch.
+	rep, err := hc.Inject(0, 2, 3, "chord")
+	if err != nil || rep.Sent != 3 {
+		t.Fatalf("Inject: rep=%+v err=%v", rep, err)
+	}
+	orc.addAll("chord", rep.UIDs)
+	orc.waitAll(t, 10*time.Second)
+	orc.check(t)
 }
 
 // TestEpochWire pins the wire format: an Epoch survives a JSON round

@@ -49,31 +49,26 @@ func corruptGridEngine(seed int64, opts ...sm.EngineOption) *sm.Engine {
 }
 
 // BenchmarkEngineStep measures one engine step of the engine-corrupt
-// shape at one and two shards: an op is one Step, and a run that reaches
-// quiescence is replaced by the next seeded one outside the timer, so
-// the figures average over whole executions. It is the measurement to
-// set statemodel's fan-out thresholds (parallel.go) from; run with
-// -benchmem.
+// shape: an op is one Step, and a run that reaches quiescence is
+// replaced by the next seeded one outside the timer, so the figures
+// average over whole executions. It is the engine's per-step ledger
+// entry; run with -benchmem.
 func BenchmarkEngineStep(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			seed := int64(1)
-			build := func() *sm.Engine {
-				e := corruptGridEngine(seed, sm.WithShards(shards, seed), sm.WithSelfCheck(false))
-				seed++
-				return e
-			}
-			e := build()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !e.Step() {
-					b.StopTimer()
-					e = build()
-					b.StartTimer()
-					i--
-				}
-			}
-		})
+	b.ReportAllocs()
+	seed := int64(1)
+	build := func() *sm.Engine {
+		e := corruptGridEngine(seed, sm.WithSelfCheck(false))
+		seed++
+		return e
+	}
+	e := build()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.StopTimer()
+			e = build()
+			b.StartTimer()
+			i--
+		}
 	}
 }

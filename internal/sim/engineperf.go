@@ -15,16 +15,11 @@ import (
 // epRun drives one engine over the scenario and reports its stats plus an
 // execution fingerprint (per-rule move counts) for the determinism check.
 // Self-check is off in both modes so the guard-evaluation counts are the
-// modes' real costs, not the harness's. shards > 1 runs the engine on the
-// sharded parallel path; the fingerprint comparison then doubles as the
-// sweep-wide determinism oracle for the parallel engine.
-func epRun(g *graph.Graph, seed int64, steps int, incremental bool, shards int) (sm.Stats, int, map[string]int) {
+// modes' real costs, not the harness's.
+func epRun(g *graph.Graph, seed int64, steps int, incremental bool) (sm.Stats, int, map[string]int) {
 	cfg := core.CleanConfig(g)
-	opts := []sm.EngineOption{sm.WithIncremental(incremental), sm.WithSelfCheck(false)}
-	if shards > 1 {
-		opts = append(opts, sm.WithShards(shards, seed))
-	}
-	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, opts...)
+	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg,
+		sm.WithIncremental(incremental), sm.WithSelfCheck(false))
 	rng := rand.New(rand.NewSource(seed))
 	in := workload.NewInjector(workload.RandomPairs(g, g.N(), rng),
 		func(st sm.State) workload.Enqueuer { return st.(*core.Node).FW })
@@ -88,8 +83,8 @@ func epCell(o Options, idx int) CellResult {
 	c := epCases[idx]
 	g := c.make(o.Seed)
 	runSeed := o.Seed + int64(idx)
-	nStats, nSteps, nMoves := epRun(g, runSeed, c.steps, false, 1)
-	iStats, iSteps, iMoves := epRun(g, runSeed, c.steps, true, o.Shards)
+	nStats, nSteps, nMoves := epRun(g, runSeed, c.steps, false)
+	iStats, iSteps, iMoves := epRun(g, runSeed, c.steps, true)
 	match := nSteps == iSteps && sameMoves(nMoves, iMoves)
 	steps := max(iSteps, 1)
 	evaluated := iStats.ProcsEvaluated + iStats.ProcsSkipped

@@ -43,14 +43,6 @@ type Options struct {
 	// (best-effort; inside scenario runs it is checked every few hundred
 	// steps).
 	Ctx context.Context
-
-	// Shards > 1 runs every engine the cell builds on the sharded
-	// parallel step engine (statemodel.WithShards): guard evaluation and
-	// non-adjacent action batches execute concurrently across Shards
-	// workers. Executions — and therefore every deterministic quantity
-	// in a campaign report — are bit-identical for any value; sharding
-	// only changes wall-clock time.
-	Shards int
 }
 
 // engineOpts translates the options into engine construction options.
@@ -58,9 +50,6 @@ func (o Options) engineOpts() []sm.EngineOption {
 	var opts []sm.EngineOption
 	if o.Paranoid {
 		opts = append(opts, sm.WithSelfCheck(true))
-	}
-	if o.Shards > 1 {
-		opts = append(opts, sm.WithShards(o.Shards, o.Seed))
 	}
 	return opts
 }
@@ -262,7 +251,6 @@ func p4Cell(o Options, idx int) CellResult {
 		NoRA:      true,
 		Ctx:       o.Ctx,
 		SelfCheck: o.Paranoid,
-		Shards:    o.Shards,
 	})
 	m := measureOf(r)
 	m.InvalidBound = 2 * n
@@ -320,7 +308,6 @@ func p5Cell(o Options, idx int) CellResult {
 		NoRA:      true,
 		Ctx:       o.Ctx,
 		SelfCheck: o.Paranoid,
-		Shards:    o.Shards,
 	})
 	maxLatency := int(r.LatencyRounds.Max)
 	bound := math.Pow(float64(g.MaxDegree()), float64(g.Diameter()))
@@ -367,7 +354,6 @@ func p6Cell(o Options, idx int) CellResult {
 		NoRA:      true,
 		Ctx:       o.Ctx,
 		SelfCheck: o.Paranoid,
-		Shards:    o.Shards,
 	})
 	m := measureOf(r)
 	if gens := r.GenRoundsBySource[probe]; len(gens) > 0 {
@@ -413,7 +399,6 @@ func p7Cell(o Options, idx int) CellResult {
 		NoRA:      true,
 		Ctx:       o.Ctx,
 		SelfCheck: o.Paranoid,
-		Shards:    o.Shards,
 	})
 	deliveries := r.DeliveredValid + r.InvalidDelivered
 	amortized := 0.0
@@ -531,7 +516,6 @@ func x2Cell(o Options, idx int) CellResult {
 		NoRA:      true,
 		Ctx:       o.Ctx,
 		SelfCheck: o.Paranoid,
-		Shards:    o.Shards,
 	})
 	fwMoves := 0
 	for base, c := range r.MovesByRule {

@@ -74,15 +74,10 @@ type Scenario struct {
 	// but not exact. Result.Interrupted reports an abort.
 	Ctx context.Context
 
-	// SelfCheck forces the engine's differential self-check (and its
-	// boundary-conflict oracle) on for this run. False leaves the
-	// engine's default (on under `go test`, off otherwise).
+	// SelfCheck forces the engine's differential self-check on for this
+	// run. False leaves the engine's default (on under `go test`, off
+	// otherwise).
 	SelfCheck bool
-
-	// Shards > 1 runs the scenario on the sharded parallel step engine
-	// (seeded from Seed). Bit-identical to a serial run at any value;
-	// only wall-clock time changes.
-	Shards int
 
 	// Monitors are invariant probes evaluated on the configuration before
 	// every step (and once at the end); the first error aborts the run and
@@ -221,9 +216,6 @@ func Run(s Scenario) Result {
 	var eopts []sm.EngineOption
 	if s.SelfCheck {
 		eopts = append(eopts, sm.WithSelfCheck(true))
-	}
-	if s.Shards > 1 {
-		eopts = append(eopts, sm.WithShards(s.Shards, s.Seed))
 	}
 	e := sm.NewEngine(g, core.FullProgramWithPolicy(g, s.Policy), NewDaemon(s.Daemon, s.Seed, g.N()), cfg, eopts...)
 	tr := checker.New(g)

@@ -31,11 +31,10 @@ type Stats struct {
 
 	SelfChecks int // naive recomputations performed by the self-check mode
 
-	// Sharded-engine counters: only work that fanned out to several
-	// workers counts (zero with one shard or below the thresholds).
-	ParallelBatches int   // non-adjacent execution batches run concurrently
-	ParallelMoves   int64 // selections in those batches
-	BoundaryChecks  int   // batches re-verified by the boundary-conflict oracle
+	// ParallelMoves is always 0: the engine runs every step serially.
+	// Its only reader is perfbench's parallel_moves_share figure; it goes
+	// at the next change to the benchmark.
+	ParallelMoves int64
 }
 
 // Engine executes a Program on a Graph under a Daemon, starting from an
@@ -52,16 +51,12 @@ type Stats struct {
 // full scan per step; WithSelfCheck(true) — the default under `go test`
 // — recomputes the enabled set naively every step, panicking with a
 // minimal per-processor diff on any divergence (which is how a rule that
-// reads outside its declared slot is caught), and runs the
-// boundary-conflict oracle on every parallel batch.
+// reads outside its declared slot is caught).
 //
 // Every step runs one code path: re-evaluate the marked guards, merge
 // the fresh choices into the enabled set, let the daemon select, and
-// execute each selection through one executor against the pre-step
-// snapshot.
-// WithShards(k, seed) only lets that path fan out across k workers (see
-// parallel.go); a serial engine is the sharded engine with one shard, so
-// executions are bit-identical at any k.
+// execute each selection in order through one executor against the
+// pre-step snapshot.
 type Engine struct {
 	g       *graph.Graph
 	program Program
@@ -99,29 +94,20 @@ type Engine struct {
 	stats        Stats
 
 	buf stepBuffers
-
-	// sharded execution (parallel.go); nil = one shard
-	part *graph.Partition
-	fan  fanOutMin
 }
 
 // stepBuffers is the per-step scratch of Step, reused across steps so the
 // bookkeeping allocates nothing once warm.
 type stepBuffers struct {
-	view    View // one shard's executing view
-	next    []State
-	events  []Event
-	lists   [3]choiceList // storage of the enabled sets (see freeList)
-	outs    []execOut     // sharded execution: per-selection events
-	batches [][]int       // sharded execution: batch pool
-	groups  [][]int       // sharded execution: one batch's selections per shard
-	active  [][]int       // sharded execution: the non-empty groups
+	view   View // the executing view
+	next   []State
+	events []Event
+	lists  [3]choiceList // storage of the enabled sets (see freeList)
 
-	batchOf []int32  // processor -> 1 + its batch while planning, 0 = none
-	offer   []int32  // processor -> index of its Choice in the validated set
-	mark    []uint32 // processor -> generation it was last offered/enabled in
-	picked  []uint32 // processor -> generation it was last selected in
-	gen     uint32
+	offer  []int32  // processor -> index of its Choice in the validated set
+	mark   []uint32 // processor -> generation it was last offered/enabled in
+	picked []uint32 // processor -> generation it was last selected in
+	gen    uint32
 }
 
 // EngineOption configures an Engine at construction time.
@@ -134,11 +120,17 @@ func WithIncremental(on bool) EngineOption {
 
 // WithSelfCheck toggles the differential self-check: every Step recomputes
 // the enabled set with the naive full scan and panics with a minimal diff
-// if the incremental cache diverged; it also turns on the boundary-conflict
-// oracle of sharded batches. The default is on under `go test`
+// if the incremental cache diverged. The default is on under `go test`
 // (testing.Testing()), off otherwise.
 func WithSelfCheck(on bool) EngineOption {
 	return func(e *Engine) { e.selfCheck = on }
+}
+
+// WithShards does nothing: the engine runs every step serially. Its only
+// caller is perfbench's engine workload; it goes at the next change to
+// the benchmark.
+func WithShards(k int, seed int64) EngineOption {
+	return func(*Engine) {}
 }
 
 // NewEngine builds an engine over g running program under daemon, with the
@@ -169,12 +161,10 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		roundPending: make([]bool, g.N()),
 		incremental:  true,
 		selfCheck:    testing.Testing(),
-		fan:          fanOutMin{marks: parFlushMinMarks, moves: parBatchMinMoves},
 		buf: stepBuffers{
-			batchOf: make([]int32, g.N()),
-			offer:   make([]int32, g.N()),
-			mark:    make([]uint32, g.N()),
-			picked:  make([]uint32, g.N()),
+			offer:  make([]int32, g.N()),
+			mark:   make([]uint32, g.N()),
+			picked: make([]uint32, g.N()),
 		},
 	}
 	for _, opt := range opts {
@@ -378,7 +368,7 @@ func (e *Engine) enabledCurrent() []Choice {
 	if 2*len(e.cache.dirty) >= len(prev) {
 		dst = e.freeList()
 	}
-	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, e.Shards(), e.fan.marks, dst)
+	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, dst)
 	e.stats.GuardEvals += evals
 	e.stats.ProcsEvaluated += int64(procs)
 	if !full {
@@ -489,10 +479,8 @@ func (e *Engine) Step() bool {
 	sels := e.daemon.Select(e.step, enabled)
 	e.validateSelections(enabled, sels)
 
-	// Execute every selection against the same pre-step snapshot, then
-	// commit. One shard (or too few selections to fan out) runs them in
-	// order; more run non-adjacent batches concurrently, merged in
-	// canonical order.
+	// Execute every selection in order against the same pre-step
+	// snapshot, then commit.
 	b := &e.buf
 	next := slices.Grow(b.next[:0], len(sels))[:len(sels)]
 	b.next = next
@@ -501,12 +489,8 @@ func (e *Engine) Step() bool {
 	if e.nsubs > 0 {
 		events = &b.events
 	}
-	if e.part == nil || len(sels) < e.fan.moves {
-		for i, sel := range sels {
-			next[i] = e.execute(sel, &b.view, events)
-		}
-	} else {
-		e.executeBatches(sels, next, events)
+	for i, sel := range sels {
+		next[i] = e.execute(sel, events)
 	}
 	for i, sel := range sels {
 		p := sel.Process
@@ -535,11 +519,11 @@ func (e *Engine) Step() bool {
 }
 
 // execute is the engine's one executor: it runs sel against the pre-step
-// snapshot (apply, through the reused view v), appends the action's
-// events and then its fire marker to events, and returns the successor
-// state. events is nil when nothing subscribes.
-func (e *Engine) execute(sel Selection, v *View, events *[]Event) State {
-	s := apply(v, e.g, e.rules, e.states, sel, e.step, e.rounds, events)
+// snapshot (apply, through the reused view), appends the action's events
+// and then its fire marker to events, and returns the successor state.
+// events is nil when nothing subscribes.
+func (e *Engine) execute(sel Selection, events *[]Event) State {
+	s := apply(&e.buf.view, e.g, e.rules, e.states, sel, e.step, e.rounds, events)
 	if events != nil {
 		*events = append(*events, Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: e.rules[sel.Rule].Name})
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"ssmfp/internal/graph"
 )
@@ -50,7 +49,7 @@ type slotCache struct {
 	full    []uint64 // a mark row with every slot set
 	dirty   []graph.ProcessID
 	isDirty []bool
-	views   []View // guard-evaluation views, one per processor
+	view    View // the guard-evaluation view, reused across processors
 }
 
 // newSlotCache groups rules by slot and allocates an empty cache for n
@@ -95,7 +94,6 @@ func newSlotCache(rules []Rule, n int) *slotCache {
 		c.full[s/64] |= 1 << (s % 64)
 	}
 	c.isDirty = make([]bool, n)
-	c.views = make([]View, n)
 	return c
 }
 
@@ -163,31 +161,22 @@ type choiceList struct {
 // flush re-evaluates the marked slots on cfg, rebuilds the marked
 // processors' choices and merges them into prev (sorted by processor ID).
 // It returns the new enabled list, the guard invocations, the number of
-// (processor, slot) marks and the number of processors re-evaluated. The
-// evaluation fans out over up to workers goroutines when at least
-// minMarks pairs are marked; every worker writes only its processors'
-// rows, so the result does not depend on workers.
+// (processor, slot) marks and the number of processors re-evaluated.
 //
 // With dst nil the list is freshly allocated and the choices carried
 // over from prev share their rules with it. Otherwise the list is built
 // in dst's storage, carried rules copied, so it references nothing of
 // prev or of any older list; the caller must not reuse dst while it
 // still reads a list built there.
-func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, workers int, minMarks int64, dst *choiceList) (list []Choice, guardEvals, marks int64, procs int) {
+func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step int, dst *choiceList) (list []Choice, guardEvals, marks int64, procs int) {
 	ps := c.dirty
 	slices.Sort(ps)
 	for _, p := range ps {
 		for _, w := range c.marks[int(p)*c.mwords : (int(p)+1)*c.mwords] {
 			marks += int64(bits.OnesCount64(w))
 		}
+		guardEvals += c.evalProc(g, cfg, p, step)
 	}
-	if marks < minMarks {
-		workers = 1
-	}
-	var evals atomic.Int64
-	fanOut(workers, len(ps), func(i int) {
-		evals.Add(c.evalProc(g, cfg, ps[i], step))
-	})
 
 	// The fresh choices of ps replace (or drop) their entries of prev and
 	// share one arena, sized up front so that it never moves.
@@ -237,13 +226,13 @@ func (c *slotCache) flush(g *graph.Graph, cfg []State, prev []Choice, step, work
 		dst.list, dst.arena = list, arena
 	}
 	c.dirty = ps[:0]
-	return list, evals.Load(), marks, len(ps)
+	return list, guardEvals, marks, len(ps)
 }
 
 // evalProc re-evaluates the marked slots of p (slot 0 too, if it has
 // rules) and clears p's marks.
 func (c *slotCache) evalProc(g *graph.Graph, cfg []State, p graph.ProcessID, step int) int64 {
-	v := &c.views[p]
+	v := &c.view
 	*v = View{id: p, g: g, snapshot: cfg, step: step}
 	row := c.marks[int(p)*c.mwords : (int(p)+1)*c.mwords]
 	if c.has0 {

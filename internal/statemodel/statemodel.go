@@ -243,7 +243,7 @@ func (d *Delta) Enabled(cfg []State, prev []Choice, changed []graph.ProcessID) [
 	for _, p := range changed {
 		d.cache.markClosed(d.g, p)
 	}
-	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, 1, 0, nil)
+	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, nil)
 	return list
 }
 

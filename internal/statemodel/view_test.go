@@ -68,9 +68,8 @@ func (d scriptDaemon) Select(step int, _ []Choice) []Selection { return d[step] 
 // TestRuleOfBackfill pins the rule name of observed events: every event an
 // action observes carries the rule of the selection that observed it, never
 // the rule of another processor's or another step's fire marker, and it
-// precedes its own selection's fire marker. Each case runs on one shard
-// and on two; "no fire at all" runs ApplySelection, which emits no fire
-// marker but still names the rule.
+// precedes its own selection's fire marker. "No fire at all" runs
+// ApplySelection, which emits no fire marker but still names the rule.
 func TestRuleOfBackfill(t *testing.T) {
 	emitter := func(name string) Rule {
 		return Rule{Name: name, Guard: func(*View) bool { return true }, Action: func(v *View) { v.Observe(Event{Kind: obs.KindGenerate}) }}
@@ -115,18 +114,16 @@ func TestRuleOfBackfill(t *testing.T) {
 				}
 				return
 			}
-			for _, shards := range []int{1, 2} {
-				e := NewEngine(g, prog, c.script, intConfig(0, 0, 0, 0), WithShards(shards, 0))
-				var got []string
-				e.Subscribe(func(ev Event) {
-					if ev.Kind != obs.KindStep && ev.Kind != obs.KindRound {
-						got = append(got, render(ev))
-					}
-				})
-				e.Run(len(c.script), nil)
-				if !reflect.DeepEqual(got, c.want) {
-					t.Fatalf("shards=%d: events = %v, want %v", shards, got, c.want)
+			e := NewEngine(g, prog, c.script, intConfig(0, 0, 0, 0))
+			var got []string
+			e.Subscribe(func(ev Event) {
+				if ev.Kind != obs.KindStep && ev.Kind != obs.KindRound {
+					got = append(got, render(ev))
 				}
+			})
+			e.Run(len(c.script), nil)
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("events = %v, want %v", got, c.want)
 			}
 		})
 	}

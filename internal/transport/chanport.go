@@ -170,5 +170,3 @@ func (l *chanLink) Stats() LinkStats {
 		BytesRecvd:  bytes,
 	}
 }
-
-func (l *chanLink) Close() error { return nil }

@@ -212,8 +212,6 @@ type timedFrame struct {
 
 func (l *chaosLink) Recv() <-chan Frame { return l.inner.Recv() }
 
-func (l *chaosLink) Close() error { return l.inner.Close() }
-
 func (l *chaosLink) Stats() LinkStats {
 	s := l.inner.Stats()
 	l.mu.Lock()

@@ -88,7 +88,6 @@ type multiLink struct {
 
 func (l *multiLink) Send(f Frame) bool  { return l.send.Send(f) }
 func (l *multiLink) Recv() <-chan Frame { return l.recv.Recv() }
-func (l *multiLink) Close() error       { l.send.Close(); return l.recv.Close() }
 
 func (l *multiLink) Stats() LinkStats {
 	s := l.send.Stats()

@@ -512,8 +512,6 @@ func (l *tcpSendLink) Stats() LinkStats {
 	}
 }
 
-func (l *tcpSendLink) Close() error { return nil }
-
 // tcpRecvLink is the receive end of peer→Local: its own counters over
 // the shared inbox.
 type tcpRecvLink struct {
@@ -536,5 +534,3 @@ func (l *tcpRecvLink) Stats() LinkStats {
 		BytesRecvd:  l.bytes.Load(),
 	}
 }
-
-func (l *tcpRecvLink) Close() error { return nil }

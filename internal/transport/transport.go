@@ -113,7 +113,7 @@ func (k FrameKind) String() string {
 // Link is one directed edge u→v. The sender side uses Send, the receiver
 // side ranges over Recv; with a node-scoped backend (TCP) only the local
 // end is operative — Send on a receive-only end (or vice versa) is a
-// programming error and panics.
+// programming error and panics. Transport.Close releases every link.
 type Link interface {
 	// Send puts f on the wire, best-effort: it never blocks, and reports
 	// false when the frame was dropped (full queue, active impairment,
@@ -128,9 +128,6 @@ type Link interface {
 	Recv() <-chan Frame
 	// Stats snapshots this link's counters.
 	Stats() LinkStats
-	// Close releases the link's resources. Transport.Close closes every
-	// link; per-link Close exists for tests.
-	Close() error
 }
 
 // LinkStats counts one directed link's wire activity.

@@ -171,14 +171,16 @@ load-smoke:
 	echo "load-smoke: -progress printed $$ticks load-tick lines and 1 load-done line"
 
 # Fuzz pass over every fuzz target: the transport frame codec, the
-# load-trace tag parser, and the certificate role-extension decoder
-# (seeds committed under each package's testdata/fuzz). FUZZTIME is per
+# load-trace tag parser, the certificate role-extension decoder, and
+# routing algorithm A's rule against its brute-force reference (seeds
+# committed under each package's testdata/fuzz). FUZZTIME is per
 # target; the nightly workflow raises it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzFrameCodec -fuzztime=$(FUZZTIME) -run '^$$' ./internal/transport/
 	$(GO) test -fuzz=FuzzParseTag -fuzztime=$(FUZZTIME) -run '^$$' ./internal/load/
 	$(GO) test -fuzz=FuzzCertRoleParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/secure/
+	$(GO) test -fuzz=FuzzRelax -fuzztime=$(FUZZTIME) -run '^$$' ./internal/routing/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -27,6 +27,7 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/load"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/transport"
 )
 
 type config struct {
@@ -151,15 +152,20 @@ func run(cfg config) error {
 	}
 	factory := func(step int) (load.Network, *load.Hook, func(), error) {
 		hook := &load.Hook{}
-		nw := msgpass.New(g, msgpass.Options{
-			Seed:         cfg.seed + int64(step),
-			Tick:         cfg.netTick,
+		seed := cfg.seed + int64(step)
+		tr := transport.Impair(transport.NewChan(g, transport.DefaultDepth), transport.ChaosOptions{
+			Seed:         seed,
 			LossRate:     cfg.loss,
 			DupRate:      cfg.dup,
 			Latency:      cfg.latency,
 			Jitter:       cfg.jitter,
 			BandwidthBps: cfg.bandwidth,
-			OnDeliver:    hook.OnDeliver,
+		})
+		nw := msgpass.New(g, msgpass.Options{
+			Seed:      seed,
+			Tick:      cfg.netTick,
+			Transport: tr,
+			OnDeliver: hook.OnDeliver,
 			// Nodes stamp R1-queue and park waits into the payload tag's
 			// hold slot so the collector can attribute end-to-end latency.
 			HoldStamp: load.AddHold,
@@ -169,7 +175,7 @@ func run(cfg config) error {
 			DiscardDeliveries: true,
 		})
 		nw.Start()
-		return nw, hook, func() { nw.Stop() }, nil
+		return nw, hook, func() { nw.Stop(); tr.Close() }, nil
 	}
 
 	var rep *load.Report

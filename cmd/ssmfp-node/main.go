@@ -317,23 +317,21 @@ func parsePartitions(s string) ([]transport.PartitionWindow, error) {
 	return out, nil
 }
 
-// chaosOpts translates the impairment flags; ok reports whether any
-// impairment is requested at all.
-func chaosOpts(cfg config) (transport.ChaosOptions, bool, error) {
+// chaosOpts translates the impairment flags (transport.Impair applies
+// them only when they ask for any).
+func chaosOpts(cfg config) (transport.ChaosOptions, error) {
 	windows, err := parsePartitions(cfg.partitions)
 	if err != nil {
-		return transport.ChaosOptions{}, false, err
+		return transport.ChaosOptions{}, err
 	}
-	opts := transport.ChaosOptions{
+	return transport.ChaosOptions{
 		Seed:       cfg.seed,
 		Latency:    cfg.latency,
 		Jitter:     cfg.jitter,
 		LossRate:   cfg.loss,
 		DupRate:    cfg.dup,
 		Partitions: windows,
-	}
-	on := cfg.loss > 0 || cfg.dup > 0 || cfg.latency > 0 || cfg.jitter > 0 || len(windows) > 0
-	return opts, on, nil
+	}, nil
 }
 
 // runNode runs one processor over TCP: open the wire, run the protocol,

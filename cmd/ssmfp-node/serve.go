@@ -142,14 +142,12 @@ func bootNode(cfg config) (*nodeRuntime, error) {
 		}
 		tr, book = tcp, tcp
 	}
-	copts, impaired, err := chaosOpts(cfg)
+	copts, err := chaosOpts(cfg)
 	if err != nil {
 		tr.Close()
 		return nil, err
 	}
-	if impaired {
-		tr = transport.NewChaos(tr, copts)
-	}
+	tr = transport.Impair(tr, copts)
 	nw := msgpass.New(g, msgpass.Options{
 		Tick:      cfg.tick,
 		Seed:      cfg.seed,

@@ -31,7 +31,7 @@ func runSpawn(cfg config) error {
 	if g.N() != cfg.spawn && cfg.n != 0 && cfg.topoFile == "" {
 		return fmt.Errorf("-spawn %d and -n %d disagree", cfg.spawn, cfg.n)
 	}
-	if _, _, err := chaosOpts(cfg); err != nil {
+	if _, err := chaosOpts(cfg); err != nil {
 		return err // reject bad -partition here, not in N children
 	}
 	fleet, err := harness.NewFleet()

@@ -2,6 +2,8 @@ package ssmfp_test
 
 import (
 	"fmt"
+	"log"
+	"time"
 
 	"ssmfp"
 )
@@ -43,5 +45,24 @@ func ExampleWithDaemon() {
 	net := ssmfp.NewNetwork(ssmfp.Star(5), ssmfp.WithDaemon("weakly-fair-lifo"))
 	net.Send(1, 4, "via the center")
 	fmt.Println(net.Run().OK())
+	// Output: true
+}
+
+// The same guarantee on a live asynchronous network (README's snippet):
+// lossy channel links, a corrupted start whose garbage may be delivered.
+func ExampleLiveNetwork() {
+	live := ssmfp.NewLiveNetwork(ssmfp.Grid(3, 4), ssmfp.LiveOptions{
+		CorruptStart: true,
+		LossRate:     0.15,
+	})
+	defer live.Close()
+	id, err := live.Send(0, 11, "exactly once, even here")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !live.DeliveredExactlyOnce(id) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	fmt.Println(live.DeliveredExactlyOnce(id))
 	// Output: true
 }

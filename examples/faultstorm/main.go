@@ -32,7 +32,6 @@ func main() {
 	cfg := core.CleanConfig(g)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewCentralRandom(seed), cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	injector := faults.NewInjector(g, seed, nil)
 

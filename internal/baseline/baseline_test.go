@@ -105,7 +105,6 @@ func TestSSMFPSurvivesTheSameCollision(t *testing.T) {
 	cfg[0].(*core.Node).FW.Enqueue("x", 2)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(3), cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	if _, terminal := e.Run(100_000, nil); !terminal {
 		t.Fatal("did not terminate")

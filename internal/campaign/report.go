@@ -103,24 +103,6 @@ func (r *Report) Normalize() *Report {
 	return r
 }
 
-// AvailableParallelism estimates the speedup ceiling recorded in this
-// report: sum of cell wall times over the longest single cell. It is the
-// best any worker count can do on this grid (the critical path is one
-// cell).
-func (r *Report) AvailableParallelism() float64 {
-	var sum, max int64
-	for _, c := range r.Cells {
-		sum += c.WallNS
-		if c.WallNS > max {
-			max = c.WallNS
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return float64(sum) / float64(max)
-}
-
 // Marshal renders the report as indented JSON with a trailing newline.
 func (r *Report) Marshal() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")

@@ -37,14 +37,10 @@ type Delivery struct {
 // one execution into per-message timelines, and feeds generations and
 // deliveries to a spec.Ledger bounded by Proposition 4's 2n invalid
 // deliveries per destination, which answers the specification
-// questions. Create with New, register with Attach before running the
-// engine, and optionally RecordInitial the initial configuration so the
-// invalid messages present at start are counted. Only messages seen
-// generated get a timeline: initial garbage and fault-injected messages
-// have no lifecycle start.
+// questions. Create with New and register with Attach before running
+// the engine. Only messages seen generated get a timeline: initial
+// garbage and fault-injected messages have no lifecycle start.
 type Tracker struct {
-	initial int // distinct invalid messages present at start
-
 	order      []*Timeline // the timelines in generation order, indexed as the ledger's keys
 	deliveries []Delivery
 	ledger     *spec.Ledger
@@ -63,12 +59,10 @@ func (t *Tracker) timeline(uid uint64) *Timeline {
 	return nil
 }
 
-// RecordInitial counts the distinct invalid messages occupying buffers
-// in the initial configuration (for Proposition 4 accounting). It keeps
-// no message alive: an erased invalid message is garbage.
-func (t *Tracker) RecordInitial(cfg []sm.State) {
-	t.initial = len(core.InvalidMessages(cfg))
-}
+// RecordInitial does nothing: the ledger's invalid-delivery bound needs
+// no census of the initial configuration. Its only caller is perfbench's
+// engine workload; it goes at the next change to the benchmark.
+func (t *Tracker) RecordInitial([]sm.State) {}
 
 // Attach subscribes the tracker to the engine's event stream.
 func (t *Tracker) Attach(e *sm.Engine) { e.Subscribe(t.observe) }

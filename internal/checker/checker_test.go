@@ -178,24 +178,12 @@ func TestGenerationRoundsOrdered(t *testing.T) {
 	}
 }
 
-func TestRecordInitial(t *testing.T) {
-	g := graph.Line(3)
-	tr := New(g)
-	cfg := core.CleanConfig(g)
-	cfg[0].(*core.Node).FW.Dest(1).BufE = &core.Message{Payload: "junk", UID: 500, Valid: false}
-	tr.RecordInitial(cfg)
-	if tr.initial != 1 {
-		t.Fatalf("initial invalid count = %d", tr.initial)
-	}
-}
-
 func TestEndToEndWithRealEngine(t *testing.T) {
 	g := graph.Line(4)
 	cfg := core.CleanConfig(g)
 	cfg[0].(*core.Node).FW.Enqueue("x", 3)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(1), cfg)
 	tr := New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	if _, terminal := e.Run(10_000, nil); !terminal {
 		t.Fatal("did not terminate")

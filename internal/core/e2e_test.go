@@ -33,7 +33,6 @@ func runToTerminal(t *testing.T, e *sm.Engine, maxSteps int) {
 func newTracked(g *graph.Graph, d sm.Daemon, cfg []sm.State) (*sm.Engine, *checker.Tracker) {
 	e := sm.NewEngine(g, core.FullProgram(g), d, cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	return e, tr
 }

@@ -15,7 +15,6 @@ import (
 func newTrackedWithPolicy(g *graph.Graph, policy core.ChoicePolicy, d sm.Daemon, cfg []sm.State) (*sm.Engine, *checker.Tracker) {
 	e := sm.NewEngine(g, core.FullProgramWithPolicy(g, policy), d, cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	return e, tr
 }

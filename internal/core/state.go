@@ -245,22 +245,3 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 	}
 	return cfg
 }
-
-// InvalidMessages returns the messages occupying buffers in the
-// configuration that are not marked Valid, keyed by UID. Proposition 4
-// bounds how many of these can ever be delivered to a destination.
-func InvalidMessages(cfg []sm.State) map[uint64]*Message {
-	out := make(map[uint64]*Message)
-	for _, s := range cfg {
-		dests := fw(s).Dests
-		for d := range dests.Len() {
-			ds := dests.At(d)
-			for _, m := range []*Message{ds.BufR, ds.BufE} {
-				if m != nil && !m.Valid {
-					out[m.UID] = m
-				}
-			}
-		}
-	}
-	return out
-}

@@ -231,21 +231,6 @@ func TestRandomConfigRespectsOptions(t *testing.T) {
 	}
 }
 
-func TestInvalidMessagesCollects(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := graph.Line(4)
-	cfg := RandomConfig(g, rng, CorruptOptions{BufferFill: 1})
-	inv := InvalidMessages(cfg)
-	if len(inv) != 2*g.N()*g.N() { // every buffer of every (p, d) pair filled
-		t.Fatalf("got %d invalid messages, want %d", len(inv), 2*g.N()*g.N())
-	}
-	for uid, m := range inv {
-		if m.UID != uid || m.Valid {
-			t.Fatal("bad invalid-message indexing")
-		}
-	}
-}
-
 func TestOccupancyAndQuiescent(t *testing.T) {
 	g := graph.Line(3)
 	cfg := CleanConfig(g)

@@ -14,14 +14,6 @@ type ScriptStep []struct {
 	Rule    string
 }
 
-// Step is a convenience constructor for a ScriptStep.
-func Step(acts ...struct {
-	Process graph.ProcessID
-	Rule    string
-}) ScriptStep {
-	return ScriptStep(acts)
-}
-
 // Act builds one activation of a ScriptStep.
 func Act(p graph.ProcessID, rule string) struct {
 	Process graph.ProcessID

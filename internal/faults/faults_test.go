@@ -28,7 +28,6 @@ func newSystem(g *graph.Graph, seed int64) (*sm.Engine, *checker.Tracker) {
 	cfg := core.CleanConfig(g)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewCentralRandom(seed), cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	return e, tr
 }

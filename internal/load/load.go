@@ -35,8 +35,8 @@ import (
 )
 
 // Network is the slice of the live-network surface the drivers need.
-// *msgpass.Network implements it; the cmd/ssmfp-load adapter projects the
-// public LiveNetwork onto it.
+// *msgpass.Network implements it; cmd/ssmfp-load builds one per step
+// with msgpass.New.
 type Network interface {
 	Send(src graph.ProcessID, payload string, dst graph.ProcessID) (uint64, error)
 	QueueDepths() []msgpass.QueueDepth

@@ -10,6 +10,7 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/load"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/transport"
 )
 
 // newNet builds and starts a msgpass deployment wired to a fresh hook.
@@ -195,7 +196,9 @@ func TestBandwidthCapClampsGoodput(t *testing.T) {
 	// capped line, so the cap must leave the control plane breathing room:
 	// this topology moves ~5000 msg/s uncapped, ~700 msg/s at 256 KiB/s,
 	// and collapses into retransmission storms much below that.
-	nw, hook := newNet(g, msgpass.Options{Seed: 31, BandwidthBps: 256 << 10})
+	tr := transport.NewChaos(transport.NewChan(g, transport.DefaultDepth), transport.ChaosOptions{Seed: 31, BandwidthBps: 256 << 10})
+	defer tr.Close()
+	nw, hook := newNet(g, msgpass.Options{Seed: 31, Transport: tr})
 	defer nw.Stop()
 	rep, err := load.Run(nw, g, hook, load.Config{
 		Rate: 5000, Messages: 300, Seed: 31,

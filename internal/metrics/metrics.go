@@ -224,9 +224,6 @@ func (t *Table) AddRow(cells ...any) {
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Title returns the table's title.
-func (t *Table) Title() string { return t.title }
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

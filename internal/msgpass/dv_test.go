@@ -20,14 +20,14 @@ func TestHandleDVClampsCorruptDistances(t *testing.T) {
 		n.handleDV(0, []int{0, 1, bad})
 		n.handleDV(2, []int{2, 1, 0})
 		nw.tr.Close()
-		if d := n.dist[2]; d < 0 || d > g.N() {
-			t.Errorf("claim %d: dist[2] = %d, outside [0, %d]", bad, d, g.N())
+		if d := n.routes[2].Dist; d < 0 || d > g.N() {
+			t.Errorf("claim %d: routes[2].Dist = %d, outside [0, %d]", bad, d, g.N())
 		}
-		if p := n.parent[2]; p != 0 && p != 2 {
-			t.Errorf("claim %d: parent[2] = %d, not a neighbor of 1", bad, p)
+		if p := n.routes[2].Parent; p != 0 && p != 2 {
+			t.Errorf("claim %d: routes[2].Parent = %d, not a neighbor of 1", bad, p)
 		}
-		if n.dist[2] != 1 {
-			t.Errorf("claim %d: dist[2] = %d, want the honest one hop", bad, n.dist[2])
+		if n.routes[2].Dist != 1 {
+			t.Errorf("claim %d: routes[2].Dist = %d, want the honest one hop", bad, n.routes[2].Dist)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/routing"
 	"ssmfp/internal/transport"
 )
 
@@ -460,8 +461,6 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 
 	// Routing: pessimistic restart, exactly like recovery from corrupted
 	// initial state — the DV heartbeat re-converges in O(D) rounds.
-	n.dist = make([]int, newN)
-	n.parent = make([]graph.ProcessID, newN)
 	n.nbrDV = make([][]int, len(n.nbrs))
 	n.nbrDisabled = make([]bool, len(n.nbrs))
 	n.nbrDraining = make([]bool, len(n.nbrs))
@@ -469,16 +468,10 @@ func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]gr
 		n.nbrDisabled[i] = disabled[edgeKeyOf(n.id, q)]
 		n.nbrDraining[i] = draining[q]
 	}
-	for d := 0; d < newN; d++ {
-		n.dist[d] = newN
-		if len(n.nbrs) > 0 {
-			n.parent[d] = n.nbrs[0]
-		} else {
-			n.parent[d] = n.id
-		}
+	n.routes = make([]routing.Route, newN)
+	for d := range n.routes {
+		n.routes[d] = routing.Start(n.id, graph.ProcessID(d), n.nbrs, newN)
 	}
-	n.dist[n.id] = 0
-	n.parent[n.id] = n.id
 	n.dvDirty = true
 	n.gossip = nil // gossiped within a Tick, heartbeat restarts at heartbeatMinTicks
 

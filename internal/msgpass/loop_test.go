@@ -87,7 +87,9 @@ func TestLoopBarrierUnderSaturation(t *testing.T) {
 // draining its inbox.
 func TestLoopBarrierBeatsBacklog(t *testing.T) {
 	g := graph.Line(3)
-	nw := New(g, Options{Seed: 1, ChannelDepth: 1 << 13})
+	tr := transport.NewChan(g, 1<<13)
+	defer tr.Close()
+	nw := New(g, Options{Seed: 1, Transport: tr})
 	defer nw.Stop()
 	n := nw.nodes[1]
 	l := nw.tr.Link(0, 1)

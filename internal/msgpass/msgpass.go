@@ -2,16 +2,17 @@
 // problem the paper's conclusion poses ("it will be interesting to carry
 // our protocol in the message passing model ... in order to enable
 // snap-stabilizing message forwarding in a real network"). Every processor
-// is a goroutine, every link a transport.Link (in-process channels, real
-// TCP sockets, or a chaos-impaired wrapper of either — see
-// internal/transport), and the shared-memory reads of the state model
-// become explicit frames:
+// is a goroutine, every link a transport.Link supplied by the caller's
+// transport (in-process channels, real TCP sockets, or a chaos-impaired
+// wrapper of either — see internal/transport; the port impairs nothing
+// itself), and the shared-memory reads of the state model become
+// explicit frames:
 //
 //   - routing: a self-stabilizing distance-vector — nodes gossip their
 //     per-destination distances within one tick after they change, and as
 //     a heartbeat that backs off from 8 to 64 ticks while they do not
 //     (heartbeatMinTicks, heartbeatMaxTicks), and correct (dist, parent)
-//     exactly like internal/routing does in shared memory;
+//     with routing algorithm A's own rule (routing.Start, Route.Relax);
 //   - forwarding: the bufR/bufE pairs survive, but the R3/R4 pair (copy at
 //     the next hop, then erase at the origin) becomes an offer/accept
 //     handshake with per-(sender, destination) sequence numbers,
@@ -83,38 +84,17 @@ type Options struct {
 	// 64 Ticks, and an unanswered offer or cancel is retransmitted 2
 	// Ticks after it was sent. Default 200µs.
 	Tick time.Duration
-	// ChannelDepth sizes the default channel transport: each node's inbox
-	// buffers ChannelDepth frames per incoming link; overflowing frames
-	// are dropped (retransmission recovers them). Default 64. A supplied
-	// Transport is sized by its builder.
-	ChannelDepth int
-	// LossRate drops each frame with this probability (0..1). With no
-	// explicit Transport, a non-zero rate wraps the channel backend in a
-	// chaos transport carrying the loss.
-	LossRate float64
-	// DupRate delivers each frame twice with this probability (0..1) —
-	// real links also duplicate; the handshake's idempotent acknowledgement
-	// must absorb it.
-	DupRate float64
-	// Latency and Jitter delay frames (base + uniform extra) through the
-	// same implicit chaos wrapper. Zero means no delay injection.
-	Latency time.Duration
-	Jitter  time.Duration
-	// BandwidthBps caps each directed link at this many encoded frame
-	// bytes per second through the same implicit chaos wrapper (0 =
-	// unlimited). Load experiments use it to study saturation under a
-	// line-rate bound.
-	BandwidthBps int
-	// Seed drives loss and corruption randomness.
+	// Seed drives the per-node randomness: CorruptInit's initial state
+	// and the colours R2 draws. Link impairment is the transport's
+	// (transport.ChaosOptions carries its own seed).
 	Seed int64
 	// CorruptInit randomizes initial routing state and plants invalid
 	// messages in buffers when true.
 	CorruptInit bool
-	// Transport supplies the wire. Nil selects the in-process channel
-	// backend (chaos-wrapped when LossRate/DupRate/Latency/Jitter ask for
-	// impairment), which Network.Stop then owns and closes. A non-nil
-	// transport is the caller's: it must cover every edge this Network's
-	// processors touch, and the caller closes it after Stop.
+	// Transport supplies the wire: the caller's, which must cover every
+	// edge this Network's processors touch and which the caller closes
+	// after Stop. Nil selects an unimpaired channel transport of
+	// transport.DefaultDepth frames per link, which Stop closes.
 	Transport transport.Transport
 	// Procs restricts which processors this Network instance runs (nil =
 	// all of them). With a node-scoped transport, every OS process runs
@@ -151,16 +131,6 @@ type Options struct {
 	// payload tag's attribution slot; foreign payloads pass through). The
 	// callback runs on node goroutines and must not call into the Network.
 	HoldStamp func(payload string, waitNanos int64) (string, bool)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tick <= 0 {
-		o.Tick = 200 * time.Microsecond
-	}
-	if o.ChannelDepth <= 0 {
-		o.ChannelDepth = 64
-	}
-	return o
 }
 
 // Network is a running message-passing deployment of the protocol — or,
@@ -229,7 +199,9 @@ type Stats struct {
 
 // New builds (but does not start) a deployment on g.
 func New(g *graph.Graph, opts Options) *Network {
-	opts = opts.withDefaults()
+	if opts.Tick <= 0 {
+		opts.Tick = 200 * time.Microsecond
+	}
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.New()
@@ -246,18 +218,7 @@ func New(g *graph.Graph, opts Options) *Network {
 	}
 	if nw.tr == nil {
 		nw.ownTr = true
-		var tr transport.Transport = transport.NewChan(g, opts.ChannelDepth)
-		if opts.LossRate > 0 || opts.DupRate > 0 || opts.Latency > 0 || opts.Jitter > 0 || opts.BandwidthBps > 0 {
-			tr = transport.NewChaos(tr, transport.ChaosOptions{
-				Seed:         opts.Seed,
-				LossRate:     opts.LossRate,
-				DupRate:      opts.DupRate,
-				Latency:      opts.Latency,
-				Jitter:       opts.Jitter,
-				BandwidthBps: opts.BandwidthBps,
-			})
-		}
-		nw.tr = tr
+		nw.tr = transport.NewChan(g, transport.DefaultDepth)
 	}
 	nw.local = opts.Procs
 	nw.procsWant = opts.Procs

@@ -10,7 +10,18 @@ import (
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/transport"
 )
+
+// newChaotic builds a network over a channel transport impaired by copts
+// at opts.Seed; stop stops the network, then closes the wire.
+func newChaotic(g *graph.Graph, opts msgpass.Options, copts transport.ChaosOptions) (nw *msgpass.Network, stop func()) {
+	copts.Seed = opts.Seed
+	tr := transport.NewChaos(transport.NewChan(g, transport.DefaultDepth), copts)
+	opts.Transport = tr
+	nw = msgpass.New(g, opts)
+	return nw, func() { nw.Stop(); tr.Close() }
+}
 
 // mustSend injects a message on a network the test knows is running.
 func mustSend(t *testing.T, nw *msgpass.Network, src graph.ProcessID, payload string, dst graph.ProcessID) uint64 {
@@ -135,9 +146,9 @@ func TestManyMessagesExactlyOnce(t *testing.T) {
 
 func TestLossyLinksStillExactlyOnce(t *testing.T) {
 	g := graph.Ring(6)
-	nw := msgpass.New(g, msgpass.Options{Seed: 4, LossRate: 0.3})
+	nw, stop := newChaotic(g, msgpass.Options{Seed: 4}, transport.ChaosOptions{LossRate: 0.3})
 	nw.Start()
-	defer nw.Stop()
+	defer stop()
 	want := make(map[uint64]graph.ProcessID)
 	for src := 0; src < g.N(); src++ {
 		dst := graph.ProcessID((src + 3) % g.N())
@@ -270,9 +281,9 @@ func TestWaitDeliveredTimesOut(t *testing.T) {
 
 func TestStatsCountRetransmissionsUnderLoss(t *testing.T) {
 	g := graph.Line(5)
-	nw := msgpass.New(g, msgpass.Options{Seed: 12, LossRate: 0.4})
+	nw, stop := newChaotic(g, msgpass.Options{Seed: 12}, transport.ChaosOptions{LossRate: 0.4})
 	nw.Start()
-	defer nw.Stop()
+	defer stop()
 	uid := mustSend(t, nw, 0, "lossy-road", 4)
 	if !nw.WaitDelivered(1, 60*time.Second) {
 		t.Fatal("not delivered despite retransmission")
@@ -302,7 +313,7 @@ func TestCancelsHappenUnderCorruptRouting(t *testing.T) {
 	sawCancel := false
 	for seed := int64(0); seed < 12 && !sawCancel; seed++ {
 		g := graph.Ring(6)
-		nw := msgpass.New(g, msgpass.Options{Seed: seed, CorruptInit: true, Latency: time.Millisecond})
+		nw, stop := newChaotic(g, msgpass.Options{Seed: seed, CorruptInit: true}, transport.ChaosOptions{Latency: time.Millisecond})
 		nw.Start()
 		for p := 0; p < g.N(); p++ {
 			nw.Send(graph.ProcessID(p), "c", graph.ProcessID((p+3)%g.N()))
@@ -311,7 +322,7 @@ func TestCancelsHappenUnderCorruptRouting(t *testing.T) {
 		if nw.Stats().CancelsSent > 0 {
 			sawCancel = true
 		}
-		nw.Stop()
+		stop()
 	}
 	if !sawCancel {
 		t.Fatal("no seed exercised the cancel path — retargeting never happened?")
@@ -341,9 +352,9 @@ func TestDuplicatingLinksStillExactlyOnce(t *testing.T) {
 	// Links that both lose AND duplicate frames: the per-hop sequence
 	// numbers must absorb duplicates while retransmission absorbs losses.
 	g := graph.Ring(6)
-	nw := msgpass.New(g, msgpass.Options{Seed: 13, LossRate: 0.15, DupRate: 0.3})
+	nw, stop := newChaotic(g, msgpass.Options{Seed: 13}, transport.ChaosOptions{LossRate: 0.15, DupRate: 0.3})
 	nw.Start()
-	defer nw.Stop()
+	defer stop()
 	want := make(map[uint64]graph.ProcessID)
 	for src := 0; src < g.N(); src++ {
 		dst := graph.ProcessID((src + 2) % g.N())

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ssmfp/internal/graph"
+	"ssmfp/internal/routing"
 	"ssmfp/internal/transport"
 )
 
@@ -35,7 +36,7 @@ const (
 // through its blocking select again. The fast path keeps a busy node out
 // of selectgo; the bound keeps a saturated inbox from starving the timer,
 // Send wakes, Stop and the epoch barrier. 64 is one incoming link's share
-// of the inbox at the default ChannelDepth: at about a microsecond per
+// of the inbox at transport.DefaultDepth: at about a microsecond per
 // frame a burst ends well inside one Tick.
 const inboxBurst = 64
 
@@ -115,8 +116,7 @@ type node struct {
 	// nbrDraining marks draining neighbors (a candidate only for traffic
 	// destined to themselves). Both are rebuilt at every epoch.
 	nbrs        []graph.ProcessID
-	dist        []int
-	parent      []graph.ProcessID
+	routes      []routing.Route // indexed by destination
 	nbrDV       [][]int
 	dvDirty     bool
 	nbrDisabled []bool
@@ -263,8 +263,7 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 		id:            id,
 		rng:           rng,
 		nbrs:          nbrs,
-		dist:          make([]int, g.N()),
-		parent:        make([]graph.ProcessID, g.N()),
+		routes:        make([]routing.Route, g.N()),
 		nbrDV:         make([][]int, len(nbrs)),
 		nbrDisabled:   make([]bool, len(nbrs)),
 		nbrDraining:   make([]bool, len(nbrs)),
@@ -288,20 +287,15 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 	for d := 0; d < g.N(); d++ {
 		n.dests[d].accepted = make(map[graph.ProcessID]uint64)
 		n.dests[d].killed = make(map[graph.ProcessID]uint64)
+		// The start route is pessimistic; the DV converges downward.
+		n.routes[d] = routing.Start(id, graph.ProcessID(d), nbrs, g.N())
 		if nw.opts.CorruptInit && len(nbrs) > 0 {
-			n.dist[d] = n.rng.Intn(g.N() + 1)
-			n.parent[d] = nbrs[n.rng.Intn(len(nbrs))]
-		} else {
-			n.dist[d] = g.N() // pessimistic start; the DV converges downward
-			if len(nbrs) > 0 {
-				n.parent[d] = nbrs[0]
-			} else {
-				n.parent[d] = id
+			// Drawn at the destination too, so every entry's draw
+			// depends only on (Seed, id, d).
+			r := routing.Route{Dist: n.rng.Intn(g.N() + 1), Parent: nbrs[n.rng.Intn(len(nbrs))]}
+			if graph.ProcessID(d) != id {
+				n.routes[d] = r
 			}
-		}
-		if graph.ProcessID(d) == id {
-			n.dist[d] = 0
-			n.parent[d] = id
 		}
 	}
 	if nw.opts.CorruptInit {
@@ -562,11 +556,6 @@ func (n *node) handleDV(from graph.ProcessID, dv []int) {
 	}
 	changed := fresh
 	for i, v := range dv {
-		// A distance outside [0, n] is corrupt (a garbage frame or a
-		// neighbor starting from an arbitrary configuration); clamp it as
-		// routing.target does, so dv[d]+1 cannot wrap below every real
-		// candidate and win the route.
-		v = min(max(v, 0), nProcs)
 		if stored[i] != v {
 			stored[i] = v
 			changed = true
@@ -577,49 +566,30 @@ func (n *node) handleDV(from graph.ProcessID, dv []int) {
 	}
 }
 
-// recomputeRoutes is the distance-vector correction — the message-passing
-// analogue of routing algorithm A's rule. Neighbors across a disabled
-// edge are never candidates; draining neighbors are candidates only for
-// traffic destined to themselves, so a drain stops attracting transit the
+// recomputeRoutes runs routing algorithm A's rule (routing.Start and
+// Route.Relax) over the neighbors' stored vectors; a distance outside
+// [0, n] (a garbage frame or a neighbor starting from an arbitrary
+// configuration) is clamped there. Neighbors across a disabled edge are
+// never candidates; draining neighbors are candidates only for traffic
+// destined to themselves, so a drain stops attracting transit the
 // instant the epoch lands instead of waiting for the gossip to say so.
 func (n *node) recomputeRoutes() {
-	g := n.nw.g
-	for d := 0; d < g.N(); d++ {
-		if graph.ProcessID(d) == n.id {
-			n.dist[d] = 0
-			n.parent[d] = n.id
-			continue
-		}
-		if len(n.nbrs) == 0 {
-			n.dist[d] = g.N()
-			n.parent[d] = n.id
-			continue
-		}
-		best := g.N()
-		bestQ := n.nbrs[0]
+	nProcs := n.nw.g.N()
+	for dd := range n.routes {
+		d := graph.ProcessID(dd)
+		r := routing.Start(n.id, d, n.nbrs, nProcs)
 		for i, q := range n.nbrs {
-			if n.nbrDisabled[i] {
+			if n.nbrDisabled[i] || (n.nbrDraining[i] && d != q) || n.nbrDV[i] == nil {
 				continue
 			}
-			if n.nbrDraining[i] && graph.ProcessID(d) != q {
-				continue
-			}
-			dv := n.nbrDV[i]
-			if dv == nil {
-				continue
-			}
-			if cand := dv[d] + 1; cand < best {
-				best = cand
-				bestQ = q
-			}
+			r = r.Relax(q, n.nbrDV[i][d], nProcs) // keeps Start's (0, n.id) at d == n.id
 		}
-		if n.dist[d] != best {
-			n.dist[d] = best
+		if n.routes[d].Dist != r.Dist {
 			// A draining node advertises a fixed vector (advertised), so
 			// its own distances moving changes nothing on the wire.
 			n.dvDirty = n.dvDirty || !n.draining
 		}
-		n.parent[d] = bestQ
+		n.routes[d] = r
 	}
 }
 
@@ -755,14 +725,13 @@ func (n *node) handleCancelAck(from graph.ProcessID, c transport.Ack) {
 // nothing new routes through it — whatever its own distances say, so it
 // builds that vector once per epoch.
 func (n *node) advertised() []int {
-	if !n.draining {
-		return append([]int(nil), n.dist...)
+	dv := make([]int, len(n.routes))
+	for d, r := range n.routes {
+		dv[d] = r.Dist
+		if n.draining && graph.ProcessID(d) != n.id {
+			dv[d] = n.nw.g.N()
+		}
 	}
-	dv := make([]int, len(n.dist))
-	for d := range dv {
-		dv[d] = n.nw.g.N()
-	}
-	dv[n.id] = 0
 	return dv
 }
 
@@ -778,13 +747,13 @@ func (n *node) driveTransfer(d graph.ProcessID) {
 	if ds.offerSeq == 0 {
 		ds.offerSeq = n.nextSeq
 		n.nextSeq++
-		ds.offerTarget = n.parent[d]
+		ds.offerTarget = n.routes[d].Parent
 	}
 	now := n.nw.clk.Nanos()
 	ds.due = now + offerRetransmitTicks*int64(n.nw.opts.Tick)
 	n.retx.push(deadline{dest: d, seq: ds.offerSeq, due: ds.due})
 	n.armBy(ds.due, now)
-	if ds.offerTarget == n.parent[d] {
+	if ds.offerTarget == n.routes[d].Parent {
 		n.send(ds.offerTarget,
 			transport.Frame{Kind: transport.KindOffer, From: n.id, Offer: transport.Offer{Dest: d, Seq: ds.offerSeq, Msg: ds.bufE}})
 		return

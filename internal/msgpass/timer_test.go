@@ -43,8 +43,8 @@ func waitBackedOff(t *testing.T, nw *Network) {
 			if n.hbEvery != maxHB || n.dvDirty {
 				return false
 			}
-			for d := range n.dist {
-				if n.dist[d] != nw.g.Dist(p, graph.ProcessID(d)) {
+			for d := range n.routes {
+				if n.routes[d].Dist != nw.g.Dist(p, graph.ProcessID(d)) {
 					return false
 				}
 			}
@@ -134,7 +134,7 @@ func TestTimerRepairsCorruptNeighborTable(t *testing.T) {
 	time.Sleep(heartbeatMaxTicks*tick + heartbeatMaxTicks*tick/4)
 	var got int
 	var parent graph.ProcessID
-	nw.inspect(func() { got, parent = n.nbrDV[idx][dest], n.parent[dest] })
+	nw.inspect(func() { got, parent = n.nbrDV[idx][dest], n.routes[dest].Parent })
 	if got != want {
 		t.Fatalf("node %d still reads %d for neighbor %d's distance to %d after the maximum heartbeat interval, want %d",
 			at, got, nbr, dest, want)
@@ -334,7 +334,7 @@ func TestTimerUnparkedSenderDelivers(t *testing.T) {
 	nw.Start()
 	defer nw.Stop()
 	waitFor(t, nw, "routes converge", func() bool {
-		return nw.nodes[1].dist[3] == 2 && nw.nodes[2].dist[3] == 2 && nw.nodes[0].dist[3] == 1
+		return nw.nodes[1].routes[3].Dist == 2 && nw.nodes[2].routes[3].Dist == 2 && nw.nodes[0].routes[3].Dist == 1
 	})
 
 	toLeaf := tr.link(0, 3)

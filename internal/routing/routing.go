@@ -13,7 +13,8 @@
 // capped at n, the smallest-ID neighbor achieving the minimum). The
 // canonical argmin makes the algorithm silent exactly when every table
 // entry is canonical, and nextHop_p(d) = Parent_p(d) then lies on a
-// minimal path.
+// minimal path. The rule has one home, Start and Route.Relax, which the
+// live distance vector of internal/msgpass runs too.
 package routing
 
 import (
@@ -83,7 +84,11 @@ func SlotOf(d graph.ProcessID) int { return int(d) + 1 }
 // system matches the paper's "one algorithm per destination running
 // simultaneously" structure; A@d reads and writes only destination d's
 // entries, so it lives in slot SlotOf(d).
-func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
+func NewProgram(g *graph.Graph, acc Accessor) sm.Program { return program(g, acc, false) }
+
+// program builds A@d for every destination d; slow selects
+// NewSlowProgram's one-unit distance steps.
+func program(g *graph.Graph, acc Accessor, slow bool) sm.Program {
 	n := g.N()
 	rules := make([]sm.Rule, 0, n)
 	for dd := 0; dd < n; dd++ {
@@ -98,7 +103,13 @@ func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 			Action: func(v *sm.View) {
 				want := target(g, v, acc, d)
 				s := acc(v.Self())
-				if v.Observing() && s.NextHop(d) != want.Parent {
+				r := s.Route(d)
+				switch {
+				case slow && r.Dist < want.Dist:
+					want = Route{Dist: r.Dist + 1, Parent: r.Parent}
+				case slow && r.Dist > want.Dist:
+					want = Route{Dist: r.Dist - 1, Parent: r.Parent}
+				case v.Observing() && r.Parent != want.Parent:
 					v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: want.Parent})
 				}
 				s.SetRoute(d, want)
@@ -108,30 +119,44 @@ func NewProgram(g *graph.Graph, acc Accessor) sm.Program {
 	return sm.NewProgram(rules...)
 }
 
+// Start is the route A starts from before it has heard any neighbour:
+// (0, p) at the destination, otherwise the infinite distance n through
+// the first (smallest-ID) neighbour, or through p itself when p has none.
+func Start(p, d graph.ProcessID, nbrs []graph.ProcessID, n int) Route {
+	switch {
+	case p == d:
+		return Route{Dist: 0, Parent: p}
+	case len(nbrs) == 0:
+		return Route{Dist: n, Parent: p}
+	}
+	return Route{Dist: n, Parent: nbrs[0]}
+}
+
+// Relax folds neighbour q's advertised distance dq into r: dq is clamped
+// into [0, n] (tolerating ill-typed corruption, so dq+1 cannot wrap),
+// then one hop is added and the sum capped at n. r changes only when the
+// result is strictly shorter, so over neighbours relaxed in ascending ID
+// order the smallest ID wins ties. Relaxing never lowers Start's 0 at
+// the destination.
+func (r Route) Relax(q graph.ProcessID, dq, n int) Route {
+	if c := min(min(max(dq, 0), n)+1, n); c < r.Dist {
+		return Route{Dist: c, Parent: q}
+	}
+	return r
+}
+
 // target computes the canonical route processor v.ID() should hold for
 // destination d given its neighbors' current tables.
 func target(g *graph.Graph, v *sm.View, acc Accessor, d graph.ProcessID) Route {
-	p := v.ID()
+	p, n, nbrs := v.ID(), g.N(), v.Neighbors()
+	r := Start(p, d, nbrs, n)
 	if p == d {
-		return Route{Dist: 0, Parent: p}
+		return r
 	}
-	n := g.N()
-	bestDist := n
-	bestParent := v.Neighbors()[0] // neighbors are sorted: first min is the smallest ID
-	for _, q := range v.Neighbors() {
-		dq := acc(v.Read(q)).Route(d).Dist
-		if dq < 0 {
-			dq = 0 // tolerate ill-typed corruption
-		}
-		cand := dq + 1
-		if cand > n {
-			cand = n
-		}
-		if cand < bestDist {
-			bestDist, bestParent = cand, q
-		}
+	for _, q := range nbrs {
+		r = r.Relax(q, acc(v.Read(q)).Route(d).Dist, n)
 	}
-	return Route{Dist: bestDist, Parent: bestParent}
+	return r
 }
 
 // CorrectState returns the canonical stabilized routing table for processor
@@ -226,36 +251,4 @@ func CycleCorrupt(g *graph.Graph, d graph.ProcessID, u, v graph.ProcessID, table
 // corruption, letting experiments vary the max(R_A, ·) term of the paper's
 // Propositions 5-7 independently of the topology. Its rules share
 // NewProgram's slots.
-func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program {
-	n := g.N()
-	rules := make([]sm.Rule, 0, n)
-	for dd := 0; dd < n; dd++ {
-		d := graph.ProcessID(dd)
-		rules = append(rules, sm.Rule{
-			Name:     fmt.Sprintf("A@%d", d),
-			Priority: Priority,
-			Slot:     SlotOf(d),
-			Guard: func(v *sm.View) bool {
-				return acc(v.Self()).Route(d) != target(g, v, acc, d)
-			},
-			Action: func(v *sm.View) {
-				want := target(g, v, acc, d)
-				s := acc(v.Self())
-				r := s.Route(d)
-				switch {
-				case r.Dist < want.Dist:
-					r.Dist++
-				case r.Dist > want.Dist:
-					r.Dist--
-				default:
-					if v.Observing() && r.Parent != want.Parent {
-						v.Observe(obs.Event{Kind: obs.KindRoute, Dest: d, To: want.Parent})
-					}
-					r.Parent = want.Parent
-				}
-				s.SetRoute(d, r)
-			},
-		})
-	}
-	return sm.NewProgram(rules...)
-}
+func NewSlowProgram(g *graph.Graph, acc Accessor) sm.Program { return program(g, acc, true) }

@@ -33,14 +33,6 @@ type RogueCounts struct {
 // Total sums all categories.
 func (c RogueCounts) Total() int { return c.Handshake + c.Role + c.Sender + c.Membership }
 
-// Add accumulates o into c.
-func (c *RogueCounts) Add(o RogueCounts) {
-	c.Handshake += o.Handshake
-	c.Role += o.Role
-	c.Sender += o.Sender
-	c.Membership += o.Membership
-}
-
 // Rogue is a byzantine injector: a process-shaped adversary holding (a)
 // a self-signed certificate from outside the trust domain, (b) a
 // CA-signed observer certificate (right CA, wrong role), and (c) a

@@ -29,7 +29,6 @@ func TestChaosEverythingAtOnce(t *testing.T) {
 	e := sm.NewEngine(g, core.FullProgramWithPolicy(g, core.PolicyRotating),
 		NewDaemon(Distributed, seed, g.N()), cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	injector := faults.NewInjector(g, seed, nil)
 

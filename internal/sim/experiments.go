@@ -439,7 +439,6 @@ func x1Cell(o Options, _ int) CellResult {
 	}
 	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	_, terminal := e.Run(5_000_000, nil)
 	delivered, lost, violations := tr.DeliveredValid(), len(tr.UndeliveredValid()), len(tr.Violations())

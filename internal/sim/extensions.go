@@ -195,7 +195,6 @@ func x6Cell(o Options, idx int) CellResult {
 	cfg := core.CleanConfig(g)
 	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(CentralRandom, seed, g.N()), cfg, o.engineOpts()...)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	in := faults.NewInjector(g, seed+int64(waves), nil)
 

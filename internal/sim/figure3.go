@@ -129,7 +129,6 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	d := daemon.NewScripted(prog, script, nil)
 	e := sm.NewEngine(g, prog, d, cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	rec := trace.NewRecorder(e, trace.NewRenderer(g, Figure3Names), b, 0)
 	var hdr obs.Header

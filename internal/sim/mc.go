@@ -10,38 +10,23 @@ import (
 	sm "ssmfp/internal/statemodel"
 )
 
-// MCRow is one model-checking scenario's outcome, as an E-MC table row.
-type MCRow struct {
-	Scenario  string
-	States    int
-	Terminals int
-	Verdict   string
-}
-
-// MCResult runs the exhaustive model-checking suite (experiment E-MC): the
+// mcCell runs the exhaustive model-checking suite (experiment E-MC): the
 // key small scenarios explored over every central schedule (and, where
-// noted, every simultaneous pair), plus the literal-R5 counterexample,
-// whose witness schedule is reported (its row is last).
-type MCResult struct {
-	Rows            []MCRow
-	AllOK           bool
-	LiteralR5Found  bool
-	LiteralR5States int
-	Witness         []string
-}
-
-// ExperimentMC runs the suite.
-func ExperimentMC() MCResult {
-	res := MCResult{AllOK: true}
-
-	add := func(name string, g *graph.Graph, cfg []sm.State, simultaneity int) {
+// noted, every simultaneous pair), then the literal-R5 counterexample,
+// whose row reports the witness schedule and comes last.
+func mcCell(Options, int) CellResult {
+	res := CellResult{OK: true}
+	states := 0
+	add := func(name string, r explore.Result, verdict string) {
+		states += r.States
+		res.Rows = append(res.Rows, []any{name, r.States, r.Terminals, verdict})
+	}
+	check := func(name string, g *graph.Graph, cfg []sm.State, simultaneity int) {
 		opts := explore.CoreOptions(g)
 		opts.MaxSimultaneity = simultaneity
 		r := explore.Explore(g, core.FullProgram(g), cfg, opts)
-		if !r.OK() {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, MCRow{name, r.States, r.Terminals, verdict(r.OK())})
+		res.OK = res.OK && r.OK()
+		add(name, r, verdict(r.OK()))
 	}
 
 	// Clean line, one message.
@@ -49,7 +34,7 @@ func ExperimentMC() MCResult {
 		g := graph.Line(3)
 		cfg := core.CleanConfig(g)
 		cfg[0].(*core.Node).FW.Enqueue("m", 2)
-		add("clean line, 1 message", g, cfg, 1)
+		check("clean line, 1 message", g, cfg, 1)
 	}
 	// Clean line, two equal payloads.
 	{
@@ -57,7 +42,7 @@ func ExperimentMC() MCResult {
 		cfg := core.CleanConfig(g)
 		cfg[0].(*core.Node).FW.Enqueue("same", 2)
 		cfg[0].(*core.Node).FW.Enqueue("same", 2)
-		add("clean line, 2 equal-payload messages", g, cfg, 1)
+		check("clean line, 2 equal-payload messages", g, cfg, 1)
 	}
 	// Figure 3 corruption, central and simultaneity 2.
 	fig3 := func() (*graph.Graph, []sm.State) {
@@ -72,44 +57,26 @@ func ExperimentMC() MCResult {
 	}
 	{
 		g, cfg := fig3()
-		add("Figure 3 corruption (cycle + invalid)", g, cfg, 1)
+		check("Figure 3 corruption (cycle + invalid)", g, cfg, 1)
 	}
 	{
 		g, cfg := fig3()
-		add("Figure 3 corruption, simultaneity 2", g, cfg, 2)
+		check("Figure 3 corruption, simultaneity 2", g, cfg, 2)
 	}
 
 	// The literal R5: the checker must FIND the loss.
-	{
-		g := graph.Line(3)
-		cfg := core.CleanConfig(g)
-		cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
-			Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false}
-		cfg[0].(*core.Node).FW.Enqueue("x", 2)
-		r := explore.Explore(g, core.LiteralR5Program(g), cfg, explore.CoreOptions(g))
-		res.LiteralR5Found = r.InvariantErr != nil
-		res.LiteralR5States = r.States
-		res.Witness = r.Witness
-		if !res.LiteralR5Found {
-			res.AllOK = false
-		}
-		res.Rows = append(res.Rows, MCRow{"literal R5 (loss expected)", r.States, r.Terminals,
-			fmt.Sprintf("loss found, schedule %v", r.Witness)})
-	}
-	return res
-}
+	g := graph.Line(3)
+	cfg := core.CleanConfig(g)
+	cfg[0].(*core.Node).FW.Dest(2).BufE = &core.Message{
+		Payload: "x", LastHop: 0, Color: 0, UID: 1 << 51, Src: 0, Dest: 2, Valid: false}
+	cfg[0].(*core.Node).FW.Enqueue("x", 2)
+	r := explore.Explore(g, core.LiteralR5Program(g), cfg, explore.CoreOptions(g))
+	res.OK = res.OK && r.InvariantErr != nil
+	add("literal R5 (loss expected)", r, fmt.Sprintf("loss found, schedule %v", r.Witness))
 
-func mcCell(Options, int) CellResult {
-	r := ExperimentMC()
-	res := CellResult{OK: r.AllOK}
-	states := 0
-	for _, row := range r.Rows {
-		states += row.States
-		res.Rows = append(res.Rows, []any{row.Scenario, row.States, row.Terminals, row.Verdict})
-	}
 	res.Measure = CellMeasure{Extra: map[string]float64{
 		"states_total":      float64(states),
-		"literal_r5_states": float64(r.LiteralR5States),
+		"literal_r5_states": float64(r.States),
 	}}
 	return res
 }

@@ -219,7 +219,6 @@ func Run(s Scenario) Result {
 	}
 	e := sm.NewEngine(g, core.FullProgramWithPolicy(g, s.Policy), NewDaemon(s.Daemon, s.Seed, g.N()), cfg, eopts...)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 	in := workload.NewInjector(s.Workload, func(st sm.State) workload.Enqueuer { return st.(*core.Node).FW })
 

@@ -438,12 +438,27 @@ func TestFigure3GoldenTrace(t *testing.T) {
 	}
 }
 
+// TestExperimentMC runs the E-MC suite once, through RunCell as a
+// campaign does: every scenario verified, the literal-R5 loss found with
+// a two-move witness, and the measures summing the rows.
 func TestExperimentMC(t *testing.T) {
-	r := ExperimentMC()
-	if !r.AllOK {
-		t.Fatalf("model-check suite failed: %+v", r.Rows)
+	res, err := RunCell(CellSpec{Exp: "mc"}, Options{})
+	if err != nil || !res.OK || len(res.Rows) != 5 {
+		t.Fatalf("model-check suite failed (%v): %v", err, res.Rows)
 	}
-	if !r.LiteralR5Found || len(r.Witness) != 2 {
-		t.Fatalf("literal R5 witness wrong: found=%v witness=%v", r.LiteralR5Found, r.Witness)
+	states := 0
+	for i, row := range res.Rows {
+		states += row[1].(int)
+		if i < 4 && row[3] != "OK" {
+			t.Errorf("scenario %v: verdict %v", row[0], row[3])
+		}
+	}
+	r5 := res.Rows[4]
+	witness, found := strings.CutPrefix(r5[3].(string), "loss found, schedule ")
+	if r5[0] != "literal R5 (loss expected)" || !found || len(strings.Fields(strings.Trim(witness, "[]"))) != 2 {
+		t.Fatalf("literal R5 row wrong: %v", r5)
+	}
+	if x := res.Measure.Extra; x["states_total"] != float64(states) || x["literal_r5_states"] != float64(r5[1].(int)) {
+		t.Errorf("measures %v, want states_total %d and the R5 row's %v", x, states, r5[1])
 	}
 }

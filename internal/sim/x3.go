@@ -7,25 +7,27 @@ import (
 	"ssmfp/internal/graph"
 	"ssmfp/internal/msgpass"
 	"ssmfp/internal/spec"
+	"ssmfp/internal/transport"
 )
 
 // x3Case is one regime of the message-passing experiment; display is
-// its table label. The opts constructor keeps the seed offsets (seed,
-// seed+1, seed+2) so the regimes stay independent of which subset runs.
+// its table label. The regimes run at seed+seedOff (seed, seed+1,
+// seed+2) so they stay independent of which subset runs; loss is the
+// frame-loss rate of the chaos transport under the run.
 type x3Case struct {
 	Variant
 	display string
-	opts    func(seed int64) msgpass.Options
+	seedOff int64
+	corrupt bool
+	loss    float64
 }
 
 // x3Cases runs the port in three regimes: clean, corrupted initial
 // state, and corrupted + 20% frame loss.
 var x3Cases = []x3Case{
-	{Variant{Name: "clean"}, "clean", func(s int64) msgpass.Options { return msgpass.Options{Seed: s} }},
-	{Variant{Name: "corrupt"}, "corrupted init", func(s int64) msgpass.Options { return msgpass.Options{Seed: s + 1, CorruptInit: true} }},
-	{Variant{Name: "corrupt-loss20"}, "corrupted + 20% loss", func(s int64) msgpass.Options {
-		return msgpass.Options{Seed: s + 2, CorruptInit: true, LossRate: 0.2}
-	}},
+	{Variant{Name: "clean"}, "clean", 0, false, 0},
+	{Variant{Name: "corrupt"}, "corrupted init", 1, true, 0},
+	{Variant{Name: "corrupt-loss20"}, "corrupted + 20% loss", 2, true, 0.2},
 }
 
 // x3Cell exercises the message-passing port (the paper's open problem,
@@ -39,13 +41,14 @@ var x3Cases = []x3Case{
 func x3Cell(o Options, idx int) CellResult {
 	c := x3Cases[idx]
 	g := graph.Grid(3, 3)
-	opts := c.opts(o.Seed)
+	seed := o.Seed + c.seedOff
 	bound := 0
-	if opts.CorruptInit {
+	if c.corrupt {
 		bound = 2 * g.N()
 	}
 	ledger := spec.New(bound)
-	nw := msgpass.New(g, opts)
+	tr := transport.Impair(transport.NewChan(g, transport.DefaultDepth), transport.ChaosOptions{Seed: seed, LossRate: c.loss})
+	nw := msgpass.New(g, msgpass.Options{Seed: seed, CorruptInit: c.corrupt, Transport: tr})
 	nw.Start()
 	sent := g.N()
 	for src := 0; src < sent; src++ {
@@ -73,6 +76,7 @@ func x3Cell(o Options, idx int) CellResult {
 	}
 	wall := time.Since(start)
 	nw.Stop()
+	tr.Close()
 	duplicates, invalid := 0, 0
 	nw.EachDelivery(func(d *msgpass.Delivery) {
 		if ledger.Delivered(spec.Key{UID: d.Msg.UID}, d.At, d.Msg.Valid) > 1 {

@@ -40,11 +40,6 @@ func NewRenderer(g *graph.Graph, displayNames map[graph.ProcessID]string) *Rende
 // Name returns the display name of a processor (numeric fallback).
 func (r *Renderer) Name(p graph.ProcessID) string { return r.names.of(p) }
 
-// msg renders a message triple compactly, e.g. "m'(q=a,c=2)". It delegates
-// to the obs.MsgRecord rendering so live configurations and JSONL replays
-// share the exact same bytes.
-func (r *Renderer) msg(m *core.Message) string { return r.msgRec(m.Record()) }
-
 // msgRec renders the observability image of a message; nil is an empty
 // buffer.
 func (r *Renderer) msgRec(m *obs.MsgRecord) string {

@@ -85,6 +85,17 @@ type Chaos struct {
 	closed bool
 }
 
+// Impair wraps inner in a Chaos carrying opts, or returns inner itself
+// when opts asks for no impairment at all. Closing the result closes
+// inner either way.
+func Impair(inner Transport, opts ChaosOptions) Transport {
+	if opts.LossRate > 0 || opts.DupRate > 0 || opts.Latency > 0 || opts.Jitter > 0 ||
+		opts.ReorderRate > 0 || opts.BandwidthBps > 0 || len(opts.Partitions) > 0 {
+		return NewChaos(inner, opts)
+	}
+	return inner
+}
+
 // NewChaos wraps inner with impairment.
 func NewChaos(inner Transport, opts ChaosOptions) *Chaos {
 	return &Chaos{

@@ -169,7 +169,6 @@ func TestInjectorEndToEndAllDelivered(t *testing.T) {
 	cfg := core.RandomConfig(g, rng, core.DefaultCorrupt)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(2), cfg)
 	tr := checker.New(g)
-	tr.RecordInitial(cfg)
 	tr.Attach(e)
 
 	w := workload.RandomPairs(g, 12, rng).Staggered(7)

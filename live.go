@@ -7,6 +7,7 @@ import (
 	"ssmfp/internal/msgpass"
 	"ssmfp/internal/spec"
 	"ssmfp/internal/telemetry"
+	"ssmfp/internal/transport"
 )
 
 // LiveNetwork runs the protocol in the message-passing model: one
@@ -17,7 +18,8 @@ import (
 // recovers them.
 type LiveNetwork struct {
 	nw    *msgpass.Network
-	bound int // invalid deliveries allowed per destination: 0, or 2n from a corrupt start
+	tr    transport.Transport // the network's wire, closed after the network stops
+	bound int                 // invalid deliveries allowed per destination: 0, or 2n from a corrupt start
 }
 
 // LiveOptions tunes a LiveNetwork.
@@ -46,18 +48,22 @@ type LiveOptions struct {
 // NewLiveNetwork builds and starts a message-passing deployment on t.
 // Call Close when done.
 func NewLiveNetwork(t *Topology, opts LiveOptions) *LiveNetwork {
-	nw := msgpass.New(t, msgpass.Options{
+	tr := transport.Impair(transport.NewChan(t, transport.DefaultDepth), transport.ChaosOptions{
 		Seed:         opts.Seed,
 		LossRate:     opts.LossRate,
 		DupRate:      opts.DupRate,
 		Latency:      opts.Latency,
 		Jitter:       opts.Jitter,
 		BandwidthBps: opts.BandwidthBps,
-		CorruptInit:  opts.CorruptStart,
-		Tick:         opts.Tick,
+	})
+	nw := msgpass.New(t, msgpass.Options{
+		Seed:        opts.Seed,
+		CorruptInit: opts.CorruptStart,
+		Tick:        opts.Tick,
+		Transport:   tr,
 	})
 	nw.Start()
-	l := &LiveNetwork{nw: nw}
+	l := &LiveNetwork{nw: nw, tr: tr}
 	if opts.CorruptStart {
 		l.bound = 2 * t.N()
 	}
@@ -181,4 +187,7 @@ func (l *LiveNetwork) MetricsHandler() http.Handler {
 // Close stops every processor goroutine and waits for them. Close is
 // idempotent: further calls are no-ops, and a closed network keeps
 // serving Deliveries, Status, and DeliveredExactlyOnce snapshots.
-func (l *LiveNetwork) Close() { l.nw.Stop() }
+func (l *LiveNetwork) Close() {
+	l.nw.Stop()
+	l.tr.Close()
+}

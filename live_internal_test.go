@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssmfp/internal/msgpass"
+	"ssmfp/internal/transport"
 )
 
 // TestLiveStatusCongestedHopState pins the congested-hop view of the
@@ -14,7 +15,8 @@ import (
 func TestLiveStatusCongestedHopState(t *testing.T) {
 	// The node goroutines are never started, so nothing leaves the
 	// pending rings and the snapshot is deterministic.
-	live := &LiveNetwork{nw: msgpass.New(Line(3), msgpass.Options{Seed: 1})}
+	tr := transport.NewChan(Line(3), transport.DefaultDepth)
+	live := &LiveNetwork{nw: msgpass.New(Line(3), msgpass.Options{Seed: 1, Transport: tr}), tr: tr}
 	defer live.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := live.Send(0, 2, "far"); err != nil {

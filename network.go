@@ -110,7 +110,6 @@ func NewNetwork(t *Topology, opts ...Option) *Network {
 	n := &Network{g: t, opts: o}
 	n.engine = sm.NewEngine(t, core.FullProgramWithPolicy(t, o.policy), newDaemon(o.daemonKind, o.seed, t.N()), cfg)
 	n.tracker = checker.New(t)
-	n.tracker.RecordInitial(cfg)
 	n.tracker.Attach(n.engine)
 	if len(o.subscribers) > 0 {
 		n.engine.Subscribe(func(ev sm.Event) {

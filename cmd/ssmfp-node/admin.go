@@ -10,6 +10,7 @@ import (
 
 	"ssmfp/internal/cluster"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/secure"
 )
 
 // runAdmin is the operator CLI: one subcommand (-admin <op>) against a
@@ -269,4 +270,25 @@ func adminEpoch(cfg config) error {
 	return printJSON(struct {
 		Applied uint64 `json:"applied"`
 	}{e.Seq})
+}
+
+// runGenCerts is the -gen-certs helper: provision a trust domain on disk
+// so operators can run TLS clusters by hand. Prints the layout as JSON.
+func runGenCerts(cfg config) error {
+	n := cfg.n
+	if n == 0 {
+		n = cfg.spawn
+	}
+	if n < 1 {
+		return fmt.Errorf("-gen-certs needs -n (how many node credentials to mint)")
+	}
+	_, dom, err := secure.Provision(cfg.certsDir, n)
+	if err != nil {
+		return err
+	}
+	return printJSON(struct {
+		Dir   string   `json:"dir"`
+		Nodes int      `json:"nodes"`
+		Files []string `json:"files"`
+	}{cfg.certsDir, n, dom.Files()})
 }

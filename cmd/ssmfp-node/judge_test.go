@@ -109,7 +109,7 @@ func TestJudgeFlagsEachViolation(t *testing.T) {
 				c.counts(counts)
 			}
 			got := harness.Judge(rs, judgeShares)
-			books, short := balanceLedger(ledgerSamples(counts), judgeLedger)
+			books, short := harness.BalanceLedger(ledgerSamples(counts), judgeLedger)
 			got = append(got, books...)
 			if c.want == "" {
 				if len(got) != 0 || short {

@@ -1,40 +1,36 @@
 // Command ssmfp-node runs one processor of a message-passing SSMFP
-// deployment over real TCP. Every participating OS process is given the
-// same topology, the same peer address map, and the same workload seed;
-// each one runs exactly one processor (-id) and the union of processes
-// forms the network. Because the workload is derived deterministically
-// from (seed, topology), every process can compute the full global send
-// plan, execute its own share, and know exactly how many deliveries to
-// expect — so each process emits a single JSON line with its send and
-// delivery ledger on stdout and an external judge (the -spawn launcher,
-// or a human with jq) can check exactly-once delivery across the whole
-// cluster; every counter is served on the node's /metrics.
+// deployment over real TCP, and launches, judges and operates such
+// deployments; the judges live in internal/harness.
 //
-// Single-node usage:
+// Node mode (-id): every participating OS process is given the same
+// topology, peer address map and seed, and runs one processor. Each
+// derives the cluster-wide send plan from the seed (load.BuildPlan),
+// sends its own share, and once its expected deliveries arrived (or
+// -timeout elapsed) prints one JSON line with its send and delivery
+// ledger (harness.Report). It keeps forwarding for the other nodes until
+// its stdin reaches EOF; every counter is served on its /metrics.
 //
 //	ssmfp-node -id 2 -topology ring -n 5 -peers peers.txt \
 //	    -messages 30 -seed 7 -loss 0.1 -dup 0.1 -jitter 1ms
 //
-// The process prints its report once its expected deliveries arrived (or
-// -timeout elapsed), then keeps forwarding for the other nodes until its
-// stdin reaches EOF — the launcher holds a pipe open and closes it when
-// every report is in.
-//
-// Launcher usage (forks N copies of itself on loopback and judges them):
+// Launchers fork copies of this binary on loopback, hand each its bound
+// wire listener (-listen-fd), and print a judge's JSON summary. -spawn
+// runs harness.Spawn (over mutual TLS with -require-tls, under a rogue's
+// attack with -byzantine); -elastic runs harness.Elastic, the churn
+// judge over -serve members. Exit status is 0 iff the judge found no
+// violation; exactly-once delivery of every valid message comes first.
 //
 //	ssmfp-node -spawn 5 -topology ring -messages 30 -seed 7 \
 //	    -loss 0.10 -dup 0.10 -latency 200us -jitter 1ms \
 //	    -partition 400ms:600ms:0-1 -timeout 60s
 //
-// Exit status is 0 iff every valid message was delivered exactly once at
-// its destination.
+// With -rate R the cluster paces the plan at R messages/second, tags
+// payloads with their scheduled instants, and the judge merges the
+// nodes' histogram shards into cluster-wide latency quantiles.
 //
-// With -rate R the cluster paces the workload at R messages/second on a
-// schedule every process derives from the seed, tags payloads with their
-// scheduled instants, and reports per-node latency quantiles plus a
-// mergeable histogram shard; the launcher merges the shards into
-// cluster-wide quantiles. Per-node achieved send/deliver rates are
-// reported in every mode.
+// Operator modes: -serve (a long-lived cluster member), -admin (one
+// operation against a running cluster), -scrape (a /metrics cluster
+// view) and -gen-certs (a trust domain on disk).
 package main
 
 import (
@@ -43,10 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"ssmfp/internal/graph"
@@ -63,6 +56,7 @@ type config struct {
 	n        int
 	topoFile string
 	peers    string
+	listenFD int
 	messages int
 	spread   time.Duration
 	rate     float64
@@ -119,6 +113,7 @@ func main() {
 	flag.IntVar(&cfg.n, "n", 0, "processor count for -topology (defaults to -spawn, else required)")
 	flag.StringVar(&cfg.topoFile, "topology-file", "", "topology file (overrides -topology/-n; see internal/graph.Parse)")
 	flag.StringVar(&cfg.peers, "peers", "", "peer address file: one \"<id> <host:port>\" per line")
+	flag.IntVar(&cfg.listenFD, "listen-fd", 0, "serve the wire on the listener inherited as this file descriptor instead of binding this node's -peers address (set by the -spawn and -elastic launchers)")
 	flag.IntVar(&cfg.messages, "messages", 20, "total messages in the cluster-wide workload")
 	flag.DurationVar(&cfg.spread, "send-spread", 0, "inject the workload uniformly over this window instead of all at once (lets sends straddle -partition cuts)")
 	flag.Float64Var(&cfg.rate, "rate", 0, "pace the workload at this cluster-wide offered rate in messages/second, tagging payloads for latency measurement (0 = burst mode)")
@@ -180,10 +175,9 @@ func run(cfg config) error {
 		return runElastic(cfg)
 	}
 	if cfg.byzantine {
-		// The byzantine judge is the TLS spawn judge plus a rogue: it only
-		// means anything with certificates on every link and sustained load
-		// for the attack to hide under.
-		cfg.requireTLS = true
+		// The byzantine judge is the TLS spawn judge plus a rogue
+		// (harness.Spawn secures the cluster for it): it only means
+		// anything with sustained load for the attack to hide under.
 		if cfg.spawn == 0 {
 			return fmt.Errorf("-byzantine needs -spawn (how many nodes to attack)")
 		}
@@ -233,94 +227,32 @@ func loadTopology(cfg config) (*graph.Graph, error) {
 	}
 }
 
-// workloadEntry is one cluster-wide send: processor Src sends to Dst.
-type workloadEntry struct {
-	Src, Dst graph.ProcessID
-}
-
-// workload derives the global send plan from (seed, topology). Every
-// process computes the identical list, so each knows both its own share
-// (entries with Src == local id) and how many deliveries to expect
-// (entries with Dst == local id) without any coordination.
-func workload(g *graph.Graph, seed int64, messages int) []workloadEntry {
-	rng := rand.New(rand.NewSource(seed ^ 0x5553464d)) // distinct stream from protocol randomness
-	out := make([]workloadEntry, 0, messages)
-	n := g.N()
-	for i := 0; i < messages; i++ {
-		src := graph.ProcessID(rng.Intn(n))
-		dst := graph.ProcessID(rng.Intn(n - 1))
-		if dst >= src {
-			dst++
+// sendPlan is the cluster-wide send plan: load's seeded plan over the
+// topology, paced at -rate on the -arrival process, or spread evenly
+// over -send-spread (so sends straddle any partition cuts scheduled
+// inside it), or all at offset 0. Every process computes the same plan,
+// so each knows both its own share (entries with Src == local id) and
+// how many deliveries to expect (entries with Dst == local id) without
+// any coordination.
+func sendPlan(cfg config, g *graph.Graph) ([]load.PlanEntry, error) {
+	lc := load.Config{Driver: load.DriverClosed, Messages: cfg.messages, Seed: cfg.seed}
+	switch {
+	case cfg.rate > 0:
+		if cfg.arrival != load.ArrivalPoisson && cfg.arrival != load.ArrivalConstant {
+			return nil, fmt.Errorf("unknown -arrival %q (want poisson or constant)", cfg.arrival)
 		}
-		out = append(out, workloadEntry{Src: src, Dst: dst})
+		lc.Driver, lc.Rate, lc.Arrival = load.DriverOpen, cfg.rate, cfg.arrival
+	case cfg.spread > 0 && cfg.messages > 0:
+		lc.Driver, lc.Arrival = load.DriverOpen, load.ArrivalConstant
+		lc.Rate = float64(cfg.messages) / cfg.spread.Seconds()
 	}
-	return out
-}
-
-// schedule derives the workload's arrival offsets from (seed, rate,
-// arrival) on a dedicated rng stream. Every process computes the
-// identical list, so the cluster-wide offered rate is shared without
-// coordination: each node sleeps until its own entries' instants and
-// lets everyone else's pass.
-func schedule(n int, seed int64, rate float64, arrival string) ([]time.Duration, error) {
-	rng := rand.New(rand.NewSource(seed ^ 0x53434844)) // "SCHD": distinct stream from workload and protocol
-	out := make([]time.Duration, n)
-	var at time.Duration
-	for i := range out {
-		switch arrival {
-		case "constant":
-			at = time.Duration(float64(i) / rate * float64(time.Second))
-		case "poisson":
-			at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-		default:
-			return nil, fmt.Errorf("unknown -arrival %q (want poisson or constant)", arrival)
-		}
-		out[i] = at
-	}
-	return out, nil
-}
-
-// parsePartitions parses "start:dur:u-v[;u-v]" windows, comma-separated.
-func parsePartitions(s string) ([]transport.PartitionWindow, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []transport.PartitionWindow
-	for _, spec := range strings.Split(s, ",") {
-		parts := strings.SplitN(spec, ":", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("partition %q: want start:dur:u-v[;u-v]", spec)
-		}
-		start, err := time.ParseDuration(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: %v", spec, err)
-		}
-		dur, err := time.ParseDuration(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("partition %q: %v", spec, err)
-		}
-		var edges [][2]graph.ProcessID
-		for _, e := range strings.Split(parts[2], ";") {
-			uv := strings.SplitN(e, "-", 2)
-			if len(uv) != 2 {
-				return nil, fmt.Errorf("partition edge %q: want u-v", e)
-			}
-			u, err1 := strconv.Atoi(uv[0])
-			v, err2 := strconv.Atoi(uv[1])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("partition edge %q: want u-v", e)
-			}
-			edges = append(edges, [2]graph.ProcessID{graph.ProcessID(u), graph.ProcessID(v)})
-		}
-		out = append(out, transport.PartitionWindow{Start: start, Duration: dur, Edges: edges})
-	}
-	return out, nil
+	return load.BuildPlan(g, lc), nil
 }
 
 // chaosOpts translates the impairment flags (transport.Impair applies
 // them only when they ask for any).
 func chaosOpts(cfg config) (transport.ChaosOptions, error) {
-	windows, err := parsePartitions(cfg.partitions)
+	windows, err := transport.ParsePartitions(cfg.partitions)
 	if err != nil {
 		return transport.ChaosOptions{}, err
 	}
@@ -358,12 +290,9 @@ func runNode(cfg config) error {
 	}
 	defer stopEmit()
 
-	plan := workload(g, cfg.seed, cfg.messages)
-	var sched []time.Duration
-	if cfg.rate > 0 {
-		if sched, err = schedule(len(plan), cfg.seed, cfg.rate, cfg.arrival); err != nil {
-			return err
-		}
+	plan, err := sendPlan(cfg, g)
+	if err != nil {
+		return err
 	}
 	expected := 0
 	var sent []spec.Sent
@@ -375,27 +304,18 @@ func runNode(cfg config) error {
 		if e.Src != local {
 			continue
 		}
+		// Each entry goes out at its slot of the shared cluster-wide
+		// schedule. In rate mode the payload is tagged with the
+		// *scheduled* instant so the destination can compute latency from
+		// the delivery alone — a send delayed by backpressure counts that
+		// delay as latency (no coordinated omission).
+		at := start.Add(e.At)
+		if d := time.Until(at); d > 0 {
+			time.Sleep(d)
+		}
 		payload := fmt.Sprintf("m-%d-%d", e.Src, e.Dst)
-		switch {
-		case sched != nil:
-			// Rate mode: hold each entry to its slot of the shared
-			// cluster-wide schedule, and tag the payload with the
-			// *scheduled* instant so the destination can compute latency
-			// from the delivery alone — a send delayed by backpressure
-			// counts that delay as latency (no coordinated omission).
-			at := start.Add(sched[i])
-			if d := time.Until(at); d > 0 {
-				time.Sleep(d)
-			}
+		if cfg.rate > 0 {
 			payload = load.EncodeTag(i, e.Src, e.Dst, at.UnixNano())
-		case cfg.spread > 0 && len(plan) > 0:
-			// Entry i of the global plan goes out at its slot of the
-			// spread window, so sends straddle any partition cuts
-			// scheduled inside it.
-			at := time.Duration(i) * cfg.spread / time.Duration(len(plan))
-			if d := at - time.Since(start); d > 0 {
-				time.Sleep(d)
-			}
 		}
 		uid, err := nw.Send(local, payload, e.Dst)
 		if err != nil {

@@ -6,15 +6,11 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"ssmfp/internal/harness"
 	"ssmfp/internal/secure"
 	"ssmfp/internal/telemetry"
 )
-
-// scrapeTimeout bounds one GET of a node's /metrics endpoint.
-const scrapeTimeout = 5 * time.Second
 
 // clientFromFlags builds the HTTP client the operator-side modes
 // (-scrape, -admin) talk through, plus the scheme to assume for bare
@@ -23,14 +19,14 @@ const scrapeTimeout = 5 * time.Second
 // operator asking for the impossible and fails fast.
 func clientFromFlags(cfg config) (*http.Client, string, error) {
 	if !tlsConfigured(cfg) {
-		return &http.Client{Timeout: scrapeTimeout}, "http://", nil
+		return &http.Client{Timeout: harness.ScrapeTimeout}, "http://", nil
 	}
 	cred, pool, err := loadTLSIdentity(cfg)
 	if err != nil {
 		return nil, "", err
 	}
 	return &http.Client{
-		Timeout:   scrapeTimeout,
+		Timeout:   harness.ScrapeTimeout,
 		Transport: &http.Transport{TLSClientConfig: secure.ClientConfig(cred, pool)},
 	}, "https://", nil
 }

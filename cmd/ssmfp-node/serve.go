@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"time"
 
 	"ssmfp/internal/cluster"
 	"ssmfp/internal/graph"
+	"ssmfp/internal/harness"
 	"ssmfp/internal/load"
 	"ssmfp/internal/msgpass"
 	"ssmfp/internal/obs"
@@ -30,9 +32,8 @@ type nodeRuntime struct {
 	nw    *msgpass.Network
 	agent *cluster.Agent
 
-	// Secure mode: the mutual-TLS transport plus the credential and CA
-	// pool the debug/admin server reuses. All nil in plaintext mode.
-	sec  *secure.TLS
+	// Secure mode: the credential and CA pool of the mutual-TLS wire,
+	// which the debug/admin server reuses. Both nil in plaintext mode.
 	cred *secure.Credential
 	pool *x509.CertPool
 }
@@ -105,6 +106,18 @@ func bootNode(cfg config) (*nodeRuntime, error) {
 		}
 	}
 
+	// A launcher hands its child the wire listener it bound, so the port
+	// is never free for another process to take.
+	var ln net.Listener
+	if cfg.listenFD > 0 {
+		f := os.NewFile(uintptr(cfg.listenFD), "wire-listener")
+		ln, err = net.FileListener(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("-listen-fd %d: %w", cfg.listenFD, err)
+		}
+	}
+
 	// The registry exists before the wire so the secure transport's
 	// rejection counters land in this node's scrape, not a private one.
 	reg := telemetry.New()
@@ -121,6 +134,7 @@ func bootNode(cfg config) (*nodeRuntime, error) {
 		sec, err := secure.NewTLS(g, secure.TLSOptions{
 			Local:     local,
 			Peers:     peers,
+			Listener:  ln,
 			Cred:      cred,
 			Pool:      pool,
 			Telemetry: reg,
@@ -130,12 +144,13 @@ func bootNode(cfg config) (*nodeRuntime, error) {
 			return nil, err
 		}
 		tr, book = sec, sec
-		rt.sec, rt.cred, rt.pool = sec, cred, pool
+		rt.cred, rt.pool = cred, pool
 	} else {
 		tcp, err := transport.NewTCP(g, transport.TCPOptions{
-			Local: local,
-			Peers: peers,
-			Seed:  cfg.seed + int64(cfg.id),
+			Local:    local,
+			Peers:    peers,
+			Listener: ln,
+			Seed:     cfg.seed + int64(cfg.id),
 		})
 		if err != nil {
 			return nil, err
@@ -187,7 +202,7 @@ func serveDebug(cfg config, rt *nodeRuntime) (*obs.Server, error) {
 		srv *obs.Server
 		err error
 	)
-	if rt.sec != nil {
+	if rt.cred != nil {
 		srv, err = obs.ServeTLSWith(cfg.httpAddr, secure.ServerConfig(rt.cred, rt.pool),
 			snapshot, telemetry.Handler(rt.reg),
 			obs.Route{Pattern: "/admin/", Handler: secure.AdminGuard(rt.agent.Handler(), rt.reg)})
@@ -216,18 +231,10 @@ func startEmitter(cfg config, reg *telemetry.Registry) (func(), error) {
 	return func() { em.Close(); f.Close() }, nil
 }
 
-// serveBanner is the one JSON line a -serve node prints at startup: its
-// identity and where its admin/debug endpoint listens. Operator tooling
-// (and the -elastic judge) reads it to find the node.
-type serveBanner struct {
-	ID        int    `json:"id"`
-	AdminAddr string `json:"adminAddr"`
-	Epoch     uint64 `json:"epoch"`
-}
-
 // runServe runs one processor as a long-lived cluster member: no
-// workload, no report — the node boots, serves the admin API on its
-// debug mux, and reconfigures as epochs arrive. It exits when its
+// workload, no report — the node boots, announces itself in one
+// harness.Banner line, serves the admin API on its debug mux, and
+// reconfigures as epochs arrive. It exits when its
 // processor is drained out of the cluster (an epoch without it detaches
 // the local node) or when stdin reaches EOF (the operator's shutdown
 // signal, same convention as the workload mode).
@@ -251,7 +258,7 @@ func runServe(cfg config) error {
 	}
 	defer stopEmit()
 
-	banner, err := json.Marshal(serveBanner{ID: cfg.id, AdminAddr: srv.Addr(), Epoch: rt.nw.CurrentEpoch()})
+	banner, err := json.Marshal(harness.Banner{ID: cfg.id, AdminAddr: srv.Addr(), Epoch: rt.nw.CurrentEpoch()})
 	if err != nil {
 		return err
 	}

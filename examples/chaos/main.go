@@ -76,5 +76,5 @@ func main() {
 	}
 	s := nw.Stats()
 	fmt.Printf("offers sent: %d (retransmissions waited out the cut); frames impaired: %d\n",
-		s.OffersSent, s.LostInjected)
+		s.OffersSent, s.Wire.DroppedImpair)
 }

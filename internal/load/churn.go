@@ -32,9 +32,9 @@ type SustainedStream struct {
 // a node mid-reconfiguration, an admin endpoint briefly unreachable —
 // is simply skipped: the next beat retries, which is what "sustained
 // across churn" means; only messages the network actually accepted are
-// recorded. record is called from the stream goroutines and must be
-// safe for concurrent use.
-func Sustain(send Sender, streams []SustainedStream, record func(payload string, uids []uint64)) (stop func()) {
+// recorded, each with the stream that injected it. record is called from
+// the stream goroutines and must be safe for concurrent use.
+func Sustain(send Sender, streams []SustainedStream, record func(s SustainedStream, uids []uint64)) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, s := range streams {
@@ -57,7 +57,7 @@ func Sustain(send Sender, streams []SustainedStream, record func(payload string,
 				if err != nil {
 					continue
 				}
-				record(s.Payload, uids)
+				record(s, uids)
 			}
 		}(s, period)
 	}

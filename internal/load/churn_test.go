@@ -30,10 +30,10 @@ func TestSustainRecordsOnlyAcceptedInjections(t *testing.T) {
 
 	var mu sync.Mutex
 	got := make(map[string][]uint64)
-	record := func(payload string, uids []uint64) {
+	record := func(s SustainedStream, uids []uint64) {
 		mu.Lock()
 		defer mu.Unlock()
-		got[payload] = append(got[payload], uids...)
+		got[s.Payload] = append(got[s.Payload], uids...)
 	}
 
 	stop := Sustain(send, []SustainedStream{

@@ -21,7 +21,7 @@ import (
 // as they happen.
 type Collector struct {
 	mu        sync.Mutex
-	plan      []planEntry
+	plan      []PlanEntry
 	ledger    *spec.Ledger
 	delivered atomic.Int64
 	warm      atomic.Int64
@@ -50,7 +50,7 @@ type Collector struct {
 }
 
 // newCollector seeds a collector with the plan.
-func newCollector(plan []planEntry) *Collector {
+func newCollector(plan []PlanEntry) *Collector {
 	return &Collector{
 		plan:     plan,
 		ledger:   spec.NewSeq(len(plan)),

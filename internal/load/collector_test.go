@@ -17,7 +17,7 @@ import (
 // 50ms deadline-resolution timer. The delivery lands ~5ms in; returning
 // well before the first 50ms timer tick proves the pulse did the waking.
 func TestDrainWakesPromptlyOnDelivery(t *testing.T) {
-	plan := []planEntry{{Src: 0, Dst: 1}}
+	plan := []PlanEntry{{Src: 0, Dst: 1}}
 	col := newCollector(plan)
 	col.markSent(0)
 
@@ -42,7 +42,7 @@ func TestDrainWakesPromptlyOnDelivery(t *testing.T) {
 // TestWaitUntilDeadline pins the timeout half of the contract: a condition
 // that never becomes true returns false once the deadline passes.
 func TestWaitUntilDeadline(t *testing.T) {
-	col := newCollector([]planEntry{{Src: 0, Dst: 1}})
+	col := newCollector([]PlanEntry{{Src: 0, Dst: 1}})
 	start := time.Now()
 	if col.waitUntil(func() bool { return false }, start.Add(60*time.Millisecond)) {
 		t.Fatal("waitUntil reported success for an impossible condition")
@@ -76,7 +76,7 @@ func TestWarmupDeliveryPulsesProgress(t *testing.T) {
 // is not load traffic, so it raises no violation of its own; a plan entry
 // whose only delivery carried such a tag is judged never delivered.
 func TestCollectorJudgesForeignTagAsMissing(t *testing.T) {
-	col := newCollector([]planEntry{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}})
+	col := newCollector([]PlanEntry{{Src: 0, Dst: 1}, {Src: 0, Dst: 1}})
 	col.markSent(0)
 	col.markSent(1)
 	for _, payload := range []string{"unrelated traffic", tagV1Fixture, tagV2Fixture, EncodeTag(0, 0, 1, time.Now().UnixNano())} {
@@ -103,10 +103,10 @@ func TestCollectorCases(t *testing.T) {
 			if len(c.Void) > 0 || c.Bound != 0 {
 				t.Skip("the collector voids no message and allows no invalid delivery")
 			}
-			var plan []planEntry
+			var plan []PlanEntry
 			for _, s := range c.Sent {
 				if int(s.UID) == len(plan) {
-					plan = append(plan, planEntry{Src: (s.Dst + 1) % spectest.N, Dst: s.Dst})
+					plan = append(plan, PlanEntry{Src: (s.Dst + 1) % spectest.N, Dst: s.Dst})
 				}
 			}
 			col := newCollector(plan)
@@ -141,11 +141,11 @@ func TestCollectorCases(t *testing.T) {
 // Each batch of plan entries gets a fresh collector, built off the clock.
 func BenchmarkCollectorObserve(b *testing.B) {
 	const batch = 4096
-	plan := make([]planEntry, batch)
+	plan := make([]PlanEntry, batch)
 	ds := make([]msgpass.Delivery, batch)
 	now := time.Now()
 	for i := range plan {
-		plan[i] = planEntry{Src: 0, Dst: 1}
+		plan[i] = PlanEntry{Src: 0, Dst: 1}
 		ds[i] = msgpass.Delivery{
 			Msg: msgpass.Message{Payload: EncodeTag(i, 0, 1, now.UnixNano()), Src: 0, Dest: 1, Valid: true},
 			At:  1, Time: now.Add(time.Millisecond), DeliverWaitNS: 1000,

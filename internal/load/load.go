@@ -145,9 +145,9 @@ func (c Config) validate(g *graph.Graph) error {
 	return nil
 }
 
-// planEntry is one scheduled injection: At is the offset from run start
+// PlanEntry is one scheduled injection: At is the offset from run start
 // (meaningful for the open-loop driver only).
-type planEntry struct {
+type PlanEntry struct {
 	Src, Dst graph.ProcessID
 	At       time.Duration
 }
@@ -156,8 +156,10 @@ type planEntry struct {
 // usage ("LOAD" in ASCII).
 const planSeedSalt = 0x4c4f4144
 
-// buildPlan derives the full injection plan from the configuration alone.
-func buildPlan(g *graph.Graph, cfg Config) []planEntry {
+// BuildPlan derives the full injection plan from the configuration alone
+// (an open-loop Arrival other than constant is Poisson), so processes
+// that share a configuration share the plan without coordination.
+func BuildPlan(g *graph.Graph, cfg Config) []PlanEntry {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ planSeedSalt))
 	sources := cfg.Sources
 	if sources == nil {
@@ -166,7 +168,7 @@ func buildPlan(g *graph.Graph, cfg Config) []planEntry {
 			sources[i] = graph.ProcessID(i)
 		}
 	}
-	plan := make([]planEntry, cfg.Messages)
+	plan := make([]PlanEntry, cfg.Messages)
 	var at time.Duration
 	for i := range plan {
 		src := sources[rng.Intn(len(sources))]
@@ -182,7 +184,7 @@ func buildPlan(g *graph.Graph, cfg Config) []planEntry {
 				at += time.Duration(rng.ExpFloat64() / cfg.Rate * float64(time.Second))
 			}
 		}
-		plan[i] = planEntry{Src: src, Dst: d, At: at}
+		plan[i] = PlanEntry{Src: src, Dst: d, At: at}
 	}
 	return plan
 }
@@ -196,7 +198,7 @@ func Run(nw Network, g *graph.Graph, hook *Hook, cfg Config) (StepReport, error)
 	if err := cfg.validate(g); err != nil {
 		return StepReport{}, err
 	}
-	plan := buildPlan(g, cfg)
+	plan := BuildPlan(g, cfg)
 	col := newCollector(plan)
 	hook.Attach(col)
 	defer hook.Detach()
@@ -308,7 +310,7 @@ func warmUp(nw Network, g *graph.Graph, col *Collector, cfg Config) {
 // injectOpen replays the arrival schedule: sleep until each entry's
 // scheduled instant (catching up without sleeping when behind — the
 // open-loop discipline) and tag it with that instant.
-func injectOpen(nw Network, plan []planEntry, col *Collector, sent *atomic.Int64, start time.Time) error {
+func injectOpen(nw Network, plan []PlanEntry, col *Collector, sent *atomic.Int64, start time.Time) error {
 	for seq, e := range plan {
 		sched := start.Add(e.At)
 		if d := time.Until(sched); d > 0 {
@@ -328,7 +330,7 @@ func injectOpen(nw Network, plan []planEntry, col *Collector, sent *atomic.Int64
 // cfg.Outstanding messages in flight; the collector's completion callback
 // refills the window. Tags carry the actual send instant, so latency is
 // response time.
-func injectClosed(nw Network, plan []planEntry, col *Collector, sent *atomic.Int64, cfg Config) error {
+func injectClosed(nw Network, plan []PlanEntry, col *Collector, sent *atomic.Int64, cfg Config) error {
 	perSource := make(map[graph.ProcessID][]int)
 	for seq, e := range plan {
 		perSource[e.Src] = append(perSource[e.Src], seq)

@@ -96,7 +96,7 @@ type StepReport struct {
 }
 
 // buildStepReport folds a finished step into its report.
-func buildStepReport(cfg Config, plan []planEntry, col *Collector, sent int,
+func buildStepReport(cfg Config, plan []PlanEntry, col *Collector, sent int,
 	exactlyOnce bool, violations []string, injectNS, spanNS int64, peaks *queuePeaks,
 	parkEvents int64) StepReport {
 	h := col.Hist()

@@ -182,18 +182,16 @@ type Network struct {
 }
 
 // Stats counts wire-level activity: how many frames of each kind were
-// sent and how many were lost (by injected impairment or by congestion).
-// Offers exceeding deliveries indicate retransmissions at work. Wire
-// carries the transport's own counters (bytes and dials are non-zero
-// only on the TCP backend).
+// sent. Offers exceeding deliveries indicate retransmissions at work.
+// Wire carries the transport's own counters, the frames lost to injected
+// impairment (DroppedImpair) or congestion (DroppedFull) among them;
+// bytes and dials are non-zero only on the TCP backend.
 type Stats struct {
 	DVSent         int
 	OffersSent     int
 	AcceptsSent    int
 	CancelsSent    int
 	CancelAcksSent int
-	LostInjected   int
-	LostCongestion int
 	Wire           transport.Stats
 }
 
@@ -431,16 +429,13 @@ func (nw *Network) deliver(d Delivery) {
 
 // Stats returns a snapshot of the wire-level counters.
 func (nw *Network) Stats() Stats {
-	wire := nw.tr.Stats()
 	return Stats{
 		DVSent:         int(nw.tel.frames[transport.KindDV].Load()),
 		OffersSent:     int(nw.tel.frames[transport.KindOffer].Load()),
 		AcceptsSent:    int(nw.tel.frames[transport.KindAccept].Load()),
 		CancelsSent:    int(nw.tel.frames[transport.KindCancel].Load()),
 		CancelAcksSent: int(nw.tel.frames[transport.KindCancelAck].Load()),
-		LostInjected:   int(wire.DroppedImpair),
-		LostCongestion: int(wire.DroppedFull),
-		Wire:           wire,
+		Wire:           nw.tr.Stats(),
 	}
 }
 

@@ -290,7 +290,7 @@ func TestStatsCountRetransmissionsUnderLoss(t *testing.T) {
 	}
 	checkExactlyOnce(t, nw, map[uint64]graph.ProcessID{uid: 4})
 	st := nw.Stats()
-	if st.LostInjected == 0 {
+	if st.Wire.DroppedImpair == 0 {
 		t.Fatal("40% loss must have dropped frames")
 	}
 	// 4 hops needed; with 40% loss the offer count must exceed the hop

@@ -307,7 +307,7 @@ func TestTimerReoffersOfferLostToFullInbox(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.nodes[0].localMoves() // R1, R2 and the first offer, by hand: nothing runs yet
-	if lost := nw.Stats().LostCongestion; lost != 1 {
+	if lost := nw.Stats().Wire.DroppedFull; lost != 1 {
 		t.Fatalf("%d frames lost to the full inbox, want the offer", lost)
 	}
 	nw.Start()

@@ -1,7 +1,9 @@
 package secure_test
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -153,5 +155,46 @@ func TestCredentialFilesRoundTrip(t *testing.T) {
 	}
 	if _, err := secure.VerifyRole(more.Leaf, pool); err != nil {
 		t.Fatalf("cert from reloaded CA fails verification: %v", err)
+	}
+}
+
+// TestProvision: a provisioned domain holds exactly the files it lists,
+// and every credential in it verifies against its CA with the role its
+// file name promises.
+func TestProvision(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "certs")
+	_, dom, err := secure.Provision(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range dom.Files() {
+		names = append(names, filepath.Base(f))
+	}
+	want := []string{"ca.pem", "ca.key", "node-0.pem", "node-0.key", "node-1.pem", "node-1.key",
+		"operator.pem", "operator.key", "observer.pem", "observer.key"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("Files = %v, want %v", names, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != len(want) {
+		t.Fatalf("%d files on disk, want %d (%v)", len(entries), len(want), err)
+	}
+	pool, err := secure.LoadPool(dom.CACert())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stem, role := range map[string]secure.Role{"node-1": secure.RoleNode,
+		"operator": secure.RoleOperator, "observer": secure.RoleObserver} {
+		cred, err := secure.LoadCredential(filepath.Join(dir, stem+".pem"), filepath.Join(dir, stem+".key"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, err := secure.VerifyRole(cred.Leaf, pool); err != nil || id.Role != role {
+			t.Fatalf("%s: identity %+v, %v; want role %v", stem, id, err, role)
+		}
+	}
+	if got := dom.NodeCert(1); got != filepath.Join(dir, "node-1.pem") || dom.NodeKey(1) != filepath.Join(dir, "node-1.key") {
+		t.Fatalf("node 1 pair at %s", got)
 	}
 }

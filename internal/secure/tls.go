@@ -17,13 +17,11 @@ import (
 type TLSOptions struct {
 	// Local is the processor this transport serves.
 	Local graph.ProcessID
-	// Peers maps neighbors (and optionally Local) to dial addresses,
-	// exactly as transport.TCPOptions.Peers.
+	// Peers maps neighbors (and Local, unless Listener is set) to dial
+	// addresses, exactly as transport.TCPOptions.Peers.
 	Peers map[graph.ProcessID]string
-	// Listen is the address to listen on; empty selects Peers[Local].
-	Listen string
 	// Listener, when non-nil, is a pre-bound *raw* listener (it is
-	// wrapped with TLS here) — in-process clusters bind port-0 listeners
+	// wrapped with TLS here) — loopback clusters bind port-0 listeners
 	// first so every address is known before any node starts.
 	Listener net.Listener
 	// Cred is this node's credential; it must be a node-role certificate
@@ -36,9 +34,7 @@ type TLSOptions struct {
 	Telemetry *telemetry.Registry
 
 	// Plumbed through to the TCP layer.
-	Depth                  int
 	BackoffMin, BackoffMax time.Duration
-	DialTimeout            time.Duration
 	Seed                   int64
 }
 
@@ -151,10 +147,7 @@ func NewTLS(g *graph.Graph, opts TLSOptions) (*TLS, error) {
 	}
 	raw := opts.Listener
 	if raw == nil {
-		addr := opts.Listen
-		if addr == "" {
-			addr = opts.Peers[opts.Local]
-		}
+		addr := opts.Peers[opts.Local]
 		if addr == "" {
 			return nil, fmt.Errorf("secure: node %d has no listen address", opts.Local)
 		}
@@ -166,16 +159,14 @@ func NewTLS(g *graph.Graph, opts TLSOptions) (*TLS, error) {
 	}
 	server := ServerConfig(opts.Cred, opts.Pool)
 	tcp, err := transport.NewTCP(g, transport.TCPOptions{
-		Local:       opts.Local,
-		Peers:       opts.Peers,
-		Listener:    &tlsListener{Listener: raw, owner: s, conf: server},
-		Depth:       opts.Depth,
-		BackoffMin:  opts.BackoffMin,
-		BackoffMax:  opts.BackoffMax,
-		DialTimeout: opts.DialTimeout,
-		Seed:        opts.Seed,
-		Dial:        s.dial,
-		Inbound:     s.gate,
+		Local:      opts.Local,
+		Peers:      opts.Peers,
+		Listener:   &tlsListener{Listener: raw, owner: s, conf: server},
+		BackoffMin: opts.BackoffMin,
+		BackoffMax: opts.BackoffMax,
+		Seed:       opts.Seed,
+		Dial:       s.dial,
+		Inbound:    s.gate,
 	})
 	if err != nil {
 		raw.Close()
@@ -184,9 +175,6 @@ func NewTLS(g *graph.Graph, opts TLSOptions) (*TLS, error) {
 	s.tcp = tcp
 	return s, nil
 }
-
-// Addr is the listener's address.
-func (s *TLS) Addr() string { return s.tcp.Addr() }
 
 // AddPeer records a peer's dial address (cluster.PeerBook).
 func (s *TLS) AddPeer(q graph.ProcessID, addr string) { s.tcp.AddPeer(q, addr) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +152,30 @@ func TestExperimentF3(t *testing.T) {
 	}
 	if !strings.Contains(r.Trace, "(0) initial configuration") {
 		t.Fatal("trace missing initial frame")
+	}
+}
+
+// stubState is a processor state with nothing in it, for engines whose
+// rules read only the processor's id.
+type stubState struct{}
+
+func (stubState) Clone() sm.State { return stubState{} }
+
+// TestDescribeEnabled: the Figure 3 replay's failure line names every
+// enabled processor with its enabled rules, and no idle processor.
+func TestDescribeEnabled(t *testing.T) {
+	g := graph.Line(3)
+	enabledAt := func(name string, at ...graph.ProcessID) sm.Rule {
+		return sm.Rule{Name: name, Action: func(*sm.View) {},
+			Guard: func(v *sm.View) bool { return slices.Contains(at, v.ID()) }}
+	}
+	prog := sm.NewProgram(enabledAt("R2", 0, 2), enabledAt("R1", 2))
+	e := sm.NewEngine(g, prog, NewDaemon(Synchronous, 1, g.N()), []sm.State{stubState{}, stubState{}, stubState{}})
+	if e.Terminal() {
+		t.Fatal("engine with enabled rules reports terminal")
+	}
+	if got, want := describeEnabled(e, g), "p0:[R2] p2:[R1 R2]"; got != want {
+		t.Fatalf("describeEnabled = %q, want %q", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"ssmfp/internal/graph"
 )
@@ -61,4 +62,47 @@ func FormatPeers(peers map[graph.ProcessID]string) string {
 		fmt.Fprintf(&b, "%d %s\n", id, peers[id])
 	}
 	return b.String()
+}
+
+// ParsePartitions parses partition windows written "start:dur:u-v[;u-v]",
+// comma-separated (cmd/ssmfp-node's -partition): from start after the
+// wire is built, the listed edges are cut for dur. The empty string is no
+// window.
+func ParsePartitions(s string) ([]PartitionWindow, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []PartitionWindow
+	for _, spec := range strings.Split(s, ",") {
+		parts := strings.SplitN(spec, ":", 3)
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("partition %q: want start:dur:u-v[;u-v]", spec)
+		}
+		start, err := time.ParseDuration(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("partition %q: %v", spec, err)
+		}
+		dur, err := time.ParseDuration(parts[1])
+		if err != nil {
+			return nil, fmt.Errorf("partition %q: %v", spec, err)
+		}
+		if start < 0 || dur < 0 {
+			return nil, fmt.Errorf("partition %q: negative start or duration", spec)
+		}
+		var edges [][2]graph.ProcessID
+		for _, e := range strings.Split(parts[2], ";") {
+			uv := strings.SplitN(e, "-", 2)
+			if len(uv) != 2 {
+				return nil, fmt.Errorf("partition edge %q: want u-v", e)
+			}
+			u, err1 := strconv.Atoi(uv[0])
+			v, err2 := strconv.Atoi(uv[1])
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("partition edge %q: want u-v", e)
+			}
+			edges = append(edges, [2]graph.ProcessID{graph.ProcessID(u), graph.ProcessID(v)})
+		}
+		out = append(out, PartitionWindow{Start: start, Duration: dur, Edges: edges})
+	}
+	return out, nil
 }

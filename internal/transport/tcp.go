@@ -17,15 +17,13 @@ import (
 type TCPOptions struct {
 	// Local is the processor this transport serves.
 	Local graph.ProcessID
-	// Peers maps each neighbor of Local to its dial address. It may also
-	// carry Local's own listen address (used when Listen is empty) and
-	// non-neighbor entries, which are ignored. The transport copies the
-	// map; later AddPeer calls extend the copy, not the caller's map.
+	// Peers maps each neighbor of Local to its dial address. It also
+	// carries Local's own listen address unless Listener is set, and may
+	// carry non-neighbor entries, which are ignored. The transport copies
+	// the map; later AddPeer calls extend the copy, not the caller's map.
 	Peers map[graph.ProcessID]string
-	// Listen is the address to listen on; empty selects Peers[Local].
-	Listen string
 	// Listener, when non-nil, is a pre-bound listener to use instead of
-	// binding Listen — in-process loopback clusters bind n listeners on
+	// binding Peers[Local] — loopback clusters bind every listener on
 	// port 0 first so every peer address is known before any node starts.
 	Listener net.Listener
 	// Depth is the per-link outbound queue (≤0 = DefaultDepth); the
@@ -118,8 +116,8 @@ type TCP struct {
 }
 
 // NewTCP builds and starts the transport for opts.Local on g: it binds
-// the listener immediately (so Addr is routable before any peer dials)
-// and starts one writer per neighbor. Dialing is lazy.
+// the listener immediately (so peers may dial it at once) and starts one
+// writer per neighbor. Dialing is lazy.
 func NewTCP(g *graph.Graph, opts TCPOptions) (*TCP, error) {
 	opts = opts.withDefaults()
 	nbrs := g.Neighbors(opts.Local)
@@ -130,10 +128,7 @@ func NewTCP(g *graph.Graph, opts TCPOptions) (*TCP, error) {
 	}
 	ln := opts.Listener
 	if ln == nil {
-		addr := opts.Listen
-		if addr == "" {
-			addr = opts.Peers[opts.Local]
-		}
+		addr := opts.Peers[opts.Local]
 		if addr == "" {
 			return nil, fmt.Errorf("transport: node %d has no listen address", opts.Local)
 		}
@@ -174,10 +169,6 @@ func (t *TCP) addSendLinkLocked(q graph.ProcessID) {
 	t.wg.Add(1)
 	go t.writer(sl, rand.New(rand.NewSource(t.rng.Int63())))
 }
-
-// Addr is the listener's address — with port-0 binds, the address peers
-// must be given to dial this node.
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // AddPeer records (or updates) a peer's dial address, so a link to it can
 // be ensured later. Safe while traffic flows.

@@ -165,7 +165,7 @@ func (l *LiveNetwork) Status() LiveStatus {
 		AcceptsSent:    st.AcceptsSent,
 		CancelsSent:    st.CancelsSent,
 		CancelAcksSent: st.CancelAcksSent,
-		FramesLost:     st.LostInjected + st.LostCongestion,
+		FramesLost:     int(st.Wire.DroppedImpair + st.Wire.DroppedFull),
 	}
 	for _, q := range l.nw.QueueDepths() {
 		out.Queues = append(out.Queues, LiveQueue{

@@ -13,7 +13,7 @@ BENCH_FLAGS ?= -quick -seeds 2 -parallel 1
 
 .PHONY: all build test test-short race bench experiments check cluster examples \
 	cover cover-check fmt lint vet fuzz campaign bench-baseline load-smoke \
-	bench-allocs load-baseline load-compare cluster-metrics cluster-elastic \
+	bench-allocs engine-allocs load-baseline load-compare cluster-metrics cluster-elastic \
 	cluster-tls
 
 all: build vet test
@@ -48,6 +48,19 @@ bench-allocs:
 	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
 	echo "$$out" | awk '/allocs\/op/ { if ($$(NF-1)+0 > 0) { bad=1; print "FAIL: " $$1 " reports " $$(NF-1) " allocs/op, want 0" } } \
 		END { if (bad) exit 1; print "bench-allocs: all hot-path benchmarks at 0 allocs/op" }'
+
+# Engine-step allocation gate (tier-1 CI): one step of the engine-corrupt
+# shape (BenchmarkEngineStep) must stay within ENGINE_ALLOCS allocs/op and
+# ENGINE_BYTES B/op. Measured at 25 allocs/op and 2.4 kB/op on the
+# staged-write engine; the ceilings leave about 30% headroom. ns/op is
+# printed, not gated.
+ENGINE_ALLOCS ?= 32
+ENGINE_BYTES ?= 3200
+engine-allocs:
+	@out=$$($(GO) test -run '^$$' -bench BenchmarkEngineStep -benchmem -benchtime 4000x -count 3 ./internal/core/); \
+	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
+	echo "$$out" | awk '/allocs\/op/ { n++; if ($$(NF-1)+0 > $(ENGINE_ALLOCS) || $$(NF-3)+0 > $(ENGINE_BYTES)) { bad=1; print "FAIL: " $$(NF-3) " B/op, " $$(NF-1) " allocs/op; ceilings $(ENGINE_BYTES) B/op, $(ENGINE_ALLOCS) allocs/op" } } \
+		END { if (bad || n == 0) exit 1; print "engine-allocs: every run within $(ENGINE_ALLOCS) allocs/op and $(ENGINE_BYTES) B/op" }'
 
 experiments:
 	$(GO) run ./cmd/ssmfp-bench

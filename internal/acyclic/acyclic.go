@@ -223,10 +223,10 @@ func ClockwiseRingTables(g *graph.Graph) []*routing.NodeState {
 		s := routing.NewState(n)
 		for d := 0; d < n; d++ {
 			if p == d {
-				*s.Routes.At(d) = routing.Route{Dist: 0, Parent: graph.ProcessID(p)}
+				s.Routes[d] = routing.Route{Dist: 0, Parent: graph.ProcessID(p)}
 				continue
 			}
-			*s.Routes.At(d) = routing.Route{Dist: (d - p + n) % n, Parent: graph.ProcessID((p + 1) % n)}
+			s.Routes[d] = routing.Route{Dist: (d - p + n) % n, Parent: graph.ProcessID((p + 1) % n)}
 		}
 		tables[p] = s
 	}

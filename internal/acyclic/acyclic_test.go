@@ -104,7 +104,7 @@ func TestClockwiseRingTablesShape(t *testing.T) {
 			if ts[p].NextHop(graph.ProcessID(d)) != graph.ProcessID((p+1)%6) {
 				t.Fatal("clockwise tables must always point to p+1")
 			}
-			if ts[p].Routes.At(d).Dist != (d-p+6)%6 {
+			if ts[p].Routes[d].Dist != (d-p+6)%6 {
 				t.Fatal("clockwise distance wrong")
 			}
 		}

@@ -132,7 +132,7 @@ func TestNaiveCloneDeep(t *testing.T) {
 	c := n.Clone().(*baseline.Node)
 	c.FW.Pending[0].Payload = "z"
 	c.FW.Buf[1] = nil
-	c.RT.Routes.At(2).Dist = 77
+	c.RT.Routes[2].Dist = 77
 	if n.FW.Pending[0].Payload != "a" || n.FW.Buf[1] == nil || n.RT.Route(2).Dist == 77 {
 		t.Fatal("Clone must deep-copy")
 	}
@@ -189,8 +189,8 @@ func TestAtomicDeadlockOnFullCycle(t *testing.T) {
 	// neither message can move, the component deadlocks.
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Routes.At(0).Parent = 2
-	ts[2].Routes.At(0).Parent = 1
+	ts[1].Routes[0].Parent = 2
+	ts[2].Routes[0].Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	a.PlaceInvalid(1, 0, "stuck-a")
 	a.PlaceInvalid(2, 0, "stuck-b")
@@ -207,8 +207,8 @@ func TestAtomicLivelockOnRoutingLoop(t *testing.T) {
 	// but nothing is ever delivered.
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Routes.At(0).Parent = 2
-	ts[2].Routes.At(0).Parent = 1
+	ts[1].Routes[0].Parent = 2
+	ts[2].Routes[0].Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	a.PlaceInvalid(1, 0, "wanderer")
 	moves, stopped := a.Run(10_000)
@@ -223,8 +223,8 @@ func TestAtomicLivelockOnRoutingLoop(t *testing.T) {
 func TestAtomicRepairEndsLivelock(t *testing.T) {
 	g := graph.Ring(4)
 	ts := baseline.CorrectTables(g)
-	ts[1].Routes.At(0).Parent = 2
-	ts[2].Routes.At(0).Parent = 1
+	ts[1].Routes[0].Parent = 2
+	ts[2].Routes[0].Parent = 1
 	a := baseline.NewAtomic(g, ts, 7)
 	m := a.PlaceInvalid(1, 0, "wanderer")
 	a.Run(1_000)

@@ -156,8 +156,7 @@ func (t *Tracker) CheckNoLoss(cfg []sm.State) error {
 	present := make(map[uint64]bool)
 	for _, s := range cfg {
 		n := s.(*core.Node).FW
-		for d := range n.Dests.Len() {
-			ds := n.Dests.At(d)
+		for _, ds := range n.Dests {
 			for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 				if m != nil {
 					present[m.UID] = true

@@ -252,8 +252,8 @@ func TestWellTypedDetectsViolations(t *testing.T) {
 		name   string
 		break_ func(cfg []sm.State)
 	}{
-		{"bad dist", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes.At(2).Dist = 99 }},
-		{"bad parent", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes.At(2).Parent = 3 }},
+		{"bad dist", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes[2].Dist = 99 }},
+		{"bad parent", func(cfg []sm.State) { cfg[0].(*core.Node).RT.Routes[2].Parent = 3 }},
 		{"bad last hop", func(cfg []sm.State) {
 			cfg[0].(*core.Node).FW.Dest(2).BufR = &core.Message{Payload: "m", LastHop: 3, Color: 0}
 		}},

@@ -25,14 +25,14 @@ func WellTyped(g *graph.Graph, cfg []sm.State) error {
 			return fmt.Errorf("checker: state of %d is %T, not *core.Node", p, s)
 		}
 		for d := 0; d < n; d++ {
-			r := node.RT.Routes.At(d)
+			r := &node.RT.Routes[d]
 			if r.Dist < 0 || r.Dist > n {
 				return fmt.Errorf("checker: Dist_%d(%d) = %d out of [0,%d]", p, d, r.Dist, n)
 			}
 			if !g.IsNeighborOrSelf(p, r.Parent) {
 				return fmt.Errorf("checker: Parent_%d(%d) = %d not in N_%d ∪ {%d}", p, d, r.Parent, p, p)
 			}
-			ds := node.FW.Dests.At(d)
+			ds := &node.FW.Dests[d]
 			for which, m := range map[string]*core.Message{"bufR": ds.BufR, "bufE": ds.BufE} {
 				if m == nil {
 					continue

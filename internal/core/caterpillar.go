@@ -120,8 +120,8 @@ func Quiescent(cfg []sm.State) bool {
 		if len(n.Pending) > 0 {
 			return false
 		}
-		for d := range n.Dests.Len() {
-			if ds := n.Dests.At(d); ds.BufR != nil || ds.BufE != nil {
+		for _, ds := range n.Dests {
+			if ds.BufR != nil || ds.BufE != nil {
 				return false
 			}
 		}

@@ -87,9 +87,10 @@ func (p ChoicePolicy) String() string {
 	}
 }
 
-// choiceBuf sizes the stack scratch guards give choose: the candidates
+// choiceBuf sizes the stack scratch rules give choose: the candidates
 // and the normalized queue, each at most Δ+1 long, fit without a heap
-// allocation up to Δ = 7 (append spills beyond that).
+// allocation up to Δ = 7 (append spills beyond that). freshColor's
+// colour set uses it too.
 const choiceBuf = 16
 
 // choose evaluates choice_p(d) under the policy. It returns the chosen
@@ -97,8 +98,8 @@ const choiceBuf = 16
 // any candidate exists. For PolicyQueue the persisted value is the
 // normalized queue minus its head; for PolicyRotating it is the served
 // candidate (the rotation point); PolicyLowestID persists nothing. buf is
-// scratch space the result may alias: guards pass a stack array so that
-// evaluating them allocates nothing, actions pass nil.
+// scratch space the result may alias: rules pass a stack array so that
+// choosing allocates nothing, and an action copies the queue it persists.
 func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID, buf []graph.ProcessID) (graph.ProcessID, []graph.ProcessID, bool) {
 	cands := candidates(v, d, buf[:0])
 	if len(cands) == 0 {
@@ -147,7 +148,11 @@ func choose(policy ChoicePolicy, v *sm.View, d graph.ProcessID, buf []graph.Proc
 // exists.
 func freshColor(v *sm.View, d graph.ProcessID) int {
 	delta := v.Graph().MaxDegree()
-	used := make([]bool, delta+1)
+	var small [choiceBuf]bool
+	used := small[:]
+	if delta+1 > len(small) {
+		used = make([]bool, delta+1)
+	}
 	for _, q := range v.Neighbors() {
 		if m := v.Read(q).(*Node).FW.Dest(d).BufR; m != nil && m.Color >= 0 && m.Color <= delta {
 			used[m.Color] = true

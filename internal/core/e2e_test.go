@@ -111,8 +111,8 @@ func TestCorruptedRoutingStillDeliversExactlyOnce(t *testing.T) {
 		tables[p] = cfg[p].(*core.Node)
 	}
 	// For destination 4, make 1 and 2 route at each other (loop).
-	tables[1].RT.Routes.At(4).Parent = 2
-	*tables[2].RT.Routes.At(4) = routing.Route{Dist: 3, Parent: 1}
+	tables[1].RT.Routes[4].Parent = 2
+	tables[2].RT.Routes[4] = routing.Route{Dist: 3, Parent: 1}
 	inject(cfg, 0, "through-the-loop", 4)
 	e, tr := newTracked(g, daemon.NewCentralRandom(3), cfg)
 	runToTerminal(t, e, 500_000)

@@ -17,16 +17,14 @@ func Fingerprint(cfg []sm.State) string {
 		n := s.(*Node)
 		fmt.Fprintf(&sb, "p%d[", p)
 		sb.WriteString("rt:")
-		for d := range n.RT.Routes.Len() {
-			r := n.RT.Routes.At(d)
+		for _, r := range n.RT.Routes {
 			fmt.Fprintf(&sb, "%d>%d;", r.Dist, r.Parent)
 		}
 		fmt.Fprintf(&sb, " rq:%v seq:%d pd:", n.FW.Request, n.FW.NextSeq)
 		for _, out := range n.FW.Pending {
 			fmt.Fprintf(&sb, "%s>%d;", out.Payload, out.Dest)
 		}
-		for d := range n.FW.Dests.Len() {
-			ds := n.FW.Dests.At(d)
+		for d, ds := range n.FW.Dests {
 			if ds.BufR == nil && ds.BufE == nil && len(ds.Queue) == 0 {
 				continue
 			}

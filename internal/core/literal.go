@@ -2,7 +2,6 @@ package core
 
 import (
 	"ssmfp/internal/graph"
-	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -17,39 +16,5 @@ import (
 // and the randomized tests exhibit the resulting loss. Never use this
 // program for anything but demonstrating the defect.
 func LiteralR5Program(g *graph.Graph) sm.Program {
-	var rules []sm.Rule
-	for dd := 0; dd < g.N(); dd++ {
-		d := graph.ProcessID(dd)
-		dr := destRules(d, PolicyQueue)
-		peer := func(v *sm.View, q graph.ProcessID) *Node {
-			if q == v.ID() {
-				return v.Self().(*Node)
-			}
-			return v.Read(q).(*Node)
-		}
-		// Replace R5 (index 4 in the R1..R6 listing) with the literal rule,
-		// which like the derived one reads and writes only destination d.
-		dr[4] = sm.Rule{
-			Name:     RuleName("R5", d),
-			Priority: PriorityForwarding,
-			Slot:     routing.SlotOf(d),
-			Guard: func(v *sm.View) bool {
-				s := v.Self().(*Node).FW.Dest(d)
-				if s.BufR == nil {
-					return false
-				}
-				q := s.BufR.LastHop // literal: q = p is NOT excluded
-				origin := peer(v, q)
-				return origin.FW.Dest(d).BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
-			},
-			Action: func(v *sm.View) {
-				fw := v.Self().(*Node).FW
-				s := *fw.Dest(d)
-				s.BufR = nil
-				fw.SetDest(d, s)
-			},
-		}
-		rules = append(rules, dr...)
-	}
-	return sm.Compose(routingProgram(g), sm.NewProgram(rules...))
+	return sm.Compose(routingProgram(g), program(g, PolicyQueue, true))
 }

@@ -32,26 +32,26 @@ func NewProgram(g *graph.Graph) sm.Program {
 // whether a different selection scheme can improve the worst case; the
 // unfair PolicyLowestID also demonstrates why fairness is required).
 func NewProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
+	return program(g, policy, false)
+}
+
+// program instantiates R1..R6 for every destination of g; literalR5
+// selects R5 as Algorithm 1 prints it (LiteralR5Program).
+func program(g *graph.Graph, policy ChoicePolicy, literalR5 bool) sm.Program {
 	var rules []sm.Rule
 	for dd := 0; dd < g.N(); dd++ {
-		rules = append(rules, destRules(graph.ProcessID(dd), policy)...)
+		rules = append(rules, destRules(graph.ProcessID(dd), policy, literalR5)...)
 	}
 	return sm.NewProgram(rules...)
 }
 
 // destRules instantiates R1..R6 for destination d.
-func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
+func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule {
 	// ds reads destination d's state at the executing processor; an
 	// action writes its updated copy back through setDS.
 	ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dest(d) }
 	setDS := func(v *sm.View, s DestState) { v.Self().(*Node).FW.SetDest(d, s) }
 	slot := routing.SlotOf(d)
-	peer := func(v *sm.View, q graph.ProcessID) *Node {
-		if q == v.ID() {
-			return v.Self().(*Node)
-		}
-		return v.Read(q).(*Node)
-	}
 
 	return []sm.Rule{
 		// (R1) Generation: request_p ∧ nextDestination_p = d ∧
@@ -77,7 +77,8 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 			},
 			Action: func(v *sm.View) {
 				self := v.Self().(*Node).FW
-				_, rest, _ := choose(policy, v, d, nil)
+				var buf [choiceBuf]graph.ProcessID
+				_, rest, _ := choose(policy, v, d, buf[:0])
 				out := self.Pending[0]
 				self.Pending = self.Pending[1:]
 				msg := &Message{
@@ -93,7 +94,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				self.NextSeq++
 				s := *self.Dest(d)
 				s.BufR = msg
-				s.Queue = rest // p has been served
+				s.Queue = append([]graph.ProcessID(nil), rest...) // p has been served
 				self.SetDest(d, s)
 				// The paper sets request := false and lets the (blocking)
 				// higher layer raise it again; we model an eager higher
@@ -148,13 +149,14 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 			},
 			Action: func(v *sm.View) {
 				s := *ds(v)
-				src, rest, _ := choose(policy, v, d, nil)
+				var buf [choiceBuf]graph.ProcessID
+				src, rest, _ := choose(policy, v, d, buf[:0])
 				// Candidacy guarantees bufE_src(d) is occupied; the copy
 				// keeps the color and records src as the last hop. (If the
 				// stored last hop of bufE_src differs from src the message
 				// was present at the initial configuration — footnote 1.)
 				s.BufR = v.Read(src).(*Node).FW.Dest(d).BufE.WithHop(src)
-				s.Queue = rest // src has been served
+				s.Queue = append([]graph.ProcessID(nil), rest...) // src has been served
 				setDS(v, s)
 				if v.Observing() {
 					v.Observe(obs.Event{Kind: obs.KindForward, Dest: d, From: src, Msg: s.BufR.Record()})
@@ -211,6 +213,7 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 		// paper's own reading of R5 ("R5 is enabled for each *neighbor* q
 		// of p", §3.3) restricts q to N_p, which is what we implement; the
 		// self-generated case is instead drained by R2 once bufE_p frees.
+		// literalR5 drops the restriction (LiteralR5Program).
 		{
 			Name:     RuleName("R5", d),
 			Priority: PriorityForwarding,
@@ -220,11 +223,12 @@ func destRules(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
 				if s.BufR == nil {
 					return false
 				}
-				q := s.BufR.LastHop
-				if q == v.ID() {
+				origin := v.Self().(*Node)
+				if q := s.BufR.LastHop; q != v.ID() {
+					origin = v.Read(q).(*Node)
+				} else if !literalR5 {
 					return false
 				}
-				origin := peer(v, q)
 				return origin.FW.Dest(d).BufE.SameMC(s.BufR) && origin.RT.NextHop(d) != v.ID()
 			},
 			Action: func(v *sm.View) {
@@ -271,5 +275,5 @@ func FullProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
 // DestRulesForTest exposes the per-destination rule set for white-box
 // tests in external packages (rule indices follow the R1..R6 order).
 func DestRulesForTest(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
-	return destRules(d, policy)
+	return destRules(d, policy, false)
 }

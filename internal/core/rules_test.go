@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
+	"ssmfp/internal/routing"
 	sm "ssmfp/internal/statemodel"
 )
 
@@ -237,7 +239,7 @@ func TestFreshColorAvoidsNeighborReceptionBuffers(t *testing.T) {
 	// Force only R2 at 0 by stepping a scripted-like single selection: the
 	// sync daemon would fire everyone, so check the guard and run the
 	// action through a one-step engine on a restricted program instead.
-	prog := sm.NewProgram(destRules(3, PolicyQueue)[1]) // R2@3 only
+	prog := sm.NewProgram(destRules(3, PolicyQueue, false)[1]) // R2@3 only
 	e = sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
 	m := engineNode(e, 0).FW.Dest(3).BufE
@@ -345,7 +347,7 @@ func TestRoutingPriorityPreemptsForwarding(t *testing.T) {
 	// Processor 2 could consume (R6@2) but its routing table is corrupt:
 	// the A rule must preempt.
 	node(cfg, 2).FW.Dest(2).BufE = &Message{Payload: "m", LastHop: 2, Color: 0}
-	node(cfg, 2).RT.Routes.At(0).Dist = 7 // incorrect distance to 0
+	node(cfg, 2).RT.Routes[0].Dist = 7 // incorrect distance to 0
 	names := e.EnabledRuleNames(2)
 	if len(names) != 1 || names[0] != "A@0" {
 		t.Fatalf("enabled at 2: %v, want only the routing correction", names)
@@ -362,7 +364,7 @@ func TestChoiceFIFONoPassing(t *testing.T) {
 	}
 	// Restrict to R3@0 so only the center's pulls execute; queue order must
 	// be 1, 2, 3 (ID order on first normalization) regardless of daemon.
-	prog := sm.NewProgram(destRules(0, PolicyQueue)[2])
+	prog := sm.NewProgram(destRules(0, PolicyQueue, false)[2])
 	e := sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
 	first := engineNode(e, 0).FW.Dest(0).BufR
@@ -446,4 +448,66 @@ func TestCaterpillarCensus(t *testing.T) {
 	if census[Type3] != 1 || census[Type2] != 1 || census[Type1] != 0 {
 		t.Fatalf("census = %v, want 1×type-3, 1×type-2", census)
 	}
+}
+
+// TestSynchronousStepReadsPreStepValues runs one synchronous step on a
+// line in which a processor writes the slot its neighbour's action reads,
+// with the writer on either side of the reader in execution order. The
+// reader must see the pre-step value, as the model's composite atomicity
+// requires, which holds only if the engine commits the step's writes after
+// every selection has run.
+//   - erase: destination 1 consumes bufE_1(1) (R6) while neighbour c, to
+//     which 1's own table entry points, copies it (R3). SSMFP runs without
+//     A here, which would otherwise repair that entry first.
+//   - advance: processors 0 and 1 both move bufR(2) into bufE(2) (R2),
+//     each choosing a colour not held in the other's pre-step bufR(2):
+//     colour 1, since both hold colour 0.
+func TestSynchronousStepReadsPreStepValues(t *testing.T) {
+	g := graph.Line(3)
+	for _, c := range []graph.ProcessID{0, 2} {
+		const d = 1
+		cfg := CleanConfig(g)
+		m := &Message{Payload: "m", LastHop: d, UID: 1<<62 + 1, Src: d, Dest: d}
+		node(cfg, d).FW.Dest(d).BufE = m
+		node(cfg, d).RT.Routes[d] = routing.Route{Dist: 0, Parent: c}
+		e := sm.NewEngine(g, NewProgram(g), syncDaemon{}, cfg)
+		fired := firedRules(e)
+		e.Step()
+		if slices.Sort(*fired); !slices.Equal(*fired, []string{"R3@1", "R6@1"}) {
+			t.Fatalf("erase, copier %d: fired %v, want R3@1 and R6@1 in one step", c, *fired)
+		}
+		if got := engineNode(e, c).FW.Dest(d).BufR; got == nil || got.UID != m.UID || got.LastHop != d {
+			t.Fatalf("erase, copier %d: bufR_%d(1) = %v, want the pre-step bufE_1(1) copied", c, c, got)
+		}
+		if engineNode(e, d).FW.Dest(d).BufE != nil {
+			t.Fatalf("erase, copier %d: bufE_1(1) not consumed", c)
+		}
+	}
+	const d = 2
+	cfg := CleanConfig(g)
+	for p := graph.ProcessID(0); p < 2; p++ {
+		node(cfg, p).FW.Dest(d).BufR = &Message{Payload: "m", LastHop: p, UID: 1<<62 + 2 + uint64(p), Src: p, Dest: d}
+	}
+	e := sm.NewEngine(g, FullProgram(g), syncDaemon{}, cfg)
+	fired := firedRules(e)
+	e.Step()
+	if !slices.Equal(*fired, []string{"R2@2", "R2@2"}) {
+		t.Fatalf("advance: fired %v, want R2@2 at 0 and 1 in one step", *fired)
+	}
+	for p := graph.ProcessID(0); p < 2; p++ {
+		if got := engineNode(e, p).FW.Dest(d).BufE; got == nil || got.Color != 1 {
+			t.Fatalf("advance: bufE_%d(2) = %v, want colour 1: the neighbour's pre-step bufR(2) holds colour 0", p, got)
+		}
+	}
+}
+
+// firedRules records the rule of every move the engine makes.
+func firedRules(e *sm.Engine) *[]string {
+	var fired []string
+	e.Subscribe(func(ev sm.Event) {
+		if ev.Kind == obs.KindFire {
+			fired = append(fired, ev.Rule)
+		}
+	})
+	return &fired
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssmfp/internal/core"
@@ -13,15 +14,13 @@ import (
 )
 
 // TestApplyLeavesSnapshotIntact executes every enabled selection of
-// corrupted configurations through the slot-scoped executor and requires
-// the pre-step configuration to be unchanged: a move may share slot-table
-// chunks with its predecessor, never write them. The graphs' sizes are
-// not multiples of the chunk length, so the last chunk is partly used;
-// corrupted routing tables enable A moves, correct ones let R1–R6 move
-// everywhere, and the test requires moves of both kinds at destinations
-// on both edges of a chunk and in the last one.
+// corrupted configurations through ApplySelection, which stages the
+// move's write and commits it onto a clone, and requires the pre-step
+// configuration to be unchanged and every successor to be a state of its
+// own. Corrupted routing tables enable A moves, correct ones let R1–R6
+// move everywhere; the test requires moves of both kinds, at the first
+// and the last destination too.
 func TestApplyLeavesSnapshotIntact(t *testing.T) {
-	const chunkLen = 4 // statemodel's slot-table chunk length
 	for _, g := range []*graph.Graph{graph.Figure1Network(), graph.Grid(3, 3), graph.Ring(7)} {
 		rules := core.FullProgram(g).Rules()
 		rng := rand.New(rand.NewSource(3))
@@ -36,16 +35,17 @@ func TestApplyLeavesSnapshotIntact(t *testing.T) {
 			before := core.Fingerprint(cfg)
 			for _, c := range sm.EnabledOf(g, rules, cfg) {
 				for _, r := range c.Rules {
-					sm.ApplySelection(g, rules, cfg, sm.Selection{Process: c.Process, Rule: r}, 0)
-					d := rules[r].Slot - 1
+					succ, _ := sm.ApplySelection(g, rules, cfg, sm.Selection{Process: c.Process, Rule: r}, 0)
+					if succ == cfg[c.Process] {
+						t.Fatalf("%v trial %d: %s at %d returned the pre-step state itself", g, trial, rules[r].Name, c.Process)
+					}
 					kind := rules[r].Name[:1]
-					switch {
-					case d == g.N()-1:
-						moved[kind+"/last"] = true
-					case d%chunkLen == 0:
+					moved[kind] = true
+					switch rules[r].Slot - 1 {
+					case 0:
 						moved[kind+"/first"] = true
-					case d%chunkLen == chunkLen-1:
-						moved[kind+"/end"] = true
+					case g.N() - 1:
+						moved[kind+"/last"] = true
 					}
 				}
 			}
@@ -53,10 +53,30 @@ func TestApplyLeavesSnapshotIntact(t *testing.T) {
 				t.Fatalf("%v trial %d: executing the enabled selections mutated the snapshot", g, trial)
 			}
 		}
-		for _, k := range []string{"A/first", "A/end", "A/last", "R/first", "R/end", "R/last"} {
+		for _, k := range []string{"A/first", "A/last", "R/first", "R/last"} {
 			if !moved[k] {
-				t.Errorf("%v: no %s move at a destination on the %s chunk edge", g, k[:1], k[2:])
+				t.Errorf("%v: no %s move at the %s destination", g, k[:1], k[2:])
 			}
+		}
+	}
+}
+
+// TestStepsWriteStatesInPlace steps the corrupted grid-8x8 under the
+// synchronous daemon and requires every processor to keep its state
+// object: each move of the composed program is slotted, so the step
+// commits its staged write into the live state, and a run keeps no
+// versions of its configurations.
+func TestStepsWriteStatesInPlace(t *testing.T) {
+	g, cfg := corruptGrid(3)
+	initial := slices.Clone(cfg)
+	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(3), cfg)
+	e.Run(300, nil)
+	if moves := e.TotalMoves(); moves < 3000 {
+		t.Fatalf("only %d moves in %d steps: the run is too idle to show anything", moves, e.Steps())
+	}
+	for p, s := range initial {
+		if e.PeekStateOf(graph.ProcessID(p)) != s {
+			t.Fatalf("processor %d's state was replaced, not written in place", p)
 		}
 	}
 }

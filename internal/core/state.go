@@ -31,24 +31,33 @@ type DestState struct {
 // nextMessage/nextDestination macros, per-destination buffer pairs, and a
 // sequence counter minting simulation UIDs for generated messages.
 //
-// Dests holds the destinations in a copy-on-write slot table
-// (statemodel.SlotTable), so a slot-scoped copy (Node.CloneSlot) shares
-// it whole and a move's SetDest copies one chunk of it. Rule actions
-// replace a queue rather than write its elements.
+// Dests holds one DestState per destination. A rule action writes its
+// destination through SetDest on the move's scratch (Node.Stage), which
+// stages the write until the step commits it. Rule actions replace a
+// queue rather than write its elements.
 type NodeState struct {
 	Request bool
 	Pending []Outbound
-	Dests   sm.SlotTable[DestState]
+	Dests   []DestState
 	NextSeq uint64
+
+	staged *sm.Staged[DestState] // set on a scratch only
 }
 
-// Dest returns destination d's state. Write through it only on a state
-// fresh from EmptyState or Clone; everywhere else use SetDest.
-func (s *NodeState) Dest(d graph.ProcessID) *DestState { return s.Dests.At(int(d)) }
+// Dest returns destination d's state. Write through it only between
+// steps; a rule action writes through SetDest.
+func (s *NodeState) Dest(d graph.ProcessID) *DestState { return &s.Dests[d] }
 
-// SetDest writes destination d's state copy-on-write: states sharing the
-// table keep the old value.
-func (s *NodeState) SetDest(d graph.ProcessID, ds DestState) { s.Dests.Set(int(d), ds) }
+// SetDest writes destination d's state: in place, or on a move's scratch
+// into its staged write, which panics for any destination but the
+// move's own.
+func (s *NodeState) SetDest(d graph.ProcessID, ds DestState) {
+	if s.staged != nil {
+		s.staged.Put(int(d), ds)
+		return
+	}
+	s.Dests[d] = ds
+}
 
 // Clone deep-copies the forwarding state. Messages are immutable and may be
 // shared between clones.
@@ -56,12 +65,11 @@ func (s *NodeState) Clone() *NodeState {
 	c := &NodeState{
 		Request: s.Request,
 		Pending: append([]Outbound(nil), s.Pending...),
-		Dests:   s.Dests.Clone(),
+		Dests:   append([]DestState(nil), s.Dests...),
 		NextSeq: s.NextSeq,
 	}
-	for d := range c.Dests.Len() {
-		ds := c.Dests.At(d)
-		ds.Queue = append([]graph.ProcessID(nil), ds.Queue...)
+	for d := range c.Dests {
+		c.Dests[d].Queue = append([]graph.ProcessID(nil), c.Dests[d].Queue...)
 	}
 	return c
 }
@@ -94,31 +102,52 @@ func (s *NodeState) Enqueue(payload string, dest graph.ProcessID) {
 type Node struct {
 	RT *routing.NodeState
 	FW *NodeState
+
+	scratch *scratch // set on a scratch only
 }
 
 // Clone implements statemodel.State.
 func (n *Node) Clone() sm.State { return &Node{RT: n.RT.Clone(), FW: n.FW.Clone()} }
 
-// nodeCopy lays out a slot-scoped copy's own structs in one allocation.
-// It holds no chunk of a slot table (see statemodel.SlotTable).
-type nodeCopy struct {
-	node Node
-	fw   NodeState
-	rt   routing.NodeState
+// scratch is the target of a staged move (Node.Stage), in one allocation
+// that the engine reuses from step to step: the Node the action sees, its
+// own forwarding and routing structs, and their staged writes.
+type scratch struct {
+	node  Node
+	fw    NodeState
+	rt    routing.NodeState
+	dest  sm.Staged[DestState]
+	route sm.Staged[routing.Route]
 }
 
-// CloneSlot implements statemodel.SlotState for the slots of the composed
-// program, slot d+1 holding destination d (routing.SlotOf). The copy owns
-// its Node, NodeState and routing.NodeState structs and shares both slot
-// tables whole: a move writes destination d through SetDest or
-// routing.NodeState.SetRoute, which copy only the chunk they write. It
-// also shares the pending queue's backing array, which it caps so an
-// append reallocates.
-func (n *Node) CloneSlot(int) sm.State {
-	c := &nodeCopy{fw: *n.FW, rt: *n.RT}
-	c.fw.Pending = slices.Clip(c.fw.Pending)
-	c.node = Node{RT: &c.rt, FW: &c.fw}
-	return &c.node
+// Stage implements statemodel.SlotState for the slots of the composed
+// program, slot d+1 holding destination d (routing.SlotOf). The scratch
+// reads n's tables and a copy of its unsliced fields, and stages the
+// move's writes of destination d through SetDest and
+// routing.NodeState.SetRoute.
+func (n *Node) Stage(prev sm.State, slot int) sm.State {
+	c, _ := prev.(*Node)
+	if c == nil || c.scratch == nil {
+		sc := new(scratch)
+		sc.node = Node{RT: &sc.rt, FW: &sc.fw, scratch: sc}
+		c = &sc.node
+	}
+	sc, d := c.scratch, graph.ProcessID(slot-1)
+	sc.fw = *n.FW
+	sc.fw.Pending = slices.Clip(sc.fw.Pending) // appends on a commit's result must not reach n's array
+	sc.fw.staged = &sc.dest
+	sc.dest.Reset(int(d))
+	sc.rt.Stage(n.RT, d, &sc.route)
+	return c
+}
+
+// Commit implements statemodel.SlotState: the scratch's unsliced fields
+// and its staged destination and route are written into n.
+func (n *Node) Commit(s sm.State) {
+	sc := s.(*Node).scratch
+	n.FW.Request, n.FW.Pending, n.FW.NextSeq = sc.fw.Request, sc.fw.Pending, sc.fw.NextSeq
+	sc.dest.Commit(n.FW.Dests)
+	sc.route.Commit(n.RT.Routes)
 }
 
 // RoutingOf adapts Node for routing.NewProgram.
@@ -141,7 +170,7 @@ func CleanNode(g *graph.Graph, p graph.ProcessID) *Node {
 
 // EmptyState returns a forwarding state with all buffers empty.
 func EmptyState(g *graph.Graph) *NodeState {
-	return &NodeState{Dests: sm.NewSlotTable[DestState](g.N())}
+	return &NodeState{Dests: make([]DestState, g.N())}
 }
 
 // CleanConfig returns the fault-free initial configuration on g.
@@ -200,6 +229,7 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 	delta := g.MaxDegree()
 	cfg := make([]sm.State, g.N())
 	invalid := uint64(0)
+	var perm []int
 	for pp := 0; pp < g.N(); pp++ {
 		p := graph.ProcessID(pp)
 		var rt *routing.NodeState
@@ -210,8 +240,12 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 		}
 		fwState := EmptyState(g)
 		hops := append(append([]graph.ProcessID(nil), g.Neighbors(p)...), p)
+		var queues []graph.ProcessID // p's corrupted queues, each a capped window
+		if opts.CorruptQueues {
+			queues = make([]graph.ProcessID, 0, g.N()*len(hops))
+		}
 		for d := 0; d < g.N(); d++ {
-			ds := fwState.Dests.At(d)
+			ds := &fwState.Dests[d]
 			mk := func() *Message {
 				invalid++
 				return &Message{
@@ -231,11 +265,12 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 				ds.BufE = mk()
 			}
 			if opts.CorruptQueues {
-				perm := rng.Perm(len(hops))
-				k := rng.Intn(len(hops) + 1)
-				for _, i := range perm[:k] {
-					ds.Queue = append(ds.Queue, hops[i])
+				perm = permInto(rng, perm, len(hops))
+				start := len(queues)
+				for _, i := range perm[:rng.Intn(len(hops)+1)] {
+					queues = append(queues, hops[i])
 				}
+				ds.Queue = queues[start:len(queues):len(queues)]
 			}
 		}
 		if opts.PhantomRequests && rng.Intn(2) == 0 {
@@ -244,4 +279,16 @@ func RandomConfig(g *graph.Graph, rng *rand.Rand, opts CorruptOptions) []sm.Stat
 		cfg[pp] = &Node{RT: rt, FW: fwState}
 	}
 	return cfg
+}
+
+// permInto returns rng.Perm(n) built in buf's storage: the same draws
+// and the same permutation, without an allocation per call.
+func permInto(rng *rand.Rand, buf []int, n int) []int {
+	m := slices.Grow(buf[:0], n)[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }

@@ -71,7 +71,7 @@ func TestNodeCloneIsDeep(t *testing.T) {
 	c.FW.Pending[0].Payload = "mutated"
 	c.FW.Dest(0).BufR = nil
 	c.FW.Dest(0).Queue[0] = 2
-	c.RT.Routes.At(0).Dist = 99
+	c.RT.Routes[0].Dist = 99
 
 	if n.FW.Pending[0].Payload != "a" {
 		t.Error("Pending shared")
@@ -87,23 +87,26 @@ func TestNodeCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestNodeCloneSlotIsolation writes everything a slot-s move may write on
-// a slot-scoped copy — destination s-1's buffers and queue through
-// SetDest, the unsliced pending queue, request bit and sequence counter,
-// and the routing entry through SetRoute, the way A does — and requires
-// the original to stay unchanged. The slot tables' chunks the writes did
-// not reach stay shared; the written ones are the copy's own.
-func TestNodeCloneSlotIsolation(t *testing.T) {
-	g := graph.Line(11) // three chunks, the last one partly used
+// TestNodeStageCommit writes everything a slot-s move may write on a
+// staged scratch — destination s-1's buffers and queue through SetDest,
+// the unsliced pending queue, request bit and sequence counter, and the
+// routing entry through SetRoute, the way A does. Until the commit the
+// original is unchanged and the scratch still reads its values; the
+// commit writes exactly those writes into the original. A scratch
+// restaged for a move that writes nothing commits nothing of the earlier
+// move.
+func TestNodeStageCommit(t *testing.T) {
+	g := graph.Line(5)
 	n := CleanNode(g, 1)
 	n.FW.Pending = make([]Outbound, 0, 8) // spare capacity an append could share
 	n.FW.Enqueue("a", 0)
 	n.FW.Enqueue("b", 2)
 	n.FW.Dest(0).BufR = &Message{Payload: "x"}
 	n.FW.Dest(0).Queue = []graph.ProcessID{0, 1}
+	n.FW.Dest(3).BufE = &Message{Payload: "z"}
 	before := Fingerprint([]sm.State{n})
 
-	c := n.CloneSlot(routing.SlotOf(0)).(*Node)
+	c := n.Stage(nil, routing.SlotOf(0)).(*Node)
 	ds := *c.FW.Dest(0)
 	ds.BufR = nil
 	ds.BufE = &Message{Payload: "y"}
@@ -115,26 +118,55 @@ func TestNodeCloneSlotIsolation(t *testing.T) {
 	c.FW.NextSeq++
 	c.RT.SetRoute(0, routing.Route{Dist: 99, Parent: 2})
 
-	if after := Fingerprint([]sm.State{n}); after != before {
-		t.Fatalf("writing slot 1 of the copy changed the original:\nbefore %s\nafter  %s", before, after)
+	if got := Fingerprint([]sm.State{n}); got != before {
+		t.Fatalf("staged writes reached the original before the commit:\nbefore %s\nafter  %s", before, got)
 	}
-	n.FW.Enqueue("d", 0) // the original's append must not reach the copy either
-	if got := c.FW.Pending[len(c.FW.Pending)-1].Payload; got != "c" {
-		t.Fatalf("copy's pending tail = %q, want c", got)
+	if c.FW.Dest(0).BufE != nil || c.RT.Route(0).Dist == 99 {
+		t.Fatal("the scratch must read the pre-step slot, not its staged write")
 	}
-	if c.FW.Dest(0).BufE == nil || c.RT.Route(0).Dist != 99 {
-		t.Fatal("the copy lost its own writes")
+	otherDest, otherRoute := n.FW.Dest(3).BufE, n.RT.Route(3)
+	n.Commit(c)
+	if got := n.FW.Dest(0); got.BufR != nil || got.BufE == nil || got.BufE.Payload != "y" || len(got.Queue) != 3 {
+		t.Fatalf("destination 0 after the commit = %+v", *got)
 	}
-	for _, d := range []graph.ProcessID{4, 7, 8, 10} { // other chunks
-		if c.FW.Dest(d) != n.FW.Dest(d) || c.RT.Routes.At(int(d)) != n.RT.Routes.At(int(d)) {
-			t.Fatalf("destination %d is in an unwritten chunk and should stay shared", d)
-		}
+	if n.RT.Route(0) != (routing.Route{Dist: 99, Parent: 2}) || n.FW.Request || n.FW.NextSeq != 1 {
+		t.Fatal("the commit lost the route, the request bit or the sequence counter")
 	}
-	if c.FW.Dest(1) == n.FW.Dest(1) || c.RT.Routes.At(1) == n.RT.Routes.At(1) || c.RT == n.RT || c.FW == n.FW {
-		t.Fatal("the written chunk and the structs must be the copy's own")
+	if len(n.FW.Pending) != 2 || n.FW.Pending[0].Payload != "b" || n.FW.Pending[1].Payload != "c" {
+		t.Fatalf("pending after the commit = %v, want [b c]", n.FW.Pending)
 	}
-	if c1, n1 := c.FW.Dest(1), n.FW.Dest(1); c1.BufR != n1.BufR || c1.BufE != n1.BufE || len(c1.Queue) != len(n1.Queue) {
-		t.Fatal("the written chunk's other entries must keep their values")
+	if n.FW.Dest(3).BufE != otherDest || n.RT.Route(3) != otherRoute {
+		t.Fatal("the commit wrote a destination the move did not")
+	}
+
+	after := Fingerprint([]sm.State{n})
+	if c2 := n.Stage(c, routing.SlotOf(2)); c2 != c {
+		t.Fatal("Stage did not reuse the scratch it was given")
+	}
+	n.Commit(c)
+	if got := Fingerprint([]sm.State{n}); got != after {
+		t.Fatalf("a restaged scratch committed the earlier move again:\nbefore %s\nafter  %s", after, got)
+	}
+}
+
+// TestStagedWriteOutsideSlotPanics: a slotted move writes only its own
+// destination, so a staged SetDest or SetRoute of another one panics.
+func TestStagedWriteOutsideSlotPanics(t *testing.T) {
+	g := graph.Line(3)
+	n := CleanNode(g, 1)
+	for name, write := range map[string]func(c *Node){
+		"SetDest":  func(c *Node) { c.FW.SetDest(2, DestState{BufR: &Message{Payload: "x"}}) },
+		"SetRoute": func(c *Node) { c.RT.SetRoute(2, routing.Route{Dist: 1, Parent: 2}) },
+	} {
+		c := n.Stage(nil, routing.SlotOf(0)).(*Node)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of destination 2 on a scratch of destination 0 did not panic", name)
+				}
+			}()
+			write(c)
+		}()
 	}
 }
 
@@ -178,7 +210,7 @@ func TestRandomConfigWellTyped(t *testing.T) {
 			p := graph.ProcessID(pp)
 			node := s.(*Node)
 			for d := 0; d < g.N(); d++ {
-				ds := node.FW.Dests.At(d)
+				ds := &node.FW.Dests[d]
 				for _, m := range []*Message{ds.BufR, ds.BufE} {
 					if m == nil {
 						continue
@@ -213,10 +245,10 @@ func TestRandomConfigRespectsOptions(t *testing.T) {
 	for pp, s := range cfg {
 		node := s.(*Node)
 		for d := 0; d < g.N(); d++ {
-			if ds := node.FW.Dests.At(d); ds.BufR != nil || ds.BufE != nil {
+			if ds := &node.FW.Dests[d]; ds.BufR != nil || ds.BufE != nil {
 				t.Fatal("BufferFill=0 must leave buffers empty")
 			}
-			if len(node.FW.Dests.At(d).Queue) != 0 {
+			if len(node.FW.Dests[d].Queue) != 0 {
 				t.Fatal("CorruptQueues=false must leave queues empty")
 			}
 		}
@@ -224,7 +256,7 @@ func TestRandomConfigRespectsOptions(t *testing.T) {
 			t.Fatal("PhantomRequests=false must leave request down")
 		}
 		for d := 0; d < g.N(); d++ {
-			if node.RT.Routes.At(d).Dist != g.Dist(graph.ProcessID(pp), graph.ProcessID(d)) {
+			if node.RT.Routes[d].Dist != g.Dist(graph.ProcessID(pp), graph.ProcessID(d)) {
 				t.Fatal("CorruptRouting=false must give correct tables")
 			}
 		}

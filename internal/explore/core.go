@@ -29,9 +29,7 @@ func CoreOptions(g *graph.Graph) Options {
 			// No-loss: every generated, undelivered message occupies a buffer.
 			present := make(map[uint64]bool)
 			for _, s := range cfg {
-				dests := s.(*core.Node).FW.Dests
-				for d := range dests.Len() {
-					ds := dests.At(d)
+				for _, ds := range s.(*core.Node).FW.Dests {
 					for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 						if m != nil {
 							present[m.UID] = true

@@ -166,8 +166,8 @@ func TestExhaustiveRoutingOnly(t *testing.T) {
 	g := graph.Line(3)
 	cfg := core.CleanConfig(g)
 	// Corrupt two entries.
-	cfg[0].(*core.Node).RT.Routes.At(2).Dist = 0
-	cfg[2].(*core.Node).RT.Routes.At(0).Dist = 3
+	cfg[0].(*core.Node).RT.Routes[2].Dist = 0
+	cfg[2].(*core.Node).RT.Routes[0].Dist = 3
 	opts := explore.CoreOptions(g)
 	opts.TerminalCheck = func(cfg []sm.State, _, _ map[uint64]int) error {
 		for p := 0; p < g.N(); p++ {

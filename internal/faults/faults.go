@@ -104,9 +104,6 @@ func (in *Injector) Strike(e *sm.Engine, count int) []uint64 {
 		// longer exists) on top of the cache dirtying StateOf already did.
 		e.Invalidate(p)
 		d := graph.ProcessID(in.rng.Intn(in.g.N()))
-		// Successive configurations share the slot-table chunks no move
-		// wrote (core.Node.CloneSlot), so the fault corrupts a private
-		// copy and writes it back through SetDest.
 		ds := *node.FW.Dest(d)
 		buf := &ds.BufR
 		if in.rng.Intn(2) == 0 {
@@ -193,8 +190,7 @@ func InFlightValid(e *sm.Engine, g *graph.Graph) []uint64 {
 	seen := make(map[uint64]bool)
 	for p := 0; p < g.N(); p++ {
 		fw := e.PeekStateOf(graph.ProcessID(p)).(*core.Node).FW
-		for d := range fw.Dests.Len() {
-			ds := fw.Dests.At(d)
+		for _, ds := range fw.Dests {
 			for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 				if m != nil && m.Valid && !seen[m.UID] {
 					seen[m.UID] = true

@@ -64,25 +64,40 @@ func TestStrikeReportsTouchedMessages(t *testing.T) {
 	}
 }
 
-// TestStrikeLeavesEarlierConfigurationsIntact: configurations share the
-// per-destination state no move wrote, so a fault after some moves must
-// corrupt a private copy and leave the initial configuration as it was.
-func TestStrikeLeavesEarlierConfigurationsIntact(t *testing.T) {
+// TestStrikeWritesTheLiveConfiguration: the engine writes its states in
+// place, so a fault struck between steps must land in the configuration
+// the engine steps next — visible through PeekStateOf, with a snapshot
+// cloned before it unchanged — and leave the enabled-set cache consistent
+// (the self-check runs at every step under go test).
+func TestStrikeWritesTheLiveConfiguration(t *testing.T) {
 	g := graph.Grid(3, 3)
 	cfg := core.RandomConfig(g, rand.New(rand.NewSource(4)), core.DefaultCorrupt)
-	want := core.Fingerprint(cfg)
-	initial := append([]sm.State(nil), cfg...)
 	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(4), cfg)
+	live := func() []sm.State {
+		out := make([]sm.State, g.N())
+		for p := range out {
+			out[p] = e.PeekStateOf(graph.ProcessID(p))
+		}
+		return out
+	}
 	for i := 0; i < 5; i++ {
 		e.Step()
 	}
-	in := faults.NewInjector(g, 9, nil)
+	in := faults.NewInjector(g, 9, []faults.Kind{faults.BufferGarbage})
 	for i := 0; i < 50; i++ {
+		snap := live()
+		for p, s := range snap {
+			snap[p] = s.Clone()
+		}
+		want := core.Fingerprint(snap)
 		in.Strike(e, 1)
+		if core.Fingerprint(live()) == want {
+			t.Fatalf("strike %d: the live configuration does not show the fault", i)
+		}
+		if core.Fingerprint(snap) != want {
+			t.Fatalf("strike %d: the fault reached a snapshot cloned before it", i)
+		}
 		e.Step()
-	}
-	if got := core.Fingerprint(initial); got != want {
-		t.Fatal("a fault struck after some moves changed the initial configuration")
 	}
 }
 
@@ -235,9 +250,7 @@ func TestEachFaultKindBehaves(t *testing.T) {
 	countMsgs := func(e *sm.Engine) int {
 		n := 0
 		for p := 0; p < g.N(); p++ {
-			dests := e.StateOf(graph.ProcessID(p)).(*core.Node).FW.Dests
-			for d := range dests.Len() {
-				ds := dests.At(d)
+			for _, ds := range e.StateOf(graph.ProcessID(p)).(*core.Node).FW.Dests {
 				for _, m := range []*core.Message{ds.BufR, ds.BufE} {
 					if m != nil {
 						n++

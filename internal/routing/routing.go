@@ -20,6 +20,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/obs"
@@ -36,42 +37,54 @@ type Route struct {
 	Parent graph.ProcessID // ∈ N_p ∪ {p}; p itself at the destination
 }
 
-// NodeState holds one processor's routing table, a Route per destination
-// in a copy-on-write slot table (statemodel.SlotTable): copies of the
-// state share the entries no move wrote.
+// NodeState holds one processor's routing table, a Route per destination.
 type NodeState struct {
-	Routes sm.SlotTable[Route]
+	Routes []Route
+
+	staged *sm.Staged[Route] // set on a scratch only (Stage)
 }
 
-// NewState returns a table of n zero routes, for filling through
-// Routes.At before any copy of it is taken.
+// NewState returns a table of n zero routes.
 func NewState(n int) *NodeState {
-	return &NodeState{Routes: sm.NewSlotTable[Route](n)}
+	return &NodeState{Routes: make([]Route, n)}
 }
 
 // Clone copies the routing table; the copy shares nothing with s.
 func (s *NodeState) Clone() *NodeState {
-	return &NodeState{Routes: s.Routes.Clone()}
+	return &NodeState{Routes: append([]Route(nil), s.Routes...)}
+}
+
+// Stage makes s a scratch of live for a move of destination d (see
+// statemodel.SlotState): s reads live's table, and SetRoute on s stages
+// d's entry in w, which w.Commit(live.Routes) installs.
+func (s *NodeState) Stage(live *NodeState, d graph.ProcessID, w *sm.Staged[Route]) {
+	w.Reset(int(d))
+	*s = NodeState{Routes: live.Routes, staged: w}
 }
 
 // Route returns destination d's entry.
-func (s *NodeState) Route(d graph.ProcessID) Route { return *s.Routes.At(int(d)) }
+func (s *NodeState) Route(d graph.ProcessID) Route { return s.Routes[d] }
 
-// SetRoute writes destination d's entry copy-on-write: states sharing the
-// table keep the old entry.
-func (s *NodeState) SetRoute(d graph.ProcessID, r Route) { s.Routes.Set(int(d), r) }
+// SetRoute writes destination d's entry: in place, or on a scratch into
+// its staged write, which panics for any destination but the move's own.
+func (s *NodeState) SetRoute(d graph.ProcessID, r Route) {
+	if s.staged != nil {
+		s.staged.Put(int(d), r)
+		return
+	}
+	s.Routes[d] = r
+}
 
 // NextHop returns nextHop_p(d) as read from the table. It is only
 // meaningful at p ≠ d; the protocol never consults it at the destination.
-func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Routes.At(int(d)).Parent }
+func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Routes[d].Parent }
 
 // Accessor extracts the routing component from a composed scenario state.
 // Scenario states embed a routing NodeState next to the forwarding state;
 // the rules built by NewProgram reach it through this function. A's
-// actions write an entry through SetRoute, which copies only the chunk
-// of the slot table it writes, so a slot-scoped copy of the composed
-// state (statemodel.SlotState) must own the NodeState struct but may
-// share its table.
+// actions write an entry through SetRoute, so a composed state that is a
+// statemodel.SlotState stages it by giving its scratch a routing table
+// made by Stage.
 type Accessor func(sm.State) *NodeState
 
 // SlotOf is the engine slot of destination d (statemodel.Rule.Slot):
@@ -167,12 +180,12 @@ func CorrectState(g *graph.Graph, p graph.ProcessID) *NodeState {
 	for dd := 0; dd < n; dd++ {
 		d := graph.ProcessID(dd)
 		if p == d {
-			*s.Routes.At(dd) = Route{Dist: 0, Parent: p}
+			s.Routes[dd] = Route{Dist: 0, Parent: p}
 			continue
 		}
 		next := g.ShortestPathNext(p, d)
 		// Neighbors() is sorted, so next[0] is the smallest ID.
-		*s.Routes.At(dd) = Route{Dist: g.Dist(p, d), Parent: next[0]}
+		s.Routes[dd] = Route{Dist: g.Dist(p, d), Parent: next[0]}
 	}
 	return s
 }
@@ -180,13 +193,7 @@ func CorrectState(g *graph.Graph, p graph.ProcessID) *NodeState {
 // Correct reports whether processor p's table equals the canonical
 // stabilized table (the silent fixpoint of A).
 func Correct(g *graph.Graph, p graph.ProcessID, s *NodeState) bool {
-	want := CorrectState(g, p)
-	for d := 0; d < g.N(); d++ {
-		if *s.Routes.At(d) != *want.Routes.At(d) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.Routes, CorrectState(g, p).Routes)
 }
 
 // LoopFree reports whether, for destination d, following Parent pointers
@@ -216,7 +223,7 @@ func RandomState(g *graph.Graph, p graph.ProcessID, rng *rand.Rand) *NodeState {
 	s := NewState(n)
 	ns := g.Neighbors(p)
 	for d := 0; d < n; d++ {
-		r := s.Routes.At(d)
+		r := &s.Routes[d]
 		r.Dist = rng.Intn(n + 1)
 		r.Parent = ns[rng.Intn(len(ns))]
 		if graph.ProcessID(d) == p {

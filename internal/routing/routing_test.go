@@ -197,7 +197,7 @@ func TestRandomStateWellTyped(t *testing.T) {
 		for p := 0; p < g.N(); p++ {
 			s := RandomState(g, graph.ProcessID(p), rng)
 			for d := 0; d < g.N(); d++ {
-				r := s.Routes.At(d)
+				r := &s.Routes[d]
 				if r.Dist < 0 || r.Dist > g.N() {
 					t.Fatalf("Dist out of range: %d", r.Dist)
 				}
@@ -213,7 +213,7 @@ func TestCloneIsDeep(t *testing.T) {
 	g := graph.Line(3)
 	s := CorrectState(g, 0)
 	c := s.Clone()
-	*c.Routes.At(1) = Route{Dist: 99, Parent: 0}
+	c.Routes[1] = Route{Dist: 99, Parent: 0}
 	if s.Route(1) == c.Route(1) {
 		t.Fatal("Clone shares table chunks")
 	}

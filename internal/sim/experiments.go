@@ -168,6 +168,7 @@ func f4Cell(o Options, _ int) CellResult {
 
 	seen := make(map[core.CaterpillarType]int)
 	consistent := true
+	// snapshot is the live configuration, read before the next step.
 	snapshot := func() []sm.State {
 		out := make([]sm.State, g.N())
 		for p := 0; p < g.N(); p++ {
@@ -430,8 +431,8 @@ func x1Cell(o Options, _ int) CellResult {
 
 	// --- SSMFP from a corrupted configuration.
 	cfg := core.CleanConfig(g)
-	cfg[2].(*core.Node).RT.Routes.At(dest).Parent = 3
-	cfg[3].(*core.Node).RT.Routes.At(dest).Parent = 2 // loop 2↔3 toward dest
+	cfg[2].(*core.Node).RT.Routes[dest].Parent = 3
+	cfg[3].(*core.Node).RT.Routes[dest].Parent = 2 // loop 2↔3 toward dest
 	cfg[3].(*core.Node).FW.Dest(dest).BufE = &core.Message{
 		Payload: "x", LastHop: 3, Color: 0, UID: 1 << 40, Src: 3, Dest: dest, Valid: false}
 	for p := 1; p < g.N(); p++ {
@@ -446,8 +447,8 @@ func x1Cell(o Options, _ int) CellResult {
 
 	// --- Classical atomic controller, same loop, no routing repair.
 	ts := baseline.CorrectTables(g)
-	ts[2].Routes.At(dest).Parent = 3
-	ts[3].Routes.At(dest).Parent = 2
+	ts[2].Routes[dest].Parent = 3
+	ts[3].Routes[dest].Parent = 2
 	a := baseline.NewAtomic(g, ts, seed)
 	for p := 1; p < g.N(); p++ {
 		a.Enqueue(graph.ProcessID(p), "x", dest)
@@ -458,8 +459,8 @@ func x1Cell(o Options, _ int) CellResult {
 
 	// --- Naive shared-memory port with routing repair.
 	ncfg := baseline.CleanConfig(g)
-	ncfg[2].(*baseline.Node).RT.Routes.At(dest).Parent = 3
-	ncfg[3].(*baseline.Node).RT.Routes.At(dest).Parent = 2
+	ncfg[2].(*baseline.Node).RT.Routes[dest].Parent = 3
+	ncfg[3].(*baseline.Node).RT.Routes[dest].Parent = 2
 	ncfg[3].(*baseline.Node).FW.Buf[dest] = &core.Message{
 		Payload: "x", LastHop: 3, UID: 1 << 41, Src: 3, Dest: dest, Valid: false}
 	for p := 1; p < g.N(); p++ {

@@ -203,6 +203,8 @@ func experimentF3(record bool) (F3Result, obs.Header, []obs.Event) {
 	return res, hdr, events
 }
 
+// snapshotStates returns the engine's live configuration: its states are
+// valid only until the next Step.
 func snapshotStates(e *sm.Engine, g *graph.Graph) []sm.State {
 	out := make([]sm.State, g.N())
 	for p := 0; p < g.N(); p++ {

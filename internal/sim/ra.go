@@ -42,7 +42,7 @@ func raCell(o Options, _ int) CellResult {
 		}
 		src := cfg[0].(*core.Node).RT
 		for d := 1; d < g.N(); d++ {
-			src.Routes.At(d).Dist = g.N() // worst-case error: the slow variant pays per unit
+			src.Routes[d].Dist = g.N() // worst-case error: the slow variant pays per unit
 		}
 		cfg[0].(*core.Node).FW.Enqueue("ra-probe", graph.ProcessID(g.N()-1))
 

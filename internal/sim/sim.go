@@ -113,7 +113,9 @@ type Status struct {
 }
 
 // Monitor is a named per-step invariant: it receives the engine's current
-// configuration and returns an error when the invariant is violated.
+// configuration and returns an error when the invariant is violated. The
+// configuration is the engine's live one, valid only during the call: a
+// monitor that keeps it must clone its states.
 type Monitor struct {
 	Name  string
 	Check func(g *graph.Graph, cfg []sm.State) error
@@ -263,7 +265,7 @@ func Run(s Scenario) Result {
 		if len(s.Monitors) == 0 {
 			return true
 		}
-		cfg := make([]sm.State, g.N())
+		cfg := make([]sm.State, g.N()) // live: checked before the next step
 		for p := 0; p < g.N(); p++ {
 			cfg[p] = e.PeekStateOf(graph.ProcessID(p))
 		}

@@ -54,19 +54,19 @@ type Stats struct {
 // reads outside its declared slot is caught).
 //
 // Every step runs one code path: re-evaluate the marked guards, merge
-// the fresh choices into the enabled set, let the daemon select, and
-// execute each selection in order through one executor against the
-// pre-step snapshot.
+// the fresh choices into the enabled set, let the daemon select, execute
+// each selection in order through one executor against the pre-step
+// configuration, and only then commit them all: a staged write
+// (SlotState) in place, a slot-0 move's clone by replacing the state.
 type Engine struct {
-	g       *graph.Graph
-	program Program
-	rules   []Rule
-	daemon  Daemon
-	states  []State
+	g      *graph.Graph
+	rules  []Rule
+	daemon Daemon
+	states []State
 
 	step   int
 	rounds int
-	moves  map[string]int // rule name -> executions
+	moves  []int // rule index -> executions
 
 	// event stream: the subscribers in subscription order (a detached
 	// one is nil), how many are attached, and the last stamped Seq.
@@ -99,8 +99,8 @@ type Engine struct {
 // stepBuffers is the per-step scratch of Step, reused across steps so the
 // bookkeeping allocates nothing once warm.
 type stepBuffers struct {
-	view   View // the executing view
-	next   []State
+	view   View    // the executing view
+	next   []State // per selection (at most one per processor): its scratch or clone until the commit, then a scratch to reuse or nil
 	events []Event
 	lists  [3]choiceList // storage of the enabled sets (see freeList)
 
@@ -135,6 +135,7 @@ func WithShards(k int, seed int64) EngineOption {
 
 // NewEngine builds an engine over g running program under daemon, with the
 // given initial configuration (one State per processor, indexed by ID).
+// The engine owns those states: its steps write them in place.
 func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, opts ...EngineOption) *Engine {
 	if !g.Frozen() {
 		panic("statemodel: NewEngine requires a frozen graph")
@@ -153,15 +154,15 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 	}
 	e := &Engine{
 		g:            g,
-		program:      program,
 		rules:        rules,
 		daemon:       daemon,
 		states:       append([]State(nil), initial...),
-		moves:        make(map[string]int),
+		moves:        make([]int, len(rules)),
 		roundPending: make([]bool, g.N()),
 		incremental:  true,
 		selfCheck:    testing.Testing(),
 		buf: stepBuffers{
+			next:   make([]State, g.N()),
 			offer:  make([]int32, g.N()),
 			mark:   make([]uint32, g.N()),
 			picked: make([]uint32, g.N()),
@@ -180,19 +181,20 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // (workload injection, fault injection, tests) mutate the returned state
 // in place, the engine conservatively marks p dirty so the incremental
 // cache re-evaluates every slot of N[p] at the next flush. Use
-// PeekStateOf on hot read-only paths. A slotted move's successor shares
-// what the move did not write with earlier configurations
-// (SlotState.CloneSlot), so a caller may write the state's own fields but
-// must replace, not write in place, anything it reaches through a
-// pointer or slice (for core.Node: a queue; a destination or route
-// entry goes through SlotTable.Set, i.e. SetDest or SetRoute).
+// PeekStateOf on hot read-only paths. The engine owns the state: a step
+// commits a slotted move into it in place (SlotState) and replaces it
+// after a slot-0 move, so the value read is p's state only until the
+// next Step. Clone it to keep it longer.
 func (e *Engine) StateOf(p graph.ProcessID) State {
 	e.markDirty(p)
 	return e.states[p]
 }
 
 // PeekStateOf returns the current state of processor p without
-// invalidating the incremental cache. The caller must not mutate it.
+// invalidating the incremental cache. The caller must not mutate it. As
+// with StateOf, the value is p's state only until the next Step, which
+// writes states in place: a configuration built from PeekStateOf is the
+// live one, so clone each state of a snapshot that must outlive a step.
 func (e *Engine) PeekStateOf(p graph.ProcessID) State { return e.states[p] }
 
 // SetStateOf replaces the state of processor p. Intended for scenario
@@ -260,7 +262,7 @@ func (e *Engine) settleRounds() {
 }
 
 // Moves returns how many times the named rule has executed.
-func (e *Engine) Moves(rule string) int { return e.moves[rule] }
+func (e *Engine) Moves(rule string) int { return e.MoveCounts()[rule] }
 
 // TotalMoves returns the total number of executed actions.
 func (e *Engine) TotalMoves() int {
@@ -271,11 +273,14 @@ func (e *Engine) TotalMoves() int {
 	return t
 }
 
-// MoveCounts returns a copy of the per-rule execution counters.
+// MoveCounts returns the per-rule execution counters by rule name, for
+// the rules that have executed.
 func (e *Engine) MoveCounts() map[string]int {
-	out := make(map[string]int, len(e.moves))
-	for k, v := range e.moves {
-		out[k] = v
+	out := make(map[string]int)
+	for i, c := range e.moves {
+		if c > 0 {
+			out[e.rules[i].Name] += c
+		}
 	}
 	return out
 }
@@ -480,27 +485,29 @@ func (e *Engine) Step() bool {
 	e.validateSelections(enabled, sels)
 
 	// Execute every selection in order against the same pre-step
-	// snapshot, then commit.
+	// configuration, then commit.
 	b := &e.buf
-	next := slices.Grow(b.next[:0], len(sels))[:len(sels)]
-	b.next = next
+	next := b.next[:len(sels)]
 	b.events = b.events[:0]
 	var events *[]Event
 	if e.nsubs > 0 {
 		events = &b.events
 	}
 	for i, sel := range sels {
-		next[i] = e.execute(sel, events)
+		next[i] = e.execute(sel, next[i], events)
 	}
 	for i, sel := range sels {
 		p := sel.Process
 		r := &e.rules[sel.Rule]
-		e.states[p] = next[i]
-		next[i] = nil
+		if ss, ok := stagedMove(e.states[p], r); ok {
+			ss.Commit(next[i]) // the scratch stays in next for the next step
+		} else {
+			e.states[p], next[i] = next[i], nil
+		}
 		if e.incremental && e.enabledValid {
 			e.cache.markMove(e.g, p, r)
 		}
-		e.moves[r.Name]++
+		e.moves[sel.Rule]++
 		if e.roundPending[p] {
 			e.roundPending[p] = false
 			e.pendingLeft--
@@ -519,11 +526,12 @@ func (e *Engine) Step() bool {
 }
 
 // execute is the engine's one executor: it runs sel against the pre-step
-// snapshot (apply, through the reused view), appends the action's events
-// and then its fire marker to events, and returns the successor state.
-// events is nil when nothing subscribes.
-func (e *Engine) execute(sel Selection, events *[]Event) State {
-	s := apply(&e.buf.view, e.g, e.rules, e.states, sel, e.step, e.rounds, events)
+// configuration (apply, through the reused view and on scratch if the
+// move is staged), appends the action's events and then its fire marker
+// to events, and returns the scratch or clone to commit. events is nil
+// when nothing subscribes.
+func (e *Engine) execute(sel Selection, scratch State, events *[]Event) State {
+	s := apply(&e.buf.view, e.g, e.rules, e.states, sel, scratch, e.step, e.rounds, events)
 	if events != nil {
 		*events = append(*events, Event{Kind: obs.KindFire, Step: e.step, Round: e.rounds, Proc: sel.Process, Rule: e.rules[sel.Rule].Name})
 	}

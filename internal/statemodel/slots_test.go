@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,15 +16,30 @@ import (
 type vecState struct {
 	v     []int
 	total int
+	slot  int // on a scratch: the staged move's slot
 }
 
 func (s *vecState) Clone() State {
 	return &vecState{v: append([]int(nil), s.v...), total: s.total}
 }
 
-// CloneSlot copies the vector too: the toy state is small, and the tests
-// below are about the cache, not the copy.
-func (s *vecState) CloneSlot(int) State { return s.Clone() }
+// Stage stages a move of slot s on a copy of the whole vector, reusing
+// the scratch's storage: the toy state is small, and the tests below are
+// about the cache and the commit order, not the copy.
+func (s *vecState) Stage(scratch State, slot int) State {
+	c, _ := scratch.(*vecState)
+	if c == nil {
+		c = &vecState{}
+	}
+	c.v, c.total, c.slot = append(c.v[:0], s.v...), s.total, slot
+	return c
+}
+
+// Commit writes the scratch's slot and total into s.
+func (s *vecState) Commit(scratch State) {
+	c := scratch.(*vecState)
+	s.v[c.slot-1], s.total = c.v[c.slot-1], c.total
+}
 
 func vecConfig(rng *rand.Rand, n, k int) []State {
 	cfg := make([]State, n)
@@ -193,4 +209,34 @@ func TestSlotMarksOnlyTouchedSlot(t *testing.T) {
 	if got := st.GuardEvals - before.GuardEvals; got != 3 {
 		t.Fatalf("the flush evaluated %d guards, want 3 (one slot at three processors)", got)
 	}
+}
+
+// TestStagedWrite pins the staged write of one table entry: nothing
+// reaches the table before Commit, an unwritten entry commits nothing
+// (also after a Reset that follows a write), and a write to another
+// entry panics.
+func TestStagedWrite(t *testing.T) {
+	vals := []int{1, 2, 3}
+	var w Staged[int]
+	w.Reset(1)
+	w.Commit(vals)
+	w.Put(1, 9)
+	if !slices.Equal(vals, []int{1, 2, 3}) {
+		t.Fatalf("before Commit: %v, want the table untouched", vals)
+	}
+	w.Commit(vals)
+	if !slices.Equal(vals, []int{1, 9, 3}) {
+		t.Fatalf("after Commit: %v, want [1 9 3]", vals)
+	}
+	w.Reset(2)
+	w.Commit(vals)
+	if !slices.Equal(vals, []int{1, 9, 3}) {
+		t.Fatalf("a reset stage committed %v", vals)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put to entry 0 of a stage of entry 2 did not panic")
+		}
+	}()
+	w.Put(0, 5)
 }

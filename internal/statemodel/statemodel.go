@@ -22,23 +22,56 @@ import (
 )
 
 // State is the local state of one processor: the values of its shared
-// variables. States must be deep-cloneable so that actions can mutate a
-// private copy while every other action in the same step still reads the
-// pre-step snapshot.
+// variables. Clone must return a deep copy: a slot-0 move runs on a clone
+// while every other action of the same step still reads the pre-step
+// configuration, and the clone replaces the state at the commit.
 type State interface {
 	Clone() State
 }
 
-// SlotState is a State sliced into slots (see Rule.Slot). CloneSlot
-// returns a copy that owns what an action of the given slot (> 0) may
-// write: the slot itself and the processor's unsliced fields. Everything
-// else may be shared with the receiver, so no action may write it in
-// place; per-slot values kept in a SlotTable are owned through its
-// copy-on-write Set, so the copy may share the table whole. The executor
-// uses CloneSlot for slotted rules and Clone for slot 0.
+// SlotState is a State sliced into slots (see Rule.Slot) whose slotted
+// moves write through a staged write instead of a clone. Stage readies a
+// scratch for an action of the given slot (> 0) at the receiver and
+// returns it, reusing scratch if it is one an earlier Stage returned (nil
+// or anything else: allocate one). The scratch reads as the receiver
+// does, and the receiver holds its pre-step values until the step
+// commits; it keeps the action's writes, to the slot and to the unsliced
+// fields, to itself, and a write to any other slot panics. Commit writes
+// a scratch's staged writes into the receiver in place: the state Stage
+// was called on, or a Clone of it. The engine commits a step's moves only
+// after all of them have run.
 type SlotState interface {
 	State
-	CloneSlot(slot int) State
+	Stage(scratch State, slot int) State
+	Commit(scratch State)
+}
+
+// Staged is a scratch's one pending write to a per-slot table of a
+// SlotState: the entry its rule may write, the value, and whether the
+// action wrote it.
+type Staged[T any] struct {
+	i   int
+	v   T
+	set bool
+}
+
+// Reset stages entry i, not yet written.
+func (w *Staged[T]) Reset(i int) { *w = Staged[T]{i: i} }
+
+// Put stages v as entry i. A slotted action writes only its own slot, so
+// Put panics for any other entry.
+func (w *Staged[T]) Put(i int, v T) {
+	if i != w.i {
+		panic(fmt.Sprintf("statemodel: staged write to entry %d by a rule of entry %d", i, w.i))
+	}
+	w.v, w.set = v, true
+}
+
+// Commit writes the staged value into vals if the action wrote one.
+func (w *Staged[T]) Commit(vals []T) {
+	if w.set {
+		vals[w.i] = w.v
+	}
 }
 
 // Event is the engine's one observation: the typed obs.Event. Actions
@@ -80,7 +113,7 @@ func (v *View) Graph() *graph.Graph { return v.g }
 func (v *View) Neighbors() []graph.ProcessID { return v.g.Neighbors(v.id) }
 
 // Self returns the processor's own state: the snapshot during guard
-// evaluation, a private mutable clone during action execution.
+// evaluation, the action's scratch or clone during action execution.
 func (v *View) Self() State {
 	if v.self != nil {
 		return v.self
@@ -275,30 +308,42 @@ func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessI
 }
 
 // ApplySelection executes one selection against cfg without mutating it:
-// it returns the successor state of the selected processor (a mutated
-// copy, which may share what the action did not write with cfg's state)
-// and the events the action observed (no fire marker). The caller is
-// responsible for only applying selections whose guards hold on cfg.
+// it returns the successor state of the selected processor (a staged
+// write is committed onto a Clone of its state) and the events the action
+// observed (no fire marker). The caller is responsible for only applying
+// selections whose guards hold on cfg.
 func ApplySelection(g *graph.Graph, rules []Rule, cfg []State, sel Selection, step int) (State, []Event) {
 	var events []Event
-	s := apply(&View{}, g, rules, cfg, sel, step, 0, &events)
+	s := apply(&View{}, g, rules, cfg, sel, nil, step, 0, &events)
+	if _, ok := stagedMove(cfg[sel.Process], &rules[sel.Rule]); ok {
+		succ := cfg[sel.Process].Clone().(SlotState)
+		succ.Commit(s)
+		return succ, events
+	}
 	return s, events
 }
 
-// apply runs sel's action through v on a private copy of its
-// processor's state, every read seeing cfg, and returns the successor
-// state. The copy is slot-scoped (SlotState.CloneSlot) for a slotted rule
-// of a sliced state and deep otherwise. Observed events are appended to
-// *events (nil: nothing subscribes), each stamped with the selection's
-// step, round, processor and rule. It is the executor shared by
-// ApplySelection and Engine.Step.
-func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, step, round int, events *[]Event) State {
+// stagedMove reports whether a move of r at a processor in state s runs
+// on a staged write (a slotted rule of a SlotState) rather than a Clone.
+func stagedMove(s State, r *Rule) (SlotState, bool) {
+	ss, ok := s.(SlotState)
+	return ss, ok && r.Slot > 0
+}
+
+// apply runs sel's action through v, every read seeing cfg, and returns
+// what the action wrote: for a staged move, scratch restaged by
+// SlotState.Stage (so scratch may be nil), for any other a deep Clone of
+// the processor's state. cfg is not written; the caller commits the
+// result. Observed events are appended to *events (nil: nothing
+// subscribes), each stamped with the selection's step, round, processor
+// and rule. It is the executor shared by ApplySelection and Engine.Step.
+func apply(v *View, g *graph.Graph, rules []Rule, cfg []State, sel Selection, scratch State, step, round int, events *[]Event) State {
 	r := &rules[sel.Rule]
-	self := cfg[sel.Process]
-	if ss, ok := self.(SlotState); ok && r.Slot > 0 {
-		self = ss.CloneSlot(r.Slot)
+	var self State
+	if ss, ok := stagedMove(cfg[sel.Process], r); ok {
+		self = ss.Stage(scratch, r.Slot)
 	} else {
-		self = self.Clone()
+		self = cfg[sel.Process].Clone()
 	}
 	*v = View{
 		id:       sel.Process,

@@ -63,7 +63,7 @@ func HeaderFor(g *graph.Graph, displayNames map[graph.ProcessID]string, cfg []sm
 		}
 		for d := 0; d < n; d++ {
 			ip.NextHop[d] = node.RT.NextHop(graph.ProcessID(d))
-			ds := node.FW.Dests.At(d)
+			ds := &node.FW.Dests[d]
 			ip.BufR[d] = ds.BufR.Record()
 			ip.BufE[d] = ds.BufE.Record()
 		}

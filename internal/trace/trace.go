@@ -136,6 +136,8 @@ func (rec *Recorder) render() string {
 	return rec.r.Destination(rec.config(), rec.dest)
 }
 
+// config returns the engine's live configuration; render reads it at
+// once, before the next step writes it.
 func (rec *Recorder) config() []sm.State {
 	cfg := make([]sm.State, rec.e.Graph().N())
 	for p := 0; p < rec.e.Graph().N(); p++ {

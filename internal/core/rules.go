@@ -9,6 +9,14 @@ import (
 	sm "ssmfp/internal/statemodel"
 )
 
+// The footprint bits of a destination's forwarding fields, after
+// routing.RouteField; Request, Pending and NextSeq are sm.Unsliced.
+const (
+	BufRField = routing.RouteField << (iota + 1)
+	BufEField
+	QueueField
+)
+
 // RuleName renders the canonical name of an SSMFP rule instance, e.g.
 // RuleName("R3", 1) == "R3@1". The per-destination instances of Algorithm 1
 // are mutually independent and run simultaneously; naming them apart lets
@@ -38,31 +46,41 @@ func NewProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
 // program instantiates R1..R6 for every destination of g; literalR5
 // selects R5 as Algorithm 1 prints it (LiteralR5Program).
 func program(g *graph.Graph, policy ChoicePolicy, literalR5 bool) sm.Program {
-	var rules []sm.Rule
+	k := len(ruleBases)
+	names := sm.InstanceNames(g.N(), ruleBases...)
+	rules := make([]sm.Rule, 0, k*g.N())
 	for dd := 0; dd < g.N(); dd++ {
-		rules = append(rules, destRules(graph.ProcessID(dd), policy, literalR5)...)
+		rules = append(rules, destRules(graph.ProcessID(dd), policy, literalR5, names[k*dd:k*(dd+1)])...)
 	}
 	return sm.NewProgram(rules...)
 }
 
-// destRules instantiates R1..R6 for destination d.
-func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule {
+// ruleBases are the base names of Algorithm 1's rules, in rule order.
+var ruleBases = []string{"R1", "R2", "R3", "R4", "R5", "R6"}
+
+// destRules instantiates R1..R6 for destination d, named names[0..5].
+func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool, names []string) []sm.Rule {
 	// ds reads destination d's state at the executing processor; an
 	// action writes its updated copy back through setDS.
 	ds := func(v *sm.View) *DestState { return v.Self().(*Node).FW.Dest(d) }
 	setDS := func(v *sm.View, s DestState) { v.Self().(*Node).FW.SetDest(d, s) }
 	slot := routing.SlotOf(d)
+	// The fields of d the rules' footprints name; u is Request, Pending, NextSeq.
+	const route, bufR, bufE, queue, u = routing.RouteField, BufRField, BufEField, QueueField, sm.Unsliced
+	r5Reads := bufR
+	if literalR5 { // q = p: R5 also reads p's own bufE and route
+		r5Reads |= bufE | route
+	}
 
 	return []sm.Rule{
 		// (R1) Generation: request_p ∧ nextDestination_p = d ∧
 		// bufR_p(d) = ∅ ∧ choice_p(d) = p  →
 		// bufR_p(d) := (nextMessage_p, p, 0); request_p := false.
 		{
-			Name:     RuleName("R1", d),
+			Name:     names[0],
 			Priority: PriorityForwarding,
 			Slot:     slot,
-			// Pending, Request and NextSeq are unsliced.
-			WritesUnsliced: true,
+			Reads:    u | bufR | queue, ReadsNbrs: bufE | route, Writes: bufR | queue | u,
 			Guard: func(v *sm.View) bool {
 				self := v.Self().(*Node).FW
 				if !self.Request || self.Dest(d).BufR != nil {
@@ -109,9 +127,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule
 		// (q = p ∨ bufE_q(d) ≠ (m,q',c))  →
 		// bufE_p(d) := (m, p, color_p(d)); bufR_p(d) := ∅.
 		{
-			Name:     RuleName("R2", d),
+			Name:     names[1],
 			Priority: PriorityForwarding,
 			Slot:     slot,
+			Reads:    bufE | bufR, ReadsNbrs: bufE, Writes: bufE | bufR,
 			Guard: func(v *sm.View) bool {
 				s := ds(v)
 				if s.BufE != nil || s.BufR == nil {
@@ -136,9 +155,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule
 		// (R3) Forwarding: bufR_p(d) = ∅ ∧ choice_p(d) = s ∧ s ≠ p ∧
 		// bufE_s(d) = (m,q,c)  →  bufR_p(d) := (m, s, c).
 		{
-			Name:     RuleName("R3", d),
+			Name:     names[2],
 			Priority: PriorityForwarding,
 			Slot:     slot,
+			Reads:    bufR | queue | u, ReadsNbrs: bufE | route, Writes: bufR | queue,
 			Guard: func(v *sm.View) bool {
 				if ds(v).BufR != nil {
 					return false
@@ -167,9 +187,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule
 		// bufR_nextHop_p(d)(d) = (m,p,c) ∧
 		// ∀r ∈ N_p∖{nextHop_p(d)}: bufR_r(d) ≠ (m,p,c)  →  bufE_p(d) := ∅.
 		{
-			Name:     RuleName("R4", d),
+			Name:     names[3],
 			Priority: PriorityForwarding,
 			Slot:     slot,
+			Reads:    bufE | route, ReadsNbrs: bufR, Writes: bufE,
 			Guard: func(v *sm.View) bool {
 				if v.ID() == d {
 					return false
@@ -215,9 +236,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule
 		// self-generated case is instead drained by R2 once bufE_p frees.
 		// literalR5 drops the restriction (LiteralR5Program).
 		{
-			Name:     RuleName("R5", d),
+			Name:     names[4],
 			Priority: PriorityForwarding,
 			Slot:     slot,
+			Reads:    r5Reads, ReadsNbrs: bufE | route, Writes: bufR,
 			Guard: func(v *sm.View) bool {
 				s := ds(v)
 				if s.BufR == nil {
@@ -243,9 +265,10 @@ func destRules(d graph.ProcessID, policy ChoicePolicy, literalR5 bool) []sm.Rule
 		// (R6) Consumption: bufE_p(p) = (m,q,c)  →
 		// deliver_p(m); bufE_p(p) := ∅.
 		{
-			Name:     RuleName("R6", d),
+			Name:     names[5],
 			Priority: PriorityForwarding,
 			Slot:     slot,
+			Reads:    bufE, Writes: bufE,
 			Guard: func(v *sm.View) bool {
 				return v.ID() == d && ds(v).BufE != nil
 			},
@@ -275,5 +298,5 @@ func FullProgramWithPolicy(g *graph.Graph, policy ChoicePolicy) sm.Program {
 // DestRulesForTest exposes the per-destination rule set for white-box
 // tests in external packages (rule indices follow the R1..R6 order).
 func DestRulesForTest(d graph.ProcessID, policy ChoicePolicy) []sm.Rule {
-	return destRules(d, policy, false)
+	return destRules(d, policy, false, sm.InstanceNames(int(d)+1, ruleBases...)[len(ruleBases)*int(d):])
 }

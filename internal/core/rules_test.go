@@ -239,7 +239,7 @@ func TestFreshColorAvoidsNeighborReceptionBuffers(t *testing.T) {
 	// Force only R2 at 0 by stepping a scripted-like single selection: the
 	// sync daemon would fire everyone, so check the guard and run the
 	// action through a one-step engine on a restricted program instead.
-	prog := sm.NewProgram(destRules(3, PolicyQueue, false)[1]) // R2@3 only
+	prog := sm.NewProgram(DestRulesForTest(3, PolicyQueue)[1]) // R2@3 only
 	e = sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
 	m := engineNode(e, 0).FW.Dest(3).BufE
@@ -364,7 +364,7 @@ func TestChoiceFIFONoPassing(t *testing.T) {
 	}
 	// Restrict to R3@0 so only the center's pulls execute; queue order must
 	// be 1, 2, 3 (ID order on first normalization) regardless of daemon.
-	prog := sm.NewProgram(destRules(0, PolicyQueue, false)[2])
+	prog := sm.NewProgram(DestRulesForTest(0, PolicyQueue)[2])
 	e := sm.NewEngine(g, prog, syncDaemon{}, cfg)
 	e.Step()
 	first := engineNode(e, 0).FW.Dest(0).BufR

@@ -87,6 +87,10 @@ func (s *NodeState) NextHop(d graph.ProcessID) graph.ProcessID { return s.Routes
 // made by Stage.
 type Accessor func(sm.State) *NodeState
 
+// RouteField is the footprint bit (statemodel.Footprint) of a
+// destination's route; the forwarding state's fields follow it.
+const RouteField sm.Footprint = 1
+
 // SlotOf is the engine slot of destination d (statemodel.Rule.Slot):
 // A@d lives in slot d+1, slot 0 being the whole processor.
 func SlotOf(d graph.ProcessID) int { return int(d) + 1 }
@@ -96,20 +100,22 @@ func SlotOf(d graph.ProcessID) int { return int(d) + 1 }
 // that destination. Rules are generated per destination so the composed
 // system matches the paper's "one algorithm per destination running
 // simultaneously" structure; A@d reads and writes only destination d's
-// entries, so it lives in slot SlotOf(d).
+// entries, so it lives in slot SlotOf(d) with footprint RouteField.
 func NewProgram(g *graph.Graph, acc Accessor) sm.Program { return program(g, acc, false) }
 
 // program builds A@d for every destination d; slow selects
 // NewSlowProgram's one-unit distance steps.
 func program(g *graph.Graph, acc Accessor, slow bool) sm.Program {
 	n := g.N()
+	names := sm.InstanceNames(n, "A")
 	rules := make([]sm.Rule, 0, n)
 	for dd := 0; dd < n; dd++ {
 		d := graph.ProcessID(dd)
 		rules = append(rules, sm.Rule{
-			Name:     fmt.Sprintf("A@%d", d),
+			Name:     names[dd],
 			Priority: Priority,
 			Slot:     SlotOf(d),
+			Reads:    RouteField, ReadsNbrs: RouteField, Writes: RouteField,
 			Guard: func(v *sm.View) bool {
 				return acc(v.Self()).Route(d) != target(g, v, acc, d)
 			},

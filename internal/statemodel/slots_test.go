@@ -58,8 +58,9 @@ func vecConfig(rng *rand.Rand, n, k int) []State {
 // reads component read(s)-1 of the neighbors, so read = identity declares
 // the slots correctly and anything else mis-slices them. A slot-0 rule
 // "sum" keeps the unsliced total equal to the vector's sum, and "bump@s"
-// (priority 1, WritesUnsliced) lowers component s-1 while the total is
-// odd, exercising every marking path of the cache.
+// (priority 1, a declared footprint that writes the total) lowers
+// component s-1 while the total is odd, exercising every marking path of
+// the cache.
 func slotMaxProgram(k int, read func(s int) int) Program {
 	var rules []Rule
 	for s := 1; s <= k; s++ {
@@ -78,10 +79,11 @@ func slotMaxProgram(k int, read func(s int) int) Program {
 			Guard:  func(v *View) bool { return nbrMax(v) > v.Self().(*vecState).v[s-1] },
 			Action: func(v *View) { v.Self().(*vecState).v[s-1] = nbrMax(v) },
 		}, Rule{
-			Name:           fmt.Sprintf("bump@%d", s),
-			Priority:       1,
-			Slot:           s,
-			WritesUnsliced: true,
+			Name:     fmt.Sprintf("bump@%d", s),
+			Priority: 1,
+			Slot:     s,
+			Reads:    1 | Unsliced,
+			Writes:   1 | Unsliced,
 			Guard: func(v *View) bool {
 				self := v.Self().(*vecState)
 				return self.total%2 == 1 && self.v[s-1] > 0 && self.v[s-1]%3 == 0
@@ -239,4 +241,30 @@ func TestStagedWrite(t *testing.T) {
 		}
 	}()
 	w.Put(0, 5)
+}
+
+// TestChoiceSortsInterleavedSlots runs a program whose rule order
+// interleaves its slots, rule 0 in slot 2 and rule 1 in slot 1: a
+// processor's choice visits slot 1 first, so its indices come out
+// descending and the cache must sort them, as the naive scan (the
+// self-check) offers them ascending.
+func TestChoiceSortsInterleavedSlots(t *testing.T) {
+	dec := func(s int) Rule {
+		return Rule{
+			Name:   fmt.Sprintf("dec@%d", s),
+			Slot:   s,
+			Guard:  func(v *View) bool { return v.Self().(*vecState).v[s-1] > 0 },
+			Action: func(v *View) { v.Self().(*vecState).v[s-1]-- },
+		}
+	}
+	cfg := []State{&vecState{v: []int{2, 2}}, &vecState{v: []int{1, 2}}, &vecState{v: []int{2, 1}}}
+	e := NewEngine(graph.Line(3), NewProgram(dec(2), dec(1)), allDaemon{}, cfg, WithSelfCheck(true))
+	for _, c := range e.Enabled() {
+		if !slices.Equal(c.Rules, []int{0, 1}) {
+			t.Fatalf("p%d offers rules %v, want [0 1]", c.Process, c.Rules)
+		}
+	}
+	if _, terminal := e.Run(10, nil); !terminal {
+		t.Fatal("the decrements did not terminate")
+	}
 }

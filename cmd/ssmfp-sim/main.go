@@ -185,8 +185,8 @@ func main() {
 		}
 		fmt.Print(t)
 		st := r.Stats
-		fmt.Printf("engine    : %d guard evals in %d full scans + %d flushes (procs: %d evaluated, %d cached; %d dirty marks, %d self-checks)\n",
-			st.GuardEvals, st.FullScans, st.Flushes, st.ProcsEvaluated, st.ProcsSkipped, st.DirtyMarks, st.SelfChecks)
+		fmt.Printf("engine    : %d guard evals in %d full scans + %d flushes (procs: %d evaluated, %d cached; %d self-checks)\n",
+			st.GuardEvals, st.FullScans, st.Flushes, st.ProcsEvaluated, st.ProcsSkipped, st.SelfChecks)
 	}
 	if r.OK() {
 		fmt.Println("verdict   : SP satisfied — every generated message delivered exactly once")

@@ -140,7 +140,7 @@ func TestSlicedEngineGrid8x8(t *testing.T) {
 	if e.Steps() != base.Steps() || e.Rounds() != base.Rounds() || !maps.Equal(e.MoveCounts(), base.MoveCounts()) || fp != baseFP {
 		t.Fatal("the unchecked run diverged from the self-checked one")
 	}
-	if st, bs := e.Stats(), base.Stats(); st.GuardEvals != bs.GuardEvals || st.DirtyMarks != bs.DirtyMarks || st.SelfChecks != 0 {
-		t.Fatalf("unchecked: guard evals %d, marks %d, self-checks %d; checked: %d, %d", st.GuardEvals, st.DirtyMarks, st.SelfChecks, bs.GuardEvals, bs.DirtyMarks)
+	if st, bs := e.Stats(), base.Stats(); st.GuardEvals != bs.GuardEvals || st.ProcsEvaluated != bs.ProcsEvaluated || st.SelfChecks != 0 {
+		t.Fatalf("unchecked: guard evals %d, procs evaluated %d, self-checks %d; checked: %d, %d", st.GuardEvals, st.ProcsEvaluated, st.SelfChecks, bs.GuardEvals, bs.ProcsEvaluated)
 	}
 }

@@ -13,11 +13,12 @@ import (
 
 // Stats counts the enabled-set work an engine has performed. GuardEvals is
 // the headline number: a full scan (every step of the naive engine)
-// evaluates every guard of every processor, the incremental engine only
+// evaluates the guards of every processor, the incremental engine only
 // the guards that a move (by the rules' footprints) or a mutation marked.
-// Self-check sweeps, whose oracle skips guards of a lower priority than
-// a processor's best enabled one, are excluded from every counter so
-// checked and unchecked runs report the same work.
+// Either evaluates a processor's guards rank by rank, best priority
+// first, and skips the ranks below its best enabled one (they stay
+// marked). Self-check sweeps are excluded from every counter so checked
+// and unchecked runs report the same work.
 type Stats struct {
 	Steps      int   // engine steps executed
 	FullScans  int   // complete enabled-set rebuilds (all N processors)
@@ -26,7 +27,6 @@ type Stats struct {
 
 	ProcsEvaluated int64 // processors whose choice was (re-)computed
 	ProcsSkipped   int64 // processors served from the cache during flushes
-	DirtyMarks     int64 // cumulative (processor, slot) pairs with marked rules at flush time
 
 	SelfChecks int // naive recomputations performed by the self-check mode
 
@@ -41,17 +41,19 @@ type Stats struct {
 // initial states are inputs, not something the engine sanitizes).
 //
 // By default the engine maintains the enabled-Choice set incrementally,
-// cached per (processor, slot) and rule (see Rule.Slot and slots.go):
+// cached per processor over the rules (see Rule.Slot and slots.go):
 // after a move at p only the guards in N[p] whose declared reads meet the
 // move's declared writes are re-evaluated, since a guard at p reads only
 // N[p] — the locality that View.Read enforces on protocol code — and a
-// slotted guard only its footprint there. A processor whose state was
-// replaced or handed out for mutation has every rule of its closed
-// neighborhood re-evaluated. WithIncremental(false) restores the naive
-// full scan per step; WithSelfCheck(true) — the default under `go test`
-// — recomputes the enabled set naively every step, panicking with a
-// minimal per-processor diff on any divergence (which is how a rule that
-// reads outside its declared footprint is caught).
+// slotted guard only its footprint there; of those, a processor's guards
+// below its best enabled priority wait until that priority's rules are
+// all disabled. A processor whose state was replaced or handed out for
+// mutation has every rule of its closed neighborhood re-evaluated.
+// WithIncremental(false) restores the naive full scan per step;
+// WithSelfCheck(true) — the default under `go test` — recomputes the
+// enabled set naively every step, panicking with a minimal per-processor
+// diff on any divergence (which is how a rule that reads outside its
+// declared footprint is caught).
 //
 // Every step runs one code path: re-evaluate the marked guards, merge
 // the fresh choices into the enabled set, let the daemon select, execute
@@ -87,10 +89,10 @@ type Engine struct {
 	incremental  bool
 	selfCheck    bool
 	enabledValid bool
-	enabledList  []Choice    // memoized enabled set; valid iff enabledValid
-	enabledBuf   *choiceList // the stepBuffers.lists entry enabledList reads, if any
-	heldBuf      *choiceList // the one the pre-step set of the step in progress reads
-	cache        *slotCache  // per-(processor, slot) cache, built at the first scan
+	enabledList  []Choice      // memoized enabled set; valid iff enabledValid
+	enabledBuf   *choiceList   // the stepBuffers.lists entry enabledList reads, if any
+	heldBuf      *choiceList   // the one the pre-step set of the step in progress reads
+	cache        *enabledCache // per-processor rule bitsets, built at the first scan
 	stats        Stats
 
 	buf stepBuffers
@@ -180,7 +182,7 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // StateOf returns the current state of processor p. Because many callers
 // (workload injection, fault injection, tests) mutate the returned state
 // in place, the engine conservatively marks p dirty so the incremental
-// cache re-evaluates every slot of N[p] at the next flush. Use
+// cache re-evaluates every rule of N[p] at the next flush. Use
 // PeekStateOf on hot read-only paths. The engine owns the state: a step
 // commits a slotted move into it in place (SlotState) and replaces it
 // after a slot-0 move, so the value read is p's state only until the
@@ -211,16 +213,13 @@ func (e *Engine) SetStateOf(p graph.ProcessID, s State) {
 }
 
 // Invalidate tells the engine that the states of the given processors were
-// (or may have been) mutated behind its back: every slot of their closed
+// (or may have been) mutated behind its back: every rule of their closed
 // neighborhoods is re-evaluated at the next flush and the round
 // bookkeeping is reset, exactly as for SetStateOf. With no arguments the
 // whole enabled-set cache is dropped.
 func (e *Engine) Invalidate(ps ...graph.ProcessID) {
 	if len(ps) == 0 {
-		e.enabledValid = false
-		if e.cache != nil {
-			e.cache.clearMarks()
-		}
+		e.enabledValid = false // the next scan marks every rule
 	} else {
 		for _, p := range ps {
 			e.markDirty(p)
@@ -312,7 +311,11 @@ func (e *Engine) Subscribe(fn func(Event)) (unsubscribe func()) {
 // stabilization marker) to the subscribers, in order with the engine's
 // own events. It stamps Seq; with no subscriber it is a no-op and
 // consumes no sequence number, so a recorded stream is gapless.
-func (e *Engine) Publish(ev Event) {
+func (e *Engine) Publish(ev Event) { e.publish(&ev) }
+
+// publish is Publish for the engine's own events: it stamps ev's Seq in
+// place instead of copying the event on its way to each subscriber.
+func (e *Engine) publish(ev *Event) {
 	if e.nsubs == 0 {
 		return
 	}
@@ -320,7 +323,7 @@ func (e *Engine) Publish(ev Event) {
 	ev.Seq = e.seq
 	for _, fn := range e.subs {
 		if fn != nil {
-			fn(ev)
+			fn(*ev)
 		}
 	}
 }
@@ -339,7 +342,7 @@ func (e *Engine) markDirty(p graph.ProcessID) {
 // enabledCurrent returns the enabled choices of the current configuration:
 // a full scan when the cache is off or invalid, otherwise the memoized
 // list with the marked rules re-evaluated first. Both
-// are one flush of the slot cache. Callers inside the engine must not
+// are one flush of the cache. Callers inside the engine must not
 // mutate the list. A rebuild writes only into storage no live list
 // reads (freeList), so a list handed out before a flush (the pre-step
 // set a Step holds, the previous step's set) stays intact.
@@ -352,7 +355,7 @@ func (e *Engine) markDirty(p graph.ProcessID) {
 // which stays reserved as enabledBuf.
 func (e *Engine) enabledCurrent() []Choice {
 	if e.cache == nil {
-		e.cache = newSlotCache(e.rules, e.g.N())
+		e.cache = newEnabledCache(e.rules, e.g.N())
 	}
 	prev := e.enabledList
 	full := !e.incremental || !e.enabledValid
@@ -360,7 +363,7 @@ func (e *Engine) enabledCurrent() []Choice {
 	case full:
 		e.stats.FullScans++
 		for p := 0; p < e.g.N(); p++ {
-			e.cache.markProc(graph.ProcessID(p))
+			e.cache.markRules(graph.ProcessID(p), e.cache.all)
 		}
 		prev = nil
 		e.enabledValid = e.incremental
@@ -373,11 +376,10 @@ func (e *Engine) enabledCurrent() []Choice {
 	if 2*len(e.cache.dirty) >= len(prev) {
 		dst = e.freeList()
 	}
-	list, evals, marks, procs := e.cache.flush(e.g, e.states, prev, e.step, dst)
+	list, evals, procs := e.cache.flush(e.g, e.states, prev, e.step, dst)
 	e.stats.GuardEvals += evals
 	e.stats.ProcsEvaluated += int64(procs)
 	if !full {
-		e.stats.DirtyMarks += marks
 		e.stats.ProcsSkipped += int64(e.g.N() - procs)
 	}
 	e.enabledList = list
@@ -515,10 +517,10 @@ func (e *Engine) Step() bool {
 	}
 	e.lastEnabled, e.lastBuf = enabled, e.heldBuf
 	if events != nil {
-		for _, ev := range b.events {
-			e.Publish(ev)
+		for i := range b.events {
+			e.publish(&b.events[i])
 		}
-		e.Publish(Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
+		e.publish(&Event{Kind: obs.KindStep, Step: e.step, Round: e.rounds, Count: len(sels)})
 	}
 	e.step++
 	e.stats.Steps++
@@ -602,7 +604,7 @@ func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) {
 	if e.pendingLeft == 0 {
 		e.rounds++
 		e.roundOpen = false
-		e.Publish(Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
+		e.publish(&Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
 	}
 }
 

@@ -181,9 +181,9 @@ func TestSelfCheckCatchesMisSlicedRule(t *testing.T) {
 }
 
 // TestSlotMarksOnlyTouchedSlot pins the cache's unit of work: a move in
-// slot s at the middle of a line marks slot s at its three processors and
-// re-evaluates only that slot (plus nothing else: the program has no
-// slot-0 rule).
+// slot s at the middle of a line marks the rule of slot s at its three
+// processors and re-evaluates only that rule there (plus nothing else:
+// the program has no slot-0 rule).
 func TestSlotMarksOnlyTouchedSlot(t *testing.T) {
 	g := graph.Line(3)
 	var rules []Rule
@@ -205,8 +205,8 @@ func TestSlotMarksOnlyTouchedSlot(t *testing.T) {
 	before := e.Stats()
 	e.Step() // flush: slot 2 at p0, p1, p2
 	st := e.Stats()
-	if got := st.DirtyMarks - before.DirtyMarks; got != 3 {
-		t.Fatalf("a slot-2 move marked %d (processor, slot) pairs, want 3", got)
+	if got := st.ProcsEvaluated - before.ProcsEvaluated; got != 3 {
+		t.Fatalf("a slot-2 move re-evaluated %d processors, want 3", got)
 	}
 	if got := st.GuardEvals - before.GuardEvals; got != 3 {
 		t.Fatalf("the flush evaluated %d guards, want 3 (one slot at three processors)", got)
@@ -245,9 +245,8 @@ func TestStagedWrite(t *testing.T) {
 
 // TestChoiceSortsInterleavedSlots runs a program whose rule order
 // interleaves its slots, rule 0 in slot 2 and rule 1 in slot 1: a
-// processor's choice visits slot 1 first, so its indices come out
-// descending and the cache must sort them, as the naive scan (the
-// self-check) offers them ascending.
+// processor's choice must still offer its indices ascending, as the
+// naive scan (the self-check) does.
 func TestChoiceSortsInterleavedSlots(t *testing.T) {
 	dec := func(s int) Rule {
 		return Rule{
@@ -266,5 +265,77 @@ func TestChoiceSortsInterleavedSlots(t *testing.T) {
 	}
 	if _, terminal := e.Run(10, nil); !terminal {
 		t.Fatal("the decrements did not terminate")
+	}
+}
+
+// flagState is a one-slot toy state that is no SlotState: hi counts the
+// high-priority moves left, ticks the flips of flag left, done records
+// the low-priority move.
+type flagState struct{ hi, ticks, flag, done int }
+
+func (s *flagState) Clone() State { c := *s; return &c }
+
+// TestLowerPriorityGuardsDeferred pins the deferral of lower-priority
+// guards. On a line 0-1-2, p1's "hi" (priority 0) stays enabled while p0
+// ticks three times, each tick flipping the flag that p1's "lo" (priority
+// 1) reads at its neighbour; a full rescan (Invalidate) falls in between.
+// Only then does p1 run hi, which leaves lo, last marked by a tick, the
+// one rule to offer. The self-check is off, so after every step the
+// engine's own enabled set is compared with EnabledOf, and lo's guard
+// must not have run at p1 while hi was enabled.
+func TestLowerPriorityGuardsDeferred(t *testing.T) {
+	const fHi, fTicks, fFlag, fDone = 1, 2, 4, 8
+	self := func(v *View) *flagState { return v.Self().(*flagState) }
+	early := 0 // lo's guard runs at p1, outside EnabledOf, while hi is enabled
+	counting := true
+	rules := []Rule{{
+		Name: "hi", Slot: 1, Reads: fHi, Writes: fHi,
+		Guard:  func(v *View) bool { return self(v).hi > 0 },
+		Action: func(v *View) { self(v).hi-- },
+	}, {
+		Name: "tick", Slot: 1, Reads: fTicks, Writes: fTicks | fFlag,
+		Guard:  func(v *View) bool { return self(v).ticks > 0 },
+		Action: func(v *View) { self(v).ticks--; self(v).flag ^= 1 },
+	}, {
+		Name: "lo", Priority: 1, Slot: 1, Reads: fDone, ReadsNbrs: fFlag, Writes: fDone,
+		Guard: func(v *View) bool {
+			if v.ID() != 1 {
+				return false
+			}
+			if counting && self(v).hi > 0 {
+				early++
+			}
+			return self(v).done == 0 && v.Read(0).(*flagState).flag == 1
+		},
+		Action: func(v *View) { self(v).done = 1 },
+	}}
+	cfg := []State{&flagState{ticks: 3}, &flagState{hi: 1}, &flagState{}}
+	e := NewEngine(graph.Line(3), NewProgram(rules...), oneDaemon{}, cfg, WithSelfCheck(false))
+	check := func(step int) {
+		t.Helper()
+		got := e.Enabled()
+		now := make([]State, len(cfg))
+		for p := range now {
+			now[p] = e.PeekStateOf(graph.ProcessID(p))
+		}
+		counting = false
+		want := EnabledOf(e.Graph(), rules, now)
+		counting = true
+		if diff := diffEnabled(rules, want, got); diff != "" {
+			t.Fatalf("after step %d the cache diverges from EnabledOf:\n%s", step, diff)
+		}
+	}
+	check(0)
+	for step := 1; e.Step(); step++ {
+		if step == 2 {
+			e.Invalidate()
+		}
+		check(step)
+	}
+	if got := e.MoveCounts(); !maps.Equal(got, map[string]int{"tick": 3, "hi": 1, "lo": 1}) {
+		t.Fatalf("moves %v, want tick 3, hi 1, lo 1", got)
+	}
+	if early != 0 {
+		t.Fatalf("lo's guard ran %d times at p1 while hi was enabled, want 0", early)
 	}
 }

@@ -155,7 +155,9 @@ func (v *View) Observe(ev Event) {
 // observe events. Priority implements the paper's inter-protocol priority: a
 // processor with an enabled rule of priority k never executes a rule of
 // priority > k (lower number = higher priority). The routing algorithm A
-// runs at priority 0, SSMFP at priority 1.
+// runs at priority 0, SSMFP at priority 1. The engine does not evaluate
+// the guards of priority > k at such a processor until its rules of
+// priority k are all disabled, so a guard must not count on being run.
 //
 // Slot is the part of the processor's state the rule belongs to, e.g. one
 // destination of a per-destination protocol. Slot 0, the default, is the
@@ -271,18 +273,18 @@ func scanEnabled(g *graph.Graph, rules []Rule, cfg []State, step int, guardEvals
 }
 
 // Delta incrementally updates enabled sets after localized configuration
-// changes, for one program on one graph. It groups the rules by slot once
-// and reuses the engine's slot evaluator between calls, so an exhaustive
-// exploration (internal/explore) pays for the grouping once. A Delta is
+// changes, for one program on one graph. It builds the rule masks once
+// and reuses the engine's evaluator between calls, so an exhaustive
+// exploration (internal/explore) pays for them once. A Delta is
 // not safe for concurrent use.
 type Delta struct {
 	g     *graph.Graph
-	cache *slotCache
+	cache *enabledCache
 }
 
 // NewDelta returns a Delta for rules on g.
 func NewDelta(g *graph.Graph, rules []Rule) *Delta {
-	return &Delta{g: g, cache: newSlotCache(rules, g.N())}
+	return &Delta{g: g, cache: newEnabledCache(rules, g.N())}
 }
 
 // Enabled returns the enabled choices of cfg: prev must be the enabled
@@ -290,14 +292,14 @@ func NewDelta(g *graph.Graph, rules []Rule) *Delta {
 // processors whose state differs. Because a guard at p reads only the
 // closed neighborhood N[p] (enforced by View.Read), enabledness can have
 // changed only inside N[changed]; exactly those processors are
-// re-evaluated, every slot of each, and everything else is carried over
+// re-evaluated, every rule of each, and everything else is carried over
 // from prev. The result is freshly allocated and sorted by processor ID,
 // identical to EnabledOf(g, rules, cfg).
 func (d *Delta) Enabled(cfg []State, prev []Choice, changed []graph.ProcessID) []Choice {
 	for _, p := range changed {
 		d.cache.markClosed(d.g, p)
 	}
-	list, _, _, _ := d.cache.flush(d.g, cfg, prev, 0, nil)
+	list, _, _ := d.cache.flush(d.g, cfg, prev, 0, nil)
 	return list
 }
 

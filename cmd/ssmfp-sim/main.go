@@ -89,15 +89,8 @@ func main() {
 		MaxSteps:  *maxSteps,
 		SelfCheck: *paranoid,
 	}
-	switch *policy {
-	case "fifo-queue":
-		sc.Policy = core.PolicyQueue
-	case "rotating":
-		sc.Policy = core.PolicyRotating
-	case "lowest-id":
-		sc.Policy = core.PolicyLowestID
-	default:
-		fmt.Fprintf(os.Stderr, "ssmfp-sim: unknown policy %q\n", *policy)
+	if sc.Policy, err = core.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, "ssmfp-sim:", err)
 		os.Exit(2)
 	}
 	if *corrupt {

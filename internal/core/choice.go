@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"ssmfp/internal/graph"
@@ -85,6 +86,16 @@ func (p ChoicePolicy) String() string {
 	default:
 		return "unknown-policy"
 	}
+}
+
+// ParsePolicy returns the policy whose String is name.
+func ParsePolicy(name string) (ChoicePolicy, error) {
+	for _, p := range []ChoicePolicy{PolicyQueue, PolicyLowestID, PolicyRotating} {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown choice policy %q (want fifo-queue, rotating, or lowest-id)", name)
 }
 
 // choiceBuf sizes the stack scratch rules give choose: the candidates

@@ -39,36 +39,45 @@ func corruptGrid(seed int64) (*graph.Graph, []sm.State) {
 	return g, cfg
 }
 
-// corruptGridEngine runs corruptGrid under the synchronous daemon with
-// the checker subscribed, as the benchmark does.
-func corruptGridEngine(seed int64, opts ...sm.EngineOption) *sm.Engine {
+// corruptGridEngine runs corruptGrid under the named daemon with the
+// checker subscribed, as the benchmark does.
+func corruptGridEngine(kind string, seed int64, opts ...sm.EngineOption) *sm.Engine {
 	g, cfg := corruptGrid(seed)
-	e := sm.NewEngine(g, core.FullProgram(g), daemon.NewSynchronous(seed), cfg, opts...)
+	d, err := daemon.New(kind, seed, g.N())
+	if err != nil {
+		panic(err)
+	}
+	e := sm.NewEngine(g, core.FullProgram(g), d, cfg, opts...)
 	checker.New(g).Attach(e)
 	return e
 }
 
 // BenchmarkEngineStep measures one engine step of the engine-corrupt
-// shape: an op is one Step, and a run that reaches quiescence is
-// replaced by the next seeded one outside the timer, so the figures
-// average over whole executions. It is the engine's per-step ledger
-// entry; run with -benchmem.
+// shape, under the benchmark's synchronous daemon and under a central
+// one (one move per step): an op is one Step, and a run that reaches
+// quiescence is replaced by the next seeded one outside the timer, so
+// the figures average over whole executions. It is the engine's
+// per-step ledger entry; run with -benchmem.
 func BenchmarkEngineStep(b *testing.B) {
-	b.ReportAllocs()
-	seed := int64(1)
-	build := func() *sm.Engine {
-		e := corruptGridEngine(seed, sm.WithSelfCheck(false))
-		seed++
-		return e
-	}
-	e := build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.StopTimer()
-			e = build()
-			b.StartTimer()
-			i--
-		}
+	for _, kind := range []string{"synchronous", "central-random"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			seed := int64(1)
+			build := func() *sm.Engine {
+				e := corruptGridEngine(kind, seed, sm.WithSelfCheck(false))
+				seed++
+				return e
+			}
+			e := build()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !e.Step() {
+					b.StopTimer()
+					e = build()
+					b.StartTimer()
+					i--
+				}
+			}
+		})
 	}
 }

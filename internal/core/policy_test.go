@@ -35,6 +35,14 @@ func TestPolicyStrings(t *testing.T) {
 		core.ChoicePolicy(9).String() != "unknown-policy" {
 		t.Fatal("policy names wrong")
 	}
+	for _, p := range []core.ChoicePolicy{core.PolicyQueue, core.PolicyLowestID, core.PolicyRotating} {
+		if got, err := core.ParsePolicy(p.String()); err != nil || got != p {
+			t.Fatalf("ParsePolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	if _, err := core.ParsePolicy("unknown-policy"); err == nil {
+		t.Fatal("ParsePolicy accepted an unknown name")
+	}
 }
 
 func TestRotatingPolicySnapStabilizes(t *testing.T) {

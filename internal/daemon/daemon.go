@@ -18,6 +18,24 @@ import (
 	sm "ssmfp/internal/statemodel"
 )
 
+// New builds the daemon named kind, seeded by seed; n, the network size,
+// scales the weakly fair daemon's starvation bound.
+func New(kind string, seed int64, n int) (sm.Daemon, error) {
+	switch kind {
+	case "synchronous":
+		return NewSynchronous(seed), nil
+	case "central-random":
+		return NewCentralRandom(seed), nil
+	case "central-round-robin":
+		return NewCentralRoundRobin(), nil
+	case "distributed-random":
+		return NewDistributedRandom(seed, 0.5), nil
+	case "weakly-fair-lifo":
+		return NewWeaklyFair(NewCentralLIFO(), 4*n), nil
+	}
+	return nil, fmt.Errorf("unknown daemon %q (want synchronous, central-random, central-round-robin, distributed-random, or weakly-fair-lifo)", kind)
+}
+
 // pickFirst deterministically picks the first offered rule (program order,
 // which for SSMFP is the paper's R1..R6 listing order).
 func pickFirst(c sm.Choice) sm.Selection {

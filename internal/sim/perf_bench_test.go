@@ -17,7 +17,7 @@ func benchEngine(b *testing.B, g *graph.Graph, kind DaemonKind) {
 	steps := 0
 	for i := 0; i < b.N; i++ {
 		cfg := core.CleanConfig(g)
-		e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(kind, int64(i), g.N()), cfg)
+		e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(kind, int64(i), g.N()), cfg, sm.WithSelfCheck(false))
 		in := workload.NewInjector(workload.AllToAll(g, 1),
 			func(st sm.State) workload.Enqueuer { return st.(*core.Node).FW })
 		in.Tick(e)
@@ -50,7 +50,7 @@ func BenchmarkEnabledComputation(b *testing.B) {
 	g := graph.Grid(4, 4)
 	cfg := core.CleanConfig(g)
 	cfg[0].(*core.Node).FW.Enqueue("x", 15)
-	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(Synchronous, 1, g.N()), cfg)
+	e := sm.NewEngine(g, core.FullProgram(g), NewDaemon(Synchronous, 1, g.N()), cfg, sm.WithSelfCheck(false))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

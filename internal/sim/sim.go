@@ -38,23 +38,14 @@ const (
 	WeaklyFairLIFO    DaemonKind = "weakly-fair-lifo"
 )
 
-// NewDaemon instantiates a daemon of the given kind. n is the network size
-// (used to scale the weak-fairness bound).
+// NewDaemon instantiates a daemon of the given kind (daemon.New). n is
+// the network size (used to scale the weak-fairness bound).
 func NewDaemon(kind DaemonKind, seed int64, n int) sm.Daemon {
-	switch kind {
-	case Synchronous:
-		return daemon.NewSynchronous(seed)
-	case CentralRandom:
-		return daemon.NewCentralRandom(seed)
-	case CentralRoundRobin:
-		return daemon.NewCentralRoundRobin()
-	case Distributed:
-		return daemon.NewDistributedRandom(seed, 0.5)
-	case WeaklyFairLIFO:
-		return daemon.NewWeaklyFair(daemon.NewCentralLIFO(), 4*n)
-	default:
-		panic(fmt.Sprintf("sim: unknown daemon kind %q", kind))
+	d, err := daemon.New(string(kind), seed, n)
+	if err != nil {
+		panic("sim: " + err.Error())
 	}
+	return d
 }
 
 // Scenario describes one run.

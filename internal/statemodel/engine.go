@@ -60,6 +60,9 @@ type Stats struct {
 // each selection in order through one executor against the pre-step
 // configuration, and only then commit them all: a staged write
 // (SlotState) in place, a slot-0 move's clone by replacing the state.
+// The step publishes nothing before the daemon's selections are checked,
+// so no subscriber can flush while the step still reads its pre-step
+// enabled set.
 type Engine struct {
 	g      *graph.Graph
 	rules  []Rule
@@ -77,22 +80,21 @@ type Engine struct {
 	seq   uint64
 
 	// round accounting: the processors enabled at the start of the
-	// current round that have neither executed nor been neutralized yet.
-	roundPending []bool
-	pendingLeft  int // processors still pending in the round
-	roundOpen    bool
-	lastEnabled  []Choice    // the previous step's pre-step set, to detect neutralizations
-	lastBuf      *choiceList // the one lastEnabled reads
-	inStep       bool        // Rounds() settles lazily only between steps
+	// current round that have neither executed nor been neutralized yet
+	// (the round is open while any is left). A pending processor has
+	// been enabled at every step of its round, so one that is not
+	// enabled now was neutralized.
+	pending   []graph.ProcessID
+	isPending []bool // false for one that executed since the list was last compacted
+	inStep    bool   // Rounds() settles lazily only between steps
 
 	// incremental enabled-set cache
 	incremental  bool
 	selfCheck    bool
 	enabledValid bool
 	enabledList  []Choice      // memoized enabled set; valid iff enabledValid
-	enabledBuf   *choiceList   // the stepBuffers.lists entry enabledList reads, if any
-	heldBuf      *choiceList   // the one the pre-step set of the step in progress reads
-	cache        *enabledCache // per-processor rule bitsets, built at the first scan
+	spare        []Choice      // the other list buffer, where the next flush merges
+	cache        *enabledCache // per-processor rule bitsets and choice rows, built at the first scan
 	stats        Stats
 
 	buf stepBuffers
@@ -104,7 +106,6 @@ type stepBuffers struct {
 	view   View    // the executing view
 	next   []State // per selection (at most one per processor): its scratch or clone until the commit, then a scratch to reuse or nil
 	events []Event
-	lists  [3]choiceList // storage of the enabled sets (see freeList)
 
 	offer  []int32  // processor -> index of its Choice in the validated set
 	mark   []uint32 // processor -> generation it was last offered/enabled in
@@ -155,14 +156,14 @@ func NewEngine(g *graph.Graph, program Program, daemon Daemon, initial []State, 
 		panic("statemodel: program has no rules")
 	}
 	e := &Engine{
-		g:            g,
-		rules:        rules,
-		daemon:       daemon,
-		states:       append([]State(nil), initial...),
-		moves:        make([]int, len(rules)),
-		roundPending: make([]bool, g.N()),
-		incremental:  true,
-		selfCheck:    testing.Testing(),
+		g:           g,
+		rules:       rules,
+		daemon:      daemon,
+		states:      append([]State(nil), initial...),
+		moves:       make([]int, len(rules)),
+		isPending:   make([]bool, g.N()),
+		incremental: true,
+		selfCheck:   testing.Testing(),
 		buf: stepBuffers{
 			next:   make([]State, g.N()),
 			offer:  make([]int32, g.N()),
@@ -229,10 +230,10 @@ func (e *Engine) Invalidate(ps ...graph.ProcessID) {
 }
 
 func (e *Engine) resetRoundBookkeeping() {
-	clear(e.roundPending)
-	e.pendingLeft = 0
-	e.roundOpen = false
-	e.lastEnabled, e.lastBuf = nil, nil
+	for _, p := range e.pending {
+		e.isPending[p] = false
+	}
+	e.pending = e.pending[:0]
 }
 
 // Steps returns the number of executed steps.
@@ -254,10 +255,9 @@ func (e *Engine) Rounds() int {
 // settleRounds closes the current round if it is already complete under
 // the current configuration.
 func (e *Engine) settleRounds() {
-	if !e.roundOpen {
-		return
+	if len(e.pending) > 0 && e.closeRoundBookkeeping(e.enabledCurrent()) {
+		e.publishRound()
 	}
-	e.closeRoundBookkeeping(e.enabledCurrent())
 }
 
 // Moves returns how many times the named rule has executed.
@@ -341,18 +341,12 @@ func (e *Engine) markDirty(p graph.ProcessID) {
 
 // enabledCurrent returns the enabled choices of the current configuration:
 // a full scan when the cache is off or invalid, otherwise the memoized
-// list with the marked rules re-evaluated first. Both
-// are one flush of the cache. Callers inside the engine must not
-// mutate the list. A rebuild writes only into storage no live list
-// reads (freeList), so a list handed out before a flush (the pre-step
-// set a Step holds, the previous step's set) stays intact.
-//
-// Building into reused storage copies the rules of every carried choice,
-// so a flush does it only when it rebuilds at least half as many
-// processors as prev holds (a synchronous step). One that rebuilds fewer
-// (a central daemon's step) allocates its fresh choices and shares the
-// carried ones with prev, so the new list still reads prev's storage,
-// which stays reserved as enabledBuf.
+// list with the marked rules re-evaluated first. Both are one flush of
+// the cache, which merges into the spare of two alternating list buffers,
+// so the list it replaces stays intact until the flush after. Callers
+// inside the engine must not mutate the list, and may hold it only until
+// the next flush: that flush rewrites the choice rows of the processors it
+// re-evaluates, which the list's choices read.
 func (e *Engine) enabledCurrent() []Choice {
 	if e.cache == nil {
 		e.cache = newEnabledCache(e.rules, e.g.N())
@@ -372,34 +366,14 @@ func (e *Engine) enabledCurrent() []Choice {
 	default:
 		return e.enabledList
 	}
-	var dst *choiceList
-	if 2*len(e.cache.dirty) >= len(prev) {
-		dst = e.freeList()
-	}
-	list, evals, procs := e.cache.flush(e.g, e.states, prev, e.step, dst)
+	list, evals, procs := e.cache.flush(e.g, e.states, prev, e.spare[:0], e.step, false)
 	e.stats.GuardEvals += evals
 	e.stats.ProcsEvaluated += int64(procs)
 	if !full {
 		e.stats.ProcsSkipped += int64(e.g.N() - procs)
 	}
-	e.enabledList = list
-	if dst != nil {
-		e.enabledBuf = dst
-	}
+	e.spare, e.enabledList = e.enabledList, list
 	return list
-}
-
-// freeList returns enabled-set storage that no live list reads: neither
-// the memoized set, nor the previous step's, nor the pre-step set of the
-// step in progress. Nil (allocate afresh) if all three are taken, which
-// only a subscriber flushing twice inside one step can cause.
-func (e *Engine) freeList() *choiceList {
-	for i := range e.buf.lists {
-		if l := &e.buf.lists[i]; l != e.enabledBuf && l != e.lastBuf && l != e.heldBuf {
-			return l
-		}
-	}
-	return nil
 }
 
 // selfCheckEnabled recomputes the enabled set with the naive full scan and
@@ -407,7 +381,7 @@ func (e *Engine) freeList() *choiceList {
 // bypasses the instrumentation counters.
 func (e *Engine) selfCheckEnabled(got []Choice) {
 	e.stats.SelfChecks++
-	want := scanEnabled(e.g, e.rules, e.states, e.step, nil)
+	want := scanEnabled(e.g, e.rules, e.states, e.step)
 	if diff := diffEnabled(e.rules, want, got); diff != "" {
 		panic(fmt.Sprintf("statemodel: incremental enabled-set divergence at step %d (self-check):\n%s", e.step, diff))
 	}
@@ -468,23 +442,28 @@ func (e *Engine) Terminal() bool { return len(e.enabledCurrent()) == 0 }
 // terminal.
 func (e *Engine) Step() bool {
 	e.inStep = true
-	defer func() { e.inStep, e.heldBuf = false, nil }()
+	defer func() { e.inStep = false }()
 
 	enabled := e.enabledCurrent()
-	e.heldBuf = e.enabledBuf
 	if e.incremental && e.selfCheck {
 		e.selfCheckEnabled(enabled)
 	}
-	e.closeRoundBookkeeping(enabled)
+	closed := len(e.pending) > 0 && e.closeRoundBookkeeping(enabled)
 	if len(enabled) == 0 {
+		if closed {
+			e.publishRound()
+		}
 		return false
 	}
-	if !e.roundOpen {
+	if len(e.pending) == 0 {
 		e.openRound(enabled)
 	}
 
 	sels := e.daemon.Select(e.step, enabled)
 	e.validateSelections(enabled, sels)
+	if closed { // only now: a subscriber may flush, which enabled does not survive
+		e.publishRound()
+	}
 
 	// Execute every selection in order against the same pre-step
 	// configuration, then commit.
@@ -510,12 +489,8 @@ func (e *Engine) Step() bool {
 			e.cache.markMove(e.g, p, sel.Rule)
 		}
 		e.moves[sel.Rule]++
-		if e.roundPending[p] {
-			e.roundPending[p] = false
-			e.pendingLeft--
-		}
+		e.isPending[p] = false
 	}
-	e.lastEnabled, e.lastBuf = enabled, e.heldBuf
 	if events != nil {
 		for i := range b.events {
 			e.publish(&b.events[i])
@@ -580,40 +555,41 @@ func (e *Engine) nextGen() uint32 {
 
 // --- round accounting -------------------------------------------------
 
-// closeRoundBookkeeping runs when a fresh enabled set is known: any
-// processor still pending in the current round that was enabled at the
-// previous step and is no longer enabled now was neutralized and leaves
-// the round. If the round's pending set empties, the round completes.
-func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) {
-	if !e.roundOpen {
-		return
+// closeRoundBookkeeping runs on an open round when a fresh enabled set
+// is known: every pending processor that executed, or is not enabled now
+// and so was neutralized, leaves the round. It reports whether the round
+// completed, counting it; the caller publishes its event.
+func (e *Engine) closeRoundBookkeeping(enabledNow []Choice) bool {
+	b := &e.buf
+	gen := e.nextGen()
+	for _, c := range enabledNow {
+		b.mark[c.Process] = gen
 	}
-	if len(e.lastEnabled) > 0 {
-		b := &e.buf
-		gen := e.nextGen()
-		for _, c := range enabledNow {
-			b.mark[c.Process] = gen
-		}
-		for _, c := range e.lastEnabled {
-			if p := c.Process; e.roundPending[p] && b.mark[p] != gen {
-				e.roundPending[p] = false // neutralized
-				e.pendingLeft--
-			}
+	left := e.pending[:0]
+	for _, p := range e.pending {
+		if e.isPending[p] && b.mark[p] == gen {
+			left = append(left, p)
+		} else {
+			e.isPending[p] = false
 		}
 	}
-	if e.pendingLeft == 0 {
-		e.rounds++
-		e.roundOpen = false
-		e.publish(&Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
+	e.pending = left
+	if len(left) > 0 {
+		return false
 	}
+	e.rounds++
+	return true
+}
+
+func (e *Engine) publishRound() {
+	e.publish(&Event{Kind: obs.KindRound, Step: e.step, Round: e.rounds})
 }
 
 func (e *Engine) openRound(enabled []Choice) {
 	for _, c := range enabled {
-		e.roundPending[c.Process] = true
+		e.pending = append(e.pending, c.Process)
+		e.isPending[c.Process] = true
 	}
-	e.pendingLeft = len(enabled)
-	e.roundOpen = true
 }
 
 // Run executes steps until the configuration is terminal, the optional stop
@@ -636,7 +612,7 @@ func (e *Engine) Run(maxSteps int, stop func(*Engine) bool) (steps int, terminal
 // EnabledRuleNames returns the names of the rules currently enabled at p,
 // sorted; a debugging and test helper.
 func (e *Engine) EnabledRuleNames(p graph.ProcessID) []string {
-	c := enabledAtConfig(e.g, e.rules, e.states, p, e.step, nil)
+	c := enabledAtConfig(e.g, e.rules, e.states, p, e.step)
 	names := make([]string, 0, len(c.Rules))
 	for _, i := range c.Rules {
 		names = append(names, e.rules[i].Name)

@@ -198,7 +198,7 @@ func TestInvalidateRecovers(t *testing.T) {
 
 // TestSetStateOfResetsRoundAccounting is the regression test for the
 // round-accounting corruption after Engine.SetStateOf: replacing a state
-// mid-round used to leave lastEnabled/roundPending stale, so the pending
+// mid-round used to leave the round bookkeeping stale, so the pending
 // processor was mistaken for neutralized and the half-finished round was
 // counted.
 //
@@ -377,20 +377,21 @@ func (d *checkingDaemon) Select(step int, enabled []Choice) []Selection {
 	return allDaemon{}.Select(step, enabled)
 }
 
-// TestReusedEnabledListsStayIntact: the engine builds its enabled lists
-// in reused storage, so no flush may write into storage a live list
-// reads. A subscriber rewrites one processor or all of them and flushes
-// at the end of every step, and twice more at every round event, between
-// the step's own flush and the daemon's Select; the set the daemon is
-// handed must still be the one of the step's start, and the self-check
-// compares the memoized set at every step.
+// TestReusedEnabledListsStayIntact: the engine merges its enabled lists
+// into two alternating buffers, and their choices read per-processor rows
+// that a flush rewrites, so nothing may flush while a step still reads its
+// pre-step set. A subscriber rewrites one processor or all of them and
+// flushes at the end of every step, and twice more at every round event,
+// which the engine publishes only after the daemon's Select; the set the
+// daemon is handed must still be the one of the step's start, and the
+// self-check compares the memoized set at every step.
 func TestReusedEnabledListsStayIntact(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.RandomConnected(24, 40, rng)
 		d := &checkingDaemon{t: t}
 		e := NewEngine(g, slotMaxProgram(4, func(s int) int { return s }), d, vecConfig(rng, g.N(), 4), WithSelfCheck(true))
-		d.e, d.want = e, scanEnabled(g, e.rules, e.states, 0, nil)
+		d.e, d.want = e, scanEnabled(g, e.rules, e.states, 0)
 		perturb := func() {
 			for range 1 + rng.Intn(2)*(g.N()-1) {
 				st := e.StateOf(graph.ProcessID(rng.Intn(g.N()))).(*vecState)
@@ -405,7 +406,7 @@ func TestReusedEnabledListsStayIntact(t *testing.T) {
 				perturb()
 			case obs.KindStep:
 				perturb()
-				d.want = scanEnabled(g, e.rules, e.states, ev.Step+1, nil)
+				d.want = scanEnabled(g, e.rules, e.states, ev.Step+1)
 			}
 		})
 		if steps, _ := e.Run(300, nil); steps != 300 {

@@ -15,7 +15,8 @@ import (
 // processor's Choice, the enabled rules of its minimal priority class in
 // ascending order (enabledAtConfig's filter, which the self-check runs as
 // the naive oracle), is its enabled set ANDed with the mask of its best
-// rank, read out word by word, so it comes out sorted.
+// rank, read out word by word, so it comes out sorted. It is kept in p's
+// choice row, and only a re-evaluation of p rewrites the row.
 //
 // A move marks the guards that read a field it wrote (markMove, by the
 // rules' footprints); a flush re-evaluates the marked guards of a
@@ -49,6 +50,7 @@ type enabledCache struct {
 
 	enabled []uint64 // [p*words:]: the enabled rules of p
 	pending []uint64 // [p*words:]: the rules of p to re-evaluate
+	choice  [][]int  // p -> its choice, rewritten only when p is re-evaluated
 	dirty   []graph.ProcessID
 	isDirty []bool
 	view    View // the guard-evaluation view, reused across processors
@@ -124,6 +126,7 @@ func newEnabledCache(rules []Rule, n int) *enabledCache {
 	}
 	c.enabled = make([]uint64, n*c.words)
 	c.pending = make([]uint64, n*c.words)
+	c.choice = make([][]int, n)
 	c.isDirty = make([]bool, n)
 	return c
 }
@@ -186,24 +189,17 @@ func (c *enabledCache) markMove(g *graph.Graph, p graph.ProcessID, i int) {
 	}
 }
 
-// choiceList is storage for an enabled list that a flush may reuse: the
-// choices and one arena holding all their rule indices.
-type choiceList struct {
-	list  []Choice
-	arena []int
-}
-
-// flush re-evaluates the marked rules on cfg, rebuilds the marked
-// processors' choices and merges them into prev (sorted by processor ID).
-// It returns the new enabled list, the guard invocations and the number
-// of processors re-evaluated.
+// flush re-evaluates the marked rules on cfg, rewriting the choice rows
+// of the processors it re-evaluates, and appends to dst the merge of prev
+// (sorted by processor ID) with their fresh choices. It returns the new
+// enabled list, the guard invocations and the number of processors
+// re-evaluated.
 //
-// With dst nil the list is freshly allocated and the choices carried
-// over from prev share their rules with it. Otherwise the list is built
-// in dst's storage, carried rules copied, so it references nothing of
-// prev or of any older list; the caller must not reuse dst while it
-// still reads a list built there.
-func (c *enabledCache) flush(g *graph.Graph, cfg []State, prev []Choice, step int, dst *choiceList) (list []Choice, guardEvals int64, procs int) {
+// A carried choice is copied from prev as it is. A fresh one reads its
+// processor's row, which the next re-evaluation of that processor
+// rewrites, unless own is set: then its rules are copied out into one
+// freshly allocated arena, so the list outlives later flushes.
+func (c *enabledCache) flush(g *graph.Graph, cfg []State, prev, dst []Choice, step int, own bool) (list []Choice, guardEvals int64, procs int) {
 	ps := c.dirty
 	slices.Sort(ps)
 	c.view = View{g: g, snapshot: cfg, step: step}
@@ -211,26 +207,10 @@ func (c *enabledCache) flush(g *graph.Graph, cfg []State, prev []Choice, step in
 		guardEvals += c.evalProc(p)
 	}
 
-	// The fresh choices of ps replace (or drop) their entries of prev. Their
-	// rules go to one arena; a choice keeps the array it was built in.
+	list = slices.Grow(dst, len(prev)+len(ps))
 	var arena []int
-	if dst == nil {
+	if own {
 		arena = make([]int, 0, 2*len(ps))
-		list = make([]Choice, 0, len(prev)+len(ps))
-	} else {
-		arena = dst.arena[:0]
-		list = slices.Grow(dst.list[:0], len(prev)+len(ps))
-	}
-	carry := func(chs []Choice) {
-		if dst == nil {
-			list = append(list, chs...)
-			return
-		}
-		for _, ch := range chs {
-			start := len(arena)
-			arena = append(arena, ch.Rules...)
-			list = append(list, Choice{Process: ch.Process, Rules: arena[start:len(arena):len(arena)]})
-		}
 	}
 	pi := 0
 	for _, p := range ps {
@@ -238,19 +218,22 @@ func (c *enabledCache) flush(g *graph.Graph, cfg []State, prev []Choice, step in
 		for pi < len(prev) && prev[pi].Process < p {
 			pi++
 		}
-		carry(prev[start:pi])
+		list = append(list, prev[start:pi]...)
 		if pi < len(prev) && prev[pi].Process == p {
 			pi++
 		}
-		start = len(arena)
-		if arena = c.appendChoice(arena, p); len(arena) > start {
-			list = append(list, Choice{Process: p, Rules: arena[start:len(arena):len(arena)]})
+		rules := c.choice[p]
+		if len(rules) == 0 {
+			continue
 		}
+		if own {
+			start := len(arena)
+			arena = append(arena, rules...)
+			rules = arena[start:]
+		}
+		list = append(list, Choice{Process: p, Rules: rules[:len(rules):len(rules)]})
 	}
-	carry(prev[pi:])
-	if dst != nil {
-		dst.list, dst.arena = list, arena
-	}
+	list = append(list, prev[pi:]...)
 	c.dirty = ps[:0]
 	return list, guardEvals, len(ps)
 }
@@ -285,20 +268,20 @@ func (c *enabledCache) evalProc(p graph.ProcessID) int64 {
 			break
 		}
 	}
+	c.choice[p] = c.appendChoice(c.choice[p][:0], p)
 	return evals
 }
 
 // appendChoice appends p's choice — its enabled rules of the best rank
-// that has any, ascending — to arena.
-func (c *enabledCache) appendChoice(arena []int, p graph.ProcessID) []int {
+// that has any, ascending — to row.
+func (c *enabledCache) appendChoice(row []int, p graph.ProcessID) []int {
 	enabled := c.row(c.enabled, p)
-	start := len(arena)
-	for r := 0; r < len(c.ranked) && len(arena) == start; r++ {
+	for r := 0; r < len(c.ranked) && len(row) == 0; r++ {
 		for w, m := range c.ranked[r] {
 			for set := enabled[w] & m; set != 0; set &= set - 1 {
-				arena = append(arena, w*64+bits.TrailingZeros64(set))
+				row = append(row, w*64+bits.TrailingZeros64(set))
 			}
 		}
 	}
-	return arena
+	return row
 }

@@ -240,10 +240,11 @@ type Selection struct {
 // picks a rule offered in that processor's Choice. This matches the
 // distributed daemon of §2.1; a central daemon simply returns a single
 // selection. enabled, and the Rules of its choices, are valid only during
-// Select: the engine reuses their storage at later steps, so a daemon
-// that keeps any of it past the call must copy it. In the other direction,
-// the returned slice is valid until the next Select: the engine consumes
-// it within the step, so a daemon may hand out the same buffer each time.
+// Select: the engine rewrites their storage at its next flush, so a
+// daemon that keeps any of it past the call must copy it. In the other
+// direction, the returned slice is valid until the next Select: the
+// engine consumes it within the step, so a daemon may hand out the same
+// buffer each time.
 type Daemon interface {
 	Name() string
 	Select(step int, enabled []Choice) []Selection
@@ -255,16 +256,15 @@ type Daemon interface {
 // configurations that are not installed in any engine. Priority filtering
 // is applied exactly as in the engine.
 func EnabledOf(g *graph.Graph, rules []Rule, cfg []State) []Choice {
-	return scanEnabled(g, rules, cfg, 0, nil)
+	return scanEnabled(g, rules, cfg, 0)
 }
 
 // scanEnabled is the naive full sweep: every guard of every processor is
-// evaluated on cfg. guardEvals, when non-nil, accumulates the number of
-// guard invocations.
-func scanEnabled(g *graph.Graph, rules []Rule, cfg []State, step int, guardEvals *int64) []Choice {
+// evaluated on cfg.
+func scanEnabled(g *graph.Graph, rules []Rule, cfg []State, step int) []Choice {
 	var enabled []Choice
 	for p := 0; p < g.N(); p++ {
-		c := enabledAtConfig(g, rules, cfg, graph.ProcessID(p), step, guardEvals)
+		c := enabledAtConfig(g, rules, cfg, graph.ProcessID(p), step)
 		if len(c.Rules) > 0 {
 			enabled = append(enabled, c)
 		}
@@ -294,28 +294,26 @@ func NewDelta(g *graph.Graph, rules []Rule) *Delta {
 // changed only inside N[changed]; exactly those processors are
 // re-evaluated, every rule of each, and everything else is carried over
 // from prev. The result is freshly allocated and sorted by processor ID,
-// identical to EnabledOf(g, rules, cfg).
+// identical to EnabledOf(g, rules, cfg); its carried choices share their
+// rules with prev.
 func (d *Delta) Enabled(cfg []State, prev []Choice, changed []graph.ProcessID) []Choice {
 	for _, p := range changed {
 		d.cache.markClosed(d.g, p)
 	}
-	list, _, _ := d.cache.flush(d.g, cfg, prev, 0, nil)
+	list, _, _ := d.cache.flush(d.g, cfg, prev, nil, 0, true)
 	return list
 }
 
 // enabledAtConfig evaluates the guards of p on cfg, offering only the
-// minimal enabled priority class. guardEvals, when non-nil, accumulates
-// the number of guard invocations.
-func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessID, step int, guardEvals *int64) Choice {
+// minimal enabled priority class.
+func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessID, step int) Choice {
 	v := &View{id: p, g: g, snapshot: cfg, step: step}
 	best := int(^uint(0) >> 1)
 	var idxs []int
-	evals := int64(0)
 	for i, r := range rules {
 		if r.Priority > best {
 			continue
 		}
-		evals++
 		if r.Guard(v) {
 			if r.Priority < best {
 				best = r.Priority
@@ -323,9 +321,6 @@ func enabledAtConfig(g *graph.Graph, rules []Rule, cfg []State, p graph.ProcessI
 			}
 			idxs = append(idxs, i)
 		}
-	}
-	if guardEvals != nil {
-		*guardEvals += evals
 	}
 	return Choice{Process: p, Rules: idxs}
 }

@@ -43,7 +43,7 @@ type Option func(*options)
 func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithDaemon selects the scheduler: "synchronous" (default),
-// "central-random", "central-round-robin", "distributed", or
+// "central-random", "central-round-robin", "distributed-random", or
 // "weakly-fair-lifo" (the adversarial-but-fair daemon of the proofs).
 func WithDaemon(kind string) Option { return func(o *options) { o.daemonKind = kind } }
 
@@ -67,16 +67,11 @@ func WithMaxSteps(n int) Option { return func(o *options) { o.maxSteps = n } }
 // load; provided for the E-X5 ablation).
 func WithChoicePolicy(name string) Option {
 	return func(o *options) {
-		switch name {
-		case "fifo-queue":
-			o.policy = core.PolicyQueue
-		case "rotating":
-			o.policy = core.PolicyRotating
-		case "lowest-id":
-			o.policy = core.PolicyLowestID
-		default:
-			panic(fmt.Sprintf("ssmfp: unknown choice policy %q (want fifo-queue, rotating, or lowest-id)", name))
+		p, err := core.ParsePolicy(name)
+		if err != nil {
+			panic("ssmfp: " + err.Error())
 		}
+		o.policy = p
 	}
 }
 
@@ -108,7 +103,11 @@ func NewNetwork(t *Topology, opts ...Option) *Network {
 		cfg = core.CleanConfig(t)
 	}
 	n := &Network{g: t, opts: o}
-	n.engine = sm.NewEngine(t, core.FullProgramWithPolicy(t, o.policy), newDaemon(o.daemonKind, o.seed, t.N()), cfg)
+	d, err := daemon.New(o.daemonKind, o.seed, t.N())
+	if err != nil {
+		panic("ssmfp: " + err.Error())
+	}
+	n.engine = sm.NewEngine(t, core.FullProgramWithPolicy(t, o.policy), d, cfg)
 	n.tracker = checker.New(t)
 	n.tracker.Attach(n.engine)
 	if len(o.subscribers) > 0 {
@@ -123,23 +122,6 @@ func NewNetwork(t *Topology, opts ...Option) *Network {
 		})
 	}
 	return n
-}
-
-func newDaemon(kind string, seed int64, n int) sm.Daemon {
-	switch kind {
-	case "synchronous":
-		return daemon.NewSynchronous(seed)
-	case "central-random":
-		return daemon.NewCentralRandom(seed)
-	case "central-round-robin":
-		return daemon.NewCentralRoundRobin()
-	case "distributed":
-		return daemon.NewDistributedRandom(seed, 0.5)
-	case "weakly-fair-lifo":
-		return daemon.NewWeaklyFair(daemon.NewCentralLIFO(), 4*n)
-	default:
-		panic(fmt.Sprintf("ssmfp: unknown daemon %q (want synchronous, central-random, central-round-robin, distributed, or weakly-fair-lifo)", kind))
-	}
 }
 
 // Send registers a higher-layer send request at src. It may be called

@@ -46,7 +46,7 @@ func TestCorruptStartStillExactlyOnce(t *testing.T) {
 
 func TestAllDaemonKinds(t *testing.T) {
 	for _, kind := range []string{
-		"synchronous", "central-random", "central-round-robin", "distributed", "weakly-fair-lifo",
+		"synchronous", "central-random", "central-round-robin", "distributed-random", "weakly-fair-lifo",
 	} {
 		t.Run(kind, func(t *testing.T) {
 			net := ssmfp.NewNetwork(ssmfp.Ring(5),
@@ -214,7 +214,7 @@ func TestQuickFacadeSnapStabilization(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		n := 3 + int(nRaw)%6
 		tp := ssmfp.Random(n, 2*n, seed)
-		net := ssmfp.NewNetwork(tp, ssmfp.WithCorruptStart(seed), ssmfp.WithDaemon("distributed"))
+		net := ssmfp.NewNetwork(tp, ssmfp.WithCorruptStart(seed), ssmfp.WithDaemon("distributed-random"))
 		k := 1 + int(kRaw)%5
 		for i := 0; i < k; i++ {
 			net.Send(ssmfp.ProcessID(i%n), ssmfp.ProcessID((i+1)%n), "q")

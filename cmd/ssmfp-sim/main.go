@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"ssmfp/internal/core"
+	"ssmfp/internal/daemon"
 	"ssmfp/internal/graph"
 	"ssmfp/internal/metrics"
 	"ssmfp/internal/obs"
@@ -90,6 +91,10 @@ func main() {
 		SelfCheck: *paranoid,
 	}
 	if sc.Policy, err = core.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, "ssmfp-sim:", err)
+		os.Exit(2)
+	}
+	if _, err := daemon.New(*daemonKind, *seed, g.N()); err != nil {
 		fmt.Fprintln(os.Stderr, "ssmfp-sim:", err)
 		os.Exit(2)
 	}

@@ -19,11 +19,11 @@
 //     the setting of the paper's proofs and of every experiment in
 //     EXPERIMENTS.md.
 //
-//   - LiveNetwork: a message-passing port (one goroutine per processor,
-//     Go channels as links, offer/accept/cancel hop transfers with
-//     retransmission) answering the paper's closing open problem with an
-//     engineering artifact that keeps the exactly-once guarantee on lossy
-//     asynchronous links.
+//   - LiveNetwork: a message-passing port (one worker goroutine per CPU
+//     serving a block of processors, Go channels as links,
+//     offer/accept/cancel hop transfers with retransmission) answering
+//     the paper's closing open problem with an engineering artifact that
+//     keeps the exactly-once guarantee on lossy asynchronous links.
 //
 // Quick start:
 //

@@ -44,8 +44,8 @@ type Collector struct {
 
 	// onComplete, when non-nil, is called once per first delivery with the
 	// source of the completed message — the closed-loop driver's token
-	// refill. Called outside the collector lock, from the destination's
-	// node goroutine.
+	// refill. Called outside the collector lock, from the goroutine of the
+	// destination's worker.
 	onComplete func(src graph.ProcessID)
 }
 

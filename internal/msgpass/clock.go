@@ -3,7 +3,7 @@ package msgpass
 import "time"
 
 // clock is the live port's one seam onto time: every instant a node
-// stamps and the one timer each node arms go through it, so that a
+// stamps and the one timer each worker arms go through it, so that a
 // virtual-time driver can stand in for the wall clock. wallClock is the
 // implementation a Network runs on.
 type clock interface {
@@ -17,7 +17,7 @@ type clock interface {
 	AfterFunc(d time.Duration, f func()) timer
 }
 
-// timer is the part of *time.Timer a node uses.
+// timer is the part of *time.Timer a worker uses.
 type timer interface {
 	Reset(d time.Duration) bool
 	Stop() bool

@@ -20,9 +20,9 @@ import (
 // configuration, so "the topology changed under a running network" is just
 // another arbitrary configuration to stabilize from. What this file adds
 // is the engineering around that fact: a stop-the-world barrier that
-// applies the new epoch atomically per process (every node goroutine
-// parks, the per-node state is re-shaped for the new graph, the wire gains
-// and loses links, the goroutines resume), plus drain semantics that let a
+// applies the new epoch atomically per process (every worker parks, the
+// per-node state is re-shaped for the new graph, the wire gains and loses
+// links, fresh workers take the nodes over), plus drain semantics that let a
 // node leave without losing a message.
 //
 // Message safety across an epoch:
@@ -89,7 +89,7 @@ var ErrNotLocal = errors.New("msgpass: source processor not local to this deploy
 var ErrNotMember = errors.New("msgpass: destination is not a cluster member")
 
 // netView is the atomically-swapped read surface for goroutines outside
-// the barrier (Send, QueueDepths, status snapshots). Node goroutines are
+// the barrier (Send, QueueDepths, status snapshots). Workers are
 // parked across every swap, so they read the Network's fields directly;
 // everyone else loads the view pointer — one atomic load, no locks, no
 // allocations on the send hot path.
@@ -102,9 +102,8 @@ type netView struct {
 	namespaced bool
 }
 
-// pauseReq is one stop-the-world request: every running node goroutine
-// finds it in its own pause slot, signals arrival, and parks until
-// release closes.
+// pauseReq is one stop-the-world request: every worker finds it in its
+// own pause slot, signals arrival, and parks until release closes.
 type pauseReq struct {
 	arrived sync.WaitGroup
 	release chan struct{}
@@ -169,8 +168,8 @@ func (nw *Network) Quiesced(p graph.ProcessID) bool {
 
 // InFlightFor counts, across this instance's local processors, everything
 // still addressed to destination d: pending sends, occupied buffers, and
-// parked offers. It runs under the pause barrier (the node goroutines
-// park for the inspection), so the count is a consistent snapshot — the
+// parked offers. It runs under the pause barrier (the workers park for
+// the inspection), so the count is a consistent snapshot — the
 // drain orchestrator polls it to zero before detaching d.
 func (nw *Network) InFlightFor(d graph.ProcessID) int {
 	total := 0
@@ -201,8 +200,8 @@ func (nw *Network) InFlightFor(d graph.ProcessID) int {
 	return total
 }
 
-// inspect parks every running node goroutine, runs fn (which may read
-// node-goroutine-owned state), and releases.
+// inspect parks every worker, runs fn (which may read worker-owned node
+// state), and releases.
 func (nw *Network) inspect(fn func()) {
 	nw.epochMu.Lock()
 	defer nw.epochMu.Unlock()
@@ -217,32 +216,32 @@ func (nw *Network) inspect(fn func()) {
 	}
 }
 
-// pauseAll posts one pause request in every running node's pause slot,
-// wakes the node, and waits until all have parked. Caller holds epochMu
-// and must close the returned release channel. Returns nil when nothing
-// is running (network not started, or all nodes detached). Stop also
-// takes epochMu before it sets the nodes' quit flags, so every running
-// node is alive to arrive.
+// pauseAll posts one pause request in every worker's pause slot, wakes
+// the worker, and waits until all have parked. Caller holds epochMu and
+// must close the returned release channel. Returns nil when no worker
+// runs (network not started, or all nodes detached). Stop also takes
+// epochMu before it sets the workers' quit flags, so every worker is
+// alive to arrive.
 func (nw *Network) pauseAll() *pauseReq {
-	if !nw.started || len(nw.running) == 0 {
+	if len(nw.workers) == 0 {
 		return nil
 	}
 	req := &pauseReq{release: make(chan struct{})}
-	req.arrived.Add(len(nw.running))
-	for _, p := range nw.running {
-		n := nw.nodes[p]
-		n.pause.Store(req)
-		n.wakeUp()
+	req.arrived.Add(len(nw.workers))
+	for _, w := range nw.workers {
+		w.pause.Store(req)
+		w.wakeUp()
 	}
 	req.arrived.Wait()
 	return req
 }
 
 // ApplyEpoch moves the network to epoch e: the wire gains the new links,
-// every node goroutine parks at the barrier, per-node state is re-shaped
-// for the new graph (buffers and pending work preserved, routing reset
-// pessimistically, handshakes retargeted, drain flags set), newly local
-// processors start, detached ones exit, and the world resumes. Epochs are
+// every worker parks at the barrier, per-node state is re-shaped for the
+// new graph (buffers and pending work preserved, routing reset
+// pessimistically, handshakes retargeted, drain flags set), and a fresh
+// set of workers takes over the new running set — newly local processors
+// included, detached ones left out — as the old workers exit. Epochs are
 // serialized; concurrent Send/Deliveries/QueueDepths callers keep working
 // against the previous view until the atomic swap.
 //
@@ -297,10 +296,7 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 		}
 	}
 
-	var req *pauseReq
-	if nw.started {
-		req = nw.pauseAll()
-	}
+	req := nw.pauseAll()
 
 	// --- stop-the-world section ---
 	member := make([]bool, newG.N())
@@ -316,15 +312,13 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 		want = newG.Processors()
 	}
 	running := make([]graph.ProcessID, 0, len(want))
-	var fresh []*node
 	for _, p := range want {
 		if !member[p] {
 			if n := nodes[p]; n != nil {
-				// Detach: the goroutine exits on release. Buffers of a
-				// gracefully drained node are empty by now; a forced
+				// Detach: no worker serves it after release. Buffers of
+				// a gracefully drained node are empty by now; a forced
 				// removal abandons whatever is left (the operator asked
 				// for it).
-				n.detached = true
 				if n.draining {
 					nw.tel.drainsCompleted.Inc()
 				}
@@ -338,7 +332,6 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 			// deterministic private stream derived from (Seed, id).
 			n = newNode(nw, p, rand.New(rand.NewSource(nw.opts.Seed^(int64(p)+1)*0x9E3779B9)), newG)
 			nodes[p] = n
-			fresh = append(fresh, n)
 		} else {
 			n.applyEpoch(newG, draining, disabled)
 		}
@@ -353,7 +346,6 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 	nw.g = newG
 	nw.nodes = nodes
 	nw.running = running
-	nw.local = running
 	nw.view.Store(&netView{
 		epoch:      e.Seq,
 		g:          newG,
@@ -364,23 +356,24 @@ func (nw *Network) ApplyEpoch(e Epoch) error {
 	})
 	nw.tel.epoch.Set(int64(e.Seq))
 	nw.tel.members.Set(int64(len(membersOf(newG))))
+	if nw.started {
+		for _, w := range nw.workers {
+			w.quit.Store(true) // exits on release
+		}
+		nw.workers = nw.newWorkers(running)
+	}
 	// --- end stop-the-world section ---
 
 	if req != nil {
 		close(req.release)
 	}
 	if nw.started {
-		for _, n := range fresh {
-			nw.wg.Add(1)
-			go n.run()
-		}
-		for _, n := range fresh {
-			nw.registerNodeWire(n)
-		}
+		nw.startWorkers()
+	}
+	if len(added) > 0 {
+		// A joining processor always brings an edge, so this covers it.
 		for _, p := range running {
-			if nodes[p] != nil && len(added) > 0 {
-				nw.registerNodeWire(nodes[p])
-			}
+			nw.registerNodeWire(nodes[p])
 		}
 	}
 	// Tear removed links down last. Frames the dead links already queued
@@ -447,8 +440,8 @@ func edgeDiff(oldG, newG *graph.Graph) (added, removed [][2]graph.ProcessID) {
 	return added, removed
 }
 
-// applyEpoch re-shapes one surviving node for the new graph. The node's
-// goroutine is parked at the barrier; only buffer contents and pending
+// applyEpoch re-shapes one surviving node for the new graph. Its worker
+// is parked at the barrier; only buffer contents and pending
 // sends survive untouched — routing restarts pessimistically and
 // handshakes whose counterpart is gone restart too.
 func (n *node) applyEpoch(newG *graph.Graph, draining []bool, disabled map[[2]graph.ProcessID]bool) {

@@ -13,9 +13,9 @@ import (
 // TestLoopBarrierUnderSaturation floods one node's inbox from both of its
 // neighbors' links, then requires a barrier inspection, a queue snapshot
 // and an epoch to complete within a fixed deadline while the flood goes
-// on. The node takes queued frames without a select; only the burst bound
-// brings it back to read its pause slot, which TestLoopBarrierBeatsBacklog
-// pins without depending on the scheduler.
+// on. The worker takes queued frames without a select; only the burst
+// bound brings it back to read its pause slot, which
+// TestLoopBarrierBeatsBacklog pins without depending on the scheduler.
 func TestLoopBarrierUnderSaturation(t *testing.T) {
 	g := graph.Line(3)
 	nw := New(g, Options{Seed: 1})
@@ -81,10 +81,10 @@ func TestLoopBarrierUnderSaturation(t *testing.T) {
 }
 
 // TestLoopBarrierBeatsBacklog queues a backlog many bursts deep at one
-// node before it starts and posts a barrier request in its pause slot
-// while it works through the backlog: the node must park after handling
-// at most one burst and one more frame from its select, not after
-// draining its inbox.
+// node before it starts and posts a barrier request in its worker's pause
+// slot while the worker works through the backlog: the worker must park
+// after handling at most one burst and one more frame at the node, not
+// after draining its inbox.
 func TestLoopBarrierBeatsBacklog(t *testing.T) {
 	g := graph.Line(3)
 	tr := transport.NewChan(g, 1<<13)
@@ -104,7 +104,7 @@ func TestLoopBarrierBeatsBacklog(t *testing.T) {
 	}
 	req := &pauseReq{release: make(chan struct{})}
 	req.arrived.Add(1)
-	n.pause.Store(req)
+	n.owner.Load().pause.Store(req)
 	before := len(n.inbox) // frames node 1 may still handle before it parks
 	req.arrived.Wait()
 	handled := before - len(n.inbox) // neighbor heartbeats only add to the inbox
@@ -114,7 +114,8 @@ func TestLoopBarrierBeatsBacklog(t *testing.T) {
 	}
 }
 
-// TestHeartbeatAllocFree drives one node's timer on a hand-moved clock.
+// TestHeartbeatAllocFree drives one node's timed work, on a worker of its
+// own, on a hand-moved clock.
 // A changed vector goes out at once, or a Tick after the previous gossip;
 // the heartbeat then backs off 8, 16, 32, 64, 64 Ticks; each heartbeat
 // resends the vector last gossiped, allocating nothing. A draining node's
@@ -127,29 +128,30 @@ func TestHeartbeatAllocFree(t *testing.T) {
 	clk := &manualClock{}
 	nw.clk = clk
 	n := nw.nodes[4]
+	w := nw.newWorkers([]graph.ProcessID{n.id})[0]
 	tick := nw.opts.Tick
 	dvSent := func() int { return nw.Stats().DVSent }
 
-	n.timed() // the initial vector is dirty: gossiped at once
+	w.timed() // the initial vector is dirty: gossiped at once
 	if got := dvSent(); got != 4 {
 		t.Fatalf("initial gossip sent %d DV frames, want 4 (one per neighbor)", got)
 	}
 	for i, ticks := range []time.Duration{8, 16, 32, 64, 64} {
 		before := dvSent()
 		clk.advance(ticks*tick - 1)
-		n.timed()
+		w.timed()
 		if got := dvSent() - before; got != 0 {
 			t.Fatalf("heartbeat %d: %d DV frames 1ns before %d Ticks of silence", i, got, ticks)
 		}
 		clk.advance(1)
-		n.timed()
+		w.timed()
 		if got := dvSent() - before; got != 4 {
 			t.Fatalf("heartbeat %d: %d DV frames after %d Ticks of silence, want 4", i, got, ticks)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		clk.advance(heartbeatMaxTicks * tick)
-		n.timed()
+		w.timed()
 	}); allocs > 0 {
 		t.Fatalf("heartbeat allocates %.1f times, want 0", allocs)
 	}
@@ -159,19 +161,19 @@ func TestHeartbeatAllocFree(t *testing.T) {
 	clk.advance(tick)
 	before := dvSent()
 	n.handleDV(1, []int{0, 0, 0, 0, 0, 0, 0, 0, 0})
-	n.timed()
+	w.timed()
 	if got := dvSent() - before; got != 4 {
 		t.Fatalf("a changed vector a Tick after the last gossip sent %d DV frames, want 4", got)
 	}
 	n.handleDV(1, []int{9, 9, 9, 9, 9, 9, 9, 9, 9})
-	n.timed()
+	w.timed()
 	clk.advance(tick - 1)
-	n.timed()
+	w.timed()
 	if got := dvSent() - before; got != 4 {
 		t.Fatalf("a second change within a Tick went out early (%d DV frames, want 4)", got)
 	}
 	clk.advance(1)
-	n.timed()
+	w.timed()
 	if got := dvSent() - before; got != 8 {
 		t.Fatalf("a second change was not gossiped a Tick after the first (%d DV frames, want 8)", got)
 	}
@@ -182,14 +184,14 @@ func TestHeartbeatAllocFree(t *testing.T) {
 	n.draining = true
 	n.gossip = nil // what an epoch does
 	clk.advance(tick)
-	n.timed()
+	w.timed()
 	flip := [][]int{{0, 0, 0, 0, 0, 0, 0, 0, 0}, {9, 9, 9, 9, 9, 9, 9, 9, 9}}
 	i := 0
 	if allocs := testing.AllocsPerRun(20, func() {
 		n.handleDV(1, flip[i%2]) // routes move while draining
 		i++
 		clk.advance(heartbeatMaxTicks * tick)
-		n.timed()
+		w.timed()
 	}); allocs > 0 {
 		t.Fatalf("draining heartbeat allocates %.1f times, want 0", allocs)
 	}

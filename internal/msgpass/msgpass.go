@@ -2,11 +2,12 @@
 // problem the paper's conclusion poses ("it will be interesting to carry
 // our protocol in the message passing model ... in order to enable
 // snap-stabilizing message forwarding in a real network"). Every processor
-// is a goroutine, every link a transport.Link supplied by the caller's
-// transport (in-process channels, real TCP sockets, or a chaos-impaired
-// wrapper of either — see internal/transport; the port impairs nothing
-// itself), and the shared-memory reads of the state model become
-// explicit frames:
+// is a node that one of a few worker goroutines serves (one per CPU, each
+// owning a block of nodes), every link a transport.Link supplied by the
+// caller's transport (in-process channels, real TCP sockets, or a
+// chaos-impaired wrapper of either — see internal/transport; the port
+// impairs nothing itself), and the shared-memory reads of the state model
+// become explicit frames:
 //
 //   - routing: a self-stabilizing distance-vector — nodes gossip their
 //     per-destination distances within one tick after they change, and as
@@ -71,18 +72,18 @@ type Delivery struct {
 	DeliverWaitNS int64
 }
 
-// ErrStopped is returned by Send after Stop: the node goroutines are gone,
+// ErrStopped is returned by Send after Stop: the workers are gone,
 // so an accepted message could never move again.
 var ErrStopped = errors.New("msgpass: network stopped")
 
 // Options tunes the port.
 type Options struct {
-	// Tick is the base unit of every timed action of a node; a node with
-	// nothing due sets no timer. A changed distance vector goes on the
-	// wire within one Tick, an unchanged one is repeated as a heartbeat
-	// 8 Ticks after the last change and then at doubling intervals up to
-	// 64 Ticks, and an unanswered offer or cancel is retransmitted 2
-	// Ticks after it was sent. Default 200µs.
+	// Tick is the base unit of every timed action; a worker with nothing
+	// due sets no timer. A changed distance vector goes on the wire within
+	// one Tick, an unchanged one as a heartbeat 8 Ticks after the last
+	// change, then at doubling intervals up to 64 Ticks (up to a Tick
+	// early, to share a wake), and an unanswered offer or cancel is
+	// retransmitted 2 Ticks after it was sent. Default 200µs.
 	Tick time.Duration
 	// Seed drives the per-node randomness: CorruptInit's initial state
 	// and the colours R2 draws. Link impairment is the transport's
@@ -104,7 +105,7 @@ type Options struct {
 	// consumptions only.
 	Procs []graph.ProcessID
 	// OnDeliver, when non-nil, is invoked once per local delivery, from
-	// the destination's node goroutine, after the delivery is recorded
+	// the destination's worker goroutine, after the delivery is recorded
 	// and before Delivered counts it.
 	// It is the push-based delivery stream the load subsystem's latency
 	// collector hooks into (polling Deliveries is O(n) per snapshot). The
@@ -129,7 +130,7 @@ type Options struct {
 	// the wait in nanoseconds. It returns the rewritten payload and
 	// whether a rewrite happened (load.AddHold folds the wait into the
 	// payload tag's attribution slot; foreign payloads pass through). The
-	// callback runs on node goroutines and must not call into the Network.
+	// callback runs on worker goroutines and must not call into the Network.
 	HoldStamp func(payload string, waitNanos int64) (string, bool)
 }
 
@@ -139,24 +140,24 @@ type Options struct {
 type Network struct {
 	g    *graph.Graph
 	opts Options
-	clk  clock // every instant the port stamps and every node timer
+	clk  clock // every instant the port stamps and every worker timer
 
 	tr    transport.Transport
 	ownTr bool
 
 	nodes []*node // indexed by ProcessID; nil for non-local processors
-	local []graph.ProcessID
 
 	// Elastic-membership machinery (epoch.go). view is the atomic read
 	// surface for goroutines outside the epoch barrier; epochMu serializes
 	// ApplyEpoch, barrier inspections and Stop; running lists the
-	// processors with a live goroutine; procsWant pins a node-scoped
+	// processors the workers serve; procsWant pins a node-scoped
 	// instance to its configured processor set (nil = adopt every member).
 	view      atomic.Pointer[netView]
 	epochMu   sync.Mutex
 	running   []graph.ProcessID
 	procsWant []graph.ProcessID
 	started   bool
+	workers   []*worker // the executors since Start; replaced at each epoch
 
 	// tel holds the pre-resolved telemetry handles (frame-kind counters,
 	// delivery counters, attribution histograms). Every handle is atomics
@@ -173,8 +174,8 @@ type Network struct {
 	deliveries []Delivery
 	delivered  chan struct{} // closed and replaced on a delivery while waiters > 0
 
-	// stop is closed by Stop to release WaitDelivered callers. Node
-	// goroutines never wait on it: each is stopped through its own quit.
+	// stop is closed by Stop to release WaitDelivered callers. Workers
+	// never wait on it: each is stopped through its own quit.
 	stop     chan struct{}
 	stopOnce sync.Once
 	stopped  atomic.Bool
@@ -218,12 +219,11 @@ func New(g *graph.Graph, opts Options) *Network {
 		nw.ownTr = true
 		nw.tr = transport.NewChan(g, transport.DefaultDepth)
 	}
-	nw.local = opts.Procs
+	nw.running = opts.Procs
 	nw.procsWant = opts.Procs
-	if nw.local == nil {
-		nw.local = g.Processors()
+	if nw.running == nil {
+		nw.running = g.Processors()
 	}
-	nw.running = nw.local
 	rng := rand.New(rand.NewSource(opts.Seed))
 	seeds := make([]int64, g.N())
 	for p := range seeds {
@@ -232,15 +232,15 @@ func New(g *graph.Graph, opts Options) *Network {
 		// multi-process deployment derives the same per-node streams.
 		seeds[p] = rng.Int63()
 	}
-	for _, p := range nw.local {
+	for _, p := range nw.running {
 		nw.nodes[p] = newNode(nw, p, rand.New(rand.NewSource(seeds[p])), g)
 	}
 	nw.view.Store(&netView{
 		g:          g,
 		nodes:      nw.nodes,
-		local:      nw.local,
+		local:      nw.running,
 		draining:   make([]bool, g.N()),
-		namespaced: len(nw.local) != g.N(),
+		namespaced: len(nw.running) != g.N(),
 	})
 	nw.tel.members.Set(int64(len(membersOf(g))))
 	nw.registerWire()
@@ -252,36 +252,33 @@ func New(g *graph.Graph, opts Options) *Network {
 // scrape endpoints and snapshot emitters off it.
 func (nw *Network) Telemetry() *telemetry.Registry { return nw.tel.reg }
 
-// Start launches one goroutine per local processor; each reads its
-// transport inbox directly.
+// Start launches min(GOMAXPROCS, local processors) workers, each serving
+// a contiguous block of them and reading their inboxes directly.
 func (nw *Network) Start() {
 	nw.epochMu.Lock()
 	defer nw.epochMu.Unlock()
 	nw.started = true
-	for _, p := range nw.running {
-		nw.wg.Add(1)
-		go nw.nodes[p].run()
-	}
+	nw.workers = nw.newWorkers(nw.running)
+	nw.startWorkers()
 }
 
-// Stop terminates all node goroutines and waits for them; a transport the
+// Stop terminates all workers and waits for them; a transport the
 // Network built for itself is closed, a caller-supplied one is left open.
 // Stop is idempotent: long-running load drivers race their shutdown paths
 // against the network's, and a second Stop must be a harmless no-op, not a
 // close-of-closed-channel panic. Stop waits out an epoch barrier in
-// progress: it sets each running node's quit under epochMu, so a join's
-// fresh goroutines are stopped too and a barrier never loses a node, and
-// it holds epochMu until the goroutines are gone, so an inspection that
-// finds the network stopped reads node state no goroutine still writes.
+// progress: it sets each worker's quit under epochMu, so the workers an
+// epoch starts are stopped too and a barrier never loses one, and it
+// holds epochMu until the workers are gone, so an inspection that finds
+// the network stopped reads node state no goroutine still writes.
 func (nw *Network) Stop() {
 	nw.stopOnce.Do(func() {
 		nw.epochMu.Lock()
 		nw.stopped.Store(true)
 		close(nw.stop)
-		for _, p := range nw.running {
-			n := nw.nodes[p]
-			n.quit.Store(true)
-			n.wakeUp()
+		for _, w := range nw.workers {
+			w.quit.Store(true)
+			w.wakeUp()
 		}
 		nw.wg.Wait()
 		nw.epochMu.Unlock()
@@ -328,8 +325,8 @@ func (nw *Network) Send(src graph.ProcessID, payload string, dst graph.ProcessID
 	n.mu.Unlock()
 	n.tg.pending.Add(1)
 	nw.tel.sends.Inc()
-	// Wake the node so R1 runs now rather than at its next frame.
-	n.wakeUp()
+	// Wake the node's worker so R1 runs now rather than at its next frame.
+	n.notify()
 	return uid, nil
 }
 
@@ -506,7 +503,7 @@ func (nw *Network) QueueDepths() []QueueDepth {
 
 // countFrame attributes one sent frame to its kind counter. The counters
 // are telemetry atomics: this is the wire hot path, crossed once or twice
-// per frame by every node goroutine concurrently, and must not serialize
+// per frame by every worker concurrently, and must not serialize
 // on a network-wide lock.
 func (nw *Network) countFrame(k transport.FrameKind) {
 	if int(k) < len(nw.tel.frames) {

@@ -96,21 +96,21 @@ func TestSendWakesNode(t *testing.T) {
 	checkExactlyOnce(t, nw, map[uint64]graph.ProcessID{uid: 0})
 }
 
-// TestStartAddsOneGoroutinePerNode: over the channel transport a node
-// reads its inbox itself, so Start adds one goroutine per node and no
-// per-link forwarding stage.
-func TestStartAddsOneGoroutinePerNode(t *testing.T) {
+// TestStartAddsOneGoroutinePerWorker: over the channel transport a
+// worker reads its nodes' inboxes itself, so Start adds one goroutine per
+// worker — min(GOMAXPROCS, nodes) of them — and no per-node or per-link
+// stage.
+func TestStartAddsOneGoroutinePerWorker(t *testing.T) {
 	g := graph.Grid(4, 4)
 	nw := msgpass.New(g, msgpass.Options{Seed: 3})
-	// A node goroutine of an earlier test may still be between its
-	// stopped network's Wait and its exit; it would leave the count
-	// below.
-	requireNoNodeGoroutines(t)
+	// A worker of an earlier test may still be between its stopped
+	// network's Wait and its exit; it would leave the count below.
+	requireNoWorkerGoroutines(t)
 	before := msgpassGoroutines()
 	nw.Start()
 	defer nw.Stop()
-	if got := msgpassGoroutines() - before; got != g.N() {
-		t.Fatalf("Start added %d goroutines, want %d (one per node)", got, g.N())
+	if got, want := msgpassGoroutines()-before, min(runtime.GOMAXPROCS(0), g.N()); got != want {
+		t.Fatalf("Start added %d goroutines, want %d (one per worker)", got, want)
 	}
 }
 

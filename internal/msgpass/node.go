@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ssmfp/internal/graph"
 	"ssmfp/internal/routing"
@@ -31,13 +30,10 @@ const (
 	offerRetransmitTicks = 2
 )
 
-// inboxBurst bounds how many frames run handles back to back through the
-// non-blocking inbox receive before it reads its control path and passes
-// through its blocking select again. The fast path keeps a busy node out
-// of selectgo; the bound keeps a saturated inbox from starving the timer,
-// Send wakes, Stop and the epoch barrier. 64 is one incoming link's share
-// of the inbox at transport.DefaultDepth: at about a microsecond per
-// frame a burst ends well inside one Tick.
+// inboxBurst bounds the frames a worker handles at one node in a turn, so
+// a saturated inbox starves neither its other nodes, its timed work, Stop
+// nor the barrier. 64 is one incoming link's share of the inbox at
+// transport.DefaultDepth: a burst ends well inside one Tick.
 const inboxBurst = 64
 
 // destState is the per-destination forwarding state of a node: the bufR /
@@ -103,7 +99,7 @@ type pendQueue struct {
 	head int
 }
 
-// node is one processor goroutine.
+// node is one processor, served by the worker that owns it.
 type node struct {
 	nw  *Network
 	id  graph.ProcessID
@@ -125,20 +121,19 @@ type node struct {
 	// draining: this node refuses new injections and advertises infinite
 	// distance for every destination but itself, so in-flight deliveries
 	// to it complete while its buffers hand off to live neighbors.
-	// detached: set at the epoch barrier when the node leaves the member
-	// set; the goroutine exits on release. Both are written only while
-	// the goroutine is parked (or before it starts).
+	// Written only while the owning worker is parked (or before Start).
 	draining bool
-	detached bool
 
 	// gossip is the vector last put on the wire. It is never mutated
 	// after sending, so a heartbeat with nothing changed resends it as is;
 	// a change (dvDirty) or an epoch (which resets it to nil) builds a
 	// fresh one. gossipAt is when it went out and hbEvery the interval to
-	// the next heartbeat, in nanoseconds on the network's clock.
-	gossip   []int
-	gossipAt int64
-	hbEvery  int64
+	// the next heartbeat, in nanoseconds on the network's clock;
+	// gossipArmed is the due of the owner's live gossip deadline.
+	gossip      []int
+	gossipAt    int64
+	hbEvery     int64
+	gossipArmed int64
 
 	// forwarding. dirty holds the destinations whose bufR was stored or
 	// bufE erased since R2 last looked at them: R2 visits only those, so
@@ -147,16 +142,9 @@ type node struct {
 	dirty   destSet
 	nextSeq uint64
 
-	// Timed work. The node has one timer, armed only while something is
-	// due: the gossip of a changed vector, the heartbeat, or the
-	// retransmission of an outstanding offer or cancel. The timer only
-	// sets fired and wakes the node; run does the work. armedAt is the
-	// instant it is set for (math.MaxInt64 while it is not set), retx the
-	// outstanding offers and cancels in deadline order.
-	timer   timer
-	fired   atomic.Bool
-	armedAt int64
-	retx    deadlineQueue
+	// owner serves the node and keeps its deadlines (nil before Start); it
+	// is swapped at an epoch barrier and read by the arrival hook and Send.
+	owner atomic.Pointer[worker]
 
 	// outp caches this node's outgoing wire links, one per neighbor; the
 	// send hot path is an atomic pointer load plus a map read. The map is
@@ -167,19 +155,8 @@ type node struct {
 	// inbox is this processor's transport inbox — the Recv of every
 	// incoming link — and nil while it has no neighbor. It is written
 	// only at the epoch barrier and under mu; other goroutines read it
-	// under mu. wake (capacity 1) is signalled by Network.Send so R1 runs
-	// without waiting for a frame, by the timer, and by pauseAll and Stop
-	// so an idle node reads its control path at once.
+	// under mu. Its arrival hook is notify.
 	inbox <-chan transport.Frame
-	wake  chan struct{}
-
-	// pause and quit are the node's control path, each set with a wake:
-	// pauseAll posts its barrier request in pause, Stop sets quit. run
-	// reads both once per pass, so its blocking select waits on the inbox
-	// and wake alone, and on no channel another node's goroutine also
-	// locks.
-	pause atomic.Pointer[pauseReq]
-	quit  atomic.Bool
 
 	// tg holds this processor's occupancy gauges (bufR/bufE/pending/
 	// parked), updated at the exact transition points so peaks are
@@ -218,44 +195,6 @@ func (s destSet) add(d graph.ProcessID) { s[d>>6] |= 1 << (d & 63) }
 
 func (s destSet) remove(d graph.ProcessID) { s[d>>6] &^= 1 << (d & 63) }
 
-// deadline is one retransmission: the offer or cancel for dest under
-// sequence seq is due again at due, unless it was answered or re-driven
-// since (the destination's own due no longer matches).
-type deadline struct {
-	dest graph.ProcessID
-	seq  uint64
-	due  int64
-}
-
-// deadlineQueue is a FIFO ring of deadlines. Every deadline is its drive
-// time plus the same interval, so entries arrive in deadline order and
-// the front is always the earliest; superseded entries are skipped when
-// they reach it. The ring's storage is reused, so steady load does not
-// allocate.
-type deadlineQueue struct {
-	buf        []deadline
-	head, size int
-}
-
-func (q *deadlineQueue) push(e deadline) {
-	if q.size == len(q.buf) {
-		grown := make([]deadline, max(8, 2*len(q.buf)))
-		for i := 0; i < q.size; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.size)%len(q.buf)] = e
-	q.size++
-}
-
-func (q *deadlineQueue) front() deadline { return q.buf[q.head] }
-
-func (q *deadlineQueue) pop() {
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
-}
-
 func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *node {
 	nbrs := g.Neighbors(id)
 	n := &node{
@@ -271,14 +210,13 @@ func newNode(nw *Network, id graph.ProcessID, rng *rand.Rand, g *graph.Graph) *n
 		dirty:         fullDestSet(g.N()),
 		nextSeq:       1,
 		inbox:         nw.inboxOf(id, nbrs),
-		wake:          make(chan struct{}, 1),
 		pendingByDest: make([]pendQueue, g.N()),
 		pending:       fullDestSet(g.N()),
 		dvDirty:       true,          // gossip the initial vector on the first pass
 		gossipAt:      math.MinInt64, // never gossiped: the first is due at once
-		armedAt:       math.MaxInt64,
 	}
 	n.tg = newNodeGauges(nw.tel.reg, id)
+	nw.tr.OnArrival(id, n.notify)
 	out := make(map[graph.ProcessID]transport.Link, len(nbrs))
 	for _, q := range nbrs {
 		out[q] = nw.tr.Link(id, q)
@@ -333,117 +271,31 @@ func (n *node) send(q graph.ProcessID, f transport.Frame) {
 	}
 }
 
-// run is the node main loop: it reacts to frames from the transport
-// inbox, Send wakes, its timer and epoch barriers, and blocks while none
-// of them has anything for it. Frames already queued are taken with a
-// non-blocking receive, up to inboxBurst of them, so a busy node pays no
-// select; only an empty inbox or a finished burst reaches the blocking
-// select, which holds the node's own channels and nothing shared with
-// other nodes. Stop and the barrier are read at the top of every pass, so
-// either reaches the node within one burst.
-func (n *node) run() {
-	defer n.nw.wg.Done()
-	defer n.stopTimer()
-	n.wakeUp() // the first pass gossips the initial vector and settles the start state
-
-	for {
-		if n.quit.Load() {
-			return
-		}
-		if req := n.pause.Load(); req != nil {
-			// Epoch barrier: park while the network re-shapes this node's
-			// state, resume on release — or exit, when the epoch detached
-			// this processor. Stop waits for the barrier's release.
-			n.pause.Store(nil)
-			req.arrived.Done()
-			<-req.release
-			if n.detached {
-				return
-			}
-			n.wakeUp() // an epoch leaves work: resume with a pass
-		}
-	burst:
-		for i := 0; i < inboxBurst; i++ {
-			select {
-			case f := <-n.inbox:
-				n.handle(f)
-				n.localMoves()
-			default:
-				break burst
-			}
-		}
-		// Timed work is checked here, after every pass and before the node
-		// blocks: a frame handled in the burst may have changed the vector,
-		// and nothing else would put it on the wire before the heartbeat.
-		if n.fired.Load() || n.dvDirty {
-			n.timed()
-		}
+// serve is the node's share of a turn: up to inboxBurst frames taken
+// without blocking, each followed by the local moves, or the local moves
+// alone (a Send, the start or an epoch may have left work). It reports
+// whether a frame was handled.
+func (n *node) serve() bool {
+	for i := 0; i < inboxBurst; i++ {
 		select {
 		case f := <-n.inbox:
 			n.handle(f)
-		case <-n.wake:
+			n.localMoves()
+		default:
+			if i == 0 {
+				n.localMoves()
+			}
+			return i > 0
 		}
-		n.localMoves()
 	}
+	return true
 }
 
-// wakeUp makes the node run a pass now rather than at its next frame. A
-// wake already pending covers this one too.
-func (n *node) wakeUp() {
-	select {
-	case n.wake <- struct{}{}:
-	default:
-	}
-}
-
-// fire is the timer's callback: the work itself runs on the node's
-// goroutine, at its next pass.
-func (n *node) fire() {
-	n.fired.Store(true)
-	n.wakeUp()
-}
-
-func (n *node) stopTimer() {
-	if n.timer != nil {
-		n.timer.Stop()
-	}
-}
-
-// armBy makes the timer fire no later than due. A timer already set for
-// an earlier instant stays as it is: when it fires, timed re-arms it for
-// what is then the earliest deadline.
-func (n *node) armBy(due, now int64) {
-	if n.armedAt <= due {
-		return
-	}
-	n.armedAt = due
-	if n.timer == nil {
-		n.timer = n.nw.clk.AfterFunc(time.Duration(due-now), n.fire)
-	} else {
-		n.timer.Reset(time.Duration(due - now))
-	}
-}
-
-// timed runs the node's timed work: what the timer found due, and the
-// gossip of a changed vector, which goes out at once unless the previous
-// gossip was less than a Tick ago. It leaves the timer armed for the
-// earliest deadline still ahead.
-func (n *node) timed() {
-	now := n.nw.clk.Nanos()
-	if n.fired.Swap(false) {
-		n.armedAt = math.MaxInt64
-		n.retransmit(now)
-	}
-	if len(n.nbrs) == 0 {
-		n.dvDirty = false // nobody to tell
-	} else {
-		if now >= n.gossipDue() {
-			n.gossipNow(now)
-		}
-		n.armBy(n.gossipDue(), now)
-	}
-	if n.liveFront() {
-		n.armBy(n.retx.front().due, now)
+// notify wakes the node's worker, if it has one yet: the inbox's arrival
+// hook, and Send's signal that R1 has work.
+func (n *node) notify() {
+	if w := n.owner.Load(); w != nil {
+		w.wakeUp()
 	}
 }
 
@@ -478,36 +330,6 @@ func (n *node) gossipNow(now int64) {
 	for _, q := range n.nbrs {
 		n.send(q, transport.Frame{Kind: transport.KindDV, From: n.id, DV: n.gossip})
 	}
-}
-
-// retransmit re-drives every outstanding offer or cancel whose deadline
-// has passed. Entries whose drive was answered or superseded are dropped
-// on the way.
-func (n *node) retransmit(now int64) {
-	for n.liveFront() {
-		e := n.retx.front()
-		if e.due > now {
-			return
-		}
-		n.retx.pop()
-		// Re-driving an outstanding offer (or its cancel) after the
-		// silence interval: the retransmission machinery at work.
-		n.nw.tel.retransmits.Inc()
-		n.driveTransfer(e.dest)
-	}
-}
-
-// liveFront drops superseded deadlines from the front of retx and reports
-// whether one is left.
-func (n *node) liveFront() bool {
-	for n.retx.size > 0 {
-		e := n.retx.front()
-		if ds := &n.dests[e.dest]; ds.hasE && ds.offerSeq == e.seq && ds.due == e.due {
-			return true
-		}
-		n.retx.pop()
-	}
-	return false
 }
 
 // handle processes one incoming frame. A frame from a processor that is
@@ -749,10 +571,10 @@ func (n *node) driveTransfer(d graph.ProcessID) {
 		n.nextSeq++
 		ds.offerTarget = n.routes[d].Parent
 	}
-	now := n.nw.clk.Nanos()
-	ds.due = now + offerRetransmitTicks*int64(n.nw.opts.Tick)
-	n.retx.push(deadline{dest: d, seq: ds.offerSeq, due: ds.due})
-	n.armBy(ds.due, now)
+	ds.due = n.nw.clk.Nanos() + offerRetransmitTicks*int64(n.nw.opts.Tick)
+	if w := n.owner.Load(); w != nil {
+		w.push(deadline{due: ds.due, n: n, dest: d, seq: ds.offerSeq})
+	}
 	if ds.offerTarget == n.routes[d].Parent {
 		n.send(ds.offerTarget,
 			transport.Frame{Kind: transport.KindOffer, From: n.id, Offer: transport.Offer{Dest: d, Seq: ds.offerSeq, Msg: ds.bufE}})

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkSendHotPathParallel hammers the wire hot path (frame-kind
 // accounting + link handoff) from many goroutines at once — the pattern
-// a running deployment produces, where every node goroutine crosses this
+// a running deployment produces, where every worker goroutine crosses this
 // path once or twice per frame. Before the kind counters became atomics
 // this path took the network-wide mutex once or twice per frame; on this
 // benchmark the lock's removal cut the contended cost from ~64 ns/op to
@@ -33,7 +33,7 @@ func BenchmarkSendHotPathParallel(b *testing.B) {
 // BenchmarkDeliveryHotPath drives the full receiver-side delivery path —
 // offer handling into bufR, the R2 internal move, the R6 delivery with
 // its OnDeliver callback, and the accept going back on the wire — on an
-// unstarted two-node network, the way the node goroutine runs it. With
+// unstarted two-node network, the way a worker goroutine runs it. With
 // DiscardDeliveries set (the load generator's configuration) the path
 // must be allocation-free in steady state: `make bench-allocs` gates on
 // this benchmark reporting 0 allocs/op.

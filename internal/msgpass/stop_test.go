@@ -27,21 +27,21 @@ func joinEpoch(t *testing.T) msgpass.Epoch {
 	return msgpass.Epoch{Seq: 1, Graph: g}
 }
 
-// requireNoNodeGoroutines fails unless every goroutine this package
+// requireNoWorkerGoroutines fails unless every goroutine this package
 // started is gone. Stop has waited for them all; the grace period only
 // covers a goroutine between its last deferred call and its exit.
-func requireNoNodeGoroutines(t *testing.T) {
+func requireNoWorkerGoroutines(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for msgpassGoroutines() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d node goroutines still running after Stop", msgpassGoroutines())
+			t.Fatalf("%d worker goroutines still running after Stop", msgpassGoroutines())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestLoopStopAfterJoin: the goroutine a join epoch starts is stopped by
+// TestLoopStopAfterJoin: the workers a join epoch starts are stopped by
 // Stop like the ones Start started.
 func TestLoopStopAfterJoin(t *testing.T) {
 	nw := msgpass.New(graph.Line(3), msgpass.Options{Seed: 7})
@@ -54,11 +54,11 @@ func TestLoopStopAfterJoin(t *testing.T) {
 		t.Fatal("joiner's message not delivered")
 	}
 	nw.Stop()
-	requireNoNodeGoroutines(t)
+	requireNoWorkerGoroutines(t)
 }
 
 // TestLoopStopRacesEpoch runs Stop against a concurrent join epoch: the
-// epoch either lands first (and its fresh goroutine is stopped) or finds
+// epoch either lands first (and its fresh workers are stopped) or finds
 // the network stopped; either way no goroutine outlives Stop.
 func TestLoopStopRacesEpoch(t *testing.T) {
 	e := joinEpoch(t)
@@ -74,6 +74,6 @@ func TestLoopStopRacesEpoch(t *testing.T) {
 		if err := <-errc; err != nil && !errors.Is(err, msgpass.ErrStopped) {
 			t.Fatalf("ApplyEpoch racing Stop: %v", err)
 		}
-		requireNoNodeGoroutines(t)
+		requireNoWorkerGoroutines(t)
 	}
 }

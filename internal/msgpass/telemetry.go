@@ -153,7 +153,7 @@ func (nw *Network) registerWire() {
 		"Reconnections after a working connection failed (TCP only).",
 		func() int64 { return int64(nw.tr.Stats().Redials) })
 
-	for _, p := range nw.local {
+	for _, p := range nw.running {
 		nw.registerNodeWire(nw.nodes[p])
 	}
 }

@@ -16,7 +16,7 @@ import (
 // detector and beside other test binaries, stay small next to the
 // intervals they check.
 
-// waitFor polls cond at the pause barrier (node goroutines parked, so it
+// waitFor polls cond at the pause barrier (workers parked, so it
 // may read their state) until it holds, or fails after 10s.
 func waitFor(t *testing.T, nw *Network, what string, cond func() bool) {
 	t.Helper()
@@ -214,10 +214,10 @@ func (l *gatedLink) dvsSent() []sentDV {
 }
 
 // TestTimerGossipsChangeHandledInBurst: two DV frames reach an idle node
-// together, so it takes the first in its blocking select and the second
-// in the burst that follows. The first changes nothing; the second
-// changes a route. The changed vector must reach the wire within about a
-// Tick, not at the next heartbeat up to heartbeatMaxTicks away.
+// together, so its worker handles both in one burst. The first changes
+// nothing; the second changes a route. The changed vector must reach the
+// wire within about a Tick, not at the next heartbeat up to
+// heartbeatMaxTicks away.
 func TestTimerGossipsChangeHandledInBurst(t *testing.T) {
 	tick := 2 * time.Millisecond
 	g := graph.Line(4) // 0 - 1 - 2 - 3

@@ -185,6 +185,9 @@ func (s *TLS) Link(from, to graph.ProcessID) transport.Link { return s.tcp.Link(
 // Stats sums the wire counters of the underlying sockets.
 func (s *TLS) Stats() transport.Stats { return s.tcp.Stats() }
 
+// OnArrival sets the hook of the node's inbox on the TCP transport.
+func (s *TLS) OnArrival(p graph.ProcessID, fn func()) { s.tcp.OnArrival(p, fn) }
+
 // Close stops the transport.
 func (s *TLS) Close() error { return s.tcp.Close() }
 

@@ -21,7 +21,13 @@ type Chan struct {
 
 	mu    sync.RWMutex
 	links map[[2]graph.ProcessID]*chanLink
-	inbox map[graph.ProcessID]chan Frame
+	inbox map[graph.ProcessID]*chanInbox
+}
+
+// chanInbox is one receiving processor's queue and its arrival hook.
+type chanInbox struct {
+	ch      chan Frame
+	arrival atomic.Pointer[func()]
 }
 
 // DefaultDepth is the per-link buffer when the caller passes a
@@ -38,11 +44,11 @@ func NewChan(g *graph.Graph, depth int) *Chan {
 	c := &Chan{
 		depth: depth,
 		links: make(map[[2]graph.ProcessID]*chanLink, 2*g.M()),
-		inbox: make(map[graph.ProcessID]chan Frame, g.N()),
+		inbox: make(map[graph.ProcessID]*chanInbox, g.N()),
 	}
 	for _, p := range g.Processors() {
 		if deg := g.Degree(p); deg > 0 {
-			c.inbox[p] = make(chan Frame, depth*deg)
+			c.inbox[p] = &chanInbox{ch: make(chan Frame, depth*deg)}
 		}
 	}
 	for _, e := range g.Edges() {
@@ -52,16 +58,28 @@ func NewChan(g *graph.Graph, depth int) *Chan {
 	return c
 }
 
-// addLinkLocked creates the link from→to over to's inbox, creating the
-// inbox (one link's worth of depth) for a processor no link reached
-// before. Caller holds mu, or is still in NewChan.
+// addLinkLocked creates the link from→to over to's inbox. Caller holds
+// mu, or is still in NewChan.
 func (c *Chan) addLinkLocked(from, to graph.ProcessID) {
-	in, ok := c.inbox[to]
+	c.links[[2]graph.ProcessID{from, to}] = &chanLink{tr: c, in: c.inboxLocked(to)}
+}
+
+// inboxLocked returns p's inbox, creating it (one link's depth) for a
+// processor no link reached before. Caller holds mu, or is in NewChan.
+func (c *Chan) inboxLocked(p graph.ProcessID) *chanInbox {
+	in, ok := c.inbox[p]
 	if !ok {
-		in = make(chan Frame, c.depth)
-		c.inbox[to] = in
+		in = &chanInbox{ch: make(chan Frame, c.depth)}
+		c.inbox[p] = in
 	}
-	c.links[[2]graph.ProcessID{from, to}] = &chanLink{tr: c, ch: in}
+	return in
+}
+
+// OnArrival sets p's hook, fired by every Send into p's inbox.
+func (c *Chan) OnArrival(p graph.ProcessID, fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inboxLocked(p).arrival.Store(&fn)
 }
 
 // Link returns the directed link from→to; it panics on a non-edge, as
@@ -124,11 +142,11 @@ func (c *Chan) Close() error {
 	return nil
 }
 
-// chanLink is one directed edge of the Chan backend; ch is the receiving
+// chanLink is one directed edge of the Chan backend; in is the receiving
 // processor's inbox, shared with its other incoming links.
 type chanLink struct {
 	tr      *Chan
-	ch      chan Frame
+	in      *chanInbox
 	dead    atomic.Bool // set by DropLink; Sends drop
 	sent    atomic.Uint64
 	bytes   atomic.Uint64
@@ -141,11 +159,14 @@ func (l *chanLink) Send(f Frame) bool {
 		return false
 	}
 	select {
-	case l.ch <- f:
+	case l.in.ch <- f:
 		l.sent.Add(1)
 		// Encoded-equivalent bytes: what this frame would cost on a real
 		// wire, so byte-rate telemetry is comparable across backends.
 		l.bytes.Add(uint64(EncodedSize(&f)))
+		if fn := l.in.arrival.Load(); fn != nil {
+			(*fn)()
+		}
 		return true
 	default:
 		l.dropped.Add(1)
@@ -153,7 +174,7 @@ func (l *chanLink) Send(f Frame) bool {
 	}
 }
 
-func (l *chanLink) Recv() <-chan Frame { return l.ch }
+func (l *chanLink) Recv() <-chan Frame { return l.in.ch }
 
 // Stats reports no Queued: a Chan link has no outbound queue, and the
 // inbox it feeds is the receiver's, counted there.

@@ -163,6 +163,9 @@ func (c *Chaos) DropLink(from, to graph.ProcessID) {
 	}
 }
 
+// OnArrival forwards to the inner transport, whose inboxes frames enter.
+func (c *Chaos) OnArrival(p graph.ProcessID, fn func()) { c.inner.OnArrival(p, fn) }
+
 // Stats merges the inner backend's counters with the impairment counters.
 func (c *Chaos) Stats() Stats {
 	s := c.inner.Stats()

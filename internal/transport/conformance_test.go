@@ -180,6 +180,96 @@ func TestChaosOneInboxPerProcessor(t *testing.T) {
 	testOneInboxPerProcessor(t, chaosOver(chanBackend, transport.ChaosOptions{Seed: 5, Latency: time.Millisecond, Jitter: time.Millisecond}))
 }
 
+// passThrough is a decorator that embeds transport.Transport, as tracing
+// and gating wrappers do, and overrides only Link: every other method,
+// OnArrival among them, reaches the backend through the embedding.
+type passThrough struct{ transport.Transport }
+
+func (p passThrough) Link(from, to graph.ProcessID) transport.Link {
+	return p.Transport.Link(from, to)
+}
+
+// multiOverChan composes one whole-graph Chan per processor through Multi.
+func multiOverChan(t *testing.T, g *graph.Graph) (transport.Transport, func()) {
+	c := transport.NewChan(g, 64)
+	per := make(map[graph.ProcessID]transport.Transport, g.N())
+	for _, p := range g.Processors() {
+		per[p] = c
+	}
+	m := transport.NewMulti(per)
+	return m, func() { m.Close() }
+}
+
+// TestArrivalHook checks the arrival hook's contract on every backend and
+// through the wrappers: processor 1's hook fires once per frame sent to
+// it, and only after the frame is readable. The hook takes one frame from
+// the inbox without blocking, so it must find one every time, and the
+// inbox must be empty when the last hook has run.
+func TestArrivalHook(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   backendFactory
+	}{
+		{"chan", chanBackend},
+		{"chaos-over-chan", chaosOver(chanBackend, transport.ChaosOptions{Seed: 5, Latency: time.Millisecond, Jitter: time.Millisecond})},
+		{"multi-over-tcp", tcpBackend},
+		{"multi-over-chan", multiOverChan},
+		{"decorator-over-chan", func(t *testing.T, g *graph.Graph) (transport.Transport, func()) {
+			tr, cleanup := chanBackend(t, g)
+			return passThrough{tr}, cleanup
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := graph.Line(3)
+			tr, cleanup := c.mk(t, g)
+			defer cleanup()
+			from0, from2 := tr.Link(0, 1), tr.Link(2, 1)
+			in := from0.Recv()
+			var mu sync.Mutex
+			seen := make(map[uint64]bool)
+			calls, missed := 0, 0
+			tr.OnArrival(1, func() {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				select {
+				case f := <-in:
+					seen[f.Offer.Seq] = true
+				default:
+					missed++
+				}
+			})
+			const burst = 16
+			for seq := uint64(1); seq <= burst; seq++ {
+				from0.Send(offerFrame(0, 1, seq))
+				from2.Send(offerFrame(2, 1, 100+seq))
+			}
+			count := func() (int, int, int) {
+				mu.Lock()
+				defer mu.Unlock()
+				return calls, missed, len(seen)
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if n, _, _ := count(); n >= 2*burst {
+					break
+				}
+				if time.Now().After(deadline) {
+					n, _, _ := count()
+					t.Fatalf("the hook ran %d times for %d frames", n, 2*burst)
+				}
+			}
+			time.Sleep(20 * time.Millisecond) // room for a surplus call
+			n, miss, got := count()
+			if n != 2*burst || miss != 0 || got != 2*burst {
+				t.Fatalf("hook ran %d times for %d frames, found the inbox empty %d times, took %d distinct frames", n, 2*burst, miss, got)
+			}
+			if left := len(in); left != 0 {
+				t.Fatalf("%d frames left in the inbox after every hook ran", left)
+			}
+		})
+	}
+}
+
 // TestChanLinkHasNoOutboundQueue: a frame in flight on a Chan link sits
 // in the receiver's inbox, which the receiver counts; the link itself
 // queues nothing, so summing link queues does not count it twice.

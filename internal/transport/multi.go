@@ -42,6 +42,9 @@ func (m *Multi) Link(from, to graph.ProcessID) Link {
 	return l
 }
 
+// OnArrival hooks p's inbox, which p's own transport holds.
+func (m *Multi) OnArrival(p graph.ProcessID, fn func()) { m.per[p].OnArrival(p, fn) }
+
 // Stats sums every node transport's counters. Sends are counted at the
 // sender's transport and receives at the receiver's, so the sum counts
 // each frame once per direction.

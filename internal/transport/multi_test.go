@@ -18,6 +18,7 @@ type stubTransport struct {
 func (s *stubTransport) Link(from, to graph.ProcessID) Link { panic("stub has no links") }
 func (s *stubTransport) Stats() Stats                       { return s.stats }
 func (s *stubTransport) Close() error                       { s.closes++; return s.err }
+func (s *stubTransport) OnArrival(graph.ProcessID, func())  {}
 
 func TestMultiStatsSumsEveryField(t *testing.T) {
 	a := &stubTransport{stats: Stats{FramesSent: 1, FramesRecvd: 2, DroppedFull: 3, DroppedImpair: 4,

@@ -92,7 +92,8 @@ type TCP struct {
 	rng  *rand.Rand // seeds per-writer jitter streams; guarded by lmu
 
 	// inbox is Local's receive channel, shared by every inbound link.
-	inbox chan Frame
+	inbox   chan Frame
+	arrival atomic.Pointer[func()]
 
 	// lmu guards the elastic state: the link maps and the peer address
 	// book. Hot paths hold it only for a map read.
@@ -264,6 +265,13 @@ func (t *TCP) Link(from, to graph.ProcessID) Link {
 	panic(fmt.Sprintf("transport: tcp node %d asked for link %d→%d", t.opts.Local, from, to))
 }
 
+// OnArrival sets the hook of Local's inbox, fired by the readers.
+func (t *TCP) OnArrival(p graph.ProcessID, fn func()) {
+	if p == t.opts.Local {
+		t.arrival.Store(&fn)
+	}
+}
+
 // Stats sums this node's wire counters.
 func (t *TCP) Stats() Stats {
 	s := Stats{
@@ -370,6 +378,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 		select {
 		case rl.ch <- f:
 			rl.recvd.Add(1)
+			if fn := t.arrival.Load(); fn != nil {
+				(*fn)()
+			}
 		default:
 			rl.dropped.Add(1)
 		}

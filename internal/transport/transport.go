@@ -8,11 +8,14 @@
 // layer sends typed Frames on the link's send end. The receive side is
 // per processor, not per edge: every link into v returns v's one inbox
 // from Recv, and Frame.From names the sender, so a processor reads a
-// single stream of incoming frames. Every backend is best-effort by contract:
-// Send may drop a frame (full queue, impairment, a TCP connection mid
-// reconnect) and never blocks the caller — the SSMFP hop handshake's
-// retransmission is what recovers losses, exactly as it recovers the
-// simulated losses of the state model. Backends:
+// single stream of incoming frames. Every backend and wrapper calls the
+// OnArrival hook right after each frame becomes readable there, so a
+// receiver sleeping on one signal for several inboxes misses no frame.
+// Every backend is best-effort by contract: Send may drop a frame (full
+// queue, impairment, a TCP connection mid reconnect) and never blocks the
+// caller — the SSMFP hop handshake's retransmission is what recovers
+// losses, exactly as it recovers the simulated losses of the state model.
+// Backends:
 //
 //   - Chan (chanport.go): buffered Go channels, one inbox per receiving
 //     processor. Whole-graph scope: every link's both ends live in this
@@ -207,4 +210,9 @@ type Transport interface {
 	// frames held back by impairment are dropped. Frames in flight are
 	// lost.
 	Close() error
+	// OnArrival makes fn p's arrival hook, called right after each frame
+	// becomes readable in p's inbox, on the goroutine that put it there;
+	// fn must be quick and must not block. A later call replaces it; a
+	// node-scoped backend ignores processors it does not serve.
+	OnArrival(p graph.ProcessID, fn func())
 }

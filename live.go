@@ -10,12 +10,12 @@ import (
 	"ssmfp/internal/transport"
 )
 
-// LiveNetwork runs the protocol in the message-passing model: one
-// goroutine per processor, Go channels as asynchronous links, distance-
-// vector routing gossip, and an offer/accept/cancel handshake realizing
-// the hop transfer with exactly-once semantics — the engineering answer to
-// the paper's closing open problem. Links may drop frames; retransmission
-// recovers them.
+// LiveNetwork runs the protocol in the message-passing model: processors
+// served by one worker goroutine per CPU, Go channels as asynchronous
+// links, distance-vector routing gossip, and an offer/accept/cancel
+// handshake realizing the hop transfer with exactly-once semantics — the
+// engineering answer to the paper's closing open problem. Links may drop
+// frames; retransmission recovers them.
 type LiveNetwork struct {
 	nw    *msgpass.Network
 	tr    transport.Transport // the network's wire, closed after the network stops

@@ -13,7 +13,7 @@ import (
 // parked count is present, and both survive the JSON round trip that
 // /debug/ssmfp serves.
 func TestLiveStatusCongestedHopState(t *testing.T) {
-	// The node goroutines are never started, so nothing leaves the
+	// The workers are never started, so nothing leaves the
 	// pending rings and the snapshot is deterministic.
 	tr := transport.NewChan(Line(3), transport.DefaultDepth)
 	live := &LiveNetwork{nw: msgpass.New(Line(3), msgpass.Options{Seed: 1, Transport: tr}), tr: tr}
